@@ -60,25 +60,32 @@ const (
 
 // Options configures a run. The zero value is a single 16-core machine
 // with SSD storage and a 40 GigE network, the paper's defaults.
+//
+// This struct is the one declaration of every option. Its JSON tags are
+// the job API's wire form and the journal's record form, and Fingerprint
+// walks the fields in this order under those keys — so a field added
+// here is in all three by construction (see DESIGN.md, "Options are
+// declared once"). Reordering fields or renaming a key changes every
+// cache key.
 type Options struct {
 	// Machines is the cluster size (default 1; the paper evaluates up
 	// to 32).
-	Machines int
+	Machines int `json:"machines,omitempty"`
 	// Storage picks SSD (default) or HDD.
-	Storage Storage
+	Storage Storage `json:"storage,omitempty"`
 	// Network picks 40 GigE (default) or 1 GigE.
-	Network Network
+	Network Network `json:"network,omitempty"`
 	// Cores per machine (default 16; Figure 10 sweeps 8..16).
-	Cores int
+	Cores int `json:"cores,omitempty"`
 	// ChunkBytes is the chunk size (default 4 MB, §7). Benches use
 	// smaller chunks with lab-scale graphs.
-	ChunkBytes int
+	ChunkBytes int `json:"chunkBytes,omitempty"`
 	// VertexChunkBytes defaults to ChunkBytes.
-	VertexChunkBytes int
+	VertexChunkBytes int `json:"vertexChunkBytes,omitempty"`
 	// MemBudgetBytes bounds one streaming partition's vertex set per
 	// machine, determining the partition count (§3). Zero means
 	// unconstrained (one partition per machine).
-	MemBudgetBytes int64
+	MemBudgetBytes int64 `json:"memBudgetBytes,omitempty"`
 	// MemoryBudgetMB bounds the native engine's resident update-set
 	// memory, in MiB. Past the budget the update transport encodes
 	// overflowing buckets and spills them to temp files, streaming them
@@ -87,52 +94,52 @@ type Options struct {
 	// zero-copy in-memory transport). The sim engine accepts and
 	// ignores it: the DES models storage, so every sim run is
 	// out-of-core by construction.
-	MemoryBudgetMB int64
+	MemoryBudgetMB int64 `json:"memoryBudgetMB,omitempty"`
 	// BatchK is the batch factor k of §6.5 (default 5).
-	BatchK int
+	BatchK int `json:"batchK,omitempty"`
 	// WindowOverride fixes the request window phi*k directly (Figure 16).
-	WindowOverride int
+	WindowOverride int `json:"windowOverride,omitempty"`
 	// Alpha biases the steal criterion (§10.2). Zero means the paper
 	// default alpha = 1; set DisableStealing for alpha = 0 or
 	// AlwaysSteal for alpha = infinity.
-	Alpha float64
+	Alpha float64 `json:"alpha,omitempty"`
 	// DisableStealing turns work stealing off entirely.
-	DisableStealing bool
+	DisableStealing bool `json:"disableStealing,omitempty"`
 	// AlwaysSteal accepts every steal proposal with work remaining.
-	AlwaysSteal bool
+	AlwaysSteal bool `json:"alwaysSteal,omitempty"`
 	// CheckpointEvery enables vertex-state checkpoints every n
 	// iterations (§6.6).
-	CheckpointEvery int
+	CheckpointEvery int `json:"checkpointEvery,omitempty"`
 	// FailAtIteration injects a transient failure at the given 1-based
 	// iteration (requires CheckpointEvery).
-	FailAtIteration int
+	FailAtIteration int `json:"failAtIteration,omitempty"`
 	// CentralDirectory enables the Figure 15 centralized-metadata
 	// baseline instead of randomized placement.
-	CentralDirectory bool
+	CentralDirectory bool `json:"centralDirectory,omitempty"`
 	// CombineUpdates applies Pregel-style update aggregation inside the
 	// scatter buffers (§11.1) for algorithms that support it (BFS, WCC,
 	// SSSP, PR). The paper found the merge cost outweighs the traffic
 	// reduction; the ablation benchmark measures the trade.
-	CombineUpdates bool
+	CombineUpdates bool `json:"combineUpdates,omitempty"`
 	// RewriteEdges enables the §6.1 extended model for algorithms that
 	// rewrite their edge set during computation (MCST drops
 	// intra-component edges, shrinking later rounds).
-	RewriteEdges bool
+	RewriteEdges bool `json:"rewriteEdges,omitempty"`
 	// ReplicateVertices mirrors every vertex chunk on a second storage
 	// engine, the storage-failure tolerance sketched in §6.6.
-	ReplicateVertices bool
+	ReplicateVertices bool `json:"replicateVertices,omitempty"`
 	// MaxIterations caps the main loop.
-	MaxIterations int
+	MaxIterations int `json:"maxIterations,omitempty"`
 	// LatencyScale multiplies every fixed latency (device, network hop,
 	// loopback). Laboratory runs that shrink ChunkBytes by some factor
 	// should scale latencies by the same factor to preserve the paper's
 	// latency-to-service-time ratios (see DESIGN.md). Zero means 1.
-	LatencyScale float64
+	LatencyScale float64 `json:"latencyScale,omitempty"`
 	// ComputeWorkers bounds the host worker pool that runs per-chunk
 	// compute off the simulation thread (0 = GOMAXPROCS). Results,
 	// reports and simulated times are bit-identical for every value —
 	// the knob only trades host wall-clock time.
-	ComputeWorkers int
+	ComputeWorkers int `json:"computeWorkers,omitempty"`
 	// Engine selects the execution plane: EngineSim (the default, also
 	// "" or "des") runs the protocol under the deterministic
 	// discrete-event simulation and reports virtual time; EngineNative
@@ -141,7 +148,7 @@ type Options struct {
 	// carries wall-clock instead of simulated seconds, and no
 	// paper-facing performance claim is made (see DESIGN.md, "Two
 	// planes, one protocol").
-	Engine string
+	Engine string `json:"engine,omitempty"`
 	// NativeBarrier restores the native engine's two-global-barriers-
 	// per-iteration phase layout: every scatter finishes before any
 	// gather starts. The default (false) streams the boundary — gathers
@@ -152,10 +159,10 @@ type Options struct {
 	// scheduling-dependent steal counters differ. The sim engine accepts
 	// and ignores it: its simulated phases are barrier-ordered by
 	// construction.
-	NativeBarrier bool
+	NativeBarrier bool `json:"nativeBarrier,omitempty"`
 	// Seed drives all randomized decisions; equal seeds reproduce runs
 	// exactly.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 }
 
 // Engine names accepted by Options.Engine (see ParseEngine).

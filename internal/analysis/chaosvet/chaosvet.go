@@ -6,7 +6,6 @@ package chaosvet
 import (
 	"chaos/internal/analysis/ctxhook"
 	"chaos/internal/analysis/detrange"
-	"chaos/internal/analysis/fingerprint"
 	"chaos/internal/analysis/framework"
 	"chaos/internal/analysis/sliceretain"
 	"chaos/internal/analysis/wallclock"
@@ -20,7 +19,6 @@ func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		detrange.Analyzer,
 		wallclock.Analyzer,
-		fingerprint.Analyzer,
 		ctxhook.Analyzer,
 		sliceretain.Analyzer,
 	}

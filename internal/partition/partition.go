@@ -29,6 +29,15 @@ type Layout struct {
 	PerPartition uint64
 }
 
+// MaxPartitions bounds the partition count NewLayout will choose. Both
+// drivers keep per-partition state and the native transport one bucket
+// per partition pair, so memory grows with the square of the count: a
+// memory budget of a few bytes (one partition per vertex) or a
+// four-digit machine count would otherwise exhaust the host before the
+// run starts. The largest layout the full-scale figures reach is 256
+// partitions (32 machines); tests and the benchmark stay at or under 64.
+const MaxPartitions = 1024
+
 // NewLayout chooses the partitioning for numVertices vertices across
 // numMachines machines, where each vertex record occupies vertexBytes and
 // each machine can dedicate memBudget bytes to a partition's vertex set
@@ -36,7 +45,8 @@ type Layout struct {
 // X-Stream does).
 //
 // Per §3, the partition count is the smallest multiple of the machine count
-// whose per-partition vertex set fits the budget.
+// whose per-partition vertex set fits the budget; a budget or machine
+// count that needs more than MaxPartitions is an error.
 func NewLayout(numVertices uint64, numMachines int, vertexBytes, memBudget int64) (*Layout, error) {
 	if numMachines <= 0 {
 		return nil, fmt.Errorf("partition: need at least one machine, got %d", numMachines)
@@ -48,8 +58,7 @@ func NewLayout(numVertices uint64, numMachines int, vertexBytes, memBudget int64
 		return nil, fmt.Errorf("partition: memory budget %d cannot hold a single %d-byte vertex", memBudget, vertexBytes)
 	}
 	maxPerPartition := uint64(memBudget / vertexBytes)
-	for mult := 1; ; mult++ {
-		p := numMachines * mult
+	for p := numMachines; p <= MaxPartitions; p += numMachines {
 		per := ceilDiv(numVertices, uint64(p))
 		if per <= maxPerPartition {
 			return &Layout{
@@ -60,6 +69,8 @@ func NewLayout(numVertices uint64, numMachines int, vertexBytes, memBudget int64
 			}, nil
 		}
 	}
+	return nil, fmt.Errorf("partition: %d vertices on %d machines under a %d-byte memory budget need more than %d partitions",
+		numVertices, numMachines, memBudget, MaxPartitions)
 }
 
 // FixedLayout builds a layout with an explicit partition count, which must

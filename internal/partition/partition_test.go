@@ -39,6 +39,22 @@ func TestBudgetTooSmallForOneVertex(t *testing.T) {
 	}
 }
 
+func TestPartitionCountIsBounded(t *testing.T) {
+	if l, err := NewLayout(MaxPartitions, 1, 8, 8); err != nil || l.NumPartitions != MaxPartitions {
+		t.Errorf("exactly MaxPartitions one-vertex partitions: %v, %v", l, err)
+	}
+	if _, err := NewLayout(MaxPartitions+1, 1, 8, 8); err == nil {
+		t.Error("a one-vertex budget past MaxPartitions vertices should error")
+	}
+	if _, err := NewLayout(10, MaxPartitions+1, 8, 1<<20); err == nil {
+		t.Error("more machines than MaxPartitions should error")
+	}
+	// 3 machines: the last multiple under the bound is 1023.
+	if _, err := NewLayout(1024, 3, 8, 8); err == nil {
+		t.Error("a count that only fits past MaxPartitions should error")
+	}
+}
+
 func TestRejectsZeroMachinesAndVertices(t *testing.T) {
 	if _, err := NewLayout(10, 0, 8, 100); err == nil {
 		t.Error("zero machines should error")

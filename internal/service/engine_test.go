@@ -27,7 +27,7 @@ func TestNativeEngineJobEndToEnd(t *testing.T) {
 
 	var jv JobView
 	code, body := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-		jobRequest{Graph: "g", Algorithm: "PR", Options: jobOptions{Engine: "native", Seed: 3}}, &jv)
+		jobRequest{Graph: "g", Algorithm: "PR", Options: chaos.Options{Engine: "native", Seed: 3}}, &jv)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit native job: %d %s", code, body)
 	}
@@ -56,7 +56,7 @@ func TestNativeEngineJobEndToEnd(t *testing.T) {
 	// really runs (and reports virtual time).
 	var simJV JobView
 	if code, body := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-		jobRequest{Graph: "g", Algorithm: "PR", Options: jobOptions{Seed: 3}}, &simJV); code != http.StatusAccepted {
+		jobRequest{Graph: "g", Algorithm: "PR", Options: chaos.Options{Seed: 3}}, &simJV); code != http.StatusAccepted {
 		t.Fatalf("submit sim job: %d %s", code, body)
 	}
 	simDone := pollJob(t, client, ts.URL, simJV.ID)
@@ -70,7 +70,7 @@ func TestNativeEngineJobEndToEnd(t *testing.T) {
 	// And the native resubmission IS a hit.
 	var hitJV JobView
 	if code, _ := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-		jobRequest{Graph: "g", Algorithm: "PR", Options: jobOptions{Engine: "native", Seed: 3}}, &hitJV); code != http.StatusAccepted {
+		jobRequest{Graph: "g", Algorithm: "PR", Options: chaos.Options{Engine: "native", Seed: 3}}, &hitJV); code != http.StatusAccepted {
 		t.Fatal("native resubmission rejected")
 	}
 	if hit := pollJob(t, client, ts.URL, hitJV.ID); !hit.CacheHit || hit.Engine != chaos.EngineNative {
@@ -110,22 +110,34 @@ func TestNativeEngineJobEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBadEngineRejectedAtSubmit checks a typo'd engine name fails the
-// submission with 400 and the shared ParseEngine message.
-func TestBadEngineRejectedAtSubmit(t *testing.T) {
+// TestBadOptionsRejectedAtSubmit: whatever the run would reject before
+// doing any work — a name no parser knows, an option combination the
+// engine's own normalization refuses — fails the submission with 400 and
+// the same message the CLIs and the engine print, and schedules nothing.
+func TestBadOptionsRejectedAtSubmit(t *testing.T) {
 	svc := newTestService(t, 1)
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	client := ts.Client()
-
-	if code, _ := doJSON(t, client, http.MethodPost, ts.URL+"/v1/graphs",
-		GraphSpec{Name: "g", Type: "rmat", Scale: 5, Seed: 1}, nil); code != http.StatusCreated {
-		t.Fatal("register failed")
+	h := svc.Handler()
+	if w := postJSON(t, h, "/v1/graphs", `{"name":"g","type":"rmat","scale":5,"seed":1}`); w.Code != http.StatusCreated {
+		t.Fatalf("register: %d %s", w.Code, w.Body)
 	}
-	code, body := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-		jobRequest{Graph: "g", Algorithm: "PR", Options: jobOptions{Engine: "turbo"}}, nil)
-	if code != http.StatusBadRequest || !strings.Contains(body, "unknown engine") {
-		t.Fatalf("bad engine: %d %s", code, body)
+	for options, want := range map[string]string{
+		`{"engine":"turbo"}`:                            `chaos: unknown engine "turbo" (want sim or native)`,
+		`{"storage":"tape"}`:                            `chaos: unknown storage "tape" (want ssd or hdd)`,
+		`{"network":"10g"}`:                             `chaos: unknown network "10g" (want 40g or 1g)`,
+		`{"storage":7}`:                                 `chaos: storage must be a name or the legacy value 0 or 1, got 7`,
+		`{"failAtIteration":3}`:                         `core: failure injection requires checkpointing`,
+		`{"rewriteEdges":true,"centralDirectory":true}`: `core: edge rewriting is not supported with the central directory baseline`,
+		`{"rewriteEdges":true,"failAtIteration":3,"checkpointEvery":1}`: `core: edge rewriting cannot roll back; disable failure injection`,
+	} {
+		w := postJSON(t, h, "/v1/jobs", `{"graph":"g","algorithm":"PR","options":`+options+`}`)
+		var resp errorResponse
+		json.Unmarshal(w.Body.Bytes(), &resp)
+		if w.Code != http.StatusBadRequest || resp.Error != want {
+			t.Errorf("options %s: %d %q, want 400 %q", options, w.Code, resp.Error, want)
+		}
+	}
+	if st := svc.Stats(); len(st.Jobs) != 0 || st.QueueDepth != 0 {
+		t.Errorf("rejected submissions were scheduled: %+v", st.Jobs)
 	}
 }
 

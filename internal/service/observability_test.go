@@ -166,7 +166,7 @@ func TestMetricsHistogramsPreSeededAndFed(t *testing.T) {
 	}
 	var jv JobView
 	if code, body := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-		jobRequest{Graph: "g", Algorithm: "PR", Options: jobOptions{}}, &jv); code != http.StatusAccepted {
+		jobRequest{Graph: "g", Algorithm: "PR", Options: chaos.Options{}}, &jv); code != http.StatusAccepted {
 		t.Fatalf("submit job: %d %s", code, body)
 	}
 	if done := pollJob(t, client, ts.URL, jv.ID); done.State != JobDone {
@@ -210,7 +210,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 	// every partition before the other goroutine even starts, and the
 	// per-machine assertions below would flake.
 	req := jobRequest{Graph: "g", Algorithm: "PR",
-		Options: jobOptions{Engine: "native", Machines: 2, DisableStealing: true, Seed: 3}}
+		Options: chaos.Options{Engine: "native", Machines: 2, DisableStealing: true, Seed: 3}}
 	var jv JobView
 	if code, body := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs", req, &jv); code != http.StatusAccepted {
 		t.Fatalf("submit job: %d %s", code, body)

@@ -520,7 +520,7 @@ func TestMetricsParsesUnderLoad(t *testing.T) {
 			default:
 			}
 			doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-				jobRequest{Graph: "g", Algorithm: "PR", Options: jobOptions{Seed: int64(i%5 + 1)}}, nil)
+				jobRequest{Graph: "g", Algorithm: "PR", Options: chaos.Options{Seed: int64(i%5 + 1)}}, nil)
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
@@ -566,7 +566,7 @@ func TestJobEventsSSE(t *testing.T) {
 	}
 	var jv JobView
 	if code, body := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-		jobRequest{Graph: "g", Algorithm: "PR", Options: jobOptions{Machines: 2, Seed: 7}}, &jv); code != http.StatusAccepted {
+		jobRequest{Graph: "g", Algorithm: "PR", Options: chaos.Options{Machines: 2, Seed: 7}}, &jv); code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, body)
 	}
 

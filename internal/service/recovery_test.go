@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -394,5 +395,100 @@ func TestSnapshotCompactionAcrossRestarts(t *testing.T) {
 		if jv.State != JobDone {
 			t.Errorf("job %s: %s, want done", jv.ID, jv.State)
 		}
+	}
+}
+
+// TestLegacyDataDirRestores boots on state written by the last binary
+// whose chaos.Options had no JSON tags (commit ec66aa7, PR 11): job
+// records carry Go field names and integer devices ("Storage": 1). The
+// fixture under testdata/legacy is that binary's output verbatim — a
+// final snapshot (j1, j2), the journal records appended after it (j3,
+// j4), the result blobs it stored, and the fingerprint and cache key it
+// computed for each job (expected.json). Never regenerate it with
+// current code: its whole value is that current code did not write it.
+// (A change that adds an option appends a component to every fingerprint
+// and so orphans every stored result; this test failing is that alarm.)
+func TestLegacyDataDirRestores(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(filepath.Join(dir, "results"), os.DirFS("testdata/legacy/results")); err != nil {
+		t.Fatal(err)
+	}
+	walDir := filepath.Join(dir, "wal")
+	if err := os.MkdirAll(walDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	snapshot, err := os.ReadFile("testdata/legacy/snapshot.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(snapshot, []byte(`"Storage":1,"Network":1`)) {
+		t.Fatal("fixture snapshot lost its integer-device record")
+	}
+	if err := os.WriteFile(filepath.Join(walDir, "snapshot.json"), snapshot, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wal, _, err := durable.OpenWAL(walDir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile("testdata/legacy/journal.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSpace(journal), []byte("\n")) {
+		var rec durable.Record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := wal.Append(rec.Kind, rec.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var expected []struct {
+		ID, Algorithm, State, Fingerprint, CacheKey string
+	}
+	data, err := os.ReadFile("testdata/legacy/expected.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &expected); err != nil {
+		t.Fatal(err)
+	}
+
+	svc := openDurable(t, dir, 1)
+	t.Cleanup(func() { svc.Shutdown(context.Background()) })
+	for _, want := range expected {
+		svc.scheduler.mu.Lock()
+		j := svc.scheduler.jobs[want.ID]
+		svc.scheduler.mu.Unlock()
+		if j == nil {
+			t.Errorf("%s: not restored", want.ID)
+			continue
+		}
+		if got := j.Options.Fingerprint(); got != want.Fingerprint {
+			t.Errorf("%s: fingerprint\n got %s\nwant %s", want.ID, got, want.Fingerprint)
+		}
+		if got := cacheKey(j.Graph, j.Algorithm, j.Options); got != want.CacheKey {
+			t.Errorf("%s: cache key %s, want %s", want.ID, got, want.CacheKey)
+		}
+		// The stored blob still answers for the job: its result hydrates.
+		jv, _ := svc.scheduler.Get(want.ID)
+		if string(jv.State) != want.State || jv.Algorithm != want.Algorithm || jv.Result == nil {
+			t.Errorf("%s: restored as %s %s result=%v, want %s %s with its stored result",
+				want.ID, jv.Algorithm, jv.State, jv.Result, want.Algorithm, want.State)
+		}
+	}
+	// And for a fresh, identical submission: a cache hit, not a rerun.
+	jv, err := svc.Submit("rmat6", "BFS", chaos.Options{
+		Machines: 2, Storage: chaos.HDD, Network: chaos.Net1GigE, CheckpointEvery: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !jv.CacheHit || jv.State != JobDone {
+		t.Errorf("resubmission of legacy j2: cacheHit=%v state=%s, want a cache hit", jv.CacheHit, jv.State)
 	}
 }

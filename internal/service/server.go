@@ -82,94 +82,36 @@ func (s *Service) routePatterns() []string {
 	return pats
 }
 
-// jobOptions is the wire form of chaos.Options: hardware names as
-// strings, byte sizes explicit. Zero-valued fields inherit the service's
-// BaseOptions and then the paper defaults. Every chaos.Options field has
-// a wire counterpart — TestJobOptionsCoverAllOptionFields enforces the
-// correspondence, so a new engine knob cannot be silently dropped by the
-// job API again.
-type jobOptions struct {
-	Machines          int     `json:"machines,omitempty"`
-	Storage           string  `json:"storage,omitempty"`
-	Network           string  `json:"network,omitempty"`
-	Cores             int     `json:"cores,omitempty"`
-	ChunkBytes        int     `json:"chunkBytes,omitempty"`
-	VertexChunkBytes  int     `json:"vertexChunkBytes,omitempty"`
-	MemBudgetBytes    int64   `json:"memBudgetBytes,omitempty"`
-	MemoryBudgetMB    int64   `json:"memoryBudgetMB,omitempty"`
-	BatchK            int     `json:"batchK,omitempty"`
-	WindowOverride    int     `json:"windowOverride,omitempty"`
-	Alpha             float64 `json:"alpha,omitempty"`
-	DisableStealing   bool    `json:"disableStealing,omitempty"`
-	AlwaysSteal       bool    `json:"alwaysSteal,omitempty"`
-	CheckpointEvery   int     `json:"checkpointEvery,omitempty"`
-	FailAtIteration   int     `json:"failAtIteration,omitempty"`
-	CentralDirectory  bool    `json:"centralDirectory,omitempty"`
-	CombineUpdates    bool    `json:"combineUpdates,omitempty"`
-	RewriteEdges      bool    `json:"rewriteEdges,omitempty"`
-	ReplicateVertices bool    `json:"replicateVertices,omitempty"`
-	MaxIterations     int     `json:"maxIterations,omitempty"`
-	LatencyScale      float64 `json:"latencyScale,omitempty"`
-	ComputeWorkers    int     `json:"computeWorkers,omitempty"`
-	// Engine selects the execution plane: "sim" (default) or "native".
-	// Absent in pre-PR-5 journal records, which decode to "" and
-	// canonicalize to "sim" — the only engine that existed then.
-	Engine string `json:"engine,omitempty"`
-	// NativeBarrier restores the native engine's barrier-per-phase
-	// layout (default false = the streaming pipeline). Values are
-	// identical either way; the knob is for A/B measurement.
-	NativeBarrier bool  `json:"nativeBarrier,omitempty"`
-	Seed          int64 `json:"seed,omitempty"`
-}
-
-// jobRequest is the POST /v1/jobs payload.
+// jobRequest is the POST /v1/jobs payload. Options is chaos.Options
+// itself, whose JSON tags are the wire form (hardware by name, byte sizes
+// explicit); zero-valued fields inherit the service's BaseOptions and
+// then the paper defaults. Bad storage and network names fail the decode
+// with the CLIs' message.
 type jobRequest struct {
-	Graph     string     `json:"graph"`
-	Algorithm string     `json:"algorithm"`
-	Options   jobOptions `json:"options"`
+	Graph     string        `json:"graph"`
+	Algorithm string        `json:"algorithm"`
+	Options   chaos.Options `json:"options"`
 }
 
-// resolve validates the request through the same chaos.ParseOptions
-// helper the CLIs use, so a bad algorithm or device name fails with the
-// identical message everywhere.
+// resolve canonicalizes the request's names through the parsers the CLIs
+// use, so a bad algorithm or engine fails with the identical message
+// everywhere.
 func (r jobRequest) resolve() (string, chaos.Options, error) {
-	base := chaos.Options{
-		Machines:          r.Options.Machines,
-		Cores:             r.Options.Cores,
-		ChunkBytes:        r.Options.ChunkBytes,
-		VertexChunkBytes:  r.Options.VertexChunkBytes,
-		MemBudgetBytes:    r.Options.MemBudgetBytes,
-		MemoryBudgetMB:    r.Options.MemoryBudgetMB,
-		BatchK:            r.Options.BatchK,
-		WindowOverride:    r.Options.WindowOverride,
-		Alpha:             r.Options.Alpha,
-		DisableStealing:   r.Options.DisableStealing,
-		AlwaysSteal:       r.Options.AlwaysSteal,
-		CheckpointEvery:   r.Options.CheckpointEvery,
-		FailAtIteration:   r.Options.FailAtIteration,
-		CentralDirectory:  r.Options.CentralDirectory,
-		CombineUpdates:    r.Options.CombineUpdates,
-		RewriteEdges:      r.Options.RewriteEdges,
-		ReplicateVertices: r.Options.ReplicateVertices,
-		MaxIterations:     r.Options.MaxIterations,
-		LatencyScale:      r.Options.LatencyScale,
-		ComputeWorkers:    r.Options.ComputeWorkers,
-		NativeBarrier:     r.Options.NativeBarrier,
-		Seed:              r.Options.Seed,
-	}
+	opt := r.Options
 	// The engine name is validated here so a typo fails the submission
-	// with 400 (and the same message as the CLIs) instead of failing the
-	// job later; the canonical spelling is what gets journaled. An
-	// omitted engine stays empty so mergeOptions can apply the server's
-	// BaseOptions default (chaos-serve -engine).
-	if r.Options.Engine != "" {
-		engine, err := chaos.ParseEngine(r.Options.Engine)
+	// with 400 instead of failing the job later; the canonical spelling
+	// is what gets journaled. An omitted engine stays empty so
+	// mergeOptions can apply the server's BaseOptions default
+	// (chaos-serve -engine).
+	if opt.Engine != "" {
+		engine, err := chaos.ParseEngine(opt.Engine)
 		if err != nil {
-			return "", base, err
+			return "", opt, err
 		}
-		base.Engine = engine
+		opt.Engine = engine
 	}
-	return chaos.ParseOptions(r.Algorithm, r.Options.Storage, r.Options.Network, base)
+	alg, err := chaos.ParseAlgorithm(r.Algorithm)
+	return alg, opt, err
 }
 
 // maxBodyBytes bounds POST /v1/jobs payloads: job requests are small

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -12,58 +13,25 @@ import (
 	"chaos"
 )
 
-// TestJobOptionsCoverAllOptionFields reflects over chaos.Options and the
-// wire form: every engine knob must have a same-named wire field, so a
-// new option cannot be silently dropped by the job API.
-func TestJobOptionsCoverAllOptionFields(t *testing.T) {
-	opt := reflect.TypeOf(chaos.Options{})
-	wire := reflect.TypeOf(jobOptions{})
-	for i := 0; i < opt.NumField(); i++ {
-		name := opt.Field(i).Name
-		if _, ok := wire.FieldByName(name); !ok {
-			t.Errorf("chaos.Options.%s has no jobOptions counterpart", name)
-		}
-	}
-	for i := 0; i < wire.NumField(); i++ {
-		name := wire.Field(i).Name
-		if _, ok := opt.FieldByName(name); !ok {
-			t.Errorf("jobOptions.%s does not correspond to a chaos.Options field", name)
-		}
-	}
-}
-
-// TestJobOptionsRoundTrip sets every wire field to a non-default value
-// and checks resolve carries each one into the engine options.
+// TestJobOptionsRoundTrip posts a body with every wire key at a
+// non-default value — the keys the job API has always documented — and
+// checks each one lands in the engine options.
 func TestJobOptionsRoundTrip(t *testing.T) {
-	req := jobRequest{
-		Graph:     "g",
-		Algorithm: "pagerank",
-		Options: jobOptions{
-			Machines:          3,
-			Storage:           "hdd",
-			Network:           "1g",
-			Cores:             8,
-			ChunkBytes:        1 << 12,
-			VertexChunkBytes:  1 << 11,
-			MemBudgetBytes:    1 << 21,
-			MemoryBudgetMB:    12,
-			BatchK:            7,
-			WindowOverride:    9,
-			Alpha:             2.5,
-			DisableStealing:   true,
-			AlwaysSteal:       true,
-			CheckpointEvery:   2,
-			FailAtIteration:   3,
-			CentralDirectory:  true,
-			CombineUpdates:    true,
-			RewriteEdges:      true,
-			ReplicateVertices: true,
-			MaxIterations:     42,
-			LatencyScale:      0.25,
-			ComputeWorkers:    4,
-			Engine:            "native",
-			Seed:              99,
-		},
+	const body = `{"graph": "g", "algorithm": "pagerank", "options": {
+		"machines": 3, "storage": "hdd", "network": "1g", "cores": 8,
+		"chunkBytes": 4096, "vertexChunkBytes": 2048,
+		"memBudgetBytes": 2097152, "memoryBudgetMB": 12,
+		"batchK": 7, "windowOverride": 9, "alpha": 2.5,
+		"disableStealing": true, "alwaysSteal": true,
+		"checkpointEvery": 2, "failAtIteration": 3,
+		"centralDirectory": true, "combineUpdates": true,
+		"rewriteEdges": true, "replicateVertices": true,
+		"maxIterations": 42, "latencyScale": 0.25, "computeWorkers": 4,
+		"engine": "native", "seed": 99}}`
+	var req jobRequest
+	r := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body))
+	if err := decodeStrict(httptest.NewRecorder(), r, &req, maxBodyBytes); err != nil {
+		t.Fatal(err)
 	}
 	alg, got, err := req.resolve()
 	if err != nil {
@@ -146,7 +114,7 @@ func TestListJobsQuery(t *testing.T) {
 	for i := range ids {
 		var jv JobView
 		if code, body := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-			jobRequest{Graph: "g", Algorithm: "PR", Options: jobOptions{Seed: int64(i + 1)}}, &jv); code != http.StatusAccepted {
+			jobRequest{Graph: "g", Algorithm: "PR", Options: chaos.Options{Seed: int64(i + 1)}}, &jv); code != http.StatusAccepted {
 			t.Fatalf("submit: %d %s", code, body)
 		}
 		ids[i] = jv.ID
@@ -208,4 +176,44 @@ func TestPostRejectsOversizedBody(t *testing.T) {
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("graph body over the upload cap: status %d, want 413", w.Code)
 	}
+}
+
+// FuzzJobRequest feeds arbitrary bytes to the job-submission decoder —
+// the one place chaos.Options is parsed from bytes this process did not
+// write. Nothing may panic, and a body that is accepted must survive the
+// trip the journal gives it: re-marshaled and re-decoded, it names the
+// same algorithm and the same cache key.
+func FuzzJobRequest(f *testing.F) {
+	f.Add([]byte(`{"graph":"g","algorithm":"pagerank","options":{"machines":4,"storage":"hdd","network":"1g","seed":7}}`))
+	f.Add([]byte(`{"graph":"g","algorithm":"BFS","options":{"Machines":2,"Storage":1,"Network":0,"Engine":"des","NativeBarrier":false}}`))
+	f.Add([]byte(`{"graph":"g","algorithm":"sssp","options":{"alpha":2.5,"latencyScale":0.015625,"alwaysSteal":true,"engine":"NATIVE"}}`))
+	f.Add([]byte(`{"graph":"g","algorithm":"PR","options":{"storage":7}}`))
+	f.Add([]byte(`{"graph":"g","algorithm":"PR","options":{"storage":null,"mahcines":1}}`))
+	f.Add([]byte(`{"graph":"g","algorithm":"PR"}{"graph":"g"}`))
+	decode := func(body []byte) (string, chaos.Options, error) {
+		var req jobRequest
+		r := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
+		if err := decodeStrict(httptest.NewRecorder(), r, &req, maxBodyBytes); err != nil {
+			return "", chaos.Options{}, err
+		}
+		return req.resolve()
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		alg, opt, err := decode(body)
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(jobRequest{Graph: "g", Algorithm: alg, Options: opt})
+		if err != nil {
+			t.Fatalf("accepted options %+v do not marshal: %v", opt, err)
+		}
+		alg2, opt2, err := decode(again)
+		if err != nil {
+			t.Fatalf("%s: own wire form %s rejected: %v", body, again, err)
+		}
+		if alg2 != alg || opt2.Fingerprint() != opt.Fingerprint() {
+			t.Fatalf("%s: round trip through %s changed the job:\n%s %s\n%s %s",
+				body, again, alg, opt.Fingerprint(), alg2, opt2.Fingerprint())
+		}
+	})
 }

@@ -311,7 +311,7 @@ func (s *Service) RegisterGraph(spec GraphSpec) (*Graph, error) {
 
 // Submit enqueues a job for graph id, serving it from the result cache
 // when an identical (graph, algorithm, canonical options) run has already
-// completed. The algorithm name must be canonical (see chaos.ParseOptions).
+// completed. The algorithm name must be canonical (see chaos.ParseAlgorithm).
 func (s *Service) Submit(graphID, algorithm string, opt chaos.Options) (JobView, error) {
 	return s.SubmitCtx(context.Background(), graphID, algorithm, opt)
 }
@@ -337,6 +337,11 @@ func (s *Service) SubmitCtx(ctx context.Context, graphID, algorithm string, opt 
 		return JobView{}, fmt.Errorf("service: %s needs edge weights but graph %q is unweighted", algorithm, g.ID)
 	}
 	opt = mergeOptions(s.cfg.BaseOptions, opt)
+	// Reject now what the engine would reject at start: an accepted job
+	// that can only fail costs a queue slot and reports its reason late.
+	if err := opt.Validate(); err != nil {
+		return JobView{}, err
+	}
 	rt := reqTraceFrom(ctx)
 	if res, rep, ok := s.cache.lookup(cacheKey(g.ID, algorithm, opt)); ok {
 		return s.scheduler.AdmitCachedTraced(rt, g.ID, algorithm, opt, res, rep)

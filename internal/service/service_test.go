@@ -141,7 +141,7 @@ func TestEndToEnd(t *testing.T) {
 			code, body := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs", jobRequest{
 				Graph:     "rmat8",
 				Algorithm: strings.ToLower(sub.alg), // exercises case-insensitive parsing
-				Options:   jobOptions{Machines: 2, Seed: sub.seed},
+				Options:   chaos.Options{Machines: 2, Seed: sub.seed},
 			}, &jv)
 			if code != http.StatusAccepted {
 				t.Errorf("submit %s: %d %s", sub.alg, code, body)
@@ -185,7 +185,7 @@ func TestEndToEnd(t *testing.T) {
 	code, body = doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs", jobRequest{
 		Graph:     "rmat8",
 		Algorithm: "BFS",
-		Options:   jobOptions{Machines: 2, Seed: 7},
+		Options:   chaos.Options{Machines: 2, Seed: 7},
 	}, &hit)
 	if code != http.StatusAccepted {
 		t.Fatalf("resubmit: %d %s", code, body)
@@ -240,7 +240,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	if code, _ := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-		jobRequest{Graph: "rmat8", Algorithm: "PR", Options: jobOptions{Seed: 99}}, nil); code != http.StatusServiceUnavailable {
+		jobRequest{Graph: "rmat8", Algorithm: "PR", Options: chaos.Options{Seed: 99}}, nil); code != http.StatusServiceUnavailable {
 		t.Errorf("submit after shutdown: code %d, want 503", code)
 	}
 }
@@ -278,7 +278,7 @@ func TestUploadedGraphMatchesDirectRun(t *testing.T) {
 
 	var jv JobView
 	if code, body := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-		jobRequest{Graph: "up", Algorithm: "BFS", Options: jobOptions{Seed: 3}}, &jv); code != http.StatusAccepted {
+		jobRequest{Graph: "up", Algorithm: "BFS", Options: chaos.Options{Seed: 3}}, &jv); code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, body)
 	}
 	got := pollJob(t, client, ts.URL, jv.ID)
@@ -382,11 +382,39 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	var second JobView
 	code, body := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
 		jobRequest{Graph: "tiny", Algorithm: "pagerank",
-			Options: jobOptions{Machines: 1, Storage: "ssd", Network: "40g"}}, &second)
+			Options: chaos.Options{Machines: 1, Storage: chaos.SSD, Network: chaos.Net40GigE}}, &second)
 	if code != http.StatusAccepted {
 		t.Fatalf("resubmit: %d %s", code, body)
 	}
 	if !second.CacheHit {
 		t.Error("canonically-equal request missed the cache")
+	}
+}
+
+// TestPartitionBlowupFailsTheJobOnly: a memory budget of a few bytes asks
+// for one partition per vertex, and per-partition state grows with the
+// square of the count. The layout refuses past partition.MaxPartitions
+// before either driver allocates, so the job fails with the reason and
+// the service keeps serving.
+func TestPartitionBlowupFailsTheJobOnly(t *testing.T) {
+	svc := newTestService(t, 1)
+	if _, err := svc.RegisterGraph(GraphSpec{Name: "g", Type: "rmat", Scale: 11, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []string{chaos.EngineSim, chaos.EngineNative} {
+		jv, err := svc.Submit("g", "PR", chaos.Options{Engine: engine, MemBudgetBytes: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := waitJob(t, svc, jv.ID); got.State != JobFailed || !strings.Contains(got.Error, "need more than 1024 partitions") {
+			t.Errorf("%s: one-vertex budget: %s %q, want failed with the partition limit", engine, got.State, got.Error)
+		}
+		jv, err = svc.Submit("g", "PR", chaos.Options{Engine: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := waitJob(t, svc, jv.ID); got.State != JobDone {
+			t.Errorf("%s: job after the failed one: %s %q, want done", engine, got.State, got.Error)
+		}
 	}
 }

@@ -1,7 +1,10 @@
 package chaos
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 )
@@ -24,21 +27,45 @@ func (n Network) String() string {
 	return "40g"
 }
 
-// ParseAlgorithm resolves a case-insensitive algorithm name to its
-// canonical Table 1 spelling ("pagerank" and "pr" both mean "PR").
-func ParseAlgorithm(name string) (string, error) {
-	aliases := map[string]string{
-		"pagerank": "PR", "conductance": "Cond",
+// MarshalJSON writes the device name, the spelling ParseStorage reads.
+func (s Storage) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
+
+// UnmarshalJSON reads a device name (see unmarshalDevice).
+func (s *Storage) UnmarshalJSON(data []byte) error {
+	return unmarshalDevice(data, "storage", ParseStorage, s)
+}
+
+// MarshalJSON writes the network name, the spelling ParseNetwork reads.
+func (n Network) MarshalJSON() ([]byte, error) { return json.Marshal(n.String()) }
+
+// UnmarshalJSON reads a network name (see unmarshalDevice).
+func (n *Network) UnmarshalJSON(data []byte) error {
+	return unmarshalDevice(data, "network", ParseNetwork, n)
+}
+
+// unmarshalDevice decodes a two-valued hardware enum from its name
+// (through parse, so the job API rejects a bad name with the CLIs'
+// message) or from the integers 0 and 1: every journal and snapshot
+// written before Options carried JSON tags holds the Go constant's value.
+func unmarshalDevice[T ~int](data []byte, what string, parse func(string) (T, error), dst *T) error {
+	if bytes.Equal(data, []byte("null")) {
+		return nil // absent, as encoding/json treats null for plain fields
 	}
-	if canon, ok := aliases[strings.ToLower(name)]; ok {
-		return canon, nil
-	}
-	for _, a := range Algorithms() {
-		if strings.EqualFold(a, name) {
-			return a, nil
+	var name string
+	if json.Unmarshal(data, &name) == nil {
+		v, err := parse(name)
+		if err != nil {
+			return err
 		}
+		*dst = v
+		return nil
 	}
-	return "", errUnknownAlgorithm(name)
+	var legacy int
+	if err := json.Unmarshal(data, &legacy); err != nil || legacy < 0 || legacy > 1 {
+		return fmt.Errorf("chaos: %s must be a name or the legacy value 0 or 1, got %s", what, data)
+	}
+	*dst = T(legacy)
+	return nil
 }
 
 // ParseStorage resolves a storage-device name; the empty string means the
@@ -79,13 +106,13 @@ func ParseEngine(name string) (string, error) {
 	return "", fmt.Errorf("chaos: unknown engine %q (want sim or native)", name)
 }
 
-// ParseOptions validates the string-typed knobs shared by the CLIs and
-// the job service — algorithm, storage and network names — and returns
-// the canonical algorithm name plus base with the parsed hardware
-// applied. An empty algorithm skips algorithm resolution (for callers
-// that only need the hardware), and empty storage/network strings leave
-// the paper defaults. Routing every front end through this one helper
-// keeps their validation and error messages identical.
+// ParseOptions validates the CLIs' string-typed flags — algorithm,
+// storage and network names — and returns the canonical algorithm name
+// plus base with the parsed hardware applied. An empty algorithm skips
+// algorithm resolution (for callers that only need the hardware), and
+// empty storage/network strings leave the paper defaults. The job API
+// reaches the same three parsers through Options' JSON decoding, so the
+// names and error messages match everywhere.
 func ParseOptions(alg, storage, network string, base Options) (string, Options, error) {
 	canon := ""
 	if alg != "" {
@@ -114,11 +141,12 @@ func ParseOptions(alg, storage, network string, base Options) (string, Options, 
 // exactly like running o. The job service keys its result cache on the
 // canonical form so that, e.g., {Seed: 0} and {Seed: 1} share one entry.
 //
-// The explicit values must stay in lockstep with the engine defaults
-// (cluster.SSD, core.DefaultConfig, Config.normalize): if a default
-// changes there without changing here, equal fingerprints would no
-// longer imply equal runs. TestCanonicalRunEquivalence sweeps option
-// shapes to catch such drift.
+// Only fields with something to fold appear below; every other field is
+// its own canonical form. The explicit values must stay in lockstep with
+// the engine defaults (cluster.SSD, core.DefaultConfig,
+// Config.normalize): if a default changes there without changing here,
+// equal fingerprints would no longer imply equal runs.
+// TestCanonicalRunEquivalence sweeps option shapes to catch such drift.
 func (o Options) Canonical() Options {
 	c := o
 	if c.Machines <= 0 {
@@ -165,12 +193,6 @@ func (o Options) Canonical() Options {
 	if c.CheckpointEvery < 0 {
 		c.CheckpointEvery = 0
 	}
-	// CentralDirectory, CombineUpdates, RewriteEdges and
-	// ReplicateVertices are pure feature toggles with no implied
-	// defaults: their canonical form is themselves. Named here so the
-	// fingerprint analyzer proves no field was forgotten instead of
-	// assuming the `c := o` copy was intentional.
-	_, _, _, _ = c.CentralDirectory, c.CombineUpdates, c.RewriteEdges, c.ReplicateVertices
 	if c.FailAtIteration < 0 {
 		c.FailAtIteration = 0
 	}
@@ -186,36 +208,18 @@ func (o Options) Canonical() Options {
 	// default and share one cache entry.
 	c.ComputeWorkers = 0
 	// Engine aliases fold to their canonical spelling; an unknown name
-	// is left as-is (Canonical cannot fail) and rejected when the run
-	// starts. The two engines never share a cache entry: their reports
-	// differ (virtual vs wall time) and float folds may differ too.
+	// is left as-is (Canonical cannot fail) and rejected by Validate. The
+	// two engines never share a cache entry: their reports differ
+	// (virtual vs wall time) and float folds may differ too. Nor do the
+	// two NativeBarrier layouts: values are bit-identical, but the
+	// report's steal counters and wall-clock depend on the phase layout.
 	if eng, err := ParseEngine(c.Engine); err == nil {
 		c.Engine = eng
 	}
-	// NativeBarrier is a pure toggle too. It keeps final values
-	// bit-identical, but the report's steal counters and wall-clock are
-	// phase-layout-dependent, so the two layouts do not share a cache
-	// entry.
-	_ = c.NativeBarrier
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	return c
-}
-
-// fingerprintFields lists, in encoding order, the Options field each
-// Fingerprint component is derived from. TestFingerprintCoversAllFields
-// reflects over Options and fails when a field is added without extending
-// both this table and the encoder below — the guard that keeps new fields
-// from silently falling out of the result-cache key.
-var fingerprintFields = []string{
-	"Machines", "Storage", "Network", "Cores", "ChunkBytes",
-	"VertexChunkBytes", "MemBudgetBytes", "MemoryBudgetMB", "BatchK",
-	"WindowOverride",
-	"Alpha", "DisableStealing", "AlwaysSteal", "CheckpointEvery",
-	"FailAtIteration", "CentralDirectory", "CombineUpdates",
-	"RewriteEdges", "ReplicateVertices", "MaxIterations", "LatencyScale",
-	"ComputeWorkers", "Engine", "NativeBarrier", "Seed",
 }
 
 // Fingerprint returns a deterministic string identifying the effective
@@ -223,46 +227,50 @@ var fingerprintFields = []string{
 // canonical forms are equal; the job service hashes it (together with the
 // graph and algorithm) to content-address cached results.
 //
-// Every field is encoded explicitly, field by field. The previous
-// implementation rendered the struct with fmt's %#v, which would have
-// poisoned cache keys with memory addresses the moment Options grew a
-// pointer, slice or map field.
+// It is "<json key>=<value>;" for every field of the canonical form, in
+// declaration order, so a new field enters the cache key by being
+// declared. Only scalar kinds and fmt.Stringer enums have an encoding: a
+// pointer, slice, map or func field would put a memory address into the
+// key, so it panics — on the first Fingerprint call of any test.
 func (o Options) Fingerprint() string {
-	c := o.Canonical()
+	c := reflect.ValueOf(o.Canonical())
 	var b strings.Builder
-	app := func(name, val string) {
-		b.WriteString(name)
+	for i := 0; i < c.NumField(); i++ {
+		field := c.Type().Field(i)
+		key, _, _ := strings.Cut(field.Tag.Get("json"), ",")
+		b.WriteString(key)
 		b.WriteByte('=')
-		b.WriteString(val)
+		switch v := c.Field(i).Interface().(type) {
+		case fmt.Stringer:
+			b.WriteString(v.String())
+		case int:
+			b.WriteString(strconv.Itoa(v))
+		case int64:
+			b.WriteString(strconv.FormatInt(v, 10))
+		case float64:
+			b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+		case bool:
+			b.WriteString(strconv.FormatBool(v))
+		case string:
+			b.WriteString(v)
+		default:
+			panic(fmt.Sprintf("chaos: Options.%s has type %s, which Fingerprint cannot encode", field.Name, field.Type))
+		}
 		b.WriteByte(';')
 	}
-	itoa := strconv.Itoa
-	ftoa := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-	btoa := strconv.FormatBool
-	app("machines", itoa(c.Machines))
-	app("storage", c.Storage.String())
-	app("network", c.Network.String())
-	app("cores", itoa(c.Cores))
-	app("chunkBytes", itoa(c.ChunkBytes))
-	app("vertexChunkBytes", itoa(c.VertexChunkBytes))
-	app("memBudgetBytes", strconv.FormatInt(c.MemBudgetBytes, 10))
-	app("memoryBudgetMB", strconv.FormatInt(c.MemoryBudgetMB, 10))
-	app("batchK", itoa(c.BatchK))
-	app("windowOverride", itoa(c.WindowOverride))
-	app("alpha", ftoa(c.Alpha))
-	app("disableStealing", btoa(c.DisableStealing))
-	app("alwaysSteal", btoa(c.AlwaysSteal))
-	app("checkpointEvery", itoa(c.CheckpointEvery))
-	app("failAtIteration", itoa(c.FailAtIteration))
-	app("centralDirectory", btoa(c.CentralDirectory))
-	app("combineUpdates", btoa(c.CombineUpdates))
-	app("rewriteEdges", btoa(c.RewriteEdges))
-	app("replicateVertices", btoa(c.ReplicateVertices))
-	app("maxIterations", itoa(c.MaxIterations))
-	app("latencyScale", ftoa(c.LatencyScale))
-	app("computeWorkers", itoa(c.ComputeWorkers))
-	app("engine", c.Engine)
-	app("nativeBarrier", btoa(c.NativeBarrier))
-	app("seed", strconv.FormatInt(c.Seed, 10))
 	return b.String()
+}
+
+// Validate reports the error a run with o would fail with before doing
+// any work: an unknown engine name, or an option combination the engine
+// rejects (failure injection without checkpoints, edge rewriting with the
+// central directory or with failure injection). The rules are the
+// engine's own — Validate runs its normalization — so front ends that
+// call it at submission reject exactly what the run would.
+func (o Options) Validate() error {
+	if _, err := ParseEngine(o.Engine); err != nil {
+		return err
+	}
+	cfg := o.config()
+	return cfg.Normalize()
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -83,70 +84,163 @@ func TestCanonicalMakesDefaultsExplicit(t *testing.T) {
 	}
 }
 
-// TestFingerprintCoversAllFields reflects over Options and checks that
-// the explicit field-by-field Fingerprint encoder covers exactly the
-// struct's fields: adding an Options field without teaching Fingerprint
-// about it must fail this test, not silently fall out of the cache key.
-func TestFingerprintCoversAllFields(t *testing.T) {
-	typ := reflect.TypeOf(Options{})
-	covered := make(map[string]bool, len(fingerprintFields))
-	for _, name := range fingerprintFields {
-		if covered[name] {
-			t.Errorf("fingerprintFields lists %s twice", name)
+// goldenFingerprints pins Fingerprint's output byte for byte. Every
+// string was captured from the hand-written field-by-field encoder this
+// repo shipped through PR 11: cache keys on disk and in memory are hashes
+// of these strings, so a one-character drift orphans every stored result.
+var goldenFingerprints = []struct {
+	name string
+	opt  Options
+	want string
+}{
+	{"zero", Options{},
+		"machines=1;storage=ssd;network=40g;cores=16;chunkBytes=4194304;vertexChunkBytes=4194304;memBudgetBytes=0;memoryBudgetMB=0;batchK=5;windowOverride=0;alpha=1;disableStealing=false;alwaysSteal=false;checkpointEvery=0;failAtIteration=0;centralDirectory=false;combineUpdates=false;rewriteEdges=false;replicateVertices=false;maxIterations=1000;latencyScale=1;computeWorkers=0;engine=sim;nativeBarrier=false;seed=1;"},
+	{"native-hdd-1g", Options{Engine: "native", Machines: 2, ChunkBytes: 64 << 10, LatencyScale: 1.0 / 64, MemoryBudgetMB: 8, Seed: 7, Storage: HDD, Network: Net1GigE, AlwaysSteal: true},
+		"machines=2;storage=hdd;network=1g;cores=16;chunkBytes=65536;vertexChunkBytes=65536;memBudgetBytes=0;memoryBudgetMB=8;batchK=5;windowOverride=0;alpha=0;disableStealing=false;alwaysSteal=true;checkpointEvery=0;failAtIteration=0;centralDirectory=false;combineUpdates=false;rewriteEdges=false;replicateVertices=false;maxIterations=1000;latencyScale=0.015625;computeWorkers=0;engine=native;nativeBarrier=false;seed=7;"},
+	{"disable-stealing-wins", Options{DisableStealing: true, AlwaysSteal: true, Alpha: 3},
+		"machines=1;storage=ssd;network=40g;cores=16;chunkBytes=4194304;vertexChunkBytes=4194304;memBudgetBytes=0;memoryBudgetMB=0;batchK=5;windowOverride=0;alpha=0;disableStealing=true;alwaysSteal=false;checkpointEvery=0;failAtIteration=0;centralDirectory=false;combineUpdates=false;rewriteEdges=false;replicateVertices=false;maxIterations=1000;latencyScale=1;computeWorkers=0;engine=sim;nativeBarrier=false;seed=1;"},
+	{"always-steal-drops-alpha", Options{AlwaysSteal: true, Alpha: 3},
+		"machines=1;storage=ssd;network=40g;cores=16;chunkBytes=4194304;vertexChunkBytes=4194304;memBudgetBytes=0;memoryBudgetMB=0;batchK=5;windowOverride=0;alpha=0;disableStealing=false;alwaysSteal=true;checkpointEvery=0;failAtIteration=0;centralDirectory=false;combineUpdates=false;rewriteEdges=false;replicateVertices=false;maxIterations=1000;latencyScale=1;computeWorkers=0;engine=sim;nativeBarrier=false;seed=1;"},
+	{"alpha-explicit", Options{Alpha: 2.5},
+		"machines=1;storage=ssd;network=40g;cores=16;chunkBytes=4194304;vertexChunkBytes=4194304;memBudgetBytes=0;memoryBudgetMB=0;batchK=5;windowOverride=0;alpha=2.5;disableStealing=false;alwaysSteal=false;checkpointEvery=0;failAtIteration=0;centralDirectory=false;combineUpdates=false;rewriteEdges=false;replicateVertices=false;maxIterations=1000;latencyScale=1;computeWorkers=0;engine=sim;nativeBarrier=false;seed=1;"},
+	{"alpha-negative", Options{Alpha: -1},
+		"machines=1;storage=ssd;network=40g;cores=16;chunkBytes=4194304;vertexChunkBytes=4194304;memBudgetBytes=0;memoryBudgetMB=0;batchK=5;windowOverride=0;alpha=1;disableStealing=false;alwaysSteal=false;checkpointEvery=0;failAtIteration=0;centralDirectory=false;combineUpdates=false;rewriteEdges=false;replicateVertices=false;maxIterations=1000;latencyScale=1;computeWorkers=0;engine=sim;nativeBarrier=false;seed=1;"},
+	{"engine-des", Options{Engine: "des"},
+		"machines=1;storage=ssd;network=40g;cores=16;chunkBytes=4194304;vertexChunkBytes=4194304;memBudgetBytes=0;memoryBudgetMB=0;batchK=5;windowOverride=0;alpha=1;disableStealing=false;alwaysSteal=false;checkpointEvery=0;failAtIteration=0;centralDirectory=false;combineUpdates=false;rewriteEdges=false;replicateVertices=false;maxIterations=1000;latencyScale=1;computeWorkers=0;engine=sim;nativeBarrier=false;seed=1;"},
+	{"engine-sim", Options{Engine: "sim"},
+		"machines=1;storage=ssd;network=40g;cores=16;chunkBytes=4194304;vertexChunkBytes=4194304;memBudgetBytes=0;memoryBudgetMB=0;batchK=5;windowOverride=0;alpha=1;disableStealing=false;alwaysSteal=false;checkpointEvery=0;failAtIteration=0;centralDirectory=false;combineUpdates=false;rewriteEdges=false;replicateVertices=false;maxIterations=1000;latencyScale=1;computeWorkers=0;engine=sim;nativeBarrier=false;seed=1;"},
+	{"engine-NATIVE", Options{Engine: "NATIVE"},
+		"machines=1;storage=ssd;network=40g;cores=16;chunkBytes=4194304;vertexChunkBytes=4194304;memBudgetBytes=0;memoryBudgetMB=0;batchK=5;windowOverride=0;alpha=1;disableStealing=false;alwaysSteal=false;checkpointEvery=0;failAtIteration=0;centralDirectory=false;combineUpdates=false;rewriteEdges=false;replicateVertices=false;maxIterations=1000;latencyScale=1;computeWorkers=0;engine=native;nativeBarrier=false;seed=1;"},
+	{"engine-unknown-kept", Options{Engine: "turbo"},
+		"machines=1;storage=ssd;network=40g;cores=16;chunkBytes=4194304;vertexChunkBytes=4194304;memBudgetBytes=0;memoryBudgetMB=0;batchK=5;windowOverride=0;alpha=1;disableStealing=false;alwaysSteal=false;checkpointEvery=0;failAtIteration=0;centralDirectory=false;combineUpdates=false;rewriteEdges=false;replicateVertices=false;maxIterations=1000;latencyScale=1;computeWorkers=0;engine=turbo;nativeBarrier=false;seed=1;"},
+	{"compute-workers-erased", Options{ComputeWorkers: 4},
+		"machines=1;storage=ssd;network=40g;cores=16;chunkBytes=4194304;vertexChunkBytes=4194304;memBudgetBytes=0;memoryBudgetMB=0;batchK=5;windowOverride=0;alpha=1;disableStealing=false;alwaysSteal=false;checkpointEvery=0;failAtIteration=0;centralDirectory=false;combineUpdates=false;rewriteEdges=false;replicateVertices=false;maxIterations=1000;latencyScale=1;computeWorkers=0;engine=sim;nativeBarrier=false;seed=1;"},
+	{"negative-clamps", Options{Machines: -3, Cores: -1, ChunkBytes: -5, VertexChunkBytes: -6, MemBudgetBytes: -7, MemoryBudgetMB: -8, BatchK: -2, WindowOverride: -9, CheckpointEvery: -1, FailAtIteration: -4, MaxIterations: -10, LatencyScale: -0.5, ComputeWorkers: -2, Seed: -11},
+		"machines=1;storage=ssd;network=40g;cores=16;chunkBytes=4194304;vertexChunkBytes=4194304;memBudgetBytes=0;memoryBudgetMB=0;batchK=5;windowOverride=0;alpha=1;disableStealing=false;alwaysSteal=false;checkpointEvery=0;failAtIteration=0;centralDirectory=false;combineUpdates=false;rewriteEdges=false;replicateVertices=false;maxIterations=1000;latencyScale=1;computeWorkers=0;engine=sim;nativeBarrier=false;seed=-11;"},
+	{"out-of-range-devices", Options{Storage: 7, Network: -2},
+		"machines=1;storage=ssd;network=40g;cores=16;chunkBytes=4194304;vertexChunkBytes=4194304;memBudgetBytes=0;memoryBudgetMB=0;batchK=5;windowOverride=0;alpha=1;disableStealing=false;alwaysSteal=false;checkpointEvery=0;failAtIteration=0;centralDirectory=false;combineUpdates=false;rewriteEdges=false;replicateVertices=false;maxIterations=1000;latencyScale=1;computeWorkers=0;engine=sim;nativeBarrier=false;seed=1;"},
+	{"every-field", Options{Machines: 3, Storage: HDD, Network: Net1GigE, Cores: 8, ChunkBytes: 1 << 12, VertexChunkBytes: 1 << 11, MemBudgetBytes: 1 << 21, MemoryBudgetMB: 12, BatchK: 7, WindowOverride: 9, Alpha: 2.5, CheckpointEvery: 2, FailAtIteration: 3, CentralDirectory: true, CombineUpdates: true, RewriteEdges: true, ReplicateVertices: true, MaxIterations: 42, LatencyScale: 0.25, ComputeWorkers: 4, Engine: "native", NativeBarrier: true, Seed: 99},
+		"machines=3;storage=hdd;network=1g;cores=8;chunkBytes=4096;vertexChunkBytes=2048;memBudgetBytes=2097152;memoryBudgetMB=12;batchK=7;windowOverride=9;alpha=2.5;disableStealing=false;alwaysSteal=false;checkpointEvery=2;failAtIteration=3;centralDirectory=true;combineUpdates=true;rewriteEdges=true;replicateVertices=true;maxIterations=42;latencyScale=0.25;computeWorkers=0;engine=native;nativeBarrier=true;seed=99;"},
+	{"vertex-chunk-follows-chunk", Options{ChunkBytes: 1 << 10},
+		"machines=1;storage=ssd;network=40g;cores=16;chunkBytes=1024;vertexChunkBytes=1024;memBudgetBytes=0;memoryBudgetMB=0;batchK=5;windowOverride=0;alpha=1;disableStealing=false;alwaysSteal=false;checkpointEvery=0;failAtIteration=0;centralDirectory=false;combineUpdates=false;rewriteEdges=false;replicateVertices=false;maxIterations=1000;latencyScale=1;computeWorkers=0;engine=sim;nativeBarrier=false;seed=1;"},
+	{"float-shortest-repr", Options{Alpha: 1e21, LatencyScale: 1.0 / 4096},
+		"machines=1;storage=ssd;network=40g;cores=16;chunkBytes=4194304;vertexChunkBytes=4194304;memBudgetBytes=0;memoryBudgetMB=0;batchK=5;windowOverride=0;alpha=1e+21;disableStealing=false;alwaysSteal=false;checkpointEvery=0;failAtIteration=0;centralDirectory=false;combineUpdates=false;rewriteEdges=false;replicateVertices=false;maxIterations=1000;latencyScale=0.000244140625;computeWorkers=0;engine=sim;nativeBarrier=false;seed=1;"},
+}
+
+func TestFingerprintGolden(t *testing.T) {
+	for _, g := range goldenFingerprints {
+		if got := g.opt.Fingerprint(); got != g.want {
+			t.Errorf("%s: fingerprint drifted\n got %s\nwant %s", g.name, got, g.want)
 		}
-		covered[name] = true
-		if _, ok := typ.FieldByName(name); !ok {
-			t.Errorf("fingerprintFields lists %s, which Options does not have", name)
-		}
-	}
-	for i := 0; i < typ.NumField(); i++ {
-		if name := typ.Field(i).Name; !covered[name] {
-			t.Errorf("Options.%s is not covered by Fingerprint; extend fingerprintFields and the encoder", name)
-		}
-	}
-	if len(fingerprintFields) != strings.Count(Options{}.Fingerprint(), ";") {
-		t.Errorf("encoder emits %d components, fingerprintFields lists %d",
-			strings.Count(Options{}.Fingerprint(), ";"), len(fingerprintFields))
 	}
 }
 
-// TestFingerprintSensitivity flips every canonical-visible field away
-// from its default and checks the fingerprint moves (and that the
-// erased-by-canonicalization knobs don't).
-func TestFingerprintSensitivity(t *testing.T) {
-	base := Options{}.Fingerprint()
-	cases := map[string]Options{
-		"Machines":          {Machines: 3},
-		"Storage":           {Storage: HDD},
-		"Network":           {Network: Net1GigE},
-		"Cores":             {Cores: 8},
-		"ChunkBytes":        {ChunkBytes: 1 << 10},
-		"VertexChunkBytes":  {VertexChunkBytes: 1 << 9},
-		"MemBudgetBytes":    {MemBudgetBytes: 1 << 20},
-		"BatchK":            {BatchK: 7},
-		"WindowOverride":    {WindowOverride: 9},
-		"Alpha":             {Alpha: 2.5},
-		"DisableStealing":   {DisableStealing: true},
-		"AlwaysSteal":       {AlwaysSteal: true},
-		"CheckpointEvery":   {CheckpointEvery: 2},
-		"FailAtIteration":   {FailAtIteration: 3, CheckpointEvery: 1},
-		"CentralDirectory":  {CentralDirectory: true},
-		"CombineUpdates":    {CombineUpdates: true},
-		"RewriteEdges":      {RewriteEdges: true},
-		"ReplicateVertices": {ReplicateVertices: true},
-		"MaxIterations":     {MaxIterations: 42},
-		"LatencyScale":      {LatencyScale: 0.25},
-		"Seed":              {Seed: 99},
-	}
-	for field, opt := range cases {
-		if opt.Fingerprint() == base {
-			t.Errorf("changing %s does not change the fingerprint", field)
+// TestOptionsJSONRoundTrip: the wire form loses nothing the fingerprint
+// sees — what the journal writes restores to the same cache key.
+func TestOptionsJSONRoundTrip(t *testing.T) {
+	for _, g := range goldenFingerprints {
+		data, err := json.Marshal(g.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		var back Options
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("%s: decoding %s: %v", g.name, data, err)
+		}
+		if got := back.Fingerprint(); got != g.want {
+			t.Errorf("%s: %s decodes to fingerprint\n got %s\nwant %s", g.name, data, got, g.want)
 		}
 	}
-	// ComputeWorkers only trades wall-clock time; runs are bit-identical,
-	// so it canonicalizes away and shares the cache entry.
-	if (Options{ComputeWorkers: 4}).Fingerprint() != base {
-		t.Error("ComputeWorkers should canonicalize away from the fingerprint")
+	if data, _ := json.Marshal(Options{}); string(data) != "{}" {
+		t.Errorf("zero Options marshals as %s, want {}", data)
+	}
+	data, _ := json.Marshal(Options{Machines: 2, Storage: HDD, Network: Net1GigE, Seed: 7})
+	if want := `{"machines":2,"storage":"hdd","network":"1g","seed":7}`; string(data) != want {
+		t.Errorf("wire form %s, want %s", data, want)
+	}
+}
+
+// TestOptionsJSONDevices: devices decode from names (the API) and from
+// the integers 0/1 (every journal written before the JSON tags), and
+// nothing else.
+func TestOptionsJSONDevices(t *testing.T) {
+	for body, want := range map[string]Options{
+		`{"storage":"HDD","network":"1gige"}`: {Storage: HDD, Network: Net1GigE},
+		`{"storage":"","network":"40g"}`:      {},
+		`{"storage":null,"network":null}`:     {},
+		`{"Storage":1,"Network":1}`:           {Storage: HDD, Network: Net1GigE},
+		`{"Storage":0,"Network":0}`:           {},
+	} {
+		var got Options
+		if err := json.Unmarshal([]byte(body), &got); err != nil || got != want {
+			t.Errorf("%s decoded to %+v, %v; want %+v", body, got, err, want)
+		}
+	}
+	for body, msg := range map[string]string{
+		`{"storage":"tape"}`: `chaos: unknown storage "tape" (want ssd or hdd)`,
+		`{"network":"10g"}`:  `chaos: unknown network "10g" (want 40g or 1g)`,
+		`{"storage":7}`:      `chaos: storage must be a name or the legacy value 0 or 1, got 7`,
+		`{"network":-1}`:     `chaos: network must be a name or the legacy value 0 or 1, got -1`,
+		`{"storage":1.5}`:    `chaos: storage must be a name or the legacy value 0 or 1, got 1.5`,
+		`{"storage":true}`:   `chaos: storage must be a name or the legacy value 0 or 1, got true`,
+	} {
+		var got Options
+		if err := json.Unmarshal([]byte(body), &got); err == nil || err.Error() != msg {
+			t.Errorf("%s: err = %v, want %s", body, err, msg)
+		}
+	}
+}
+
+// TestEveryFieldReachesFingerprint finds the fields by reflection: a
+// non-default value in any one of them must move the fingerprint, unless
+// the field is on the short list Canonical deliberately erases. A field
+// added to Options passes without an edit here; one that Canonical starts
+// swallowing does not.
+func TestEveryFieldReachesFingerprint(t *testing.T) {
+	erased := map[string]bool{
+		// Host parallelism only: results, reports and simulated times are
+		// bit-identical for every value.
+		"ComputeWorkers": true,
+	}
+	base := Options{}.Fingerprint()
+	components := strings.Split(strings.TrimSuffix(base, ";"), ";")
+	typ := reflect.TypeOf(Options{})
+	if len(components) != typ.NumField() {
+		t.Fatalf("fingerprint has %d components, Options has %d fields", len(components), typ.NumField())
+	}
+	keys := map[string]bool{}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		key, rest, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if key == "" || key == "-" || rest != "omitempty" || keys[key] {
+			t.Errorf("Options.%s: json tag %q must be a unique `key,omitempty`", f.Name, f.Tag.Get("json"))
+		}
+		keys[key] = true
+
+		var opt Options
+		v := reflect.ValueOf(&opt).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(1)
+			if v.Interface() == reflect.ValueOf(Options{}.Canonical()).Field(i).Interface() {
+				v.SetInt(3) // 1 is this field's default
+			}
+		case reflect.Float64:
+			v.SetFloat(0.375)
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.String:
+			v.SetString(EngineNative)
+		default:
+			t.Fatalf("Options.%s: kind %s has no fingerprint encoding", f.Name, v.Kind())
+		}
+		moved := opt.Fingerprint() != base
+		if moved == erased[f.Name] {
+			t.Errorf("Options.%s = %v: fingerprint moved = %v, erased-by-Canonical = %v", f.Name, v.Interface(), moved, erased[f.Name])
+		}
+		if !strings.HasPrefix(components[i], key+"=") {
+			t.Errorf("fingerprint component %d is %q, want %s=...", i, components[i], key)
+		}
 	}
 }
 

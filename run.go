@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"chaos/internal/algorithms"
@@ -72,6 +73,20 @@ func runProgram[V, U, A any](ctx context.Context, opt Options, prog gas.Program[
 	return values, reportFrom(run, cfg.Spec.Machines), nil
 }
 
+// runVector runs prog and projects each vertex's state to the one field
+// the typed Run functions return.
+func runVector[V, U, A, T any](ctx context.Context, opt Options, prog gas.Program[V, U, A], edges []Edge, n uint64, pick func(V) T) ([]T, *Report, error) {
+	values, rep, err := runProgram(ctx, opt, prog, edges, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]T, len(values))
+	for i, v := range values {
+		out[i] = pick(v)
+	}
+	return out, rep, nil
+}
+
 // View names the edge-list transformation an algorithm consumes. The
 // evaluation (§8) runs the undirected algorithms over edges plus their
 // reverses and SCC over the forward/backward augmented list; callers that
@@ -114,15 +129,11 @@ func (v View) Apply(edges []Edge) []Edge {
 
 // ViewFor returns the view RunByName applies for the named algorithm.
 func ViewFor(name string) (View, error) {
-	switch name {
-	case "BFS", "WCC", "MCST", "MIS", "SSSP":
-		return ViewUndirected, nil
-	case "SCC":
-		return ViewAugmented, nil
-	case "PR", "Cond", "SpMV", "BP":
-		return ViewDirected, nil
+	a, err := lookupAlgorithm(name)
+	if err != nil {
+		return ViewDirected, err
 	}
-	return ViewDirected, errUnknownAlgorithm(name)
+	return a.view, nil
 }
 
 // RunBFS computes breadth-first levels from root over the undirected view
@@ -133,15 +144,8 @@ func RunBFS(edges []Edge, n uint64, root VertexID, opt Options) ([]uint32, *Repo
 }
 
 func runBFS(ctx context.Context, undirected []Edge, n uint64, root VertexID, opt Options) ([]uint32, *Report, error) {
-	values, rep, err := runProgram(ctx, opt, &algorithms.BFS{Root: root}, undirected, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	levels := make([]uint32, len(values))
-	for i := range values {
-		levels[i] = values[i].Level
-	}
-	return levels, rep, nil
+	return runVector(ctx, opt, &algorithms.BFS{Root: root}, undirected, n,
+		func(v algorithms.BFSVertex) uint32 { return v.Level })
 }
 
 // RunWCC returns the minimum vertex ID of each vertex's weakly connected
@@ -151,15 +155,8 @@ func RunWCC(edges []Edge, n uint64, opt Options) ([]uint32, *Report, error) {
 }
 
 func runWCC(ctx context.Context, undirected []Edge, n uint64, opt Options) ([]uint32, *Report, error) {
-	values, rep, err := runProgram(ctx, opt, &algorithms.WCC{}, undirected, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	labels := make([]uint32, len(values))
-	for i := range values {
-		labels[i] = values[i].Label
-	}
-	return labels, rep, nil
+	return runVector(ctx, opt, &algorithms.WCC{}, undirected, n,
+		func(v algorithms.WCCVertex) uint32 { return v.Label })
 }
 
 // RunSSSP returns shortest-path distances from root over the undirected
@@ -169,15 +166,8 @@ func RunSSSP(edges []Edge, n uint64, root VertexID, opt Options) ([]float32, *Re
 }
 
 func runSSSP(ctx context.Context, undirected []Edge, n uint64, root VertexID, opt Options) ([]float32, *Report, error) {
-	values, rep, err := runProgram(ctx, opt, &algorithms.SSSP{Root: root}, undirected, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	dists := make([]float32, len(values))
-	for i := range values {
-		dists[i] = values[i].Dist
-	}
-	return dists, rep, nil
+	return runVector(ctx, opt, &algorithms.SSSP{Root: root}, undirected, n,
+		func(v algorithms.SSSPVertex) float32 { return v.Dist })
 }
 
 // RunPageRank runs iters rounds of PageRank over the directed edge list
@@ -187,15 +177,8 @@ func RunPageRank(edges []Edge, n uint64, iters int, opt Options) ([]float32, *Re
 }
 
 func runPageRank(ctx context.Context, edges []Edge, n uint64, iters int, opt Options) ([]float32, *Report, error) {
-	values, rep, err := runProgram(ctx, opt, &algorithms.PageRank{Iterations: iters}, edges, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	ranks := make([]float32, len(values))
-	for i := range values {
-		ranks[i] = values[i].Rank
-	}
-	return ranks, rep, nil
+	return runVector(ctx, opt, &algorithms.PageRank{Iterations: iters}, edges, n,
+		func(v algorithms.PRVertex) float32 { return v.Rank })
 }
 
 // RunMIS computes a maximal independent set over the undirected view of
@@ -206,15 +189,7 @@ func RunMIS(edges []Edge, n uint64, opt Options) ([]bool, *Report, error) {
 
 func runMIS(ctx context.Context, undirected []Edge, n uint64, opt Options) ([]bool, *Report, error) {
 	prog := &algorithms.MIS{}
-	values, rep, err := runProgram(ctx, opt, prog, undirected, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	in := make([]bool, len(values))
-	for i := range values {
-		in[i] = prog.InSet(values[i])
-	}
-	return in, rep, nil
+	return runVector(ctx, opt, prog, undirected, n, prog.InSet)
 }
 
 // MCSTResult reports a minimum-cost spanning forest.
@@ -253,15 +228,8 @@ func RunSCC(edges []Edge, n uint64, opt Options) ([]uint32, *Report, error) {
 }
 
 func runSCC(ctx context.Context, augmented []Edge, n uint64, opt Options) ([]uint32, *Report, error) {
-	values, rep, err := runProgram(ctx, opt, &algorithms.SCC{}, augmented, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	ids := make([]uint32, len(values))
-	for i := range values {
-		ids[i] = values[i].SCC
-	}
-	return ids, rep, nil
+	return runVector(ctx, opt, &algorithms.SCC{}, augmented, n,
+		func(v algorithms.SCCVertex) uint32 { return v.SCC })
 }
 
 // RunConductance computes the conductance of a deterministic hash-based
@@ -286,15 +254,8 @@ func RunSpMV(edges []Edge, n uint64, opt Options) ([]float32, *Report, error) {
 }
 
 func runSpMV(ctx context.Context, edges []Edge, n uint64, opt Options) ([]float32, *Report, error) {
-	values, rep, err := runProgram(ctx, opt, &algorithms.SpMV{}, edges, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	y := make([]float32, len(values))
-	for i := range values {
-		y[i] = values[i].Y
-	}
-	return y, rep, nil
+	return runVector(ctx, opt, &algorithms.SpMV{}, edges, n,
+		func(v algorithms.SpMVVertex) float32 { return v.Y })
 }
 
 // RunBP runs iters rounds of simplified loopy belief propagation over the
@@ -304,20 +265,8 @@ func RunBP(edges []Edge, n uint64, iters int, opt Options) ([]float32, *Report, 
 }
 
 func runBP(ctx context.Context, edges []Edge, n uint64, iters int, opt Options) ([]float32, *Report, error) {
-	values, rep, err := runProgram(ctx, opt, &algorithms.BP{Iterations: iters}, edges, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	beliefs := make([]float32, len(values))
-	for i := range values {
-		beliefs[i] = values[i].Belief
-	}
-	return beliefs, rep, nil
-}
-
-// Algorithms lists the evaluation algorithm names in Table 1 order.
-func Algorithms() []string {
-	return []string{"BFS", "WCC", "MCST", "MIS", "SSSP", "PR", "SCC", "Cond", "SpMV", "BP"}
+	return runVector(ctx, opt, &algorithms.BP{Iterations: iters}, edges, n,
+		func(v algorithms.BPVertex) float32 { return v.Belief })
 }
 
 // Result captures an algorithm's output in a compact, JSON-friendly form.
@@ -332,6 +281,117 @@ type Result struct {
 	// Summary holds the per-algorithm scalar summaries (e.g. BFS
 	// "reachable" and "depth", WCC "components", PR "rank_sum").
 	Summary map[string]float64 `json:"summary"`
+}
+
+// preparedRun runs one algorithm with its evaluation-default parameters
+// over edges already in the algorithm's view, and summarizes the values.
+type preparedRun func(ctx context.Context, edges []Edge, n uint64, opt Options) (*Result, *Report, error)
+
+// algorithm is one row of algorithmTable.
+type algorithm struct {
+	name    string   // canonical Table 1 spelling
+	aliases []string // lower-case long names ParseAlgorithm also accepts
+	view    View
+	weights bool // consumes edge weights
+	run     preparedRun
+}
+
+// algorithmTable declares the evaluation algorithms once, in Table 1
+// order: Algorithms, ParseAlgorithm, ViewFor, NeedsWeights and
+// RunPreparedContext are all lookups in it. The evaluation defaults are
+// root 0 for the traversals and 5 rounds for the iterative algorithms.
+var algorithmTable = []algorithm{
+	{name: "BFS", view: ViewUndirected,
+		run: vectorRun(func(ctx context.Context, edges []Edge, n uint64, opt Options) ([]uint32, *Report, error) {
+			return runBFS(ctx, edges, n, 0, opt)
+		}, bfsSummary)},
+	{name: "WCC", view: ViewUndirected, run: vectorRun(runWCC, componentSummary)},
+	{name: "MCST", view: ViewUndirected, weights: true,
+		run: func(ctx context.Context, edges []Edge, n uint64, opt Options) (*Result, *Report, error) {
+			forest, rep, err := runMCST(ctx, edges, n, opt)
+			if err != nil {
+				return nil, nil, err
+			}
+			return &Result{Vertices: len(forest.Component), Summary: map[string]float64{
+				"total_weight": forest.TotalWeight,
+				"forest_edges": float64(forest.Edges),
+			}}, rep, nil
+		}},
+	{name: "MIS", view: ViewUndirected, run: vectorRun(runMIS, misSummary)},
+	{name: "SSSP", view: ViewUndirected, weights: true,
+		run: vectorRun(func(ctx context.Context, edges []Edge, n uint64, opt Options) ([]float32, *Report, error) {
+			return runSSSP(ctx, edges, n, 0, opt)
+		}, ssspSummary)},
+	{name: "PR", aliases: []string{"pagerank"}, view: ViewDirected,
+		run: vectorRun(func(ctx context.Context, edges []Edge, n uint64, opt Options) ([]float32, *Report, error) {
+			return runPageRank(ctx, edges, n, 5, opt)
+		}, prSummary)},
+	{name: "SCC", view: ViewAugmented, run: vectorRun(runSCC, componentSummary)},
+	{name: "Cond", aliases: []string{"conductance"}, view: ViewDirected,
+		run: func(ctx context.Context, edges []Edge, n uint64, opt Options) (*Result, *Report, error) {
+			cond, rep, err := runConductance(ctx, edges, n, opt)
+			if err != nil {
+				return nil, nil, err
+			}
+			// The value is a scalar; n = 0 still reports the inferred
+			// vertex count.
+			if n == 0 {
+				n = NumVertices(edges)
+			}
+			return &Result{Vertices: int(n), Summary: map[string]float64{"conductance": cond}}, rep, nil
+		}},
+	{name: "SpMV", view: ViewDirected, weights: true, run: vectorRun(runSpMV, spmvSummary)},
+	{name: "BP", view: ViewDirected, weights: true,
+		run: vectorRun(func(ctx context.Context, edges []Edge, n uint64, opt Options) ([]float32, *Report, error) {
+			return runBP(ctx, edges, n, 5, opt)
+		}, bpSummary)},
+}
+
+// vectorRun adapts a typed runner whose output is one value per vertex.
+func vectorRun[T any](run func(context.Context, []Edge, uint64, Options) ([]T, *Report, error), summary func([]T) map[string]float64) preparedRun {
+	return func(ctx context.Context, edges []Edge, n uint64, opt Options) (*Result, *Report, error) {
+		values, rep, err := run(ctx, edges, n, opt)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &Result{Vertices: len(values), Summary: summary(values)}, rep, nil
+	}
+}
+
+// lookupAlgorithm finds a row by canonical name.
+func lookupAlgorithm(name string) (*algorithm, error) {
+	for i := range algorithmTable {
+		if algorithmTable[i].name == name {
+			return &algorithmTable[i], nil
+		}
+	}
+	return nil, errUnknownAlgorithm(name)
+}
+
+// Algorithms lists the evaluation algorithm names in Table 1 order.
+func Algorithms() []string {
+	names := make([]string, len(algorithmTable))
+	for i, a := range algorithmTable {
+		names[i] = a.name
+	}
+	return names
+}
+
+// ParseAlgorithm resolves a case-insensitive algorithm name to its
+// canonical Table 1 spelling ("pagerank" and "pr" both mean "PR").
+func ParseAlgorithm(name string) (string, error) {
+	for _, a := range algorithmTable {
+		if strings.EqualFold(a.name, name) || slices.Contains(a.aliases, strings.ToLower(name)) {
+			return a.name, nil
+		}
+	}
+	return "", errUnknownAlgorithm(name)
+}
+
+// NeedsWeights reports whether the named algorithm consumes edge weights.
+func NeedsWeights(name string) bool {
+	a, err := lookupAlgorithm(name)
+	return err == nil && a.weights
 }
 
 // RunPrepared runs the named algorithm with its evaluation-default
@@ -349,133 +409,29 @@ func RunPrepared(name string, edges []Edge, n uint64, opt Options) (*Result, *Re
 // returns ctx.Err(). The job service uses it to make DELETE on a
 // running job take effect without killing the process.
 func RunPreparedContext(ctx context.Context, name string, edges []Edge, n uint64, opt Options) (*Result, *Report, error) {
-	res := &Result{Algorithm: name}
-	var rep *Report
-	var err error
-	switch name {
-	case "BFS":
-		var levels []uint32
-		levels, rep, err = runBFS(ctx, edges, n, 0, opt)
-		if err == nil {
-			reachable, depth := 0, uint32(0)
-			for _, l := range levels {
-				if l != ^uint32(0) {
-					reachable++
-					if l > depth {
-						depth = l
-					}
-				}
-			}
-			res.Vertices = len(levels)
-			res.Summary = map[string]float64{"reachable": float64(reachable), "depth": float64(depth)}
-		}
-	case "WCC":
-		var labels []uint32
-		labels, rep, err = runWCC(ctx, edges, n, opt)
-		if err == nil {
-			res.Vertices = len(labels)
-			res.Summary = componentSummary(labels)
-		}
-	case "MCST":
-		var forest *MCSTResult
-		forest, rep, err = runMCST(ctx, edges, n, opt)
-		if err == nil {
-			res.Vertices = len(forest.Component)
-			res.Summary = map[string]float64{
-				"total_weight": forest.TotalWeight,
-				"forest_edges": float64(forest.Edges),
-			}
-		}
-	case "MIS":
-		var in []bool
-		in, rep, err = runMIS(ctx, edges, n, opt)
-		if err == nil {
-			size := 0
-			for _, b := range in {
-				if b {
-					size++
-				}
-			}
-			res.Vertices = len(in)
-			res.Summary = map[string]float64{"set_size": float64(size)}
-		}
-	case "SSSP":
-		var dists []float32
-		dists, rep, err = runSSSP(ctx, edges, n, 0, opt)
-		if err == nil {
-			reached, maxDist := 0, 0.0
-			for _, d := range dists {
-				if !math.IsInf(float64(d), 1) {
-					reached++
-					if float64(d) > maxDist {
-						maxDist = float64(d)
-					}
-				}
-			}
-			res.Vertices = len(dists)
-			res.Summary = map[string]float64{"reached": float64(reached), "max_dist": maxDist}
-		}
-	case "PR":
-		var ranks []float32
-		ranks, rep, err = runPageRank(ctx, edges, n, 5, opt)
-		if err == nil {
-			sum, maxRank := 0.0, 0.0
-			for _, r := range ranks {
-				sum += float64(r)
-				if float64(r) > maxRank {
-					maxRank = float64(r)
-				}
-			}
-			res.Vertices = len(ranks)
-			res.Summary = map[string]float64{"rank_sum": sum, "max_rank": maxRank}
-		}
-	case "SCC":
-		var ids []uint32
-		ids, rep, err = runSCC(ctx, edges, n, opt)
-		if err == nil {
-			res.Vertices = len(ids)
-			res.Summary = componentSummary(ids)
-		}
-	case "Cond":
-		var cond float64
-		cond, rep, err = runConductance(ctx, edges, n, opt)
-		if err == nil {
-			nv := n
-			if nv == 0 {
-				nv = NumVertices(edges)
-			}
-			res.Vertices = int(nv)
-			res.Summary = map[string]float64{"conductance": cond}
-		}
-	case "SpMV":
-		var y []float32
-		y, rep, err = runSpMV(ctx, edges, n, opt)
-		if err == nil {
-			var norm1 float64
-			for _, v := range y {
-				norm1 += math.Abs(float64(v))
-			}
-			res.Vertices = len(y)
-			res.Summary = map[string]float64{"norm1": norm1}
-		}
-	case "BP":
-		var beliefs []float32
-		beliefs, rep, err = runBP(ctx, edges, n, 5, opt)
-		if err == nil {
-			var sum float64
-			for _, b := range beliefs {
-				sum += float64(b)
-			}
-			res.Vertices = len(beliefs)
-			res.Summary = map[string]float64{"belief_sum": sum}
-		}
-	default:
-		return nil, nil, errUnknownAlgorithm(name)
-	}
+	a, err := lookupAlgorithm(name)
 	if err != nil {
 		return nil, nil, err
 	}
+	res, rep, err := a.run(ctx, edges, n, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Algorithm = a.name
 	return res, rep, nil
+}
+
+func bfsSummary(levels []uint32) map[string]float64 {
+	reachable, depth := 0, uint32(0)
+	for _, l := range levels {
+		if l != ^uint32(0) {
+			reachable++
+			if l > depth {
+				depth = l
+			}
+		}
+	}
+	return map[string]float64{"reachable": float64(reachable), "depth": float64(depth)}
 }
 
 // componentSummary summarizes a component-labeling vector.
@@ -491,6 +447,56 @@ func componentSummary(labels []uint32) map[string]float64 {
 		}
 	}
 	return map[string]float64{"components": float64(len(sizes)), "largest": float64(largest)}
+}
+
+func misSummary(in []bool) map[string]float64 {
+	size := 0
+	for _, b := range in {
+		if b {
+			size++
+		}
+	}
+	return map[string]float64{"set_size": float64(size)}
+}
+
+func ssspSummary(dists []float32) map[string]float64 {
+	reached, maxDist := 0, 0.0
+	for _, d := range dists {
+		if !math.IsInf(float64(d), 1) {
+			reached++
+			if float64(d) > maxDist {
+				maxDist = float64(d)
+			}
+		}
+	}
+	return map[string]float64{"reached": float64(reached), "max_dist": maxDist}
+}
+
+func prSummary(ranks []float32) map[string]float64 {
+	sum, maxRank := 0.0, 0.0
+	for _, r := range ranks {
+		sum += float64(r)
+		if float64(r) > maxRank {
+			maxRank = float64(r)
+		}
+	}
+	return map[string]float64{"rank_sum": sum, "max_rank": maxRank}
+}
+
+func spmvSummary(y []float32) map[string]float64 {
+	var norm1 float64
+	for _, v := range y {
+		norm1 += math.Abs(float64(v))
+	}
+	return map[string]float64{"norm1": norm1}
+}
+
+func bpSummary(beliefs []float32) map[string]float64 {
+	var sum float64
+	for _, b := range beliefs {
+		sum += float64(b)
+	}
+	return map[string]float64{"belief_sum": sum}
 }
 
 // RunByNameResult dispatches to the named algorithm with its
@@ -509,15 +515,6 @@ func RunByNameResult(name string, edges []Edge, n uint64, opt Options) (*Result,
 func RunByName(name string, edges []Edge, n uint64, opt Options) (*Report, error) {
 	_, rep, err := RunByNameResult(name, edges, n, opt)
 	return rep, err
-}
-
-// NeedsWeights reports whether the named algorithm consumes edge weights.
-func NeedsWeights(name string) bool {
-	switch name {
-	case "MCST", "SSSP", "SpMV", "BP":
-		return true
-	}
-	return false
 }
 
 type errUnknownAlgorithm string
