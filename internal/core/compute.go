@@ -49,9 +49,10 @@ type machine[V, U, A any] struct {
 	// updates to the same destination merge in place before spilling.
 	combBuf []map[graph.VertexID]U
 
-	// edgeNextBuf accumulates rewritten next-generation edge records per
-	// partition under the §6.1 extended model.
-	edgeNextBuf [][]byte
+	// edgeWire cuts the rewritten next-generation edge records of each
+	// partition into chunks under the §6.1 extended model (nil without a
+	// rewriter).
+	edgeWire *drive.Wire
 
 	// Gather-steal accumulator hand-off state.
 	stolenAccums    map[int][]A
@@ -86,11 +87,16 @@ func newMachine[V, U, A any](eng *engine[V, U, A], id int) *machine[V, U, A] {
 		requestedAccums: make(map[int]bool),
 		degAcc:          make(map[int][]uint32),
 		dirPending:      make(map[uint64]func(dirResp)),
-		edgeNextBuf:     make([][]byte, eng.layout.NumPartitions),
 	}
 	m.wire = drive.NewWire(eng.layout.NumPartitions, eng.updatesPerChunk()*eng.updBytes, func(tp int, chunk []byte) {
 		m.writeDataChunk(storage.UpdateSet, tp, chunk)
 	})
+	if eng.rewriter != nil {
+		limit := drive.SpillLimit(eng.cfg.ChunkBytes, eng.edgeFmt.EdgeSize())
+		m.edgeWire = drive.NewWire(eng.layout.NumPartitions, limit, func(part int, chunk []byte) {
+			m.writeDataChunk(storage.EdgeSetNext, part, chunk)
+		})
+	}
 	if eng.combiner != nil {
 		m.combBuf = make([]map[graph.VertexID]U, eng.layout.NumPartitions)
 	}
@@ -262,7 +268,10 @@ func (m *machine[V, U, A]) preprocess(p *sim.Proc) {
 	}
 	needDeg := eng.prog.NeedsDegrees()
 	localDeg := make(map[int][]uint32)
-	edgeBufs := make([][]byte, eng.layout.NumPartitions)
+	bins := drive.NewWire(eng.layout.NumPartitions, perChunk*edgeSize, func(part int, chunk []byte) {
+		m.writeDataChunk(storage.EdgeSet, part, chunk)
+	})
+	rec := make([]byte, edgeSize)
 	dev := eng.clu.Machines[m.id].Device
 
 	for i := 0; i < len(myEdges); i += perChunk {
@@ -278,15 +287,8 @@ func (m *machine[V, U, A]) preprocess(p *sim.Proc) {
 		m.cpu(p, len(batch))
 		for _, e := range batch {
 			part := eng.layout.Of(e.Src)
-			buf := edgeBufs[part]
-			off := len(buf)
-			buf = append(buf, make([]byte, edgeSize)...)
-			eng.edgeFmt.Encode(buf[off:], e)
-			if len(buf) >= perChunk*edgeSize {
-				m.writeDataChunk(storage.EdgeSet, part, buf)
-				buf = nil
-			}
-			edgeBufs[part] = buf
+			eng.edgeFmt.Encode(rec, e)
+			bins.Put(part, rec)
 			if needDeg {
 				deg := localDeg[part]
 				if deg == nil {
@@ -298,11 +300,7 @@ func (m *machine[V, U, A]) preprocess(p *sim.Proc) {
 			}
 		}
 	}
-	for part, buf := range edgeBufs {
-		if len(buf) > 0 {
-			m.writeDataChunk(storage.EdgeSet, part, buf)
-		}
-	}
+	bins.FlushPartials()
 	m.drainWrites(p)
 	eng.barrier.Wait(p)
 
@@ -571,18 +569,6 @@ func (m *machine[V, U, A]) restore(p *sim.Proc) {
 }
 
 // ---------------------------------------------------------------------------
-// Update record encoding: destination ID (4 or 8 bytes, §8) plus payload.
-
-func (m *machine[V, U, A]) appendUpdate(buf []byte, dst graph.VertexID, val *U) []byte {
-	return m.eng.appendUpdateRecord(buf, dst, val)
-}
-
-func (m *machine[V, U, A]) decodeUpdate(buf []byte) (graph.VertexID, U) {
-	r := m.eng.decodeUpdateRecord(buf)
-	return r.Dst, r.Val
-}
-
-// ---------------------------------------------------------------------------
 // Scatter phase (§5.1).
 
 func (m *machine[V, U, A]) scatterRun(p *sim.Proc, iter int) {
@@ -641,9 +627,8 @@ func (m *machine[V, U, A]) scatterPartition(p *sim.Proc, iter, part int, verts [
 func (m *machine[V, U, A]) mergeScatter(p *sim.Proc, part int, out *drive.ScatterOut[U]) {
 	eng := m.eng
 	m.cpu(p, out.N)
-	if eng.rewriter != nil && len(out.EdgesNext) > 0 {
-		limit := spillLimit(eng.cfg.ChunkBytes, eng.edgeFmt.EdgeSize())
-		m.edgeNextBuf[part] = m.appendSpill(storage.EdgeSetNext, part, m.edgeNextBuf[part], out.EdgesNext, limit)
+	if eng.rewriter != nil {
+		m.edgeWire.Put(part, out.EdgesNext)
 	}
 	if eng.combiner != nil {
 		per := eng.updatesPerChunk()
@@ -680,32 +665,6 @@ func (m *machine[V, U, A]) mergeScatter(p *sim.Proc, part int, out *drive.Scatte
 	eng.kern.ReleaseScatterOut(out)
 }
 
-// spillLimit is the spill threshold in bytes for record-aligned buffers:
-// the smallest whole number of records covering chunkBytes.
-func spillLimit(chunkBytes, recSize int) int {
-	n := (chunkBytes + recSize - 1) / recSize
-	if n < 1 {
-		n = 1
-	}
-	return n * recSize
-}
-
-// appendSpill appends b to buf, writing out full chunks of exactly limit
-// bytes as they fill. Spilled slices are handed to the storage protocol
-// and must not be reused, so the remainder is copied to fresh backing.
-func (m *machine[V, U, A]) appendSpill(kind storage.SetKind, part int, buf, b []byte, limit int) []byte {
-	buf = append(buf, b...)
-	for len(buf) >= limit {
-		m.writeDataChunk(kind, part, buf[:limit:limit])
-		rest := buf[limit:]
-		if len(rest) == 0 {
-			return nil
-		}
-		buf = append(make([]byte, 0, limit), rest...)
-	}
-	return buf
-}
-
 // flushCombined encodes and spills one destination partition's combined
 // update buffer. Keys are sorted so the encoded byte order — and with it
 // downstream gather order and any float folds — is deterministic.
@@ -720,9 +679,10 @@ func (m *machine[V, U, A]) flushCombined(tp int) {
 	}
 	slices.Sort(dsts)
 	buf := make([]byte, 0, len(mp)*m.eng.updBytes)
+	var val U // one scratch value for the codec, see gas.Codec
 	for _, dst := range dsts {
-		val := mp[dst]
-		buf = m.appendUpdate(buf, dst, &val)
+		val = mp[dst]
+		buf = m.eng.kern.AppendUpdate(buf, dst, &val)
 	}
 	clear(mp)
 	m.wire.PutChunk(tp, buf)
@@ -746,12 +706,7 @@ func (m *machine[V, U, A]) flushAllUpdates() {
 		}
 	}
 	if m.eng.rewriter != nil {
-		for part, buf := range m.edgeNextBuf {
-			if len(buf) > 0 {
-				m.writeDataChunk(storage.EdgeSetNext, part, buf)
-				m.edgeNextBuf[part] = nil
-			}
-		}
+		m.edgeWire.FlushPartials()
 	}
 }
 

@@ -24,6 +24,7 @@ package drive
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync"
 
 	"chaos/internal/gas"
@@ -154,19 +155,24 @@ func (k *Kernel[V, U, A]) AppendRecs(buf []byte, recs []UpdRec[U]) []byte {
 	return buf
 }
 
-// DecodeUpdate decodes one update record, the inverse of AppendUpdate.
-func (k *Kernel[V, U, A]) DecodeUpdate(rec []byte) (r UpdRec[U]) {
+// DecodeUpdate decodes one update record into *r, the inverse of
+// AppendUpdate. It decodes in place (see gas.Codec): r points into the
+// caller's record slice, so nothing escapes per record.
+func (k *Kernel[V, U, A]) DecodeUpdate(rec []byte, r *UpdRec[U]) {
 	r.Dst = k.DecodeDst(rec)
 	k.UpdCodec.Get(rec[k.IDBytes:], &r.Val)
-	return r
 }
 
-// DecodeUpdateChunk bulk-decodes one update chunk, appending to recs.
+// DecodeUpdateChunk bulk-decodes one update chunk, appending to recs:
+// recs grows once to the chunk's record count and every record decodes
+// into its own slot.
 func (k *Kernel[V, U, A]) DecodeUpdateChunk(recs []UpdRec[U], data []byte) []UpdRec[U] {
 	ub := k.UpdBytes
 	n := len(data) / ub
+	base := len(recs)
+	recs = slices.Grow(recs, n)[:base+n]
 	for i := 0; i < n; i++ {
-		recs = append(recs, k.DecodeUpdate(data[i*ub:]))
+		k.DecodeUpdate(data[i*ub:], &recs[base+i])
 	}
 	return recs
 }
@@ -185,6 +191,13 @@ func (k *Kernel[V, U, A]) ScatterChunk(iter, part int, verts []V, data []byte, o
 	if k.Combiner != nil {
 		out.Combined = make([]map[graph.VertexID]U, k.Layout.NumPartitions)
 	}
+	// val is handed to the func-valued codec by address, which moves it
+	// to the heap: one scratch value per chunk, not one per update.
+	var (
+		dst  graph.VertexID
+		val  U
+		emit bool
+	)
 	for i := 0; i < n; i++ {
 		e := k.EdgeFmt.Decode(data[i*edgeSize:])
 		src := &verts[e.Src-lo]
@@ -198,7 +211,7 @@ func (k *Kernel[V, U, A]) ScatterChunk(iter, part int, verts []V, data []byte, o
 				k.EdgeFmt.Encode(out.EdgesNext[off:], ne)
 			}
 		}
-		dst, val, emit := k.Prog.Scatter(iter, e, src)
+		dst, val, emit = k.Prog.Scatter(iter, e, src)
 		if !emit {
 			continue
 		}

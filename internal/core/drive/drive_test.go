@@ -29,7 +29,8 @@ func TestKernelUpdateRecordRoundTrip(t *testing.T) {
 		if len(buf) != k.UpdBytes {
 			t.Fatalf("record size %d, want %d", len(buf), k.UpdBytes)
 		}
-		r := k.DecodeUpdate(buf)
+		var r UpdRec[float32]
+		k.DecodeUpdate(buf, &r)
 		if r.Dst != dst || r.Val != val {
 			t.Errorf("round trip (%d, %g) -> (%d, %g)", dst, val, r.Dst, r.Val)
 		}

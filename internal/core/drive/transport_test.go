@@ -121,12 +121,21 @@ func TestMemTransportFoldOrder(t *testing.T) {
 // (budget 0 keeps nothing resident) and checks the drained fold order
 // and contents match production order exactly, streams are truncated
 // after the last release, and the cleanup hook runs on Close.
-func TestSpillTransportRoundTrip(t *testing.T) {
-	k := testKernel(t, 3)
-	backend, err := storage.NewFileBackend(t.TempDir())
+func TestSpillTransportRoundTrip(t *testing.T) { overBothBackends(t, spillRoundTrip) }
+
+// overBothBackends runs a spill test over the file backend the native
+// driver spills to and over the in-memory one.
+func overBothBackends(t *testing.T, run func(*testing.T, storage.Backend)) {
+	fb, err := storage.NewFileBackend(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Run("file", func(t *testing.T) { run(t, fb) })
+	t.Run("mem", func(t *testing.T) { run(t, storage.NewMemBackend()) })
+}
+
+func spillRoundTrip(t *testing.T, backend storage.Backend) {
+	k := testKernel(t, 3)
 	cleaned := false
 	tr := k.NewSpillTransport(0, backend, func() error { cleaned = true; return nil })
 
@@ -257,12 +266,14 @@ func TestStreamingDrainFoldOrder(t *testing.T) {
 // TestSpillTransportPartialSpill puts chunks under a budget that spills
 // some but not all: the drained sequence must still be exactly the
 // production sequence (spilled prefix, then the in-memory tail).
-func TestSpillTransportPartialSpill(t *testing.T) {
+//
+// The third Put writes three chunks from one encode buffer, so the
+// in-memory arm also checks that the backend took its own copy of each
+// (storage.Backend: Write does not retain data).
+func TestSpillTransportPartialSpill(t *testing.T) { overBothBackends(t, partialSpill) }
+
+func partialSpill(t *testing.T, backend storage.Backend) {
 	k := testKernel(t, 2)
-	backend, err := storage.NewFileBackend(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	const chunkRecs = 8
 	// Budget fits two chunks; the third Put tips over and spills the
 	// bucket, the fourth stays resident.

@@ -8,37 +8,59 @@ package drive
 // chunk to the driver's flush callback at the instant it fills. The
 // chunk boundaries and flush call sequence are bit-identical to the
 // buffering it replaced, which is what keeps the simulation's RNG draw
-// order, and with it every determinism test, unchanged.
+// order, and with it every determinism test, unchanged. Both drivers
+// also cut their edge sets (the DES pre-processing bins, the rewritten
+// sets of the §6.1 extended model) into chunks with a Wire.
 //
-// Wire is single-goroutine (simulation context), like the machine state
-// it belongs to.
+// A Wire belongs to one goroutine: the simulation context under the DES,
+// the scattering machine under the native driver.
 type Wire struct {
-	limit int
-	bufs  [][]byte
-	flush func(dst int, chunk []byte)
+	limit  int
+	bufs   [][]byte
+	filled []bool // dst has filled a chunk since the last FlushPartials
+	flush  func(dst int, chunk []byte)
 }
+
+// minChunkCap is the smallest backing a chunk starts on.
+const minChunkCap = 4 << 10
 
 // NewWire returns a Wire over np destination partitions. limit is the
 // record-aligned chunk size in bytes; flush receives each finished chunk
-// (ownership transfers: flushed slices join the storage protocol and are
-// never reused).
+// (ownership transfers: a flushed slice is in flight through the
+// driver's storage protocol for as long as the driver likes, so the
+// Wire never touches it again and starts the next chunk on fresh
+// backing).
 func NewWire(np, limit int, flush func(dst int, chunk []byte)) *Wire {
-	return &Wire{limit: limit, bufs: make([][]byte, np), flush: flush}
+	return &Wire{limit: limit, bufs: make([][]byte, np), filled: make([]bool, np), flush: flush}
 }
 
 // Put appends encoded records to dst's buffer, flushing full chunks of
-// exactly limit bytes as they fill. The remainder is copied to fresh
-// backing because flushed slices must not be reused.
+// exactly limit bytes as they fill. Backing follows the data: most
+// (machine, destination) pairs never fill a chunk — at the default 4 MiB
+// chunk size a small graph fills none — so a destination's first chunk
+// of a phase grows by doubling from minChunkCap, never past limit, and
+// holds at most twice what it carries. Once a destination has filled a
+// chunk it is a stream, and its next chunks are allocated once, at
+// limit: one allocation and one copy per chunk, however many Puts it
+// takes to fill.
 func (w *Wire) Put(dst int, b []byte) {
-	buf := append(w.bufs[dst], b...)
-	for len(buf) >= w.limit {
-		w.flush(dst, buf[:w.limit:w.limit])
-		rest := buf[w.limit:]
-		if len(rest) == 0 {
-			buf = nil
-			break
+	buf := w.bufs[dst]
+	for len(b) > 0 {
+		n := min(w.limit-len(buf), len(b))
+		if cap(buf)-len(buf) < n {
+			c := w.limit
+			if !w.filled[dst] {
+				c = min(c, max(len(buf)+n, 2*cap(buf), minChunkCap))
+			}
+			buf = append(make([]byte, 0, c), buf...)
 		}
-		buf = append(make([]byte, 0, w.limit), rest...)
+		buf = append(buf, b[:n]...)
+		b = b[n:]
+		if len(buf) == w.limit {
+			w.flush(dst, buf)
+			buf = nil
+			w.filled[dst] = true
+		}
 	}
 	w.bufs[dst] = buf
 }
@@ -51,7 +73,8 @@ func (w *Wire) PutChunk(dst int, chunk []byte) {
 }
 
 // FlushPartials writes out the partially filled buffers in ascending
-// destination order (the deterministic phase-end flush).
+// destination order (the deterministic phase-end flush). The next phase
+// sizes its buffers from its own traffic, not this one's.
 func (w *Wire) FlushPartials() {
 	for dst, buf := range w.bufs {
 		if len(buf) > 0 {
@@ -59,4 +82,5 @@ func (w *Wire) FlushPartials() {
 			w.bufs[dst] = nil
 		}
 	}
+	clear(w.filled)
 }

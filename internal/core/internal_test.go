@@ -7,6 +7,7 @@ import (
 
 	"chaos/internal/algorithms"
 	"chaos/internal/cluster"
+	"chaos/internal/core/drive"
 	"chaos/internal/graph"
 	"chaos/internal/sim"
 )
@@ -53,7 +54,6 @@ func TestUpdateRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := eng.machines[0]
 		wantID := 4
 		if n >= 1<<32 {
 			wantID = 8
@@ -69,12 +69,13 @@ func TestUpdateRecordRoundTrip(t *testing.T) {
 			if uint64(d) >= n {
 				d = graph.VertexID(n - 1)
 			}
-			buf := m.appendUpdate(nil, d, &val)
+			buf := eng.kern.AppendUpdate(nil, d, &val)
 			if len(buf) != eng.updBytes {
 				return false
 			}
-			gd, gv := m.decodeUpdate(buf)
-			return gd == d && (gv == val || (math.IsNaN(float64(gv)) && math.IsNaN(float64(val))))
+			var got drive.UpdRec[float32]
+			eng.kern.DecodeUpdate(buf, &got)
+			return got.Dst == d && (got.Val == val || (math.IsNaN(float64(got.Val)) && math.IsNaN(float64(val))))
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 			t.Errorf("n=%d: %v", n, err)

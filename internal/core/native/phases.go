@@ -218,8 +218,13 @@ func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 		}
 		combinedPer = max(r.cfg.ChunkBytes/kern.UpdBytes, 1)
 	}
-	var nextTail []byte
-	edgeLimit := drive.SpillLimit(r.cfg.ChunkBytes, kern.EdgeFmt.EdgeSize())
+	// The rewritten edges are cut into chunks exactly as the DES driver
+	// cuts them.
+	var nextWire *drive.Wire
+	if kern.Rewriter != nil {
+		edgeLimit := drive.SpillLimit(r.cfg.ChunkBytes, kern.EdgeFmt.EdgeSize())
+		nextWire = drive.NewWire(1, edgeLimit, func(_ int, chunk []byte) { r.putEdgeNextChunk(p, chunk) })
+	}
 	mergeT0 := r.elapsed()
 	var spillBytes int64
 	var spillChunks int
@@ -227,9 +232,9 @@ func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 	for _, sc := range tasks {
 		sc.Wait()
 		out := &sc.out
-		if kern.Rewriter != nil && len(out.EdgesNext) > 0 {
+		if kern.Rewriter != nil {
 			bytesOut += int64(len(out.EdgesNext))
-			nextTail = r.appendSpill(&r.edgesNext[p], nextTail, out.EdgesNext, edgeLimit)
+			nextWire.Put(0, out.EdgesNext)
 		}
 		if kern.Combiner != nil {
 			for tp, chunkMap := range out.Combined {
@@ -284,8 +289,8 @@ func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 			}
 		}
 	}
-	if len(nextTail) > 0 {
-		r.putEdgeNextChunk(p, nextTail)
+	if kern.Rewriter != nil {
+		nextWire.FlushPartials()
 	}
 	if spillChunks > 0 && r.cfg.Trace != nil {
 		r.cfg.Trace(drive.Span{
@@ -301,24 +306,6 @@ func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 			Chunks: len(chunks), BytesIn: bytesIn, BytesOut: bytesOut,
 		})
 	}
-}
-
-// appendSpill appends b to buf, pushing full chunks of exactly limit
-// bytes into dst as they fill. Spilled slices join the store and must
-// not be reused, so the remainder is copied to fresh backing.
-func (r *run[V, U, A]) appendSpill(dst *[][]byte, buf, b []byte, limit int) []byte {
-	buf = append(buf, b...)
-	for len(buf) >= limit {
-		chunk := buf[:limit:limit]
-		*dst = append(*dst, chunk)
-		r.bytesWritten.Add(int64(limit))
-		rest := buf[limit:]
-		if len(rest) == 0 {
-			return nil
-		}
-		buf = append(make([]byte, 0, limit), rest...)
-	}
-	return buf
 }
 
 func (r *run[V, U, A]) putEdgeNextChunk(p int, data []byte) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"chaos/internal/core/drive"
-	"chaos/internal/graph"
 	"chaos/internal/storage"
 )
 
@@ -182,19 +181,4 @@ func (eng *engine[V, U, A]) hasChunkTask(kind storage.SetKind, part, s, idx int)
 		return eng.gatherStreams[part].at(s, idx) != nil
 	}
 	return false
-}
-
-// appendUpdateRecord, decodeUpdateRecord and decodeUpdateChunk are the
-// engine-local spellings of the kernel's update wire format (the kernel
-// is the single definition; see internal/core/drive).
-func (eng *engine[V, U, A]) appendUpdateRecord(buf []byte, dst graph.VertexID, val *U) []byte {
-	return eng.kern.AppendUpdate(buf, dst, val)
-}
-
-func (eng *engine[V, U, A]) decodeUpdateRecord(rec []byte) drive.UpdRec[U] {
-	return eng.kern.DecodeUpdate(rec)
-}
-
-func (eng *engine[V, U, A]) decodeUpdateChunk(recs []drive.UpdRec[U], data []byte) []drive.UpdRec[U] {
-	return eng.kern.DecodeUpdateChunk(recs, data)
 }

@@ -25,12 +25,19 @@ import "chaos/internal/graph"
 
 // Codec serializes fixed-size records of type T. Fixed sizes keep chunk
 // arithmetic exact, mirroring the paper's 4/8-byte on-disk fields.
+//
+// Put and Get are func values, so the compiler cannot see that they do
+// not retain v: a pointer to a local handed to either one moves that
+// local to the heap. Per-record callers therefore pass a pointer into
+// the slice they are filling or draining (or one scratch value hoisted
+// out of the loop), never the address of a loop-local.
 type Codec[T any] struct {
 	// Bytes is the encoded record size.
 	Bytes int
 	// Put encodes *v into buf[:Bytes].
 	Put func(buf []byte, v *T)
-	// Get decodes buf[:Bytes] into *v.
+	// Get decodes buf[:Bytes] into *v, assigning every field: callers
+	// decode into recycled slice elements without clearing them first.
 	Get func(buf []byte, v *T)
 }
 
@@ -41,17 +48,6 @@ func (c Codec[T]) EncodeSlice(vs []T) []byte {
 		c.Put(buf[i*c.Bytes:], &vs[i])
 	}
 	return buf
-}
-
-// DecodeSlice decodes buf (a whole number of records) appending to dst.
-func (c Codec[T]) DecodeSlice(dst []T, buf []byte) []T {
-	n := len(buf) / c.Bytes
-	for i := 0; i < n; i++ {
-		var v T
-		c.Get(buf[i*c.Bytes:], &v)
-		dst = append(dst, v)
-	}
-	return dst
 }
 
 // Program is a GAS computation over vertex state V, update payload U and

@@ -3,6 +3,8 @@ package gas
 import (
 	"testing"
 	"testing/quick"
+
+	"chaos/internal/raceflag"
 )
 
 func TestUint32CodecRoundTrip(t *testing.T) {
@@ -53,7 +55,10 @@ func TestEncodeDecodeSlice(t *testing.T) {
 	if len(buf) != 20 {
 		t.Fatalf("buffer %d bytes, want 20", len(buf))
 	}
-	got := c.DecodeSlice(nil, buf)
+	got := make([]uint32, len(in))
+	if n := c.DecodeSliceInto(got, buf); n != len(in) {
+		t.Fatalf("decoded %d records, want %d", n, len(in))
+	}
 	for i := range in {
 		if got[i] != in[i] {
 			t.Fatalf("slice round trip: got %v", got)
@@ -61,11 +66,19 @@ func TestEncodeDecodeSlice(t *testing.T) {
 	}
 }
 
-func TestDecodeSliceAppends(t *testing.T) {
+// The bulk codecs are what vertex chunks cross every phase: one buffer
+// per encoded chunk, nothing per record in either direction.
+func TestCodecAllocs(t *testing.T) {
+	if raceflag.Enabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
 	c := Uint32Codec()
-	buf := c.EncodeSlice([]uint32{7})
-	got := c.DecodeSlice([]uint32{1, 2}, buf)
-	if len(got) != 3 || got[2] != 7 {
-		t.Errorf("append decode: %v", got)
+	vs := make([]uint32, 1024)
+	var buf []byte
+	if got := testing.AllocsPerRun(10, func() { buf = c.EncodeSlice(vs) }); got > 1 {
+		t.Errorf("EncodeSlice: %v allocs per chunk, want at most 1", got)
+	}
+	if got := testing.AllocsPerRun(10, func() { c.DecodeSliceInto(vs, buf) }); got != 0 {
+		t.Errorf("DecodeSliceInto: %v allocs per chunk, want 0", got)
 	}
 }

@@ -11,6 +11,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -28,6 +29,18 @@ var ErrUnknownStream = errors.New("storage: unknown stream")
 // Backend is the byte-level persistence layer under a Store. Streams are
 // named append-only byte sequences, one per (set, partition) pair, matching
 // the paper's file-per-set layout on ext4.
+//
+// Who owns a chunk's bytes (DESIGN.md has the long form):
+//
+//   - Write does not retain data. The stored bytes are the backend's own
+//     copy, so the caller may reuse or overwrite its buffer as soon as
+//     Write returns (SpillTransport encodes every chunk into one buffer).
+//   - Read results are read-only. A backend may hand out a view of its
+//     own storage instead of a copy; a caller that wants to modify the
+//     bytes copies them first. A result stays valid and unchanged for as
+//     long as the caller holds it, across later Writes, Truncate and
+//     Close, so a reader (a decode task on a worker goroutine) needs no
+//     agreement with whoever truncates the stream.
 type Backend interface {
 	// Write appends data to the named stream and returns the offset at
 	// which it was stored.
@@ -45,26 +58,56 @@ type Backend interface {
 // MemBackend keeps streams in memory. It is the default for simulations:
 // the simulated device already accounts for I/O time, so the bytes only
 // need to be held somewhere.
+//
+// A stream is a list of segments, one per Write, each an exact-size copy
+// that is never moved, grown or written again. That is the chunk
+// granularity of the data plane (§6.3: a storage engine serves whole
+// chunks): storing a chunk costs one allocation and one copy whatever
+// the stream already holds, and reading it back costs neither.
 type MemBackend struct {
 	mu      sync.Mutex
-	streams map[string][]byte
+	streams map[string]*memStream
+}
+
+// memStream is one stream's segments in offset order.
+type memStream struct {
+	segs []memSeg
+	size int64
+}
+
+// memSeg is the bytes of one Write and the stream offset they start at.
+type memSeg struct {
+	off  int64
+	data []byte
 }
 
 // NewMemBackend returns an empty in-memory backend.
 func NewMemBackend() *MemBackend {
-	return &MemBackend{streams: make(map[string][]byte)}
+	return &MemBackend{streams: make(map[string]*memStream)}
 }
 
-// Write appends data to the stream.
+// Write appends one segment holding a copy of data.
 func (b *MemBackend) Write(stream string, data []byte) (int64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	off := int64(len(b.streams[stream]))
-	b.streams[stream] = append(b.streams[stream], data...)
+	s := b.streams[stream]
+	if s == nil {
+		s = &memStream{}
+		b.streams[stream] = s
+	}
+	off := s.size
+	if len(data) > 0 {
+		s.segs = append(s.segs, memSeg{off: off, data: bytes.Clone(data)})
+		s.size += int64(len(data))
+	}
 	return off, nil
 }
 
-// Read returns a copy of the requested byte range.
+// Read returns the requested byte range. A range inside one segment —
+// every chunk the Store reads back — is returned as a view of that
+// segment with its capacity clipped to its length, so not even an append
+// can reach the neighbouring bytes; a range spanning segments is
+// assembled into a fresh slice.
 func (b *MemBackend) Read(stream string, offset int64, length int) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -72,22 +115,36 @@ func (b *MemBackend) Read(stream string, offset int64, length int) ([]byte, erro
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownStream, stream)
 	}
-	if offset+int64(length) > int64(len(s)) {
-		return nil, fmt.Errorf("storage: read [%d,%d) beyond stream %q of %d bytes", offset, offset+int64(length), stream, len(s))
+	end := offset + int64(length)
+	if offset < 0 || length < 0 || end > s.size {
+		return nil, fmt.Errorf("storage: read [%d,%d) beyond stream %q of %d bytes", offset, end, stream, s.size)
 	}
-	out := make([]byte, length)
-	copy(out, s[offset:])
+	if length == 0 {
+		return nil, nil
+	}
+	// The segment holding offset: the last one starting at or before it.
+	i := sort.Search(len(s.segs), func(i int) bool { return s.segs[i].off > offset }) - 1
+	seg := s.segs[i]
+	if lo := offset - seg.off; end <= seg.off+int64(len(seg.data)) {
+		return seg.data[lo : lo+int64(length) : lo+int64(length)], nil
+	}
+	out := make([]byte, 0, length)
+	for ; len(out) < length; i++ {
+		seg = s.segs[i]
+		out = append(out, seg.data[max(offset-seg.off, 0):min(end-seg.off, int64(len(seg.data)))]...)
+	}
 	return out, nil
 }
 
-// Truncate discards the stream's contents. The stream stays registered
-// (empty), mirroring a file truncated to zero length; truncating a stream
-// that was never written is a no-op.
+// Truncate discards the stream's contents by dropping its segments; views
+// already handed out keep theirs alive and intact. The stream stays
+// registered (empty), mirroring a file truncated to zero length;
+// truncating a stream that was never written is a no-op.
 func (b *MemBackend) Truncate(stream string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if _, ok := b.streams[stream]; ok {
-		b.streams[stream] = nil
+	if s, ok := b.streams[stream]; ok {
+		*s = memStream{}
 	}
 	return nil
 }
@@ -101,14 +158,14 @@ func (b *MemBackend) Size(stream string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w %q", ErrUnknownStream, stream)
 	}
-	return int64(len(s)), nil
+	return s.size, nil
 }
 
 // Close releases the stream map.
 func (b *MemBackend) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.streams = make(map[string][]byte)
+	b.streams = make(map[string]*memStream)
 	return nil
 }
 
@@ -130,7 +187,16 @@ func (b *MemBackend) Streams() []string {
 type FileBackend struct {
 	dir   string
 	mu    sync.Mutex
-	files map[string]*os.File
+	files map[string]*fileStream
+}
+
+// fileStream is one stream's open handle and its append offset. The
+// backend is the file's only writer, so the offset is read from the file
+// once, on open, and kept here: an append is one WriteAt, not a seek to
+// find the end followed by a write.
+type fileStream struct {
+	f    *os.File
+	size int64
 }
 
 // NewFileBackend creates (if needed) dir and returns a backend rooted there.
@@ -138,15 +204,15 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	return &FileBackend{dir: dir, files: make(map[string]*os.File)}, nil
+	return &FileBackend{dir: dir, files: make(map[string]*fileStream)}, nil
 }
 
-// file returns the open handle for stream. Only Write may create the
-// backing file; read-only operations on a stream that was never written
-// report ErrUnknownStream instead of leaving an empty file behind.
-func (b *FileBackend) file(stream string, create bool) (*os.File, error) {
-	if f, ok := b.files[stream]; ok {
-		return f, nil
+// file returns the open stream. Only Write may create the backing file;
+// read-only operations on a stream that was never written report
+// ErrUnknownStream instead of leaving an empty file behind.
+func (b *FileBackend) file(stream string, create bool) (*fileStream, error) {
+	if s, ok := b.files[stream]; ok {
+		return s, nil
 	}
 	flags := os.O_RDWR
 	if create {
@@ -161,25 +227,29 @@ func (b *FileBackend) file(stream string, create bool) (*os.File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	b.files[stream] = f
-	return f, nil
+	st, err := f.Stat()
+	if err != nil {
+		f.Close() // the Stat error is the one to report
+		return nil, fmt.Errorf("storage: %w", err)
+	}
+	s := &fileStream{f: f, size: st.Size()}
+	b.files[stream] = s
+	return s, nil
 }
 
 // Write appends data to the stream's file, creating it on first write.
 func (b *FileBackend) Write(stream string, data []byte) (int64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	f, err := b.file(stream, true)
+	s, err := b.file(stream, true)
 	if err != nil {
 		return 0, err
 	}
-	off, err := f.Seek(0, 2)
-	if err != nil {
+	off := s.size
+	if _, err := s.f.WriteAt(data, off); err != nil {
 		return 0, fmt.Errorf("storage: %w", err)
 	}
-	if _, err := f.WriteAt(data, off); err != nil {
-		return 0, fmt.Errorf("storage: %w", err)
-	}
+	s.size += int64(len(data))
 	return off, nil
 }
 
@@ -188,12 +258,12 @@ func (b *FileBackend) Write(stream string, data []byte) (int64, error) {
 func (b *FileBackend) Read(stream string, offset int64, length int) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	f, err := b.file(stream, false)
+	s, err := b.file(stream, false)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]byte, length)
-	if _, err := f.ReadAt(out, offset); err != nil {
+	if _, err := s.f.ReadAt(out, offset); err != nil {
 		return nil, fmt.Errorf("storage: read %q@%d: %w", stream, offset, err)
 	}
 	return out, nil
@@ -204,16 +274,17 @@ func (b *FileBackend) Read(stream string, offset int64, length int) ([]byte, err
 func (b *FileBackend) Truncate(stream string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	f, err := b.file(stream, false)
+	s, err := b.file(stream, false)
 	if errors.Is(err, ErrUnknownStream) {
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	if err := f.Truncate(0); err != nil {
+	if err := s.f.Truncate(0); err != nil {
 		return fmt.Errorf("storage: %w", err)
 	}
+	s.size = 0
 	return nil
 }
 
@@ -222,15 +293,11 @@ func (b *FileBackend) Truncate(stream string) error {
 func (b *FileBackend) Size(stream string) (int64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	f, err := b.file(stream, false)
+	s, err := b.file(stream, false)
 	if err != nil {
 		return 0, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("storage: %w", err)
-	}
-	return st.Size(), nil
+	return s.size, nil
 }
 
 // Close closes every open file.
@@ -238,11 +305,11 @@ func (b *FileBackend) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var first error
-	for _, f := range b.files {
-		if err := f.Close(); err != nil && first == nil {
+	for _, s := range b.files {
+		if err := s.f.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	b.files = make(map[string]*os.File)
+	b.files = make(map[string]*fileStream)
 	return first
 }

@@ -173,6 +173,7 @@ func (s *Store) ReadChunkAt(kind SetKind, part, idx int) ([]byte, error) {
 func (s *Store) UnconsumedChunkData(kind SetKind, part int) (data [][]byte, base int, err error) {
 	cs := s.set(kind, part)
 	base = cs.consumed
+	data = make([][]byte, 0, len(cs.chunks)-base)
 	for _, ref := range cs.chunks[base:] {
 		d, err := s.backend.Read(cs.stream, ref.offset, ref.length)
 		if err != nil {
