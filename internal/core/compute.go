@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"chaos/internal/core/drive"
-	"chaos/internal/graph"
 	"chaos/internal/metrics"
 	"chaos/internal/sim"
 	"chaos/internal/storage"
@@ -45,9 +43,9 @@ type machine[V, U, A any] struct {
 	// to the buffering it replaced.
 	wire *drive.Wire
 
-	// combBuf replaces updBuf when the Pregel-style combiner is active:
-	// updates to the same destination merge in place before spilling.
-	combBuf []map[graph.VertexID]U
+	// combBuf stands before the wire when the Pregel-style combiner is
+	// active (nil otherwise); its chunks leave through shipCombined.
+	combBuf *drive.CombineBuf[V, U, A]
 
 	// edgeWire cuts the rewritten next-generation edge records of each
 	// partition into chunks under the §6.1 extended model (nil without a
@@ -58,8 +56,8 @@ type machine[V, U, A any] struct {
 	stolenAccums    map[int][]A
 	requestedAccums map[int]bool
 
-	// Pre-processing degree exchange.
-	degAcc map[int][]uint32
+	// Pre-processing degree exchange: folded out-degrees per partition.
+	degAcc [][]uint32
 	degGot int
 
 	// Central-directory continuations by request tag.
@@ -85,22 +83,28 @@ func newMachine[V, U, A any](eng *engine[V, U, A], id int) *machine[V, U, A] {
 		closed:          make(map[int]bool),
 		stolenAccums:    make(map[int][]A),
 		requestedAccums: make(map[int]bool),
-		degAcc:          make(map[int][]uint32),
+		degAcc:          make([][]uint32, eng.layout.NumPartitions),
 		dirPending:      make(map[uint64]func(dirResp)),
 	}
-	m.wire = drive.NewWire(eng.layout.NumPartitions, eng.updatesPerChunk()*eng.updBytes, func(tp int, chunk []byte) {
+	m.wire = drive.NewWire(eng.layout.NumPartitions, wholeRecords(eng.cfg.ChunkBytes, eng.kern.UpdBytes), func(tp int, chunk []byte) {
 		m.writeDataChunk(storage.UpdateSet, tp, chunk)
 	})
-	if eng.rewriter != nil {
-		limit := drive.SpillLimit(eng.cfg.ChunkBytes, eng.edgeFmt.EdgeSize())
+	if eng.kern.Rewriter != nil {
+		limit := drive.SpillLimit(eng.cfg.ChunkBytes, eng.kern.EdgeFmt.EdgeSize())
 		m.edgeWire = drive.NewWire(eng.layout.NumPartitions, limit, func(part int, chunk []byte) {
 			m.writeDataChunk(storage.EdgeSetNext, part, chunk)
 		})
 	}
-	if eng.combiner != nil {
-		m.combBuf = make([]map[graph.VertexID]U, eng.layout.NumPartitions)
+	if eng.kern.Combiner != nil {
+		m.combBuf = eng.kern.NewCombineBuf()
 	}
 	return m
+}
+
+// wholeRecords is the DES chunk limit: the largest whole number of
+// recSize-byte records that fits chunkBytes, at least one.
+func wholeRecords(chunkBytes, recSize int) int {
+	return max(chunkBytes/recSize, 1) * recSize
 }
 
 func (m *machine[V, U, A]) send(dst int, bytes int64, mb *sim.Mailbox, msg any) {
@@ -143,14 +147,7 @@ func (m *machine[V, U, A]) handleAsync(msg any) bool {
 		}
 		return true
 	case degreeDelta:
-		acc := m.degAcc[t.part]
-		if acc == nil {
-			acc = make([]uint32, m.eng.layout.Size(t.part))
-			m.degAcc[t.part] = acc
-		}
-		for i, d := range t.counts {
-			acc[i] += d
-		}
+		m.eng.kern.FoldDegrees(m.degAcc, t.part, t.counts)
 		m.degGot++
 		return true
 	default:
@@ -209,14 +206,14 @@ func (m *machine[V, U, A]) main(p *sim.Proc) {
 		eng.barrier.Wait(p)
 		m.stats.Add(metrics.Barrier, p.Now()-t0)
 		d := eng.decision
-		if d.rollbackTo >= 0 {
+		if d.RollbackTo >= 0 {
 			m.restore(p)
 			eng.barrier.Wait(p)
 			m.resetEdgeCursors()
-			iter = d.rollbackTo + 1
+			iter = d.RollbackTo + 1
 			continue
 		}
-		if d.done {
+		if d.Done {
 			eng.run.Iterations = iter + 1
 			break
 		}
@@ -236,7 +233,7 @@ func (m *machine[V, U, A]) main(p *sim.Proc) {
 // next-generation edge sets under the §6.1 extended model. Pure metadata.
 func (m *machine[V, U, A]) resetEdgeCursors() {
 	for part := 0; part < m.eng.layout.NumPartitions; part++ {
-		if m.eng.rewriter != nil {
+		if m.eng.kern.Rewriter != nil {
 			if err := m.eng.stores[m.id].PromoteEdges(part); err != nil {
 				panic(fmt.Sprintf("core: machine %d: promoting edges: %v", m.id, err))
 			}
@@ -261,44 +258,27 @@ func (m *machine[V, U, A]) preprocess(p *sim.Proc) {
 	eng := m.eng
 	mk := m.markSpan(p)
 	myEdges := eng.inputEdges[m.id]
-	edgeSize := eng.edgeFmt.EdgeSize()
-	perChunk := eng.cfg.ChunkBytes / edgeSize
-	if perChunk < 1 {
-		perChunk = 1
-	}
+	edgeSize := eng.kern.EdgeFmt.EdgeSize()
+	limit := wholeRecords(eng.cfg.ChunkBytes, edgeSize)
+	perChunk := limit / edgeSize
 	needDeg := eng.prog.NeedsDegrees()
-	localDeg := make(map[int][]uint32)
-	bins := drive.NewWire(eng.layout.NumPartitions, perChunk*edgeSize, func(part int, chunk []byte) {
+	var localDeg [][]uint32
+	if needDeg {
+		localDeg = make([][]uint32, eng.layout.NumPartitions)
+	}
+	bins := drive.NewWire(eng.layout.NumPartitions, limit, func(part int, chunk []byte) {
 		m.writeDataChunk(storage.EdgeSet, part, chunk)
 	})
-	rec := make([]byte, edgeSize)
 	dev := eng.clu.Machines[m.id].Device
 
 	for i := 0; i < len(myEdges); i += perChunk {
-		hi := i + perChunk
-		if hi > len(myEdges) {
-			hi = len(myEdges)
-		}
-		batch := myEdges[i:hi]
+		batch := myEdges[i:min(i+perChunk, len(myEdges))]
 		dev.Use(p, int64(len(batch)*edgeSize)) // read the raw input
 		eng.run.BytesRead += int64(len(batch) * edgeSize)
 		m.trBytesIn += int64(len(batch) * edgeSize)
 		m.trChunks++
 		m.cpu(p, len(batch))
-		for _, e := range batch {
-			part := eng.layout.Of(e.Src)
-			eng.edgeFmt.Encode(rec, e)
-			bins.Put(part, rec)
-			if needDeg {
-				deg := localDeg[part]
-				if deg == nil {
-					deg = make([]uint32, eng.layout.Size(part))
-					localDeg[part] = deg
-				}
-				lo, _ := eng.layout.Range(part)
-				deg[e.Src-lo]++
-			}
-		}
+		eng.kern.BinEdges(batch, bins, localDeg)
 	}
 	bins.FlushPartials()
 	m.drainWrites(p)
@@ -324,21 +304,7 @@ func (m *machine[V, U, A]) preprocess(p *sim.Proc) {
 
 	// Initialize vertex values and record them on storage.
 	for _, part := range eng.layout.PartitionsOf(m.id) {
-		size := eng.layout.Size(part)
-		if size == 0 {
-			continue
-		}
-		lo, _ := eng.layout.Range(part)
-		verts := make([]V, size)
-		deg := m.degAcc[part]
-		for i := range verts {
-			var d uint32
-			if deg != nil {
-				d = deg[i]
-			}
-			eng.prog.Init(lo+graph.VertexID(i), &verts[i], d)
-		}
-		m.writeVertices(part, verts, false)
+		m.writeVertices(part, eng.kern.InitVertices(part, m.degAcc[part]), false)
 	}
 	m.drainWrites(p)
 	m.emitSpan(p, mk, -1, -1, drive.PhasePreprocess, false)
@@ -391,10 +357,14 @@ func (m *machine[V, U, A]) streamChunks(p *sim.Proc, kind storage.SetKind, part 
 	nm := eng.layout.NumMachines
 	outstanding := 0
 
+	// issue sends one more request while a store may still hold a chunk;
+	// onEmpty takes a store's "nothing left" reply.
+	var issue func() bool
+	var onEmpty func(from int)
 	if eng.dir != nil {
 		// Directory mode: each slot is a locate followed by a fetch.
 		exhausted := false
-		issue := func() bool {
+		issue = func() bool {
 			if exhausted {
 				return false
 			}
@@ -410,43 +380,32 @@ func (m *machine[V, U, A]) streamChunks(p *sim.Proc, kind storage.SetKind, part 
 			})
 			return true
 		}
-		for outstanding < eng.window && issue() {
+		onEmpty = func(from int) {
+			// The directory said the chunk was there; a race would be a
+			// protocol bug.
+			panic(fmt.Sprintf("core: machine %d: directory pointed at empty store %d", m.id, from))
 		}
-		for outstanding > 0 {
-			msg := m.inbox.Recv(p)
-			if m.handleAsync(msg) {
-				continue
+	} else {
+		empty := make([]bool, nm)
+		nEmpty := 0
+		issue = func() bool {
+			if nEmpty == nm {
+				return false
 			}
-			r, ok := msg.(chunkReply)
-			if !ok || r.kind != kind || r.part != part {
-				panic(fmt.Sprintf("core: machine %d: got %T while streaming %v of partition %d", m.id, msg, kind, part))
+			t := eng.env.Rand().Intn(nm)
+			for empty[t] {
+				t = (t + 1) % nm
 			}
-			outstanding--
-			if r.empty {
-				// The directory said the chunk was there; a race
-				// would be a protocol bug.
-				panic(fmt.Sprintf("core: machine %d: directory pointed at empty store %d", m.id, r.from))
-			}
-			onChunk(r)
-			for outstanding < eng.window && issue() {
+			m.send(t, controlMsgBytes, eng.storeIn[t], chunkReq{kind: kind, part: part, from: m.id, replyTo: m.inbox})
+			outstanding++
+			return true
+		}
+		onEmpty = func(from int) {
+			if !empty[from] {
+				empty[from] = true
+				nEmpty++
 			}
 		}
-		return
-	}
-
-	empty := make([]bool, nm)
-	nEmpty := 0
-	issue := func() bool {
-		if nEmpty == nm {
-			return false
-		}
-		t := eng.env.Rand().Intn(nm)
-		for empty[t] {
-			t = (t + 1) % nm
-		}
-		m.send(t, controlMsgBytes, eng.storeIn[t], chunkReq{kind: kind, part: part, from: m.id, replyTo: m.inbox})
-		outstanding++
-		return true
 	}
 	for outstanding < eng.window && issue() {
 	}
@@ -461,10 +420,7 @@ func (m *machine[V, U, A]) streamChunks(p *sim.Proc, kind storage.SetKind, part 
 		}
 		outstanding--
 		if r.empty {
-			if !empty[r.from] {
-				empty[r.from] = true
-				nEmpty++
-			}
+			onEmpty(r.from)
 		} else {
 			onChunk(r)
 		}
@@ -481,9 +437,8 @@ func (m *machine[V, U, A]) loadVertices(p *sim.Proc, part int) []V {
 	if size == 0 {
 		return nil
 	}
-	codec := eng.vCodec
 	verts := make([]V, size)
-	per := eng.verticesPerChunk()
+	per := eng.kern.VerticesPerChunk()
 	n := eng.vertexChunks(part)
 	issued, done := 0, 0
 	for done < n {
@@ -500,7 +455,7 @@ func (m *machine[V, U, A]) loadVertices(p *sim.Proc, part int) []V {
 		if !ok || r.part != part {
 			panic(fmt.Sprintf("core: machine %d: got %T while loading vertices of partition %d", m.id, msg, part))
 		}
-		codec.DecodeSliceInto(verts[r.idx*per:], r.data)
+		eng.kern.VCodec.DecodeSliceInto(verts[r.idx*per:], r.data)
 		m.trBytesIn += int64(len(r.data))
 		done++
 	}
@@ -512,20 +467,8 @@ func (m *machine[V, U, A]) loadVertices(p *sim.Proc, part int) []V {
 // capturing its bytes (phase 1 of §6.6).
 func (m *machine[V, U, A]) writeVertices(part int, verts []V, checkpoint bool) {
 	eng := m.eng
-	codec := eng.vCodec
-	per := eng.verticesPerChunk()
-	n := eng.vertexChunks(part)
-	var ckptChunks [][]byte
-	if checkpoint {
-		ckptChunks = make([][]byte, n)
-	}
-	for idx := 0; idx < n; idx++ {
-		lo := idx * per
-		hi := lo + per
-		if hi > len(verts) {
-			hi = len(verts)
-		}
-		data := codec.EncodeSlice(verts[lo:hi])
+	chunks := eng.kern.EncodeVertices(verts)
+	for idx, data := range chunks {
 		m.trBytesOut += int64(len(data))
 		home := storage.VertexChunkHome(part, idx, eng.layout.NumMachines)
 		m.pendingWrites++
@@ -538,14 +481,13 @@ func (m *machine[V, U, A]) writeVertices(part int, verts []V, checkpoint bool) {
 				vertexWrite{part: part, idx: idx, from: m.id, data: data})
 		}
 		if checkpoint {
-			ckptChunks[idx] = data
 			m.pendingWrites++
 			m.send(home, int64(len(data))+controlMsgBytes, eng.storeIn[home],
 				ckptWrite{bytes: len(data), from: m.id, ackTo: m.inbox})
 		}
 	}
 	if checkpoint {
-		eng.ckptPending[part] = ckptChunks
+		eng.dec.Stage(part, chunks)
 	}
 }
 
@@ -554,11 +496,7 @@ func (m *machine[V, U, A]) writeVertices(part int, verts []V, checkpoint bool) {
 func (m *machine[V, U, A]) restore(p *sim.Proc) {
 	eng := m.eng
 	for _, part := range eng.layout.PartitionsOf(m.id) {
-		chunks, ok := eng.ckptVerts[part]
-		if !ok {
-			continue // empty partition
-		}
-		for idx, data := range chunks {
+		for idx, data := range eng.dec.Checkpoint(part) {
 			home := storage.VertexChunkHome(part, idx, eng.layout.NumMachines)
 			m.pendingWrites++
 			m.send(home, int64(len(data))+controlMsgBytes, eng.storeIn[home],
@@ -617,7 +555,7 @@ func (m *machine[V, U, A]) scatterPartition(p *sim.Proc, iter, part int, verts [
 		}
 		m.mergeScatter(p, part, &sc.out)
 	})
-	eng.releaseScatterStream(part)
+	releaseStream(eng.scatterStreams, part)
 }
 
 // mergeScatter replays one chunk's pure scatter result against the
@@ -627,31 +565,11 @@ func (m *machine[V, U, A]) scatterPartition(p *sim.Proc, iter, part int, verts [
 func (m *machine[V, U, A]) mergeScatter(p *sim.Proc, part int, out *drive.ScatterOut[U]) {
 	eng := m.eng
 	m.cpu(p, out.N)
-	if eng.rewriter != nil {
+	if eng.kern.Rewriter != nil {
 		m.edgeWire.Put(part, out.EdgesNext)
 	}
-	if eng.combiner != nil {
-		per := eng.updatesPerChunk()
-		for tp, chunkMap := range out.Combined {
-			if len(chunkMap) == 0 {
-				continue
-			}
-			mp := m.combBuf[tp]
-			if mp == nil {
-				mp = make(map[graph.VertexID]U, per)
-				m.combBuf[tp] = mp
-			}
-			for dst, val := range chunkMap {
-				if old, ok := mp[dst]; ok {
-					mp[dst] = eng.combiner.Combine(old, val)
-				} else {
-					mp[dst] = val
-				}
-			}
-			if len(mp) >= per {
-				m.flushCombined(tp)
-			}
-		}
+	if m.combBuf != nil {
+		m.combBuf.Add(out.Combined, m.shipCombined)
 	}
 	for tp, b := range out.Updates {
 		if len(b) == 0 {
@@ -665,47 +583,22 @@ func (m *machine[V, U, A]) mergeScatter(p *sim.Proc, part int, out *drive.Scatte
 	eng.kern.ReleaseScatterOut(out)
 }
 
-// flushCombined encodes and spills one destination partition's combined
-// update buffer. Keys are sorted so the encoded byte order — and with it
-// downstream gather order and any float folds — is deterministic.
-func (m *machine[V, U, A]) flushCombined(tp int) {
-	mp := m.combBuf[tp]
-	if len(mp) == 0 {
-		return
-	}
-	dsts := make([]graph.VertexID, 0, len(mp))
-	for dst := range mp {
-		dsts = append(dsts, dst)
-	}
-	slices.Sort(dsts)
-	buf := make([]byte, 0, len(mp)*m.eng.updBytes)
-	var val U // one scratch value for the codec, see gas.Codec
-	for _, dst := range dsts {
-		val = mp[dst]
-		buf = m.eng.kern.AppendUpdate(buf, dst, &val)
-	}
-	clear(mp)
-	m.wire.PutChunk(tp, buf)
-}
-
-func (eng *engine[V, U, A]) updatesPerChunk() int {
-	per := eng.cfg.ChunkBytes / eng.updBytes
-	if per < 1 {
-		per = 1
-	}
-	return per
+// shipCombined encodes one sorted chunk of combined updates and ships it
+// as a chunk of its own, whatever its size.
+func (m *machine[V, U, A]) shipCombined(tp int, recs []drive.UpdRec[U]) {
+	kern := m.eng.kern
+	m.wire.PutChunk(tp, kern.AppendRecs(make([]byte, 0, len(recs)*kern.UpdBytes), recs))
+	kern.ReleaseRecs(recs)
 }
 
 // flushAllUpdates writes out the partially filled update (and rewritten
 // edge) buffers at the end of a scatter phase.
 func (m *machine[V, U, A]) flushAllUpdates() {
 	m.wire.FlushPartials()
-	if m.eng.combiner != nil {
-		for tp := range m.combBuf {
-			m.flushCombined(tp)
-		}
+	if m.combBuf != nil {
+		m.combBuf.Flush(m.shipCombined)
 	}
-	if m.eng.rewriter != nil {
+	if m.edgeWire != nil {
 		m.edgeWire.FlushPartials()
 	}
 }
@@ -721,7 +614,7 @@ func (m *machine[V, U, A]) gatherRun(p *sim.Proc, iter int) {
 		t0 := p.Now()
 		mk := m.markSpan(p)
 		verts := m.loadVertices(p, part)
-		accums := m.newAccums(len(verts))
+		accums := eng.kern.ResetAccums(make([]A, len(verts)))
 		m.gatherPartition(p, part, verts, accums)
 		m.emitSpan(p, mk, iter, part, drive.PhaseGather, false)
 		m.stats.Add(metrics.GPMasterMe, p.Now()-t0)
@@ -736,14 +629,6 @@ func (m *machine[V, U, A]) gatherRun(p *sim.Proc, iter int) {
 	m.stats.Add(metrics.Barrier, p.Now()-t0)
 }
 
-func (m *machine[V, U, A]) newAccums(n int) []A {
-	accums := make([]A, n)
-	for i := range accums {
-		accums[i] = m.eng.prog.InitAccum()
-	}
-	return accums
-}
-
 // gatherPartition streams a partition's updates into accumulators. verts
 // is the partition's vertex set, read-only during gather. Each chunk's
 // decode was dispatched to the worker pool when the stream was acquired
@@ -754,27 +639,23 @@ func (m *machine[V, U, A]) newAccums(n int) []A {
 // the accumulators are read.
 func (m *machine[V, U, A]) gatherPartition(p *sim.Proc, part int, verts []V, accums []A) {
 	eng := m.eng
-	lo, _ := eng.layout.Range(part)
 	w := eng.acquireGatherStream(part)
-	var tail *chunkTask
+	var tail *drive.Task
 	m.streamChunks(p, storage.UpdateSet, part, func(r chunkReply) {
 		m.trChunks++
 		m.trBytesIn += int64(r.length)
-		m.cpu(p, r.length/eng.updBytes)
+		m.cpu(p, r.length/eng.kern.UpdBytes)
 		gc := w.at(r.from, r.idx)
 		if gc == nil {
 			// Inline mode or defensive fallback: decode at delivery
 			// (see scatterPartition).
 			gc = &gatherChunk[U]{}
-			gc.Done = closedChan
+			gc.Done = drive.ClosedChan
 			gc.recs = eng.kern.DecodeUpdateChunk(eng.kern.GrabRecs(), r.data)
 		}
-		ft := &chunkTask{Prev: tail, Fn: func() {
+		ft := &drive.Task{Prev: tail, Fn: func() {
 			gc.Wait() // decode complete
-			for i := range gc.recs {
-				u := &gc.recs[i]
-				accums[u.Dst-lo] = eng.prog.Gather(accums[u.Dst-lo], u.Val, &verts[u.Dst-lo])
-			}
+			eng.kern.FoldUpdates(part, verts, accums, gc.recs)
 			eng.kern.ReleaseRecs(gc.recs)
 			gc.recs = nil
 		}}
@@ -784,7 +665,7 @@ func (m *machine[V, U, A]) gatherPartition(p *sim.Proc, part int, verts []V, acc
 	if tail != nil {
 		tail.Wait()
 	}
-	eng.releaseGatherStream(part)
+	releaseStream(eng.gatherStreams, part)
 }
 
 // applyPartition is the master-side wrap-up for one of its partitions:
@@ -814,16 +695,9 @@ func (m *machine[V, U, A]) applyPartition(p *sim.Proc, iter, part int, verts []V
 	}
 
 	t0 := p.Now()
-	lo, _ := eng.layout.Range(part)
 	m.cpu(p, len(verts))
-	var changed uint64
-	for i := range verts {
-		if eng.prog.Apply(iter, lo+graph.VertexID(i), &verts[i], accums[i]) {
-			changed++
-		}
-	}
-	eng.changed += changed
-	m.writeVertices(part, verts, eng.checkpointDue(iter))
+	eng.dec.Changed.Add(eng.kern.ApplyVertices(iter, part, verts, accums))
+	m.writeVertices(part, verts, eng.dec.CheckpointDue(iter))
 	// Delete the consumed update set everywhere (§6.1).
 	for s := 0; s < eng.layout.NumMachines; s++ {
 		m.pendingWrites++
@@ -919,7 +793,7 @@ func (m *machine[V, U, A]) gatherSteal(p *sim.Proc, iter, part int) {
 	verts := m.loadVertices(p, part)
 	m.stats.Add(metrics.Copy, p.Now()-t0)
 	t0 = p.Now()
-	accums := m.newAccums(len(verts))
+	accums := eng.kern.ResetAccums(make([]A, len(verts)))
 	m.gatherPartition(p, part, verts, accums)
 	m.stats.Add(metrics.GPMasterOther, p.Now()-t0)
 	m.emitSpan(p, mk, iter, part, drive.PhaseGather, true)

@@ -176,9 +176,7 @@ func DefaultConfig(spec cluster.Spec) Config {
 // place. The DES driver applies it on entry to Run; sibling drivers
 // (internal/core/native) call it so every driver agrees on defaults and
 // rejects the same invalid configurations.
-func (c *Config) Normalize() error { return c.normalize() }
-
-func (c *Config) normalize() error {
+func (c *Config) Normalize() error {
 	if c.Spec.Machines <= 0 {
 		return fmt.Errorf("core: config needs at least one machine")
 	}
@@ -207,6 +205,23 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("core: edge rewriting cannot roll back; disable failure injection")
 	}
 	return nil
+}
+
+// Params is the clock-free slice of a normalized configuration: what the
+// protocol's policy in internal/core/drive depends on under any driver.
+func (c *Config) Params() drive.Params {
+	return drive.Params{
+		Machines:         c.Spec.Machines,
+		MemBudget:        c.MemBudget,
+		ChunkBytes:       c.ChunkBytes,
+		VertexChunkBytes: c.VertexChunkBytes,
+		MaxIterations:    c.MaxIterations,
+		CheckpointEvery:  c.CheckpointEvery,
+		FailAtIteration:  c.FailAtIteration,
+		CombineUpdates:   c.CombineUpdates,
+		RewriteEdges:     c.RewriteEdges,
+		Interrupt:        c.Interrupt,
+	}
 }
 
 // window returns the request window phi*k (Equation 3): large enough that

@@ -62,6 +62,9 @@ type ScatterOut[U any] struct {
 // scratch-buffer pools they draw from. A Kernel is shared freely between
 // goroutines; the pools are concurrency-safe and the kernels are pure.
 type Kernel[V, U, A any] struct {
+	// Params is the run's clock-free configuration (policy.go reads it;
+	// zero under NewKernel, filled by Plan).
+	Params
 	Prog    gas.Program[V, U, A]
 	Layout  *partition.Layout
 	EdgeFmt graph.Format
@@ -75,7 +78,7 @@ type Kernel[V, U, A any] struct {
 	UpdCodec gas.Codec[U]
 	VCodec   gas.Codec[V]
 	// Combiner/Rewriter are the resolved optional extensions (nil when
-	// disabled); the driver asserts and reports configuration errors.
+	// disabled); Plan asserts them and reports configuration errors.
 	Combiner gas.Combiner[U]
 	Rewriter gas.EdgeRewriter[V]
 
@@ -293,6 +296,41 @@ func (k *Kernel[V, U, A]) ScatterChunkTyped(iter, part int, verts []V, data []by
 		}
 		out.Typed[tp] = append(recs, UpdRec[U]{Dst: dst, Val: val})
 	}
+}
+
+// FoldUpdates is the gather computation on one decoded update chunk of
+// partition part: each record folds into its destination's accumulator,
+// in record order. verts is read-only. Callers serialize one partition's
+// chunks in their stream order — the order a float fold sees.
+func (k *Kernel[V, U, A]) FoldUpdates(part int, verts []V, accums []A, recs []UpdRec[U]) {
+	prog := k.Prog
+	lo, _ := k.Layout.Range(part)
+	for i := range recs {
+		u := &recs[i]
+		accums[u.Dst-lo] = prog.Gather(accums[u.Dst-lo], u.Val, &verts[u.Dst-lo])
+	}
+}
+
+// ApplyVertices is the apply step on partition part (§5.3); the count of
+// changed vertices feeds the convergence vote (Decider.Changed). Apply
+// may keep private program state: one goroutine at a time.
+func (k *Kernel[V, U, A]) ApplyVertices(iter, part int, verts []V, accums []A) (changed uint64) {
+	lo, _ := k.Layout.Range(part)
+	for i := range verts {
+		if k.Prog.Apply(iter, lo+graph.VertexID(i), &verts[i], accums[i]) {
+			changed++
+		}
+	}
+	return changed
+}
+
+// ResetAccums readies a partition's accumulators for a gather and
+// returns them.
+func (k *Kernel[V, U, A]) ResetAccums(accums []A) []A {
+	for i := range accums {
+		accums[i] = k.Prog.InitAccum()
+	}
+	return accums
 }
 
 // GrabRecs returns a pooled decoded-record slice; ReleaseRecs recycles it

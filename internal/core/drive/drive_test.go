@@ -1,8 +1,10 @@
 package drive
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
+	"testing/quick"
 
 	"chaos/internal/algorithms"
 	"chaos/internal/graph"
@@ -91,5 +93,41 @@ func TestStealCriterion(t *testing.T) {
 	// Tiny D vs large V: not worth a vertex-set copy.
 	if StealCriterion(1_000_000, 10, 1, 1) {
 		t.Error("tiny remaining work should reject")
+	}
+	// alpha = inf always steals while data remains, and only then.
+	if !StealCriterion(900, 1000, 1, math.Inf(1)) || StealCriterion(0, 0, 1, math.Inf(1)) {
+		t.Error("alpha=inf must steal exactly when data remains")
+	}
+	// More helpers make stealing less attractive.
+	if StealCriterion(50, 1000, 8, 1) && !StealCriterion(50, 1000, 1, 1) {
+		t.Error("criterion should tighten with more workers")
+	}
+}
+
+func TestSplitInputCoversAllEdges(t *testing.T) {
+	prop := func(nEdges uint16, nmRaw uint8) bool {
+		nm := int(nmRaw%32) + 1
+		edges := make([]graph.Edge, int(nEdges)%5000)
+		for i := range edges {
+			edges[i] = graph.Edge{Src: graph.VertexID(i)}
+		}
+		parts := SplitInput(edges, nm)
+		if len(parts) != nm {
+			return false
+		}
+		// Slices must be contiguous, in order, and cover every edge.
+		seen := 0
+		for _, p := range parts {
+			for _, e := range p {
+				if int(e.Src) != seen {
+					return false
+				}
+				seen++
+			}
+		}
+		return seen == len(edges)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }

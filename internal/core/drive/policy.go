@@ -1,0 +1,296 @@
+package drive
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"sync/atomic"
+
+	"chaos/internal/gas"
+	"chaos/internal/graph"
+	"chaos/internal/partition"
+)
+
+// The protocol's policy, written once for both drivers: run planning,
+// vertex-chunk geometry, pre-processing, the combiner buffer and the
+// decision point with its §6.6 checkpoint (the chunk kernels, gather
+// fold and apply step are in drive.go). None of it reads a clock.
+
+// Params is the clock-free slice of a run's configuration. Both drivers
+// take it from core.Config.Params (this package cannot import core).
+type Params struct {
+	Machines int
+	// MemBudget is the per-machine budget for one partition's vertex
+	// set (§3); zero or less means one partition per machine.
+	MemBudget        int64
+	ChunkBytes       int
+	VertexChunkBytes int
+	MaxIterations    int
+	CheckpointEvery  int // see Decider
+	FailAtIteration  int // see Decider
+	CombineUpdates   bool
+	RewriteEdges     bool
+	// Interrupt is polled once per decision point; nil never interrupts.
+	Interrupt func() bool
+}
+
+// Plan infers the vertex count when the caller passes zero, sizes the
+// partition layout from the memory budget (§3), derives the record
+// geometry and resolves the program extensions the run asks for.
+func Plan[V, U, A any](p Params, prog gas.Program[V, U, A], edges []graph.Edge, numVertices uint64) (*Kernel[V, U, A], error) {
+	if numVertices == 0 {
+		numVertices = graph.MaxVertex(edges)
+	}
+	if numVertices == 0 {
+		return nil, fmt.Errorf("core: empty graph")
+	}
+	vbytes := int64(prog.VertexCodec().Bytes)
+	budget := p.MemBudget
+	if budget <= 0 {
+		budget = int64(numVertices+1) * vbytes // unconstrained
+	}
+	layout, err := partition.NewLayout(numVertices, p.Machines, vbytes, budget)
+	if err != nil {
+		return nil, err
+	}
+	k := NewKernel(prog, layout)
+	k.Params = p
+	if p.CombineUpdates {
+		c, ok := any(prog).(gas.Combiner[U])
+		if !ok {
+			return nil, fmt.Errorf("core: %s does not implement gas.Combiner; cannot combine updates", prog.Name())
+		}
+		k.Combiner = c
+	}
+	if p.RewriteEdges {
+		r, ok := any(prog).(gas.EdgeRewriter[V])
+		if !ok {
+			return nil, fmt.Errorf("core: %s does not implement gas.EdgeRewriter; cannot rewrite edges", prog.Name())
+		}
+		k.Rewriter = r
+	}
+	return k, nil
+}
+
+// VerticesPerChunk is the vertex-set chunk geometry (§6.4): whole records
+// per VertexChunkBytes, at least one.
+func (k *Kernel[V, U, A]) VerticesPerChunk() int {
+	return max(k.VertexChunkBytes/k.VBytes, 1)
+}
+
+// VertexChunks is the number of chunks in partition part's vertex set.
+func (k *Kernel[V, U, A]) VertexChunks(part int) int {
+	per := uint64(k.VerticesPerChunk())
+	return int((k.Layout.Size(part) + per - 1) / per)
+}
+
+// VertexSetBytes is V in the steal criterion: the partition's encoded
+// vertex set, the transfer a steal costs.
+func (k *Kernel[V, U, A]) VertexSetBytes(part int) int64 {
+	return int64(k.Layout.Size(part)) * int64(k.VBytes)
+}
+
+// EncodeVertices encodes a partition's vertex set into its chunks.
+func (k *Kernel[V, U, A]) EncodeVertices(verts []V) [][]byte {
+	per := k.VerticesPerChunk()
+	chunks := make([][]byte, 0, (len(verts)+per-1)/per)
+	for lo := 0; lo < len(verts); lo += per {
+		chunks = append(chunks, k.VCodec.EncodeSlice(verts[lo:min(lo+per, len(verts))]))
+	}
+	return chunks
+}
+
+// BinEdges is the pre-processing pass over one batch of input edges
+// (§3): each edge is encoded onto bins, a Wire over source partitions
+// whose limit and flush are the driver's, and, when deg is non-nil,
+// counted into its source's out-degree (deg[p] appears with partition
+// p's first edge).
+func (k *Kernel[V, U, A]) BinEdges(batch []graph.Edge, bins *Wire, deg [][]uint32) {
+	rec := make([]byte, k.EdgeFmt.EdgeSize())
+	for _, e := range batch {
+		p := k.Layout.Of(e.Src)
+		k.EdgeFmt.Encode(rec, e)
+		bins.Put(p, rec)
+		if deg != nil {
+			if deg[p] == nil {
+				deg[p] = make([]uint32, k.Layout.Size(p))
+			}
+			lo, _ := k.Layout.Range(p)
+			deg[p][e.Src-lo]++
+		}
+	}
+}
+
+// FoldDegrees adds one machine's counts for partition part (BinEdges'
+// deg[part], possibly nil) into the partition's totals.
+func (k *Kernel[V, U, A]) FoldDegrees(acc [][]uint32, part int, counts []uint32) {
+	if acc[part] == nil {
+		acc[part] = make([]uint32, k.Layout.Size(part))
+	}
+	for i, d := range counts {
+		acc[part][i] += d
+	}
+}
+
+// InitVertices builds partition part's initial vertex set; deg is nil
+// when the program does not ask for degrees. Init may keep private
+// program state, so callers run it on one goroutine at a time.
+func (k *Kernel[V, U, A]) InitVertices(part int, deg []uint32) []V {
+	prog := k.Prog
+	lo, _ := k.Layout.Range(part)
+	verts := make([]V, k.Layout.Size(part))
+	for i := range verts {
+		var d uint32
+		if deg != nil {
+			d = deg[i]
+		}
+		prog.Init(lo+graph.VertexID(i), &verts[i], d)
+	}
+	return verts
+}
+
+// CombineBuf is one scatter stream's Pregel-style combiner buffer
+// (§11.1): updates to the same destination vertex merge in place, per
+// destination partition, and leave as one chunk sorted by destination —
+// when a partition holds a chunk's worth of distinct destinations, and
+// at phase end. The sort makes the record order, and with it the gather
+// order and any float fold, independent of map iteration. ship owns
+// recs, a pooled slice. A buffer belongs to one goroutine at a time.
+type CombineBuf[V, U, A any] struct {
+	k    *Kernel[V, U, A]
+	per  int // distinct destinations that make a chunk
+	maps []map[graph.VertexID]U
+}
+
+// NewCombineBuf returns an empty buffer over k's destination partitions.
+func (k *Kernel[V, U, A]) NewCombineBuf() *CombineBuf[V, U, A] {
+	return &CombineBuf[V, U, A]{
+		k:    k,
+		per:  max(k.ChunkBytes/k.UpdBytes, 1),
+		maps: make([]map[graph.VertexID]U, k.Layout.NumPartitions),
+	}
+}
+
+// Add merges one scatter chunk's ScatterOut.Combined, shipping every
+// destination partition that fills, in ascending partition order.
+func (b *CombineBuf[V, U, A]) Add(combined []map[graph.VertexID]U, ship func(tp int, recs []UpdRec[U])) {
+	for tp, chunk := range combined {
+		if len(chunk) == 0 {
+			continue
+		}
+		mp := b.maps[tp]
+		if mp == nil {
+			mp = make(map[graph.VertexID]U, b.per)
+			b.maps[tp] = mp
+		}
+		for dst, val := range chunk {
+			if old, ok := mp[dst]; ok {
+				mp[dst] = b.k.Combiner.Combine(old, val)
+			} else {
+				mp[dst] = val
+			}
+		}
+		if len(mp) >= b.per {
+			b.drain(tp, ship)
+		}
+	}
+}
+
+// Flush ships what is left, in ascending partition order.
+func (b *CombineBuf[V, U, A]) Flush(ship func(tp int, recs []UpdRec[U])) {
+	for tp := range b.maps {
+		b.drain(tp, ship)
+	}
+}
+
+func (b *CombineBuf[V, U, A]) drain(tp int, ship func(tp int, recs []UpdRec[U])) {
+	mp := b.maps[tp]
+	if len(mp) == 0 {
+		return
+	}
+	recs := b.k.GrabRecs()
+	for dst, val := range mp {
+		recs = append(recs, UpdRec[U]{Dst: dst, Val: val})
+	}
+	slices.SortFunc(recs, func(x, y UpdRec[U]) int { return cmp.Compare(x.Dst, y.Dst) })
+	clear(mp)
+	ship(tp, recs)
+}
+
+// Decision is the verdict of one iteration's decision point.
+type Decision struct {
+	Done bool
+	// RollbackTo is the committed checkpoint's iteration to restore and
+	// resume after, or -1.
+	RollbackTo int
+}
+
+// Decider is the decision point between iterations (machine 0's role in
+// the paper): convergence, the iteration cap, cooperative interruption,
+// the two-phase vertex checkpoint of §6.6 and the injected transient
+// failure that exercises it. It holds the checkpoint's bytes; moving
+// them back into a vertex store is each driver's restore. Stage may run
+// concurrently for distinct partitions and Changed from anywhere; Decide
+// runs alone, once the iteration has settled.
+type Decider[V, U, A any] struct {
+	k *Kernel[V, U, A]
+	// Changed counts the vertices this iteration's Apply changed; Decide
+	// consumes and resets it.
+	Changed atomic.Uint64
+
+	// Encoded vertex chunks per partition: pending while the iteration
+	// applies, stable once a decision point has committed them.
+	pending, stable [][][]byte
+	ckptIter        int
+	failed          bool
+	interrupted     bool
+}
+
+// NewDecider returns the decision point of one run over k.
+func (k *Kernel[V, U, A]) NewDecider() *Decider[V, U, A] {
+	np := k.Layout.NumPartitions
+	return &Decider[V, U, A]{k: k, pending: make([][][]byte, np), stable: make([][][]byte, np), ckptIter: -1}
+}
+
+// CheckpointDue reports whether iteration iter ends with a checkpoint.
+func (d *Decider[V, U, A]) CheckpointDue(iter int) bool {
+	every := d.k.CheckpointEvery
+	return every > 0 && (iter+1)%every == 0
+}
+
+// Stage is phase 1 of the checkpoint: partition part's shadow copy,
+// written during the apply of an iteration CheckpointDue names.
+func (d *Decider[V, U, A]) Stage(part int, chunks [][]byte) { d.pending[part] = chunks }
+
+// Checkpoint returns partition part's last committed chunks, or nil.
+func (d *Decider[V, U, A]) Checkpoint(part int) [][]byte { return d.stable[part] }
+
+// Interrupted reports whether Params.Interrupt stopped the run.
+func (d *Decider[V, U, A]) Interrupted() bool { return d.interrupted }
+
+// Decide settles iteration iter.
+func (d *Decider[V, U, A]) Decide(iter int) Decision {
+	p := &d.k.Params
+	out := Decision{RollbackTo: -1}
+	out.Done = d.k.Prog.Converged(iter, d.Changed.Swap(0)) || iter+1 >= p.MaxIterations
+	if !out.Done && p.Interrupt != nil && p.Interrupt() {
+		// Cooperative cancellation: the driver finishes this iteration's
+		// barriers normally, so everything unwinds cleanly, and stops.
+		out.Done = true
+		d.interrupted = true
+	}
+	if d.CheckpointDue(iter) {
+		// Phase 2: every shadow copy was written before the iteration
+		// settled, so commit by promoting pending to stable and only then
+		// dropping the previous checkpoint (§6.6: new values completely
+		// stored before the old values are removed).
+		d.stable = d.pending
+		d.pending = make([][][]byte, len(d.stable))
+		d.ckptIter = iter
+	}
+	if !out.Done && p.FailAtIteration > 0 && !d.failed && iter+1 >= p.FailAtIteration && d.ckptIter >= 0 {
+		d.failed = true
+		out.RollbackTo = d.ckptIter
+	}
+	return out
+}

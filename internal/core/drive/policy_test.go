@@ -1,0 +1,191 @@
+package drive
+
+import (
+	"reflect"
+	"testing"
+
+	"chaos/internal/algorithms"
+	"chaos/internal/graph"
+)
+
+// planPR plans a PageRank run over n vertices on two machines, two
+// partitions each (8-byte vertex records).
+func planPR(t *testing.T, n uint64, p Params) *Kernel[algorithms.PRVertex, float32, float64] {
+	t.Helper()
+	p.Machines = 2
+	p.MemBudget = int64(n)*8/4 + 8
+	k, err := Plan(p, &algorithms.PageRank{Iterations: 10}, []graph.Edge{{Src: 0, Dst: 1}}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+func TestPlanRejectsWhatTheProgramCannotDo(t *testing.T) {
+	if _, err := Plan(Params{Machines: 1}, &algorithms.PageRank{}, nil, 0); err == nil {
+		t.Error("empty graph planned")
+	}
+	_, err := Plan(Params{Machines: 1, RewriteEdges: true}, &algorithms.PageRank{}, nil, 10)
+	if err == nil {
+		t.Error("PageRank is no EdgeRewriter, yet the plan accepted RewriteEdges")
+	}
+	k, err := Plan(Params{Machines: 1, CombineUpdates: true}, &algorithms.PageRank{}, []graph.Edge{{Src: 3, Dst: 1}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k.Combiner == nil || k.Layout.NumVertices != 4 {
+		t.Errorf("combiner %v, %d vertices inferred; want set, 4", k.Combiner, k.Layout.NumVertices)
+	}
+}
+
+func TestVertexChunkGeometry(t *testing.T) {
+	k := planPR(t, 1000, Params{VertexChunkBytes: 64}) // 8 vertices per chunk
+	if got := k.VerticesPerChunk(); got != 8 {
+		t.Errorf("VerticesPerChunk = %d, want 8", got)
+	}
+	for part := 0; part < k.Layout.NumPartitions; part++ {
+		size := k.Layout.Size(part)
+		if got, want := k.VertexChunks(part), int((size+7)/8); got != want {
+			t.Errorf("partition %d (%d vertices): %d chunks, want %d", part, size, got, want)
+		}
+		verts := k.InitVertices(part, nil)
+		chunks := k.EncodeVertices(verts)
+		if len(chunks) != k.VertexChunks(part) {
+			t.Errorf("partition %d: encoded into %d chunks, geometry says %d", part, len(chunks), k.VertexChunks(part))
+		}
+		var total int64
+		back, at := make([]algorithms.PRVertex, len(verts)), 0
+		for _, c := range chunks {
+			total += int64(len(c))
+			at += k.VCodec.DecodeSliceInto(back[at:], c)
+		}
+		if total != k.VertexSetBytes(part) || !reflect.DeepEqual(back, verts) {
+			t.Errorf("partition %d: %d encoded bytes (want %d), round trip equal: %v",
+				part, total, k.VertexSetBytes(part), reflect.DeepEqual(back, verts))
+		}
+	}
+	if k.VertexChunks(0) == 0 {
+		t.Error("no vertex chunks at all")
+	}
+}
+
+// TestDecider walks the decision point through scripted iterations. Each
+// step names what happened during the iteration (vertices changed,
+// whether a shadow copy was staged, whether Interrupt fires) and what
+// the decision point must answer.
+func TestDecider(t *testing.T) {
+	type step struct {
+		iter      int
+		changed   uint64
+		stage     byte // non-zero: stage this marker as partition 0's shadow copy
+		interrupt bool
+
+		done, interrupted bool
+		rollbackTo        int
+		committed         byte // partition 0's committed marker afterwards (0: none)
+	}
+	for _, tc := range []struct {
+		name  string
+		p     Params
+		steps []step
+	}{
+		{"PageRank converges at its own bound, not before", Params{MaxIterations: 100}, []step{
+			{iter: 0, changed: 5, rollbackTo: -1},
+			{iter: 8, changed: 0, rollbackTo: -1},
+			{iter: 9, changed: 5, done: true, rollbackTo: -1},
+		}},
+		{"MaxIterations caps the loop", Params{MaxIterations: 3}, []step{
+			{iter: 1, changed: 5, rollbackTo: -1},
+			{iter: 2, changed: 5, done: true, rollbackTo: -1},
+		}},
+		{"interrupt sets done and interrupted", Params{MaxIterations: 100}, []step{
+			{iter: 0, changed: 5, rollbackTo: -1},
+			{iter: 1, changed: 5, interrupt: true, done: true, interrupted: true, rollbackTo: -1},
+		}},
+		{"commit only on due iterations", Params{MaxIterations: 100, CheckpointEvery: 2}, []step{
+			{iter: 0, changed: 5, stage: 'a', rollbackTo: -1}, // staged but not due: stays pending
+			{iter: 1, changed: 5, stage: 'b', rollbackTo: -1, committed: 'b'},
+			{iter: 2, changed: 5, rollbackTo: -1, committed: 'b'},
+			{iter: 3, changed: 5, stage: 'c', rollbackTo: -1, committed: 'c'},
+		}},
+		{"failure fires once, only after a commit, to the last commit", Params{MaxIterations: 100, CheckpointEvery: 3, FailAtIteration: 2}, []step{
+			{iter: 0, changed: 5, rollbackTo: -1},
+			{iter: 1, changed: 5, rollbackTo: -1}, // due to fail, nothing committed yet
+			{iter: 2, changed: 5, stage: 'a', rollbackTo: 2, committed: 'a'},
+			{iter: 3, changed: 5, rollbackTo: -1, committed: 'a'}, // already failed once
+			{iter: 5, changed: 5, stage: 'b', rollbackTo: -1, committed: 'b'},
+		}},
+		{"a finished run does not fail", Params{MaxIterations: 2, CheckpointEvery: 1, FailAtIteration: 2}, []step{
+			{iter: 0, changed: 5, stage: 'a', rollbackTo: -1, committed: 'a'},
+			{iter: 1, changed: 5, stage: 'b', done: true, rollbackTo: -1, committed: 'b'},
+		}},
+	} {
+		fire := false
+		tc.p.Interrupt = func() bool { return fire }
+		d := planPR(t, 100, tc.p).NewDecider()
+		for _, s := range tc.steps {
+			fire = s.interrupt
+			d.Changed.Add(s.changed)
+			if s.stage != 0 {
+				d.Stage(0, [][]byte{{s.stage}})
+			}
+			got := d.Decide(s.iter)
+			if got != (Decision{Done: s.done, RollbackTo: s.rollbackTo}) || d.Interrupted() != s.interrupted {
+				t.Errorf("%s, iter %d: %+v interrupted=%v, want done=%v rollbackTo=%d interrupted=%v",
+					tc.name, s.iter, got, d.Interrupted(), s.done, s.rollbackTo, s.interrupted)
+			}
+			var committed byte
+			if c := d.Checkpoint(0); c != nil {
+				committed = c[0][0]
+			}
+			if committed != s.committed {
+				t.Errorf("%s, iter %d: committed checkpoint %q, want %q", tc.name, s.iter, committed, s.committed)
+			}
+			if left := d.Changed.Load(); left != 0 {
+				t.Errorf("%s, iter %d: changed counter = %d after Decide, want 0", tc.name, s.iter, left)
+			}
+		}
+	}
+}
+
+// TestCombineBuf pins the combiner buffer's contract: merges go through
+// Combine, a destination partition ships when it holds a chunk's worth of
+// distinct vertices, Flush ships the rest in ascending partition order,
+// and every shipped chunk is sorted by destination.
+func TestCombineBuf(t *testing.T) {
+	k := planPR(t, 100, Params{CombineUpdates: true})
+	k.ChunkBytes = 2 * k.UpdBytes // two distinct destinations make a chunk
+	b := k.NewCombineBuf()
+	type shipped struct {
+		tp   int
+		recs []UpdRec[float32]
+	}
+	var got []shipped
+	ship := func(tp int, recs []UpdRec[float32]) {
+		got = append(got, shipped{tp, append([]UpdRec[float32](nil), recs...)})
+		k.ReleaseRecs(recs)
+	}
+	m := func(kv ...float32) map[graph.VertexID]float32 {
+		mp := map[graph.VertexID]float32{}
+		for i := 0; i < len(kv); i += 2 {
+			mp[graph.VertexID(kv[i])] = kv[i+1]
+		}
+		return mp
+	}
+	b.Add([]map[graph.VertexID]float32{nil, m(30, 1), nil, m(80, 1)}, ship)
+	if len(got) != 0 {
+		t.Fatalf("shipped %v below the threshold", got)
+	}
+	b.Add([]map[graph.VertexID]float32{nil, m(30, 2, 26, 4), nil, nil}, ship)
+	b.Add([]map[graph.VertexID]float32{m(3, 1), nil, nil, nil}, ship)
+	b.Flush(ship)
+	b.Flush(ship) // nothing left
+	want := []shipped{
+		{1, []UpdRec[float32]{{26, 4}, {30, 3}}},
+		{0, []UpdRec[float32]{{3, 1}}},
+		{3, []UpdRec[float32]{{80, 1}}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("shipped %v, want %v", got, want)
+	}
+}

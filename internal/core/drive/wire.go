@@ -9,8 +9,8 @@ package drive
 // chunk boundaries and flush call sequence are bit-identical to the
 // buffering it replaced, which is what keeps the simulation's RNG draw
 // order, and with it every determinism test, unchanged. Both drivers
-// also cut their edge sets (the DES pre-processing bins, the rewritten
-// sets of the §6.1 extended model) into chunks with a Wire.
+// also cut their edge sets (the pre-processing bins, the rewritten sets
+// of the §6.1 extended model) into chunks with a Wire.
 //
 // A Wire belongs to one goroutine: the simulation context under the DES,
 // the scattering machine under the native driver.

@@ -180,26 +180,3 @@ func TestUtilizationFormula(t *testing.T) {
 		t.Error("utilization should stay above the asymptotic floor")
 	}
 }
-
-func TestStealCriterion(t *testing.T) {
-	// V/B + D/(B(H+1)) < alpha * D/(BH), B cancels.
-	if !stealCriterion(10, 1000, 1, 1) {
-		t.Error("cheap vertex set, lots of data: should steal")
-	}
-	if stealCriterion(1000, 100, 1, 1) {
-		t.Error("vertex set dwarfs remaining data: should not steal")
-	}
-	if stealCriterion(10, 1000, 1, 0) {
-		t.Error("alpha=0 must never steal")
-	}
-	if !stealCriterion(900, 1000, 1, math.Inf(1)) {
-		t.Error("alpha=inf must always steal when data remains")
-	}
-	if stealCriterion(0, 0, 1, math.Inf(1)) {
-		t.Error("no data left: never steal")
-	}
-	// More helpers make stealing less attractive.
-	if stealCriterion(50, 1000, 8, 1) && !stealCriterion(50, 1000, 1, 1) {
-		t.Error("criterion should tighten with more workers")
-	}
-}

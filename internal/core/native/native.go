@@ -55,11 +55,10 @@ func Run[V, U, A any](cfg core.Config, prog gas.Program[V, U, A], edges []graph.
 	if err != nil {
 		return nil, nil, err
 	}
-	interrupted, err := r.execute(edges)
-	if err != nil {
+	if err := r.execute(edges); err != nil {
 		return nil, nil, err
 	}
-	if interrupted {
+	if r.dec.Interrupted() {
 		// The partial vertex state is not a result anyone asked for.
 		return nil, nil, core.ErrInterrupted
 	}
@@ -69,9 +68,12 @@ func Run[V, U, A any](cfg core.Config, prog gas.Program[V, U, A], edges []graph.
 
 // run carries the state of one native execution.
 type run[V, U, A any] struct {
-	cfg    core.Config
-	prog   gas.Program[V, U, A]
+	cfg  core.Config
+	prog gas.Program[V, U, A]
+	// kern (data plane) and dec (decision point, §6.6 checkpoint) are
+	// shared with the DES driver: internal/core/drive.
 	kern   *drive.Kernel[V, U, A]
+	dec    *drive.Decider[V, U, A]
 	layout *partition.Layout
 	pool   *drive.Pool
 	nm     int
@@ -124,16 +126,15 @@ type run[V, U, A any] struct {
 	// once and reset via InitAccum at the top of each gather — the
 	// iteration loop's largest recurring allocation before pooling.
 	accums [][]A
-	// combined[p][dst] is scatter(p)'s combiner map for destination dst,
-	// reused across iterations (flushes clear, never discard, the maps).
-	// Only touched by the machine running scatter(p); the iteration
-	// barrier orders cross-iteration handoff. Nil unless combining.
-	combined [][]map[graph.VertexID]U
+	// combined[p] is scatter(p)'s combiner buffer, reused across
+	// iterations. Only touched by the machine running scatter(p); the
+	// iteration barrier orders cross-iteration handoff. Nil unless
+	// combining.
+	combined []*drive.CombineBuf[V, U, A]
 
 	bytesRead    atomic.Int64
 	bytesWritten atomic.Int64
 	ckptBytes    atomic.Int64
-	changed      atomic.Uint64
 	stealsAcc    atomic.Int64
 	stealsRej    atomic.Int64
 
@@ -148,15 +149,6 @@ type run[V, U, A any] struct {
 	// Apply (see gatherPartition).
 	applyMu sync.Mutex
 
-	// Checkpoint state (2-phase, §6.6): encoded shadow chunks staged per
-	// partition during apply, committed by the decision point. The
-	// checkpoint is the one place vertex bytes still move, so it is the
-	// one place kern.VCodec still runs per iteration.
-	ckptPending [][][]byte
-	ckptVerts   [][][]byte
-	ckptIter    int
-	failed      bool
-
 	start time.Time
 	rmet  *metrics.Run
 }
@@ -168,43 +160,19 @@ func newRun[V, U, A any](cfg core.Config, prog gas.Program[V, U, A], edges []gra
 	if cfg.CentralDirectory {
 		return nil, fmt.Errorf("native: the central-directory baseline is a DES-only experiment")
 	}
-	if numVertices == 0 {
-		numVertices = graph.MaxVertex(edges)
-	}
-	if numVertices == 0 {
-		return nil, fmt.Errorf("core: empty graph")
-	}
-	vcodec := prog.VertexCodec()
-	memBudget := cfg.MemBudget
-	if memBudget <= 0 {
-		memBudget = int64(numVertices+1) * int64(vcodec.Bytes) // unconstrained
-	}
-	layout, err := partition.NewLayout(numVertices, cfg.Spec.Machines, int64(vcodec.Bytes), memBudget)
+	kern, err := drive.Plan(cfg.Params(), prog, edges, numVertices)
 	if err != nil {
 		return nil, err
 	}
+	layout := kern.Layout
 	r := &run[V, U, A]{
-		cfg:      cfg,
-		prog:     prog,
-		kern:     drive.NewKernel(prog, layout),
-		layout:   layout,
-		nm:       cfg.Spec.Machines,
-		ckptIter: -1,
-		rmet:     metrics.NewRun(prog.Name(), cfg.Spec.Machines),
-	}
-	if cfg.CombineUpdates {
-		c, ok := any(prog).(gas.Combiner[U])
-		if !ok {
-			return nil, fmt.Errorf("core: %s does not implement gas.Combiner; cannot combine updates", prog.Name())
-		}
-		r.kern.Combiner = c
-	}
-	if cfg.RewriteEdges {
-		rw, ok := any(prog).(gas.EdgeRewriter[V])
-		if !ok {
-			return nil, fmt.Errorf("core: %s does not implement gas.EdgeRewriter; cannot rewrite edges", prog.Name())
-		}
-		r.kern.Rewriter = rw
+		cfg:    cfg,
+		prog:   prog,
+		kern:   kern,
+		dec:    kern.NewDecider(),
+		layout: layout,
+		nm:     cfg.Spec.Machines,
+		rmet:   metrics.NewRun(prog.Name(), cfg.Spec.Machines),
 	}
 	np := layout.NumPartitions
 	r.verts = make([][]V, np)
@@ -245,17 +213,15 @@ func newRun[V, U, A any](cfg core.Config, prog gas.Program[V, U, A], edges []gra
 		r.accums[p] = make([]A, layout.Size(p))
 	}
 	if r.kern.Combiner != nil {
-		r.combined = make([][]map[graph.VertexID]U, np)
+		r.combined = make([]*drive.CombineBuf[V, U, A], np)
 	}
-	r.ckptPending = make([][][]byte, np)
-	r.ckptVerts = make([][][]byte, np)
 	return r, nil
 }
 
 // execute drives the run: preprocess, then iterations of scatter and
 // gather+apply with a decision point between iterations, mirroring the
-// DES driver's loop. It reports whether Config.Interrupt stopped the run.
-func (r *run[V, U, A]) execute(edges []graph.Edge) (interrupted bool, err error) {
+// DES driver's loop.
+func (r *run[V, U, A]) execute(edges []graph.Edge) (err error) {
 	// The native plane measures real elapsed time by design: its report
 	// carries wall-clock, never virtual time (see Report.WallSeconds).
 	// These are the only two sanctioned clock reads in the deterministic
@@ -280,7 +246,6 @@ func (r *run[V, U, A]) execute(edges []graph.Edge) (interrupted bool, err error)
 		r.runIteration(iter)
 
 		// Decision point (machine 0's role under the DES driver).
-		changed := r.changed.Swap(0)
 		if r.cfg.Progress != nil {
 			r.cfg.Progress(core.Progress{
 				Iterations:     iter + 1,
@@ -292,28 +257,16 @@ func (r *run[V, U, A]) execute(edges []graph.Edge) (interrupted bool, err error)
 				SpillBytes:     r.tr.Stats().SpillBytes,
 			})
 		}
-		done := r.prog.Converged(iter, changed) || iter+1 >= r.cfg.MaxIterations
-		if !done && r.cfg.Interrupt != nil && r.cfg.Interrupt() {
-			done = true
-			interrupted = true
-		}
-		if r.checkpointDue(iter) {
-			// Phase 2 of §6.6: promote pending to stable, then discard
-			// the previous checkpoint.
-			r.ckptVerts = r.ckptPending
-			r.ckptPending = make([][][]byte, r.layout.NumPartitions)
-			r.ckptIter = iter
-		}
-		if !done && r.cfg.FailAtIteration > 0 && !r.failed && iter+1 >= r.cfg.FailAtIteration && r.ckptIter >= 0 {
-			// Transient failure injection: restore the last committed
+		d := r.dec.Decide(iter)
+		if d.RollbackTo >= 0 {
+			// Injected transient failure: restore the last committed
 			// checkpoint and resume after it.
-			r.failed = true
 			r.rmet.Recoveries++
 			r.restore()
-			iter = r.ckptIter + 1
+			iter = d.RollbackTo + 1
 			continue
 		}
-		if done {
+		if d.Done {
 			r.rmet.Iterations = iter + 1
 			break
 		}
@@ -332,16 +285,12 @@ func (r *run[V, U, A]) execute(edges []graph.Edge) (interrupted bool, err error)
 	st := r.tr.Stats()
 	r.rmet.SpillBytes = st.SpillBytes
 	r.rmet.SpillFiles = st.SpillFiles
-	return interrupted, nil
+	return nil
 }
 
 // elapsed is host wall-clock since the run started, in the same
 // nanosecond unit the DES uses for virtual time.
 func (r *run[V, U, A]) elapsed() sim.Time { return sim.Time(time.Since(r.start)) } //chaos:wallclock-ok native plane measures wall time by design
-
-func (r *run[V, U, A]) checkpointDue(iter int) bool {
-	return r.cfg.CheckpointEvery > 0 && (iter+1)%r.cfg.CheckpointEvery == 0
-}
 
 // runIteration processes every partition's scatter and gather exactly
 // once, then returns with the iteration fully settled (the decision
@@ -375,36 +324,26 @@ func (r *run[V, U, A]) runIteration(iter int) {
 		r.runStage(iter, gatherPhase)
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(r.nm)
-	for m := 0; m < r.nm; m++ {
-		go func(m int) {
-			defer wg.Done()
-			r.ownPartitions(iter, m, scatterPhase)
-			r.stealSweep(iter, m, scatterPhase)
-			r.ownPartitions(iter, m, gatherPhase)
-			r.stealSweep(iter, m, gatherPhase)
-		}(m)
-	}
-	wg.Wait()
+	r.runStage(iter, scatterPhase, gatherPhase)
 }
 
-// runStage runs one phase to completion across all machines (the
-// barrier layout's building block).
-func (r *run[V, U, A]) runStage(iter int, ph phaseKind) {
+// runStage runs the given phases, in order, on every machine's goroutine
+// and returns when all have finished. Every partition is claimed by
+// then: layout.PartitionsOf covers all partitions across machines
+// 0..nm-1, and each master claims its own unconditionally.
+func (r *run[V, U, A]) runStage(iter int, phases ...phaseKind) {
 	var wg sync.WaitGroup
 	wg.Add(r.nm)
 	for m := 0; m < r.nm; m++ {
 		go func(m int) {
 			defer wg.Done()
-			r.ownPartitions(iter, m, ph)
-			r.stealSweep(iter, m, ph)
+			for _, ph := range phases {
+				r.ownPartitions(iter, m, ph)
+				r.stealSweep(iter, m, ph)
+			}
 		}(m)
 	}
 	wg.Wait()
-	// Every partition is claimed at this point: layout.PartitionsOf
-	// covers all partitions across machines 0..nm-1, and each master
-	// claims its own unconditionally in ownPartitions.
 }
 
 // ownPartitions claims and processes machine m's own partitions, in
@@ -439,7 +378,7 @@ func (r *run[V, U, A]) stealSweep(iter, m int, ph phaseKind) {
 		if claimed[p].Load() {
 			continue
 		}
-		if !drive.StealCriterion(r.vertexSetBytes(p), r.remainingBytes(ph, p), 1, r.cfg.Alpha) {
+		if !drive.StealCriterion(r.kern.VertexSetBytes(p), r.remainingBytes(ph, p), 1, r.cfg.Alpha) {
 			r.stealsRej.Add(1)
 			rej++
 			continue
@@ -496,12 +435,6 @@ func (r *run[V, U, A]) remainingBytes(ph phaseKind, p int) int64 {
 	return r.tr.PendingBytes(p)
 }
 
-// vertexSetBytes is V in the steal criterion (encoded-equivalent, as the
-// paper prices the transfer a real steal would cost).
-func (r *run[V, U, A]) vertexSetBytes(p int) int64 {
-	return int64(r.layout.Size(p)) * int64(r.kern.VBytes)
-}
-
 // promoteEdges swaps in the rewritten next-generation edge sets at the
 // iteration boundary (§6.1 extended model).
 func (r *run[V, U, A]) promoteEdges() {
@@ -516,11 +449,11 @@ func (r *run[V, U, A]) promoteEdges() {
 // bytes genuinely move, so it reads through the codec and counts toward
 // BytesRead.
 func (r *run[V, U, A]) restore() {
-	for p, chunks := range r.ckptVerts {
+	for p, verts := range r.verts {
+		chunks := r.dec.Checkpoint(p)
 		if chunks == nil {
 			continue
 		}
-		verts := r.verts[p]
 		at := 0
 		for _, c := range chunks {
 			at += r.kern.VCodec.DecodeSliceInto(verts[at:], c)

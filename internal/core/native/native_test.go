@@ -11,7 +11,9 @@ import (
 	"chaos/internal/cluster"
 	"chaos/internal/core"
 	"chaos/internal/core/native"
+	"chaos/internal/gas"
 	"chaos/internal/graph"
+	"chaos/internal/metrics"
 	"chaos/internal/refalgo"
 	"chaos/internal/rmat"
 )
@@ -257,6 +259,29 @@ func TestNativeBPMatchesReference(t *testing.T) {
 	}
 }
 
+// agreeExactly runs one program on both planes under the same
+// configuration and requires what one shared decision policy promises:
+// equal values, equal iteration counts, equal recoveries.
+func agreeExactly[V, U, A any](t *testing.T, name string, c core.Config, prog func() gas.Program[V, U, A], edges []graph.Edge, n uint64) *metrics.Run {
+	t.Helper()
+	simV, simRun, err := core.Run(c, prog(), edges, n)
+	if err != nil {
+		t.Fatalf("%s: sim: %v", name, err)
+	}
+	natV, natRun, err := native.Run(c, prog(), edges, n)
+	if err != nil {
+		t.Fatalf("%s: native: %v", name, err)
+	}
+	if !reflect.DeepEqual(simV, natV) {
+		t.Errorf("%s: drivers disagree on final vertex values", name)
+	}
+	if simRun.Iterations != natRun.Iterations || simRun.Recoveries != natRun.Recoveries {
+		t.Errorf("%s: sim ran %d iterations with %d recoveries, native %d with %d",
+			name, simRun.Iterations, simRun.Recoveries, natRun.Iterations, natRun.Recoveries)
+	}
+	return natRun
+}
+
 // TestNativeAgreesWithSimDriver runs the two drivers over the same graph
 // with the same seed and compares final vertex values: exact equality
 // for the discrete-valued algorithms (their folds are min/max/flag
@@ -265,29 +290,21 @@ func TestNativeBPMatchesReference(t *testing.T) {
 func TestNativeAgreesWithSimDriver(t *testing.T) {
 	edges, n := rmatEdges(7, false, 42)
 	und := graph.Undirected(edges)
+	bfs := func() gas.Program[algorithms.BFSVertex, uint32, uint32] { return &algorithms.BFS{} }
+	wcc := func() gas.Program[algorithms.WCCVertex, uint32, uint32] { return &algorithms.WCC{} }
 
-	simBFS, _, err := core.Run(cfg(4, n, 5), &algorithms.BFS{}, und, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	natBFS, _, err := native.Run(cfg(4, n, 5), &algorithms.BFS{}, und, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(simBFS, natBFS) {
-		t.Error("BFS: drivers disagree on final vertex values")
-	}
+	agreeExactly(t, "BFS", cfg(4, n, 5), bfs, und, n)
+	agreeExactly(t, "WCC", cfg(4, n, 5), wcc, und, n)
 
-	simWCC, _, err := core.Run(cfg(4, n, 5), &algorithms.WCC{}, und, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	natWCC, _, err := native.Run(cfg(4, n, 5), &algorithms.WCC{}, und, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(simWCC, natWCC) {
-		t.Error("WCC: drivers disagree on final vertex values")
+	combine := cfg(4, n, 5)
+	combine.CombineUpdates = true
+	agreeExactly(t, "BFS with combiner", combine, bfs, und, n)
+
+	recovery := cfg(4, n, 5)
+	recovery.CheckpointEvery = 1
+	recovery.FailAtIteration = 2
+	if run := agreeExactly(t, "WCC with checkpoint and injected failure", recovery, wcc, und, n); run.Recoveries != 1 {
+		t.Errorf("the injected failure fired %d times, want 1", run.Recoveries)
 	}
 
 	simPR, _, err := core.Run(cfg(4, n, 8), &algorithms.PageRank{Iterations: 5}, edges, n)

@@ -1,7 +1,6 @@
 package native
 
 import (
-	"slices"
 	"sync"
 
 	"chaos/internal/core/drive"
@@ -39,40 +38,17 @@ func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
 			if needDeg {
 				b.deg = make([][]uint32, np)
 			}
-			tails := make([][]byte, np)
-			for _, e := range perMachine[m] {
-				p := r.layout.Of(e.Src)
-				buf := tails[p]
-				off := len(buf)
-				buf = append(buf, make([]byte, edgeSize)...)
-				r.kern.EdgeFmt.Encode(buf[off:], e)
-				if len(buf) >= limit {
-					b.chunks[p] = append(b.chunks[p], buf)
-					buf = nil
-				}
-				tails[p] = buf
-				if needDeg {
-					deg := b.deg[p]
-					if deg == nil {
-						deg = make([]uint32, r.layout.Size(p))
-						b.deg[p] = deg
-					}
-					lo, _ := r.layout.Range(p)
-					deg[e.Src-lo]++
-				}
-			}
-			for p, buf := range tails {
-				if len(buf) > 0 {
-					b.chunks[p] = append(b.chunks[p], buf)
-				}
-			}
+			var nchunks int
+			var binnedBytes int64
+			wire := drive.NewWire(np, limit, func(p int, chunk []byte) {
+				b.chunks[p] = append(b.chunks[p], chunk)
+				nchunks++
+				binnedBytes += int64(len(chunk))
+			})
+			r.kern.BinEdges(perMachine[m], wire, b.deg)
+			wire.FlushPartials()
+			r.bytesWritten.Add(binnedBytes)
 			if r.cfg.Trace != nil {
-				var nchunks int
-				var binnedBytes int64
-				for _, chunks := range b.chunks {
-					nchunks += len(chunks)
-					binnedBytes += storedBytes(chunks)
-				}
 				r.cfg.Trace(drive.Span{
 					Iter: -1, Machine: m, Part: -1, Phase: drive.PhasePreprocess,
 					Start: int64(t0), Dur: int64(r.elapsed() - t0),
@@ -86,29 +62,13 @@ func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
 
 	// Concatenate in machine order (the deterministic stream order) and
 	// fold degrees.
-	var degAcc [][]uint32
-	if needDeg {
-		degAcc = make([][]uint32, np)
-	}
+	degAcc := make([][]uint32, np)
 	for m := range bins {
 		for p, chunks := range bins[m].chunks {
-			for _, c := range chunks {
-				r.edges[p] = append(r.edges[p], c)
-				r.bytesWritten.Add(int64(len(c)))
-			}
+			r.edges[p] = append(r.edges[p], chunks...)
 		}
-		if needDeg {
-			for p, deg := range bins[m].deg {
-				if deg == nil {
-					continue
-				}
-				if degAcc[p] == nil {
-					degAcc[p] = make([]uint32, r.layout.Size(p))
-				}
-				for i, d := range deg {
-					degAcc[p][i] += d
-				}
-			}
+		for p, deg := range bins[m].deg {
+			r.kern.FoldDegrees(degAcc, p, deg)
 		}
 	}
 
@@ -119,52 +79,8 @@ func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
 	// tallied here; vertex bytes only count where the codec runs
 	// (checkpoints and their restore).
 	for p := 0; p < np; p++ {
-		size := r.layout.Size(p)
-		if size == 0 {
-			continue
-		}
-		lo, _ := r.layout.Range(p)
-		verts := make([]V, size)
-		var deg []uint32
-		if needDeg {
-			deg = degAcc[p]
-		}
-		for i := range verts {
-			var d uint32
-			if deg != nil {
-				d = deg[i]
-			}
-			r.prog.Init(lo+graph.VertexID(i), &verts[i], d)
-		}
-		r.verts[p] = verts
+		r.verts[p] = r.kern.InitVertices(p, degAcc[p])
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint encode: the one recurring place vertex bytes still move.
-
-// encodeVertices encodes partition p's resident vertex set into
-// fixed-geometry chunks for the §6.6 checkpoint shadow copy (phase 1),
-// returning the chunk list and its total encoded bytes.
-func (r *run[V, U, A]) encodeVertices(p int) ([][]byte, int64) {
-	verts := r.verts[p]
-	per := r.cfg.VertexChunkBytes / r.kern.VBytes
-	if per < 1 {
-		per = 1
-	}
-	n := (len(verts) + per - 1) / per
-	chunks := make([][]byte, 0, n)
-	var encoded int64
-	for idx := 0; idx < n; idx++ {
-		lo := idx * per
-		hi := min(lo+per, len(verts))
-		data := r.kern.VCodec.EncodeSlice(verts[lo:hi])
-		chunks = append(chunks, data)
-		encoded += int64(len(data))
-	}
-	r.bytesWritten.Add(encoded)
-	r.ckptBytes.Add(encoded)
-	return chunks, encoded
 }
 
 // storedBytes sums a chunk list's encoded lengths (flight-recorder
@@ -210,14 +126,6 @@ func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 		bytesIn += int64(len(data))
 	}
 
-	combined := r.combined // nil unless combining
-	var combinedPer int
-	if kern.Combiner != nil {
-		if combined[p] == nil {
-			combined[p] = make([]map[graph.VertexID]U, r.layout.NumPartitions)
-		}
-		combinedPer = max(r.cfg.ChunkBytes/kern.UpdBytes, 1)
-	}
 	// The rewritten edges are cut into chunks exactly as the DES driver
 	// cuts them.
 	var nextWire *drive.Wire
@@ -228,6 +136,19 @@ func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 	mergeT0 := r.elapsed()
 	var spillBytes int64
 	var spillChunks int
+	// put hands one destination's records to the transport, which owns
+	// them from here on.
+	put := func(tp int, recs []drive.UpdRec[U]) {
+		sz := int64(len(recs)) * int64(kern.UpdBytes)
+		bytesOut += sz
+		r.bytesWritten.Add(sz)
+		sb, sn := r.tr.Put(p, tp, recs)
+		spillBytes += sb
+		spillChunks += sn
+	}
+	if kern.Combiner != nil && r.combined[p] == nil {
+		r.combined[p] = kern.NewCombineBuf()
+	}
 
 	for _, sc := range tasks {
 		sc.Wait()
@@ -237,57 +158,23 @@ func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 			nextWire.Put(0, out.EdgesNext)
 		}
 		if kern.Combiner != nil {
-			for tp, chunkMap := range out.Combined {
-				if len(chunkMap) == 0 {
-					continue
-				}
-				mp := combined[p][tp]
-				if mp == nil {
-					mp = make(map[graph.VertexID]U, combinedPer)
-					combined[p][tp] = mp
-				}
-				for dst, val := range chunkMap {
-					if old, ok := mp[dst]; ok {
-						mp[dst] = kern.Combiner.Combine(old, val)
-					} else {
-						mp[dst] = val
-					}
-				}
-				if len(mp) >= combinedPer {
-					enc, sb, sn := r.flushCombined(p, tp, mp)
-					bytesOut += enc
-					spillBytes += sb
-					spillChunks += sn
-				}
-			}
+			r.combined[p].Add(out.Combined, put)
 		}
 		for tp, recs := range out.Typed {
 			if len(recs) == 0 {
 				continue
 			}
-			sz := int64(len(recs)) * int64(kern.UpdBytes)
-			bytesOut += sz
-			r.bytesWritten.Add(sz)
 			// Ownership of the record slice transfers to the transport;
 			// nil the slot so ReleaseScatterOut leaves it alone.
 			out.Typed[tp] = nil
-			sb, sn := r.tr.Put(p, tp, recs)
-			spillBytes += sb
-			spillChunks += sn
+			put(tp, recs)
 		}
 		kern.ReleaseScatterOut(out)
 	}
 
 	// Flush the remaining combined updates at phase end.
 	if kern.Combiner != nil {
-		for tp, mp := range combined[p] {
-			if len(mp) > 0 {
-				enc, sb, sn := r.flushCombined(p, tp, mp)
-				bytesOut += enc
-				spillBytes += sb
-				spillChunks += sn
-			}
-		}
+		r.combined[p].Flush(put)
 	}
 	if kern.Rewriter != nil {
 		nextWire.FlushPartials()
@@ -313,33 +200,6 @@ func (r *run[V, U, A]) putEdgeNextChunk(p int, data []byte) {
 	r.bytesWritten.Add(int64(len(data)))
 }
 
-// flushCombined hands one destination partition's combined updates to
-// the transport as a single sorted chunk, returning the
-// encoded-equivalent bytes plus any spill the Put triggered. Keys are
-// sorted so the record order — and with it downstream gather order and
-// any float folds — is deterministic (identical discipline to the DES
-// driver). The map is cleared, not discarded: it lives in r.combined
-// and is reused across iterations.
-func (r *run[V, U, A]) flushCombined(src, dst int, mp map[graph.VertexID]U) (encoded, spilledBytes int64, spilledChunks int) {
-	if len(mp) == 0 {
-		return 0, 0, 0
-	}
-	dsts := make([]graph.VertexID, 0, len(mp))
-	for d := range mp {
-		dsts = append(dsts, d)
-	}
-	slices.Sort(dsts)
-	recs := r.kern.GrabRecs()
-	for _, d := range dsts {
-		recs = append(recs, drive.UpdRec[U]{Dst: d, Val: mp[d]})
-	}
-	clear(mp)
-	encoded = int64(len(recs)) * int64(r.kern.UpdBytes)
-	r.bytesWritten.Add(encoded)
-	spilledBytes, spilledChunks = r.tr.Put(src, dst, recs)
-	return encoded, spilledBytes, spilledChunks
-}
-
 // ---------------------------------------------------------------------------
 // Gather + apply phase (§5.2, §5.3): stream the partition's update
 // chunks in (source partition, chunk) order — the deterministic fold
@@ -351,11 +211,7 @@ func (r *run[V, U, A]) gatherPartition(iter, mach, p int, stolen bool) {
 	var bytesIn int64
 	var nchunks int
 	verts := r.verts[p]
-	accums := r.accums[p]
-	for i := range accums {
-		accums[i] = r.prog.InitAccum()
-	}
-	lo, _ := r.layout.Range(p)
+	accums := r.kern.ResetAccums(r.accums[p])
 
 	// Stream the transport's chunks for this partition source by source:
 	// wait for each source's scatter-completion signal, drain its bucket
@@ -390,10 +246,7 @@ func (r *run[V, U, A]) gatherPartition(iter, mach, p int, stolen bool) {
 			bytesIn += pc.Bytes
 			ft := &drive.Task{Prev: tail, Fn: func() {
 				gc.Wait() // load complete
-				for i := range gc.recs {
-					u := &gc.recs[i]
-					accums[u.Dst-lo] = r.prog.Gather(accums[u.Dst-lo], u.Val, &verts[u.Dst-lo])
-				}
+				r.kern.FoldUpdates(p, verts, accums, gc.recs)
 				pc.Release(gc.recs)
 				gc.recs = nil
 			}}
@@ -418,21 +271,20 @@ func (r *run[V, U, A]) gatherPartition(iter, mach, p int, stolen bool) {
 	// which mutates the resident values scatters read — still runs
 	// strictly after every scatter of this iteration, pipelined or not.
 	r.applyMu.Lock()
-	var changed uint64
-	for i := range verts {
-		if r.prog.Apply(iter, lo+graph.VertexID(i), &verts[i], accums[i]) {
-			changed++
-		}
-	}
+	changed := r.kern.ApplyVertices(iter, p, verts, accums)
 	r.applyMu.Unlock()
-	r.changed.Add(changed)
+	r.dec.Changed.Add(changed)
 
 	// Stage the checkpoint shadow copy (phase 1 of §6.6) — the one
 	// recurring boundary vertex bytes still cross under the resident
 	// store.
 	var stored int64
-	if r.checkpointDue(iter) {
-		r.ckptPending[p], stored = r.encodeVertices(p)
+	if r.dec.CheckpointDue(iter) {
+		chunks := r.kern.EncodeVertices(verts)
+		stored = storedBytes(chunks)
+		r.bytesWritten.Add(stored)
+		r.ckptBytes.Add(stored)
+		r.dec.Stage(p, chunks)
 	}
 	if r.cfg.Trace != nil {
 		r.cfg.Trace(drive.Span{

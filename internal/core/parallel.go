@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"chaos/internal/core/drive"
 	"chaos/internal/storage"
 )
@@ -32,26 +34,16 @@ import (
 // Together these make results, metrics and simulated timestamps
 // bit-identical for any worker count, including 1.
 
-// chunkTask, workerPool and closedChan are the drive-package primitives
-// under their historical engine-local names.
-type chunkTask = drive.Task
-
-type workerPool = drive.Pool
-
-func newWorkerPool(workers int) *workerPool { return drive.NewPool(workers) }
-
-var closedChan = drive.ClosedChan
-
 // scatterChunk pairs a task with its typed result.
 type scatterChunk[U any] struct {
-	chunkTask
+	drive.Task
 	out drive.ScatterOut[U]
 }
 
 // gatherChunk is the decode stage of one update chunk: the records are
 // consumer-independent, so one decode serves master and stealers alike.
 type gatherChunk[U any] struct {
-	chunkTask
+	drive.Task
 	recs []drive.UpdRec[U]
 }
 
@@ -77,98 +69,78 @@ func (w *streamTasks[T]) at(s, idx int) *T {
 	return w.byID[s][i]
 }
 
-// acquireScatterStream pre-reads every unconsumed edge chunk of the
-// partition and dispatches one scatter task per chunk. The first streamer
-// (master or stealer — their vertex-set copies are identical) builds the
-// task set; later streamers share it. Chunks consumed between build and a
-// later join were already computed, so joining is always safe.
+// acquireStream pre-reads every unconsumed chunk of one of the
+// partition's sets and dispatches one task per chunk (task builds it from
+// the chunk's bytes). The first streamer — master or stealer, their
+// inputs are identical — builds the task set; later streamers share it.
+// Chunks consumed between build and a later join were already computed,
+// so joining is always safe.
 //
 // In inline mode there is nothing to overlap with, so no tasks are built:
 // the storage engine ships each chunk's bytes with the reply and the
 // streamer runs the same kernel at the delivery instant — the identical
 // computation on the identical bytes in the identical order, without
 // holding a whole stream's scratch buffers live at once.
-func (m *machine[V, U, A]) acquireScatterStream(iter, part int, verts []V) *streamTasks[scatterChunk[U]] {
-	eng := m.eng
-	if eng.pool.Inline() {
+func acquireStream[T any](stores []*storage.Store, pool *drive.Pool, streams map[int]*streamTasks[T],
+	kind storage.SetKind, part int, task func(data []byte) (*T, *drive.Task)) *streamTasks[T] {
+	if pool.Inline() {
 		return nil
 	}
-	w := eng.scatterStreams[part]
+	w := streams[part]
 	if w == nil {
-		w = &streamTasks[scatterChunk[U]]{base: make([]int, len(eng.stores)), byID: make([][]*scatterChunk[U], len(eng.stores))}
-		for s := range eng.stores {
-			chunks, base, err := eng.stores[s].UnconsumedChunkData(storage.EdgeSet, part)
+		w = &streamTasks[T]{base: make([]int, len(stores)), byID: make([][]*T, len(stores))}
+		for s := range stores {
+			chunks, base, err := stores[s].UnconsumedChunkData(kind, part)
 			if err != nil {
-				panic("core: pre-reading edge chunks: " + err.Error())
+				panic(fmt.Sprintf("core: pre-reading %v chunks: %v", kind, err))
 			}
 			w.base[s] = base
 			for _, data := range chunks {
-				sc := &scatterChunk[U]{}
-				data := data
-				sc.Fn = func() { eng.kern.ScatterChunk(iter, part, verts, data, &sc.out) }
-				w.byID[s] = append(w.byID[s], sc)
-				eng.pool.Submit(&sc.chunkTask)
+				t, tk := task(data)
+				w.byID[s] = append(w.byID[s], t)
+				pool.Submit(tk)
 			}
 		}
-		eng.scatterStreams[part] = w
+		streams[part] = w
 	}
 	w.refs++
 	return w
 }
 
-func (eng *engine[V, U, A]) releaseScatterStream(part int) {
-	w := eng.scatterStreams[part]
+// releaseStream drops one streamer's reference; the last one frees the
+// task set.
+func releaseStream[T any](streams map[int]*streamTasks[T], part int) {
+	w := streams[part]
 	if w == nil {
 		return // inline mode builds no task sets
 	}
 	w.refs--
 	if w.refs == 0 {
-		delete(eng.scatterStreams, part)
+		delete(streams, part)
 	}
 }
 
-// acquireGatherStream pre-reads every unconsumed update chunk of the
-// partition and dispatches one decode task per chunk. Decoded records are
-// folded into the consuming machine's accumulators by per-machine chained
-// fold tasks (see gatherPartition), so the decode itself is shared.
+// acquireScatterStream dispatches one scatter task per unconsumed edge
+// chunk of the partition.
+func (m *machine[V, U, A]) acquireScatterStream(iter, part int, verts []V) *streamTasks[scatterChunk[U]] {
+	eng := m.eng
+	return acquireStream(eng.stores, eng.pool, eng.scatterStreams, storage.EdgeSet, part, func(data []byte) (*scatterChunk[U], *drive.Task) {
+		sc := &scatterChunk[U]{}
+		sc.Fn = func() { eng.kern.ScatterChunk(iter, part, verts, data, &sc.out) }
+		return sc, &sc.Task
+	})
+}
+
+// acquireGatherStream dispatches one decode task per unconsumed update
+// chunk of the partition. Decoded records are folded into the consuming
+// machine's accumulators by per-machine chained fold tasks (see
+// gatherPartition), so the decode itself is shared.
 func (eng *engine[V, U, A]) acquireGatherStream(part int) *streamTasks[gatherChunk[U]] {
-	if eng.pool.Inline() {
-		return nil // see acquireScatterStream
-	}
-	w := eng.gatherStreams[part]
-	if w == nil {
-		w = &streamTasks[gatherChunk[U]]{base: make([]int, len(eng.stores)), byID: make([][]*gatherChunk[U], len(eng.stores))}
-		for s := range eng.stores {
-			chunks, base, err := eng.stores[s].UnconsumedChunkData(storage.UpdateSet, part)
-			if err != nil {
-				panic("core: pre-reading update chunks: " + err.Error())
-			}
-			w.base[s] = base
-			for _, data := range chunks {
-				gc := &gatherChunk[U]{}
-				data := data
-				gc.Fn = func() {
-					gc.recs = eng.kern.DecodeUpdateChunk(eng.kern.GrabRecs(), data)
-				}
-				w.byID[s] = append(w.byID[s], gc)
-				eng.pool.Submit(&gc.chunkTask)
-			}
-		}
-		eng.gatherStreams[part] = w
-	}
-	w.refs++
-	return w
-}
-
-func (eng *engine[V, U, A]) releaseGatherStream(part int) {
-	w := eng.gatherStreams[part]
-	if w == nil {
-		return // inline mode builds no task sets
-	}
-	w.refs--
-	if w.refs == 0 {
-		delete(eng.gatherStreams, part)
-	}
+	return acquireStream(eng.stores, eng.pool, eng.gatherStreams, storage.UpdateSet, part, func(data []byte) (*gatherChunk[U], *drive.Task) {
+		gc := &gatherChunk[U]{}
+		gc.Fn = func() { gc.recs = eng.kern.DecodeUpdateChunk(eng.kern.GrabRecs(), data) }
+		return gc, &gc.Task
+	})
 }
 
 // hasChunkTask reports whether a pre-dispatched task covers chunk idx of

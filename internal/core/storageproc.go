@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"chaos/internal/core/drive"
 	"chaos/internal/sim"
 	"chaos/internal/storage"
 )
@@ -108,8 +109,8 @@ func (eng *engine[V, U, A]) arbiterProc(p *sim.Proc, id int) {
 			accepted := false
 			if !ms.closed[m.part] {
 				d := eng.stores[id].RemainingBytes(kind, m.part) * int64(eng.layout.NumMachines)
-				v := eng.vertexSetBytes(m.part)
-				accepted = stealCriterion(v, d, ms.workers[m.part], eng.cfg.Alpha)
+				v := eng.kern.VertexSetBytes(m.part)
+				accepted = drive.StealCriterion(v, d, ms.workers[m.part], eng.cfg.Alpha)
 			}
 			if accepted {
 				ms.workers[m.part]++

@@ -342,11 +342,15 @@ func (s *Service) recover(rec *durable.Recovered) error {
 	return nil
 }
 
+// maxRestarts is how many times crash recovery re-enqueues one job
+// before it gives the job up as failed.
+const maxRestarts = 3
+
 // restoreJobs files recovered job records with the scheduler. Terminal
 // jobs come back as history (results rehydrate lazily from the disk
 // store); queued/running jobs go back on the queue, or fail if their
-// graph is gone. Changed jobs are re-journaled so the log reflects the
-// requeue/failure.
+// graph is gone or they have been through maxRestarts restarts already.
+// Changed jobs are re-journaled so the log reflects the requeue/failure.
 func (s *Service) restoreJobs(recs []jobRecord, nextID int) {
 	sc := s.scheduler
 	now := time.Now().UTC()
@@ -390,9 +394,17 @@ func (s *Service) restoreJobs(recs []jobRecord, nextID int) {
 			j.noteTerminalLocked(now)
 			changed = true
 		case !terminal(j.state):
+			reason := ""
 			if _, ok := s.catalog.Get(j.Graph); !ok {
+				reason = fmt.Sprintf("not recoverable after restart: graph %q is gone", j.Graph)
+			} else if j.restarts >= maxRestarts {
+				// A job that takes the process down with it would come
+				// back on every boot: a crash loop. Quarantine it.
+				reason = fmt.Sprintf("not re-enqueued after restart: %d restarts already found this job unfinished", j.restarts)
+			}
+			if reason != "" {
 				j.state = JobFailed
-				j.err = fmt.Sprintf("not recoverable after restart: graph %q is gone", j.Graph)
+				j.err = reason
 				j.finishedAt = now
 				j.noteTerminalLocked(now)
 			} else {

@@ -157,11 +157,29 @@ func TestRecoveryRequeuesInterruptedJobs(t *testing.T) {
 	must(w.Append(recJob, jobRecord{ID: "j3", Graph: "g1", Algorithm: "WCC", Options: opts, State: JobDone, EnqueuedAt: now, FinishedAt: now}))
 	must(w.Append(recJob, jobRecord{ID: "j4", Graph: "ghost", Algorithm: "PR", Options: opts, State: JobQueued, EnqueuedAt: now}))
 	must(w.Append(recJob, jobRecord{ID: "j5", Graph: "g1", Algorithm: "MIS", Options: opts, State: JobRunning, Canceling: true, EnqueuedAt: now, StartedAt: now}))
+	// A poison job: three restarts have each found it running. And one
+	// with a restart to spare.
+	must(w.Append(recJob, jobRecord{ID: "j6", Graph: "g1", Algorithm: "PR", Options: opts, State: JobRunning, Restarts: 3, EnqueuedAt: now, StartedAt: now}))
+	must(w.Append(recJob, jobRecord{ID: "j7", Graph: "g1", Algorithm: "BFS", Options: opts, State: JobQueued, Restarts: 2, EnqueuedAt: now}))
 	must(w.Sync())
 	w.Close()
 
 	svc := openDurable(t, dir, 2)
 	t.Cleanup(func() { svc.Shutdown(context.Background()) })
+
+	// j6 is past the restart cap: failed at once with the count as the
+	// reason, in its journal record and in its trace, and never queued.
+	jv6, _ := svc.Scheduler().Get("j6")
+	if jv6.State != JobFailed || !strings.Contains(jv6.Error, "3 restarts") || jv6.Restarts != 3 {
+		t.Errorf("j6: %s %q restarts=%d, want failed naming 3 restarts", jv6.State, jv6.Error, jv6.Restarts)
+	}
+	if tr, ok := svc.Scheduler().TraceInfo("j6"); !ok || !strings.Contains(fmt.Sprint(tr.spans), jv6.Error) {
+		t.Errorf("j6: the trace does not carry the failure reason: %+v", tr.spans)
+	}
+	// j7 gets its third and last restart.
+	if jv := waitJob(t, svc, "j7"); jv.State != JobDone || jv.Restarts != 3 {
+		t.Errorf("j7: %s %q restarts=%d, want done with 3 restarts", jv.State, jv.Error, jv.Restarts)
+	}
 
 	// j1 (running at crash) and j2 (queued at crash) run to completion.
 	for _, id := range []string{"j1", "j2"} {
@@ -198,7 +216,7 @@ func TestRecoveryRequeuesInterruptedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq, _ := jobSeq(fresh.ID); seq <= 5 {
+	if seq, _ := jobSeq(fresh.ID); seq <= 7 {
 		t.Errorf("fresh job id %s collides with recovered ids", fresh.ID)
 	}
 }

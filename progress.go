@@ -65,29 +65,22 @@ func progressFrom(ctx context.Context) func(Progress) {
 	return fn
 }
 
-// coreProgress adapts the engine's counter snapshot to the public form.
-func coreProgress(p core.Progress) Progress {
-	return Progress{
-		Iterations:       p.Iterations,
-		SimulatedSeconds: p.Now.Seconds(),
-		BytesRead:        p.BytesRead,
-		BytesWritten:     p.BytesWritten,
-		StealsAccepted:   p.StealsAccepted,
-		StealsRejected:   p.StealsRejected,
-		SpillBytes:       p.SpillBytes,
-	}
-}
-
-// nativeProgress adapts a native-driver snapshot, whose Now is host
-// wall-clock, not virtual time.
-func nativeProgress(p core.Progress) Progress {
-	return Progress{
+// progressOf adapts an engine's counter snapshot to the public form.
+// Under the native engine Now is host wall-clock, surfaced as
+// WallSeconds so SimulatedSeconds never carries a non-simulated figure.
+func progressOf(engine string, p core.Progress) Progress {
+	out := Progress{
 		Iterations:     p.Iterations,
-		WallSeconds:    p.Now.Seconds(),
 		BytesRead:      p.BytesRead,
 		BytesWritten:   p.BytesWritten,
 		StealsAccepted: p.StealsAccepted,
 		StealsRejected: p.StealsRejected,
 		SpillBytes:     p.SpillBytes,
 	}
+	if engine == EngineNative {
+		out.WallSeconds = p.Now.Seconds()
+	} else {
+		out.SimulatedSeconds = p.Now.Seconds()
+	}
+	return out
 }

@@ -45,14 +45,7 @@ func runProgram[V, U, A any](ctx context.Context, opt Options, prog gas.Program[
 	}
 	cfg.SpillDir = spillDirFrom(ctx)
 	if fn := progressFrom(ctx); fn != nil {
-		if engine == EngineNative {
-			// The native driver has no virtual clock: its Now is host
-			// wall-clock, surfaced as WallSeconds so SimulatedSeconds
-			// never carries a non-simulated figure.
-			cfg.Progress = func(p core.Progress) { fn(nativeProgress(p)) }
-		} else {
-			cfg.Progress = func(p core.Progress) { fn(coreProgress(p)) }
-		}
+		cfg.Progress = func(p core.Progress) { fn(progressOf(engine, p)) }
 	}
 	var values []V
 	var run *metrics.Run
