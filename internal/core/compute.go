@@ -651,7 +651,7 @@ func (m *machine[V, U, A]) gatherPartition(p *sim.Proc, part int, verts []V, acc
 			// (see scatterPartition).
 			gc = &gatherChunk[U]{}
 			gc.Done = drive.ClosedChan
-			gc.recs = eng.kern.DecodeUpdateChunk(eng.kern.GrabRecs(), r.data)
+			gc.recs = eng.kern.DecodeUpdateChunk(nil, r.data)
 		}
 		ft := &drive.Task{Prev: tail, Fn: func() {
 			gc.Wait() // decode complete

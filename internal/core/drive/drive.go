@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"chaos/internal/gas"
 	"chaos/internal/graph"
@@ -46,8 +47,8 @@ type ScatterOut[U any] struct {
 	CombineOps int      // combiner merges performed
 	Updates    [][]byte // encoded update records per destination partition
 	// Typed replaces Updates under ScatterChunkTyped (the native
-	// zero-copy path): per-destination-partition pooled record slices,
-	// whose ownership the driver transfers to its Transport.
+	// zero-copy path): per-destination-partition arena slabs, whose
+	// ownership the driver transfers to its Transport.
 	Typed [][]UpdRec[U]
 	// Combined replaces Updates when the Pregel-style combiner is active:
 	// per-destination-partition maps of pre-merged updates.
@@ -58,9 +59,10 @@ type ScatterOut[U any] struct {
 }
 
 // Kernel bundles the driver-independent data plane of one run: record
-// formats, codecs, the per-chunk scatter/gather computations, and the
-// scratch-buffer pools they draw from. A Kernel is shared freely between
-// goroutines; the pools are concurrency-safe and the kernels are pure.
+// formats, codecs, the per-chunk scatter/gather computations, the run's
+// record arena and the scratch-buffer pools they draw from. A Kernel is
+// shared freely between goroutines; arena and pools are concurrency-safe
+// and the kernels are pure.
 type Kernel[V, U, A any] struct {
 	// Params is the run's clock-free configuration (policy.go reads it;
 	// zero under NewKernel, filled by Plan).
@@ -82,21 +84,27 @@ type Kernel[V, U, A any] struct {
 	Combiner gas.Combiner[U]
 	Rewriter gas.EdgeRewriter[V]
 
-	// RetainBytes bounds the capacity of scratch slices returned to the
-	// pools: anything larger is dropped for the garbage collector, so
-	// one giant iteration cannot pin its high-water mark for the rest
-	// of the run. Zero disables the bound (tests only); NewKernel sets
-	// DefaultRetainBytes.
+	// RetainBytes bounds the capacity of byte buffers returned to the
+	// pools (ReleaseBuf): anything larger is dropped for the garbage
+	// collector, so one giant iteration cannot pin its high-water mark
+	// for the rest of the run. Zero disables the bound (tests only);
+	// NewKernel sets DefaultRetainBytes. Record slabs follow the arena's
+	// trim rule instead (Decider.Decide).
 	RetainBytes int
 
-	recPool      sync.Pool
-	bufPool      sync.Pool
-	partsPool    sync.Pool
-	recPartsPool sync.Pool
+	arena recArena[U]
+	hints slabHints
+	// The pools are allocated apart from the Kernel. The runtime keeps
+	// every sync.Pool that was ever used on a list of its own until two
+	// garbage collections after the pool's last use; a pool embedded here
+	// would keep the whole Kernel, and with it the arena's slabs,
+	// reachable that long after the run — and a run that allocates little
+	// sees few collections.
+	bufPool, partsPool, recPartsPool *sync.Pool
 }
 
 // DefaultRetainBytes is the pool retention bound NewKernel installs: the
-// largest scratch-slice capacity worth keeping across iterations.
+// largest byte-buffer capacity worth keeping across iterations.
 const DefaultRetainBytes = 8 << 20
 
 // NewKernel derives the record geometry for prog over layout. weighted
@@ -107,6 +115,8 @@ func NewKernel[V, U, A any](prog gas.Program[V, U, A], layout *partition.Layout)
 		Prog:    prog,
 		Layout:  layout,
 		EdgeFmt: graph.FormatFor(layout.NumVertices, prog.Weighted()),
+		hints:   slabHints{rows: make([]atomic.Pointer[hintRow], layout.NumPartitions)},
+		bufPool: new(sync.Pool), partsPool: new(sync.Pool), recPartsPool: new(sync.Pool),
 	}
 	if layout.NumVertices < 1<<32 {
 		k.IDBytes = 4
@@ -150,8 +160,10 @@ func (k *Kernel[V, U, A]) AppendUpdate(buf []byte, dst graph.VertexID, val *U) [
 }
 
 // AppendRecs encodes a typed record slice onto buf — the spill side of
-// the transport seam, and the bulk inverse of DecodeUpdateChunk.
+// the transport seam, and the bulk inverse of DecodeUpdateChunk: buf grows
+// once, to the chunk's encoded size.
 func (k *Kernel[V, U, A]) AppendRecs(buf []byte, recs []UpdRec[U]) []byte {
+	buf = slices.Grow(buf, len(recs)*k.UpdBytes)
 	for i := range recs {
 		buf = k.AppendUpdate(buf, recs[i].Dst, &recs[i].Val)
 	}
@@ -166,19 +178,28 @@ func (k *Kernel[V, U, A]) DecodeUpdate(rec []byte, r *UpdRec[U]) {
 	k.UpdCodec.Get(rec[k.IDBytes:], &r.Val)
 }
 
-// DecodeUpdateChunk bulk-decodes one update chunk, appending to recs:
-// recs grows once to the chunk's record count and every record decodes
-// into its own slot.
+// DecodeUpdateChunk bulk-decodes one update chunk, appending to recs
+// (nil for a fresh slab): every record decodes into its own slot. When
+// recs cannot hold the chunk, the result is an arena slab that can and
+// recs goes back to the arena — the caller keeps only the result.
 func (k *Kernel[V, U, A]) DecodeUpdateChunk(recs []UpdRec[U], data []byte) []UpdRec[U] {
 	ub := k.UpdBytes
 	n := len(data) / ub
 	base := len(recs)
-	recs = slices.Grow(recs, n)[:base+n]
+	if cap(recs) < base+n {
+		recs = k.regrowRecs(recs, base+n)
+	}
+	recs = recs[:base+n]
 	for i := 0; i < n; i++ {
 		k.DecodeUpdate(data[i*ub:], &recs[base+i])
 	}
 	return recs
 }
+
+// edgeBlock is how many edges the scatter kernels decode at a time:
+// graph.Format.DecodeEdges examines the format once per block instead of
+// twice per edge, and the block's scratch stays on the stack.
+const edgeBlock = 256
 
 // ScatterChunk is the pure scatter computation on one edge chunk: decode
 // each edge, consult the rewriter, apply the program's Scatter, and
@@ -186,13 +207,13 @@ func (k *Kernel[V, U, A]) DecodeUpdateChunk(recs []UpdRec[U], data []byte) []Upd
 // any goroutine and must not touch driver state; verts is read-only and
 // stable for the whole phase.
 func (k *Kernel[V, U, A]) ScatterChunk(iter, part int, verts []V, data []byte, out *ScatterOut[U]) {
-	lo, _ := k.Layout.Range(part)
+	layout := k.Layout
+	lo, _ := layout.Range(part)
 	edgeSize := k.EdgeFmt.EdgeSize()
-	n := len(data) / edgeSize
-	out.N = n
+	out.N = len(data) / edgeSize
 	out.Updates = k.GrabParts()
 	if k.Combiner != nil {
-		out.Combined = make([]map[graph.VertexID]U, k.Layout.NumPartitions)
+		out.Combined = make([]map[graph.VertexID]U, layout.NumPartitions)
 	}
 	// val is handed to the func-valued codec by address, which moves it
 	// to the heap: one scratch value per chunk, not one per update.
@@ -201,101 +222,120 @@ func (k *Kernel[V, U, A]) ScatterChunk(iter, part int, verts []V, data []byte, o
 		val  U
 		emit bool
 	)
-	for i := 0; i < n; i++ {
-		e := k.EdgeFmt.Decode(data[i*edgeSize:])
-		src := &verts[e.Src-lo]
-		if k.Rewriter != nil {
-			if ne, keep := k.Rewriter.RewriteEdge(iter, e, src); keep {
-				if out.EdgesNext == nil {
-					out.EdgesNext = k.GrabBuf()
-				}
-				off := len(out.EdgesNext)
-				out.EdgesNext = append(out.EdgesNext, make([]byte, edgeSize)...)
-				k.EdgeFmt.Encode(out.EdgesNext[off:], ne)
+	var block [edgeBlock]graph.Edge
+	for data = data[:out.N*edgeSize]; len(data) > 0; {
+		n := min(edgeBlock*edgeSize, len(data))
+		for _, e := range k.EdgeFmt.DecodeEdges(block[:0], data[:n]) {
+			src := &verts[e.Src-lo]
+			if k.Rewriter != nil {
+				k.rewriteEdge(iter, e, src, out)
 			}
-		}
-		dst, val, emit = k.Prog.Scatter(iter, e, src)
-		if !emit {
-			continue
-		}
-		tp := k.Layout.Of(dst)
-		if k.Combiner != nil {
-			mp := out.Combined[tp]
-			if mp == nil {
-				mp = make(map[graph.VertexID]U)
-				out.Combined[tp] = mp
+			dst, val, emit = k.Prog.Scatter(iter, e, src)
+			if !emit {
+				continue
 			}
-			if old, ok := mp[dst]; ok {
-				mp[dst] = k.Combiner.Combine(old, val)
-			} else {
-				mp[dst] = val
+			tp := layout.Of(dst)
+			if k.Combiner != nil {
+				k.combine(out, tp, dst, val)
+				continue
 			}
-			out.CombineOps++
-			continue
+			buf := out.Updates[tp]
+			if buf == nil {
+				buf = k.GrabBuf()
+			}
+			out.Updates[tp] = k.AppendUpdate(buf, dst, &val)
 		}
-		buf := out.Updates[tp]
-		if buf == nil {
-			buf = k.GrabBuf()
-		}
-		out.Updates[tp] = k.AppendUpdate(buf, dst, &val)
+		data = data[n:]
 	}
 }
 
 // ScatterChunkTyped is ScatterChunk for drivers that move decoded
 // records through a Transport (the native zero-copy path): emitted
-// updates stay typed, grouped per destination partition in pooled
-// record slices, and are never encoded unless a spilling transport
-// later pushes them across the memory-budget boundary. The edge loop is
+// updates stay typed, grouped per destination partition in arena slabs,
+// and are never encoded unless a spilling transport later pushes them
+// across the memory-budget boundary. Each slab starts at the size this
+// (part, destination) pair is known to produce (slabHints) and grows
+// through the arena when a chunk produces more. The edge loop is
 // deliberately a twin of ScatterChunk's — the two differ only in the
 // emit step, and sharing it through a per-update closure would tax the
 // DES driver's hot path.
 func (k *Kernel[V, U, A]) ScatterChunkTyped(iter, part int, verts []V, data []byte, out *ScatterOut[U]) {
-	lo, _ := k.Layout.Range(part)
+	layout := k.Layout
+	lo, _ := layout.Range(part)
 	edgeSize := k.EdgeFmt.EdgeSize()
-	n := len(data) / edgeSize
-	out.N = n
-	out.Typed = k.GrabRecParts()
+	out.N = len(data) / edgeSize
+	typed := k.GrabRecParts()
+	out.Typed = typed
 	if k.Combiner != nil {
-		out.Combined = make([]map[graph.VertexID]U, k.Layout.NumPartitions)
+		out.Combined = make([]map[graph.VertexID]U, layout.NumPartitions)
 	}
-	for i := 0; i < n; i++ {
-		e := k.EdgeFmt.Decode(data[i*edgeSize:])
-		src := &verts[e.Src-lo]
-		if k.Rewriter != nil {
-			if ne, keep := k.Rewriter.RewriteEdge(iter, e, src); keep {
-				if out.EdgesNext == nil {
-					out.EdgesNext = k.GrabBuf()
+	hints := k.hints.row(part)
+	var block [edgeBlock]graph.Edge
+	for data = data[:out.N*edgeSize]; len(data) > 0; {
+		n := min(edgeBlock*edgeSize, len(data))
+		for _, e := range k.EdgeFmt.DecodeEdges(block[:0], data[:n]) {
+			src := &verts[e.Src-lo]
+			if k.Rewriter != nil {
+				k.rewriteEdge(iter, e, src, out)
+			}
+			dst, val, emit := k.Prog.Scatter(iter, e, src)
+			if !emit {
+				continue
+			}
+			tp := layout.Of(dst)
+			if k.Combiner != nil {
+				k.combine(out, tp, dst, val)
+				continue
+			}
+			recs := typed[tp]
+			if len(recs) == cap(recs) {
+				if recs == nil {
+					recs = k.GrabRecs(hints.want(tp))
+				} else {
+					recs = k.regrowRecs(recs, len(recs)+len(recs)/2)
 				}
-				off := len(out.EdgesNext)
-				out.EdgesNext = append(out.EdgesNext, make([]byte, edgeSize)...)
-				k.EdgeFmt.Encode(out.EdgesNext[off:], ne)
 			}
+			recs = recs[:len(recs)+1]
+			recs[len(recs)-1] = UpdRec[U]{Dst: dst, Val: val}
+			typed[tp] = recs
 		}
-		dst, val, emit := k.Prog.Scatter(iter, e, src)
-		if !emit {
-			continue
-		}
-		tp := k.Layout.Of(dst)
-		if k.Combiner != nil {
-			mp := out.Combined[tp]
-			if mp == nil {
-				mp = make(map[graph.VertexID]U)
-				out.Combined[tp] = mp
-			}
-			if old, ok := mp[dst]; ok {
-				mp[dst] = k.Combiner.Combine(old, val)
-			} else {
-				mp[dst] = val
-			}
-			out.CombineOps++
-			continue
-		}
-		recs := out.Typed[tp]
-		if recs == nil {
-			recs = k.GrabRecs()
-		}
-		out.Typed[tp] = append(recs, UpdRec[U]{Dst: dst, Val: val})
+		data = data[n:]
 	}
+	for tp, recs := range typed {
+		if len(recs) > 0 {
+			hints.saw(tp, len(recs))
+		}
+	}
+}
+
+// rewriteEdge consults the §6.1 rewriter about one edge and keeps the
+// survivor for the next generation's edge set.
+func (k *Kernel[V, U, A]) rewriteEdge(iter int, e graph.Edge, src *V, out *ScatterOut[U]) {
+	ne, keep := k.Rewriter.RewriteEdge(iter, e, src)
+	if !keep {
+		return
+	}
+	if out.EdgesNext == nil {
+		out.EdgesNext = k.GrabBuf()
+	}
+	off := len(out.EdgesNext)
+	out.EdgesNext = append(out.EdgesNext, make([]byte, k.EdgeFmt.EdgeSize())...)
+	k.EdgeFmt.Encode(out.EdgesNext[off:], ne)
+}
+
+// combine merges one emitted update into the chunk's per-destination
+// combiner maps (§11.1).
+func (k *Kernel[V, U, A]) combine(out *ScatterOut[U], tp int, dst graph.VertexID, val U) {
+	mp := out.Combined[tp]
+	if mp == nil {
+		mp = make(map[graph.VertexID]U)
+		out.Combined[tp] = mp
+	}
+	if old, ok := mp[dst]; ok {
+		val = k.Combiner.Combine(old, val)
+	}
+	mp[dst] = val
+	out.CombineOps++
 }
 
 // FoldUpdates is the gather computation on one decoded update chunk of
@@ -333,27 +373,32 @@ func (k *Kernel[V, U, A]) ResetAccums(accums []A) []A {
 	return accums
 }
 
-// GrabRecs returns a pooled decoded-record slice; ReleaseRecs recycles it
-// once a fold has consumed it.
-func (k *Kernel[V, U, A]) GrabRecs() []UpdRec[U] {
-	if v := k.recPool.Get(); v != nil {
-		return v.([]UpdRec[U])[:0]
-	}
-	return nil
+// GrabRecs takes an empty slab holding at least n records from the run's
+// record arena; ReleaseRecs returns it once its records are consumed (a
+// fold, a spill's encode). The one pair behind every []UpdRec[U] of
+// either plane.
+func (k *Kernel[V, U, A]) GrabRecs(n int) []UpdRec[U] { return k.arena.grab(n) }
+
+// ReleaseRecs returns a slab to the arena. The caller must not touch it
+// afterwards: its next holder may be another goroutine.
+func (k *Kernel[V, U, A]) ReleaseRecs(recs []UpdRec[U]) { k.arena.release(recs) }
+
+// regrowRecs moves recs onto a slab holding at least n records (n >
+// cap(recs)) and returns the outgrown one to the arena.
+func (k *Kernel[V, U, A]) regrowRecs(recs []UpdRec[U], n int) []UpdRec[U] {
+	grown := k.arena.grab(n)[:len(recs)]
+	copy(grown, recs)
+	k.arena.release(recs)
+	return grown
 }
 
-// ReleaseRecs recycles a decoded-record slice. Slices whose capacity
-// exceeds RetainBytes (encoded-equivalent) are dropped instead of
-// pooled, so a one-off giant chunk cannot pin its high-water mark in
-// the pool for the rest of the run.
-func (k *Kernel[V, U, A]) ReleaseRecs(recs []UpdRec[U]) {
-	if cap(recs) == 0 {
-		return
-	}
-	if k.RetainBytes > 0 && cap(recs)*max(k.UpdBytes, 1) > k.RetainBytes {
-		return
-	}
-	k.recPool.Put(recs[:0])
+// ArenaHighWater is the most slab capacity, in records, the run has had
+// out of its arena at one moment since the last decision point — what a
+// test holds against the memory budget.
+func (k *Kernel[V, U, A]) ArenaHighWater() int64 {
+	k.arena.mu.Lock()
+	defer k.arena.mu.Unlock()
+	return k.arena.highWater
 }
 
 // GrabBuf / ReleaseBuf pool the per-chunk encode buffers; GrabParts pools
@@ -366,8 +411,8 @@ func (k *Kernel[V, U, A]) GrabBuf() []byte {
 	return nil
 }
 
-// ReleaseBuf recycles a per-chunk encode buffer, subject to the same
-// RetainBytes bound as ReleaseRecs.
+// ReleaseBuf recycles a per-chunk encode buffer, unless its capacity
+// exceeds RetainBytes.
 func (k *Kernel[V, U, A]) ReleaseBuf(b []byte) {
 	if cap(b) == 0 {
 		return
@@ -396,8 +441,8 @@ func (k *Kernel[V, U, A]) GrabRecParts() [][]UpdRec[U] {
 }
 
 // ReleaseScatterOut returns a merged chunk result's scratch memory to the
-// pools. Typed slots the driver handed to its Transport must be nil'd
-// before the call — whatever remains is recycled here.
+// pools and the arena. Typed slots the driver handed to its Transport
+// must be nil'd before the call — whatever remains is recycled here.
 func (k *Kernel[V, U, A]) ReleaseScatterOut(out *ScatterOut[U]) {
 	if out.Updates != nil {
 		for tp, b := range out.Updates {

@@ -102,20 +102,25 @@ func (k *Kernel[V, U, A]) EncodeVertices(verts []V) [][]byte {
 
 // BinEdges is the pre-processing pass over one batch of input edges
 // (§3): each edge is encoded onto bins, a Wire over source partitions
-// whose limit and flush are the driver's, and, when deg is non-nil,
+// whose limit (a whole number of edge records) and flush are the
+// driver's, and, when deg is non-nil,
 // counted into its source's out-degree (deg[p] appears with partition
 // p's first edge).
 func (k *Kernel[V, U, A]) BinEdges(batch []graph.Edge, bins *Wire, deg [][]uint32) {
-	rec := make([]byte, k.EdgeFmt.EdgeSize())
+	// Locals, so the calls into the Wire do not make the loop reload the
+	// format and the layout for every edge; each record is encoded in
+	// place, in the bin's own buffer.
+	layout, format := k.Layout, k.EdgeFmt
+	size := format.EdgeSize()
 	for _, e := range batch {
-		p := k.Layout.Of(e.Src)
-		k.EdgeFmt.Encode(rec, e)
-		bins.Put(p, rec)
+		p := layout.Of(e.Src)
+		format.Encode(bins.Reserve(p, size), e)
+		bins.Commit(p)
 		if deg != nil {
 			if deg[p] == nil {
-				deg[p] = make([]uint32, k.Layout.Size(p))
+				deg[p] = make([]uint32, layout.Size(p))
 			}
-			lo, _ := k.Layout.Range(p)
+			lo, _ := layout.Range(p)
 			deg[p][e.Src-lo]++
 		}
 	}
@@ -208,7 +213,7 @@ func (b *CombineBuf[V, U, A]) drain(tp int, ship func(tp int, recs []UpdRec[U]))
 	if len(mp) == 0 {
 		return
 	}
-	recs := b.k.GrabRecs()
+	recs := b.k.GrabRecs(len(mp))
 	for dst, val := range mp {
 		recs = append(recs, UpdRec[U]{Dst: dst, Val: val})
 	}
@@ -272,6 +277,11 @@ func (d *Decider[V, U, A]) Interrupted() bool { return d.interrupted }
 func (d *Decider[V, U, A]) Decide(iter int) Decision {
 	p := &d.k.Params
 	out := Decision{RollbackTo: -1}
+	// The iteration's update sets are consumed: the record arena drops
+	// the free slabs this iteration did not need, and the slab sizes it
+	// produced become what the next one expects.
+	d.k.arena.trim()
+	d.k.hints.age()
 	out.Done = d.k.Prog.Converged(iter, d.Changed.Swap(0)) || iter+1 >= p.MaxIterations
 	if !out.Done && p.Interrupt != nil && p.Interrupt() {
 		// Cooperative cancellation: the driver finishes this iteration's

@@ -42,6 +42,7 @@ var ClosedChan = func() chan struct{} {
 // changes wall-clock overlap, never results, by the same purity argument.
 type Pool struct {
 	inline bool
+	width  int
 	tasks  chan *Task
 	wg     sync.WaitGroup
 }
@@ -60,9 +61,9 @@ func NewPool(workers int) *Pool {
 		workers = limit
 	}
 	if workers <= 1 {
-		return &Pool{inline: true}
+		return &Pool{inline: true, width: 1}
 	}
-	p := &Pool{tasks: make(chan *Task, 4096)}
+	p := &Pool{width: workers, tasks: make(chan *Task, 4096)}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
@@ -87,6 +88,12 @@ func NewPool(workers int) *Pool {
 // Inline reports whether the pool runs tasks at submission time (the
 // serial degenerate mode).
 func (p *Pool) Inline() bool { return p.inline }
+
+// Window is how many chunk tasks a streaming producer keeps in flight on
+// the pool: one per worker plus one, so no worker waits for the producer
+// to merge a result before its next task exists, and no more — each task
+// in flight holds a chunk's worth of output that no budget has seen yet.
+func (p *Pool) Window() int { return p.width + 1 }
 
 // Submit enqueues a task. Submission order is the determinism contract:
 // a task must be submitted after its Prev and after any task whose Done

@@ -2,6 +2,7 @@ package drive
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"chaos/internal/storage"
@@ -30,7 +31,7 @@ type SpillTransport[U any] struct {
 	decode      func(recs []UpdRec[U], data []byte) []UpdRec[U]
 	grabBuf     func() []byte
 	releaseBuf  func([]byte)
-	grabRecs    func() []UpdRec[U]
+	grabRecs    func(n int) []UpdRec[U]
 	releaseRecs func([]UpdRec[U])
 
 	memBytes   atomic.Int64
@@ -61,14 +62,18 @@ type spillBucket[U any] struct {
 	mem     [][]UpdRec[U]
 }
 
-// chunkRef locates one encoded chunk inside its bucket's stream.
+// chunkRef locates one encoded chunk inside its bucket's stream. slab is
+// the capacity of the slab the chunk left memory in: it comes back in one
+// of the same size class, so a budgeted run cycles the slabs it has
+// instead of asking for a neighbouring class on the way back.
 type chunkRef struct {
-	off int64
-	n   int
+	off  int64
+	n    int
+	slab int
 }
 
 // NewSpillTransport returns the spilling transport over the kernel's
-// codec and pools. budget is the in-memory byte ceiling
+// codec, buffer pool and record arena. budget is the in-memory byte ceiling
 // (encoded-equivalent); backend receives the overflow, one stream per
 // (src, dst) bucket; cleanup (optional) runs after the backend closes,
 // typically removing the spill directory.
@@ -140,7 +145,7 @@ func (t *SpillTransport[U]) spillBucket(src, dst int) (int64, int) {
 			b.created = true
 			t.spillFiles.Add(1)
 		}
-		b.refs = append(b.refs, chunkRef{off: off, n: len(buf)})
+		b.refs = append(b.refs, chunkRef{off: off, n: len(buf), slab: cap(recs)})
 		freed += int64(len(recs)) * int64(t.updBytes)
 		written += int64(len(buf))
 		t.releaseRecs(recs)
@@ -195,11 +200,13 @@ func (t *SpillTransport[U]) DrainFrom(dst, src int) []PendingChunk[U] {
 			out = append(out, PendingChunk[U]{
 				Bytes: int64(ref.n),
 				load: func() []UpdRec[U] {
-					data, err := t.backend.Read(stream, ref.off, ref.n)
-					if err != nil {
+					buf := slices.Grow(t.grabBuf(), ref.n)[:ref.n]
+					if err := t.backend.ReadInto(stream, ref.off, buf); err != nil {
 						panic(fmt.Sprintf("drive: spill read %s@%d: %v", stream, ref.off, err))
 					}
-					return t.decode(t.grabRecs(), data)
+					recs := t.decode(t.grabRecs(ref.slab), buf)
+					t.releaseBuf(buf)
+					return recs
 				},
 				release: func(recs []UpdRec[U]) {
 					t.releaseRecs(recs)

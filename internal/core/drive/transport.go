@@ -33,7 +33,7 @@ type Transport[U any] interface {
 	// Put transfers ownership of recs — one scatter chunk's worth of
 	// updates from partition src to partition dst — to the transport.
 	// The caller must not touch recs afterwards; the transport releases
-	// it to the kernel pools once consumed. The returned tallies report
+	// it to the kernel's record arena once consumed. The returned tallies report
 	// any spilling the Put triggered, so the driver can emit
 	// PhaseSpill spans without the transport reading a clock.
 	Put(src, dst int, recs []UpdRec[U]) (spilledBytes int64, spilledChunks int)
@@ -70,9 +70,9 @@ type TransportStats struct {
 // PendingChunk is one drained update chunk awaiting its gather fold.
 // Load materializes the typed records — a pure computation safe on any
 // goroutine, so drivers run it on the compute pool exactly like a chunk
-// decode — and Release returns the scratch to the kernel pools (and, for
-// the last spilled chunk of a drained bucket, reclaims the bucket's
-// spill-file space).
+// decode — and Release returns the slab to the kernel's record arena
+// (and, for the last spilled chunk of a drained bucket, reclaims the
+// bucket's spill-file space).
 type PendingChunk[U any] struct {
 	// Bytes is the chunk's encoded-equivalent size, for byte tallies and
 	// flight-recorder spans.
@@ -88,12 +88,12 @@ func (c *PendingChunk[U]) Load() []UpdRec[U] { return c.load() }
 // the fold has consumed them.
 func (c *PendingChunk[U]) Release(recs []UpdRec[U]) { c.release(recs) }
 
-// MemTransport is the zero-copy in-memory transport: pooled typed record
-// slices move from scatter to gather through per-(src, dst) bucket slots
-// with no encode/decode round-trip. Rows are allocated per source
-// partition so concurrent producers write disjoint backing arrays, and
-// the record slices themselves are arena-recycled across iterations
-// through the kernel's per-core sharded pools (sync.Pool is per-P).
+// MemTransport is the zero-copy in-memory transport: typed record slabs
+// move from scatter to gather through per-(src, dst) bucket slots with no
+// encode/decode round-trip. Rows are allocated per source partition so
+// concurrent producers write disjoint backing arrays, and the slabs
+// themselves return to the run's record arena (Kernel.ReleaseRecs) once
+// folded, where the next iteration's scatter finds them.
 type MemTransport[U any] struct {
 	updBytes int
 	release  func([]UpdRec[U])
@@ -108,7 +108,7 @@ type MemTransport[U any] struct {
 }
 
 // NewMemTransport returns the in-memory transport over the kernel's
-// record geometry and pools.
+// record geometry and arena.
 func (k *Kernel[V, U, A]) NewMemTransport() *MemTransport[U] {
 	np := k.Layout.NumPartitions
 	t := &MemTransport[U]{
@@ -171,7 +171,7 @@ func (t *MemTransport[U]) DrainFrom(dst, src int) []PendingChunk[U] {
 // Stats reports zero: the in-memory transport never spills.
 func (t *MemTransport[U]) Stats() TransportStats { return TransportStats{} }
 
-// Close is a no-op: all memory is pooled or garbage-collected.
+// Close is a no-op: all memory is the arena's or garbage-collected.
 func (t *MemTransport[U]) Close() error { return nil }
 
 // drainState tracks one drained bucket's outstanding spilled chunks so

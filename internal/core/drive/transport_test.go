@@ -18,35 +18,11 @@ func testKernel(t *testing.T, np int) *Kernel[algorithms.PRVertex, float32, floa
 	return NewKernel(&algorithms.PageRank{Iterations: 1}, layout)
 }
 
-// TestReleaseRecsRetentionBound pins the pool-retention fix: a scratch
-// record slice whose encoded-equivalent capacity exceeds RetainBytes is
-// dropped on release instead of parked in the pool, so one giant
-// iteration cannot pin its peak allocation for the rest of the run.
-func TestReleaseRecsRetentionBound(t *testing.T) {
-	k := testKernel(t, 2)
-	k.RetainBytes = 1 << 10
-	oversized := (k.RetainBytes/k.UpdBytes)*2 + 7 // distinctive cap, over bound
-	k.ReleaseRecs(make([]UpdRec[float32], 0, oversized))
-	if got := k.GrabRecs(); cap(got) == oversized {
-		t.Fatalf("oversized slice (cap %d) came back from the pool despite RetainBytes=%d",
-			oversized, k.RetainBytes)
-	}
-	// A compliant slice is retained: put-then-get on one goroutine
-	// returns the same backing array (per-P pool, nothing intervenes).
-	// Retried because the race detector makes sync.Pool drop puts at
-	// random — one retained round trip out of 32 proves the path.
-	retained := false
-	for i := 0; i < 32 && !retained; i++ {
-		ok := make([]UpdRec[float32], 0, 8)
-		k.ReleaseRecs(ok)
-		retained = cap(k.GrabRecs()) == cap(ok)
-	}
-	if !retained {
-		t.Fatal("in-bound slices are never retained by the pool")
-	}
-}
-
-// TestReleaseBufRetentionBound is the byte-buffer analogue.
+// TestReleaseBufRetentionBound pins the pool-retention bound of byte
+// buffers: one whose capacity exceeds RetainBytes is dropped on release
+// instead of parked in the pool, so one giant iteration cannot pin its
+// peak allocation for the rest of the run. (Record slabs follow the
+// arena's trim rule: arena_test.go.)
 func TestReleaseBufRetentionBound(t *testing.T) {
 	k := testKernel(t, 2)
 	k.RetainBytes = 1 << 10

@@ -44,25 +44,42 @@ func NewWire(np, limit int, flush func(dst int, chunk []byte)) *Wire {
 // limit: one allocation and one copy per chunk, however many Puts it
 // takes to fill.
 func (w *Wire) Put(dst int, b []byte) {
-	buf := w.bufs[dst]
 	for len(b) > 0 {
-		n := min(w.limit-len(buf), len(b))
-		if cap(buf)-len(buf) < n {
-			c := w.limit
-			if !w.filled[dst] {
-				c = min(c, max(len(buf)+n, 2*cap(buf), minChunkCap))
-			}
-			buf = append(make([]byte, 0, c), buf...)
-		}
-		buf = append(buf, b[:n]...)
+		n := min(w.limit-len(w.bufs[dst]), len(b))
+		copy(w.Reserve(dst, n), b[:n])
+		w.Commit(dst)
 		b = b[n:]
-		if len(buf) == w.limit {
-			w.flush(dst, buf)
-			buf = nil
-			w.filled[dst] = true
-		}
 	}
+}
+
+// Reserve extends dst's buffer by n bytes and returns them for the caller
+// to write in place (BinEdges encodes each edge where it will be stored);
+// Commit(dst) must follow before the Wire's next call. n may not cross
+// the chunk boundary, which holds for any record whose size divides limit.
+func (w *Wire) Reserve(dst, n int) []byte {
+	buf := w.bufs[dst]
+	if cap(buf)-len(buf) < n {
+		c := w.limit
+		if !w.filled[dst] {
+			c = min(c, max(len(buf)+n, 2*cap(buf), minChunkCap))
+		}
+		buf = append(make([]byte, 0, c), buf...)
+	}
+	buf = buf[:len(buf)+n]
 	w.bufs[dst] = buf
+	return buf[len(buf)-n:]
+}
+
+// Commit ends a Reserve: a chunk the reserved bytes completed goes to
+// flush now, at the instant its last record is written — flush order
+// across destinations is the DES driver's RNG draw order, so it cannot
+// wait for the destination's next Reserve.
+func (w *Wire) Commit(dst int) {
+	if buf := w.bufs[dst]; len(buf) == w.limit {
+		w.bufs[dst] = nil
+		w.filled[dst] = true
+		w.flush(dst, buf)
+	}
 }
 
 // PutChunk ships one pre-assembled chunk immediately, bypassing the

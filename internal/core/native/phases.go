@@ -108,22 +108,30 @@ func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 	verts := r.verts[p]
 	chunks := r.edges[p]
 
-	// Dispatch every chunk's pure kernel to the shared pool, then merge
-	// in chunk order (the same dispatch-then-join pattern as the DES
-	// driver's pre-read streams).
+	// Each chunk's pure kernel runs on the shared pool and its result is
+	// merged in chunk order — the order the (source partition, chunk,
+	// record) fold order rests on. Dispatch runs a bounded window ahead of
+	// the merge (Pool.Window), not the whole partition: a kernel's output
+	// is memory no transport budget has seen until its merge Puts it, so
+	// what is in flight is a few chunks' worth whatever the partition's
+	// size, and a budgeted run's slabs cycle inside one iteration.
 	type scatterChunk struct {
 		drive.Task
 		out drive.ScatterOut[U]
 	}
 	tasks := make([]*scatterChunk, len(chunks))
-	for i, data := range chunks {
+	submit := func(i int) {
 		sc := &scatterChunk{}
-		data := data
+		data := chunks[i]
 		sc.Fn = func() { kern.ScatterChunkTyped(iter, p, verts, data, &sc.out) }
 		tasks[i] = sc
 		r.pool.Submit(&sc.Task)
 		r.bytesRead.Add(int64(len(data)))
 		bytesIn += int64(len(data))
+	}
+	window := r.pool.Window()
+	for i := 0; i < min(window, len(chunks)); i++ {
+		submit(i)
 	}
 
 	// The rewritten edges are cut into chunks exactly as the DES driver
@@ -150,8 +158,9 @@ func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 		r.combined[p] = kern.NewCombineBuf()
 	}
 
-	for _, sc := range tasks {
+	for i, sc := range tasks {
 		sc.Wait()
+		tasks[i] = nil
 		out := &sc.out
 		if kern.Rewriter != nil {
 			bytesOut += int64(len(out.EdgesNext))
@@ -170,6 +179,9 @@ func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 			put(tp, recs)
 		}
 		kern.ReleaseScatterOut(out)
+		if i+window < len(chunks) {
+			submit(i + window)
+		}
 	}
 
 	// Flush the remaining combined updates at phase end.
@@ -227,7 +239,10 @@ func (r *run[V, U, A]) gatherPartition(iter, mach, p int, stolen bool) {
 	// channel waits are on this machine goroutine, never on pool
 	// workers, so the pool cannot deadlock on them. Under
 	// Config.PhaseBarrier every channel is already closed and the loop
-	// degenerates to the classic full drain.
+	// degenerates to the classic full drain. Loads need no window of
+	// their own: each fold is queued right behind its Load and holds its
+	// worker until it has run, so the pool's FIFO pull keeps at most a
+	// pool's width of loaded chunks waiting for their fold.
 	type gatherChunk struct {
 		drive.Task
 		recs []drive.UpdRec[U]

@@ -138,7 +138,7 @@ func (m *machine[V, U, A]) acquireScatterStream(iter, part int, verts []V) *stre
 func (eng *engine[V, U, A]) acquireGatherStream(part int) *streamTasks[gatherChunk[U]] {
 	return acquireStream(eng.stores, eng.pool, eng.gatherStreams, storage.UpdateSet, part, func(data []byte) (*gatherChunk[U], *drive.Task) {
 		gc := &gatherChunk[U]{}
-		gc.Fn = func() { gc.recs = eng.kern.DecodeUpdateChunk(eng.kern.GrabRecs(), data) }
+		gc.Fn = func() { gc.recs = eng.kern.DecodeUpdateChunk(nil, data) }
 		return gc, &gc.Task
 	})
 }

@@ -11,6 +11,7 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // VertexID identifies a vertex. IDs are dense: a graph with N vertices uses
@@ -111,14 +112,40 @@ func (f Format) EncodeEdges(dst []byte, edges []Edge) []byte {
 }
 
 // DecodeEdges appends all edge records in buf to dst and returns the
-// extended slice. len(buf) must be a multiple of EdgeSize.
+// extended slice. len(buf) must be a multiple of EdgeSize. It is the bulk
+// form of Decode for the per-edge hot loops: the format is examined once,
+// outside the loop, and each of the four layouts has a straight-line
+// decode of its own (Decode stays the reference they are tested against).
 func (f Format) DecodeEdges(dst []Edge, buf []byte) []Edge {
 	sz := f.EdgeSize()
 	if len(buf)%sz != 0 {
 		panic(fmt.Sprintf("graph: buffer of %d bytes is not a whole number of %dB edges", len(buf), sz))
 	}
-	for off := 0; off < len(buf); off += sz {
-		dst = append(dst, f.Decode(buf[off:off+sz]))
+	base := len(dst)
+	dst = slices.Grow(dst, len(buf)/sz)[:base+len(buf)/sz]
+	out := dst[base:]
+	le := binary.LittleEndian
+	switch f {
+	case Format{Compact: true}:
+		for i := range out {
+			rec := buf[i*8 : i*8+8]
+			out[i] = Edge{Src: VertexID(le.Uint32(rec)), Dst: VertexID(le.Uint32(rec[4:]))}
+		}
+	case Format{Compact: true, Weighted: true}:
+		for i := range out {
+			rec := buf[i*12 : i*12+12]
+			out[i] = Edge{Src: VertexID(le.Uint32(rec)), Dst: VertexID(le.Uint32(rec[4:])), Weight: floatFromBits(le.Uint32(rec[8:]))}
+		}
+	case Format{}:
+		for i := range out {
+			rec := buf[i*16 : i*16+16]
+			out[i] = Edge{Src: VertexID(le.Uint64(rec)), Dst: VertexID(le.Uint64(rec[8:]))}
+		}
+	default:
+		for i := range out {
+			rec := buf[i*20 : i*20+20]
+			out[i] = Edge{Src: VertexID(le.Uint64(rec)), Dst: VertexID(le.Uint64(rec[8:])), Weight: floatFromBits(le.Uint32(rec[16:]))}
+		}
 	}
 	return dst
 }

@@ -225,3 +225,26 @@ func TestDecodeEdgesPanicsOnPartialRecord(t *testing.T) {
 	}()
 	Format{Compact: true}.DecodeEdges(nil, make([]byte, 9))
 }
+
+// TestDecodeEdgesMatchesDecode: DecodeEdges has a straight-line decode per
+// format; each must read every record exactly as Decode, the reference,
+// does — random bytes, so NaN weights and IDs with every bit set are in.
+func TestDecodeEdgesMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, f := range allFormats {
+		sz := f.EdgeSize()
+		buf := make([]byte, 1000*sz)
+		rng.Read(buf)
+		prefix := []Edge{{Src: 1, Dst: 2, Weight: 3}}
+		got := f.DecodeEdges(prefix, buf)
+		if len(got) != 1001 || got[0] != prefix[0] {
+			t.Fatalf("%v: decoded %d edges after a 1-edge prefix, first %+v", f, len(got)-1, got[0])
+		}
+		for i, e := range got[1:] {
+			want := f.Decode(buf[i*sz:])
+			if e.Src != want.Src || e.Dst != want.Dst || floatBits(e.Weight) != floatBits(want.Weight) {
+				t.Fatalf("%v record %d: DecodeEdges %+v, Decode %+v", f, i, e, want)
+			}
+		}
+	}
+}

@@ -11,6 +11,7 @@ package partition
 
 import (
 	"fmt"
+	"math/bits"
 
 	"chaos/internal/graph"
 )
@@ -27,6 +28,28 @@ type Layout struct {
 	// PerPartition is the width of each vertex-ID range (the last
 	// partition may be narrower).
 	PerPartition uint64
+
+	// recip lets Of divide by PerPartition without dividing; newLayout
+	// derives it from PerPartition alone. A width d with 1 < d < 2^32 has
+	// an exact reciprocal for IDs below 2^32: with recip = floor(2^64/d)
+	// + 1, the high word of recip*v is v/d for every 32-bit v (Lemire,
+	// Kaser & Kurz, "Faster remainder by direct computation", 2019).
+	// Everything else — wider IDs or widths, a width of 1, and a Layout
+	// built as a literal, whose recip is zero — takes the divide.
+	recip uint64
+}
+
+func newLayout(numVertices uint64, numMachines, numPartitions int) *Layout {
+	l := &Layout{
+		NumVertices:   numVertices,
+		NumPartitions: numPartitions,
+		NumMachines:   numMachines,
+		PerPartition:  ceilDiv(numVertices, uint64(numPartitions)),
+	}
+	if d := l.PerPartition; 1 < d && d < 1<<32 {
+		l.recip = ^uint64(0)/d + 1
+	}
+	return l
 }
 
 // MaxPartitions bounds the partition count NewLayout will choose. Both
@@ -59,14 +82,8 @@ func NewLayout(numVertices uint64, numMachines int, vertexBytes, memBudget int64
 	}
 	maxPerPartition := uint64(memBudget / vertexBytes)
 	for p := numMachines; p <= MaxPartitions; p += numMachines {
-		per := ceilDiv(numVertices, uint64(p))
-		if per <= maxPerPartition {
-			return &Layout{
-				NumVertices:   numVertices,
-				NumPartitions: p,
-				NumMachines:   numMachines,
-				PerPartition:  per,
-			}, nil
+		if ceilDiv(numVertices, uint64(p)) <= maxPerPartition {
+			return newLayout(numVertices, numMachines, p), nil
 		}
 	}
 	return nil, fmt.Errorf("partition: %d vertices on %d machines under a %d-byte memory budget need more than %d partitions",
@@ -80,24 +97,24 @@ func FixedLayout(numVertices uint64, numMachines, numPartitions int) (*Layout, e
 	if numPartitions <= 0 || numPartitions%numMachines != 0 {
 		return nil, fmt.Errorf("partition: count %d is not a positive multiple of machines %d", numPartitions, numMachines)
 	}
-	return &Layout{
-		NumVertices:   numVertices,
-		NumPartitions: numPartitions,
-		NumMachines:   numMachines,
-		PerPartition:  ceilDiv(numVertices, uint64(numPartitions)),
-	}, nil
+	return newLayout(numVertices, numMachines, numPartitions), nil
 }
 
 func ceilDiv(a, b uint64) uint64 { return (a + b - 1) / b }
 
 // Of returns the partition owning vertex v.
 func (l *Layout) Of(v graph.VertexID) int {
-	p := int(uint64(v) / l.PerPartition)
-	if p >= l.NumPartitions {
-		// Only reachable for IDs beyond NumVertices; clamp defensively.
-		p = l.NumPartitions - 1
+	var p uint64
+	if l.recip != 0 && uint64(v) < 1<<32 {
+		p, _ = bits.Mul64(l.recip, uint64(v))
+	} else {
+		p = uint64(v) / l.PerPartition
 	}
-	return p
+	if p >= uint64(l.NumPartitions) {
+		// Only reachable for IDs beyond NumVertices; clamp defensively.
+		p = uint64(l.NumPartitions - 1)
+	}
+	return int(p)
 }
 
 // Range returns the vertex-ID range [lo, hi) of partition p.

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -176,5 +177,63 @@ func TestFixedLayoutValidation(t *testing.T) {
 	}
 	if _, err := FixedLayout(10, 4, 0); err == nil {
 		t.Error("zero partitions should error")
+	}
+}
+
+// TestLayoutOfMatchesDivision: Of answers with a reciprocal multiplication
+// where the layout allows; for every layout and every ID — widths that are
+// and are not powers of two, a width of one, vertex counts past 2^32, IDs
+// past NumVertices and past 2^32 — the answer is the division's, clamped.
+func TestLayoutOfMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	check := func(l *Layout, v uint64) {
+		t.Helper()
+		want := int(min(v/l.PerPartition, uint64(l.NumPartitions-1)))
+		if got := l.Of(graph.VertexID(v)); got != want {
+			t.Fatalf("%v: Of(%d) = %d, want %d", l, v, got, want)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		machines := 1 + rng.Intn(8)
+		parts := machines * (1 + rng.Intn(16))
+		var n uint64
+		switch i % 4 {
+		case 0: // an R-MAT graph: a power of two
+			n = 1 << (4 + rng.Intn(30))
+		case 1: // anything below 2^32
+			n = 1 + uint64(rng.Int63n(1<<32-1))
+		case 2: // just around 2^32, where the ID width and the fast path change
+			n = 1<<32 - 8 + uint64(rng.Intn(16))
+		default: // past 2^32
+			n = 1<<32 + uint64(rng.Int63n(1<<40))
+		}
+		l, err := FixedLayout(n, machines, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []uint64{0, 1, l.PerPartition - 1, l.PerPartition, n - 1, n, n + 1, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<64 - 1} {
+			check(l, v)
+		}
+		for j := 0; j < 200; j++ {
+			check(l, rng.Uint64()%(2*n))
+			check(l, uint64(rng.Uint32()))
+			check(l, uint64(rng.Intn(parts+1))*l.PerPartition-uint64(rng.Intn(2)))
+		}
+	}
+	// NewLayout builds the same fast path, and a Layout written as a
+	// literal has none and still divides.
+	l, err := NewLayout(1000, 4, 8, 1600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := &Layout{NumVertices: 1000, NumPartitions: 8, NumMachines: 4, PerPartition: 125}
+	one, err := FixedLayout(8, 4, 8) // a vertex per partition: no reciprocal fits 64 bits
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := uint64(0); v < 1100; v++ {
+		check(l, v)
+		check(lit, v)
+		check(one, v)
 	}
 }

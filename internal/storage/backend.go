@@ -47,6 +47,10 @@ type Backend interface {
 	Write(stream string, data []byte) (int64, error)
 	// Read returns length bytes at offset from the named stream.
 	Read(stream string, offset int64, length int) ([]byte, error)
+	// ReadInto fills dst with the len(dst) bytes at offset of the named
+	// stream. dst is the caller's, before and after: the way to read a
+	// chunk back without allocating (SpillTransport's replay).
+	ReadInto(stream string, offset int64, dst []byte) error
 	// Truncate discards the named stream's contents.
 	Truncate(stream string) error
 	// Size returns the current length of the named stream.
@@ -111,6 +115,32 @@ func (b *MemBackend) Write(stream string, data []byte) (int64, error) {
 func (b *MemBackend) Read(stream string, offset int64, length int) ([]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	segs, err := b.segments(stream, offset, length)
+	if err != nil || length == 0 {
+		return nil, err
+	}
+	if lo := offset - segs[0].off; lo+int64(length) <= int64(len(segs[0].data)) {
+		return segs[0].data[lo : lo+int64(length) : lo+int64(length)], nil
+	}
+	out := make([]byte, length)
+	copySegments(out, segs, offset)
+	return out, nil
+}
+
+// ReadInto copies the requested byte range into dst.
+func (b *MemBackend) ReadInto(stream string, offset int64, dst []byte) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	segs, err := b.segments(stream, offset, len(dst))
+	if err == nil {
+		copySegments(dst, segs, offset)
+	}
+	return err
+}
+
+// segments checks the range [offset, offset+length) against the stream
+// and returns its segments from the one holding offset on.
+func (b *MemBackend) segments(stream string, offset int64, length int) ([]memSeg, error) {
 	s, ok := b.streams[stream]
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownStream, stream)
@@ -124,16 +154,15 @@ func (b *MemBackend) Read(stream string, offset int64, length int) ([]byte, erro
 	}
 	// The segment holding offset: the last one starting at or before it.
 	i := sort.Search(len(s.segs), func(i int) bool { return s.segs[i].off > offset }) - 1
-	seg := s.segs[i]
-	if lo := offset - seg.off; end <= seg.off+int64(len(seg.data)) {
-		return seg.data[lo : lo+int64(length) : lo+int64(length)], nil
+	return s.segs[i:], nil
+}
+
+// copySegments fills dst with the stream bytes from offset on; segs
+// starts at the segment holding offset.
+func copySegments(dst []byte, segs []memSeg, offset int64) {
+	for n := 0; n < len(dst); segs = segs[1:] {
+		n += copy(dst[n:], segs[0].data[max(offset-segs[0].off, 0):])
 	}
-	out := make([]byte, 0, length)
-	for ; len(out) < length; i++ {
-		seg = s.segs[i]
-		out = append(out, seg.data[max(offset-seg.off, 0):min(end-seg.off, int64(len(seg.data)))]...)
-	}
-	return out, nil
 }
 
 // Truncate discards the stream's contents by dropping its segments; views
@@ -256,17 +285,25 @@ func (b *FileBackend) Write(stream string, data []byte) (int64, error) {
 // Read returns length bytes at offset, or an ErrUnknownStream error for a
 // stream that was never written.
 func (b *FileBackend) Read(stream string, offset int64, length int) ([]byte, error) {
+	out := make([]byte, length)
+	if err := b.ReadInto(stream, offset, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReadInto fills dst from the stream's file at offset.
+func (b *FileBackend) ReadInto(stream string, offset int64, dst []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	s, err := b.file(stream, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]byte, length)
-	if _, err := s.f.ReadAt(out, offset); err != nil {
-		return nil, fmt.Errorf("storage: read %q@%d: %w", stream, offset, err)
+	if _, err := s.f.ReadAt(dst, offset); err != nil {
+		return fmt.Errorf("storage: read %q@%d: %w", stream, offset, err)
 	}
-	return out, nil
+	return nil
 }
 
 // Truncate empties the stream's file. Like MemBackend, truncating a

@@ -10,11 +10,11 @@ import (
 )
 
 // TestBackendContract drives both backends with a random sequence of
-// Write/Read/Truncate/Size calls and compares every answer with a plain
-// []byte per stream. It also holds on to what Read returned and checks it
-// again at the end: the Backend doc promises that a result stays intact
-// across Truncate and later Writes, and that Write does not retain the
-// caller's buffer.
+// Write/Read/ReadInto/Truncate/Size calls and compares every answer with
+// a plain []byte per stream. It also holds on to what Read returned and
+// checks it again at the end: the Backend doc promises that a result stays
+// intact across Truncate and later Writes, and that Write does not retain
+// the caller's buffer.
 func TestBackendContract(t *testing.T) {
 	for name, b := range backends(t) {
 		t.Run(name, func(t *testing.T) {
@@ -44,10 +44,18 @@ func TestBackendContract(t *testing.T) {
 						if _, err := b.Read(s, 0, 1); !errors.Is(err, ErrUnknownStream) {
 							t.Fatalf("step %d: Read of unwritten %s: err = %v, want ErrUnknownStream", step, s, err)
 						}
+						if err := b.ReadInto(s, 0, make([]byte, 1)); !errors.Is(err, ErrUnknownStream) {
+							t.Fatalf("step %d: ReadInto of unwritten %s: err = %v, want ErrUnknownStream", step, s, err)
+						}
 						continue
 					}
 					if _, err := b.Read(s, int64(len(m)), 1); err == nil || errors.Is(err, ErrUnknownStream) {
 						t.Fatalf("step %d: Read past the end of %s: err = %v, want a range error", step, s, err)
+					}
+					// A destination longer than what the stream holds from
+					// the offset on is an error, not a short read.
+					if err := b.ReadInto(s, int64(rng.Intn(len(m)+1)), make([]byte, len(m)+1)); err == nil || errors.Is(err, ErrUnknownStream) {
+						t.Fatalf("step %d: ReadInto past the end of %s: err = %v, want a range error", step, s, err)
 					}
 					if len(m) == 0 {
 						continue
@@ -57,6 +65,11 @@ func TestBackendContract(t *testing.T) {
 					got, err := b.Read(s, int64(off), n)
 					if err != nil || !bytes.Equal(got, m[off:off+n]) {
 						t.Fatalf("step %d: Read(%s, %d, %d) = %x, %v; want %x", step, s, off, n, got, err, m[off:off+n])
+					}
+					// ReadInto fills exactly the destination it was given.
+					into := bytes.Repeat([]byte{0xEE}, n+2)
+					if err := b.ReadInto(s, int64(off), into[1:n+1]); err != nil || !bytes.Equal(into[1:n+1], m[off:off+n]) || into[0] != 0xEE || into[n+1] != 0xEE {
+						t.Fatalf("step %d: ReadInto(%s, %d, %d bytes) = %x, %v; want %x inside its guard bytes", step, s, off, n, into, err, m[off:off+n])
 					}
 					// A view's capacity must not reach its neighbours.
 					_ = append(got, 0xEE)
