@@ -90,10 +90,17 @@ type Options struct {
 	// memory, in MiB. Past the budget the update transport encodes
 	// overflowing buckets and spills them to temp files, streaming them
 	// back in deterministic fold order — the out-of-core execution the
-	// paper runs from secondary storage. Zero means unlimited (the
-	// zero-copy in-memory transport). The sim engine accepts and
-	// ignores it: the DES models storage, so every sim run is
-	// out-of-core by construction.
+	// paper runs from secondary storage. The budget counts updates at
+	// their encoded size. A resident record is that size exactly for
+	// the eight algorithms with a 4-byte update payload on a graph
+	// below 2^32 vertices (8 bytes either way); MCST's and MIS's
+	// records are 24 bytes resident against 16 and 17 encoded, so their
+	// resident ceiling is 1.5 and 1.4 times the option. What scatter
+	// holds in flight comes on top (DESIGN.md, "One protocol, two
+	// transports", has the sum). Zero means unlimited (the zero-copy
+	// in-memory transport). The sim engine accepts and ignores it: the
+	// DES models storage, so every sim run is out-of-core by
+	// construction.
 	MemoryBudgetMB int64 `json:"memoryBudgetMB,omitempty"`
 	// BatchK is the batch factor k of §6.5 (default 5).
 	BatchK int `json:"batchK,omitempty"`

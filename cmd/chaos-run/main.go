@@ -51,7 +51,7 @@ func main() {
 		chunkKB  = flag.Int("chunk-kb", 4096, "chunk size in KiB (paper: 4096)")
 		budgetMB = flag.Int64("mem-mb", 0, "per-machine vertex memory budget in MiB (0 = unconstrained)")
 		updateMB = flag.Int64("memory-budget-mb", 0,
-			"native engine update-memory budget in MiB; past it updates spill to temp files (out-of-core mode, 0 = unlimited)")
+			"native engine update-memory budget in MiB, counted at the updates' encoded size (their resident size too, except 1.5x for MCST and 1.4x for MIS); past it updates spill to temp files (out-of-core mode, 0 = unlimited)")
 		ckpt   = flag.Int("checkpoint", 0, "checkpoint every n iterations (0 = off)")
 		seed   = flag.Int64("seed", 1, "randomization seed")
 		engine = flag.String("engine", "sim",

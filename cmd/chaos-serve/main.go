@@ -76,7 +76,7 @@ func main() {
 		engine      = flag.String("engine", "sim",
 			"default execution engine for jobs that set none: sim (discrete-event simulation, virtual time) or native (host-speed goroutine plane)")
 		memoryBudgetMB = flag.Int64("memory-budget-mb", 0,
-			"default native update-memory budget in MiB for jobs that set none; past it updates spill to disk (0 = unlimited)")
+			"default native update-memory budget in MiB for jobs that set none, counted at the updates' encoded size (their resident size too, except 1.5x for MCST and 1.4x for MIS); past it updates spill to disk (0 = unlimited)")
 		debugAddr = flag.String("debug-addr", "",
 			"operator-only listener with net/http/pprof under /debug/pprof/ (empty = off; never expose publicly)")
 		traceSpans = flag.Int("trace-spans", 8192,

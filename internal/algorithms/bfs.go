@@ -72,6 +72,25 @@ func (b *BFS) Apply(_ int, _ graph.VertexID, v *BFSVertex, a uint32) bool {
 	return false
 }
 
+// ScatterBatch implements gas.BatchScatterer: Scatter, once per edge.
+func (b *BFS) ScatterBatch(iter int, edges []graph.Edge, lo graph.VertexID, verts []BFSVertex, dsts []graph.VertexID, vals []uint32) int {
+	n := 0
+	for _, e := range edges {
+		if dst, val, emit := b.Scatter(iter, e, &verts[e.Src-lo]); emit {
+			dsts[n], vals[n] = dst, val
+			n++
+		}
+	}
+	return n
+}
+
+// GatherBatch implements gas.BatchGatherer: Gather, once per record.
+func (b *BFS) GatherBatch(accums []uint32, recs []gas.UpdRec[uint32], verts []BFSVertex) {
+	for _, u := range recs {
+		accums[u.Off] = b.Gather(accums[u.Off], u.Val, &verts[u.Off])
+	}
+}
+
 // Converged implements gas.Program: stop when the frontier dies out.
 func (*BFS) Converged(_ int, changed uint64) bool { return changed == 0 }
 

@@ -65,6 +65,25 @@ func (*PageRank) Apply(_ int, _ graph.VertexID, v *PRVertex, a float64) bool {
 	return true
 }
 
+// ScatterBatch implements gas.BatchScatterer: Scatter, once per edge.
+func (pr *PageRank) ScatterBatch(iter int, edges []graph.Edge, lo graph.VertexID, verts []PRVertex, dsts []graph.VertexID, vals []float32) int {
+	n := 0
+	for _, e := range edges {
+		if dst, val, emit := pr.Scatter(iter, e, &verts[e.Src-lo]); emit {
+			dsts[n], vals[n] = dst, val
+			n++
+		}
+	}
+	return n
+}
+
+// GatherBatch implements gas.BatchGatherer: Gather, once per record.
+func (pr *PageRank) GatherBatch(accums []float64, recs []gas.UpdRec[float32], verts []PRVertex) {
+	for _, u := range recs {
+		accums[u.Off] = pr.Gather(accums[u.Off], u.Val, &verts[u.Off])
+	}
+}
+
 // Converged implements gas.Program: fixed iteration count.
 func (pr *PageRank) Converged(iter int, _ uint64) bool { return iter+1 >= pr.iters() }
 

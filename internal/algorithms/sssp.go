@@ -72,6 +72,25 @@ func (*SSSP) Apply(_ int, _ graph.VertexID, v *SSSPVertex, a float32) bool {
 	return false
 }
 
+// ScatterBatch implements gas.BatchScatterer: Scatter, once per edge.
+func (s *SSSP) ScatterBatch(iter int, edges []graph.Edge, lo graph.VertexID, verts []SSSPVertex, dsts []graph.VertexID, vals []float32) int {
+	n := 0
+	for _, e := range edges {
+		if dst, val, emit := s.Scatter(iter, e, &verts[e.Src-lo]); emit {
+			dsts[n], vals[n] = dst, val
+			n++
+		}
+	}
+	return n
+}
+
+// GatherBatch implements gas.BatchGatherer: Gather, once per record.
+func (s *SSSP) GatherBatch(accums []float32, recs []gas.UpdRec[float32], verts []SSSPVertex) {
+	for _, u := range recs {
+		accums[u.Off] = s.Gather(accums[u.Off], u.Val, &verts[u.Off])
+	}
+}
+
 // Converged implements gas.Program.
 func (*SSSP) Converged(_ int, changed uint64) bool { return changed == 0 }
 

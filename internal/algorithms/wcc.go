@@ -61,6 +61,25 @@ func (*WCC) Apply(_ int, _ graph.VertexID, v *WCCVertex, a uint32) bool {
 	return false
 }
 
+// ScatterBatch implements gas.BatchScatterer: Scatter, once per edge.
+func (w *WCC) ScatterBatch(iter int, edges []graph.Edge, lo graph.VertexID, verts []WCCVertex, dsts []graph.VertexID, vals []uint32) int {
+	n := 0
+	for _, e := range edges {
+		if dst, val, emit := w.Scatter(iter, e, &verts[e.Src-lo]); emit {
+			dsts[n], vals[n] = dst, val
+			n++
+		}
+	}
+	return n
+}
+
+// GatherBatch implements gas.BatchGatherer: Gather, once per record.
+func (w *WCC) GatherBatch(accums []uint32, recs []gas.UpdRec[uint32], verts []WCCVertex) {
+	for _, u := range recs {
+		accums[u.Off] = w.Gather(accums[u.Off], u.Val, &verts[u.Off])
+	}
+}
+
 // Converged implements gas.Program.
 func (*WCC) Converged(_ int, changed uint64) bool { return changed == 0 }
 

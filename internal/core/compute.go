@@ -650,12 +650,11 @@ func (m *machine[V, U, A]) gatherPartition(p *sim.Proc, part int, verts []V, acc
 			// Inline mode or defensive fallback: decode at delivery
 			// (see scatterPartition).
 			gc = &gatherChunk[U]{}
-			gc.Done = drive.ClosedChan
 			gc.recs = eng.kern.DecodeUpdateChunk(nil, r.data)
 		}
 		ft := &drive.Task{Prev: tail, Fn: func() {
 			gc.Wait() // decode complete
-			eng.kern.FoldUpdates(part, verts, accums, gc.recs)
+			eng.kern.FoldUpdates(verts, accums, gc.recs)
 			eng.kern.ReleaseRecs(gc.recs)
 			gc.recs = nil
 		}}

@@ -2,6 +2,7 @@ package drive
 
 import (
 	"testing"
+	"unsafe"
 
 	"chaos/internal/algorithms"
 	"chaos/internal/graph"
@@ -18,6 +19,16 @@ func skipUnderRace(t *testing.T) {
 	t.Helper()
 	if raceflag.Enabled() {
 		t.Skip("allocation counts are not meaningful under -race")
+	}
+}
+
+// TestUpdRecAllocsEightBytes: a record with a 4-byte payload takes 8
+// bytes of a slab — what it takes on the wire below 2^32 vertices, so
+// there a memory budget counted in encoded bytes is the resident bytes
+// too (DESIGN.md, "One protocol, two transports").
+func TestUpdRecAllocsEightBytes(t *testing.T) {
+	if f, u := unsafe.Sizeof(UpdRec[float32]{}), unsafe.Sizeof(UpdRec[uint32]{}); f != 8 || u != 8 {
+		t.Errorf("UpdRec[float32] is %d bytes and UpdRec[uint32] %d, want 8 and 8", f, u)
 	}
 }
 

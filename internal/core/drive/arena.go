@@ -129,7 +129,7 @@ func (a *recArena[U]) trim() {
 // learned from the data and never derived from ChunkBytes: at the default
 // 4 MiB chunk almost no pair fills a chunk, and reserving a chunk's worth
 // per pair costs gigabytes on a graph of megabytes. Rows appear with a
-// source partition's first typed scatter; the DES driver never makes one.
+// source partition's first scatter.
 type slabHints struct {
 	rows []atomic.Pointer[hintRow]
 }

@@ -141,7 +141,7 @@ func TestArenaConcurrent(t *testing.T) {
 					s := k.GrabRecs(1 + rng.Intn(300))
 					s = s[:cap(s)]
 					for j := range s {
-						s[j].Dst = graph.VertexID(g)
+						s[j].Off = uint32(g)
 					}
 					held = append(held, s)
 					continue
@@ -152,8 +152,8 @@ func TestArenaConcurrent(t *testing.T) {
 				s := held[len(held)-1]
 				held = held[:len(held)-1]
 				for j := range s {
-					if s[j].Dst != graph.VertexID(g) {
-						t.Errorf("goroutine %d: its slab was written by goroutine %d", g, s[j].Dst)
+					if s[j].Off != uint32(g) {
+						t.Errorf("goroutine %d: its slab was written by goroutine %d", g, s[j].Off)
 						return
 					}
 				}
@@ -226,12 +226,18 @@ func TestSlabSizeFollowsData(t *testing.T) {
 	}
 }
 
+// absUpd is an update as the program emitted it: absolute destination.
+type absUpd[U any] struct {
+	Dst graph.VertexID
+	Val U
+}
+
 // referenceScatter is the scatter loop written the plain way: one
-// Format.Decode and one division per edge.
-func referenceScatter[V, U, A any](k *Kernel[V, U, A], part int, verts []V, data []byte) [][]UpdRec[U] {
+// Format.Decode and one division per edge, absolute destinations out.
+func referenceScatter[V, U, A any](k *Kernel[V, U, A], part int, verts []V, data []byte) [][]absUpd[U] {
 	lo, _ := k.Layout.Range(part)
 	size := k.EdgeFmt.EdgeSize()
-	want := make([][]UpdRec[U], k.Layout.NumPartitions)
+	want := make([][]absUpd[U], k.Layout.NumPartitions)
 	for i := 0; i < len(data)/size; i++ {
 		e := k.EdgeFmt.Decode(data[i*size:])
 		dst, val, emit := k.Prog.Scatter(0, e, &verts[e.Src-lo])
@@ -239,13 +245,25 @@ func referenceScatter[V, U, A any](k *Kernel[V, U, A], part int, verts []V, data
 			continue
 		}
 		tp := int(min(uint64(dst)/k.Layout.PerPartition, uint64(k.Layout.NumPartitions-1)))
-		want[tp] = append(want[tp], UpdRec[U]{Dst: dst, Val: val})
+		want[tp] = append(want[tp], absUpd[U]{dst, val})
 	}
 	return want
 }
 
-// checkScatterTwins runs both scatter kernels over one chunk of random
-// edges out of partition part and compares them with referenceScatter.
+// absolute is partition tp's records with their destinations made
+// absolute again.
+func absolute[U any](layout *partition.Layout, tp int, recs []UpdRec[U]) []absUpd[U] {
+	lo, _ := layout.Range(tp)
+	var abs []absUpd[U]
+	for _, r := range recs {
+		abs = append(abs, absUpd[U]{lo + graph.VertexID(r.Off), r.Val})
+	}
+	return abs
+}
+
+// checkScatterTwins runs both forms of the scatter kernel over one chunk
+// of random edges out of partition part and compares what each emitted,
+// per destination partition, with referenceScatter.
 func checkScatterTwins[V, U comparable, A any](t *testing.T, prog gas.Program[V, U, A], layout *partition.Layout, part int, verts []V) {
 	t.Helper()
 	k := NewKernel(prog, layout)
@@ -269,19 +287,21 @@ func checkScatterTwins[V, U comparable, A any](t *testing.T, prog gas.Program[V,
 		t.Fatalf("%v: scattered %d and %d edges of %d", k.EdgeFmt, typed.N, wire.N, len(edges))
 	}
 	for tp := range want {
-		if !slices.Equal(typed.Typed[tp], want[tp]) {
+		if !slices.Equal(absolute(layout, tp, typed.Typed[tp]), want[tp]) {
 			t.Errorf("%v: ScatterChunkTyped's updates for partition %d differ from the reference loop's", k.EdgeFmt, tp)
 		}
-		if got := k.DecodeUpdateChunk(nil, wire.Updates[tp]); !slices.Equal(got, want[tp]) {
+		if got := k.DecodeUpdateChunk(nil, wire.Updates[tp]); !slices.Equal(absolute(layout, tp, got), want[tp]) {
 			t.Errorf("%v: ScatterChunk's updates for partition %d differ from the reference loop's", k.EdgeFmt, tp)
 		}
 	}
 }
 
 // TestScatterMatchesReferenceLoop: the block-decoding, division-free edge
-// loops emit exactly what a loop over Format.Decode and a division emits,
-// over a weighted compact layout and over a non-compact one (8-byte IDs,
-// destinations on both sides of 2^32, a width that is no power of two).
+// loop emits, as typed records and as the DES driver's bytes, exactly the
+// (absolute destination, payload) sequence a loop over Format.Decode,
+// Scatter and a division emits — over a weighted compact layout, a
+// non-compact one (8-byte IDs, destinations on both sides of 2^32) and a
+// four-partition one, none with a power-of-two width.
 func TestScatterMatchesReferenceLoop(t *testing.T) {
 	weighted, err := partition.FixedLayout(3000, 1, 7)
 	if err != nil {
@@ -303,4 +323,14 @@ func TestScatterMatchesReferenceLoop(t *testing.T) {
 		wcc[i] = algorithms.WCCVertex{Label: uint32(i), Active: i%4 != 0}
 	}
 	checkScatterTwins(t, &algorithms.WCC{}, wide, 3, wcc)
+
+	four, err := partition.FixedLayout(3001, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := make([]algorithms.PRVertex, four.Size(1))
+	for i := range pr {
+		pr[i] = algorithms.PRVertex{Rank: float32(i), Degree: uint32(1 + i%5)}
+	}
+	checkScatterTwins(t, &algorithms.PageRank{}, four, 1, pr)
 }

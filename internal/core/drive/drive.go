@@ -33,25 +33,26 @@ import (
 	"chaos/internal/partition"
 )
 
-// UpdRec is one decoded update record (destination plus payload).
-type UpdRec[U any] struct {
-	Dst graph.VertexID
-	Val U
-}
+// UpdRec is one decoded update record: gas.UpdRec, under the name both
+// drivers and the benchmark know it by.
+type UpdRec[U any] = gas.UpdRec[U]
 
 // ScatterOut is the pure result of scattering one edge chunk: everything
 // a driver needs to replay the chunk's side effects (buffer appends,
 // spills, CPU charges) without touching a single record itself.
 type ScatterOut[U any] struct {
-	N          int      // edge records decoded
-	CombineOps int      // combiner merges performed
-	Updates    [][]byte // encoded update records per destination partition
-	// Typed replaces Updates under ScatterChunkTyped (the native
-	// zero-copy path): per-destination-partition arena slabs, whose
-	// ownership the driver transfers to its Transport.
+	N          int // edge records decoded
+	CombineOps int // combiner merges performed
+	// Typed is ScatterChunkTyped's output: per-destination-partition
+	// arena slabs, each record's Off relative to the slot's partition.
+	// The native driver transfers their ownership to its Transport.
 	Typed [][]UpdRec[U]
-	// Combined replaces Updates when the Pregel-style combiner is active:
-	// per-destination-partition maps of pre-merged updates.
+	// Updates is ScatterChunk's output, the same records encoded: one
+	// buffer per destination partition, Typed already released.
+	Updates [][]byte
+	// Combined replaces both when the Pregel-style combiner is active:
+	// per-destination-partition maps of pre-merged updates, keyed by
+	// absolute vertex ID (CombineBuf turns them into records).
 	Combined []map[graph.VertexID]U
 	// EdgesNext holds the chunk's surviving rewritten edges (§6.1
 	// extended model).
@@ -70,8 +71,9 @@ type Kernel[V, U, A any] struct {
 	Prog    gas.Program[V, U, A]
 	Layout  *partition.Layout
 	EdgeFmt graph.Format
-	// IDBytes is the update destination field width (4 or 8 bytes, §8);
-	// UpdBytes = IDBytes + UpdCodec.Bytes is the full update record.
+	// IDBytes is the update ID field width (4 or 8 bytes, §8; the field
+	// carries UpdRec.Off); UpdBytes = IDBytes + UpdCodec.Bytes is the
+	// full encoded update record.
 	IDBytes  int
 	UpdBytes int
 	VBytes   int
@@ -83,6 +85,10 @@ type Kernel[V, U, A any] struct {
 	// disabled); Plan asserts them and reports configuration errors.
 	Combiner gas.Combiner[U]
 	Rewriter gas.EdgeRewriter[V]
+	// The program's batch forms, nil when it has none: the kernels then
+	// call Scatter and Gather record by record.
+	batchScatter gas.BatchScatterer[V, U]
+	batchGather  gas.BatchGatherer[V, U, A]
 
 	// RetainBytes bounds the capacity of byte buffers returned to the
 	// pools (ReleaseBuf): anything larger is dropped for the garbage
@@ -100,7 +106,7 @@ type Kernel[V, U, A any] struct {
 	// would keep the whole Kernel, and with it the arena's slabs,
 	// reachable that long after the run — and a run that allocates little
 	// sees few collections.
-	bufPool, partsPool, recPartsPool *sync.Pool
+	bufPool, partsPool, recPartsPool, blockPool *sync.Pool
 }
 
 // DefaultRetainBytes is the pool retention bound NewKernel installs: the
@@ -116,8 +122,10 @@ func NewKernel[V, U, A any](prog gas.Program[V, U, A], layout *partition.Layout)
 		Layout:  layout,
 		EdgeFmt: graph.FormatFor(layout.NumVertices, prog.Weighted()),
 		hints:   slabHints{rows: make([]atomic.Pointer[hintRow], layout.NumPartitions)},
-		bufPool: new(sync.Pool), partsPool: new(sync.Pool), recPartsPool: new(sync.Pool),
+		bufPool: new(sync.Pool), partsPool: new(sync.Pool), recPartsPool: new(sync.Pool), blockPool: new(sync.Pool),
 	}
+	k.batchScatter, _ = any(prog).(gas.BatchScatterer[V, U])
+	k.batchGather, _ = any(prog).(gas.BatchGatherer[V, U, A])
 	if layout.NumVertices < 1<<32 {
 		k.IDBytes = 4
 	} else {
@@ -131,57 +139,58 @@ func NewKernel[V, U, A any](prog gas.Program[V, U, A], layout *partition.Layout)
 	return k
 }
 
-// EncodeDst writes an update's destination ID field (4 or 8 bytes, §8).
-func (k *Kernel[V, U, A]) EncodeDst(buf []byte, dst graph.VertexID) {
-	if k.IDBytes == 4 {
-		binary.LittleEndian.PutUint32(buf, uint32(dst))
-	} else {
-		binary.LittleEndian.PutUint64(buf, uint64(dst))
-	}
-}
-
-// DecodeDst reads an update's destination ID field.
-func (k *Kernel[V, U, A]) DecodeDst(buf []byte) graph.VertexID {
-	if k.IDBytes == 4 {
-		return graph.VertexID(binary.LittleEndian.Uint32(buf))
-	}
-	return graph.VertexID(binary.LittleEndian.Uint64(buf))
-}
-
-// AppendUpdate encodes one update record (destination ID field plus
-// payload, §8) onto buf. The single definition of the update wire
-// format's encode side.
-func (k *Kernel[V, U, A]) AppendUpdate(buf []byte, dst graph.VertexID, val *U) []byte {
+// AppendUpdate encodes one update record onto buf: the ID field (4 or 8
+// bytes, §8), which carries r.Off, then the payload. With DecodeUpdate it
+// is the per-record definition of the update wire format; AppendRecs and
+// DecodeUpdateChunk move whole chunks, through the codec's bulk form when
+// it has one.
+func (k *Kernel[V, U, A]) AppendUpdate(buf []byte, r *UpdRec[U]) []byte {
 	off := len(buf)
 	buf = append(buf, make([]byte, k.UpdBytes)...)
-	k.EncodeDst(buf[off:], dst)
-	k.UpdCodec.Put(buf[off+k.IDBytes:], val)
+	if k.IDBytes == 4 {
+		binary.LittleEndian.PutUint32(buf[off:], r.Off)
+	} else {
+		binary.LittleEndian.PutUint64(buf[off:], uint64(r.Off))
+	}
+	k.UpdCodec.Put(buf[off+k.IDBytes:], &r.Val)
 	return buf
 }
 
 // AppendRecs encodes a typed record slice onto buf — the spill side of
-// the transport seam, and the bulk inverse of DecodeUpdateChunk: buf grows
-// once, to the chunk's encoded size.
+// the transport seam, the DES scatter's output, and the bulk inverse of
+// DecodeUpdateChunk: buf grows once, to the chunk's encoded size.
 func (k *Kernel[V, U, A]) AppendRecs(buf []byte, recs []UpdRec[U]) []byte {
-	buf = slices.Grow(buf, len(recs)*k.UpdBytes)
+	base, size := len(buf), len(recs)*k.UpdBytes
+	buf = slices.Grow(buf, size)
+	if k.UpdCodec.PutRecs != nil {
+		buf = buf[:base+size]
+		k.UpdCodec.PutRecs(buf[base:], k.IDBytes, recs)
+		return buf
+	}
 	for i := range recs {
-		buf = k.AppendUpdate(buf, recs[i].Dst, &recs[i].Val)
+		buf = k.AppendUpdate(buf, &recs[i])
 	}
 	return buf
 }
 
 // DecodeUpdate decodes one update record into *r, the inverse of
-// AppendUpdate. It decodes in place (see gas.Codec): r points into the
-// caller's record slice, so nothing escapes per record.
+// AppendUpdate: the ID field into r.Off, the payload into r.Val. It
+// decodes in place (see gas.Codec): r points into the caller's record
+// slice, so nothing escapes per record.
 func (k *Kernel[V, U, A]) DecodeUpdate(rec []byte, r *UpdRec[U]) {
-	r.Dst = k.DecodeDst(rec)
+	if k.IDBytes == 4 {
+		r.Off = binary.LittleEndian.Uint32(rec)
+	} else {
+		r.Off = uint32(binary.LittleEndian.Uint64(rec))
+	}
 	k.UpdCodec.Get(rec[k.IDBytes:], &r.Val)
 }
 
 // DecodeUpdateChunk bulk-decodes one update chunk, appending to recs
-// (nil for a fresh slab): every record decodes into its own slot. When
-// recs cannot hold the chunk, the result is an arena slab that can and
-// recs goes back to the arena — the caller keeps only the result.
+// (nil for a fresh slab): every record decodes into its own slot, and a
+// trailing partial record is dropped. When recs cannot hold the chunk,
+// the result is an arena slab that can and recs goes back to the arena —
+// the caller keeps only the result.
 func (k *Kernel[V, U, A]) DecodeUpdateChunk(recs []UpdRec[U], data []byte) []UpdRec[U] {
 	ub := k.UpdBytes
 	n := len(data) / ub
@@ -190,75 +199,45 @@ func (k *Kernel[V, U, A]) DecodeUpdateChunk(recs []UpdRec[U], data []byte) []Upd
 		recs = k.regrowRecs(recs, base+n)
 	}
 	recs = recs[:base+n]
+	if k.UpdCodec.GetRecs != nil {
+		k.UpdCodec.GetRecs(recs[base:], k.IDBytes, data[:n*ub])
+		return recs
+	}
 	for i := 0; i < n; i++ {
 		k.DecodeUpdate(data[i*ub:], &recs[base+i])
 	}
 	return recs
 }
 
-// edgeBlock is how many edges the scatter kernels decode at a time:
-// graph.Format.DecodeEdges examines the format once per block instead of
-// twice per edge, and the block's scratch stays on the stack.
+// edgeBlock is how many edges the scatter kernel decodes, and hands to
+// the program, at a time: graph.Format.DecodeEdges examines the format
+// once per block instead of twice per edge, and a program with a batch
+// form is called once per block instead of once per edge.
 const edgeBlock = 256
 
-// ScatterChunk is the pure scatter computation on one edge chunk: decode
-// each edge, consult the rewriter, apply the program's Scatter, and
-// encode emitted updates grouped by destination partition. It may run on
-// any goroutine and must not touch driver state; verts is read-only and
-// stable for the whole phase.
-func (k *Kernel[V, U, A]) ScatterChunk(iter, part int, verts []V, data []byte, out *ScatterOut[U]) {
-	layout := k.Layout
-	lo, _ := layout.Range(part)
-	edgeSize := k.EdgeFmt.EdgeSize()
-	out.N = len(data) / edgeSize
-	out.Updates = k.GrabParts()
-	if k.Combiner != nil {
-		out.Combined = make([]map[graph.VertexID]U, layout.NumPartitions)
-	}
-	// val is handed to the func-valued codec by address, which moves it
-	// to the heap: one scratch value per chunk, not one per update.
-	var (
-		dst  graph.VertexID
-		val  U
-		emit bool
-	)
-	var block [edgeBlock]graph.Edge
-	for data = data[:out.N*edgeSize]; len(data) > 0; {
-		n := min(edgeBlock*edgeSize, len(data))
-		for _, e := range k.EdgeFmt.DecodeEdges(block[:0], data[:n]) {
-			src := &verts[e.Src-lo]
-			if k.Rewriter != nil {
-				k.rewriteEdge(iter, e, src, out)
-			}
-			dst, val, emit = k.Prog.Scatter(iter, e, src)
-			if !emit {
-				continue
-			}
-			tp := layout.Of(dst)
-			if k.Combiner != nil {
-				k.combine(out, tp, dst, val)
-				continue
-			}
-			buf := out.Updates[tp]
-			if buf == nil {
-				buf = k.GrabBuf()
-			}
-			out.Updates[tp] = k.AppendUpdate(buf, dst, &val)
-		}
-		data = data[n:]
-	}
+// scatterBlock is the scatter kernel's scratch for one chunk: a decoded
+// edge block and the (destination, payload) pairs the program emitted
+// for it. It is pooled, not a local: a batch program receives the slices
+// through an interface, and an array handed to one moves to the heap.
+type scatterBlock[U any] struct {
+	edges [edgeBlock]graph.Edge
+	dsts  [edgeBlock]graph.VertexID
+	vals  [edgeBlock]U
 }
 
-// ScatterChunkTyped is ScatterChunk for drivers that move decoded
-// records through a Transport (the native zero-copy path): emitted
-// updates stay typed, grouped per destination partition in arena slabs,
-// and are never encoded unless a spilling transport later pushes them
-// across the memory-budget boundary. Each slab starts at the size this
-// (part, destination) pair is known to produce (slabHints) and grows
-// through the arena when a chunk produces more. The edge loop is
-// deliberately a twin of ScatterChunk's — the two differ only in the
-// emit step, and sharing it through a per-update closure would tax the
-// DES driver's hot path.
+// ScatterChunkTyped is the pure scatter computation on one edge chunk —
+// the tree's one edge loop: decode the edges a block at a time, consult
+// the rewriter, apply the program's Scatter (through its batch form when
+// it has one and neither rewriter nor combiner needs the edges one by
+// one), and group the emitted updates per destination partition as typed
+// records in arena slabs, each record's Off its destination's index
+// inside that partition. The records are never encoded unless something
+// pushes them across a byte boundary: a spilling transport, or the DES
+// driver's ScatterChunk. Each slab starts at the size this (part,
+// destination) pair is known to produce (slabHints) and grows through
+// the arena when a chunk produces more. It may run on any goroutine and
+// must not touch driver state; verts is read-only and stable for the
+// whole phase.
 func (k *Kernel[V, U, A]) ScatterChunkTyped(iter, part int, verts []V, data []byte, out *ScatterOut[U]) {
 	layout := k.Layout
 	lo, _ := layout.Range(part)
@@ -269,24 +248,43 @@ func (k *Kernel[V, U, A]) ScatterChunkTyped(iter, part int, verts []V, data []by
 	if k.Combiner != nil {
 		out.Combined = make([]map[graph.VertexID]U, layout.NumPartitions)
 	}
+	batch := k.batchScatter
+	if k.Rewriter != nil || k.Combiner != nil {
+		batch = nil
+	}
 	hints := k.hints.row(part)
-	var block [edgeBlock]graph.Edge
+	blk, _ := k.blockPool.Get().(*scatterBlock[U])
+	if blk == nil {
+		blk = new(scatterBlock[U])
+	}
 	for data = data[:out.N*edgeSize]; len(data) > 0; {
 		n := min(edgeBlock*edgeSize, len(data))
-		for _, e := range k.EdgeFmt.DecodeEdges(block[:0], data[:n]) {
-			src := &verts[e.Src-lo]
-			if k.Rewriter != nil {
-				k.rewriteEdge(iter, e, src, out)
+		edges := k.EdgeFmt.DecodeEdges(blk.edges[:0], data[:n])
+		data = data[n:]
+		var emitted int
+		if batch != nil {
+			emitted = batch.ScatterBatch(iter, edges, lo, verts, blk.dsts[:], blk.vals[:])
+		} else {
+			for _, e := range edges {
+				src := &verts[e.Src-lo]
+				if k.Rewriter != nil {
+					k.rewriteEdge(iter, e, src, out)
+				}
+				if dst, val, emit := k.Prog.Scatter(iter, e, src); emit {
+					blk.dsts[emitted], blk.vals[emitted] = dst, val
+					emitted++
+				}
 			}
-			dst, val, emit := k.Prog.Scatter(iter, e, src)
-			if !emit {
-				continue
+		}
+		if k.Combiner != nil {
+			for i := 0; i < emitted; i++ {
+				k.combine(out, layout.Of(blk.dsts[i]), blk.dsts[i], blk.vals[i])
 			}
+			continue
+		}
+		for i := 0; i < emitted; i++ {
+			dst, val := blk.dsts[i], blk.vals[i]
 			tp := layout.Of(dst)
-			if k.Combiner != nil {
-				k.combine(out, tp, dst, val)
-				continue
-			}
 			recs := typed[tp]
 			if len(recs) == cap(recs) {
 				if recs == nil {
@@ -296,16 +294,31 @@ func (k *Kernel[V, U, A]) ScatterChunkTyped(iter, part int, verts []V, data []by
 				}
 			}
 			recs = recs[:len(recs)+1]
-			recs[len(recs)-1] = UpdRec[U]{Dst: dst, Val: val}
+			recs[len(recs)-1] = UpdRec[U]{Off: uint32(uint64(dst) - uint64(tp)*layout.PerPartition), Val: val}
 			typed[tp] = recs
 		}
-		data = data[n:]
 	}
+	k.blockPool.Put(blk)
 	for tp, recs := range typed {
 		if len(recs) > 0 {
 			hints.saw(tp, len(recs))
 		}
 	}
+}
+
+// ScatterChunk is ScatterChunkTyped for the DES driver, whose simulated
+// storage engines only move bytes: the same records in the same order,
+// encoded per destination partition into out.Updates, their slabs back
+// in the arena before the chunk's result waits for its merge.
+func (k *Kernel[V, U, A]) ScatterChunk(iter, part int, verts []V, data []byte, out *ScatterOut[U]) {
+	k.ScatterChunkTyped(iter, part, verts, data, out)
+	out.Updates = k.GrabParts()
+	for tp, recs := range out.Typed {
+		if recs != nil {
+			out.Updates[tp] = k.AppendRecs(k.GrabBuf(), recs)
+		}
+	}
+	k.releaseTyped(out)
 }
 
 // rewriteEdge consults the §6.1 rewriter about one edge and keeps the
@@ -339,15 +352,19 @@ func (k *Kernel[V, U, A]) combine(out *ScatterOut[U], tp int, dst graph.VertexID
 }
 
 // FoldUpdates is the gather computation on one decoded update chunk of
-// partition part: each record folds into its destination's accumulator,
-// in record order. verts is read-only. Callers serialize one partition's
-// chunks in their stream order — the order a float fold sees.
-func (k *Kernel[V, U, A]) FoldUpdates(part int, verts []V, accums []A, recs []UpdRec[U]) {
+// the partition verts and accums belong to: each record folds into the
+// accumulator its Off indexes, in record order, through the program's
+// batch form when it has one. verts is read-only. Callers serialize one
+// partition's chunks in their stream order — the order a float fold sees.
+func (k *Kernel[V, U, A]) FoldUpdates(verts []V, accums []A, recs []UpdRec[U]) {
+	if k.batchGather != nil {
+		k.batchGather.GatherBatch(accums, recs, verts)
+		return
+	}
 	prog := k.Prog
-	lo, _ := k.Layout.Range(part)
 	for i := range recs {
 		u := &recs[i]
-		accums[u.Dst-lo] = prog.Gather(accums[u.Dst-lo], u.Val, &verts[u.Dst-lo])
+		accums[u.Off] = prog.Gather(accums[u.Off], u.Val, &verts[u.Off])
 	}
 }
 
@@ -454,21 +471,28 @@ func (k *Kernel[V, U, A]) ReleaseScatterOut(out *ScatterOut[U]) {
 		k.partsPool.Put(out.Updates)
 		out.Updates = nil
 	}
-	if out.Typed != nil {
-		for tp, recs := range out.Typed {
-			if recs != nil {
-				k.ReleaseRecs(recs)
-				out.Typed[tp] = nil
-			}
-		}
-		k.recPartsPool.Put(out.Typed)
-		out.Typed = nil
-	}
+	k.releaseTyped(out)
 	if out.EdgesNext != nil {
 		k.ReleaseBuf(out.EdgesNext)
 		out.EdgesNext = nil
 	}
 	out.Combined = nil
+}
+
+// releaseTyped returns out's record slabs to the arena and their table
+// to its pool.
+func (k *Kernel[V, U, A]) releaseTyped(out *ScatterOut[U]) {
+	if out.Typed == nil {
+		return
+	}
+	for tp, recs := range out.Typed {
+		if recs != nil {
+			k.ReleaseRecs(recs)
+			out.Typed[tp] = nil
+		}
+	}
+	k.recPartsPool.Put(out.Typed)
+	out.Typed = nil
 }
 
 // StealCriterion evaluates Equation 2 with the alpha bias of §10.2:

@@ -25,19 +25,24 @@ func TestKernelUpdateRecordRoundTrip(t *testing.T) {
 		if k.IDBytes != wantID {
 			t.Errorf("n=%d: IDBytes=%d, want %d", n, k.IDBytes, wantID)
 		}
+		// A vertex near the top of the ID space travels as (its partition,
+		// its offset inside it): the offset fits 32 bits where the ID does
+		// not, and the ID field keeps its §8 width.
 		dst := graph.VertexID(n - 3)
-		val := float32(0.25)
-		buf := k.AppendUpdate(nil, dst, &val)
+		tp := layout.Of(dst)
+		lo, _ := layout.Range(tp)
+		in := UpdRec[float32]{Off: uint32(dst - lo), Val: 0.25}
+		buf := k.AppendUpdate(nil, &in)
 		if len(buf) != k.UpdBytes {
 			t.Fatalf("record size %d, want %d", len(buf), k.UpdBytes)
 		}
 		var r UpdRec[float32]
 		k.DecodeUpdate(buf, &r)
-		if r.Dst != dst || r.Val != val {
-			t.Errorf("round trip (%d, %g) -> (%d, %g)", dst, val, r.Dst, r.Val)
+		if lo+graph.VertexID(r.Off) != dst || r.Val != in.Val {
+			t.Errorf("round trip (%d, %g) -> (%d+%d, %g)", dst, in.Val, lo, r.Off, r.Val)
 		}
 		recs := k.DecodeUpdateChunk(nil, append(append([]byte{}, buf...), buf...))
-		if len(recs) != 2 || recs[1].Dst != dst {
+		if len(recs) != 2 || recs[1] != in {
 			t.Errorf("chunk decode got %+v", recs)
 		}
 	}

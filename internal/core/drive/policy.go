@@ -53,6 +53,12 @@ func Plan[V, U, A any](p Params, prog gas.Program[V, U, A], edges []graph.Edge, 
 	if err != nil {
 		return nil, err
 	}
+	if layout.PerPartition > 1<<32 {
+		// An update record addresses its destination by a 32-bit offset
+		// into the destination partition (UpdRec.Off).
+		return nil, fmt.Errorf("core: %d partitions of %d vertices each are wider than the 2^32 an update record can address; use more machines or a smaller memory budget",
+			layout.NumPartitions, layout.PerPartition)
+	}
 	k := NewKernel(prog, layout)
 	k.Params = p
 	if p.CombineUpdates {
@@ -213,11 +219,12 @@ func (b *CombineBuf[V, U, A]) drain(tp int, ship func(tp int, recs []UpdRec[U]))
 	if len(mp) == 0 {
 		return
 	}
+	lo, _ := b.k.Layout.Range(tp)
 	recs := b.k.GrabRecs(len(mp))
 	for dst, val := range mp {
-		recs = append(recs, UpdRec[U]{Dst: dst, Val: val})
+		recs = append(recs, UpdRec[U]{Off: uint32(dst - lo), Val: val})
 	}
-	slices.SortFunc(recs, func(x, y UpdRec[U]) int { return cmp.Compare(x.Dst, y.Dst) })
+	slices.SortFunc(recs, func(x, y UpdRec[U]) int { return cmp.Compare(x.Off, y.Off) })
 	clear(mp)
 	ship(tp, recs)
 }

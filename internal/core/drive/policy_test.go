@@ -2,6 +2,7 @@ package drive
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"chaos/internal/algorithms"
@@ -35,6 +36,13 @@ func TestPlanRejectsWhatTheProgramCannotDo(t *testing.T) {
 	}
 	if k.Combiner == nil || k.Layout.NumVertices != 4 {
 		t.Errorf("combiner %v, %d vertices inferred; want set, 4", k.Combiner, k.Layout.NumVertices)
+	}
+	// UpdRec.Off addresses 2^32 vertices of one partition, no more.
+	if k, err = Plan(Params{Machines: 2}, &algorithms.PageRank{}, nil, 1<<33); err != nil || k.Layout.PerPartition != 1<<32 {
+		t.Errorf("2^33 vertices on two machines: %v; want two partitions of 2^32", err)
+	}
+	if _, err = Plan(Params{Machines: 2}, &algorithms.PageRank{}, nil, 1<<33+2); err == nil || !strings.Contains(err.Error(), "2^32") {
+		t.Errorf("partitions of 2^32+1 vertices planned (error: %v)", err)
 	}
 }
 
@@ -151,7 +159,8 @@ func TestDecider(t *testing.T) {
 // TestCombineBuf pins the combiner buffer's contract: merges go through
 // Combine, a destination partition ships when it holds a chunk's worth of
 // distinct vertices, Flush ships the rest in ascending partition order,
-// and every shipped chunk is sorted by destination.
+// and every shipped chunk is sorted by destination, each record carrying
+// its destination as an offset into the shipped partition.
 func TestCombineBuf(t *testing.T) {
 	k := planPR(t, 100, Params{CombineUpdates: true})
 	k.ChunkBytes = 2 * k.UpdBytes // two distinct destinations make a chunk
@@ -181,9 +190,9 @@ func TestCombineBuf(t *testing.T) {
 	b.Flush(ship)
 	b.Flush(ship) // nothing left
 	want := []shipped{
-		{1, []UpdRec[float32]{{26, 4}, {30, 3}}},
-		{0, []UpdRec[float32]{{3, 1}}},
-		{3, []UpdRec[float32]{{80, 1}}},
+		{1, []UpdRec[float32]{{Off: 1, Val: 4}, {Off: 5, Val: 3}}}, // vertices 26 and 30 of [25, 50)
+		{0, []UpdRec[float32]{{Off: 3, Val: 1}}},
+		{3, []UpdRec[float32]{{Off: 5, Val: 1}}}, // vertex 80 of [75, 100)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("shipped %v, want %v", got, want)

@@ -6,25 +6,22 @@ import (
 )
 
 // Task is one unit of off-thread compute. Fn runs on a pool worker after
-// the optional predecessor completes; Done is closed when Fn has
-// returned.
+// the optional predecessor completes. A Task is used through a pointer
+// and never copied once submitted.
 type Task struct {
 	Prev *Task
 	Fn   func()
-	Done chan struct{}
+	// done is released when Fn has returned. It is part of the Task, not
+	// a channel made per Submit: a chunk costs two or three tasks, and a
+	// steady iteration allocates little else.
+	done sync.WaitGroup
 }
 
-// Wait blocks until the task has completed. The blocking receive also
-// establishes the happens-before edge that lets the caller read the
+// Wait blocks until the task has completed; a task that was never
+// submitted (its result computed inline) counts as complete. The wait
+// also establishes the happens-before edge that lets the caller read the
 // task's results race-free.
-func (t *Task) Wait() { <-t.Done }
-
-// ClosedChan is a pre-closed done channel for inline-computed tasks.
-var ClosedChan = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
+func (t *Task) Wait() { t.done.Wait() }
 
 // Pool runs chunk tasks on a fixed set of goroutines. Tasks are executed
 // FIFO per worker pull; a task's Prev (if any) is always submitted
@@ -70,7 +67,7 @@ func NewPool(workers int) *Pool {
 			defer p.wg.Done()
 			for t := range p.tasks {
 				if t.Prev != nil {
-					<-t.Prev.Done
+					t.Prev.Wait()
 					t.Prev = nil
 				}
 				t.Fn()
@@ -78,7 +75,7 @@ func NewPool(workers int) *Pool {
 				// pre-read chunk's bytes) become collectable as soon as
 				// the result exists, not when the stream is released.
 				t.Fn = nil
-				close(t.Done)
+				t.done.Done()
 			}
 		}()
 	}
@@ -96,17 +93,16 @@ func (p *Pool) Inline() bool { return p.inline }
 func (p *Pool) Window() int { return p.width + 1 }
 
 // Submit enqueues a task. Submission order is the determinism contract:
-// a task must be submitted after its Prev and after any task whose Done
-// channel its Fn waits on — which is also why inline execution at submit
-// time is always legal.
+// a task must be submitted after its Prev and after any task its Fn
+// Waits for — which is also why inline execution at submit time is
+// always legal.
 func (p *Pool) Submit(t *Task) {
 	if p.inline {
-		t.Done = ClosedChan
 		t.Fn()
 		t.Fn, t.Prev = nil, nil
 		return
 	}
-	t.Done = make(chan struct{})
+	t.done.Add(1)
 	p.tasks <- t
 }
 

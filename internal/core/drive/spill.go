@@ -164,17 +164,6 @@ func (t *SpillTransport[U]) PendingBytes(dst int) int64 {
 	return t.pending[dst].Load()
 }
 
-// Drain removes and returns dst's chunks in (src, chunk) order: each
-// bucket's spilled chunks first (they are the oldest), then its
-// in-memory tail.
-func (t *SpillTransport[U]) Drain(dst int) []PendingChunk[U] {
-	var out []PendingChunk[U]
-	for src := range t.rows {
-		out = append(out, t.DrainFrom(dst, src)...)
-	}
-	return out
-}
-
 // DrainFrom removes and returns bucket (src, dst)'s chunks in
 // production order: the spilled prefix, then the in-memory tail. The
 // bucket's spill stream is truncated once its last spilled chunk is

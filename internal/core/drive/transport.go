@@ -7,9 +7,10 @@ import "sync/atomic"
 // slices or become encoded bytes. A driver Puts the records partition
 // src's scatter emitted for partition dst, chunk by chunk, and later
 // drains partition dst's pending chunks in the deterministic
-// (source partition, chunk) fold order — either all at once (Drain) or
-// source by source as each scatter completes (DrainFrom, the streaming
-// consumer API behind the native driver's pipelined phase boundary).
+// (source partition, chunk) fold order, source by source as each scatter
+// completes (DrainFrom, the streaming consumer API behind the native
+// driver's pipelined phase boundary). A record's Off is relative to the
+// bucket's dst, which both ends of the bucket name.
 // Encoding is a property of crossing a real boundary — the in-memory
 // transport never encodes, the spilling transport encodes exactly the
 // chunks that overflow its budget onto storage, and the DES driver's
@@ -21,7 +22,7 @@ import "sync/atomic"
 // — including any budget-pressure spilling, which sweeps row src only —
 // until scatter(src)'s completion is published (a channel close or a
 // phase barrier). Afterwards the bucket is read only by the goroutine
-// running gather(dst), via DrainFrom(dst, src) or Drain(dst). The
+// running gather(dst), via DrainFrom(dst, src). The
 // completion signal is the happens-before edge; no slot is ever touched
 // from two goroutines without one. PendingBytes is a single atomic read,
 // safe at any time — steal sweeps consult it live while producers are
@@ -41,16 +42,13 @@ type Transport[U any] interface {
 	// encoded-equivalent bytes pending for partition dst. A single
 	// atomic read — callable concurrently with Put and DrainFrom.
 	PendingBytes(dst int) int64
-	// Drain removes and returns dst's pending chunks in (source
-	// partition, chunk production) order — the deterministic fold order.
-	// Each chunk must be Loaded (any goroutine) and then Released.
-	Drain(dst int) []PendingChunk[U]
-	// DrainFrom removes and returns only the chunks src's scatter
-	// emitted for dst, in production order. Draining src 0..np-1 in
-	// ascending order yields exactly Drain's sequence, so a consumer
-	// that folds each source's chunks as that source completes sees the
-	// same deterministic fold order as one that waits for all of them.
-	// Callable only after scatter(src)'s completion is published.
+	// DrainFrom removes and returns the chunks src's scatter emitted
+	// for dst, in production order. Draining src 0..np-1 in ascending
+	// order yields the deterministic (source partition, chunk) fold
+	// order, whether the consumer folds each source's chunks as that
+	// source completes or waits for all of them. Each chunk must be
+	// Loaded (any goroutine) and then Released. Callable only after
+	// scatter(src)'s completion is published.
 	DrainFrom(dst, src int) []PendingChunk[U]
 	// Stats reports the cumulative spill tallies of the run.
 	Stats() TransportStats
@@ -133,15 +131,6 @@ func (t *MemTransport[U]) Put(src, dst int, recs []UpdRec[U]) (int64, int) {
 // PendingBytes reports the encoded-equivalent bytes pending for dst.
 func (t *MemTransport[U]) PendingBytes(dst int) int64 {
 	return t.pending[dst].Load()
-}
-
-// Drain removes and returns dst's chunks in (src, chunk) order.
-func (t *MemTransport[U]) Drain(dst int) []PendingChunk[U] {
-	var out []PendingChunk[U]
-	for src := range t.buckets {
-		out = append(out, t.DrainFrom(dst, src)...)
-	}
-	return out
 }
 
 // DrainFrom removes and returns bucket (src, dst)'s chunks in

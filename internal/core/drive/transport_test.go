@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"chaos/internal/algorithms"
-	"chaos/internal/graph"
 	"chaos/internal/partition"
 	"chaos/internal/storage"
 )
@@ -38,19 +37,22 @@ func TestReleaseBufRetentionBound(t *testing.T) {
 func chunkOf(base int, n int) []UpdRec[float32] {
 	recs := make([]UpdRec[float32], n)
 	for i := range recs {
-		recs[i] = UpdRec[float32]{Dst: graph.VertexID(base + i), Val: float32(base) + float32(i)/16}
+		recs[i] = UpdRec[float32]{Off: uint32(base + i), Val: float32(base) + float32(i)/16}
 	}
 	return recs
 }
 
-// drainAll loads and releases every pending chunk of dst, returning the
-// concatenated record sequence (the fold order the gather path sees).
-func drainAll[U any](tr Transport[U], dst int) []UpdRec[U] {
+// drainAll loads and releases every pending chunk of dst, source by
+// source over np partitions, returning the concatenated record sequence
+// (the fold order the gather path sees).
+func drainAll[U any](tr Transport[U], np, dst int) []UpdRec[U] {
 	var seq []UpdRec[U]
-	for _, pc := range tr.Drain(dst) {
-		recs := pc.Load()
-		seq = append(seq, recs...)
-		pc.Release(recs)
+	for src := 0; src < np; src++ {
+		for _, pc := range tr.DrainFrom(dst, src) {
+			recs := pc.Load()
+			seq = append(seq, recs...)
+			pc.Release(recs)
+		}
 	}
 	return seq
 }
@@ -76,7 +78,7 @@ func TestMemTransportFoldOrder(t *testing.T) {
 	if got := tr.PendingBytes(1); got != int64(len(want))*int64(k.UpdBytes) {
 		t.Fatalf("PendingBytes = %d, want %d", got, int64(len(want))*int64(k.UpdBytes))
 	}
-	seq := drainAll[float32](tr, 1)
+	seq := drainAll[float32](tr, k.Layout.NumPartitions, 1)
 	if len(seq) != len(want) {
 		t.Fatalf("drained %d records, want %d", len(seq), len(want))
 	}
@@ -138,7 +140,7 @@ func spillRoundTrip(t *testing.T, backend storage.Backend) {
 		t.Errorf("PendingBytes = %d, want %d", got, int64(len(want))*int64(k.UpdBytes))
 	}
 
-	seq := drainAll[float32](tr, 2)
+	seq := drainAll[float32](tr, k.Layout.NumPartitions, 2)
 	if len(seq) != len(want) {
 		t.Fatalf("drained %d records, want %d", len(seq), len(want))
 	}
@@ -164,8 +166,8 @@ func spillRoundTrip(t *testing.T, backend storage.Backend) {
 // TestStreamingDrainFoldOrder pins the DrainFrom contract on both
 // transports: consuming source by source — interleaved with later
 // sources still producing, the pipelined phase layout — yields exactly
-// the (source partition, chunk production) record sequence a full Drain
-// would, and PendingBytes tracks the undrained remainder atomically.
+// the (source partition, chunk production) record sequence a drain
+// after every source has finished would, and PendingBytes tracks the undrained remainder atomically.
 // The spilling arm runs under a budget that spills part of src 0's
 // bucket, so the drained sequence interleaves a spilled prefix with the
 // resident tail mid-stream.
@@ -264,7 +266,7 @@ func partialSpill(t *testing.T, backend storage.Backend) {
 	if st := tr.Stats(); st.SpillBytes == 0 {
 		t.Fatal("budget was never exceeded; test is vacuous")
 	}
-	seq := drainAll[float32](tr, 1)
+	seq := drainAll[float32](tr, k.Layout.NumPartitions, 1)
 	if len(seq) != len(want) {
 		t.Fatalf("drained %d records, want %d", len(seq), len(want))
 	}

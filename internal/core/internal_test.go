@@ -34,13 +34,16 @@ func TestUpdateRecordRoundTrip(t *testing.T) {
 			if uint64(d) >= n {
 				d = graph.VertexID(n - 1)
 			}
-			buf := eng.kern.AppendUpdate(nil, d, &val)
+			// The record carries d as an offset into its partition.
+			lo, _ := eng.layout.Range(eng.layout.Of(d))
+			in := drive.UpdRec[float32]{Off: uint32(d - lo), Val: val}
+			buf := eng.kern.AppendUpdate(nil, &in)
 			if len(buf) != eng.kern.UpdBytes {
 				return false
 			}
 			var got drive.UpdRec[float32]
 			eng.kern.DecodeUpdate(buf, &got)
-			return got.Dst == d && (got.Val == val || (math.IsNaN(float64(got.Val)) && math.IsNaN(float64(val))))
+			return lo+graph.VertexID(got.Off) == d && (got.Val == val || (math.IsNaN(float64(got.Val)) && math.IsNaN(float64(val))))
 		}
 		if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 			t.Errorf("n=%d: %v", n, err)

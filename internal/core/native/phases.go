@@ -261,7 +261,7 @@ func (r *run[V, U, A]) gatherPartition(iter, mach, p int, stolen bool) {
 			bytesIn += pc.Bytes
 			ft := &drive.Task{Prev: tail, Fn: func() {
 				gc.Wait() // load complete
-				r.kern.FoldUpdates(p, verts, accums, gc.recs)
+				r.kern.FoldUpdates(verts, accums, gc.recs)
 				pc.Release(gc.recs)
 				gc.recs = nil
 			}}

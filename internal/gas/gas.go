@@ -39,6 +39,25 @@ type Codec[T any] struct {
 	// Get decodes buf[:Bytes] into *v, assigning every field: callers
 	// decode into recycled slice elements without clearing them first.
 	Get func(buf []byte, v *T)
+	// PutRecs and GetRecs are the optional bulk forms for update records:
+	// one call moves a whole record slice to or from its wire form, an
+	// idBytes-wide (4 or 8) little-endian ID field carrying Off followed
+	// by the payload, exactly the bytes the per-record loop over Put or
+	// Get produces or consumes. buf holds len(recs) records. Nil means
+	// the engine runs that per-record loop.
+	PutRecs func(buf []byte, idBytes int, recs []UpdRec[T])
+	GetRecs func(recs []UpdRec[T], idBytes int, buf []byte)
+}
+
+// UpdRec is one decoded update record: the destination vertex's index
+// inside its destination partition, plus the payload. Whatever holds a
+// record slice knows that partition (a scatter output's slot, a
+// transport bucket, an update chunk of the partition's update set), so
+// the record does not repeat it — and is 8 bytes for a 4-byte payload,
+// the size it has on the wire below 2^32 vertices (§8).
+type UpdRec[U any] struct {
+	Off uint32
+	Val U
 }
 
 // EncodeSlice encodes vs into a fresh buffer.
@@ -103,6 +122,27 @@ type Program[V, U, A any] interface {
 type Combiner[U any] interface {
 	// Combine merges two updates addressed to the same vertex.
 	Combine(a, b U) U
+}
+
+// BatchScatterer is an optional Program extension: Scatter over the
+// edges of one decoded block in a single call, so the engine crosses the
+// program boundary once per block instead of once per edge. The per-edge
+// Scatter stays the definition; an implementation is a loop over it on
+// the concrete receiver, where the compiler can inline it.
+type BatchScatterer[V, U any] interface {
+	// ScatterBatch calls Scatter for each edge in order, with src =
+	// &verts[e.Src-lo], writes the emitted (destination, payload) pairs
+	// to dsts and vals in edge order and returns their count. dsts and
+	// vals hold at least len(edges).
+	ScatterBatch(iter int, edges []graph.Edge, lo graph.VertexID, verts []V, dsts []graph.VertexID, vals []U) int
+}
+
+// BatchGatherer is the gather-side twin of BatchScatterer: one call folds
+// a record slice of one partition into its accumulators.
+type BatchGatherer[V, U, A any] interface {
+	// GatherBatch folds recs in record order: accums[r.Off] =
+	// Gather(accums[r.Off], r.Val, &verts[r.Off]).
+	GatherBatch(accums []A, recs []UpdRec[U], verts []V)
 }
 
 // EdgeRewriter is an optional Program extension implementing the extended
