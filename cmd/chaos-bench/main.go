@@ -15,7 +15,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -26,42 +25,14 @@ import (
 	"chaos/internal/experiments"
 )
 
-var all = []struct {
-	name string
-	run  func(io.Writer, experiments.Scale) error
-}{
-	{"table1", experiments.Table1},
-	{"fig5", experiments.Figure5},
-	{"fig7", experiments.Figure7},
-	{"fig8", experiments.Figure8},
-	{"fig9", experiments.Figure9},
-	{"capacity", experiments.Capacity},
-	{"fig10", experiments.Figure10},
-	{"fig11", experiments.Figure11},
-	{"fig12", experiments.Figure12},
-	{"fig13", experiments.Figure13},
-	{"fig14", experiments.Figure14},
-	{"fig15", experiments.Figure15},
-	{"fig16", experiments.Figure16},
-	{"fig17", experiments.Figure17},
-	{"fig18", experiments.Figure18},
-	{"fig19", experiments.Figure19},
-	{"fig20", experiments.Figure20},
-	{"native", experiments.NativeVsDES},
-	{"abl-combiners", experiments.AblationCombiner},
-	{"abl-compaction", experiments.AblationCompaction},
-	{"abl-replication", experiments.AblationReplication},
-	{"abl-partitions", experiments.AblationPartitionCount},
-}
-
 func main() {
 	logger := cli.NewLogger("chaos-bench")
 	var (
-		which     = flag.String("experiment", "all", "experiment id (all, table1, fig5..fig20, capacity)")
+		which     = flag.String("experiment", "all", "experiment id: all or one of "+strings.Join(experiments.IDs(), " "))
 		quick     = flag.Bool("quick", false, "use the reduced smoke scale")
 		storage   = flag.String("storage", "ssd", "default storage device: ssd or hdd")
 		network   = flag.String("network", "40g", "default network: 40g or 1g")
-		benchJSON = flag.String("bench-json", ".", "directory for BENCH_<experiment>.json records (empty disables)")
+		benchJSON = flag.String("bench-json", ".", "directory for the native experiment's BENCH_native.json (empty disables)")
 		workers   = flag.Int("workers", 0, "engine compute workers (0 = GOMAXPROCS); results are identical for every value")
 		engineFl  = flag.String("engine", "sim",
 			"execution engine: sim reproduces the paper's figures; native selects the native-vs-DES wall-clock comparison (the figures themselves are DES-only)")
@@ -88,8 +59,8 @@ func main() {
 		// the only native benchmark is the wall-clock comparison.
 		switch *which {
 		case "all":
-			*which = "native"
-		case "native":
+			*which = experiments.NativeID
+		case experiments.NativeID:
 		default:
 			cli.Fatal(logger, "bad flag combination", fmt.Errorf(
 				"-engine native only applies to the native-vs-DES comparison; the figures are DES-only (run -experiment %s without -engine, or -experiment native)", *which))
@@ -118,12 +89,12 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 	ran := 0
-	for _, e := range all {
-		if *which != "all" && e.name != *which {
+	for _, e := range experiments.All {
+		if *which != "all" && e.ID != *which {
 			continue
 		}
-		if err := e.run(os.Stdout, scale); err != nil {
-			cli.Fatal(logger, e.name, err)
+		if _, err := e.Run(os.Stdout, scale); err != nil {
+			cli.Fatal(logger, e.ID, err)
 		}
 		ran++
 	}
@@ -139,12 +110,8 @@ func main() {
 		f.Close()
 	}
 	if ran == 0 {
-		names := make([]string, len(all))
-		for i, e := range all {
-			names[i] = e.name
-		}
 		cli.Fatal(logger, "unknown experiment", fmt.Errorf(
-			"%q is not an experiment (want all or one of %s)", *which, strings.Join(names, " ")))
+			"%q is not an experiment (want all or one of %s)", *which, strings.Join(experiments.IDs(), " ")))
 	}
 	fmt.Println()
 }

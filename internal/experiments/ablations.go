@@ -6,20 +6,15 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"chaos"
 )
 
-// AblationCombiner measures the Pregel-style update-aggregation trade-off
-// the paper discusses in §11.1: "While this optimization is also possible
-// in Chaos, we find that the cost of merging the updates to the same
-// vertex outweighs the benefits from reduced network traffic."
-func AblationCombiner(w io.Writer, s Scale) error {
-	header(w, "Ablation: combiners", "Pregel-style update aggregation (§11.1)",
-		"merging cost outweighs the traffic reduction; Chaos ships raw updates")
+// ablationCombiner measures the Pregel-style update-aggregation trade-off
+// the paper discusses in §11.1: merge cost against saved network traffic.
+func ablationCombiner(r *report, s Scale) error {
 	m := s.Machines[len(s.Machines)-1]
-	fmt.Fprintf(w, "  %-6s %12s %12s %12s %12s %10s\n",
+	r.row("  %-6s %12s %12s %12s %12s %10s",
 		"alg", "plain(s)", "combined(s)", "plainMB", "combinedMB", "slowdown")
 	for _, alg := range []string{"BFS", "WCC", "SSSP", "PR"} {
 		edges, n := graphFor(alg, s.StrongScale)
@@ -33,7 +28,7 @@ func AblationCombiner(w io.Writer, s Scale) error {
 		if err != nil {
 			return fmt.Errorf("%s combined: %w", alg, err)
 		}
-		fmt.Fprintf(w, "  %-6s %12.4f %12.4f %12.1f %12.1f %9.2fx\n",
+		r.row("  %-6s %12.4f %12.4f %12.1f %12.1f %9.2fx",
 			alg, plain.SimulatedSeconds, comb.SimulatedSeconds,
 			float64(plain.BytesWritten)/1e6, float64(comb.BytesWritten)/1e6,
 			comb.SimulatedSeconds/plain.SimulatedSeconds)
@@ -41,12 +36,10 @@ func AblationCombiner(w io.Writer, s Scale) error {
 	return nil
 }
 
-// AblationCompaction measures the §6.1 extended model on MCST: dropping
+// ablationCompaction measures the §6.1 extended model on MCST: dropping
 // intra-component edges shrinks each Borůvka round's stream.
-func AblationCompaction(w io.Writer, s Scale) error {
-	header(w, "Ablation: edge rewriting", "MCST with Borůvka edge compaction (§6.1 extended model)",
-		"the footnoted extension: rewritten edge sets shrink later iterations' I/O")
-	fmt.Fprintf(w, "  %-9s %12s %12s %12s %12s %10s\n",
+func ablationCompaction(r *report, s Scale) error {
+	r.row("  %-9s %12s %12s %12s %12s %10s",
 		"machines", "plain(s)", "compact(s)", "plainMB", "compactMB", "speedup")
 	for _, m := range s.Machines {
 		edges, n := graphFor("MCST", s.StrongScale)
@@ -60,7 +53,7 @@ func AblationCompaction(w io.Writer, s Scale) error {
 		if err != nil {
 			return fmt.Errorf("m=%d compact: %w", m, err)
 		}
-		fmt.Fprintf(w, "  %-9d %12.4f %12.4f %12.1f %12.1f %9.2fx\n",
+		r.row("  %-9d %12.4f %12.4f %12.1f %12.1f %9.2fx",
 			m, plain.SimulatedSeconds, compact.SimulatedSeconds,
 			float64(plain.BytesRead)/1e6, float64(compact.BytesRead)/1e6,
 			plain.SimulatedSeconds/compact.SimulatedSeconds)
@@ -68,13 +61,11 @@ func AblationCompaction(w io.Writer, s Scale) error {
 	return nil
 }
 
-// AblationReplication measures the §6.6 storage-fault-tolerance sketch:
+// ablationReplication measures the §6.6 storage-fault-tolerance sketch:
 // vertex sets mirrored on a second storage engine.
-func AblationReplication(w io.Writer, s Scale) error {
-	header(w, "Ablation: vertex replication", "vertex-set mirroring (§6.6)",
-		"\"support could easily be added by replicating the vertex sets\": the overhead of doing so")
+func ablationReplication(r *report, s Scale) error {
 	m := s.Machines[len(s.Machines)-1]
-	fmt.Fprintf(w, "  %-6s %12s %12s %12s %12s %10s\n",
+	r.row("  %-6s %12s %12s %12s %12s %10s",
 		"alg", "plain(s)", "mirrored(s)", "plainMB-W", "mirrorMB-W", "overhead")
 	for _, alg := range []string{"BFS", "PR"} {
 		edges, n := graphFor(alg, s.StrongScale)
@@ -88,7 +79,7 @@ func AblationReplication(w io.Writer, s Scale) error {
 		if err != nil {
 			return fmt.Errorf("%s mirrored: %w", alg, err)
 		}
-		fmt.Fprintf(w, "  %-6s %12.4f %12.4f %12.1f %12.1f %9.1f%%\n",
+		r.row("  %-6s %12.4f %12.4f %12.1f %12.1f %9.1f%%",
 			alg, plain.SimulatedSeconds, mirr.SimulatedSeconds,
 			float64(plain.BytesWritten)/1e6, float64(mirr.BytesWritten)/1e6,
 			100*(mirr.SimulatedSeconds/plain.SimulatedSeconds-1))
@@ -96,15 +87,12 @@ func AblationReplication(w io.Writer, s Scale) error {
 	return nil
 }
 
-// AblationPartitionCount explores the §3 trade-off directly: "large sizes
-// facilitate sequential access to edges and updates, but smaller sizes are
-// desirable, as they lead to easier load balancing." The sweep varies the
-// partition multiple k (partitions per machine) at the largest cluster.
-func AblationPartitionCount(w io.Writer, s Scale) error {
-	header(w, "Ablation: partition count", "streaming-partition multiple k (§3 trade-off)",
-		"few large partitions stream best but balance worst; many small partitions invert the trade")
+// ablationPartitionCount explores the §3 trade-off (sequential access
+// against load balance) by varying the partition multiple k, partitions
+// per machine, at the largest cluster.
+func ablationPartitionCount(r *report, s Scale) error {
 	m := s.Machines[len(s.Machines)-1]
-	fmt.Fprintf(w, "  %-10s %12s %12s %14s %10s\n", "k", "BFS(s)", "PR(s)", "steals(BFS)", "barrier%")
+	r.row("  %-10s %12s %12s %14s %10s", "k", "BFS(s)", "PR(s)", "steals(BFS)", "barrier%")
 	for _, k := range []int{1, 2, 4, 8} {
 		sk := s
 		sk.PartitionsPerMachine = k
@@ -125,7 +113,7 @@ func AblationPartitionCount(w io.Writer, s Scale) error {
 				prSecs = rep.SimulatedSeconds
 			}
 		}
-		fmt.Fprintf(w, "  %-10d %12.4f %12.4f %14d %9.1f%%\n", k, bfsSecs, prSecs, steals, 100*barrier)
+		r.row("  %-10d %12.4f %12.4f %14d %9.1f%%", k, bfsSecs, prSecs, steals, 100*barrier)
 	}
 	return nil
 }

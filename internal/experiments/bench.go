@@ -9,28 +9,28 @@ import (
 	"time"
 )
 
-// BenchArm is one measured series of a benchmark experiment: a named
-// configuration swept over the machine axis, with the simulated runtime
-// per point and the host wall-clock the whole sweep cost.
+// BenchArm is one measured series of the native experiment (native.go):
+// a named configuration swept over the machine axis, with the host
+// wall-clock the sweep cost and, on the DES arm, the simulated runtime
+// per point.
 type BenchArm struct {
 	Name             string    `json:"name"`
 	Machines         []int     `json:"machines"`
 	SimulatedSeconds []float64 `json:"simulated_seconds"`
 	WallSeconds      float64   `json:"wall_seconds"`
 	// WallSecondsPerPoint breaks WallSeconds down per machine-axis
-	// point, for experiments whose arms are compared on wall-clock
-	// (the native-vs-DES record). Empty for the simulated figures.
+	// point.
 	WallSecondsPerPoint []float64 `json:"wall_seconds_per_point,omitempty"`
 	// SpillBytesPerPoint records the out-of-core spill traffic per
 	// point; present only on the forced-spill (oocore) arm.
 	SpillBytesPerPoint []int64 `json:"spill_bytes_per_point,omitempty"`
 }
 
-// BenchRecord is the machine-readable result of one benchmark experiment,
-// written as BENCH_<experiment>.json next to the human-readable output.
-// Wall-clock numbers track the reproduction's own performance trajectory
-// across PRs (compare wall_seconds between runs of the same scale on the
-// same host); simulated numbers are the paper-facing results.
+// BenchRecord is the machine-readable result of the native experiment,
+// written as BENCH_native.json: the reproduction's own wall-clock on one
+// host, never a paper claim. It, BenchArm and emitBench serve that
+// experiment alone — CI's "Bench record (native vs DES)" and "Perf gate"
+// steps read the file — and go with it (ROADMAP item 5).
 type BenchRecord struct {
 	Experiment string `json:"experiment"`
 	Scale      string `json:"scale"`
@@ -42,15 +42,14 @@ type BenchRecord struct {
 	WallSeconds    float64    `json:"wall_seconds"`
 	GeneratedAt    string     `json:"generated_at"`
 	Arms           []BenchArm `json:"arms"`
-	// NativeBeatsDES is set by the native-vs-DES experiment: true when
-	// the native plane's summed wall-clock was at or under the DES
-	// driver's on the same graphs (the CI bench smoke asserts it).
-	// Absent from every other record; a pointer so a losing run still
-	// serializes an explicit false instead of vanishing from the JSON.
+	// NativeBeatsDES is true when the native plane's summed wall-clock
+	// was at or under the DES driver's on the same graphs (CI asserts
+	// it). A pointer so a losing run still serializes an explicit false
+	// instead of vanishing from the JSON.
 	NativeBeatsDES *bool `json:"native_beats_des,omitempty"`
 }
 
-// newBenchRecord starts a record for the given experiment at this scale.
+// newBenchRecord starts the native experiment's record at this scale.
 func (s Scale) newBenchRecord(experiment string) *BenchRecord {
 	return &BenchRecord{
 		Experiment:     experiment,
@@ -62,8 +61,8 @@ func (s Scale) newBenchRecord(experiment string) *BenchRecord {
 }
 
 // emitBench writes the record to BENCH_<experiment>.json under
-// Scale.BenchDir. An empty BenchDir (the Lab/Quick defaults, used by the
-// test harness) disables emission.
+// Scale.BenchDir. An empty BenchDir (the Lab/Quick defaults) disables
+// emission.
 func (s Scale) emitBench(rec *BenchRecord) error {
 	if s.BenchDir == "" {
 		return nil

@@ -6,8 +6,8 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
+	"strings"
 
 	"chaos"
 	"chaos/internal/cluster"
@@ -16,39 +16,34 @@ import (
 	"chaos/internal/metrics"
 )
 
-// Figure14 reproduces Figure 14: aggregate storage bandwidth achieved
-// during the weak-scaling experiment, against the devices' theoretical
-// maximum.
-func Figure14(w io.Writer, s Scale) error {
-	header(w, "Figure 14", "aggregate bandwidth, normalized to 1 machine, vs theoretical max",
-		"bandwidth scales linearly with machines, within 3% of device maximum")
+// figure14 reproduces Figure 14 from the weak-scaling sweep figure7 runs:
+// aggregate storage bandwidth against the devices' theoretical maximum.
+func figure14(r *report, s Scale) error {
 	res, err := RunWeakScaling(s, chaos.Algorithms())
 	if err != nil {
 		return err
 	}
-	xAxis(w, "machines", res.Machines)
+	r.xAxis("machines", res.Machines)
 	for _, alg := range chaos.Algorithms() {
 		bw := res.Bandwidth[alg]
 		vals := make([]float64, len(bw))
 		for i := range bw {
 			vals[i] = bw[i] / bw[0]
 		}
-		series(w, alg, res.Machines, vals, "%8.2f")
+		r.series(alg, vals, "%8.2f")
 	}
 	maxNorm := make([]float64, len(res.Machines))
 	for i := range maxNorm {
 		maxNorm[i] = res.MaxBandwidth[i] / res.MaxBandwidth[0]
 	}
-	series(w, "max", res.Machines, maxNorm, "%8.2f")
+	r.series("max", maxNorm, "%8.2f")
 	return nil
 }
 
-// Figure15 reproduces Figure 15: randomized placement vs a centralized
+// figure15 reproduces Figure 15: randomized placement vs a centralized
 // chunk directory.
-func Figure15(w io.Writer, s Scale) error {
-	header(w, "Figure 15", "Chaos vs centralized chunk directory (weak scaling)",
-		"the centralized entity becomes a bottleneck: its runtime grows faster with machines")
-	xAxis(w, "machines", s.Machines)
+func figure15(r *report, s Scale) error {
+	r.xAxis("machines", s.Machines)
 	for _, alg := range []string{"BFS", "PR"} {
 		for _, central := range []bool{false, true} {
 			var base float64
@@ -71,24 +66,18 @@ func Figure15(w io.Writer, s Scale) error {
 			if central {
 				name += " central"
 			}
-			series(w, name, s.Machines, vals, "%8.2f")
+			r.series(name, vals, "%8.2f")
 		}
 	}
 	return nil
 }
 
-// Figure16 reproduces Figure 16: runtime as a function of the request
+// figure16 reproduces Figure 16: runtime as a function of the request
 // window phi*k.
-func Figure16(w io.Writer, s Scale) error {
-	header(w, "Figure 16", "runtime vs batch factor phi*k (normalized to phi*k=10)",
-		"sweet spot at phi*k=10 (k=5, phi=2); small windows idle devices, huge windows add queueing")
+func figure16(r *report, s Scale) error {
 	m := s.Machines[len(s.Machines)-1]
 	windows := []int{1, 2, 3, 5, 10, 16, 32}
-	fmt.Fprintf(w, "  %-10s", "phi*k")
-	for _, pk := range windows {
-		fmt.Fprintf(w, " %8d", pk)
-	}
-	fmt.Fprintln(w)
+	r.cells("  %-10s", "phi*k", " %8.0f", floats(windows))
 	for _, alg := range chaos.Algorithms() {
 		edges, n := graphFor(alg, s.StrongScale)
 		var at10 float64
@@ -108,50 +97,43 @@ func Figure16(w io.Writer, s Scale) error {
 		for i := range times {
 			times[i] /= at10
 		}
-		fmt.Fprintf(w, "  %-10s", alg)
-		for _, t := range times {
-			fmt.Fprintf(w, " %8.2f", t)
-		}
-		fmt.Fprintln(w)
+		r.cells("  %-10s", alg, " %8.2f", times)
 	}
 	return nil
 }
 
-// Figure17 reproduces Figure 17: the runtime breakdown at the largest
+// figure17 reproduces Figure 17: the runtime breakdown at the largest
 // cluster size.
-func Figure17(w io.Writer, s Scale) error {
-	header(w, "Figure 17", "runtime breakdown (largest cluster, weak-scaled graph)",
-		"graph processing 74-87% (avg 83%), idle <4%, copy+merge up to 22% (avg 14%)")
+func figure17(r *report, s Scale) error {
 	m := s.Machines[len(s.Machines)-1]
 	scale := s.WeakBase + log2(m)
-	fmt.Fprintf(w, "  %-6s", "alg")
-	for _, c := range metrics.Categories() {
-		fmt.Fprintf(w, " %13s", c)
+	cats := metrics.Categories()
+	head := []any{"alg"}
+	for _, c := range cats {
+		head = append(head, c.String())
 	}
-	fmt.Fprintln(w)
+	r.row("  %-6s"+strings.Repeat(" %13s", len(cats)), head...)
 	for _, alg := range chaos.Algorithms() {
 		edges, n := graphFor(alg, scale)
 		rep, err := chaos.RunByName(alg, edges, n, s.options(m, n))
 		if err != nil {
 			return fmt.Errorf("%s: %w", alg, err)
 		}
-		fmt.Fprintf(w, "  %-6s", alg)
-		for _, c := range metrics.Categories() {
-			fmt.Fprintf(w, " %12.1f%%", 100*rep.Breakdown[c.String()])
+		pct := make([]float64, len(cats))
+		for i, c := range cats {
+			pct[i] = 100 * rep.Breakdown[c.String()]
 		}
-		fmt.Fprintln(w)
+		r.cells("  %-6s", alg, " %12.1f%%", pct)
 	}
 	return nil
 }
 
-// Figure18 reproduces Figure 18: the work-stealing bias sweep.
-func Figure18(w io.Writer, s Scale) error {
-	header(w, "Figure 18", "runtime vs stealing bias alpha, normalized to alpha=1",
-		"alpha=1 (the analytic criterion) is fastest; no stealing and always-steal both lose")
+// figure18 reproduces Figure 18: the work-stealing bias sweep.
+func figure18(r *report, s Scale) error {
 	m := s.Machines[len(s.Machines)-1]
 	scale := s.WeakBase + log2(m)
 	alphas := []float64{0, 0.8, 1.0, 1.2, math.Inf(1)}
-	fmt.Fprintf(w, "  %-6s %8s %8s %8s %8s %8s\n", "alg", "a=0", "a=0.8", "a=1", "a=1.2", "a=inf")
+	r.row("  %-6s %8s %8s %8s %8s %8s", "alg", "a=0", "a=0.8", "a=1", "a=1.2", "a=inf")
 	for _, alg := range []string{"BFS", "PR"} {
 		edges, n := graphFor(alg, scale)
 		times := make([]float64, len(alphas))
@@ -175,22 +157,19 @@ func Figure18(w io.Writer, s Scale) error {
 				at1 = rep.SimulatedSeconds
 			}
 		}
-		fmt.Fprintf(w, "  %-6s", alg)
-		for _, t := range times {
-			fmt.Fprintf(w, " %8.3f", t/at1)
+		for i := range times {
+			times[i] /= at1
 		}
-		fmt.Fprintln(w)
+		r.cells("  %-6s", alg, " %8.3f", times)
 	}
 	return nil
 }
 
-// Figure19 reproduces Figure 19: Chaos vs the Giraph baseline on PageRank,
+// figure19 reproduces Figure 19: Chaos vs the Giraph baseline on PageRank,
 // each normalized to its own single-machine runtime.
-func Figure19(w io.Writer, s Scale) error {
-	header(w, "Figure 19", "Chaos vs Giraph, PR strong scaling, each self-normalized",
-		"static partitioning caps Giraph's scalability; Chaos scales much closer to linear")
+func figure19(r *report, s Scale) error {
 	edges, n := graphFor("PR", s.StrongScale)
-	xAxis(w, "machines", s.Machines)
+	r.xAxis("machines", s.Machines)
 
 	var chaosBase float64
 	var chaosVals []float64
@@ -204,7 +183,7 @@ func Figure19(w io.Writer, s Scale) error {
 		}
 		chaosVals = append(chaosVals, rep.SimulatedSeconds/chaosBase)
 	}
-	series(w, "Chaos", s.Machines, chaosVals, "%8.3f")
+	r.series("Chaos", chaosVals, "%8.3f")
 
 	var giraphBase float64
 	var giraphVals []float64
@@ -220,24 +199,22 @@ func Figure19(w io.Writer, s Scale) error {
 		}
 		giraphVals = append(giraphVals, res.Runtime.Seconds()/giraphBase)
 	}
-	series(w, "Giraph", s.Machines, giraphVals, "%8.3f")
+	r.series("Giraph", giraphVals, "%8.3f")
 	last := len(s.Machines) - 1
-	fmt.Fprintf(w, "  speedup at %d machines: Chaos %.1fx, Giraph %.1fx\n",
+	r.row("  speedup at %d machines: Chaos %.1fx, Giraph %.1fx",
 		s.Machines[last], 1/chaosVals[last], 1/giraphVals[last])
 	return nil
 }
 
-// Figure20 reproduces Figure 20: the worst-case dynamic rebalancing cost of
+// figure20 reproduces Figure 20: the worst-case dynamic rebalancing cost of
 // Chaos against PowerGraph's in-memory grid partitioning time.
-func Figure20(w io.Writer, s Scale) error {
-	header(w, "Figure 20", "rebalance time / grid partitioning time",
-		"dynamic load balancing costs about a tenth of up-front grid partitioning")
+func figure20(r *report, s Scale) error {
 	m := s.Machines[len(s.Machines)-1]
 	grid, err := gridpart.New(m)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "  %-6s %14s %14s %8s\n", "alg", "rebalance(s)", "partition(s)", "ratio")
+	r.row("  %-6s %14s %14s %8s", "alg", "rebalance(s)", "partition(s)", "ratio")
 	for _, alg := range chaos.Algorithms() {
 		edges, n := graphFor(alg, s.StrongScale)
 		rep, err := chaos.RunByName(alg, edges, n, s.options(m, n))
@@ -246,22 +223,7 @@ func Figure20(w io.Writer, s Scale) error {
 		}
 		part := grid.Partition(cluster.SSD(m), edges, n)
 		ratio := rep.RebalanceSeconds / part.Time.Seconds()
-		fmt.Fprintf(w, "  %-6s %14.3f %14.3f %8.2f\n", alg, rep.RebalanceSeconds, part.Time.Seconds(), ratio)
-	}
-	return nil
-}
-
-// All runs every experiment in paper order.
-func All(w io.Writer, s Scale) error {
-	steps := []func(io.Writer, Scale) error{
-		Table1, Figure5, Figure7, Figure8, Figure9, Capacity,
-		Figure10, Figure11, Figure12, Figure13, Figure14, Figure15,
-		Figure16, Figure17, Figure18, Figure19, Figure20,
-	}
-	for _, f := range steps {
-		if err := f(w, s); err != nil {
-			return err
-		}
+		r.row("  %-6s %14.3f %14.3f %8.2f", alg, rep.RebalanceSeconds, part.Time.Seconds(), ratio)
 	}
 	return nil
 }

@@ -2,23 +2,19 @@
 // evaluation (SOSP 2015, §8-§10) at laboratory scale: the same sweeps, the
 // same normalizations and the same comparisons, run against the simulated
 // rack described in DESIGN.md. Absolute numbers differ from the paper's
-// testbed; shapes, winners and crossovers are the reproduction target, and
-// EXPERIMENTS.md records both sides for every experiment.
+// testbed; shapes, winners and crossovers are the reproduction target.
+// Every experiment is declared once, in table.go; EXPERIMENTS.md's table
+// is held to that declaration.
 //
-// Record emission must be byte-stable across runs — BENCH_*.json files
-// are committed and diffed — so every file in this package that could
-// iterate a map carries //chaos:sorted-maps and is checked by
+// What the experiments print is also recorded (report.go) and the record
+// is committed and compared by equality, so every file in this package
+// that could iterate a map carries //chaos:sorted-maps and is checked by
 // chaos-vet's detrange analyzer.
 //
 //chaos:sorted-maps
 package experiments
 
-import (
-	"fmt"
-	"io"
-
-	"chaos"
-)
+import "chaos"
 
 // Scale selects the experiment size. Lab is sized so the full suite runs
 // in a couple of minutes inside the discrete-event simulation.
@@ -42,10 +38,11 @@ type Scale struct {
 	// a device still apply their own override on top.
 	Storage chaos.Storage
 	Network chaos.Network
-	// Name labels the scale in machine-readable benchmark records.
+	// Name labels the scale: figures.<Name>.json, BENCH_native.json.
 	Name string
-	// BenchDir, when set, makes experiments that support it write
-	// BENCH_<experiment>.json records there (chaos-bench -bench-json).
+	// BenchDir, when set, is where the native experiment writes
+	// BENCH_native.json (chaos-bench -bench-json). It serves that
+	// experiment alone and goes with it (ROADMAP item 5).
 	BenchDir string
 	// ComputeWorkers bounds the engine's host worker pool (0 =
 	// GOMAXPROCS); chaos-bench -workers. Simulated results are identical
@@ -98,28 +95,4 @@ func (s Scale) options(m int, n uint64) chaos.Options {
 func graphFor(alg string, scale int) ([]chaos.Edge, uint64) {
 	edges := chaos.GenerateRMAT(scale, chaos.NeedsWeights(alg), 42)
 	return edges, uint64(1) << uint(scale)
-}
-
-// header prints an experiment banner.
-func header(w io.Writer, id, title, paper string) {
-	fmt.Fprintf(w, "\n=== %s: %s ===\n", id, title)
-	fmt.Fprintf(w, "    paper: %s\n", paper)
-}
-
-// series prints one named row of values.
-func series(w io.Writer, name string, xs []int, vals []float64, format string) {
-	fmt.Fprintf(w, "  %-14s", name)
-	for i := range xs {
-		fmt.Fprintf(w, " "+format, vals[i])
-	}
-	fmt.Fprintln(w)
-}
-
-// xAxis prints the machine-count axis row.
-func xAxis(w io.Writer, label string, xs []int) {
-	fmt.Fprintf(w, "  %-14s", label)
-	for _, x := range xs {
-		fmt.Fprintf(w, " %8d", x)
-	}
-	fmt.Fprintln(w)
 }

@@ -6,8 +6,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"time"
 
 	"chaos"
 )
@@ -16,18 +14,9 @@ import (
 // sweep under an option transform, returning normalized runtimes against
 // the baseline series.
 func bfsAndPR(s Scale, mutate func(*chaos.Options)) (map[string][]float64, error) {
-	out, _, err := bfsAndPRTimed(s, mutate)
-	return out, err
-}
-
-// bfsAndPRTimed is bfsAndPR plus the host wall-clock each algorithm's
-// sweep cost, for the machine-readable benchmark records.
-func bfsAndPRTimed(s Scale, mutate func(*chaos.Options)) (map[string][]float64, map[string]float64, error) {
 	out := make(map[string][]float64)
-	wall := make(map[string]float64)
 	for _, alg := range []string{"BFS", "PR"} {
 		edges, n := graphFor(alg, s.StrongScale)
-		start := time.Now()
 		for _, m := range s.Machines {
 			opt := s.options(m, n)
 			if mutate != nil {
@@ -35,26 +24,22 @@ func bfsAndPRTimed(s Scale, mutate func(*chaos.Options)) (map[string][]float64, 
 			}
 			rep, err := chaos.RunByName(alg, edges, n, opt)
 			if err != nil {
-				return nil, nil, fmt.Errorf("%s m=%d: %w", alg, m, err)
+				return nil, fmt.Errorf("%s m=%d: %w", alg, m, err)
 			}
 			out[alg] = append(out[alg], rep.SimulatedSeconds)
 		}
-		wall[alg] = time.Since(start).Seconds()
 	}
-	return out, wall, nil
+	return out, nil
 }
 
-// Figure10 reproduces Figure 10: sensitivity to the number of CPU cores.
-func Figure10(w io.Writer, s Scale) error {
-	header(w, "Figure 10", "runtime vs machines for p in {8,12,16} cores",
-		"adequate performance with half the cores; minimum cores needed to sustain network throughput")
+// figure10 reproduces Figure 10: sensitivity to the number of CPU cores.
+func figure10(r *report, s Scale) error {
 	base, err := bfsAndPR(s, nil) // 16 cores
 	if err != nil {
 		return err
 	}
-	xAxis(w, "machines", s.Machines)
+	r.xAxis("machines", s.Machines)
 	for _, p := range []int{16, 12, 8} {
-		p := p
 		runs, err := bfsAndPR(s, func(o *chaos.Options) { o.Cores = p })
 		if err != nil {
 			return err
@@ -64,93 +49,71 @@ func Figure10(w io.Writer, s Scale) error {
 			for i := range vals {
 				vals[i] = runs[alg][i] / base[alg][0]
 			}
-			series(w, fmt.Sprintf("%s p=%d", alg, p), s.Machines, vals, "%8.3f")
+			r.series(fmt.Sprintf("%s p=%d", alg, p), vals, "%8.3f")
 		}
 	}
 	return nil
 }
 
-// Figure11 reproduces Figure 11: SSD vs HDD. It also writes
-// BENCH_fig11.json (wall-clock and simulated seconds per arm) when the
-// scale carries a benchmark directory, so the reproduction's own
-// performance trajectory is tracked run over run.
-func Figure11(w io.Writer, s Scale) error {
-	header(w, "Figure 11", "runtime with SSD vs HDD, normalized to 1-machine SSD",
-		"identical scaling; runtime inversely proportional to storage bandwidth (HDD ~2x slower)")
-	rec := s.newBenchRecord("fig11")
-	start := time.Now()
+// figure11 reproduces Figure 11: SSD vs HDD.
+func figure11(r *report, s Scale) error {
 	// Both arms are pinned so a chaos-bench -storage override cannot turn
 	// the labeled SSD baseline into a second HDD run.
-	ssd, ssdWall, err := bfsAndPRTimed(s, func(o *chaos.Options) { o.Storage = chaos.SSD })
+	ssd, err := bfsAndPR(s, func(o *chaos.Options) { o.Storage = chaos.SSD })
 	if err != nil {
 		return err
 	}
-	hdd, hddWall, err := bfsAndPRTimed(s, func(o *chaos.Options) { o.Storage = chaos.HDD })
+	hdd, err := bfsAndPR(s, func(o *chaos.Options) { o.Storage = chaos.HDD })
 	if err != nil {
 		return err
 	}
-	xAxis(w, "machines", s.Machines)
+	r.xAxis("machines", s.Machines)
 	for _, alg := range []string{"BFS", "PR"} {
 		vals := make([]float64, len(s.Machines))
 		for i := range vals {
 			vals[i] = ssd[alg][i] / ssd[alg][0]
 		}
-		series(w, alg+" SSD", s.Machines, vals, "%8.3f")
+		r.series(alg+" SSD", vals, "%8.3f")
 		for i := range vals {
 			vals[i] = hdd[alg][i] / ssd[alg][0]
 		}
-		series(w, alg+" HDD", s.Machines, vals, "%8.3f")
-		fmt.Fprintf(w, "  %s HDD/SSD single-machine ratio: %.2fx\n", alg, hdd[alg][0]/ssd[alg][0])
-		rec.Arms = append(rec.Arms,
-			BenchArm{Name: alg + " SSD", Machines: s.Machines, SimulatedSeconds: ssd[alg], WallSeconds: ssdWall[alg]},
-			BenchArm{Name: alg + " HDD", Machines: s.Machines, SimulatedSeconds: hdd[alg], WallSeconds: hddWall[alg]})
+		r.series(alg+" HDD", vals, "%8.3f")
+		r.row("  %s HDD/SSD single-machine ratio: %.2fx", alg, hdd[alg][0]/ssd[alg][0])
 	}
-	rec.WallSeconds = time.Since(start).Seconds()
-	return s.emitBench(rec)
+	return nil
 }
 
-// Figure12 reproduces Figure 12: 40 GigE vs 1 GigE, emitting
-// BENCH_fig12.json alongside (see Figure11).
-func Figure12(w io.Writer, s Scale) error {
-	header(w, "Figure 12", "runtime with 40GigE vs 1GigE, normalized to 1-machine",
-		"1GigE (slower than storage) breaks scaling: runtime grows with machines instead of holding flat")
-	rec := s.newBenchRecord("fig12")
-	start := time.Now()
+// figure12 reproduces Figure 12: 40 GigE vs 1 GigE.
+func figure12(r *report, s Scale) error {
 	// Both arms are pinned so a chaos-bench -network override cannot turn
 	// the labeled 40G baseline into a second 1G run.
-	fast, fastWall, err := bfsAndPRTimed(s, func(o *chaos.Options) { o.Network = chaos.Net40GigE })
+	fast, err := bfsAndPR(s, func(o *chaos.Options) { o.Network = chaos.Net40GigE })
 	if err != nil {
 		return err
 	}
-	slow, slowWall, err := bfsAndPRTimed(s, func(o *chaos.Options) { o.Network = chaos.Net1GigE })
+	slow, err := bfsAndPR(s, func(o *chaos.Options) { o.Network = chaos.Net1GigE })
 	if err != nil {
 		return err
 	}
-	xAxis(w, "machines", s.Machines)
+	r.xAxis("machines", s.Machines)
 	for _, alg := range []string{"BFS", "PR"} {
 		vals := make([]float64, len(s.Machines))
 		for i := range vals {
 			vals[i] = fast[alg][i] / fast[alg][0]
 		}
-		series(w, alg+" 40G", s.Machines, vals, "%8.3f")
+		r.series(alg+" 40G", vals, "%8.3f")
 		for i := range vals {
 			vals[i] = slow[alg][i] / slow[alg][0]
 		}
-		series(w, alg+" 1G", s.Machines, vals, "%8.3f")
-		rec.Arms = append(rec.Arms,
-			BenchArm{Name: alg + " 40G", Machines: s.Machines, SimulatedSeconds: fast[alg], WallSeconds: fastWall[alg]},
-			BenchArm{Name: alg + " 1G", Machines: s.Machines, SimulatedSeconds: slow[alg], WallSeconds: slowWall[alg]})
+		r.series(alg+" 1G", vals, "%8.3f")
 	}
-	rec.WallSeconds = time.Since(start).Seconds()
-	return s.emitBench(rec)
+	return nil
 }
 
-// Figure13 reproduces Figure 13: checkpointing overhead.
-func Figure13(w io.Writer, s Scale) error {
-	header(w, "Figure 13", "checkpointing overhead (BFS, PR)",
-		"under 6% despite writing the full vertex state at every barrier")
+// figure13 reproduces Figure 13: checkpointing overhead.
+func figure13(r *report, s Scale) error {
 	m := s.Machines[len(s.Machines)-1]
-	fmt.Fprintf(w, "  %-6s %14s %14s %10s\n", "alg", "no-ckpt(s)", "ckpt(s)", "overhead")
+	r.row("  %-6s %14s %14s %10s", "alg", "no-ckpt(s)", "ckpt(s)", "overhead")
 	// Placement randomness perturbs individual runs by a few percent at
 	// laboratory scale, so average both configurations over seeds.
 	seeds := []int64{1, 2, 3, 4, 5}
@@ -174,20 +137,18 @@ func Figure13(w io.Writer, s Scale) error {
 		}
 		plain /= float64(len(seeds))
 		ckpt /= float64(len(seeds))
-		fmt.Fprintf(w, "  %-6s %14.4f %14.4f %9.1f%%\n", alg, plain, ckpt, 100*(ckpt/plain-1))
+		r.row("  %-6s %14.4f %14.4f %9.1f%%", alg, plain, ckpt, 100*(ckpt/plain-1))
 	}
 	return nil
 }
 
-// Capacity reproduces the §9.3 capacity-scaling experiment by accounting:
+// capacity reproduces the §9.3 capacity-scaling experiment by accounting:
 // the trillion-edge graph cannot be materialized here, so per-edge,
 // per-iteration I/O is measured at laboratory scale and extrapolated to
 // RMAT-36 (16 TB input) over the aggregate HDD bandwidth of 32 machines,
 // exactly the arithmetic that governs the paper's 9-hour BFS and 19-hour
 // PageRank runs (214 TB and 395 TB of I/O at ~7 GB/s).
-func Capacity(w io.Writer, s Scale) error {
-	header(w, "Capacity (§9.3)", "trillion-edge projection from measured I/O ratios",
-		"BFS a little over 9h (214 TB I/O), 5-iteration PR 19h (395 TB I/O) at ~7 GB/s aggregate")
+func capacity(r *report, s Scale) error {
 	const (
 		trillionEdges = 1e12
 		inputBytes    = 16e12 // 16 TB input, non-compact weighted records
@@ -207,9 +168,9 @@ func Capacity(w io.Writer, s Scale) error {
 		bytesPerEdge := formatCorrection * float64(rep.BytesRead+rep.BytesWritten) / float64(len(edges))
 		projectedIO := bytesPerEdge * trillionEdges
 		hours := projectedIO / aggBW / 3600
-		fmt.Fprintf(w, "  %-4s measured %6.1f B/edge total I/O (non-compact) -> projected %7.0f TB, %6.1f h at %.0f GB/s\n",
+		r.row("  %-4s measured %6.1f B/edge total I/O (non-compact) -> projected %7.0f TB, %6.1f h at %.0f GB/s",
 			alg, bytesPerEdge, projectedIO/1e12, hours, aggBW/1e9)
 	}
-	fmt.Fprintf(w, "  input: %.0f TB for %.0g edges (non-compact weighted records)\n", inputBytes/1e12, trillionEdges)
+	r.row("  input: %.0f TB for %.0g edges (non-compact weighted records)", inputBytes/1e12, trillionEdges)
 	return nil
 }

@@ -6,26 +6,21 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"chaos"
 )
 
-// NativeVsDES compares the native execution plane against the DES driver
+// nativeVsDES compares the native execution plane against the DES driver
 // on the same graphs: identical algorithm, partitioning and seed, the
 // two drivers' host wall-clock side by side, plus the DES arm's
-// simulated seconds for reference. This experiment has no paper
-// counterpart — it tracks the reproduction's own performance trajectory
-// (ROADMAP: "as fast as the hardware allows") and backs the CI assertion
-// that running the protocol without the simulator is never slower than
+// simulated seconds for reference. It backs the CI assertion that
+// running the protocol without the simulator is never slower than
 // running it under the simulator. Emits BENCH_native.json.
-func NativeVsDES(w io.Writer, s Scale) error {
-	header(w, "native", "native execution plane vs DES driver (host wall-clock)",
-		"no figure; reproduction performance record (DESIGN.md, Two planes one protocol)")
+func nativeVsDES(r *report, s Scale) error {
 	const alg = "PR"
 	edges, n := graphFor(alg, s.StrongScale)
-	rec := s.newBenchRecord("native")
+	rec := s.newBenchRecord(NativeID)
 
 	des := BenchArm{Name: "des"}
 	nat := BenchArm{Name: "native"}
@@ -132,23 +127,23 @@ func NativeVsDES(w io.Writer, s Scale) error {
 	}
 	fast.WallSeconds, ooc.WallSeconds = fastWall, oocWall
 
-	xAxis(w, "machines", des.Machines)
-	series(w, "des wall s", des.Machines, des.WallSecondsPerPoint, "%8.3f")
-	series(w, "native wall s", nat.Machines, nat.WallSecondsPerPoint, "%8.3f")
-	series(w, "barrier wall s", bar.Machines, bar.WallSecondsPerPoint, "%8.3f")
-	series(w, "des simulated s", des.Machines, des.SimulatedSeconds, "%8.3f")
+	r.xAxis("machines", des.Machines)
+	r.series("des wall s", des.WallSecondsPerPoint, "%8.3f")
+	r.series("native wall s", nat.WallSecondsPerPoint, "%8.3f")
+	r.series("barrier wall s", bar.WallSecondsPerPoint, "%8.3f")
+	r.series("des simulated s", des.SimulatedSeconds, "%8.3f")
 	if natWall > 0 {
-		fmt.Fprintf(w, "  native speedup  %.1fx on host wall-clock (%.3fs vs %.3fs)\n",
+		r.row("  native speedup  %.1fx on host wall-clock (%.3fs vs %.3fs)",
 			desWall/natWall, natWall, desWall)
-		fmt.Fprintf(w, "  pipeline vs barrier  %.2fx (%.3fs pipelined vs %.3fs barrier)\n",
+		r.row("  pipeline vs barrier  %.2fx (%.3fs pipelined vs %.3fs barrier)",
 			barWall/natWall, natWall, barWall)
 	}
-	fmt.Fprintf(w, "  results identical up to float fold order; simulated figures remain DES-only\n")
-	fmt.Fprintf(w, "  out-of-core (RMAT-%d, 1 MiB update budget):\n", oocScale)
-	series(w, "zero-copy wall s", fast.Machines, fast.WallSecondsPerPoint, "%8.3f")
-	series(w, "oocore wall s", ooc.Machines, ooc.WallSecondsPerPoint, "%8.3f")
+	r.row("  results identical up to float fold order; simulated figures remain DES-only")
+	r.row("  out-of-core (RMAT-%d, 1 MiB update budget):", oocScale)
+	r.series("zero-copy wall s", fast.WallSecondsPerPoint, "%8.3f")
+	r.series("oocore wall s", ooc.WallSecondsPerPoint, "%8.3f")
 	if oocWall > 0 {
-		fmt.Fprintf(w, "  spill overhead  %.1fx wall-clock vs zero-copy (%.3fs vs %.3fs)\n",
+		r.row("  spill overhead  %.1fx wall-clock vs zero-copy (%.3fs vs %.3fs)",
 			oocWall/fastWall, oocWall, fastWall)
 	}
 

@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,8 +19,7 @@ import (
 func TestNativeVsDESEmitsRecord(t *testing.T) {
 	s := Quick
 	s.BenchDir = t.TempDir()
-	var buf bytes.Buffer
-	if err := NativeVsDES(&buf, s); err != nil {
+	if err := nativeVsDES(&report{w: io.Discard}, s); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(s.BenchDir, "BENCH_native.json"))

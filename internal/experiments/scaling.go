@@ -6,67 +6,42 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"chaos"
 	"chaos/internal/cluster"
 	"chaos/internal/xstream"
 )
 
-// Table1 reproduces Table 1: single-machine runtime of every algorithm for
-// X-Stream (direct I/O) and Chaos (client-server storage protocol). The
-// paper's shape: the two are comparable, with Chaos paying an indirection
-// penalty on most algorithms.
-func Table1(w io.Writer, s Scale) error {
-	header(w, "Table 1", "single-machine runtime, X-Stream vs Chaos",
-		"X-Stream faster on most algorithms; same order of magnitude (e.g. BFS 497s vs 594s)")
-	fmt.Fprintf(w, "  %-10s %12s %12s %8s\n", "algorithm", "x-stream(s)", "chaos(s)", "ratio")
+// table1 reproduces Table 1: single-machine runtime of every algorithm for
+// X-Stream (direct I/O) and Chaos (client-server storage protocol).
+func table1(r *report, s Scale) error {
+	r.row("  %-10s %12s %12s %8s", "algorithm", "x-stream(s)", "chaos(s)", "ratio")
+	spec := cluster.ScaleLatencies(cluster.SSD(1), float64(s.ChunkBytes)/float64(4<<20))
+	xcfg := xstream.Config{Spec: spec, ChunkBytes: s.ChunkBytes}
 	for _, alg := range chaos.Algorithms() {
 		edges, n := graphFor(alg, s.StrongScale)
 		rep, err := chaos.RunByName(alg, edges, n, s.options(1, n))
 		if err != nil {
 			return fmt.Errorf("chaos %s: %w", alg, err)
 		}
-		xt, err := runXStream(alg, s)
+		xt, err := xstreamByName(xcfg, alg, edges, n)
 		if err != nil {
 			return fmt.Errorf("x-stream %s: %w", alg, err)
 		}
-		fmt.Fprintf(w, "  %-10s %12.2f %12.2f %8.2f\n", alg, xt, rep.SimulatedSeconds, rep.SimulatedSeconds/xt)
+		r.row("  %-10s %12.2f %12.2f %8.2f", alg, xt, rep.SimulatedSeconds, rep.SimulatedSeconds/xt)
 	}
 	return nil
 }
 
-// runXStream executes one algorithm on the X-Stream baseline, matching the
-// input conventions of RunByName.
-func runXStream(alg string, s Scale) (float64, error) {
-	edges, n := graphFor(alg, s.StrongScale)
-	spec := cluster.ScaleLatencies(cluster.SSD(1), float64(s.ChunkBytes)/float64(4<<20))
-	cfg := xstream.Config{Spec: spec, ChunkBytes: s.ChunkBytes}
-	secs, err := xstreamByName(cfg, alg, edges, n)
-	if err != nil {
-		return 0, err
-	}
-	return secs, nil
-}
-
-// Figure5 reproduces Figure 5: theoretical storage utilization rho(m, k)
+// figure5 reproduces Figure 5: theoretical storage utilization rho(m, k)
 // for k in {1,2,3,5} over 1..32 machines (Equation 4).
-func Figure5(w io.Writer, s Scale) error {
-	header(w, "Figure 5", "theoretical utilization vs machines, by batch factor k",
-		"k=5 stays above 99.3% for any cluster size; k=1 falls toward 1-1/e")
-	ms := make([]int, 32)
-	for i := range ms {
-		ms[i] = i + 1
-	}
-	fmt.Fprintf(w, "  %-6s %10s %10s %10s %10s\n", "m", "k=1", "k=2", "k=3", "k=5")
+func figure5(r *report, s Scale) error {
+	r.row("  %-6s %10s %10s %10s %10s", "m", "k=1", "k=2", "k=3", "k=5")
 	for _, m := range []int{1, 2, 4, 8, 16, 24, 32} {
-		fmt.Fprintf(w, "  %-6d", m)
-		for _, k := range []float64{1, 2, 3, 5} {
-			fmt.Fprintf(w, " %10.4f", chaos.TheoreticalUtilization(m, k))
-		}
-		fmt.Fprintln(w)
+		u := func(k float64) float64 { return chaos.TheoreticalUtilization(m, k) }
+		r.row("  %-6d %10.4f %10.4f %10.4f %10.4f", m, u(1), u(2), u(3), u(5))
 	}
-	fmt.Fprintf(w, "  asymptotic floors: k=1 %.4f, k=2 %.4f, k=3 %.4f, k=5 %.4f\n",
+	r.row("  asymptotic floors: k=1 %.4f, k=2 %.4f, k=3 %.4f, k=5 %.4f",
 		chaos.UtilizationFloor(1), chaos.UtilizationFloor(2), chaos.UtilizationFloor(3), chaos.UtilizationFloor(5))
 	return nil
 }
@@ -94,14 +69,6 @@ func RunWeakScaling(s Scale, algs []string) (*WeakScalingResult, error) {
 	if r, ok := weakCache[key]; ok {
 		return r, nil
 	}
-	r, err := runWeakScaling(s, algs)
-	if err == nil {
-		weakCache[key] = r
-	}
-	return r, err
-}
-
-func runWeakScaling(s Scale, algs []string) (*WeakScalingResult, error) {
 	res := &WeakScalingResult{
 		Machines:     s.Machines,
 		Normalized:   make(map[string][]float64),
@@ -127,35 +94,32 @@ func runWeakScaling(s Scale, algs []string) (*WeakScalingResult, error) {
 			res.Bandwidth[alg] = append(res.Bandwidth[alg], rep.AggregateBandwidth)
 		}
 	}
+	weakCache[key] = res
 	return res, nil
 }
 
-// Figure7 reproduces Figure 7: weak-scaling runtime normalized to one
+// figure7 reproduces Figure 7: weak-scaling runtime normalized to one
 // machine, all ten algorithms.
-func Figure7(w io.Writer, s Scale) error {
-	header(w, "Figure 7", "weak scaling, normalized runtime (RMAT base..base+5)",
-		"average 1.61x for a 32x larger problem on 32 machines; Cond ~0.97x, MCST ~2.29x")
+func figure7(r *report, s Scale) error {
 	res, err := RunWeakScaling(s, chaos.Algorithms())
 	if err != nil {
 		return err
 	}
-	xAxis(w, "machines", res.Machines)
+	r.xAxis("machines", res.Machines)
 	var sum float64
 	for _, alg := range chaos.Algorithms() {
 		vals := res.Normalized[alg]
-		series(w, alg, res.Machines, vals, "%8.2f")
+		r.series(alg, vals, "%8.2f")
 		sum += vals[len(vals)-1]
 	}
-	fmt.Fprintf(w, "  mean normalized runtime at %d machines: %.2fx\n",
+	r.row("  mean normalized runtime at %d machines: %.2fx",
 		res.Machines[len(res.Machines)-1], sum/float64(len(chaos.Algorithms())))
 	return nil
 }
 
-// Figure8 reproduces Figure 8: strong scaling on a fixed graph.
-func Figure8(w io.Writer, s Scale) error {
-	header(w, "Figure 8", "strong scaling, normalized runtime (fixed RMAT)",
-		"average ~13x speedup on 32 machines; Cond up to 23x, MCST ~8x")
-	xAxis(w, "machines", s.Machines)
+// figure8 reproduces Figure 8: strong scaling on a fixed graph.
+func figure8(r *report, s Scale) error {
+	r.xAxis("machines", s.Machines)
 	var sum float64
 	for _, alg := range chaos.Algorithms() {
 		edges, n := graphFor(alg, s.StrongScale)
@@ -171,22 +135,20 @@ func Figure8(w io.Writer, s Scale) error {
 			}
 			vals = append(vals, rep.SimulatedSeconds/base)
 		}
-		series(w, alg, s.Machines, vals, "%8.3f")
+		r.series(alg, vals, "%8.3f")
 		sum += base / (vals[len(vals)-1] * base)
 	}
-	fmt.Fprintf(w, "  mean speedup at %d machines: %.1fx\n",
+	r.row("  mean speedup at %d machines: %.1fx",
 		s.Machines[len(s.Machines)-1], sum/float64(len(chaos.Algorithms())))
 	return nil
 }
 
-// Figure9 reproduces Figure 9: strong scaling on the (synthetic) Data
+// figure9 reproduces Figure 9: strong scaling on the (synthetic) Data
 // Commons web graph from HDDs, BFS and PageRank.
-func Figure9(w io.Writer, s Scale) error {
-	header(w, "Figure 9", "strong scaling, web graph, HDD (BFS, PR)",
-		"speedups of 20 (BFS) and 18.5 (PR) on 32 machines")
+func figure9(r *report, s Scale) error {
 	edges := chaos.GenerateWebGraph(s.WebPages, 42)
 	n := s.WebPages
-	xAxis(w, "machines", s.Machines)
+	r.xAxis("machines", s.Machines)
 	for _, alg := range []string{"BFS", "PR"} {
 		var base float64
 		var vals []float64
@@ -202,8 +164,8 @@ func Figure9(w io.Writer, s Scale) error {
 			}
 			vals = append(vals, rep.SimulatedSeconds/base)
 		}
-		series(w, alg, s.Machines, vals, "%8.3f")
-		fmt.Fprintf(w, "  %s speedup at %d machines: %.1fx\n",
+		r.series(alg, vals, "%8.3f")
+		r.row("  %s speedup at %d machines: %.1fx",
 			alg, s.Machines[len(s.Machines)-1], 1/vals[len(vals)-1])
 	}
 	return nil

@@ -451,15 +451,11 @@ func (s *Scheduler) SubmitTraced(rt *reqTrace, graphID, alg string, opt chaos.Op
 	return j.view(), nil
 }
 
-// AdmitCached files an already-answered job (a result-cache hit) directly
-// in the done state, so clients observe the same lifecycle either way.
-func (s *Scheduler) AdmitCached(graphID, alg string, opt chaos.Options, res *chaos.Result, rep *chaos.Report) (JobView, error) {
-	return s.AdmitCachedTraced(nil, graphID, alg, opt, res, rep)
-}
-
-// AdmitCachedTraced is AdmitCached rooted in the request's trace
-// context; the trace tree records admission and an immediate done span
-// (no queue, run or engine spans — nothing ran).
+// AdmitCachedTraced files an already-answered job (a result-cache hit)
+// directly in the done state, so clients observe the same lifecycle
+// either way. It is rooted in the request's trace context; the trace
+// tree records admission and an immediate done span (no queue, run or
+// engine spans — nothing ran).
 func (s *Scheduler) AdmitCachedTraced(rt *reqTrace, graphID, alg string, opt chaos.Options, res *chaos.Result, rep *chaos.Report) (JobView, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -537,22 +533,6 @@ func (s *Scheduler) Peek(id string) (JobView, uint64, bool) {
 	// the seq is already visible to view() — replayed, it is a
 	// duplicate, never a regression.
 	return j.view().stripped(), s.events.lastSeq(), true
-}
-
-// Trace returns a job's flight recorder together with a
-// payload-stripped view. The recorder is nil when the job never ran
-// with one attached: still queued, answered from the result cache, or
-// restored from the journal (spans are process-local and are not
-// persisted). A running job's recorder is live — snapshotting it
-// yields the spans emitted so far.
-func (s *Scheduler) Trace(id string) (*chaos.TraceRecorder, JobView, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, JobView{}, false
-	}
-	return j.trace.Load(), j.view().stripped(), true
 }
 
 // JobFilter selects and pages a job listing.
