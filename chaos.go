@@ -156,16 +156,14 @@ type Options struct {
 	// paper-facing performance claim is made (see DESIGN.md, "Two
 	// planes, one protocol").
 	Engine string `json:"engine,omitempty"`
-	// NativeBarrier restores the native engine's two-global-barriers-
-	// per-iteration phase layout: every scatter finishes before any
-	// gather starts. The default (false) streams the boundary — gathers
-	// fold each source's update chunks as soon as that source's scatter
-	// completes. Final values are bit-identical either way (the fold
-	// order, not the phase order, is the determinism invariant; DESIGN.md
-	// "Streaming the phase boundary"); only wall-clock and the
-	// scheduling-dependent steal counters differ. The sim engine accepts
-	// and ignores it: its simulated phases are barrier-ordered by
-	// construction.
+	// NativeBarrier is accepted and ignored by both engines. It once
+	// selected a second native phase schedule (every scatter before any
+	// gather) whose values were bit-identical to the streamed one's and
+	// whose wall-clock no measurement could tell apart (DESIGN.md,
+	// "Streaming the phase boundary"); the schedule is gone. The field
+	// keeps its place so stored journals and request bodies that carry
+	// the key still decode and no other option's cache key moves;
+	// Canonical folds it to false.
 	NativeBarrier bool `json:"nativeBarrier,omitempty"`
 	// Seed drives all randomized decisions; equal seeds reproduce runs
 	// exactly.
@@ -239,7 +237,6 @@ func (o Options) config() core.Config {
 	cfg.CombineUpdates = o.CombineUpdates
 	cfg.RewriteEdges = o.RewriteEdges
 	cfg.ReplicateVertices = o.ReplicateVertices
-	cfg.PhaseBarrier = o.NativeBarrier
 	if o.MaxIterations > 0 {
 		cfg.MaxIterations = o.MaxIterations
 	}

@@ -6,7 +6,7 @@
 //
 //	chaos-bench                     # run everything at laboratory scale
 //	chaos-bench -experiment fig16   # just the batch-factor sweep
-//	chaos-bench -experiment native  # native plane vs DES wall-clock (BENCH_native.json)
+//	chaos-bench -experiment native  # native plane vs DES wall-clock; exits non-zero if native loses
 //	chaos-bench -quick              # reduced smoke scale
 //
 //chaos:sorted-maps
@@ -28,14 +28,11 @@ import (
 func main() {
 	logger := cli.NewLogger("chaos-bench")
 	var (
-		which     = flag.String("experiment", "all", "experiment id: all or one of "+strings.Join(experiments.IDs(), " "))
-		quick     = flag.Bool("quick", false, "use the reduced smoke scale")
-		storage   = flag.String("storage", "ssd", "default storage device: ssd or hdd")
-		network   = flag.String("network", "40g", "default network: 40g or 1g")
-		benchJSON = flag.String("bench-json", ".", "directory for the native experiment's BENCH_native.json (empty disables)")
-		workers   = flag.Int("workers", 0, "engine compute workers (0 = GOMAXPROCS); results are identical for every value")
-		engineFl  = flag.String("engine", "sim",
-			"execution engine: sim reproduces the paper's figures; native selects the native-vs-DES wall-clock comparison (the figures themselves are DES-only)")
+		which      = flag.String("experiment", "all", "experiment id: all or one of "+strings.Join(experiments.IDs(), " "))
+		quick      = flag.Bool("quick", false, "use the reduced smoke scale")
+		storage    = flag.String("storage", "ssd", "default storage device: ssd or hdd")
+		network    = flag.String("network", "40g", "default network: 40g or 1g")
+		workers    = flag.Int("workers", 0, "engine compute workers (0 = GOMAXPROCS); results are identical for every value")
 		cpuProfile = flag.String("cpuprofile", "",
 			"write a runtime/pprof CPU profile of the experiments' timed region to this file (setup and flag parsing excluded)")
 		memProfile = flag.String("memprofile", "",
@@ -49,34 +46,17 @@ func main() {
 	if err != nil {
 		cli.Fatal(logger, "parsing options", err)
 	}
-	engine, err := chaos.ParseEngine(*engineFl)
-	if err != nil {
-		cli.Fatal(logger, "parsing engine", err)
-	}
-	if engine == chaos.EngineNative {
-		// The evaluation figures are produced by the DES driver and only
-		// it (EXPERIMENTS.md): the native plane has no virtual clock, so
-		// the only native benchmark is the wall-clock comparison.
-		switch *which {
-		case "all":
-			*which = experiments.NativeID
-		case experiments.NativeID:
-		default:
-			cli.Fatal(logger, "bad flag combination", fmt.Errorf(
-				"-engine native only applies to the native-vs-DES comparison; the figures are DES-only (run -experiment %s without -engine, or -experiment native)", *which))
-		}
-	}
 
 	scale := experiments.Lab
 	if *quick {
 		scale = experiments.Quick
 	}
 	scale.Storage, scale.Network = hw.Storage, hw.Network
-	scale.BenchDir, scale.ComputeWorkers = *benchJSON, *workers
-	// Profiling brackets exactly the experiments' timed region — the
-	// same code the wall-clock records measure — so "profile-driven" is
-	// reproducible by anyone: chaos-bench -experiment native -cpuprofile
-	// cpu.pb.gz, then go tool pprof (see EXPERIMENTS.md).
+	scale.ComputeWorkers = *workers
+	// Profiling brackets exactly the experiments' timed region, so
+	// "profile-driven" is reproducible by anyone: chaos-bench
+	// -experiment native -cpuprofile cpu.pb.gz, then go tool pprof (see
+	// EXPERIMENTS.md).
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

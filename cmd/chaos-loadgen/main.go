@@ -98,9 +98,9 @@ type quantiles struct {
 	Count int     `json:"count"`
 }
 
-// serveBench is the BENCH_serve.json record. Like BenchRecord
-// (internal/experiments), wall-clock numbers track the reproduction's
-// serving performance across PRs on the same host and scale.
+// serveBench is the BENCH_serve.json record: wall-clock numbers of one
+// loadgen run on one host, read by the CI smoke
+// (scripts/serve-loadgen-smoke.sh).
 type serveBench struct {
 	Experiment       string    `json:"experiment"`
 	GeneratedAt      string    `json:"generated_at"`

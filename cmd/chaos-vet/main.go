@@ -6,12 +6,8 @@
 //
 //	go run ./cmd/chaos-vet ./...                  # whole module
 //	go run ./cmd/chaos-vet ./internal/core/...    # one subtree
-//	go run ./cmd/chaos-vet scripts/perf_gate.go   # a //go:build ignore file
 //	go run ./cmd/chaos-vet -fix ./...             # apply suggested fixes
 //
-// Arguments ending in .go are loaded as standalone files (imports
-// resolved normally), which is how CI vets scripts that carry a
-// //go:build ignore tag and are invisible to package patterns.
 // Diagnostics print as file:line:col: message [analyzer]; the exit
 // status is 1 when any diagnostic is reported, 2 on load errors.
 package main
@@ -33,7 +29,7 @@ func main() {
 	list := flag.Bool("list", false, "list the registered analyzers and exit")
 	only := flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: chaos-vet [-fix] [-list] [-analyzers a,b] [package pattern | file.go]...\n")
+		fmt.Fprintf(os.Stderr, "usage: chaos-vet [-fix] [-list] [-analyzers a,b] [package pattern]...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -67,33 +63,11 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	var pkgPatterns, files []string
-	for _, p := range patterns {
-		if strings.HasSuffix(p, ".go") {
-			files = append(files, p)
-		} else {
-			pkgPatterns = append(pkgPatterns, p)
-		}
-	}
 
-	// One FileSet serves every load of the run: package patterns and
-	// standalone files alike. Mixing FileSets would make diagnostics
-	// from one loader resolve into files of another.
 	fset := token.NewFileSet()
-	var pkgs []*framework.Package
-	if len(pkgPatterns) > 0 {
-		loaded, err := framework.Load(fset, ".", pkgPatterns...)
-		if err != nil {
-			cli.Fatal(logger, "load", err)
-		}
-		pkgs = loaded
-	}
-	for _, f := range files {
-		pkg, err := framework.LoadFile(fset, ".", f)
-		if err != nil {
-			cli.Fatal(logger, "load file", err)
-		}
-		pkgs = append(pkgs, pkg)
+	pkgs, err := framework.Load(fset, ".", patterns...)
+	if err != nil {
+		cli.Fatal(logger, "load", err)
 	}
 	if len(pkgs) == 0 {
 		cli.Fatal(logger, "load", fmt.Errorf("no packages matched %s", strings.Join(patterns, " ")))

@@ -108,7 +108,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	for i := 1; i < len(pkgs); i++ {
 		if pkgs[i].Fset != pkgs[0].Fset {
 			return nil, fmt.Errorf(
-				"packages %s and %s were loaded into different FileSets; pass one shared FileSet to every Load/LoadFile call of a run",
+				"packages %s and %s were loaded into different FileSets; pass one shared FileSet to every Load call of a run",
 				pkgs[0].PkgPath, pkgs[i].PkgPath)
 		}
 	}

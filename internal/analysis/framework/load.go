@@ -68,7 +68,7 @@ type listPackage struct {
 // would have to special-case.
 //
 // The caller supplies the FileSet. Every package analyzed in one run —
-// across any number of Load and LoadFile calls — must share a single
+// across any number of Load calls — must share a single
 // FileSet, because diagnostic positions are resolved against one
 // FileSet when printing, sorting and applying fixes; Run rejects
 // packages loaded into different FileSets.
@@ -119,82 +119,6 @@ func Load(fset *token.FileSet, dir string, patterns ...string) ([]*Package, erro
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
-}
-
-// LoadFile loads a single standalone Go file — the escape hatch for
-// sources the go command will not list, such as scripts carrying a
-// //go:build ignore tag. Imports still resolve through export data, so
-// the file is type-checked exactly as `go run` would compile it.
-//
-// As with Load, the caller supplies the FileSet, and it must be the
-// same one used for every other package of the run: positions only
-// mean anything relative to the FileSet that minted them.
-func LoadFile(fset *token.FileSet, dir, file string) (*Package, error) {
-	abs := file
-	if !filepath.IsAbs(abs) {
-		abs = filepath.Join(dir, file)
-	}
-	src, err := os.ReadFile(abs)
-	if err != nil {
-		return nil, err
-	}
-	f, err := parser.ParseFile(fset, abs, src, parser.ParseComments|parser.SkipObjectResolution)
-	if err != nil {
-		return nil, err
-	}
-	var imports []string
-	for _, spec := range f.Imports {
-		path := strings.Trim(spec.Path.Value, `"`)
-		if path != "unsafe" {
-			imports = append(imports, path)
-		}
-	}
-	exports := map[string]string{}
-	if len(imports) > 0 {
-		args := append([]string{
-			"list", "-export", "-deps",
-			"-json=ImportPath,Export,Error", "--",
-		}, imports...)
-		cmd := exec.Command("go", args...)
-		cmd.Dir = dir
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
-		if err != nil {
-			return nil, fmt.Errorf("go list (imports of %s): %v\n%s", file, err, stderr.String())
-		}
-		dec := json.NewDecoder(bytes.NewReader(out))
-		for {
-			var p listPackage
-			if err := dec.Decode(&p); err == io.EOF {
-				break
-			} else if err != nil {
-				return nil, err
-			}
-			if p.Error != nil {
-				return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
-			}
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
-	imp := exportImporter(fset, exports)
-	info := newInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(file, fset, []*ast.File{f}, info)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %v", file, err)
-	}
-	return &Package{
-		PkgPath:   file,
-		Dir:       dir,
-		Fset:      fset,
-		Files:     []*ast.File{f},
-		Types:     tpkg,
-		TypesInfo: info,
-		Sources:   map[string][]byte{abs: src},
-	}, nil
 }
 
 func typecheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goFiles []string) (*Package, error) {

@@ -85,17 +85,6 @@ type Config struct {
 	// DirectoryServiceTime is the per-request service time of the
 	// central directory (defaults to 50µs).
 	DirectoryServiceTime sim.Time
-	// PhaseBarrier restores the native driver's two-global-barriers-per-
-	// iteration phase layout: every scatter finishes before any gather
-	// starts. The default (false) pipelines the boundary — a gather folds
-	// each source's update chunks as soon as that source's scatter
-	// completes, overlapping with still-running scatters. Results are
-	// bit-identical either way (the fold order, not the phase order, is
-	// the determinism invariant; see DESIGN.md "Streaming the phase
-	// boundary"); only wall-clock and the scheduling-dependent steal
-	// counters differ. The DES driver ignores it: its simulated phases
-	// are barrier-ordered by construction.
-	PhaseBarrier bool
 	// ComputeWorkers bounds the worker pool that executes per-chunk
 	// compute (decode, GAS kernel, update encoding) off the simulation
 	// thread. Zero means GOMAXPROCS. Results, metrics and simulated

@@ -21,10 +21,10 @@
 // flushes sort destinations). Which goroutine processes which partition
 // varies with host scheduling, but partition processing is
 // order-independent by the same GAS argument the paper relies on, so
-// only the steal counters are scheduling-dependent. Pipelining the
-// scatter→gather boundary (the default; see Config.PhaseBarrier) keeps
-// that argument intact because the fold order, not the phase order, is
-// what the float folds see.
+// only the steal counters are scheduling-dependent. Streaming the
+// scatter→gather boundary (runIteration) keeps that argument intact
+// because the fold order, not the phase order, is what the float folds
+// see.
 package native
 
 import (
@@ -103,8 +103,8 @@ type run[V, U, A any] struct {
 
 	// Per-phase partition ownership tables: masters claim their own
 	// partitions first, idle machines steal the rest through the §5.4
-	// criterion. Two tables because the pipelined layout runs both
-	// phases of one iteration concurrently.
+	// criterion. Two tables because both phases of one iteration run
+	// concurrently.
 	scatterClaimed []atomic.Bool
 	gatherClaimed  []atomic.Bool
 	// scatterDone[p] closes when scatter(p) completes; remade each
@@ -293,25 +293,19 @@ func (r *run[V, U, A]) execute(edges []graph.Edge) (err error) {
 func (r *run[V, U, A]) elapsed() sim.Time { return sim.Time(time.Since(r.start)) } //chaos:wallclock-ok native plane measures wall time by design
 
 // runIteration processes every partition's scatter and gather exactly
-// once, then returns with the iteration fully settled (the decision
-// point still needs one barrier; pipelining removes the mid-iteration
-// one).
+// once and returns with the iteration fully settled: one barrier per
+// iteration, before the decision point, and none between the phases.
 //
-// Pipelined layout (the default): each of the nm machine goroutines runs
-// scatter over its own partitions, closes each partition's scatterDone
-// as it finishes, sweeps for scatter steals, then moves straight into
-// gather — its gathers fold each source's chunks as that source's
-// channel closes, overlapping with other machines' still-running
-// scatters. No goroutine ever blocks before finishing its scatter stage,
-// so every scatterDone channel is guaranteed to close and the gather
-// waits cannot deadlock.
-//
-// Barrier layout (Config.PhaseBarrier): the classic two-phase schedule —
-// all scatters, one wg.Wait, all gathers — for A/B measurement and as
-// the conservative fallback. The gather path is identical (the channel
-// waits are free once every channel is closed), so the two layouts
-// produce bit-identical values by construction: the per-bucket fold
-// order is pinned either way.
+// Each of the nm machine goroutines runs scatter over its own
+// partitions, closes each partition's scatterDone as it finishes, sweeps
+// for scatter steals, then moves straight into gather — its gathers fold
+// each source's chunks as that source's channel closes, overlapping with
+// other machines' still-running scatters. No goroutine ever blocks
+// before finishing its scatter stage, so every scatterDone channel is
+// guaranteed to close and the gather waits cannot deadlock. Every
+// partition is claimed by the time the goroutines return:
+// layout.PartitionsOf covers all partitions across machines 0..nm-1, and
+// each master claims its own unconditionally.
 func (r *run[V, U, A]) runIteration(iter int) {
 	np := r.layout.NumPartitions
 	for i := 0; i < np; i++ {
@@ -319,25 +313,12 @@ func (r *run[V, U, A]) runIteration(iter int) {
 		r.gatherClaimed[i].Store(false)
 		r.scatterDone[i] = make(chan struct{})
 	}
-	if r.cfg.PhaseBarrier {
-		r.runStage(iter, scatterPhase)
-		r.runStage(iter, gatherPhase)
-		return
-	}
-	r.runStage(iter, scatterPhase, gatherPhase)
-}
-
-// runStage runs the given phases, in order, on every machine's goroutine
-// and returns when all have finished. Every partition is claimed by
-// then: layout.PartitionsOf covers all partitions across machines
-// 0..nm-1, and each master claims its own unconditionally.
-func (r *run[V, U, A]) runStage(iter int, phases ...phaseKind) {
 	var wg sync.WaitGroup
 	wg.Add(r.nm)
 	for m := 0; m < r.nm; m++ {
 		go func(m int) {
 			defer wg.Done()
-			for _, ph := range phases {
+			for _, ph := range [...]phaseKind{scatterPhase, gatherPhase} {
 				r.ownPartitions(iter, m, ph)
 				r.stealSweep(iter, m, ph)
 			}
@@ -363,7 +344,7 @@ func (r *run[V, U, A]) ownPartitions(iter, m int, ph phaseKind) {
 // §5.4 criterion accepts. The criterion's D is read live — the edge set
 // is immutable within an iteration and the transport's PendingBytes is a
 // single atomic — so the sweep needs no phase-start snapshot and stays
-// correct while producers are still running (the pipelined layout).
+// correct while producers are still running.
 func (r *run[V, U, A]) stealSweep(iter, m int, ph phaseKind) {
 	if r.cfg.Alpha == 0 || r.nm <= 1 {
 		return

@@ -325,21 +325,52 @@ func TestNativeAgreesWithSimDriver(t *testing.T) {
 
 // TestNativeDeterministicForSeed checks run-to-run reproducibility: the
 // fold orders that reach floating point are fixed, so two native runs of
-// the same configuration produce bit-identical values even though
-// goroutine scheduling differs.
+// the same configuration produce bit-identical values and deterministic
+// counters even though goroutine scheduling differs. Steal counters are
+// excluded: they depend on host scheduling. The second shape —
+// always-steal at m=8 with checkpoints — maximizes cross-machine
+// interleaving of the streamed scatter→gather boundary, so a fold order
+// that depended on the schedule would show up as float drift between its
+// two runs; CI reruns it under -race, at GOMAXPROCS=2 and with
+// CHAOS_NATIVE_SPILL_BUDGET=4096 (real spill traffic — the byte counters
+// still agree because a chunk's encoded-equivalent size is the same
+// spilled or resident).
 func TestNativeDeterministicForSeed(t *testing.T) {
-	edges, n := rmatEdges(7, false, 3)
-	c := cfg(4, n, 8)
-	v1, _, err := native.Run(c, &algorithms.PageRank{Iterations: 5}, edges, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, _, err := native.Run(c, &algorithms.PageRank{Iterations: 5}, edges, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(v1, v2) {
-		t.Error("two native runs of the same seed diverged")
+	edges7, n7 := rmatEdges(7, false, 3)
+	edges8, n8 := rmatEdges(8, false, 21)
+	streamed := cfg(8, n8, 8)
+	streamed.Alpha = math.Inf(1)
+	streamed.CheckpointEvery = 2
+	for _, tc := range []struct {
+		name  string
+		c     core.Config
+		edges []graph.Edge
+		n     uint64
+	}{
+		{"m=4", cfg(4, n7, 8), edges7, n7},
+		{"m=8 always-steal checkpointed", streamed, edges8, n8},
+	} {
+		v1, run1, err := native.Run(tc.c, &algorithms.PageRank{Iterations: 5}, tc.edges, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2, run2, err := native.Run(tc.c, &algorithms.PageRank{Iterations: 5}, tc.edges, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(v1, v2) {
+			t.Errorf("%s: two native runs of the same seed diverged", tc.name)
+		}
+		if run1.Iterations != run2.Iterations {
+			t.Errorf("%s: iterations %d, then %d", tc.name, run1.Iterations, run2.Iterations)
+		}
+		if run1.BytesRead != run2.BytesRead || run1.BytesWritten != run2.BytesWritten {
+			t.Errorf("%s: byte tallies diverged: (%d, %d), then (%d, %d)", tc.name,
+				run1.BytesRead, run1.BytesWritten, run2.BytesRead, run2.BytesWritten)
+		}
+		if run1.CheckpointBytes != run2.CheckpointBytes {
+			t.Errorf("%s: checkpoint bytes %d, then %d", tc.name, run1.CheckpointBytes, run2.CheckpointBytes)
+		}
 	}
 }
 
@@ -459,46 +490,6 @@ func TestNativeRejectsCentralDirectory(t *testing.T) {
 	c.CentralDirectory = true
 	if _, _, err := native.Run(c, &algorithms.PageRank{Iterations: 1}, edges, n); err == nil {
 		t.Fatal("central directory should be rejected by the native driver")
-	}
-}
-
-// TestNativeBarrierPipelinedEquivalence runs the same seed under the
-// streaming pipeline (default) and the two-barrier phase layout
-// (Config.PhaseBarrier) and requires bit-identical values plus identical
-// deterministic counters. Steal counters are excluded: they are
-// scheduling-dependent under both layouts. Always-steal at m=8
-// maximizes cross-machine interleaving, so a fold-order break in the
-// pipeline would show up as float drift here. The CHAOS_NATIVE_SPILL_
-// BUDGET rerun exercises the same pair with real spill traffic — the
-// byte counters still agree because a chunk's encoded-equivalent size
-// is the same spilled or resident.
-func TestNativeBarrierPipelinedEquivalence(t *testing.T) {
-	edges, n := rmatEdges(8, false, 21)
-	pipelined := cfg(8, n, 8)
-	pipelined.Alpha = math.Inf(1)
-	pipelined.CheckpointEvery = 2
-	barrier := pipelined
-	barrier.PhaseBarrier = true
-	v1, run1, err := native.Run(pipelined, &algorithms.PageRank{Iterations: 5}, edges, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, run2, err := native.Run(barrier, &algorithms.PageRank{Iterations: 5}, edges, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(v1, v2) {
-		t.Error("pipelined and barrier layouts produced different values")
-	}
-	if run1.Iterations != run2.Iterations {
-		t.Errorf("iterations: pipelined %d, barrier %d", run1.Iterations, run2.Iterations)
-	}
-	if run1.BytesRead != run2.BytesRead || run1.BytesWritten != run2.BytesWritten {
-		t.Errorf("byte tallies diverged: pipelined (%d, %d), barrier (%d, %d)",
-			run1.BytesRead, run1.BytesWritten, run2.BytesRead, run2.BytesWritten)
-	}
-	if run1.CheckpointBytes != run2.CheckpointBytes {
-		t.Errorf("checkpoint bytes: pipelined %d, barrier %d", run1.CheckpointBytes, run2.CheckpointBytes)
 	}
 }
 

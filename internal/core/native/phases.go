@@ -237,12 +237,10 @@ func (r *run[V, U, A]) gatherPartition(iter, mach, p int, stolen bool) {
 	// native jobs inside the scheduler's shared compute budget instead
 	// of doing the heavy lifting on unbudgeted machine goroutines. The
 	// channel waits are on this machine goroutine, never on pool
-	// workers, so the pool cannot deadlock on them. Under
-	// Config.PhaseBarrier every channel is already closed and the loop
-	// degenerates to the classic full drain. Loads need no window of
-	// their own: each fold is queued right behind its Load and holds its
-	// worker until it has run, so the pool's FIFO pull keeps at most a
-	// pool's width of loaded chunks waiting for their fold.
+	// workers, so the pool cannot deadlock on them. Loads need no
+	// window of their own: each fold is queued right behind its Load and
+	// holds its worker until it has run, so the pool's FIFO pull keeps at
+	// most a pool's width of loaded chunks waiting for their fold.
 	type gatherChunk struct {
 		drive.Task
 		recs []drive.UpdRec[U]

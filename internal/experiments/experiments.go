@@ -38,12 +38,8 @@ type Scale struct {
 	// a device still apply their own override on top.
 	Storage chaos.Storage
 	Network chaos.Network
-	// Name labels the scale: figures.<Name>.json, BENCH_native.json.
+	// Name labels the scale: figures.<Name>.json.
 	Name string
-	// BenchDir, when set, is where the native experiment writes
-	// BENCH_native.json (chaos-bench -bench-json). It serves that
-	// experiment alone and goes with it (ROADMAP item 5).
-	BenchDir string
 	// ComputeWorkers bounds the engine's host worker pool (0 =
 	// GOMAXPROCS); chaos-bench -workers. Simulated results are identical
 	// for every value, only wall-clock changes.

@@ -24,7 +24,7 @@ type Experiment struct {
 }
 
 // NativeID names the one experiment whose rows are host wall-clock:
-// printed, never recorded. chaos-bench -engine native selects it.
+// printed, never recorded.
 const NativeID = "native"
 
 // All lists every experiment in the order chaos-bench runs them: the
@@ -83,7 +83,7 @@ var All = []Experiment{
 		Target: "worst-case rebalance time about a tenth or less of the grid partitioning model's (`internal/gridpart`) for every algorithm"},
 	{ID: NativeID, Paper: "native", run: nativeVsDES, Title: "native execution plane vs DES driver (host wall-clock)",
 		Claim:  "no figure; reproduction performance record (DESIGN.md, Two planes one protocol)",
-		Target: "native wall-clock at or under the DES driver's on the same graphs; held by BENCH_native.json and CI's perf gate, not by the figure record"},
+		Target: "native wall-clock at or under the DES driver's on the same graphs; the experiment fails otherwise, and its exit status, not the figure record, is what CI reads"},
 	{ID: "abl-combiners", Paper: "Ablation: combiners", run: ablationCombiner, Title: "Pregel-style update aggregation (§11.1)",
 		Claim:  "merging cost outweighs the traffic reduction; Chaos ships raw updates",
 		Target: "not reproduced at lab/quick scale, model under review (ROADMAP item 3): combining wins on simulated time for all four algorithms at quick scale (0.80-0.93x) and for all but PR (1.20x) at lab scale"},

@@ -67,10 +67,12 @@ func TestNativeEngineJobEndToEnd(t *testing.T) {
 		t.Errorf("sim job shape wrong: engine %q report %+v", simDone.Engine, simDone.Report)
 	}
 
-	// And the native resubmission IS a hit.
+	// And the native resubmission IS a hit — with the retired
+	// nativeBarrier key set, as an old client would send it: the key is
+	// accepted and ignored, so the job shares the entry of one without it.
 	var hitJV JobView
 	if code, _ := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs",
-		jobRequest{Graph: "g", Algorithm: "PR", Options: chaos.Options{Engine: "native", Seed: 3}}, &hitJV); code != http.StatusAccepted {
+		jobRequest{Graph: "g", Algorithm: "PR", Options: chaos.Options{Engine: "native", NativeBarrier: true, Seed: 3}}, &hitJV); code != http.StatusAccepted {
 		t.Fatal("native resubmission rejected")
 	}
 	if hit := pollJob(t, client, ts.URL, hitJV.ID); !hit.CacheHit || hit.Engine != chaos.EngineNative {

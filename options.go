@@ -207,12 +207,14 @@ func (o Options) Canonical() Options {
 	// (see internal/core/parallel.go), so all values canonicalize to the
 	// default and share one cache entry.
 	c.ComputeWorkers = 0
+	// NativeBarrier selects nothing any more (see its declaration), so
+	// a body that still sets it shares the cache entry of one that
+	// does not.
+	c.NativeBarrier = false
 	// Engine aliases fold to their canonical spelling; an unknown name
 	// is left as-is (Canonical cannot fail) and rejected by Validate. The
 	// two engines never share a cache entry: their reports differ
-	// (virtual vs wall time) and float folds may differ too. Nor do the
-	// two NativeBarrier layouts: values are bit-identical, but the
-	// report's steal counters and wall-clock depend on the phase layout.
+	// (virtual vs wall time) and float folds may differ too.
 	if eng, err := ParseEngine(c.Engine); err == nil {
 		c.Engine = eng
 	}

@@ -5,9 +5,7 @@
 #
 #   1. go vet: the stock suite.
 #   2. chaos-vet: the repo's own analyzers (internal/analysis/...) over
-#      every package, plus the //go:build ignore scripts that `./...`
-#      patterns skip — scripts/perf_gate.go is load-bearing CI code and
-#      gets the same scrutiny.
+#      every package.
 #   3. gofmt -l: formatting is a gate, not a suggestion.
 set -eu
 cd "$(dirname "$0")/.."
@@ -16,7 +14,7 @@ echo "== go vet"
 go vet ./...
 
 echo "== chaos-vet"
-go run ./cmd/chaos-vet ./... scripts/perf_gate.go
+go run ./cmd/chaos-vet ./...
 
 echo "== gofmt"
 unformatted=$(gofmt -l . | grep -v '^\.git/' || true)
