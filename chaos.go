@@ -285,9 +285,11 @@ type Report struct {
 	CheckpointBytes  int64
 	Recoveries       int
 	// SpillBytes / SpillFiles report the native engine's out-of-core
-	// update traffic under Options.MemoryBudgetMB: encoded bytes
-	// written to spill files and spill files created. Zero when the
-	// budget is unlimited and always zero for the sim engine.
+	// update traffic under Options.MemoryBudgetMB: bytes written to
+	// spill files — update records at their in-memory size, the same as
+	// encoded for a 4-byte payload and 1.5 / 1.4 times it for MCST / MIS
+	// — and spill files created. Zero when the budget is unlimited and
+	// always zero for the sim engine.
 	SpillBytes int64
 	SpillFiles int
 }

@@ -1,7 +1,8 @@
 // chaos-loadgen drives a running chaos-serve instance with concurrent
 // job submitters and reports serving latency percentiles: it is the
-// closed-loop benchmark behind BENCH_serve.json, the record CI tracks
-// for the service layer the way BENCH_native.json tracks the engines.
+// closed-loop benchmark behind BENCH_serve.json, a one-host record CI's
+// loadgen smoke sanity-checks and nothing gates (the serving trajectory
+// is bench/'s serve-native-mix workload).
 //
 // Each of -concurrency workers submits jobs (POST /v1/jobs), follows
 // the run over the SSE event stream (falling back to polling if the

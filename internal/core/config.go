@@ -47,7 +47,7 @@ type Config struct {
 	MemBudget int64
 	// TransportBudgetBytes bounds the update transport's resident
 	// memory on the native driver: past it, overflowing buckets are
-	// encoded and spilled to temp files under SpillDir, streamed back
+	// spilled as raw record slabs to temp files under SpillDir, streamed back
 	// in deterministic fold order (out-of-core mode). Zero means
 	// unbounded (the zero-copy in-memory transport). The DES driver
 	// ignores it: simulated storage makes every DES run out-of-core by
@@ -143,10 +143,11 @@ type Progress struct {
 	// StealsRejected counts steal proposals the §5.4 criterion turned
 	// down so far.
 	StealsRejected int
-	// SpillBytes counts encoded bytes the native driver's update
-	// transport has written to spill storage so far (always 0 under the
-	// DES driver, whose simulated storage engines account bytes in
-	// BytesRead/BytesWritten instead).
+	// SpillBytes counts bytes the native driver's update transport has
+	// written to spill storage so far, records at their in-memory size
+	// (metrics.Run.SpillBytes; always 0 under the DES driver, whose
+	// simulated storage engines account bytes in BytesRead/BytesWritten
+	// instead).
 	SpillBytes int64
 }
 

@@ -8,6 +8,7 @@ import (
 	"chaos/internal/graph"
 	"chaos/internal/partition"
 	"chaos/internal/raceflag"
+	"chaos/internal/storage"
 )
 
 // The byte plane costs O(1) allocations per chunk. Codecs are func
@@ -83,6 +84,49 @@ func TestDecodeUpdateChunkAllocs(t *testing.T) {
 	}
 	if len(recs) != 4096 || recs[4095] != chunkOf(0, 4096)[4095] {
 		t.Errorf("decoded %d records, last %+v", len(recs), recs[len(recs)-1])
+	}
+}
+
+// TestSpillPutDrainAllocs: a spilled chunk's round trip — Put, spill,
+// DrainFrom, Load, Release, at budget 0 over the file backend — costs
+// at most four allocations per chunk whatever the chunk holds: the slab
+// is written as it is and read back into an arena slab, with no codec and
+// no staging buffer in between.
+func TestSpillPutDrainAllocs(t *testing.T) {
+	skipUnderRace(t)
+	const np, chunks, chunkRecs = 4, 4, 1024
+	k := testKernel(t, np)
+	backend, err := storage.NewFileBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := k.NewSpillTransport(0, backend, nil)
+	defer tr.Close()
+	want := chunkOf(0, chunkRecs)
+	roundTrip := func() {
+		for src := 0; src < np; src++ {
+			for dst := 0; dst < np; dst++ {
+				for c := 0; c < chunks; c++ {
+					recs := k.GrabRecs(chunkRecs)[:chunkRecs]
+					copy(recs, want)
+					tr.Put(src, dst, recs)
+				}
+			}
+		}
+		for dst := 0; dst < np; dst++ {
+			for src := 0; src < np; src++ {
+				for _, pc := range tr.DrainFrom(dst, src) {
+					pc.Release(pc.Load())
+				}
+			}
+		}
+	}
+	roundTrip() // fill the arena
+	if st := tr.Stats(); st.SpillBytes != int64(np*np*chunks*len(recBytes(want))) {
+		t.Fatalf("SpillBytes = %d: not every chunk spilled", st.SpillBytes)
+	}
+	if got := testing.AllocsPerRun(10, roundTrip) / (np * np * chunks); got > 4 {
+		t.Errorf("spill round trip: %v allocs per chunk, want at most 4", got)
 	}
 }
 

@@ -156,9 +156,9 @@ func (k *Kernel[V, U, A]) AppendUpdate(buf []byte, r *UpdRec[U]) []byte {
 	return buf
 }
 
-// AppendRecs encodes a typed record slice onto buf — the spill side of
-// the transport seam, the DES scatter's output, and the bulk inverse of
-// DecodeUpdateChunk: buf grows once, to the chunk's encoded size.
+// AppendRecs encodes a typed record slice onto buf — the DES scatter's
+// output and the bulk inverse of DecodeUpdateChunk: buf grows once, to
+// the chunk's encoded size.
 func (k *Kernel[V, U, A]) AppendRecs(buf []byte, recs []UpdRec[U]) []byte {
 	base, size := len(buf), len(recs)*k.UpdBytes
 	buf = slices.Grow(buf, size)
@@ -231,9 +231,9 @@ type scatterBlock[U any] struct {
 // it has one and neither rewriter nor combiner needs the edges one by
 // one), and group the emitted updates per destination partition as typed
 // records in arena slabs, each record's Off its destination's index
-// inside that partition. The records are never encoded unless something
-// pushes them across a byte boundary: a spilling transport, or the DES
-// driver's ScatterChunk. Each slab starts at the size this (part,
+// inside that partition. The records are encoded only where the protocol
+// byte format is what moves, the DES driver's ScatterChunk; a spilling
+// transport writes the slabs as they are. Each slab starts at the size this (part,
 // destination) pair is known to produce (slabHints) and grows through
 // the arena when a chunk produces more. It may run on any goroutine and
 // must not touch driver state; verts is read-only and stable for the
@@ -392,7 +392,7 @@ func (k *Kernel[V, U, A]) ResetAccums(accums []A) []A {
 
 // GrabRecs takes an empty slab holding at least n records from the run's
 // record arena; ReleaseRecs returns it once its records are consumed (a
-// fold, a spill's encode). The one pair behind every []UpdRec[U] of
+// fold, a spill's write). The one pair behind every []UpdRec[U] of
 // either plane.
 func (k *Kernel[V, U, A]) GrabRecs(n int) []UpdRec[U] { return k.arena.grab(n) }
 

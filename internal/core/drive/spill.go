@@ -2,20 +2,26 @@ package drive
 
 import (
 	"fmt"
-	"slices"
+	"reflect"
 	"sync/atomic"
+	"unsafe"
 
 	"chaos/internal/storage"
 )
 
 // SpillTransport is the out-of-core transport: it keeps buckets typed and
 // in memory exactly like MemTransport until the configured budget is
-// exceeded, then encodes whole overflowing buckets with the kernel codec
-// and appends them to one storage stream per (src, dst) pair. Drained
-// buckets stream their spilled chunks back in production order — spilled
-// chunks always precede a bucket's in-memory tail, so the per-(src, dst)
-// record sequence, and with it every float fold, is identical to the
+// exceeded, then writes whole overflowing buckets — each chunk's slab as
+// the bytes it already is, no codec — to one storage stream per
+// (src, dst) pair. Drained buckets stream their spilled chunks back in
+// production order, read straight into arena slabs — spilled chunks
+// always precede a bucket's in-memory tail, so the per-(src, dst) record
+// sequence, and with it every float fold, is identical to the
 // all-in-memory run.
+//
+// A spill file is private to the run and the process that wrote it and
+// never outlives the run, so the raw form need not care about byte order
+// or padding; it is sound only for a pointer-free U (CheckSpillable).
 //
 // Budget enforcement keeps the one-writer discipline: a Put that tips the
 // total over budget spills buckets of its own source row only, so no lock
@@ -27,10 +33,6 @@ type SpillTransport[U any] struct {
 	backend  storage.Backend
 	cleanup  func() error
 
-	encode      func(buf []byte, recs []UpdRec[U]) []byte
-	decode      func(recs []UpdRec[U], data []byte) []UpdRec[U]
-	grabBuf     func() []byte
-	releaseBuf  func([]byte)
 	grabRecs    func(n int) []UpdRec[U]
 	releaseRecs func([]UpdRec[U])
 
@@ -40,7 +42,7 @@ type SpillTransport[U any] struct {
 
 	rows []spillRow[U]
 	// pending[dst] is the column's encoded-equivalent byte total
-	// (spilled and resident both — the codec is fixed-width, so
+	// (spilled and resident both — counted in records × UpdBytes, so
 	// spilling a chunk never changes its pending contribution),
 	// maintained atomically so steal sweeps can read it while
 	// producers are still Putting.
@@ -62,21 +64,63 @@ type spillBucket[U any] struct {
 	mem     [][]UpdRec[U]
 }
 
-// chunkRef locates one encoded chunk inside its bucket's stream. slab is
-// the capacity of the slab the chunk left memory in: it comes back in one
-// of the same size class, so a budgeted run cycles the slabs it has
-// instead of asking for a neighbouring class on the way back.
+// chunkRef locates one spilled chunk inside its bucket's stream. recs is
+// its record count — every counter is records × UpdBytes, never the
+// on-disk length, which is the resident record size. slab is the
+// capacity of the slab the chunk left memory in: it comes back in one of
+// the same size class, so a budgeted run cycles the slabs it has instead
+// of asking for a neighbouring class on the way back.
 type chunkRef struct {
 	off  int64
-	n    int
+	recs int
 	slab int
 }
 
+// recBytes is the memory of recs' records as bytes: what a spill writes
+// and what its replay reads into.
+func recBytes[U any](recs []UpdRec[U]) []byte {
+	if len(recs) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&recs[0])), len(recs)*int(unsafe.Sizeof(recs[0])))
+}
+
+// CheckSpillable reports whether update records of type U may spill as
+// their own bytes: only a type that can hold no pointer may, since bytes
+// read back from a file are never a live pointer. The native driver asks
+// once per budgeted run, before any spill directory exists.
+func CheckSpillable[U any]() error {
+	if !pointerFree(reflect.TypeFor[U]()) {
+		return fmt.Errorf("update type %v can hold a pointer, so its records cannot spill as raw bytes; run it without a memory budget", reflect.TypeFor[U]())
+	}
+	return nil
+}
+
+// pointerFree reports whether a value of type t can hold no pointer.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return t.Len() == 0 || pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
 // NewSpillTransport returns the spilling transport over the kernel's
-// codec, buffer pool and record arena. budget is the in-memory byte ceiling
+// record geometry and arena. budget is the in-memory byte ceiling
 // (encoded-equivalent); backend receives the overflow, one stream per
 // (src, dst) bucket; cleanup (optional) runs after the backend closes,
-// typically removing the spill directory.
+// typically removing the spill directory. U must pass CheckSpillable.
 func (k *Kernel[V, U, A]) NewSpillTransport(budget int64, backend storage.Backend, cleanup func() error) *SpillTransport[U] {
 	np := k.Layout.NumPartitions
 	t := &SpillTransport[U]{
@@ -84,10 +128,6 @@ func (k *Kernel[V, U, A]) NewSpillTransport(budget int64, backend storage.Backen
 		budget:      budget,
 		backend:     backend,
 		cleanup:     cleanup,
-		encode:      k.AppendRecs,
-		decode:      k.DecodeUpdateChunk,
-		grabBuf:     k.GrabBuf,
-		releaseBuf:  k.ReleaseBuf,
 		grabRecs:    k.GrabRecs,
 		releaseRecs: k.ReleaseRecs,
 		rows:        make([]spillRow[U], np),
@@ -123,19 +163,19 @@ func (t *SpillTransport[U]) Put(src, dst int, recs []UpdRec[U]) (int64, int) {
 	return bytes, chunks
 }
 
-// spillBucket encodes and writes out every in-memory chunk of bucket
-// (src, dst), oldest first, preserving the record sequence on disk.
+// spillBucket writes out every in-memory chunk of bucket (src, dst),
+// oldest first, preserving the record sequence on disk, and returns each
+// slab to the arena as soon as the backend has its copy.
 func (t *SpillTransport[U]) spillBucket(src, dst int) (int64, int) {
 	b := &t.rows[src].buckets[dst]
 	if len(b.mem) == 0 {
 		return 0, 0
 	}
-	buf := t.grabBuf()
 	n := len(b.mem)
 	var freed, written int64
 	for i, recs := range b.mem {
-		buf = t.encode(buf[:0], recs)
-		off, err := t.backend.Write(b.stream, buf)
+		data := recBytes(recs)
+		off, err := t.backend.Write(b.stream, data)
 		if err != nil {
 			// Mid-phase spill failure is unrecoverable: the update set
 			// can no longer be materialized for gather.
@@ -145,14 +185,13 @@ func (t *SpillTransport[U]) spillBucket(src, dst int) (int64, int) {
 			b.created = true
 			t.spillFiles.Add(1)
 		}
-		b.refs = append(b.refs, chunkRef{off: off, n: len(buf), slab: cap(recs)})
+		b.refs = append(b.refs, chunkRef{off: off, recs: len(recs), slab: cap(recs)})
 		freed += int64(len(recs)) * int64(t.updBytes)
-		written += int64(len(buf))
+		written += int64(len(data))
 		t.releaseRecs(recs)
 		b.mem[i] = nil
 	}
 	b.mem = b.mem[:0]
-	t.releaseBuf(buf)
 	t.memBytes.Add(-freed)
 	t.spillBytes.Add(written)
 	return written, n
@@ -185,16 +224,15 @@ func (t *SpillTransport[U]) DrainFrom(dst, src int) []PendingChunk[U] {
 		for _, ref := range b.refs {
 			ref := ref
 			stream := b.stream
-			drained += int64(ref.n)
+			sz := int64(ref.recs) * int64(t.updBytes)
+			drained += sz
 			out = append(out, PendingChunk[U]{
-				Bytes: int64(ref.n),
+				Bytes: sz,
 				load: func() []UpdRec[U] {
-					buf := slices.Grow(t.grabBuf(), ref.n)[:ref.n]
-					if err := t.backend.ReadInto(stream, ref.off, buf); err != nil {
+					recs := t.grabRecs(ref.slab)[:ref.recs]
+					if err := t.backend.ReadInto(stream, ref.off, recBytes(recs)); err != nil {
 						panic(fmt.Sprintf("drive: spill read %s@%d: %v", stream, ref.off, err))
 					}
-					recs := t.decode(t.grabRecs(ref.slab), buf)
-					t.releaseBuf(buf)
 					return recs
 				},
 				release: func(recs []UpdRec[U]) {

@@ -11,11 +11,12 @@ import "sync/atomic"
 // completes (DrainFrom, the streaming consumer API behind the native
 // driver's pipelined phase boundary). A record's Off is relative to the
 // bucket's dst, which both ends of the bucket name.
-// Encoding is a property of crossing a real boundary — the in-memory
-// transport never encodes, the spilling transport encodes exactly the
-// chunks that overflow its budget onto storage, and the DES driver's
-// Wire always encodes because its simulated storage engines only move
-// bytes.
+// Encoding is a property of crossing a boundary someone else reads —
+// neither native transport encodes: the in-memory one moves slabs by
+// pointer, and the spilling one writes the slabs that overflow its
+// budget as their own bytes to files only its run reads back. The DES
+// driver's Wire always encodes, because the protocol's byte format is
+// what its simulated storage engines and network carry and charge.
 //
 // Concurrency contract (the native store's one-writer discipline):
 // bucket (src, dst) is written only by the goroutine running scatter(src)
@@ -39,8 +40,9 @@ type Transport[U any] interface {
 	// PhaseSpill spans without the transport reading a clock.
 	Put(src, dst int, recs []UpdRec[U]) (spilledBytes int64, spilledChunks int)
 	// PendingBytes is D in the §5.4 steal criterion: the
-	// encoded-equivalent bytes pending for partition dst. A single
-	// atomic read — callable concurrently with Put and DrainFrom.
+	// encoded-equivalent bytes pending for partition dst, records ×
+	// UpdBytes whether a chunk is resident or spilled. A single atomic
+	// read — callable concurrently with Put and DrainFrom.
 	PendingBytes(dst int) int64
 	// DrainFrom removes and returns the chunks src's scatter emitted
 	// for dst, in production order. Draining src 0..np-1 in ascending
@@ -58,7 +60,11 @@ type Transport[U any] interface {
 
 // TransportStats are the cumulative spill tallies of one run.
 type TransportStats struct {
-	// SpillBytes counts encoded bytes written to spill storage.
+	// SpillBytes counts bytes written to spill storage: the spilled
+	// records at their in-memory size, unsafe.Sizeof(UpdRec[U]{}) each
+	// (equal to UpdBytes for a 4-byte payload below 2^32 vertices, 1.5
+	// and 1.4 times it for MCST and MIS). The protocol counters never
+	// see it: they count records × UpdBytes wherever a chunk sits.
 	SpillBytes int64
 	// SpillFiles counts spill files created (one per (src, dst) stream
 	// that ever overflowed).
@@ -66,14 +72,16 @@ type TransportStats struct {
 }
 
 // PendingChunk is one drained update chunk awaiting its gather fold.
-// Load materializes the typed records — a pure computation safe on any
-// goroutine, so drivers run it on the compute pool exactly like a chunk
-// decode — and Release returns the slab to the kernel's record arena
+// Load materializes the typed records — safe on any goroutine, so
+// drivers run it on the compute pool exactly like a chunk decode; for a
+// spilled chunk it reads the file straight into an arena slab — and
+// Release returns the slab to the kernel's record arena
 // (and, for the last spilled chunk of a drained bucket, reclaims the
 // bucket's spill-file space).
 type PendingChunk[U any] struct {
-	// Bytes is the chunk's encoded-equivalent size, for byte tallies and
-	// flight-recorder spans.
+	// Bytes is the chunk's encoded-equivalent size, records × UpdBytes
+	// even for a spilled chunk, for byte tallies and flight-recorder
+	// spans.
 	Bytes   int64
 	load    func() []UpdRec[U]
 	release func([]UpdRec[U])

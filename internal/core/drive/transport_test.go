@@ -1,20 +1,29 @@
 package drive
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
 
 	"chaos/internal/algorithms"
+	"chaos/internal/gas"
 	"chaos/internal/partition"
 	"chaos/internal/storage"
 )
 
 func testKernel(t *testing.T, np int) *Kernel[algorithms.PRVertex, float32, float64] {
 	t.Helper()
+	return kernelOf(t, &algorithms.PageRank{Iterations: 1}, np)
+}
+
+// kernelOf is prog's kernel over np partitions of 1024 vertices.
+func kernelOf[V, U, A any](t *testing.T, prog gas.Program[V, U, A], np int) *Kernel[V, U, A] {
+	t.Helper()
 	layout, err := partition.FixedLayout(1<<10, 1, np)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewKernel(&algorithms.PageRank{Iterations: 1}, layout)
+	return NewKernel(prog, layout)
 }
 
 // TestReleaseBufRetentionBound pins the pool-retention bound of byte
@@ -95,52 +104,136 @@ func TestMemTransportFoldOrder(t *testing.T) {
 	}
 }
 
-// TestSpillTransportRoundTrip forces every chunk through the disk path
-// (budget 0 keeps nothing resident) and checks the drained fold order
-// and contents match production order exactly, streams are truncated
-// after the last release, and the cleanup hook runs on Close.
-func TestSpillTransportRoundTrip(t *testing.T) { overBothBackends(t, spillRoundTrip) }
-
-// overBothBackends runs a spill test over the file backend the native
-// driver spills to and over the in-memory one.
-func overBothBackends(t *testing.T, run func(*testing.T, storage.Backend)) {
-	fb, err := storage.NewFileBackend(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Run("file", func(t *testing.T) { run(t, fb) })
-	t.Run("mem", func(t *testing.T) { run(t, storage.NewMemBackend()) })
+// TestSpillTransportRoundTrip runs each put pattern of spillCases for
+// each payload shape the ten programs use, over both backends, and
+// checks what the raw form must keep: every Put reports exactly the
+// chunks it wrote out and their resident bytes; SpillBytes is records ×
+// Sizeof(UpdRec[U]) and SpillFiles the streams written; every chunk and
+// PendingBytes count records × UpdBytes whatever went to disk, and
+// PendingBytes returns to 0; the drained records are the records put,
+// source by source and in production order within a source; every
+// stream is truncated after its last release; the cleanup hook runs on
+// Close.
+func TestSpillTransportRoundTrip(t *testing.T) {
+	overBothBackends(t, func(t *testing.T, backend func(*testing.T) storage.Backend) {
+		t.Run("float32", func(t *testing.T) {
+			spillRoundTrips(t, testKernel(t, 3), backend, func(i int) float32 { return float32(i)/16 + 0.5 })
+		})
+		t.Run("uint32", func(t *testing.T) {
+			spillRoundTrips(t, kernelOf(t, &algorithms.WCC{}, 3), backend, func(i int) uint32 { return uint32(7*i + 1) })
+		})
+		t.Run("MCSTUpdate", func(t *testing.T) {
+			spillRoundTrips(t, kernelOf(t, &algorithms.MCST{}, 3), backend, func(i int) algorithms.MCSTUpdate {
+				return algorithms.MCSTUpdate{Comp: uint64(i)<<33 | 5, W: float32(i) / 8}
+			})
+		})
+		t.Run("MISUpdate", func(t *testing.T) {
+			spillRoundTrips(t, kernelOf(t, &algorithms.MIS{}, 3), backend, func(i int) algorithms.MISUpdate {
+				return algorithms.MISUpdate{Prio: uint64(i) * 0x9E3779B97F4A7C15, ID: uint32(i), Elim: i%3 == 0}
+			})
+		})
+	})
 }
 
-func spillRoundTrip(t *testing.T, backend storage.Backend) {
-	k := testKernel(t, 3)
-	cleaned := false
-	tr := k.NewSpillTransport(0, backend, func() error { cleaned = true; return nil })
+// roundTripChunk records per chunk; every chunk goes to column
+// roundTripDst of a three-partition kernel.
+const roundTripChunk, roundTripDst = 8, 2
 
-	var want []UpdRec[float32]
-	for _, p := range []struct{ src, base int }{{1, 100}, {0, 200}, {1, 300}} {
-		c := chunkOf(p.base, 4)
-		sb, sn := tr.Put(p.src, 2, append([]UpdRec[float32](nil), c...))
-		if sb == 0 || sn == 0 {
-			t.Fatalf("zero budget should spill every Put, got (%d, %d)", sb, sn)
+// spillCase is one put pattern of TestSpillTransportRoundTrip: chunk c
+// comes from source srcs[c], and its Put must write out spills[c] chunks.
+type spillCase struct {
+	name    string
+	budget  int // records
+	srcs    []int
+	spills  []int
+	streams []string
+}
+
+var spillCases = []spillCase{
+	// Nothing stays resident: each Put spills its own chunk, and two
+	// sources' streams feed one column.
+	{name: "zero-budget", budget: 0, srcs: []int{1, 0, 1}, spills: []int{1, 1, 1},
+		streams: []string{"upd.s0000.d0002", "upd.s0001.d0002"}},
+	// The third Put tips the bucket over and spills all three chunks; the
+	// fourth stays resident, so the drain is a spilled prefix and a tail.
+	{name: "partial", budget: 2*roundTripChunk + 1, srcs: []int{0, 0, 0, 0}, spills: []int{0, 0, 3, 0},
+		streams: []string{"upd.s0000.d0002"}},
+}
+
+func spillRoundTrips[V any, U comparable, A any](t *testing.T, k *Kernel[V, U, A], backend func(*testing.T) storage.Backend, val func(int) U) {
+	for _, sc := range spillCases {
+		t.Run(sc.name, func(t *testing.T) { spillRoundTrip(t, k, backend(t), sc, val) })
+	}
+}
+
+// overBothBackends runs a spill test over the file backend the native
+// driver spills to and over the in-memory one; backend returns a fresh
+// one of the subtest's kind.
+func overBothBackends(t *testing.T, run func(t *testing.T, backend func(*testing.T) storage.Backend)) {
+	t.Run("file", func(t *testing.T) {
+		run(t, func(t *testing.T) storage.Backend {
+			fb, err := storage.NewFileBackend(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fb
+		})
+	})
+	t.Run("mem", func(t *testing.T) {
+		run(t, func(*testing.T) storage.Backend { return storage.NewMemBackend() })
+	})
+}
+
+func spillRoundTrip[V any, U comparable, A any](t *testing.T, k *Kernel[V, U, A], backend storage.Backend, sc spillCase, val func(int) U) {
+	recSize := int64(unsafe.Sizeof(UpdRec[U]{}))
+	cleaned := false
+	tr := k.NewSpillTransport(int64(sc.budget)*int64(k.UpdBytes), backend, func() error { cleaned = true; return nil })
+	put := make([][]UpdRec[U], len(sc.srcs))
+	spilled := 0
+	for c, src := range sc.srcs {
+		recs := k.GrabRecs(roundTripChunk)[:roundTripChunk]
+		for i := range recs {
+			n := c*roundTripChunk + i
+			recs[i] = UpdRec[U]{Off: uint32(n), Val: val(n)}
+		}
+		put[c] = slices.Clone(recs)
+		sb, sn := tr.Put(src, roundTripDst, recs)
+		if wantB := int64(sc.spills[c]*roundTripChunk) * recSize; sb != wantB || sn != sc.spills[c] {
+			t.Fatalf("Put %d spilled (%d bytes, %d chunks), want (%d, %d)", c, sb, sn, wantB, sc.spills[c])
+		}
+		spilled += sc.spills[c]
+	}
+	// The fold order: source by source, each source's chunks as produced.
+	var want []UpdRec[U]
+	for src := 0; src < k.Layout.NumPartitions; src++ {
+		for c, s := range sc.srcs {
+			if s == src {
+				want = append(want, put[c]...)
+			}
 		}
 	}
-	for _, p := range []struct{ src, base int }{{0, 200}, {1, 100}, {1, 300}} {
-		want = append(want, chunkOf(p.base, 4)...)
-	}
-
 	st := tr.Stats()
-	if st.SpillBytes != int64(len(want))*int64(k.UpdBytes) {
-		t.Errorf("SpillBytes = %d, want %d", st.SpillBytes, int64(len(want))*int64(k.UpdBytes))
+	if wantB := int64(spilled*roundTripChunk) * recSize; st.SpillBytes != wantB {
+		t.Errorf("SpillBytes = %d, want %d (%d records as resident bytes)", st.SpillBytes, wantB, spilled*roundTripChunk)
 	}
-	if st.SpillFiles != 2 { // streams (0,2) and (1,2)
-		t.Errorf("SpillFiles = %d, want 2", st.SpillFiles)
+	if st.SpillFiles != len(sc.streams) {
+		t.Errorf("SpillFiles = %d, want %d", st.SpillFiles, len(sc.streams))
 	}
-	if got := tr.PendingBytes(2); got != int64(len(want))*int64(k.UpdBytes) {
-		t.Errorf("PendingBytes = %d, want %d", got, int64(len(want))*int64(k.UpdBytes))
+	if got, wantP := tr.PendingBytes(roundTripDst), int64(len(want))*int64(k.UpdBytes); got != wantP {
+		t.Errorf("PendingBytes = %d, want %d", got, wantP)
 	}
 
-	seq := drainAll[float32](tr, k.Layout.NumPartitions, 2)
+	var seq []UpdRec[U]
+	for src := 0; src < k.Layout.NumPartitions; src++ {
+		for i, pc := range tr.DrainFrom(roundTripDst, src) {
+			recs := pc.Load()
+			if wantB := int64(len(recs)) * int64(k.UpdBytes); pc.Bytes != wantB {
+				t.Errorf("src %d chunk %d: Bytes = %d, want %d (records × UpdBytes, not the on-disk length)", src, i, pc.Bytes, wantB)
+			}
+			seq = append(seq, recs...)
+			pc.Release(recs)
+		}
+	}
 	if len(seq) != len(want) {
 		t.Fatalf("drained %d records, want %d", len(seq), len(want))
 	}
@@ -149,8 +242,11 @@ func spillRoundTrip(t *testing.T, backend storage.Backend) {
 			t.Fatalf("record %d: got %+v, want %+v", i, seq[i], want[i])
 		}
 	}
-	// The last Release of a column's spilled chunks truncates its streams.
-	for _, stream := range []string{"upd.s0000.d0002", "upd.s0001.d0002"} {
+	if got := tr.PendingBytes(roundTripDst); got != 0 {
+		t.Errorf("PendingBytes after drain = %d, want 0", got)
+	}
+	// The last Release of a bucket's spilled chunks truncates its stream.
+	for _, stream := range sc.streams {
 		if sz, err := backend.Size(stream); err != nil || sz != 0 {
 			t.Errorf("stream %s not truncated after drain: size %d, err %v", stream, sz, err)
 		}
@@ -241,27 +337,74 @@ func TestStreamingDrainFoldOrder(t *testing.T) {
 	}
 }
 
+// TestEveryUpdateTypeSpills: the raw spill form is only sound for an
+// update type that can hold no pointer, and all ten programs' types are
+// such types; the types below them are not.
+func TestEveryUpdateTypeSpills(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		check func() error
+		ok    bool
+	}{
+		{"BFS", spillable(&algorithms.BFS{}), true},
+		{"WCC", spillable(&algorithms.WCC{}), true},
+		{"SSSP", spillable(&algorithms.SSSP{}), true},
+		{"PageRank", spillable(&algorithms.PageRank{}), true},
+		{"MIS", spillable(&algorithms.MIS{}), true},
+		{"MCST", spillable(&algorithms.MCST{}), true},
+		{"SCC", spillable(&algorithms.SCC{}), true},
+		{"Conductance", spillable(&algorithms.Conductance{}), true},
+		{"SpMV", spillable(&algorithms.SpMV{}), true},
+		{"BP", spillable(&algorithms.BP{}), true},
+		{"[0]*int", CheckSpillable[[0]*int], true},
+		{"*uint32", CheckSpillable[*uint32], false},
+		{"string", CheckSpillable[string], false},
+		{"any", CheckSpillable[any], false},
+		{"struct with a slice", CheckSpillable[struct {
+			ID   uint32
+			Tags []byte
+		}], false},
+		{"array of maps", CheckSpillable[[2]map[int]int], false},
+	} {
+		if err := tc.check(); (err == nil) != tc.ok {
+			t.Errorf("%s: CheckSpillable = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// spillable is CheckSpillable for prog's update type.
+func spillable[V, U, A any](gas.Program[V, U, A]) func() error { return CheckSpillable[U] }
+
 // TestSpillTransportPartialSpill puts chunks under a budget that spills
 // some but not all: the drained sequence must still be exactly the
 // production sequence (spilled prefix, then the in-memory tail).
 //
-// The third Put writes three chunks from one encode buffer, so the
-// in-memory arm also checks that the backend took its own copy of each
-// (storage.Backend: Write does not retain data).
+// A spilled slab goes back to the arena at once, and here the next two
+// Puts take the last two spilled slabs and overwrite them before the
+// drain, so the in-memory arm also checks that the backend took its own
+// copy of each (storage.Backend: Write does not retain data).
 func TestSpillTransportPartialSpill(t *testing.T) { overBothBackends(t, partialSpill) }
 
-func partialSpill(t *testing.T, backend storage.Backend) {
+func partialSpill(t *testing.T, backend func(*testing.T) storage.Backend) {
 	k := testKernel(t, 2)
 	const chunkRecs = 8
 	// Budget fits two chunks; the third Put tips over and spills the
-	// bucket, the fourth stays resident.
+	// bucket, the fourth and fifth stay resident.
 	budget := int64(2*chunkRecs+1) * int64(k.UpdBytes)
-	tr := k.NewSpillTransport(budget, backend, nil)
+	tr := k.NewSpillTransport(budget, backend(t), nil)
 	var want []UpdRec[float32]
-	for i := 0; i < 4; i++ {
-		c := chunkOf(100*i, chunkRecs)
-		want = append(want, c...)
-		tr.Put(0, 1, append([]UpdRec[float32](nil), c...))
+	var spilled []*UpdRec[float32]
+	for i := 0; i < 5; i++ {
+		recs := k.GrabRecs(chunkRecs)[:chunkRecs]
+		if i >= 3 && &recs[0] != spilled[5-i] {
+			t.Fatalf("Put %d did not reuse a spilled slab; the overwrite goes unexercised", i)
+		}
+		copy(recs, chunkOf(100*i, chunkRecs))
+		want = append(want, recs...)
+		if i < 3 {
+			spilled = append(spilled, &recs[0])
+		}
+		tr.Put(0, 1, recs)
 	}
 	if st := tr.Stats(); st.SpillBytes == 0 {
 		t.Fatal("budget was never exceeded; test is vacuous")

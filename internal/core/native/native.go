@@ -98,7 +98,7 @@ type run[V, U, A any] struct {
 	// seam (internal/core/drive): typed record slices through
 	// per-(src, dst) buckets under the one-writer-until-completion
 	// discipline, zero-copy in memory and — past
-	// Config.TransportBudgetBytes — encoded onto spill files.
+	// Config.TransportBudgetBytes — written as raw slabs to spill files.
 	tr drive.Transport[U]
 
 	// Per-phase partition ownership tables: masters claim their own
@@ -179,9 +179,12 @@ func newRun[V, U, A any](cfg core.Config, prog gas.Program[V, U, A], edges []gra
 	r.edges = make([][][]byte, np)
 	r.edgesNext = make([][][]byte, np)
 	if cfg.TransportBudgetBytes > 0 {
-		// Out-of-core mode: overflow past the budget is encoded with
-		// the kernel codec and spilled to real temp files, one
-		// directory per run, removed when the transport closes.
+		// Out-of-core mode: overflow past the budget is spilled, as the
+		// record slabs' own bytes, to real temp files, one directory per
+		// run, removed when the transport closes.
+		if err := drive.CheckSpillable[U](); err != nil {
+			return nil, fmt.Errorf("native: %w", err)
+		}
 		dir, err := os.MkdirTemp(cfg.SpillDir, "chaos-spill-*")
 		if err != nil {
 			return nil, fmt.Errorf("native: spill dir: %w", err)

@@ -98,8 +98,8 @@ func storedBytes(chunks [][]byte) int64 {
 // shared typed scatter kernel on the compute pool over the resident
 // vertex values, and merge each chunk's result — in the deterministic
 // chunk order — into the update transport: record slices move into the
-// per-(src, dst) buckets zero-copy, and only a spilling transport ever
-// encodes them.
+// per-(src, dst) buckets zero-copy, and a spilling transport writes the
+// ones past its budget to disk as they are.
 
 func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 	kern := r.kern
@@ -230,9 +230,10 @@ func (r *run[V, U, A]) gatherPartition(iter, mach, p int, stolen bool) {
 	// (the streaming edge of the pipeline — in the pinned (source
 	// partition, chunk) order, sources ascending), and dispatch each
 	// chunk's Load to the pool (a slice hand-back for resident chunks, a
-	// read+decode for spilled ones), with the fold into this partition's
-	// accumulators chained behind it in that same order — the DES
-	// driver's exact gather pattern, minus the global barrier. Folds are
+	// file read straight into an arena slab for spilled ones), with the
+	// fold into this partition's accumulators chained behind it in that
+	// same order — the DES driver's exact gather pattern, minus the
+	// global barrier. Folds are
 	// the bulk of gather compute, so running them as pool tasks keeps
 	// native jobs inside the scheduler's shared compute budget instead
 	// of doing the heavy lifting on unbudgeted machine goroutines. The

@@ -1,15 +1,18 @@
 package native_test
 
 import (
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"chaos/internal/algorithms"
 	"chaos/internal/core"
 	"chaos/internal/core/native"
+	"chaos/internal/gas"
 	"chaos/internal/graph"
 	"chaos/internal/refalgo"
 )
@@ -71,6 +74,132 @@ func TestNativeSpillMatchesInMemory(t *testing.T) {
 		t.Error("out-of-core run diverged from the in-memory run")
 	}
 	requireNoSpillLeftovers(t, c.SpillDir)
+}
+
+// TestNativeSpillCountersMatchInMemory: for each of the ten programs a
+// forced-spill run reports what the unbudgeted run does — values,
+// BytesRead, BytesWritten, Iterations. The protocol counters are
+// records × UpdBytes wherever a chunk sits, so a spilled chunk must not
+// count the bytes it took on disk (24 a record for MCST and MIS, against
+// 16 and 17 encoded).
+func TestNativeSpillCountersMatchInMemory(t *testing.T) {
+	edges, n := rmatEdges(7, false, 5)
+	und := graph.Undirected(edges)
+	wedges, _ := rmatEdges(7, true, 5)
+	wund := graph.Undirected(wedges)
+	spillAgrees(t, "BFS", func() gas.Program[algorithms.BFSVertex, uint32, uint32] { return &algorithms.BFS{} }, und, n, 5)
+	spillAgrees(t, "WCC", func() gas.Program[algorithms.WCCVertex, uint32, uint32] { return &algorithms.WCC{} }, und, n, 5)
+	spillAgrees(t, "SSSP", func() gas.Program[algorithms.SSSPVertex, float32, float32] { return &algorithms.SSSP{} }, wund, n, 5)
+	spillAgrees(t, "PageRank", func() gas.Program[algorithms.PRVertex, float32, float64] { return &algorithms.PageRank{Iterations: 5} }, edges, n, 8)
+	spillAgrees(t, "MIS", func() gas.Program[algorithms.MISVertex, algorithms.MISUpdate, algorithms.MISAccum] {
+		return &algorithms.MIS{}
+	}, und, n, 2)
+	spillAgrees(t, "MCST", func() gas.Program[algorithms.MCSTVertex, algorithms.MCSTUpdate, algorithms.MCSTAccum] {
+		return &algorithms.MCST{}
+	}, wund, n, 8)
+	spillAgrees(t, "SCC", func() gas.Program[algorithms.SCCVertex, uint32, algorithms.SCCAccum] { return &algorithms.SCC{} }, algorithms.AugmentEdges(edges), n, 11)
+	spillAgrees(t, "Conductance", func() gas.Program[algorithms.CondVertex, uint32, algorithms.CondAccum] {
+		return &algorithms.Conductance{}
+	}, edges, n, 13)
+	spillAgrees(t, "SpMV", func() gas.Program[algorithms.SpMVVertex, float32, float64] { return &algorithms.SpMV{} }, wedges, n, 8)
+	spillAgrees(t, "BP", func() gas.Program[algorithms.BPVertex, float32, float64] { return &algorithms.BP{Iterations: 4} }, wedges, n, 4)
+}
+
+func spillAgrees[V, U, A any](t *testing.T, name string, prog func() gas.Program[V, U, A], edges []graph.Edge, n uint64, vbytes int) {
+	t.Run(name, func(t *testing.T) {
+		mem := cfg(2, n, vbytes)
+		mem.TransportBudgetBytes = 0
+		memV, memRun, err := native.Run(mem, prog(), edges, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := spillCfg(t, 2, n, vbytes)
+		spV, spRun, err := native.Run(c, prog(), edges, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spRun.SpillBytes == 0 {
+			t.Fatalf("budget %d did not force spilling", c.TransportBudgetBytes)
+		}
+		if !reflect.DeepEqual(memV, spV) {
+			t.Error("values diverged")
+		}
+		if memRun.BytesRead != spRun.BytesRead || memRun.BytesWritten != spRun.BytesWritten || memRun.Iterations != spRun.Iterations {
+			t.Errorf("in memory: read %d, written %d, %d iterations; spilled: read %d, written %d, %d iterations",
+				memRun.BytesRead, memRun.BytesWritten, memRun.Iterations, spRun.BytesRead, spRun.BytesWritten, spRun.Iterations)
+		}
+		requireNoSpillLeftovers(t, c.SpillDir)
+	})
+}
+
+// ptrUpd is an update payload that holds a pointer: its records cannot
+// spill as raw bytes.
+type ptrUpd struct{ Src *graph.VertexID }
+
+// maxInID is a one-iteration toy program over ptrUpd: each vertex ends
+// with the largest of its own ID and its in-neighbours' IDs.
+type maxInID struct{}
+
+func (maxInID) Name() string                                { return "maxInID" }
+func (maxInID) Weighted() bool                              { return false }
+func (maxInID) NeedsDegrees() bool                          { return false }
+func (maxInID) Init(id graph.VertexID, v *uint32, _ uint32) { *v = uint32(id) }
+func (maxInID) Scatter(_ int, e graph.Edge, _ *uint32) (graph.VertexID, ptrUpd, bool) {
+	src := e.Src
+	return e.Dst, ptrUpd{Src: &src}, true
+}
+func (maxInID) InitAccum() uint32                           { return 0 }
+func (maxInID) Gather(a uint32, u ptrUpd, _ *uint32) uint32 { return max(a, uint32(*u.Src)) }
+func (maxInID) Merge(a, b uint32) uint32                    { return max(a, b) }
+func (maxInID) Apply(_ int, _ graph.VertexID, v *uint32, a uint32) bool {
+	if a > *v {
+		*v = a
+		return true
+	}
+	return false
+}
+func (maxInID) Converged(int, uint64) bool     { return true }
+func (maxInID) VertexCodec() gas.Codec[uint32] { return gas.Uint32Codec() }
+func (maxInID) AccumBytes() int                { return 4 }
+func (maxInID) UpdateCodec() gas.Codec[ptrUpd] {
+	return gas.Codec[ptrUpd]{
+		Bytes: 4,
+		Put:   func(buf []byte, v *ptrUpd) { binary.LittleEndian.PutUint32(buf, uint32(*v.Src)) },
+		Get: func(buf []byte, v *ptrUpd) {
+			src := graph.VertexID(binary.LittleEndian.Uint32(buf))
+			v.Src = &src
+		},
+	}
+}
+
+// TestNativeSpillRefusesPointerUpdates: under a budget, a program whose
+// update type can hold a pointer fails its run with an error naming the
+// type — no panic, no spill directory left behind — and without one it
+// runs as any other.
+func TestNativeSpillRefusesPointerUpdates(t *testing.T) {
+	edges, n := rmatEdges(6, false, 3)
+	c := spillCfg(t, 2, n, 4)
+	if _, _, err := native.Run(c, maxInID{}, edges, n); err == nil || !strings.Contains(err.Error(), "native_test.ptrUpd") {
+		t.Fatalf("budgeted run: err = %v, want one naming native_test.ptrUpd", err)
+	}
+	requireNoSpillLeftovers(t, c.SpillDir)
+
+	plain := cfg(2, n, 4)
+	plain.TransportBudgetBytes = 0
+	values, _, err := native.Run(plain, maxInID{}, edges, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]uint32, n)
+	for i := range want {
+		want[i] = uint32(i)
+	}
+	for _, e := range edges {
+		want[e.Dst] = max(want[e.Dst], uint32(e.Src))
+	}
+	if !reflect.DeepEqual(values, want) {
+		t.Error("unbudgeted run of the pointer-update program computed the wrong values")
+	}
 }
 
 // TestNativeSpillMatchesReference runs a forced-spill BFS against the

@@ -215,7 +215,7 @@ func (s *Service) metricsText() string {
 	// Out-of-core spill counters, always emitted (zero until a native
 	// job with a memory budget actually spills) so dashboards see the
 	// series before the first out-of-core run.
-	p.scalar("chaos_spill_bytes_total", "Encoded update bytes spilled to disk by native out-of-core runs.", "counter", float64(st.SpillBytes))
+	p.scalar("chaos_spill_bytes_total", "Update bytes spilled to disk by native out-of-core runs, records at their in-memory size.", "counter", float64(st.SpillBytes))
 	p.scalar("chaos_spill_files_total", "Spill files created by native out-of-core runs.", "counter", float64(st.SpillFiles))
 
 	// Latency histograms. Route and engine series were pre-seeded at

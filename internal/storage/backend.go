@@ -34,7 +34,8 @@ var ErrUnknownStream = errors.New("storage: unknown stream")
 //
 //   - Write does not retain data. The stored bytes are the backend's own
 //     copy, so the caller may reuse or overwrite its buffer as soon as
-//     Write returns (SpillTransport encodes every chunk into one buffer).
+//     Write returns (SpillTransport writes a record slab and at once
+//     returns it to its arena, where the next Put may refill it).
 //   - Read results are read-only. A backend may hand out a view of its
 //     own storage instead of a copy; a caller that wants to modify the
 //     bytes copies them first. A result stays valid and unchanged for as

@@ -31,8 +31,9 @@ type Progress struct {
 	// StealsRejected counts steal proposals the §5.4 criterion turned
 	// down so far.
 	StealsRejected int `json:"stealsRejected"`
-	// SpillBytes counts encoded bytes the native engine's update
-	// transport has written to spill files so far (always zero under the
+	// SpillBytes counts bytes the native engine's update transport has
+	// written to spill files so far, records at their in-memory size
+	// (Report.SpillBytes has the ratio to encoded; always zero under the
 	// DES engine, whose simulated storage accounts bytes in
 	// BytesRead/BytesWritten).
 	SpillBytes int64 `json:"spillBytes,omitempty"`
