@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"chaos/internal/core/drive"
 	"chaos/internal/metrics"
@@ -35,13 +36,12 @@ type machine[V, U, A any] struct {
 	pendingWrites int
 
 	// wire is this machine's side of the update-transport seam
-	// (internal/core/drive): it buffers encoded update records per
-	// destination partition and hands exactly-limit-sized chunks to
-	// writeDataChunk as they fill (§5.1). Under the DES every update
-	// crosses a modeled storage boundary, so the wire always carries
-	// bytes — its chunk boundaries and flush sequence are bit-identical
-	// to the buffering it replaced.
-	wire *drive.Wire
+	// (internal/core/drive): it buffers typed update records per
+	// destination partition and hands chunks of max(ChunkBytes/UpdBytes,
+	// 1) records to writeUpdateChunk as they fill (§5.1). The records are
+	// never encoded: every modeled device and link charges a chunk's
+	// records × UpdBytes.
+	wire *drive.Wire[drive.UpdRec[U]]
 
 	// combBuf stands before the wire when the Pregel-style combiner is
 	// active (nil otherwise); its chunks leave through shipCombined.
@@ -50,7 +50,7 @@ type machine[V, U, A any] struct {
 	// edgeWire cuts the rewritten next-generation edge records of each
 	// partition into chunks under the §6.1 extended model (nil without a
 	// rewriter).
-	edgeWire *drive.Wire
+	edgeWire *drive.Wire[byte]
 
 	// Gather-steal accumulator hand-off state.
 	stolenAccums    map[int][]A
@@ -86,25 +86,17 @@ func newMachine[V, U, A any](eng *engine[V, U, A], id int) *machine[V, U, A] {
 		degAcc:          make([][]uint32, eng.layout.NumPartitions),
 		dirPending:      make(map[uint64]func(dirResp)),
 	}
-	m.wire = drive.NewWire(eng.layout.NumPartitions, wholeRecords(eng.cfg.ChunkBytes, eng.kern.UpdBytes), func(tp int, chunk []byte) {
-		m.writeDataChunk(storage.UpdateSet, tp, chunk)
-	})
+	m.wire = drive.NewWire(eng.layout.NumPartitions, max(eng.cfg.ChunkBytes/eng.kern.UpdBytes, 1), m.writeUpdateChunk)
 	if eng.kern.Rewriter != nil {
 		limit := drive.SpillLimit(eng.cfg.ChunkBytes, eng.kern.EdgeFmt.EdgeSize())
 		m.edgeWire = drive.NewWire(eng.layout.NumPartitions, limit, func(part int, chunk []byte) {
-			m.writeDataChunk(storage.EdgeSetNext, part, chunk)
+			m.writeDataChunk(writeChunk{kind: storage.EdgeSetNext, part: part, length: len(chunk), data: chunk})
 		})
 	}
 	if eng.kern.Combiner != nil {
 		m.combBuf = eng.kern.NewCombineBuf()
 	}
 	return m
-}
-
-// wholeRecords is the DES chunk limit: the largest whole number of
-// recSize-byte records that fits chunkBytes, at least one.
-func wholeRecords(chunkBytes, recSize int) int {
-	return max(chunkBytes/recSize, 1) * recSize
 }
 
 func (m *machine[V, U, A]) send(dst int, bytes int64, mb *sim.Mailbox, msg any) {
@@ -259,15 +251,15 @@ func (m *machine[V, U, A]) preprocess(p *sim.Proc) {
 	mk := m.markSpan(p)
 	myEdges := eng.inputEdges[m.id]
 	edgeSize := eng.kern.EdgeFmt.EdgeSize()
-	limit := wholeRecords(eng.cfg.ChunkBytes, edgeSize)
-	perChunk := limit / edgeSize
+	perChunk := max(eng.cfg.ChunkBytes/edgeSize, 1) // the DES chunk: whole records, at least one
+	limit := perChunk * edgeSize
 	needDeg := eng.prog.NeedsDegrees()
 	var localDeg [][]uint32
 	if needDeg {
 		localDeg = make([][]uint32, eng.layout.NumPartitions)
 	}
 	bins := drive.NewWire(eng.layout.NumPartitions, limit, func(part int, chunk []byte) {
-		m.writeDataChunk(storage.EdgeSet, part, chunk)
+		m.writeDataChunk(writeChunk{kind: storage.EdgeSet, part: part, length: len(chunk), data: chunk})
 	})
 	dev := eng.clu.Machines[m.id].Device
 
@@ -319,21 +311,27 @@ func (m *machine[V, U, A]) preprocess(p *sim.Proc) {
 
 // writeDataChunk stores a chunk of edges or updates on a uniformly random
 // storage engine (§6.3), or on the engine the central directory picks in
-// directory mode. The write is asynchronous; drainWrites collects the ack.
-func (m *machine[V, U, A]) writeDataChunk(kind storage.SetKind, part int, data []byte) {
+// directory mode, charging the link its modeled length. The write is
+// asynchronous; drainWrites collects the ack.
+func (m *machine[V, U, A]) writeDataChunk(w writeChunk) {
 	eng := m.eng
 	m.pendingWrites++
-	m.trBytesOut += int64(len(data))
+	m.trBytesOut += int64(w.length)
+	w.from = m.id
 	if eng.dir != nil {
-		m.dirRequest(dirPlace, kind, part, func(r dirResp) {
-			m.send(r.machine, int64(len(data))+controlMsgBytes, eng.storeIn[r.machine],
-				writeChunk{kind: kind, part: part, from: m.id, data: data})
+		m.dirRequest(dirPlace, w.kind, w.part, func(r dirResp) {
+			m.send(r.machine, int64(w.length)+controlMsgBytes, eng.storeIn[r.machine], w)
 		})
 		return
 	}
 	target := eng.env.Rand().Intn(eng.layout.NumMachines)
-	m.send(target, int64(len(data))+controlMsgBytes, eng.storeIn[target],
-		writeChunk{kind: kind, part: part, from: m.id, data: data})
+	m.send(target, int64(w.length)+controlMsgBytes, eng.storeIn[target], w)
+}
+
+// writeUpdateChunk stores one Wire chunk of partition tp's updates: the
+// slab itself, which the storage engine holds, at records × UpdBytes.
+func (m *machine[V, U, A]) writeUpdateChunk(tp int, recs []drive.UpdRec[U]) {
+	m.writeDataChunk(writeChunk{kind: storage.UpdateSet, part: tp, length: len(recs) * m.eng.kern.UpdBytes, recs: recs})
 }
 
 // dirRequest sends an asynchronous request to the central directory and
@@ -549,13 +547,13 @@ func (m *machine[V, U, A]) scatterPartition(p *sim.Proc, iter, part int, verts [
 			// stream's task set): the reply carries the bytes, run the
 			// same kernel at the delivery instant.
 			sc = &scatterChunk[U]{}
-			eng.kern.ScatterChunk(iter, part, verts, r.data, &sc.out)
+			eng.kern.ScatterChunkTyped(iter, part, verts, r.data, &sc.out)
 		} else {
 			sc.Wait()
 		}
 		m.mergeScatter(p, part, &sc.out)
 	})
-	releaseStream(eng.scatterStreams, part)
+	eng.releaseScatterStream(part)
 }
 
 // mergeScatter replays one chunk's pure scatter result against the
@@ -571,11 +569,10 @@ func (m *machine[V, U, A]) mergeScatter(p *sim.Proc, part int, out *drive.Scatte
 	if m.combBuf != nil {
 		m.combBuf.Add(out.Combined, m.shipCombined)
 	}
-	for tp, b := range out.Updates {
-		if len(b) == 0 {
-			continue
+	for tp, recs := range out.Typed {
+		if len(recs) > 0 {
+			m.wire.Put(tp, recs)
 		}
-		m.wire.Put(tp, b)
 	}
 	// Combining costs an extra hash-merge per emitted update; the
 	// paper found this overhead outweighs the traffic reduction.
@@ -583,12 +580,12 @@ func (m *machine[V, U, A]) mergeScatter(p *sim.Proc, part int, out *drive.Scatte
 	eng.kern.ReleaseScatterOut(out)
 }
 
-// shipCombined encodes one sorted chunk of combined updates and ships it
-// as a chunk of its own, whatever its size.
+// shipCombined ships one sorted chunk of combined updates as a chunk of
+// its own, whatever its size: a copy, since the storage engine holds what
+// it is sent and the arena slab goes back for reuse.
 func (m *machine[V, U, A]) shipCombined(tp int, recs []drive.UpdRec[U]) {
-	kern := m.eng.kern
-	m.wire.PutChunk(tp, kern.AppendRecs(make([]byte, 0, len(recs)*kern.UpdBytes), recs))
-	kern.ReleaseRecs(recs)
+	m.wire.PutChunk(tp, slices.Clone(recs))
+	m.eng.kern.ReleaseRecs(recs)
 }
 
 // flushAllUpdates writes out the partially filled update (and rewritten
@@ -630,41 +627,28 @@ func (m *machine[V, U, A]) gatherRun(p *sim.Proc, iter int) {
 }
 
 // gatherPartition streams a partition's updates into accumulators. verts
-// is the partition's vertex set, read-only during gather. Each chunk's
-// decode was dispatched to the worker pool when the stream was acquired
-// (shared between master and stealers); the fold into this machine's
-// accumulators runs as a chained worker task — chained in the chunks'
-// deterministic delivery order, so the accumulator fold sequence is
-// identical for any worker count — and the whole chain is awaited before
-// the accumulators are read.
+// is the partition's vertex set, read-only during gather. Each delivered
+// chunk is the slab its storage engine holds, folded as it is — no decode
+// — into this machine's accumulators by a chained worker task: chained in
+// the chunks' deterministic delivery order, so the accumulator fold
+// sequence is identical for any worker count. The whole chain is awaited
+// before the accumulators are read. Nobody writes a held slab, so master
+// and stealers fold it concurrently.
 func (m *machine[V, U, A]) gatherPartition(p *sim.Proc, part int, verts []V, accums []A) {
 	eng := m.eng
-	w := eng.acquireGatherStream(part)
 	var tail *drive.Task
 	m.streamChunks(p, storage.UpdateSet, part, func(r chunkReply) {
 		m.trChunks++
 		m.trBytesIn += int64(r.length)
 		m.cpu(p, r.length/eng.kern.UpdBytes)
-		gc := w.at(r.from, r.idx)
-		if gc == nil {
-			// Inline mode or defensive fallback: decode at delivery
-			// (see scatterPartition).
-			gc = &gatherChunk[U]{}
-			gc.recs = eng.kern.DecodeUpdateChunk(nil, r.data)
-		}
-		ft := &drive.Task{Prev: tail, Fn: func() {
-			gc.Wait() // decode complete
-			eng.kern.FoldUpdates(verts, accums, gc.recs)
-			eng.kern.ReleaseRecs(gc.recs)
-			gc.recs = nil
-		}}
+		recs := r.recs.([]drive.UpdRec[U])
+		ft := &drive.Task{Prev: tail, Fn: func() { eng.kern.FoldUpdates(verts, accums, recs) }}
 		eng.pool.Submit(ft)
 		tail = ft
 	})
 	if tail != nil {
 		tail.Wait()
 	}
-	releaseStream(eng.gatherStreams, part)
 }
 
 // applyPartition is the master-side wrap-up for one of its partitions:

@@ -1,6 +1,8 @@
 package drive
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -57,10 +59,10 @@ func TestScatterChunkAllocs(t *testing.T) {
 	var emitted int
 	scatter := func() {
 		var out ScatterOut[uint32]
-		k.ScatterChunk(0, 0, verts, data, &out)
+		k.ScatterChunkTyped(0, 0, verts, data, &out)
 		emitted = 0
-		for _, b := range out.Updates {
-			emitted += len(b) / k.UpdBytes
+		for _, recs := range out.Typed {
+			emitted += len(recs)
 		}
 		k.ReleaseScatterOut(&out)
 	}
@@ -69,7 +71,7 @@ func TestScatterChunkAllocs(t *testing.T) {
 		t.Fatalf("chunk emitted %d updates, want %d", emitted, edges)
 	}
 	if got := testing.AllocsPerRun(20, scatter); got > 16 {
-		t.Errorf("ScatterChunk on a %d-edge chunk: %v allocs, want at most 16", edges, got)
+		t.Errorf("ScatterChunkTyped on a %d-edge chunk: %v allocs, want at most 16", edges, got)
 	}
 }
 
@@ -135,11 +137,15 @@ func TestSpillPutDrainAllocs(t *testing.T) {
 // fill it; only its first chunk grows by doubling.
 func TestWirePutAllocs(t *testing.T) {
 	skipUnderRace(t)
-	const limit = 64 << 10
+	checkWirePutAllocs(t, make([]byte, 600), 64<<10)
+	checkWirePutAllocs(t, make([]UpdRec[uint32], 600), 8<<10)
+}
+
+func checkWirePutAllocs[T any](t *testing.T, piece []T, limit int) {
+	t.Helper()
 	var flushed int
-	w := NewWire(2, limit, func(int, []byte) { flushed++ })
-	piece := make([]byte, 600) // chunks fill over several Puts, mid-piece
-	fill := func(chunks int) {
+	w := NewWire(2, limit, func(int, []T) { flushed++ })
+	fill := func(chunks int) { // chunks fill over several Puts, mid-piece
 		for i := 0; i < chunks*2*limit/len(piece); i++ {
 			w.Put(i%2, piece)
 		}
@@ -149,18 +155,27 @@ func TestWirePutAllocs(t *testing.T) {
 	got := testing.AllocsPerRun(10, func() { fill(8) })
 	perRun := float64(flushed) / 11 // AllocsPerRun makes one warm-up run
 	if perRun < 7 || got > perRun {
-		t.Errorf("Wire.Put: %v allocs for %v flushed chunks, want at most 1 per chunk", got, perRun)
+		t.Errorf("Wire.Put of %T: %v allocs for %v flushed chunks, want at most 1 per chunk", piece, got, perRun)
 	}
 }
 
 // TestWireBackingFollowsData: a destination that never fills a chunk
 // holds at most twice what it carries (or the 4 KiB floor), whatever
 // the chunk size, and a phase end forgets which destinations streamed.
+// The rule is in bytes of memory, whatever the record size.
 func TestWireBackingFollowsData(t *testing.T) {
-	const limit = 4 << 20
-	var chunks [][]byte
-	w := NewWire(3, limit, func(_ int, c []byte) { chunks = append(chunks, c) })
-	piece := make([]byte, 24)
+	checkWireBacking(t, make([]byte, 24))
+	checkWireBacking(t, make([]UpdRec[uint32], 3))
+}
+
+// checkWireBacking runs the rule over piece, 24 bytes of records.
+func checkWireBacking[T any](t *testing.T, piece []T) {
+	t.Helper()
+	size := int(unsafe.Sizeof(piece[0]))
+	const limitBytes = 4 << 20
+	limit := limitBytes / size
+	var chunks [][]T
+	w := NewWire(3, limit, func(_ int, c []T) { chunks = append(chunks, c) })
 	for i := 0; i < 1000; i++ {
 		w.Put(0, piece)
 	}
@@ -172,14 +187,62 @@ func TestWireBackingFollowsData(t *testing.T) {
 	w.Put(2, piece) // next phase: destination 2 is sparse again
 	w.FlushPartials()
 	want := []struct{ len, maxCap int }{
-		{limit, limit}, {24000, 48000}, {24, minChunkCap}, {8, limit}, {24, minChunkCap},
+		{limitBytes, limitBytes}, {24000, 48000}, {24, minChunkCap}, {8, limitBytes}, {24, minChunkCap},
 	}
 	if len(chunks) != len(want) {
-		t.Fatalf("flushed %d chunks, want %d", len(chunks), len(want))
+		t.Fatalf("%T: flushed %d chunks, want %d", piece, len(chunks), len(want))
 	}
 	for i, c := range chunks {
-		if len(c) != want[i].len || cap(c) > want[i].maxCap {
-			t.Errorf("chunk %d: len %d cap %d, want len %d cap at most %d", i, len(c), cap(c), want[i].len, want[i].maxCap)
+		if len(c)*size != want[i].len || cap(c)*size > want[i].maxCap {
+			t.Errorf("%T chunk %d: %d bytes on a backing of %d, want %d bytes on at most %d", piece, i, len(c)*size, cap(c)*size, want[i].len, want[i].maxCap)
+		}
+	}
+}
+
+// TestWireCutsRecordsAsBytes: a Wire over typed update records flushes
+// the chunks, in the order, that a Wire over the same records encoded
+// flushes — the DES driver's chunk cuts, and the placement draws behind
+// each flush, depend on record counts only.
+func TestWireCutsRecordsAsBytes(t *testing.T) {
+	const np, limit = 3, 100 // limit in records
+	layout, err := partition.FixedLayout(1<<10, 1, np)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := NewKernel(&algorithms.WCC{}, layout)
+	type flush struct {
+		dst  int
+		recs []UpdRec[uint32]
+	}
+	var typed, encoded []flush
+	tw := NewWire(np, limit, func(dst int, c []UpdRec[uint32]) { typed = append(typed, flush{dst, slices.Clone(c)}) })
+	bw := NewWire(np, limit*k.UpdBytes, func(dst int, c []byte) { encoded = append(encoded, flush{dst, k.DecodeUpdateChunk(nil, c)}) })
+	rng := rand.New(rand.NewSource(1))
+	for phase := 0; phase < 2; phase++ {
+		for i := 0; i < 200; i++ {
+			dst := rng.Intn(np)
+			recs := make([]UpdRec[uint32], rng.Intn(2*limit))
+			for j := range recs {
+				recs[j] = UpdRec[uint32]{Off: rng.Uint32(), Val: rng.Uint32()}
+			}
+			if i%17 == 0 {
+				tw.PutChunk(dst, recs)
+				bw.PutChunk(dst, k.AppendRecs(nil, recs))
+			} else {
+				tw.Put(dst, recs)
+				bw.Put(dst, k.AppendRecs(nil, recs))
+			}
+		}
+		tw.FlushPartials()
+		bw.FlushPartials()
+	}
+	if len(typed) != len(encoded) {
+		t.Fatalf("typed Wire flushed %d chunks, encoded Wire %d", len(typed), len(encoded))
+	}
+	for i := range typed {
+		if typed[i].dst != encoded[i].dst || !slices.Equal(typed[i].recs, encoded[i].recs) {
+			t.Fatalf("flush %d: typed Wire sent %d records to %d, encoded Wire %d records to %d",
+				i, len(typed[i].recs), typed[i].dst, len(encoded[i].recs), encoded[i].dst)
 		}
 	}
 }

@@ -297,7 +297,7 @@ func checkScatterTwins[V, U comparable, A any](t *testing.T, prog gas.Program[V,
 }
 
 // TestScatterMatchesReferenceLoop: the block-decoding, division-free edge
-// loop emits, as typed records and as the DES driver's bytes, exactly the
+// loop emits, as typed records and as ScatterChunk's bytes, exactly the
 // (absolute destination, payload) sequence a loop over Format.Decode,
 // Scatter and a division emits — over a weighted compact layout, a
 // non-compact one (8-byte IDs, destinations on both sides of 2^32) and a

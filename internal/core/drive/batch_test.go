@@ -1,7 +1,6 @@
 package drive
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -126,102 +125,4 @@ func TestBatchMatchesPerRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBatchMatchesPerRecord(t, &algorithms.WCC{}, wide, 3, wcc[:500], u32, u32)
-}
-
-// perRecord is k with its codec's bulk forms removed.
-func perRecord[V, U, A any](k *Kernel[V, U, A]) *Kernel[V, U, A] {
-	plain := NewKernel(k.Prog, k.Layout)
-	plain.UpdCodec.PutRecs, plain.UpdCodec.GetRecs = nil, nil
-	return plain
-}
-
-// checkBulkCodec: AppendRecs through the codec's PutRecs writes exactly
-// the bytes of the AppendUpdate loop, and DecodeUpdateChunk through
-// GetRecs reads them back as the DecodeUpdate loop does.
-func checkBulkCodec[V, U comparable, A any](t *testing.T, k *Kernel[V, U, A], val func(*rand.Rand) U) {
-	t.Helper()
-	if k.UpdCodec.PutRecs == nil || k.UpdCodec.GetRecs == nil {
-		t.Fatalf("%s's update codec has no bulk forms", k.Prog.Name())
-	}
-	plain := perRecord(k)
-	rng := rand.New(rand.NewSource(5))
-	recs := make([]UpdRec[U], 1000)
-	for i := range recs {
-		recs[i] = UpdRec[U]{Off: rng.Uint32(), Val: val(rng)}
-	}
-	prefix := []byte("kept")
-	got := k.AppendRecs(bytes.Clone(prefix), recs)
-	want := plain.AppendRecs(bytes.Clone(prefix), recs)
-	if len(got) != len(prefix)+len(recs)*k.UpdBytes || !bytes.Equal(got, want) {
-		t.Fatalf("%s, %d-byte IDs: bulk encode differs from the per-record loop's", k.Prog.Name(), k.IDBytes)
-	}
-	data := want[len(prefix):]
-	for name, dec := range map[string]*Kernel[V, U, A]{"bulk": k, "per-record": plain} {
-		back := dec.DecodeUpdateChunk(nil, data)
-		if len(back) != len(recs) {
-			t.Fatalf("%s, %d-byte IDs: %s decode returned %d records of %d", k.Prog.Name(), k.IDBytes, name, len(back), len(recs))
-		}
-		for i := range recs {
-			if back[i] != recs[i] {
-				t.Fatalf("%s, %d-byte IDs: %s decode of record %d is %+v, want %+v", k.Prog.Name(), k.IDBytes, name, i, back[i], recs[i])
-			}
-		}
-	}
-}
-
-// TestBulkCodecMatchesPerRecord covers both shared scalar codecs at both
-// ID widths.
-func TestBulkCodecMatchesPerRecord(t *testing.T) {
-	for _, n := range []uint64{1 << 10, 1<<33 + 5} {
-		layout, err := partition.FixedLayout(n, 1, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkBulkCodec(t, NewKernel(&algorithms.PageRank{}, layout), func(r *rand.Rand) float32 { return r.Float32() - 0.5 })
-		checkBulkCodec(t, NewKernel(&algorithms.WCC{}, layout), func(r *rand.Rand) uint32 { return r.Uint32() })
-	}
-}
-
-// FuzzDecodeUpdateChunk: arbitrary bytes through the bulk and the
-// per-record decode never panic, yield the same records, drop a trailing
-// partial record the same way, and encode back to the bytes consumed (in
-// an 8-byte ID field, to its low half: Off is 32 bits).
-func FuzzDecodeUpdateChunk(f *testing.F) {
-	type pair struct {
-		bulk, plain *Kernel[algorithms.PRVertex, float32, float64]
-	}
-	kernels := make(map[bool]pair)
-	for _, n := range []uint64{1 << 10, 1<<33 + 5} {
-		layout, err := partition.FixedLayout(n, 1, 4)
-		if err != nil {
-			f.Fatal(err)
-		}
-		k := NewKernel(&algorithms.PageRank{}, layout)
-		kernels[k.IDBytes == 8] = pair{k, perRecord(k)}
-		seed := k.AppendRecs(nil, chunkOf(7, 9))
-		f.Add(seed, k.IDBytes == 8)
-		f.Add(seed[:len(seed)-3], k.IDBytes == 8)
-	}
-	f.Fuzz(func(t *testing.T, data []byte, wideIDs bool) {
-		k := kernels[wideIDs].bulk
-		bulk := k.DecodeUpdateChunk(nil, data)
-		plain := kernels[wideIDs].plain.DecodeUpdateChunk(nil, data)
-		if len(bulk) != len(data)/k.UpdBytes || len(plain) != len(bulk) {
-			t.Fatalf("%d bytes of %d-byte records: bulk decoded %d, per-record %d", len(data), k.UpdBytes, len(bulk), len(plain))
-		}
-		for i := range bulk {
-			if bulk[i].Off != plain[i].Off || math.Float32bits(bulk[i].Val) != math.Float32bits(plain[i].Val) {
-				t.Fatalf("record %d: bulk %+v, per-record %+v", i, bulk[i], plain[i])
-			}
-		}
-		consumed := bytes.Clone(data[:len(bulk)*k.UpdBytes])
-		if wideIDs {
-			for i := range bulk {
-				clear(consumed[i*k.UpdBytes+4 : i*k.UpdBytes+8])
-			}
-		}
-		if again := k.AppendRecs(nil, bulk); !bytes.Equal(again, consumed) {
-			t.Fatalf("re-encoding %d decoded records does not give back the bytes they came from", len(bulk))
-		}
-	})
 }

@@ -23,8 +23,6 @@
 package drive
 
 import (
-	"encoding/binary"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -45,10 +43,12 @@ type ScatterOut[U any] struct {
 	CombineOps int // combiner merges performed
 	// Typed is ScatterChunkTyped's output: per-destination-partition
 	// arena slabs, each record's Off relative to the slot's partition.
-	// The native driver transfers their ownership to its Transport.
+	// The native driver transfers their ownership to its Transport; the
+	// DES driver copies them into its Wire.
 	Typed [][]UpdRec[U]
-	// Updates is ScatterChunk's output, the same records encoded: one
-	// buffer per destination partition, Typed already released.
+	// Updates is ScatterChunk's output (updcodec.go), the same records
+	// encoded: one buffer per destination partition, Typed already
+	// released.
 	Updates [][]byte
 	// Combined replaces both when the Pregel-style combiner is active:
 	// per-destination-partition maps of pre-merged updates, keyed by
@@ -139,76 +139,6 @@ func NewKernel[V, U, A any](prog gas.Program[V, U, A], layout *partition.Layout)
 	return k
 }
 
-// AppendUpdate encodes one update record onto buf: the ID field (4 or 8
-// bytes, §8), which carries r.Off, then the payload. With DecodeUpdate it
-// is the per-record definition of the update wire format; AppendRecs and
-// DecodeUpdateChunk move whole chunks, through the codec's bulk form when
-// it has one.
-func (k *Kernel[V, U, A]) AppendUpdate(buf []byte, r *UpdRec[U]) []byte {
-	off := len(buf)
-	buf = append(buf, make([]byte, k.UpdBytes)...)
-	if k.IDBytes == 4 {
-		binary.LittleEndian.PutUint32(buf[off:], r.Off)
-	} else {
-		binary.LittleEndian.PutUint64(buf[off:], uint64(r.Off))
-	}
-	k.UpdCodec.Put(buf[off+k.IDBytes:], &r.Val)
-	return buf
-}
-
-// AppendRecs encodes a typed record slice onto buf — the DES scatter's
-// output and the bulk inverse of DecodeUpdateChunk: buf grows once, to
-// the chunk's encoded size.
-func (k *Kernel[V, U, A]) AppendRecs(buf []byte, recs []UpdRec[U]) []byte {
-	base, size := len(buf), len(recs)*k.UpdBytes
-	buf = slices.Grow(buf, size)
-	if k.UpdCodec.PutRecs != nil {
-		buf = buf[:base+size]
-		k.UpdCodec.PutRecs(buf[base:], k.IDBytes, recs)
-		return buf
-	}
-	for i := range recs {
-		buf = k.AppendUpdate(buf, &recs[i])
-	}
-	return buf
-}
-
-// DecodeUpdate decodes one update record into *r, the inverse of
-// AppendUpdate: the ID field into r.Off, the payload into r.Val. It
-// decodes in place (see gas.Codec): r points into the caller's record
-// slice, so nothing escapes per record.
-func (k *Kernel[V, U, A]) DecodeUpdate(rec []byte, r *UpdRec[U]) {
-	if k.IDBytes == 4 {
-		r.Off = binary.LittleEndian.Uint32(rec)
-	} else {
-		r.Off = uint32(binary.LittleEndian.Uint64(rec))
-	}
-	k.UpdCodec.Get(rec[k.IDBytes:], &r.Val)
-}
-
-// DecodeUpdateChunk bulk-decodes one update chunk, appending to recs
-// (nil for a fresh slab): every record decodes into its own slot, and a
-// trailing partial record is dropped. When recs cannot hold the chunk,
-// the result is an arena slab that can and recs goes back to the arena —
-// the caller keeps only the result.
-func (k *Kernel[V, U, A]) DecodeUpdateChunk(recs []UpdRec[U], data []byte) []UpdRec[U] {
-	ub := k.UpdBytes
-	n := len(data) / ub
-	base := len(recs)
-	if cap(recs) < base+n {
-		recs = k.regrowRecs(recs, base+n)
-	}
-	recs = recs[:base+n]
-	if k.UpdCodec.GetRecs != nil {
-		k.UpdCodec.GetRecs(recs[base:], k.IDBytes, data[:n*ub])
-		return recs
-	}
-	for i := 0; i < n; i++ {
-		k.DecodeUpdate(data[i*ub:], &recs[base+i])
-	}
-	return recs
-}
-
 // edgeBlock is how many edges the scatter kernel decodes, and hands to
 // the program, at a time: graph.Format.DecodeEdges examines the format
 // once per block instead of twice per edge, and a program with a batch
@@ -231,13 +161,13 @@ type scatterBlock[U any] struct {
 // it has one and neither rewriter nor combiner needs the edges one by
 // one), and group the emitted updates per destination partition as typed
 // records in arena slabs, each record's Off its destination's index
-// inside that partition. The records are encoded only where the protocol
-// byte format is what moves, the DES driver's ScatterChunk; a spilling
-// transport writes the slabs as they are. Each slab starts at the size this (part,
-// destination) pair is known to produce (slabHints) and grows through
-// the arena when a chunk produces more. It may run on any goroutine and
-// must not touch driver state; verts is read-only and stable for the
-// whole phase.
+// inside that partition. Both drivers run it and neither encodes the
+// records: the DES charges records × UpdBytes for them, and a spilling
+// transport writes the slabs as they are. Each slab starts at the size
+// this (part, destination) pair is known to produce (slabHints) and grows
+// through the arena when a chunk produces more. It may run on any
+// goroutine and must not touch driver state; verts is read-only and
+// stable for the whole phase.
 func (k *Kernel[V, U, A]) ScatterChunkTyped(iter, part int, verts []V, data []byte, out *ScatterOut[U]) {
 	layout := k.Layout
 	lo, _ := layout.Range(part)
@@ -304,21 +234,6 @@ func (k *Kernel[V, U, A]) ScatterChunkTyped(iter, part int, verts []V, data []by
 			hints.saw(tp, len(recs))
 		}
 	}
-}
-
-// ScatterChunk is ScatterChunkTyped for the DES driver, whose simulated
-// storage engines only move bytes: the same records in the same order,
-// encoded per destination partition into out.Updates, their slabs back
-// in the arena before the chunk's result waits for its merge.
-func (k *Kernel[V, U, A]) ScatterChunk(iter, part int, verts []V, data []byte, out *ScatterOut[U]) {
-	k.ScatterChunkTyped(iter, part, verts, data, out)
-	out.Updates = k.GrabParts()
-	for tp, recs := range out.Typed {
-		if recs != nil {
-			out.Updates[tp] = k.AppendRecs(k.GrabBuf(), recs)
-		}
-	}
-	k.releaseTyped(out)
 }
 
 // rewriteEdge consults the §6.1 rewriter about one edge and keeps the
@@ -418,9 +333,9 @@ func (k *Kernel[V, U, A]) ArenaHighWater() int64 {
 	return k.arena.highWater
 }
 
-// GrabBuf / ReleaseBuf pool the per-chunk encode buffers; GrabParts pools
-// the per-destination-partition buffer tables. Kernels grab, the driver
-// releases after merging a chunk's result.
+// GrabBuf / ReleaseBuf pool the per-chunk byte buffers (rewritten edges,
+// ScatterChunk's encoded updates). Kernels grab, the driver releases after
+// merging a chunk's result.
 func (k *Kernel[V, U, A]) GrabBuf() []byte {
 	if v := k.bufPool.Get(); v != nil {
 		return v.([]byte)[:0]
@@ -440,16 +355,8 @@ func (k *Kernel[V, U, A]) ReleaseBuf(b []byte) {
 	k.bufPool.Put(b[:0])
 }
 
-// GrabParts returns a pooled per-destination-partition buffer table.
-func (k *Kernel[V, U, A]) GrabParts() [][]byte {
-	if v := k.partsPool.Get(); v != nil {
-		return v.([][]byte)
-	}
-	return make([][]byte, k.Layout.NumPartitions)
-}
-
 // GrabRecParts returns a pooled per-destination-partition record-slice
-// table (the typed twin of GrabParts).
+// table.
 func (k *Kernel[V, U, A]) GrabRecParts() [][]UpdRec[U] {
 	if v := k.recPartsPool.Get(); v != nil {
 		return v.([][]UpdRec[U])
@@ -461,16 +368,7 @@ func (k *Kernel[V, U, A]) GrabRecParts() [][]UpdRec[U] {
 // pools and the arena. Typed slots the driver handed to its Transport
 // must be nil'd before the call — whatever remains is recycled here.
 func (k *Kernel[V, U, A]) ReleaseScatterOut(out *ScatterOut[U]) {
-	if out.Updates != nil {
-		for tp, b := range out.Updates {
-			if b != nil {
-				k.ReleaseBuf(b)
-				out.Updates[tp] = nil
-			}
-		}
-		k.partsPool.Put(out.Updates)
-		out.Updates = nil
-	}
+	k.releaseUpdates(out)
 	k.releaseTyped(out)
 	if out.EdgesNext != nil {
 		k.ReleaseBuf(out.EdgesNext)

@@ -112,7 +112,7 @@ func (k *Kernel[V, U, A]) EncodeVertices(verts []V) [][]byte {
 // driver's, and, when deg is non-nil,
 // counted into its source's out-degree (deg[p] appears with partition
 // p's first edge).
-func (k *Kernel[V, U, A]) BinEdges(batch []graph.Edge, bins *Wire, deg [][]uint32) {
+func (k *Kernel[V, U, A]) BinEdges(batch []graph.Edge, bins *Wire[byte], deg [][]uint32) {
 	// Locals, so the calls into the Wire do not make the loop reload the
 	// format and the layout for every edge; each record is encoded in
 	// place, in the bin's own buffer.

@@ -34,7 +34,8 @@ const (
 	PhaseSteal = "steal"
 	// PhaseSpill summarizes the update chunks a partition's scatter
 	// merge pushed over the transport's memory budget onto spill
-	// storage: BytesOut is the encoded bytes written, Chunks the chunks
+	// storage: BytesOut is the bytes written, the spilled records at
+	// their resident size (TransportStats.SpillBytes), Chunks the chunks
 	// spilled, and the span brackets the merge during which the
 	// overflow happened. Only the native driver's spilling transport
 	// emits it (the DES models storage instead of spilling to it).

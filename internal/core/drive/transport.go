@@ -11,12 +11,12 @@ import "sync/atomic"
 // completes (DrainFrom, the streaming consumer API behind the native
 // driver's pipelined phase boundary). A record's Off is relative to the
 // bucket's dst, which both ends of the bucket name.
-// Encoding is a property of crossing a boundary someone else reads —
-// neither native transport encodes: the in-memory one moves slabs by
-// pointer, and the spilling one writes the slabs that overflow its
-// budget as their own bytes to files only its run reads back. The DES
-// driver's Wire always encodes, because the protocol's byte format is
-// what its simulated storage engines and network carry and charge.
+// No transport encodes: the in-memory one moves slabs by pointer, and the
+// spilling one writes the slabs that overflow its budget as their own
+// bytes to files only its run reads back. The DES driver's Wire does not
+// encode either: it cuts the same typed records into chunks its
+// simulated storage engines hold, and its devices and network charge
+// each chunk the protocol's byte size, records × UpdBytes.
 //
 // Concurrency contract (the native store's one-writer discipline):
 // bucket (src, dst) is written only by the goroutine running scatter(src)

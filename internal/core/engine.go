@@ -52,12 +52,11 @@ type engine[V, U, A any] struct {
 	dir        *storage.Directory
 	dirIn      *sim.Mailbox
 
-	// Compute offload (see parallel.go): the worker pool, the per-stream
-	// pre-dispatched chunk tasks (scratch pools live on the kernel). The
-	// maps are touched only from simulation context.
+	// Compute offload (see parallel.go): the worker pool and the
+	// per-partition pre-dispatched scatter tasks (scratch pools live on
+	// the kernel). The map is touched only from simulation context.
 	pool           *drive.Pool
-	scatterStreams map[int]*streamTasks[scatterChunk[U]]
-	gatherStreams  map[int]*streamTasks[gatherChunk[U]]
+	scatterStreams map[int]*scatterStream[U]
 }
 
 // Run executes prog over the given unsorted edge list on the configured
@@ -106,8 +105,7 @@ func newEngine[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges []graph
 		dec:            kern.NewDecider(),
 		window:         cfg.window(clu),
 		run:            metrics.NewRun(prog.Name(), cfg.Spec.Machines),
-		scatterStreams: make(map[int]*streamTasks[scatterChunk[U]]),
-		gatherStreams:  make(map[int]*streamTasks[gatherChunk[U]]),
+		scatterStreams: make(map[int]*scatterStream[U]),
 	}
 
 	nm := cfg.Spec.Machines

@@ -23,9 +23,11 @@ type chunkReq struct {
 
 // chunkReply carries one chunk back, or empty=true when the storage engine
 // has no unconsumed chunks left for that partition this iteration. The
-// chunk is identified by its cursor index on the serving store; its bytes
-// were pre-read when the stream's compute tasks were dispatched, so data
-// is populated only on the defensive fallback path.
+// chunk is identified by its cursor index on the serving store, and length
+// is what the link charges. An update chunk's payload is recs, the typed
+// slab the store holds. An edge chunk's bytes were pre-read when the
+// stream's scatter tasks were dispatched, so data is populated only on the
+// inline and defensive fallback paths.
 type chunkReply struct {
 	kind   storage.SetKind
 	part   int
@@ -33,17 +35,22 @@ type chunkReply struct {
 	idx    int
 	length int
 	data   []byte
+	recs   any
 	empty  bool
 }
 
-// writeChunk appends a chunk of edges or updates on a storage engine and
-// acknowledges through ack.
+// writeChunk appends a chunk of edges or updates on a storage engine, which
+// acknowledges with a writeAck. An edge chunk is data; an update chunk is
+// recs, a []drive.UpdRec[U] slab the store holds by reference. length is
+// the modeled size every device and link charges: len(data), or records ×
+// UpdBytes, never the slab's memory.
 type writeChunk struct {
-	kind storage.SetKind
-	part int
-	from int
-	data []byte
-	ack  *sim.Counter
+	kind   storage.SetKind
+	part   int
+	from   int
+	length int
+	data   []byte
+	recs   any
 }
 
 // vertexRead fetches vertex chunk idx of a partition.
@@ -64,19 +71,12 @@ type vertexWrite struct {
 	part, idx int
 	from      int
 	data      []byte
-	ack       *sim.Counter
 }
 
 // deleteUpdates discards a partition's consumed update set after gather.
 type deleteUpdates struct {
 	part int
 	from int
-	ack  *sim.Counter
-}
-
-// resetEdges rewinds the edge-set consumption cursor at iteration end.
-type resetEdges struct {
-	part int
 }
 
 // phase labels the two phases of an iteration.

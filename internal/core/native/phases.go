@@ -136,7 +136,7 @@ func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 
 	// The rewritten edges are cut into chunks exactly as the DES driver
 	// cuts them.
-	var nextWire *drive.Wire
+	var nextWire *drive.Wire[byte]
 	if kern.Rewriter != nil {
 		edgeLimit := drive.SpillLimit(r.cfg.ChunkBytes, kern.EdgeFmt.EdgeSize())
 		nextWire = drive.NewWire(1, edgeLimit, func(_ int, chunk []byte) { r.putEdgeNextChunk(p, chunk) })

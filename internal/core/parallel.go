@@ -9,14 +9,15 @@ import (
 
 // This file implements the deterministic compute offload of the engine's
 // hot path. The discrete-event simulation stays single-threaded and
-// bit-reproducible; the pure per-chunk computation — decoding edge or
-// update records, applying the GAS kernel, encoding emitted updates — is
-// a side-effect-free function of the chunk bytes and the (read-only,
-// phase-stable) vertex set, so it can run on a bounded pool of OS worker
-// goroutines while the simulation advances. The pool and the kernels
-// themselves live in internal/core/drive, shared with the native driver;
-// this file is the DES-side harness that dispatches them and joins their
-// results at deterministic points of the simulation's schedule.
+// bit-reproducible; the pure per-chunk computation — decoding edge
+// records and applying the GAS kernel, folding update records into
+// accumulators — is a side-effect-free function of the chunk and the
+// (read-only, phase-stable) vertex set, so it can run on a bounded pool
+// of OS worker goroutines while the simulation advances. The pool and the
+// kernels themselves live in internal/core/drive, shared with the native
+// driver; this file is the DES-side harness that dispatches them and
+// joins their results at deterministic points of the simulation's
+// schedule.
 //
 // The determinism argument, in three invariants (see DESIGN.md):
 //
@@ -40,25 +41,19 @@ type scatterChunk[U any] struct {
 	out drive.ScatterOut[U]
 }
 
-// gatherChunk is the decode stage of one update chunk: the records are
-// consumer-independent, so one decode serves master and stealers alike.
-type gatherChunk[U any] struct {
-	drive.Task
-	recs []drive.UpdRec[U]
-}
-
-// streamTasks indexes a stream's pre-dispatched chunk tasks by (storage
-// engine, cursor index). base records each store's cursor at build time.
-type streamTasks[T any] struct {
+// scatterStream indexes a partition's pre-dispatched scatter tasks by
+// (storage engine, cursor index). base records each store's cursor at
+// build time.
+type scatterStream[U any] struct {
 	refs int
 	base []int
-	byID [][]*T
+	byID [][]*scatterChunk[U]
 }
 
 // at returns the task for cursor index idx on store s, or nil when the
 // stream was built after that chunk was consumed (impossible in the
 // current protocol, but the storage engine falls back to an inline read).
-func (w *streamTasks[T]) at(s, idx int) *T {
+func (w *scatterStream[U]) at(s, idx int) *scatterChunk[U] {
 	if w == nil || s >= len(w.byID) {
 		return nil
 	}
@@ -69,88 +64,53 @@ func (w *streamTasks[T]) at(s, idx int) *T {
 	return w.byID[s][i]
 }
 
-// acquireStream pre-reads every unconsumed chunk of one of the
-// partition's sets and dispatches one task per chunk (task builds it from
-// the chunk's bytes). The first streamer — master or stealer, their
-// inputs are identical — builds the task set; later streamers share it.
-// Chunks consumed between build and a later join were already computed,
-// so joining is always safe.
+// acquireScatterStream pre-reads every unconsumed edge chunk of the
+// partition and dispatches one scatter task per chunk. The first streamer
+// — master or stealer, their inputs are identical — builds the task set;
+// later streamers share it. Chunks consumed between build and a later
+// join were already computed, so joining is always safe.
 //
 // In inline mode there is nothing to overlap with, so no tasks are built:
 // the storage engine ships each chunk's bytes with the reply and the
 // streamer runs the same kernel at the delivery instant — the identical
 // computation on the identical bytes in the identical order, without
 // holding a whole stream's scratch buffers live at once.
-func acquireStream[T any](stores []*storage.Store, pool *drive.Pool, streams map[int]*streamTasks[T],
-	kind storage.SetKind, part int, task func(data []byte) (*T, *drive.Task)) *streamTasks[T] {
-	if pool.Inline() {
+func (m *machine[V, U, A]) acquireScatterStream(iter, part int, verts []V) *scatterStream[U] {
+	eng := m.eng
+	if eng.pool.Inline() {
 		return nil
 	}
-	w := streams[part]
+	w := eng.scatterStreams[part]
 	if w == nil {
-		w = &streamTasks[T]{base: make([]int, len(stores)), byID: make([][]*T, len(stores))}
-		for s := range stores {
-			chunks, base, err := stores[s].UnconsumedChunkData(kind, part)
+		w = &scatterStream[U]{base: make([]int, len(eng.stores)), byID: make([][]*scatterChunk[U], len(eng.stores))}
+		for s, st := range eng.stores {
+			chunks, base, err := st.UnconsumedChunkData(storage.EdgeSet, part)
 			if err != nil {
-				panic(fmt.Sprintf("core: pre-reading %v chunks: %v", kind, err))
+				panic(fmt.Sprintf("core: pre-reading edge chunks: %v", err))
 			}
 			w.base[s] = base
 			for _, data := range chunks {
-				t, tk := task(data)
-				w.byID[s] = append(w.byID[s], t)
-				pool.Submit(tk)
+				sc := &scatterChunk[U]{}
+				sc.Fn = func() { eng.kern.ScatterChunkTyped(iter, part, verts, data, &sc.out) }
+				w.byID[s] = append(w.byID[s], sc)
+				eng.pool.Submit(&sc.Task)
 			}
 		}
-		streams[part] = w
+		eng.scatterStreams[part] = w
 	}
 	w.refs++
 	return w
 }
 
-// releaseStream drops one streamer's reference; the last one frees the
-// task set.
-func releaseStream[T any](streams map[int]*streamTasks[T], part int) {
-	w := streams[part]
+// releaseScatterStream drops one streamer's reference; the last one frees
+// the task set.
+func (eng *engine[V, U, A]) releaseScatterStream(part int) {
+	w := eng.scatterStreams[part]
 	if w == nil {
 		return // inline mode builds no task sets
 	}
 	w.refs--
 	if w.refs == 0 {
-		delete(streams, part)
+		delete(eng.scatterStreams, part)
 	}
-}
-
-// acquireScatterStream dispatches one scatter task per unconsumed edge
-// chunk of the partition.
-func (m *machine[V, U, A]) acquireScatterStream(iter, part int, verts []V) *streamTasks[scatterChunk[U]] {
-	eng := m.eng
-	return acquireStream(eng.stores, eng.pool, eng.scatterStreams, storage.EdgeSet, part, func(data []byte) (*scatterChunk[U], *drive.Task) {
-		sc := &scatterChunk[U]{}
-		sc.Fn = func() { eng.kern.ScatterChunk(iter, part, verts, data, &sc.out) }
-		return sc, &sc.Task
-	})
-}
-
-// acquireGatherStream dispatches one decode task per unconsumed update
-// chunk of the partition. Decoded records are folded into the consuming
-// machine's accumulators by per-machine chained fold tasks (see
-// gatherPartition), so the decode itself is shared.
-func (eng *engine[V, U, A]) acquireGatherStream(part int) *streamTasks[gatherChunk[U]] {
-	return acquireStream(eng.stores, eng.pool, eng.gatherStreams, storage.UpdateSet, part, func(data []byte) (*gatherChunk[U], *drive.Task) {
-		gc := &gatherChunk[U]{}
-		gc.Fn = func() { gc.recs = eng.kern.DecodeUpdateChunk(nil, data) }
-		return gc, &gc.Task
-	})
-}
-
-// hasChunkTask reports whether a pre-dispatched task covers chunk idx of
-// store s, letting the storage engine skip the data read for the reply.
-func (eng *engine[V, U, A]) hasChunkTask(kind storage.SetKind, part, s, idx int) bool {
-	switch kind {
-	case storage.EdgeSet:
-		return eng.scatterStreams[part].at(s, idx) != nil
-	case storage.UpdateSet:
-		return eng.gatherStreams[part].at(s, idx) != nil
-	}
-	return false
 }

@@ -38,10 +38,13 @@ func (eng *engine[V, U, A]) storageProc(p *sim.Proc, id int) {
 			if ok {
 				dev.Use(p, int64(length))
 				eng.run.BytesRead += int64(length)
-				if !eng.hasChunkTask(m.kind, m.part, id, idx) {
-					// No pre-dispatched compute task covers this chunk
-					// (defensive; the streamers always build the task set
-					// first): ship the bytes for inline processing.
+				switch {
+				case m.kind == storage.UpdateSet:
+					reply.recs = st.HeldChunk(m.kind, m.part, idx)
+				case eng.scatterStreams[m.part].at(id, idx) == nil:
+					// No pre-dispatched scatter task covers this edge
+					// chunk (inline mode, or defensively): ship the
+					// bytes for processing at delivery.
 					data, err := st.ReadChunkAt(m.kind, m.part, idx)
 					if err != nil {
 						panic(fmt.Sprintf("core: storage %d: %v", id, err))
@@ -51,11 +54,13 @@ func (eng *engine[V, U, A]) storageProc(p *sim.Proc, id int) {
 			}
 			eng.clu.Send(id, m.from, int64(length)+controlMsgBytes, m.replyTo, reply)
 		case writeChunk:
-			if err := st.PutChunk(m.kind, m.part, m.data); err != nil {
+			if m.recs != nil {
+				st.HoldChunk(m.kind, m.part, m.recs, m.length)
+			} else if err := st.PutChunk(m.kind, m.part, m.data); err != nil {
 				panic(fmt.Sprintf("core: storage %d: %v", id, err))
 			}
-			dev.Use(p, int64(len(m.data)))
-			eng.run.BytesWritten += int64(len(m.data))
+			dev.Use(p, int64(m.length))
+			eng.run.BytesWritten += int64(m.length)
 			eng.clu.Send(id, m.from, controlMsgBytes, eng.machines[m.from].inbox, writeAck{from: id})
 		case vertexRead:
 			data, err := st.GetVertexChunk(m.part, m.idx)

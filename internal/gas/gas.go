@@ -39,14 +39,6 @@ type Codec[T any] struct {
 	// Get decodes buf[:Bytes] into *v, assigning every field: callers
 	// decode into recycled slice elements without clearing them first.
 	Get func(buf []byte, v *T)
-	// PutRecs and GetRecs are the optional bulk forms for update records:
-	// one call moves a whole record slice to or from its wire form, an
-	// idBytes-wide (4 or 8) little-endian ID field carrying Off followed
-	// by the payload, exactly the bytes the per-record loop over Put or
-	// Get produces or consumes. buf holds len(recs) records. Nil means
-	// the engine runs that per-record loop.
-	PutRecs func(buf []byte, idBytes int, recs []UpdRec[T])
-	GetRecs func(recs []UpdRec[T], idBytes int, buf []byte)
 }
 
 // UpdRec is one decoded update record: the destination vertex's index

@@ -96,45 +96,3 @@ func (b *Barrier) Wait(p *Proc) {
 	b.waiting = append(b.waiting, p)
 	p.park("barrier")
 }
-
-// Counter is a WaitGroup analogue: WaitZero parks until the count returns
-// to zero. It tracks, for example, unacknowledged asynchronous writes.
-type Counter struct {
-	env    *Env
-	n      int
-	waiter *Proc
-}
-
-// NewCounter creates a counter attached to env.
-func NewCounter(env *Env) *Counter { return &Counter{env: env} }
-
-// Add increments the counter by k.
-func (c *Counter) Add(k int) { c.n += k }
-
-// Value returns the current count.
-func (c *Counter) Value() int { return c.n }
-
-// Done decrements the counter, waking a parked WaitZero caller when it
-// reaches zero.
-func (c *Counter) Done() {
-	c.n--
-	if c.n < 0 {
-		panic("sim: counter went negative")
-	}
-	if c.n == 0 && c.waiter != nil {
-		w := c.waiter
-		c.waiter = nil
-		c.env.scheduleWake(c.env.now, w)
-	}
-}
-
-// WaitZero parks p until the counter is zero.
-func (c *Counter) WaitZero(p *Proc) {
-	for c.n > 0 {
-		if c.waiter != nil && c.waiter != p {
-			panic("sim: two processes waiting on counter")
-		}
-		c.waiter = p
-		p.park("counter")
-	}
-}

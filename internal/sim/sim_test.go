@@ -232,24 +232,6 @@ func TestBarrierIsReusable(t *testing.T) {
 	}
 }
 
-func TestCounterWaitZero(t *testing.T) {
-	env := NewEnv(1)
-	c := NewCounter(env)
-	c.Add(3)
-	var at Time
-	env.Spawn("waiter", func(p *Proc) {
-		c.WaitZero(p)
-		at = p.Now()
-	})
-	for i := 1; i <= 3; i++ {
-		env.At(Time(i)*Second, func() { c.Done() })
-	}
-	env.Run()
-	if at != 3*Second {
-		t.Errorf("released at %v, want 3s", at)
-	}
-}
-
 func TestStuckDetection(t *testing.T) {
 	env := NewEnv(1)
 	mb := NewMailbox(env, "never")

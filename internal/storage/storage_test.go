@@ -227,6 +227,43 @@ func TestDeleteUpdatesClears(t *testing.T) {
 	}
 }
 
+// TestHeldChunksAreModeled: a held update chunk comes back as the slice
+// it was held as, is counted at its modeled length rather than its
+// memory, goes with DeleteUpdates, and leaves the set taking byte chunks
+// through the backend as before.
+func TestHeldChunksAreModeled(t *testing.T) {
+	s := NewStore(0, 1, NewMemBackend())
+	recs := make([]uint64, 10) // 80 bytes of memory, modeled at 12 a record
+	s.HoldChunk(UpdateSet, 0, recs, 120)
+	s.HoldChunk(UpdateSet, 0, recs[:5], 60)
+	if got := s.RemainingBytes(UpdateSet, 0); got != 180 {
+		t.Errorf("remaining %d, want the modeled 180", got)
+	}
+	idx, length, ok := s.ConsumeChunk(UpdateSet, 0)
+	if !ok || length != 120 {
+		t.Fatalf("consumed ok=%v length %d, want the modeled 120", ok, length)
+	}
+	if held := s.HeldChunk(UpdateSet, 0, idx).([]uint64); len(held) != len(recs) || &held[0] != &recs[0] {
+		t.Error("held chunk came back as a copy")
+	}
+	if got := s.RemainingBytes(UpdateSet, 0); got != 60 {
+		t.Errorf("remaining after one consume %d, want 60", got)
+	}
+	if err := s.DeleteUpdates(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := s.ConsumeChunk(UpdateSet, 0); ok || s.ChunkCount(UpdateSet, 0) != 0 || s.TotalBytes(UpdateSet, 0) != 0 {
+		t.Error("held chunks survived deletion")
+	}
+	if err := s.PutChunk(UpdateSet, 0, chunk(2)); err != nil {
+		t.Fatal(err)
+	}
+	data, ok, err := s.NextChunk(UpdateSet, 0)
+	if err != nil || !ok || !bytes.Equal(data, chunk(2)) {
+		t.Errorf("byte chunk after held ones: got %q ok=%v err=%v", data, ok, err)
+	}
+}
+
 func TestVertexChunksArePositional(t *testing.T) {
 	s := NewStore(0, 1, NewMemBackend())
 	s.PutVertexChunk(0, 3, []byte("v3"))

@@ -33,10 +33,13 @@ func (k SetKind) String() string {
 	}
 }
 
-// chunkRef locates one stored chunk inside a stream.
+// chunkRef locates one stored chunk inside a stream, or holds it: a held
+// chunk (HoldChunk) never reaches the backend, and length is the modeled
+// size it is charged at.
 type chunkRef struct {
 	offset int64
 	length int
+	held   any
 }
 
 // chunkSet is the per-(kind, partition) collection of chunks on one
@@ -122,6 +125,24 @@ func (s *Store) PutChunk(kind SetKind, part int, data []byte) error {
 	return nil
 }
 
+// HoldChunk appends a chunk of a partition's set by reference: payload is
+// neither copied nor written to the backend, and HeldChunk hands the same
+// value back. length is the chunk's modeled size, what ConsumeChunk,
+// RemainingBytes and TotalBytes report for it. The DES driver holds its
+// update chunks this way — typed record slabs charged at records ×
+// UpdBytes, which no modeled device ever reads.
+func (s *Store) HoldChunk(kind SetKind, part int, payload any, length int) {
+	cs := s.set(kind, part)
+	cs.chunks = append(cs.chunks, chunkRef{length: length, held: payload})
+	cs.bytes += int64(length)
+}
+
+// HeldChunk returns the payload of chunk idx of the given set, which
+// HoldChunk stored, regardless of consumption state.
+func (s *Store) HeldChunk(kind SetKind, part, idx int) any {
+	return s.set(kind, part).chunks[idx].held
+}
+
 // NextChunk returns any not-yet-consumed chunk of the given set and marks
 // it consumed, or ok=false when every local chunk has been served this
 // iteration (the storage engine then tells the requester it has nothing
@@ -141,9 +162,10 @@ func (s *Store) NextChunk(kind SetKind, part int) (data []byte, ok bool, err err
 
 // ConsumeChunk advances the consumption cursor of the given set without
 // reading the data, returning the consumed chunk's cursor index and byte
-// length. Callers that already hold the chunk's bytes (the engine's
-// pre-dispatched compute tasks) use it to skip the backend read;
-// ReadChunkAt recovers the data for a given index when needed.
+// length (a held chunk's modeled one). Callers that already hold the
+// chunk's bytes (the engine's pre-dispatched compute tasks) use it to skip
+// the backend read; ReadChunkAt recovers the data for a given index when
+// needed, HeldChunk a held chunk's payload.
 func (s *Store) ConsumeChunk(kind SetKind, part int) (idx, length int, ok bool) {
 	cs := s.set(kind, part)
 	if cs.consumed >= len(cs.chunks) {
@@ -216,6 +238,7 @@ func (s *Store) ChunkCount(kind SetKind, part int) int {
 // completes (§6.1: update sets are deleted after the gather).
 func (s *Store) DeleteUpdates(part int) error {
 	cs := s.updates[part]
+	clear(cs.chunks) // drop the held payloads for the garbage collector
 	cs.chunks = cs.chunks[:0]
 	cs.consumed = 0
 	cs.bytes = 0
