@@ -1,6 +1,7 @@
-// chaos-vet runs the repo's determinism and observability analyzers
-// (internal/analysis) over Go packages, a multichecker in the style of
-// golang.org/x/tools/go/analysis/multichecker built on the stdlib.
+// chaos-vet runs the repo's two determinism analyzers, detrange and
+// wallclock (internal/analysis), over Go packages: a multichecker in
+// the style of golang.org/x/tools/go/analysis/multichecker built on the
+// stdlib.
 //
 // Usage:
 //

@@ -4,10 +4,8 @@
 package chaosvet
 
 import (
-	"chaos/internal/analysis/ctxhook"
 	"chaos/internal/analysis/detrange"
 	"chaos/internal/analysis/framework"
-	"chaos/internal/analysis/sliceretain"
 	"chaos/internal/analysis/wallclock"
 )
 
@@ -19,7 +17,5 @@ func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		detrange.Analyzer,
 		wallclock.Analyzer,
-		ctxhook.Analyzer,
-		sliceretain.Analyzer,
 	}
 }

@@ -7,7 +7,6 @@ package detscope
 
 import (
 	"go/ast"
-	"go/token"
 
 	"chaos/internal/analysis/framework"
 )
@@ -61,7 +60,3 @@ func FileInWallClockScope(pass *framework.Pass, f *ast.File) bool {
 	}
 	return framework.FileHasDirective(pass.Fset, f, DirDeterministic)
 }
-
-// Line returns pos's line, a convenience shared by the analyzers'
-// tests and fix builders.
-func Line(fset *token.FileSet, pos token.Pos) int { return fset.Position(pos).Line }

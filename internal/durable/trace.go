@@ -19,12 +19,11 @@ type Span struct {
 // SpanHook observes durability operations. Install it with SetTrace.
 //
 // The hook is OBSERVATIONAL ONLY: it must not change what the journal
-// writes or when (the same contract as chaos.WithTrace, enforced for
-// this hook by chaos-vet's ctxhook analyzer — only the persistence
-// roots may install one). It is invoked with journal-internal locks
-// held, so it must be cheap and must never call back into the journal
-// or WAL; recording into a bounded ring (obs.Ring) is the intended
-// consumer.
+// writes or when (the same contract as chaos.WithTrace; the one
+// installer is the job service, right after it opens the WAL). It is
+// invoked with journal-internal locks held, so it must be cheap and
+// must never call back into the journal or WAL; recording into a
+// bounded ring (obs.Ring) is the intended consumer.
 type SpanHook func(Span)
 
 // SetTrace installs (or, with nil, removes) the journal's span hook.

@@ -136,6 +136,64 @@ func TestReaderReportsTruncation(t *testing.T) {
 	}
 }
 
+// FuzzReadEdges feeds the edge reader bytes a client uploaded, in
+// every format: it fails exactly on a partial trailing record, returns
+// one edge per whole record otherwise, and writing those edges back
+// reproduces the upload byte for byte (so weights keep their bits,
+// NaN payloads included).
+func FuzzReadEdges(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3})
+	f.Add(bytes.Repeat([]byte{0xff, 0x7f, 0xc0, 0x01}, 15))
+	for _, format := range allFormats {
+		var buf bytes.Buffer
+		w := NewWriter(&buf, format)
+		for _, e := range []Edge{{Src: 1, Dst: 2, Weight: 0.5}, {Src: 1 << 31, Dst: 0, Weight: -3}} {
+			if err := w.WriteEdge(e); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	// One writer per format for the whole run: a fresh one allocates a
+	// 1 MiB buffer, which would dominate every input.
+	outs := make([]bytes.Buffer, len(allFormats))
+	writers := make([]*Writer, len(allFormats))
+	for i, format := range allFormats {
+		writers[i] = NewWriter(&outs[i], format)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for i, format := range allFormats {
+			edges, err := NewReader(bytes.NewReader(data), format).ReadAll()
+			if partial := len(data)%format.EdgeSize() != 0; partial != (err != nil) {
+				t.Fatalf("%v: %d bytes: err = %v", format, len(data), err)
+			}
+			if err != nil {
+				continue
+			}
+			if len(edges) != len(data)/format.EdgeSize() {
+				t.Fatalf("%v: %d bytes decoded to %d edges", format, len(data), len(edges))
+			}
+			out, w := &outs[i], writers[i]
+			out.Reset()
+			for _, e := range edges {
+				if err := w.WriteEdge(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), data) {
+				t.Fatalf("%v: rewriting %d edges changed the bytes", format, len(edges))
+			}
+		}
+	})
+}
+
 func TestUndirectedDoublesEdges(t *testing.T) {
 	in := []Edge{{Src: 1, Dst: 2, Weight: 5}, {Src: 3, Dst: 4, Weight: 7}}
 	out := Undirected(in)

@@ -71,46 +71,79 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+const (
+	goodTrace = "4bf92f3577b34da6a3ce929d0e0e4736"
+	goodSpan  = "00f067aa0ba902b7"
+)
+
+// malformedTraceparents are headers the W3C spec rejects, by the rule
+// each one breaks.
+var malformedTraceparents = []struct {
+	name string
+	h    string
+}{
+	{"empty", ""},
+	{"too few fields", "00-" + goodTrace},
+	{"uppercase trace id", "00-" + "4BF92F3577B34DA6A3CE929D0E0E4736" + "-" + goodSpan + "-01"},
+	{"uppercase span id", "00-" + goodTrace + "-" + "00F067AA0BA902B7" + "-01"},
+	{"short trace id", "00-" + goodTrace[:30] + "-" + goodSpan + "-01"},
+	{"long trace id", "00-" + goodTrace + "ab-" + goodSpan + "-01"},
+	{"short span id", "00-" + goodTrace + "-" + goodSpan[:14] + "-01"},
+	{"all-zero trace id", "00-00000000000000000000000000000000-" + goodSpan + "-01"},
+	{"all-zero span id", "00-" + goodTrace + "-0000000000000000-01"},
+	{"version ff", "ff-" + goodTrace + "-" + goodSpan + "-01"},
+	{"version not hex", "0g-" + goodTrace + "-" + goodSpan + "-01"},
+	{"version wrong width", "0-" + goodTrace + "-" + goodSpan + "-01"},
+	{"version 00 with extra field", "00-" + goodTrace + "-" + goodSpan + "-01-extra"},
+	{"non-hex trace id", "00-" + "zzf92f3577b34da6a3ce929d0e0e4736" + "-" + goodSpan + "-01"},
+	{"flags wrong width", "00-" + goodTrace + "-" + goodSpan + "-1"},
+	{"flags not hex", "00-" + goodTrace + "-" + goodSpan + "-0x"},
+	{"empty fields", "---"},
+}
+
+// futureTraceparent is a higher version with an appended field: the
+// four fields we understand still parse (the spec requires forward
+// compatibility below ff).
+const futureTraceparent = "42-" + goodTrace + "-" + goodSpan + "-01-whatever"
+
 // ParseTraceparent is strict where the W3C spec is strict: every
 // malformed shape is rejected so the server starts a fresh trace rather
 // than adopting garbage identity.
 func TestParseTraceparentMalformed(t *testing.T) {
-	const (
-		goodTrace = "4bf92f3577b34da6a3ce929d0e0e4736"
-		goodSpan  = "00f067aa0ba902b7"
-	)
-	cases := []struct {
-		name string
-		h    string
-	}{
-		{"empty", ""},
-		{"too few fields", "00-" + goodTrace},
-		{"uppercase trace id", "00-" + "4BF92F3577B34DA6A3CE929D0E0E4736" + "-" + goodSpan + "-01"},
-		{"uppercase span id", "00-" + goodTrace + "-" + "00F067AA0BA902B7" + "-01"},
-		{"short trace id", "00-" + goodTrace[:30] + "-" + goodSpan + "-01"},
-		{"long trace id", "00-" + goodTrace + "ab-" + goodSpan + "-01"},
-		{"short span id", "00-" + goodTrace + "-" + goodSpan[:14] + "-01"},
-		{"all-zero trace id", "00-00000000000000000000000000000000-" + goodSpan + "-01"},
-		{"all-zero span id", "00-" + goodTrace + "-0000000000000000-01"},
-		{"version ff", "ff-" + goodTrace + "-" + goodSpan + "-01"},
-		{"version not hex", "0g-" + goodTrace + "-" + goodSpan + "-01"},
-		{"version wrong width", "0-" + goodTrace + "-" + goodSpan + "-01"},
-		{"version 00 with extra field", "00-" + goodTrace + "-" + goodSpan + "-01-extra"},
-		{"non-hex trace id", "00-" + "zzf92f3577b34da6a3ce929d0e0e4736" + "-" + goodSpan + "-01"},
-		{"flags wrong width", "00-" + goodTrace + "-" + goodSpan + "-1"},
-		{"flags not hex", "00-" + goodTrace + "-" + goodSpan + "-0x"},
-		{"empty fields", "---"},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedTraceparents {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, _, ok := ParseTraceparent(tc.h); ok {
 				t.Fatalf("ParseTraceparent(%q) = ok, want rejection", tc.h)
 			}
 		})
 	}
-	// A future version may append fields; the four we understand still
-	// parse (the spec requires forward compatibility below ff).
-	if _, _, ok := ParseTraceparent("42-" + goodTrace + "-" + goodSpan + "-01-whatever"); !ok {
+	if _, _, ok := ParseTraceparent(futureTraceparent); !ok {
 		t.Fatal("future-version traceparent with extra fields was rejected")
 	}
+}
+
+// FuzzParseTraceparent feeds the parser header values a client sent:
+// it never panics, an accepted header carries two non-zero ids, and
+// the ids it accepts round-trip through Traceparent.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, tc := range malformedTraceparents {
+		f.Add(tc.h)
+	}
+	good := "00-" + goodTrace + "-" + goodSpan + "-01"
+	for _, h := range []string{good, " " + good + " ", futureTraceparent} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		tid, sid, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if tid.IsZero() || sid.IsZero() {
+			t.Fatalf("ParseTraceparent(%q) accepted a zero id: (%s, %s)", h, tid, sid)
+		}
+		gotT, gotS, ok := ParseTraceparent(Traceparent(tid, sid))
+		if !ok || gotT != tid || gotS != sid {
+			t.Fatalf("round trip of (%s, %s) = (%s, %s, %v)", tid, sid, gotT, gotS, ok)
+		}
+	})
 }

@@ -57,7 +57,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		t.Fatalf("register graph: %d %s", code, body)
 	}
 
-	// Mint a caller-side trace identity, as chaos-loadgen does.
+	// Mint a caller-side trace identity, as an upstream HTTP client would.
 	callerTrace := obs.DeriveTraceID("trace-roundtrip-test", 1)
 	callerSpan := obs.DeriveSpanID(callerTrace.String(), 1)
 	header := obs.Traceparent(callerTrace, callerSpan)

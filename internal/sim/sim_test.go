@@ -187,6 +187,31 @@ func TestMailboxPreservesFIFO(t *testing.T) {
 	}
 }
 
+// TestMailboxDoesNotRetainReceived pins the pop discipline of Recv and
+// TryRecv: the popped slot is zeroed, so the backing array shared with
+// later messages does not keep a received message reachable. The DES
+// sends held update slabs through mailboxes; a retained message would
+// pin its slab until the array is outgrown.
+func TestMailboxDoesNotRetainReceived(t *testing.T) {
+	env := NewEnv(1)
+	mb := NewMailbox(env, "inbox")
+	mb.Put(make([]uint32, 8))
+	mb.Put(make([]uint32, 8))
+	beforeRecv := mb.q
+	env.Spawn("recv", func(p *Proc) { mb.Recv(p) })
+	env.Run()
+	if beforeRecv[0] != nil {
+		t.Error("Recv left the received message in the backing array")
+	}
+	beforeTry := mb.q
+	if _, ok := mb.TryRecv(); !ok {
+		t.Fatal("TryRecv found no message")
+	}
+	if beforeTry[0] != nil {
+		t.Error("TryRecv left the received message in the backing array")
+	}
+}
+
 func TestBarrierReleasesAllAtOnce(t *testing.T) {
 	env := NewEnv(1)
 	b := NewBarrier(env, 3)
