@@ -18,8 +18,8 @@ import (
 //	[4B little-endian payload length][4B CRC-32C of payload][payload]
 //
 // Replay scans segments in sequence order and stops at the first frame
-// that is incomplete or fails its checksum — a torn write from a crash
-// mid-append — truncating the segment there so the file ends on a
+// that is empty, incomplete or fails its checksum — a torn write from a
+// crash mid-append — truncating the segment there so the file ends on a
 // record boundary again. Appends go to the newest segment; Rotate seals
 // it and starts the next one (the compaction hook, see WAL.Compact).
 //
@@ -181,8 +181,10 @@ func replaySegment(path string, truncateTorn bool, replay func([]byte) error) (t
 		}
 		n := binary.LittleEndian.Uint32(rest)
 		sum := binary.LittleEndian.Uint32(rest[4:])
-		if n > maxRecordBytes || len(rest) < frameHeaderBytes+int(n) {
-			break // torn or corrupt payload length
+		if n == 0 || n > maxRecordBytes || len(rest) < frameHeaderBytes+int(n) {
+			// A zero header checksums clean (CRC-32C of nothing is 0), but
+			// Append writes no empty record: n == 0 is a zero-filled tail.
+			break // torn, zero-filled or corrupt payload length
 		}
 		payload := rest[frameHeaderBytes : frameHeaderBytes+int(n)]
 		if crc32.Checksum(payload, crcTable) != sum {
@@ -234,9 +236,12 @@ func nextValidFrame(data []byte, from int) (int, bool) {
 	return 0, false
 }
 
-// Append journals one payload. It returns once the frame is written to
-// the OS; the flusher makes it durable within the sync interval.
+// Append journals one non-empty payload. It returns once the frame is
+// written to the OS; the flusher makes it durable within the interval.
 func (j *Journal) Append(payload []byte) error {
+	if len(payload) == 0 {
+		return fmt.Errorf("durable: refusing an empty journal record")
+	}
 	if len(payload) > maxRecordBytes {
 		return fmt.Errorf("durable: record of %d bytes exceeds the %d-byte journal limit", len(payload), maxRecordBytes)
 	}

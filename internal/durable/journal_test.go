@@ -1,7 +1,9 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -105,6 +107,121 @@ func TestJournalTornTail(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestJournalZeroFilledTail: a crash can leave zero-filled blocks after
+// the last record (the file's new size reached the disk, its data did
+// not). A zero header checksums clean, since CRC-32C of nothing is 0,
+// so it must read as a torn tail, not as an empty record the WAL then
+// fails to decode.
+func TestJournalZeroFilledTail(t *testing.T) {
+	dir := t.TempDir()
+	j, _, _ := openCollect(t, dir)
+	if err := j.Append([]byte(`{"keep":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(nil); err == nil {
+		t.Error("Append accepted an empty record")
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, segmentName(1))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boundary := len(data)
+	if err := os.WriteFile(path, append(data, make([]byte, 4096)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, got, torn := openCollect(t, dir)
+	if torn != 1 {
+		t.Errorf("torn = %d, want 1", torn)
+	}
+	if len(got) != 1 || string(got[0]) != `{"keep":1}` {
+		t.Fatalf("survivors %q, want just the record", got)
+	}
+	if fi, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if fi.Size() != int64(boundary) {
+		t.Fatalf("segment holds %d bytes, want %d (truncated to the record boundary)", fi.Size(), boundary)
+	}
+
+	// Sealed, the same segment is corruption: it was fsynced whole
+	// before rotation, so the open fails instead of truncating.
+	if _, err := j2.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, make([]byte, 4096)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenJournal(dir, 0, func([]byte) error { return nil }); err == nil {
+		t.Fatal("open accepted a sealed segment with a zero-filled tail")
+	}
+}
+
+// FuzzJournalReplay opens arbitrary bytes as the journal's only segment.
+// The open never panics. When it succeeds, every replayed record is
+// non-empty, at most one torn tail was cut, and framing the records
+// again gives the segment's bytes after the open: replay drops nothing
+// but the tail it truncated. When it fails, the segment is untouched.
+func FuzzJournalReplay(f *testing.F) {
+	frame := func(dst, payload []byte) []byte {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+		dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
+		return append(dst, payload...)
+	}
+	rec := frame(nil, []byte(`{"keep":1}`))
+	f.Add([]byte{})
+	f.Add(rec)
+	f.Add(append(append([]byte(nil), rec...), make([]byte, 4096)...)) // zero-filled tail
+	f.Add(frame(append(append([]byte(nil), rec...), 0xff), []byte(`{"next":2}`)))
+	f.Add(rec[:len(rec)-3])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, segmentName(1))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var got [][]byte
+		j, torn, err := OpenJournal(dir, 0, func(p []byte) error {
+			got = append(got, append([]byte(nil), p...))
+			return nil
+		})
+		if err == nil {
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err != nil {
+			if !bytes.Equal(after, data) {
+				t.Fatalf("failed open (%v) modified the segment", err)
+			}
+			return
+		}
+		if torn > 1 {
+			t.Fatalf("torn = %d from one segment", torn)
+		}
+		var want []byte
+		for i, p := range got {
+			if len(p) == 0 {
+				t.Fatalf("record %d replayed empty", i)
+			}
+			want = frame(want, p)
+		}
+		if !bytes.Equal(after, want) {
+			t.Fatalf("segment holds %d bytes after the open, its %d records frame to %d", len(after), len(got), len(want))
+		}
+	})
 }
 
 // TestJournalRefusesMidFileCorruption: a torn write can only damage the

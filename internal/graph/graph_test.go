@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -140,7 +141,8 @@ func TestReaderReportsTruncation(t *testing.T) {
 // every format: it fails exactly on a partial trailing record, returns
 // one edge per whole record otherwise, and writing those edges back
 // reproduces the upload byte for byte (so weights keep their bits,
-// NaN payloads included).
+// NaN payloads included). Format.DecodeEdges, the bulk decoder, agrees
+// with the Reader edge for edge, weights bit for bit.
 func FuzzReadEdges(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
@@ -176,6 +178,16 @@ func FuzzReadEdges(f *testing.F) {
 			}
 			if len(edges) != len(data)/format.EdgeSize() {
 				t.Fatalf("%v: %d bytes decoded to %d edges", format, len(data), len(edges))
+			}
+			dec := format.DecodeEdges(nil, data)
+			if len(dec) != len(edges) {
+				t.Fatalf("%v: DecodeEdges gave %d edges, the Reader %d", format, len(dec), len(edges))
+			}
+			for j, e := range edges {
+				d := dec[j]
+				if d.Src != e.Src || d.Dst != e.Dst || math.Float32bits(d.Weight) != math.Float32bits(e.Weight) {
+					t.Fatalf("%v: edge %d: DecodeEdges %+v, the Reader %+v", format, j, d, e)
+				}
 			}
 			out, w := &outs[i], writers[i]
 			out.Reset()

@@ -29,9 +29,6 @@ type Generator struct {
 	Weighted bool
 	// Seed selects the random stream.
 	Seed int64
-	// NoiseSmoothing perturbs quadrant probabilities per level, the
-	// standard trick that prevents exactly repeated degree ties.
-	NoiseSmoothing bool
 }
 
 // New returns a generator for the given scale with default parameters.
@@ -54,53 +51,51 @@ func (g *Generator) Format() graph.Format {
 // Generate materializes the full edge list in memory. Intended for
 // laboratory scales; for streaming use Each.
 func (g *Generator) Generate() []graph.Edge {
-	edges := make([]graph.Edge, 0, g.NumEdges())
-	g.Each(func(e graph.Edge) { edges = append(edges, e) })
+	edges := make([]graph.Edge, g.NumEdges())
+	rng, t := rand.New(rand.NewSource(g.Seed)), g.thresholds()
+	for i := range edges {
+		edges[i] = g.edge(rng, t)
+	}
 	return edges
 }
 
-// Each invokes fn for every generated edge in a deterministic order.
+// Each invokes fn for every generated edge, in Generate's order.
 func (g *Generator) Each(fn func(graph.Edge)) {
-	rng := rand.New(rand.NewSource(g.Seed))
-	n := g.NumEdges()
-	for i := uint64(0); i < n; i++ {
-		fn(g.edge(rng))
+	rng, t := rand.New(rand.NewSource(g.Seed)), g.thresholds()
+	for n := g.NumEdges(); n > 0; n-- {
+		fn(g.edge(rng, t))
 	}
 }
 
-// edge draws one edge by recursive quadrant descent.
-func (g *Generator) edge(rng *rand.Rand) graph.Edge {
+// thresholds are the cumulative quadrant probabilities A, A+B and A+B+C:
+// quadrants A, B, C and D, whose (src, dst) bits are 00, 01, 10 and 11,
+// tile [0, 1) in that order.
+type thresholds struct{ a, ab, abc float64 }
+
+func (g *Generator) thresholds() thresholds { return thresholds{g.A, g.A + g.B, g.A + g.B + g.C} }
+
+// edge draws one edge by recursive quadrant descent, consuming exactly
+// Scale Float64s, then a Float32 when weighted (restored graphs depend on
+// that count). r is uniform, so a branch on it mispredicts: of the three
+// thresholds r passed, the count's high bit is src's, its parity dst's.
+func (g *Generator) edge(rng *rand.Rand, t thresholds) graph.Edge {
 	var src, dst uint64
-	a, b, c := g.A, g.B, g.C
 	for level := 0; level < g.Scale; level++ {
-		pa, pb, pc := a, b, c
-		if g.NoiseSmoothing {
-			// +-10% multiplicative noise, renormalized.
-			na := pa * (0.9 + 0.2*rng.Float64())
-			nb := pb * (0.9 + 0.2*rng.Float64())
-			nc := pc * (0.9 + 0.2*rng.Float64())
-			nd := (1 - pa - pb - pc) * (0.9 + 0.2*rng.Float64())
-			sum := na + nb + nc + nd
-			pa, pb, pc = na/sum, nb/sum, nc/sum
-		}
 		r := rng.Float64()
-		src <<= 1
-		dst <<= 1
-		switch {
-		case r < pa:
-			// top-left: no bits set
-		case r < pa+pb:
-			dst |= 1
-		case r < pa+pb+pc:
-			src |= 1
-		default:
-			src |= 1
-			dst |= 1
-		}
+		src = src<<1 | bit(r >= t.ab)
+		dst = dst<<1 | (bit(r >= t.a) ^ bit(r >= t.ab) ^ bit(r >= t.abc))
 	}
 	e := graph.Edge{Src: graph.VertexID(src), Dst: graph.VertexID(dst)}
 	if g.Weighted {
 		e.Weight = rng.Float32()
 	}
 	return e
+}
+
+// bit converts a comparison to 0 or 1; the compiler emits a SETcc.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
