@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -45,6 +46,22 @@ func TestUnknownEngineRejected(t *testing.T) {
 	opt.Engine = "turbo"
 	if _, err := RunByName("PR", edges, 0, opt); err == nil {
 		t.Fatal("unknown engine should fail the run")
+	}
+}
+
+// TestUndersizedVertexCountFailsTheRun: a vertex count smaller than the
+// edges need is the caller's error, reported by both engines before they
+// start, naming the vertex — not an index panic inside pre-processing,
+// which takes the whole process down.
+func TestUndersizedVertexCountFailsTheRun(t *testing.T) {
+	edges := []Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 9, Dst: 3}, {Src: 2, Dst: 0}}
+	for _, engine := range []string{EngineSim, EngineNative} {
+		opt := labOptions(2)
+		opt.Engine = engine
+		_, _, err := RunPreparedContext(context.Background(), "PR", edges, 4, opt)
+		if err == nil || !strings.Contains(err.Error(), "vertex 9") {
+			t.Errorf("%s: 4 vertices for an edge from vertex 9: err = %v, want one naming vertex 9", engine, err)
+		}
 	}
 }
 

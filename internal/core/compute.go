@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"chaos/internal/core/drive"
 	"chaos/internal/metrics"
@@ -37,14 +36,17 @@ type machine[V, U, A any] struct {
 
 	// wire is this machine's side of the update-transport seam
 	// (internal/core/drive): it buffers typed update records per
-	// destination partition and hands chunks of max(ChunkBytes/UpdBytes,
-	// 1) records to writeUpdateChunk as they fill (§5.1). The records are
-	// never encoded: every modeled device and link charges a chunk's
-	// records × UpdBytes.
+	// destination partition, in slabs of the run's record arena, and
+	// hands chunks of max(ChunkBytes/UpdBytes, 1) records to
+	// writeUpdateChunk as they fill (§5.1). The records are never
+	// encoded: every modeled device and link charges a chunk's records ×
+	// UpdBytes.
 	wire *drive.Wire[drive.UpdRec[U]]
 
 	// combBuf stands before the wire when the Pregel-style combiner is
-	// active (nil otherwise); its chunks leave through shipCombined.
+	// active (nil otherwise). Each sorted chunk it drains leaves through
+	// wire.PutChunk as a chunk of its own, whatever its size: the arena
+	// slab itself, held and returned like any Wire chunk.
 	combBuf *drive.CombineBuf[V, U, A]
 
 	// edgeWire cuts the rewritten next-generation edge records of each
@@ -86,12 +88,13 @@ func newMachine[V, U, A any](eng *engine[V, U, A], id int) *machine[V, U, A] {
 		degAcc:          make([][]uint32, eng.layout.NumPartitions),
 		dirPending:      make(map[uint64]func(dirResp)),
 	}
-	m.wire = drive.NewWire(eng.layout.NumPartitions, max(eng.cfg.ChunkBytes/eng.kern.UpdBytes, 1), m.writeUpdateChunk)
+	m.wire = drive.NewWire(eng.layout.NumPartitions, max(eng.cfg.ChunkBytes/eng.kern.UpdBytes, 1), m.writeUpdateChunk).
+		DrawFrom(eng.kern.GrabRecs, eng.kern.ReleaseRecs)
 	if eng.kern.Rewriter != nil {
 		limit := drive.SpillLimit(eng.cfg.ChunkBytes, eng.kern.EdgeFmt.EdgeSize())
 		m.edgeWire = drive.NewWire(eng.layout.NumPartitions, limit, func(part int, chunk []byte) {
 			m.writeDataChunk(writeChunk{kind: storage.EdgeSetNext, part: part, length: len(chunk), data: chunk})
-		})
+		}).DrawFrom(eng.kern.GrabBuf, eng.kern.ReleaseBuf)
 	}
 	if eng.kern.Combiner != nil {
 		m.combBuf = eng.kern.NewCombineBuf()
@@ -260,7 +263,7 @@ func (m *machine[V, U, A]) preprocess(p *sim.Proc) {
 	}
 	bins := drive.NewWire(eng.layout.NumPartitions, limit, func(part int, chunk []byte) {
 		m.writeDataChunk(writeChunk{kind: storage.EdgeSet, part: part, length: len(chunk), data: chunk})
-	})
+	}).DrawFrom(eng.kern.GrabBuf, eng.kern.ReleaseBuf)
 	dev := eng.clu.Machines[m.id].Device
 
 	for i := 0; i < len(myEdges); i += perChunk {
@@ -329,7 +332,8 @@ func (m *machine[V, U, A]) writeDataChunk(w writeChunk) {
 }
 
 // writeUpdateChunk stores one Wire chunk of partition tp's updates: the
-// slab itself, which the storage engine holds, at records × UpdBytes.
+// arena slab itself, which the storage engine holds, at records ×
+// UpdBytes, and returns to the arena when it deletes the update set.
 func (m *machine[V, U, A]) writeUpdateChunk(tp int, recs []drive.UpdRec[U]) {
 	m.writeDataChunk(writeChunk{kind: storage.UpdateSet, part: tp, length: len(recs) * m.eng.kern.UpdBytes, recs: recs})
 }
@@ -428,14 +432,23 @@ func (m *machine[V, U, A]) streamChunks(p *sim.Proc, kind storage.SetKind, part 
 }
 
 // loadVertices reads a partition's vertex set into memory, pipelining chunk
-// reads from their hashed homes (§6.4).
+// reads from their hashed homes (§6.4). The buffer comes from the
+// engine's free list, and the caller gives it back with putVerts once no
+// task reads it; the chunks overwrite every vertex.
 func (m *machine[V, U, A]) loadVertices(p *sim.Proc, part int) []V {
 	eng := m.eng
 	size := eng.layout.Size(part)
 	if size == 0 {
 		return nil
 	}
-	verts := make([]V, size)
+	var verts []V
+	if n := len(eng.freeVerts); n > 0 {
+		verts = eng.freeVerts[n-1][:size]
+		eng.freeVerts[n-1] = nil
+		eng.freeVerts = eng.freeVerts[:n-1]
+	} else {
+		verts = make([]V, size, eng.layout.PerPartition)
+	}
 	per := eng.kern.VerticesPerChunk()
 	n := eng.vertexChunks(part)
 	issued, done := 0, 0
@@ -458,6 +471,13 @@ func (m *machine[V, U, A]) loadVertices(p *sim.Proc, part int) []V {
 		done++
 	}
 	return verts
+}
+
+// putVerts returns a vertex set loadVertices handed out.
+func (eng *engine[V, U, A]) putVerts(verts []V) {
+	if cap(verts) > 0 {
+		eng.freeVerts = append(eng.freeVerts, verts)
+	}
 }
 
 // writeVertices records a partition's vertex set back to storage,
@@ -534,10 +554,11 @@ func (m *machine[V, U, A]) scatterRun(p *sim.Proc, iter int) {
 // simulated time is charged for it — into the machine's spill buffers.
 // With a combiner, updates to the same destination merge inside the
 // buffers (§11.1); with a rewriter, the surviving edges are written into
-// the next-generation edge set (§6.1 extended model).
+// the next-generation edge set (§6.1 extended model). verts, which
+// loadVertices handed out, goes back through releaseScatterStream.
 func (m *machine[V, U, A]) scatterPartition(p *sim.Proc, iter, part int, verts []V) {
 	eng := m.eng
-	w := m.acquireScatterStream(iter, part, verts)
+	w, built := m.acquireScatterStream(iter, part, verts)
 	m.streamChunks(p, storage.EdgeSet, part, func(r chunkReply) {
 		m.trChunks++
 		m.trBytesIn += int64(r.length)
@@ -553,7 +574,7 @@ func (m *machine[V, U, A]) scatterPartition(p *sim.Proc, iter, part int, verts [
 		}
 		m.mergeScatter(p, part, &sc.out)
 	})
-	eng.releaseScatterStream(part)
+	eng.releaseScatterStream(part, verts, built)
 }
 
 // mergeScatter replays one chunk's pure scatter result against the
@@ -567,7 +588,7 @@ func (m *machine[V, U, A]) mergeScatter(p *sim.Proc, part int, out *drive.Scatte
 		m.edgeWire.Put(part, out.EdgesNext)
 	}
 	if m.combBuf != nil {
-		m.combBuf.Add(out.Combined, m.shipCombined)
+		m.combBuf.Add(out.Combined, m.wire.PutChunk)
 	}
 	for tp, recs := range out.Typed {
 		if len(recs) > 0 {
@@ -580,20 +601,12 @@ func (m *machine[V, U, A]) mergeScatter(p *sim.Proc, part int, out *drive.Scatte
 	eng.kern.ReleaseScatterOut(out)
 }
 
-// shipCombined ships one sorted chunk of combined updates as a chunk of
-// its own, whatever its size: a copy, since the storage engine holds what
-// it is sent and the arena slab goes back for reuse.
-func (m *machine[V, U, A]) shipCombined(tp int, recs []drive.UpdRec[U]) {
-	m.wire.PutChunk(tp, slices.Clone(recs))
-	m.eng.kern.ReleaseRecs(recs)
-}
-
 // flushAllUpdates writes out the partially filled update (and rewritten
 // edge) buffers at the end of a scatter phase.
 func (m *machine[V, U, A]) flushAllUpdates() {
 	m.wire.FlushPartials()
 	if m.combBuf != nil {
-		m.combBuf.Flush(m.shipCombined)
+		m.combBuf.Flush(m.wire.PutChunk)
 	}
 	if m.edgeWire != nil {
 		m.edgeWire.FlushPartials()
@@ -617,6 +630,7 @@ func (m *machine[V, U, A]) gatherRun(p *sim.Proc, iter int) {
 		m.stats.Add(metrics.GPMasterMe, p.Now()-t0)
 		mk = m.markSpan(p)
 		m.applyPartition(p, iter, part, verts, accums)
+		eng.putVerts(verts)
 		m.emitSpan(p, mk, iter, part, drive.PhaseApply, false)
 	}
 	m.stealSweep(p, gatherPhase, iter)
@@ -778,6 +792,7 @@ func (m *machine[V, U, A]) gatherSteal(p *sim.Proc, iter, part int) {
 	t0 = p.Now()
 	accums := eng.kern.ResetAccums(make([]A, len(verts)))
 	m.gatherPartition(p, part, verts, accums)
+	eng.putVerts(verts)
 	m.stats.Add(metrics.GPMasterOther, p.Now()-t0)
 	m.emitSpan(p, mk, iter, part, drive.PhaseGather, true)
 

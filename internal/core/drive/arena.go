@@ -7,8 +7,9 @@ import (
 )
 
 // recArena is one run's update-record memory: every []UpdRec[U] the run
-// moves — a scatter chunk's per-destination output, a spill replay, a DES
-// gather decode, a combiner flush — is a slab taken from it and returned
+// moves — a scatter chunk's per-destination output, a spill replay, a
+// combiner flush, a DES update chunk from the Wire that cuts it to the
+// storage engine that deletes it — is a slab taken from it and returned
 // to it, so a run allocates its update memory once and then recycles it
 // (DESIGN.md, "Who owns a chunk's bytes"). It is a plain mutex-guarded
 // free list per size class: unlike a sync.Pool it survives garbage

@@ -244,7 +244,7 @@ func (k *Kernel[V, U, A]) rewriteEdge(iter int, e graph.Edge, src *V, out *Scatt
 		return
 	}
 	if out.EdgesNext == nil {
-		out.EdgesNext = k.GrabBuf()
+		out.EdgesNext = k.GrabBuf(0)
 	}
 	off := len(out.EdgesNext)
 	out.EdgesNext = append(out.EdgesNext, make([]byte, k.EdgeFmt.EdgeSize())...)
@@ -334,17 +334,19 @@ func (k *Kernel[V, U, A]) ArenaHighWater() int64 {
 }
 
 // GrabBuf / ReleaseBuf pool the per-chunk byte buffers (rewritten edges,
-// ScatterChunk's encoded updates). Kernels grab, the driver releases after
-// merging a chunk's result.
-func (k *Kernel[V, U, A]) GrabBuf() []byte {
-	if v := k.bufPool.Get(); v != nil {
-		return v.([]byte)[:0]
+// the DES driver's edge chunks, ScatterChunk's encoded updates). GrabBuf
+// returns an empty buffer holding at least n bytes; a pooled one too
+// small for n is dropped. Kernels and Wires grab, the driver releases
+// once nobody reads the buffer any more.
+func (k *Kernel[V, U, A]) GrabBuf(n int) []byte {
+	if b, ok := k.bufPool.Get().([]byte); ok && cap(b) >= n {
+		return b[:0]
 	}
-	return nil
+	return make([]byte, 0, n)
 }
 
-// ReleaseBuf recycles a per-chunk encode buffer, unless its capacity
-// exceeds RetainBytes.
+// ReleaseBuf recycles a byte buffer, unless its capacity exceeds
+// RetainBytes.
 func (k *Kernel[V, U, A]) ReleaseBuf(b []byte) {
 	if cap(b) == 0 {
 		return

@@ -34,12 +34,15 @@ type Params struct {
 	Interrupt func() bool
 }
 
-// Plan infers the vertex count when the caller passes zero, sizes the
-// partition layout from the memory budget (§3), derives the record
-// geometry and resolves the program extensions the run asks for.
+// Plan infers the vertex count when the caller passes zero and refuses
+// one the edges name a vertex beyond, sizes the partition layout from the
+// memory budget (§3), derives the record geometry and resolves the
+// program extensions the run asks for.
 func Plan[V, U, A any](p Params, prog gas.Program[V, U, A], edges []graph.Edge, numVertices uint64) (*Kernel[V, U, A], error) {
-	if numVertices == 0 {
-		numVertices = graph.MaxVertex(edges)
+	if named := graph.MaxVertex(edges); numVertices == 0 {
+		numVertices = named
+	} else if named > numVertices {
+		return nil, fmt.Errorf("core: an edge names vertex %d, but the graph has %d vertices", named-1, numVertices)
 	}
 	if numVertices == 0 {
 		return nil, fmt.Errorf("core: empty graph")

@@ -36,7 +36,7 @@ func TestReleaseBufRetentionBound(t *testing.T) {
 	k.RetainBytes = 1 << 10
 	oversized := k.RetainBytes*2 + 7
 	k.ReleaseBuf(make([]byte, 0, oversized))
-	if got := k.GrabBuf(); cap(got) == oversized {
+	if got := k.GrabBuf(0); cap(got) == oversized {
 		t.Fatalf("oversized buffer (cap %d) came back from the pool despite RetainBytes=%d",
 			oversized, k.RetainBytes)
 	}

@@ -77,7 +77,7 @@ func (k *Kernel[V, U, A]) ScatterChunk(iter, part int, verts []V, data []byte, o
 	out.Updates = k.GrabParts()
 	for tp, recs := range out.Typed {
 		if recs != nil {
-			out.Updates[tp] = k.AppendRecs(k.GrabBuf(), recs)
+			out.Updates[tp] = k.AppendRecs(k.GrabBuf(len(recs)*k.UpdBytes), recs)
 		}
 	}
 	k.releaseTyped(out)

@@ -20,6 +20,10 @@ type Wire[T any] struct {
 	bufs   [][]T
 	filled []bool // dst has filled a chunk since the last FlushPartials
 	flush  func(dst int, chunk []T)
+	// grab and release are the backing source DrawFrom attaches; nil
+	// allocates and drops.
+	grab    func(n int) []T
+	release func([]T)
 }
 
 // minChunkCap is the smallest backing a chunk starts on, in bytes of
@@ -31,10 +35,21 @@ const minChunkCap = 4 << 10
 // records); flush receives each finished chunk (ownership transfers: a
 // flushed slice is in flight through the driver's storage protocol for as
 // long as the driver likes, so the Wire never touches it again and
-// starts the next chunk on fresh backing).
+// starts the next chunk on other backing).
 func NewWire[T any](np, limit int, flush func(dst int, chunk []T)) *Wire[T] {
 	minCap := max(minChunkCap/int(reflect.TypeFor[T]().Size()), 1)
 	return &Wire[T]{limit: limit, minCap: minCap, bufs: make([][]T, np), filled: make([]bool, np), flush: flush}
+}
+
+// DrawFrom makes w take every chunk's backing from grab, which returns an
+// empty slice holding at least n records, and hand the buffers it
+// outgrows to release, instead of allocating and dropping them. A flushed
+// chunk still belongs to its receiver, which returns it to the same
+// source once nobody can read it (DESIGN.md, "Who owns a chunk's bytes").
+// It returns w.
+func (w *Wire[T]) DrawFrom(grab func(n int) []T, release func([]T)) *Wire[T] {
+	w.grab, w.release = grab, release
+	return w
 }
 
 // Put appends records to dst's buffer, flushing full chunks of exactly
@@ -45,6 +60,7 @@ func NewWire[T any](np, limit int, flush func(dst int, chunk []T)) *Wire[T] {
 // twice what it carries. Once a destination has filled a chunk it is a
 // stream, and its next chunks are allocated once, at limit: one
 // allocation and one copy per chunk, however many Puts it takes to fill.
+// Under DrawFrom the allocations are the source's grabs.
 func (w *Wire[T]) Put(dst int, recs []T) {
 	for len(recs) > 0 {
 		n := min(w.limit-len(w.bufs[dst]), len(recs))
@@ -62,15 +78,27 @@ func (w *Wire[T]) Put(dst int, recs []T) {
 func (w *Wire[T]) Reserve(dst, n int) []T {
 	buf := w.bufs[dst]
 	if cap(buf)-len(buf) < n {
-		c := w.limit
-		if !w.filled[dst] {
-			c = min(c, max(len(buf)+n, 2*cap(buf), w.minCap))
-		}
-		buf = append(make([]T, 0, c), buf...)
+		buf = w.grow(buf, dst, n)
 	}
 	buf = buf[:len(buf)+n]
 	w.bufs[dst] = buf
 	return buf[len(buf)-n:]
+}
+
+// grow moves dst's buffer onto backing with room for n more records.
+func (w *Wire[T]) grow(buf []T, dst, n int) []T {
+	c := w.limit
+	if !w.filled[dst] {
+		c = min(c, max(len(buf)+n, 2*cap(buf), w.minCap))
+	}
+	if w.grab == nil {
+		return append(make([]T, 0, c), buf...)
+	}
+	grown := append(w.grab(c), buf...)
+	if buf != nil {
+		w.release(buf)
+	}
+	return grown
 }
 
 // Commit ends a Reserve: a chunk the reserved records completed goes to

@@ -56,7 +56,13 @@ type engine[V, U, A any] struct {
 	// per-partition pre-dispatched scatter tasks (scratch pools live on
 	// the kernel). The map is touched only from simulation context.
 	pool           *drive.Pool
-	scatterStreams map[int]*scatterStream[U]
+	scatterStreams map[int]*scatterStream[V, U]
+
+	// freeVerts is the free list loadVertices draws its vertex sets from
+	// and putVerts returns them to, once no pool task reads them. Every
+	// buffer holds Layout.PerPartition vertices, so it serves any
+	// partition.
+	freeVerts [][]V
 }
 
 // Run executes prog over the given unsorted edge list on the configured
@@ -105,7 +111,7 @@ func newEngine[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges []graph
 		dec:            kern.NewDecider(),
 		window:         cfg.window(clu),
 		run:            metrics.NewRun(prog.Name(), cfg.Spec.Machines),
-		scatterStreams: make(map[int]*scatterStream[U]),
+		scatterStreams: make(map[int]*scatterStream[V, U]),
 	}
 
 	nm := cfg.Spec.Machines

@@ -43,17 +43,18 @@ type scatterChunk[U any] struct {
 
 // scatterStream indexes a partition's pre-dispatched scatter tasks by
 // (storage engine, cursor index). base records each store's cursor at
-// build time.
-type scatterStream[U any] struct {
-	refs int
-	base []int
-	byID [][]*scatterChunk[U]
+// build time; verts is the vertex set the tasks read, their builder's.
+type scatterStream[V, U any] struct {
+	refs  int
+	base  []int
+	byID  [][]*scatterChunk[U]
+	verts []V
 }
 
 // at returns the task for cursor index idx on store s, or nil when the
 // stream was built after that chunk was consumed (impossible in the
 // current protocol, but the storage engine falls back to an inline read).
-func (w *scatterStream[U]) at(s, idx int) *scatterChunk[U] {
+func (w *scatterStream[V, U]) at(s, idx int) *scatterChunk[U] {
 	if w == nil || s >= len(w.byID) {
 		return nil
 	}
@@ -75,14 +76,18 @@ func (w *scatterStream[U]) at(s, idx int) *scatterChunk[U] {
 // streamer runs the same kernel at the delivery instant — the identical
 // computation on the identical bytes in the identical order, without
 // holding a whole stream's scratch buffers live at once.
-func (m *machine[V, U, A]) acquireScatterStream(iter, part int, verts []V) *scatterStream[U] {
+//
+// built reports whether the task set was built over verts, which then
+// belongs to the stream until its last release.
+func (m *machine[V, U, A]) acquireScatterStream(iter, part int, verts []V) (w *scatterStream[V, U], built bool) {
 	eng := m.eng
 	if eng.pool.Inline() {
-		return nil
+		return nil, false
 	}
-	w := eng.scatterStreams[part]
+	w = eng.scatterStreams[part]
 	if w == nil {
-		w = &scatterStream[U]{base: make([]int, len(eng.stores)), byID: make([][]*scatterChunk[U], len(eng.stores))}
+		built = true
+		w = &scatterStream[V, U]{base: make([]int, len(eng.stores)), byID: make([][]*scatterChunk[U], len(eng.stores)), verts: verts}
 		for s, st := range eng.stores {
 			chunks, base, err := st.UnconsumedChunkData(storage.EdgeSet, part)
 			if err != nil {
@@ -99,12 +104,17 @@ func (m *machine[V, U, A]) acquireScatterStream(iter, part int, verts []V) *scat
 		eng.scatterStreams[part] = w
 	}
 	w.refs++
-	return w
+	return w, built
 }
 
-// releaseScatterStream drops one streamer's reference; the last one frees
-// the task set.
-func (eng *engine[V, U, A]) releaseScatterStream(part int) {
+// releaseScatterStream drops one streamer's reference and gives back its
+// vertex set: at once, unless the task set was built over it. The last
+// reference frees the task set and the builder's vertex set: every chunk
+// has been consumed by then and every consumer waited for its task.
+func (eng *engine[V, U, A]) releaseScatterStream(part int, verts []V, built bool) {
+	if !built {
+		eng.putVerts(verts)
+	}
 	w := eng.scatterStreams[part]
 	if w == nil {
 		return // inline mode builds no task sets
@@ -112,5 +122,6 @@ func (eng *engine[V, U, A]) releaseScatterStream(part int) {
 	w.refs--
 	if w.refs == 0 {
 		delete(eng.scatterStreams, part)
+		eng.putVerts(w.verts)
 	}
 }

@@ -30,6 +30,7 @@ func (eng *engine[V, U, A]) storageProc(p *sim.Proc, id int) {
 	st := eng.stores[id]
 	dev := eng.clu.Machines[id].Device
 	inbox := eng.storeIn[id]
+	releaseHeld := func(held any) { eng.kern.ReleaseRecs(held.([]drive.UpdRec[U])) }
 	for {
 		switch m := inbox.Recv(p).(type) {
 		case chunkReq:
@@ -58,6 +59,10 @@ func (eng *engine[V, U, A]) storageProc(p *sim.Proc, id int) {
 				st.HoldChunk(m.kind, m.part, m.recs, m.length)
 			} else if err := st.PutChunk(m.kind, m.part, m.data); err != nil {
 				panic(fmt.Sprintf("core: storage %d: %v", id, err))
+			} else {
+				// The backend kept its own copy (Backend.Write does not
+				// retain), so the edge chunk's buffer is free again.
+				eng.kern.ReleaseBuf(m.data)
 			}
 			dev.Use(p, int64(m.length))
 			eng.run.BytesWritten += int64(m.length)
@@ -79,7 +84,9 @@ func (eng *engine[V, U, A]) storageProc(p *sim.Proc, id int) {
 			eng.run.BytesWritten += int64(len(m.data))
 			eng.clu.Send(id, m.from, controlMsgBytes, eng.machines[m.from].inbox, writeAck{from: id})
 		case deleteUpdates:
-			if err := st.DeleteUpdates(m.part); err != nil {
+			// The master deletes after its own folds and every stealer's
+			// have been joined, so the held slabs can go back to the arena.
+			if err := st.DeleteUpdates(m.part, releaseHeld); err != nil {
 				panic(fmt.Sprintf("core: storage %d: %v", id, err))
 			}
 			eng.clu.Send(id, m.from, controlMsgBytes, eng.machines[m.from].inbox, writeAck{from: id})

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -509,4 +511,50 @@ func TestLegacyDataDirRestores(t *testing.T) {
 	if !jv.CacheHit || jv.State != JobDone {
 		t.Errorf("resubmission of legacy j2: cacheHit=%v state=%s, want a cache hit", jv.CacheHit, jv.State)
 	}
+}
+
+// FuzzServiceSnapshot opens a data dir whose snapshot is arbitrary bytes.
+// wal/snapshot.json is plain JSON with no checksum, so a damaged or
+// foreign file reaches the decoder as it is. Nothing may panic: the open
+// fails with a reason, or the service answers GET /v1/graphs and
+// /v1/jobs. The worker pool is not started (open, not Open), so restored
+// jobs are recovered and re-enqueued but never run: a snapshot can name
+// any graph size, and materializing one is the scheduler's business, not
+// the loader's.
+func FuzzServiceSnapshot(f *testing.F) {
+	legacy, err := os.ReadFile("testdata/legacy/snapshot.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"graphs":[{"id":"g7","type":"rmat","scale":64}],"jobs":[{"id":"j1","graph":"g7","algorithm":"PR","state":"queued"}]}`))
+	f.Add([]byte(`{"nextJobID":-5,"graphs":[{"id":"up","type":"upload","upload":"../../x"}],"jobs":[{"id":"j9","graph":"up","state":"running","canceling":true,"spans":[{"name":"run"}]}]}`))
+	f.Add([]byte(`{"jobs":[{"id":"x"},{"id":"x","state":"done"},{"id":"j2","state":"bogus","restarts":3}]}`))
+	f.Fuzz(func(t *testing.T, snapshot []byte) {
+		dir := t.TempDir()
+		walDir := filepath.Join(dir, "wal")
+		if err := os.MkdirAll(walDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(walDir, "snapshot.json"), snapshot, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		svc, err := open(Config{Workers: 1, BaseOptions: labOptions, DataDir: dir})
+		if err != nil {
+			if err.Error() == "" {
+				t.Fatal("the open failed without a reason")
+			}
+			return
+		}
+		defer svc.Shutdown(context.Background())
+		for _, path := range []string{"/v1/graphs", "/v1/jobs"} {
+			w := httptest.NewRecorder()
+			svc.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+			if w.Code != http.StatusOK {
+				t.Fatalf("GET %s after opening %q: status %d: %s", path, snapshot, w.Code, w.Body)
+			}
+		}
+	})
 }

@@ -323,6 +323,13 @@ type SchedulerConfig struct {
 
 // NewScheduler starts a pool of workers feeding jobs through run.
 func NewScheduler(cfg SchedulerConfig, run runFunc) *Scheduler {
+	s := newScheduler(cfg, run)
+	s.start()
+	return s
+}
+
+// newScheduler is NewScheduler without starting the workers.
+func newScheduler(cfg SchedulerConfig, run runFunc) *Scheduler {
 	if cfg.Retain <= 0 {
 		cfg.Retain = 10000
 	}
@@ -339,11 +346,15 @@ func NewScheduler(cfg SchedulerConfig, run runFunc) *Scheduler {
 		events:        newEventHub(),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
+	return s
+}
+
+// start launches the worker pool.
+func (s *Scheduler) start() {
+	s.wg.Add(s.workers)
+	for i := 0; i < s.workers; i++ {
 		go s.worker()
 	}
-	return s
 }
 
 // ErrShuttingDown is returned by Submit after Shutdown has begun.

@@ -134,6 +134,17 @@ func New(cfg Config) *Service {
 // process died; jobs that cannot be recovered are marked failed with a
 // restart reason.
 func Open(cfg Config) (*Service, error) {
+	s, err := open(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.scheduler.start()
+	return s, nil
+}
+
+// open is Open up to starting the worker pool: the durable state is
+// recovered and re-enqueued work waits in the queue, but nothing runs.
+func open(cfg Config) (*Service, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
@@ -186,7 +197,7 @@ func Open(cfg Config) (*Service, error) {
 	} else {
 		s.cache = newResultCache(cfg.MaxCacheEntries, nil)
 	}
-	s.scheduler = NewScheduler(SchedulerConfig{
+	s.scheduler = newScheduler(SchedulerConfig{
 		Workers:       cfg.Workers,
 		Retain:        cfg.MaxJobHistory,
 		MaxQueue:      cfg.MaxQueue,
@@ -194,7 +205,7 @@ func Open(cfg Config) (*Service, error) {
 	}, s.execute)
 	// Latency histograms, pre-seeded with every route and engine so the
 	// first scrape sees zeros; the scheduler hooks feed the queue-wait
-	// and job-wall families. Set before recovery can start any job.
+	// and job-wall families. Set before the workers start any job.
 	s.metrics = newServiceMetrics(s.routePatterns())
 	s.scheduler.onJobStart = func(wait time.Duration) { s.metrics.queueWait.observe(wait.Seconds()) }
 	s.scheduler.onJobDone = func(engine string, wall time.Duration) { s.metrics.observeJobWall(engine, wall.Seconds()) }

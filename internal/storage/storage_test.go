@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -208,7 +209,7 @@ func TestRemainingBytes(t *testing.T) {
 func TestDeleteUpdatesClears(t *testing.T) {
 	s := NewStore(0, 1, NewMemBackend())
 	s.PutChunk(UpdateSet, 0, chunk(1))
-	if err := s.DeleteUpdates(0); err != nil {
+	if err := s.DeleteUpdates(0, func(any) { t.Error("a byte chunk was handed over as held") }); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := s.NextChunk(UpdateSet, 0); ok {
@@ -229,8 +230,8 @@ func TestDeleteUpdatesClears(t *testing.T) {
 
 // TestHeldChunksAreModeled: a held update chunk comes back as the slice
 // it was held as, is counted at its modeled length rather than its
-// memory, goes with DeleteUpdates, and leaves the set taking byte chunks
-// through the backend as before.
+// memory, is handed back by DeleteUpdates, and leaves the set taking byte
+// chunks through the backend as before.
 func TestHeldChunksAreModeled(t *testing.T) {
 	s := NewStore(0, 1, NewMemBackend())
 	recs := make([]uint64, 10) // 80 bytes of memory, modeled at 12 a record
@@ -249,8 +250,12 @@ func TestHeldChunksAreModeled(t *testing.T) {
 	if got := s.RemainingBytes(UpdateSet, 0); got != 60 {
 		t.Errorf("remaining after one consume %d, want 60", got)
 	}
-	if err := s.DeleteUpdates(0); err != nil {
+	var released []int // lengths of the payloads handed back, in order
+	if err := s.DeleteUpdates(0, func(held any) { released = append(released, len(held.([]uint64))) }); err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(released, []int{10, 5}) {
+		t.Errorf("DeleteUpdates handed back payloads of %v records, want [10 5]", released)
 	}
 	if _, _, ok := s.ConsumeChunk(UpdateSet, 0); ok || s.ChunkCount(UpdateSet, 0) != 0 || s.TotalBytes(UpdateSet, 0) != 0 {
 		t.Error("held chunks survived deletion")

@@ -235,10 +235,18 @@ func (s *Store) ChunkCount(kind SetKind, part int) int {
 }
 
 // DeleteUpdates discards a partition's update set after its gather phase
-// completes (§6.1: update sets are deleted after the gather).
-func (s *Store) DeleteUpdates(part int) error {
+// completes (§6.1: update sets are deleted after the gather). Each held
+// payload goes to release, which the caller may reuse at once: the DES
+// driver returns its record slabs to the run's arena, every fold of them
+// being done by then.
+func (s *Store) DeleteUpdates(part int, release func(held any)) error {
 	cs := s.updates[part]
-	clear(cs.chunks) // drop the held payloads for the garbage collector
+	for _, ref := range cs.chunks {
+		if ref.held != nil {
+			release(ref.held)
+		}
+	}
+	clear(cs.chunks)
 	cs.chunks = cs.chunks[:0]
 	cs.consumed = 0
 	cs.bytes = 0
