@@ -8,8 +8,6 @@
 //	chaos-bench -experiment fig16   # just the batch-factor sweep
 //	chaos-bench -experiment native  # native plane vs DES wall-clock; exits non-zero if native loses
 //	chaos-bench -quick              # reduced smoke scale
-//
-//chaos:sorted-maps
 package main
 
 import (

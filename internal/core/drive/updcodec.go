@@ -11,7 +11,7 @@ import (
 // and the DES charges records × UpdBytes for the same slabs — so the
 // methods below serve only bench/'s layer probes and the §8 wire-size
 // tests. They go with those probes at the benchmark's next revision
-// (ROADMAP.md item 9).
+// (ROADMAP.md, "One benchmark, one gate").
 
 // AppendUpdate encodes one update record onto buf: the ID field (4 or 8
 // bytes, §8), which carries r.Off, then the payload. With DecodeUpdate it

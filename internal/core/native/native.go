@@ -227,9 +227,10 @@ func newRun[V, U, A any](cfg core.Config, prog gas.Program[V, U, A], edges []gra
 func (r *run[V, U, A]) execute(edges []graph.Edge) (err error) {
 	// The native plane measures real elapsed time by design: its report
 	// carries wall-clock, never virtual time (see Report.WallSeconds).
-	// These are the only two sanctioned clock reads in the deterministic
-	// packages; chaos-vet's wallclock analyzer enforces that.
-	r.start = time.Now() //chaos:wallclock-ok native plane measures wall time by design
+	// These are the only two clock reads in the engine packages, and they
+	// feed only the times reported (Report, Progress), never a value or a
+	// decision.
+	r.start = time.Now()
 	r.pool = drive.NewPool(r.cfg.ComputeWorkers)
 	defer r.pool.Close()
 	// Closing the transport removes any spill files, on every exit path:
@@ -293,7 +294,7 @@ func (r *run[V, U, A]) execute(edges []graph.Edge) (err error) {
 
 // elapsed is host wall-clock since the run started, in the same
 // nanosecond unit the DES uses for virtual time.
-func (r *run[V, U, A]) elapsed() sim.Time { return sim.Time(time.Since(r.start)) } //chaos:wallclock-ok native plane measures wall time by design
+func (r *run[V, U, A]) elapsed() sim.Time { return sim.Time(time.Since(r.start)) }
 
 // runIteration processes every partition's scatter and gather exactly
 // once and returns with the iteration fully settled: one barrier per

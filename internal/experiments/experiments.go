@@ -7,11 +7,9 @@
 // is held to that declaration.
 //
 // What the experiments print is also recorded (report.go) and the record
-// is committed and compared by equality, so every file in this package
-// that could iterate a map carries //chaos:sorted-maps and is checked by
-// chaos-vet's detrange analyzer.
-//
-//chaos:sorted-maps
+// is committed and compared by equality
+// (TestEveryExperimentRunsAtQuickScale), so rows are emitted from slices
+// in a fixed order, never by ranging a map.
 package experiments
 
 import "chaos"

@@ -1,7 +1,6 @@
 // The record below is committed and compared by equality, so it is
 // slices in print order and never a ranged map.
-//
-//chaos:sorted-maps
+
 package experiments
 
 import (

@@ -1,8 +1,7 @@
 // The one declaration of every experiment: chaos-bench dispatches from
 // it, the tests run it, and EXPERIMENTS.md's table is held to it
 // (go test ./internal/experiments/ -update rewrites the doc's rows).
-//
-//chaos:sorted-maps
+
 package experiments
 
 import "io"
@@ -86,7 +85,7 @@ var All = []Experiment{
 		Target: "native wall-clock at or under the DES driver's on the same graphs; the experiment fails otherwise, and its exit status, not the figure record, is what CI reads"},
 	{ID: "abl-combiners", Paper: "Ablation: combiners", run: ablationCombiner, Title: "Pregel-style update aggregation (§11.1)",
 		Claim:  "merging cost outweighs the traffic reduction; Chaos ships raw updates",
-		Target: "not reproduced at lab/quick scale, model under review (ROADMAP item 3): combining wins on simulated time for all four algorithms at quick scale (0.80-0.93x) and for all but PR (1.20x) at lab scale"},
+		Target: "not reproduced at lab/quick scale, model under review (ROADMAP, \"The reproduction is a test\"): combining wins on simulated time for all four algorithms at quick scale (0.80-0.93x) and for all but PR (1.20x) at lab scale"},
 	{ID: "abl-compaction", Paper: "Ablation: edge rewriting", run: ablationCompaction, Title: "MCST with Borůvka edge compaction (§6.1 extended model)",
 		Claim:  "the footnoted extension: rewritten edge sets shrink later iterations' I/O",
 		Target: "rewriting reads fewer bytes at every cluster size; runtime moves by under 10% either way at these sizes"},

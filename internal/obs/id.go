@@ -12,7 +12,7 @@ import (
 // randomness source: a trace id is a hash of a caller-chosen seed (the
 // job fingerprint, a boot nonce) plus a monotonic counter, and a span
 // id is a hash of its trace id plus a per-trace counter. Derivation
-// keeps the ids out of chaos-vet's wallclock/randomness scope and lets
+// keeps host randomness out of anything a traced run records and lets
 // tests pin exact ids; uniqueness holds as long as (seed, counter)
 // pairs are not reused, which the callers' monotonic counters ensure.
 

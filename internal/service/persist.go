@@ -181,7 +181,9 @@ func graphRecordOf(g *Graph) graphRecord {
 }
 
 // graphFromRecord rebuilds a catalog entry lazily: metadata now, edges
-// on first use via the loader.
+// on first use via the loader. A spec past registration's bounds gets a
+// loader that fails with the reason, so its jobs fail and the process
+// does not.
 func graphFromRecord(rec graphRecord, dataDir string) *Graph {
 	g := &Graph{
 		ID:         rec.ID,
@@ -227,6 +229,9 @@ func graphFromRecord(rec graphRecord, dataDir string) *Graph {
 		g.load = func() ([]chaos.Edge, error) {
 			return nil, fmt.Errorf("unknown persisted graph type %q", rec.Type)
 		}
+	}
+	if err := g.spec.checkBounds(); err != nil {
+		g.load = func() ([]chaos.Edge, error) { return nil, err }
 	}
 	return g
 }

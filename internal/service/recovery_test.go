@@ -513,14 +513,45 @@ func TestLegacyDataDirRestores(t *testing.T) {
 	}
 }
 
+// TestRestoredSpecOutOfBoundsFailsItsJob opens a data dir whose snapshot
+// names an rmat graph at scale 45, past registration's [1,30], with a
+// queued job on it and another on a valid graph, and starts the workers.
+// The restored spec passes the same bounds check as a registration, so
+// the first job fails with that reason instead of generating 2^49 edges
+// on a worker, and its neighbour runs to completion.
+func TestRestoredSpecOutOfBoundsFailsItsJob(t *testing.T) {
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	if err := os.MkdirAll(walDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := `{"nextJobID":2,"graphs":[` +
+		`{"id":"huge","type":"rmat","scale":45,"seed":1,"vertices":35184372088832,"edges":562949953421312},` +
+		`{"id":"small","type":"rmat","scale":6,"seed":1,"vertices":64,"edges":1024}],"jobs":[` +
+		`{"id":"j1","graph":"huge","algorithm":"PR","options":{"machines":2,"chunkBytes":1024},"state":"queued"},` +
+		`{"id":"j2","graph":"small","algorithm":"PR","options":{"machines":2,"chunkBytes":1024},"state":"queued"}]}`
+	if err := os.WriteFile(filepath.Join(walDir, "snapshot.json"), []byte(snapshot), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc := openDurable(t, dir, 1)
+	defer svc.Shutdown(context.Background())
+	const reason = "rmat scale 45 out of range [1,30]"
+	if jv := waitJob(t, svc, "j1"); jv.State != JobFailed || !strings.Contains(jv.Error, reason) {
+		t.Errorf("job on the scale-45 graph ended %s (%q), want failed with %q", jv.State, jv.Error, reason)
+	}
+	if jv := waitJob(t, svc, "j2"); jv.State != JobDone {
+		t.Errorf("job on the valid graph ended %s (%q), want done", jv.State, jv.Error)
+	}
+}
+
 // FuzzServiceSnapshot opens a data dir whose snapshot is arbitrary bytes.
 // wal/snapshot.json is plain JSON with no checksum, so a damaged or
 // foreign file reaches the decoder as it is. Nothing may panic: the open
 // fails with a reason, or the service answers GET /v1/graphs and
 // /v1/jobs. The worker pool is not started (open, not Open), so restored
-// jobs are recovered and re-enqueued but never run: a snapshot can name
-// any graph size, and materializing one is the scheduler's business, not
-// the loader's.
+// jobs are recovered and re-enqueued but never run: materializing a
+// restored graph is the scheduler's business, not the loader's
+// (TestRestoredSpecOutOfBoundsFailsItsJob runs one).
 func FuzzServiceSnapshot(f *testing.F) {
 	legacy, err := os.ReadFile("testdata/legacy/snapshot.json")
 	if err != nil {
