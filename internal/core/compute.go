@@ -93,7 +93,7 @@ func newMachine[V, U, A any](eng *engine[V, U, A], id int) *machine[V, U, A] {
 	if eng.kern.Rewriter != nil {
 		limit := drive.SpillLimit(eng.cfg.ChunkBytes, eng.kern.EdgeFmt.EdgeSize())
 		m.edgeWire = drive.NewWire(eng.layout.NumPartitions, limit, func(part int, chunk []byte) {
-			m.writeDataChunk(writeChunk{kind: storage.EdgeSetNext, part: part, length: len(chunk), data: chunk})
+			m.writeDataChunk(writeChunk{kind: storage.EdgeSetNext, part: part, length: len(chunk), payload: chunk})
 		}).DrawFrom(eng.kern.GrabBuf, eng.kern.ReleaseBuf)
 	}
 	if eng.kern.Combiner != nil {
@@ -229,9 +229,7 @@ func (m *machine[V, U, A]) main(p *sim.Proc) {
 func (m *machine[V, U, A]) resetEdgeCursors() {
 	for part := 0; part < m.eng.layout.NumPartitions; part++ {
 		if m.eng.kern.Rewriter != nil {
-			if err := m.eng.stores[m.id].PromoteEdges(part); err != nil {
-				panic(fmt.Sprintf("core: machine %d: promoting edges: %v", m.id, err))
-			}
+			m.eng.stores[m.id].PromoteEdges(part)
 			continue
 		}
 		m.eng.stores[m.id].ResetConsumption(storage.EdgeSet, part)
@@ -262,7 +260,7 @@ func (m *machine[V, U, A]) preprocess(p *sim.Proc) {
 		localDeg = make([][]uint32, eng.layout.NumPartitions)
 	}
 	bins := drive.NewWire(eng.layout.NumPartitions, limit, func(part int, chunk []byte) {
-		m.writeDataChunk(writeChunk{kind: storage.EdgeSet, part: part, length: len(chunk), data: chunk})
+		m.writeDataChunk(writeChunk{kind: storage.EdgeSet, part: part, length: len(chunk), payload: chunk})
 	}).DrawFrom(eng.kern.GrabBuf, eng.kern.ReleaseBuf)
 	dev := eng.clu.Machines[m.id].Device
 
@@ -335,7 +333,7 @@ func (m *machine[V, U, A]) writeDataChunk(w writeChunk) {
 // arena slab itself, which the storage engine holds, at records ×
 // UpdBytes, and returns to the arena when it deletes the update set.
 func (m *machine[V, U, A]) writeUpdateChunk(tp int, recs []drive.UpdRec[U]) {
-	m.writeDataChunk(writeChunk{kind: storage.UpdateSet, part: tp, length: len(recs) * m.eng.kern.UpdBytes, recs: recs})
+	m.writeDataChunk(writeChunk{kind: storage.UpdateSet, part: tp, length: len(recs) * m.eng.kern.UpdBytes, payload: recs})
 }
 
 // dirRequest sends an asynchronous request to the central directory and
@@ -568,7 +566,7 @@ func (m *machine[V, U, A]) scatterPartition(p *sim.Proc, iter, part int, verts [
 			// stream's task set): the reply carries the bytes, run the
 			// same kernel at the delivery instant.
 			sc = &scatterChunk[U]{}
-			eng.kern.ScatterChunkTyped(iter, part, verts, r.data, &sc.out)
+			eng.kern.ScatterChunkTyped(iter, part, verts, r.payload.([]byte), &sc.out)
 		} else {
 			sc.Wait()
 		}
@@ -655,7 +653,7 @@ func (m *machine[V, U, A]) gatherPartition(p *sim.Proc, part int, verts []V, acc
 		m.trChunks++
 		m.trBytesIn += int64(r.length)
 		m.cpu(p, r.length/eng.kern.UpdBytes)
-		recs := r.recs.([]drive.UpdRec[U])
+		recs := r.payload.([]drive.UpdRec[U])
 		ft := &drive.Task{Prev: tail, Fn: func() { eng.kern.FoldUpdates(verts, accums, recs) }}
 		eng.pool.Submit(ft)
 		tail = ft

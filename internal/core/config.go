@@ -17,7 +17,6 @@ import (
 	"chaos/internal/cluster"
 	"chaos/internal/core/drive"
 	"chaos/internal/sim"
-	"chaos/internal/storage"
 )
 
 // Config parameterizes one Chaos run.
@@ -94,9 +93,6 @@ type Config struct {
 	// Seed selects the random stream for placement, stealing order and
 	// request routing.
 	Seed int64
-	// BackendFor supplies the storage backend per machine; nil means
-	// in-memory.
-	BackendFor func(machine int) storage.Backend
 	// Interrupt, when non-nil, is polled at each iteration boundary
 	// (machine 0's decision point). When it returns true the run stops
 	// cleanly at that boundary — in-flight chunk work drains, the

@@ -337,7 +337,8 @@ func (k *Kernel[V, U, A]) ArenaHighWater() int64 {
 // the DES driver's edge chunks, ScatterChunk's encoded updates). GrabBuf
 // returns an empty buffer holding at least n bytes; a pooled one too
 // small for n is dropped. Kernels and Wires grab, the driver releases
-// once nobody reads the buffer any more.
+// once nobody reads the buffer any more. An edge chunk the DES store
+// holds is never released: scatter reads it every iteration.
 func (k *Kernel[V, U, A]) GrabBuf(n int) []byte {
 	if b, ok := k.bufPool.Get().([]byte); ok && cap(b) >= n {
 		return b[:0]

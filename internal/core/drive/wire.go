@@ -45,7 +45,8 @@ func NewWire[T any](np, limit int, flush func(dst int, chunk []T)) *Wire[T] {
 // empty slice holding at least n records, and hand the buffers it
 // outgrows to release, instead of allocating and dropping them. A flushed
 // chunk still belongs to its receiver, which returns it to the same
-// source once nobody can read it (DESIGN.md, "Who owns a chunk's bytes").
+// source once nobody can read it, or keeps it, as the DES store keeps
+// its edge chunks (DESIGN.md, "Who owns a chunk's bytes").
 // It returns w.
 func (w *Wire[T]) DrawFrom(grab func(n int) []T, release func([]T)) *Wire[T] {
 	w.grab, w.release = grab, release

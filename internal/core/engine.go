@@ -117,11 +117,7 @@ func newEngine[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges []graph
 	nm := cfg.Spec.Machines
 	eng.inputEdges = drive.SplitInput(edges, nm)
 	for i := 0; i < nm; i++ {
-		backend := storage.Backend(storage.NewMemBackend())
-		if cfg.BackendFor != nil {
-			backend = cfg.BackendFor(i)
-		}
-		eng.stores = append(eng.stores, storage.NewStore(i, layout.NumPartitions, backend))
+		eng.stores = append(eng.stores, storage.NewStore(i, layout.NumPartitions, nil))
 		eng.storeIn = append(eng.storeIn, sim.NewMailbox(env, fmt.Sprintf("store%d", i)))
 		eng.arbIn = append(eng.arbIn, sim.NewMailbox(env, fmt.Sprintf("arb%d", i)))
 	}
@@ -178,14 +174,14 @@ func (eng *engine[V, U, A]) collectValues() ([]V, error) {
 		at := uint64(lo)
 		for idx, n := 0, eng.vertexChunks(part); idx < n; idx++ {
 			home := storage.VertexChunkHome(part, idx, eng.layout.NumMachines)
-			data, err := eng.stores[home].GetVertexChunk(part, idx)
-			if err != nil && eng.cfg.ReplicateVertices {
+			data, ok := eng.stores[home].GetVertexChunk(part, idx)
+			if !ok && eng.cfg.ReplicateVertices {
 				// Primary lost: recover from the replica (§6.6).
 				rep := storage.VertexChunkReplica(part, idx, eng.layout.NumMachines)
-				data, err = eng.stores[rep].GetVertexChunk(part, idx)
+				data, ok = eng.stores[rep].GetVertexChunk(part, idx)
 			}
-			if err != nil {
-				return nil, fmt.Errorf("core: collecting results: %w", err)
+			if !ok {
+				return nil, fmt.Errorf("core: collecting results: no copy of vertex chunk %d of partition %d", idx, part)
 			}
 			at += uint64(eng.kern.VCodec.DecodeSliceInto(values[at:], data))
 		}

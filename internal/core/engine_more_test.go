@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -9,37 +8,7 @@ import (
 	"chaos/internal/cluster"
 	"chaos/internal/graph"
 	"chaos/internal/refalgo"
-	"chaos/internal/storage"
 )
-
-func TestFileBackendEndToEnd(t *testing.T) {
-	edges, n := testGraph(7, false)
-	und := graph.Undirected(edges)
-	dir := t.TempDir()
-	cfg := testConfig(3, n, 5)
-	var backends []*storage.FileBackend
-	cfg.BackendFor = func(machine int) storage.Backend {
-		b, err := storage.NewFileBackend(fmt.Sprintf("%s/m%d", dir, machine))
-		if err != nil {
-			t.Fatal(err)
-		}
-		backends = append(backends, b)
-		return b
-	}
-	values, _, err := Run(cfg, &algorithms.BFS{}, und, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range backends {
-		b.Close()
-	}
-	want := refalgo.BFSLevels(graph.BuildAdjacency(und, n), 0)
-	for i := range values {
-		if values[i].Level != want[i] {
-			t.Fatalf("file backend: vertex %d level %d, want %d", i, values[i].Level, want[i])
-		}
-	}
-}
 
 func TestTinyGraphs(t *testing.T) {
 	// Single vertex with a self-loop.

@@ -24,33 +24,31 @@ type chunkReq struct {
 // chunkReply carries one chunk back, or empty=true when the storage engine
 // has no unconsumed chunks left for that partition this iteration. The
 // chunk is identified by its cursor index on the serving store, and length
-// is what the link charges. An update chunk's payload is recs, the typed
-// slab the store holds. An edge chunk's bytes were pre-read when the
-// stream's scatter tasks were dispatched, so data is populated only on the
-// inline and defensive fallback paths.
+// is what the link charges. payload is what the store holds: an edge
+// chunk's bytes, an update chunk's []drive.UpdRec[U] slab. A pre-dispatched
+// scatter task already holds its edge chunk, so only the inline path reads
+// an edge payload.
 type chunkReply struct {
-	kind   storage.SetKind
-	part   int
-	from   int
-	idx    int
-	length int
-	data   []byte
-	recs   any
-	empty  bool
+	kind    storage.SetKind
+	part    int
+	from    int
+	idx     int
+	length  int
+	payload any
+	empty   bool
 }
 
 // writeChunk appends a chunk of edges or updates on a storage engine, which
-// acknowledges with a writeAck. An edge chunk is data; an update chunk is
-// recs, a []drive.UpdRec[U] slab the store holds by reference. length is
-// the modeled size every device and link charges: len(data), or records ×
-// UpdBytes, never the slab's memory.
+// holds payload by reference and acknowledges with a writeAck. An edge
+// chunk is the bin's []byte; an update chunk is a []drive.UpdRec[U] slab.
+// length is the modeled size every device and link charges: the bin's
+// len, or records × UpdBytes, never the slab's memory.
 type writeChunk struct {
-	kind   storage.SetKind
-	part   int
-	from   int
-	length int
-	data   []byte
-	recs   any
+	kind    storage.SetKind
+	part    int
+	from    int
+	length  int
+	payload any
 }
 
 // vertexRead fetches vertex chunk idx of a partition.

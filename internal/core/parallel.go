@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"chaos/internal/core/drive"
 	"chaos/internal/storage"
 )
@@ -53,7 +51,8 @@ type scatterStream[V, U any] struct {
 
 // at returns the task for cursor index idx on store s, or nil when the
 // stream was built after that chunk was consumed (impossible in the
-// current protocol, but the storage engine falls back to an inline read).
+// current protocol, but the streamer then scatters the reply's payload
+// inline).
 func (w *scatterStream[V, U]) at(s, idx int) *scatterChunk[U] {
 	if w == nil || s >= len(w.byID) {
 		return nil
@@ -65,15 +64,15 @@ func (w *scatterStream[V, U]) at(s, idx int) *scatterChunk[U] {
 	return w.byID[s][i]
 }
 
-// acquireScatterStream pre-reads every unconsumed edge chunk of the
-// partition and dispatches one scatter task per chunk. The first streamer
+// acquireScatterStream dispatches one scatter task per unconsumed edge
+// chunk of the partition, over the bytes each store holds. The first streamer
 // — master or stealer, their inputs are identical — builds the task set;
 // later streamers share it. Chunks consumed between build and a later
 // join were already computed, so joining is always safe.
 //
 // In inline mode there is nothing to overlap with, so no tasks are built:
-// the storage engine ships each chunk's bytes with the reply and the
-// streamer runs the same kernel at the delivery instant — the identical
+// the streamer runs the same kernel on each reply's payload at the
+// delivery instant — the identical
 // computation on the identical bytes in the identical order, without
 // holding a whole stream's scratch buffers live at once.
 //
@@ -89,12 +88,10 @@ func (m *machine[V, U, A]) acquireScatterStream(iter, part int, verts []V) (w *s
 		built = true
 		w = &scatterStream[V, U]{base: make([]int, len(eng.stores)), byID: make([][]*scatterChunk[U], len(eng.stores)), verts: verts}
 		for s, st := range eng.stores {
-			chunks, base, err := st.UnconsumedChunkData(storage.EdgeSet, part)
-			if err != nil {
-				panic(fmt.Sprintf("core: pre-reading edge chunks: %v", err))
-			}
+			held, base := st.UnconsumedChunks(storage.EdgeSet, part)
 			w.base[s] = base
-			for _, data := range chunks {
+			for _, h := range held {
+				data := h.([]byte)
 				sc := &scatterChunk[U]{}
 				sc.Fn = func() { eng.kern.ScatterChunkTyped(iter, part, verts, data, &sc.out) }
 				w.byID[s] = append(w.byID[s], sc)

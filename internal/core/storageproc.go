@@ -39,56 +39,37 @@ func (eng *engine[V, U, A]) storageProc(p *sim.Proc, id int) {
 			if ok {
 				dev.Use(p, int64(length))
 				eng.run.BytesRead += int64(length)
-				switch {
-				case m.kind == storage.UpdateSet:
-					reply.recs = st.HeldChunk(m.kind, m.part, idx)
-				case eng.scatterStreams[m.part].at(id, idx) == nil:
-					// No pre-dispatched scatter task covers this edge
-					// chunk (inline mode, or defensively): ship the
-					// bytes for processing at delivery.
-					data, err := st.ReadChunkAt(m.kind, m.part, idx)
-					if err != nil {
-						panic(fmt.Sprintf("core: storage %d: %v", id, err))
-					}
-					reply.data = data
-				}
+				reply.payload = st.HeldChunk(m.kind, m.part, idx)
 			}
 			eng.clu.Send(id, m.from, int64(length)+controlMsgBytes, m.replyTo, reply)
 		case writeChunk:
-			if m.recs != nil {
-				st.HoldChunk(m.kind, m.part, m.recs, m.length)
-			} else if err := st.PutChunk(m.kind, m.part, m.data); err != nil {
-				panic(fmt.Sprintf("core: storage %d: %v", id, err))
-			} else {
-				// The backend kept its own copy (Backend.Write does not
-				// retain), so the edge chunk's buffer is free again.
-				eng.kern.ReleaseBuf(m.data)
-			}
+			// Held by reference, not recycled here: scatter reads an
+			// edge chunk every iteration, and an update slab goes back
+			// to the arena when the master deletes the set.
+			st.HoldChunk(m.kind, m.part, m.payload, m.length)
 			dev.Use(p, int64(m.length))
 			eng.run.BytesWritten += int64(m.length)
 			eng.clu.Send(id, m.from, controlMsgBytes, eng.machines[m.from].inbox, writeAck{from: id})
 		case vertexRead:
-			data, err := st.GetVertexChunk(m.part, m.idx)
-			if err != nil {
-				panic(fmt.Sprintf("core: storage %d: %v", id, err))
+			data, ok := st.GetVertexChunk(m.part, m.idx)
+			if !ok {
+				// Every vertex chunk is written in pre-processing, before
+				// any load: a miss is a protocol bug, not a storage fault.
+				panic(fmt.Sprintf("core: storage %d: vertex chunk %d of partition %d read before it was written", id, m.idx, m.part))
 			}
 			dev.Use(p, int64(len(data)))
 			eng.run.BytesRead += int64(len(data))
 			eng.clu.Send(id, m.from, int64(len(data))+controlMsgBytes, m.replyTo,
 				vertexReadReply{part: m.part, idx: m.idx, data: data})
 		case vertexWrite:
-			if err := st.PutVertexChunk(m.part, m.idx, m.data); err != nil {
-				panic(fmt.Sprintf("core: storage %d: %v", id, err))
-			}
+			st.PutVertexChunk(m.part, m.idx, m.data)
 			dev.Use(p, int64(len(m.data)))
 			eng.run.BytesWritten += int64(len(m.data))
 			eng.clu.Send(id, m.from, controlMsgBytes, eng.machines[m.from].inbox, writeAck{from: id})
 		case deleteUpdates:
 			// The master deletes after its own folds and every stealer's
 			// have been joined, so the held slabs can go back to the arena.
-			if err := st.DeleteUpdates(m.part, releaseHeld); err != nil {
-				panic(fmt.Sprintf("core: storage %d: %v", id, err))
-			}
+			st.DeleteUpdates(m.part, releaseHeld)
 			eng.clu.Send(id, m.from, controlMsgBytes, eng.machines[m.from].inbox, writeAck{from: id})
 		case ckptWrite:
 			dev.Use(p, int64(m.bytes))

@@ -9,14 +9,7 @@
 // stalling the hot path.
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"sync"
-
-	"chaos/internal/core/drive"
-)
+import "sync"
 
 // Ring is a fixed-capacity buffer with drop-oldest overflow. It is
 // generic over the record type: the engines' flight recorders hold
@@ -70,85 +63,4 @@ func (r *Ring[T]) Dropped() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
-}
-
-// chromeEvent is one trace_event record in the Chrome/Perfetto JSON
-// format (ph "X" = complete event with ts+dur, "M" = metadata). ts and
-// dur are microseconds by spec.
-type chromeEvent struct {
-	Name string  `json:"name"`
-	Ph   string  `json:"ph"`
-	Ts   float64 `json:"ts"`
-	Dur  float64 `json:"dur,omitempty"`
-	Pid  int     `json:"pid"`
-	Tid  int     `json:"tid"`
-	Cat  string  `json:"cat,omitempty"`
-	// ID and BP serve flow events ("s"/"f"): ID pairs the start with its
-	// finish, BP "e" binds the finish to the enclosing slice.
-	ID   int            `json:"id,omitempty"`
-	BP   string         `json:"bp,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// WriteChromeTrace emits spans as a Chrome trace_event JSON object
-// ({"traceEvents": [...]}) loadable in about:tracing or Perfetto. Each
-// machine becomes a thread (tid) under pid 0, named via "M" metadata
-// events; each span a complete ("X") event whose args carry the
-// iteration, partition and byte/chunk/steal tallies.
-func WriteChromeTrace(w io.Writer, spans []drive.Span) error {
-	machines := map[int]bool{}
-	for _, s := range spans {
-		machines[s.Machine] = true
-	}
-	events := make([]chromeEvent, 0, len(spans)+len(machines))
-	for m := range machines {
-		events = append(events, chromeEvent{
-			Name: "thread_name",
-			Ph:   "M",
-			Pid:  0,
-			Tid:  m,
-			Args: map[string]any{"name": fmt.Sprintf("machine %d", m)},
-		})
-	}
-	for _, s := range spans {
-		name := s.Phase
-		if s.Part >= 0 {
-			name = fmt.Sprintf("%s p%d", s.Phase, s.Part)
-		}
-		if s.Stolen {
-			name += " (stolen)"
-		}
-		args := map[string]any{"iter": s.Iter}
-		if s.Part >= 0 {
-			args["part"] = s.Part
-		}
-		if s.Chunks != 0 {
-			args["chunks"] = s.Chunks
-		}
-		if s.BytesIn != 0 {
-			args["bytesIn"] = s.BytesIn
-		}
-		if s.BytesOut != 0 {
-			args["bytesOut"] = s.BytesOut
-		}
-		if s.Stolen {
-			args["stolen"] = true
-		}
-		if s.Phase == drive.PhaseSteal {
-			args["stealsAccepted"] = s.StealsAccepted
-			args["stealsRejected"] = s.StealsRejected
-		}
-		events = append(events, chromeEvent{
-			Name: name,
-			Ph:   "X",
-			Ts:   float64(s.Start) / 1e3,
-			Dur:  float64(s.Dur) / 1e3,
-			Pid:  0,
-			Tid:  s.Machine,
-			Cat:  s.Phase,
-			Args: args,
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": events})
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
 	"sync"
 	"testing"
 
@@ -70,65 +68,4 @@ func TestRingUnderCapacity(t *testing.T) {
 	if dropped != 0 || len(spans) != 2 || spans[0].Iter != 3 || spans[1].Iter != 4 {
 		t.Fatalf("snapshot = %v dropped=%d, want iters [3 4] dropped=0", spans, dropped)
 	}
-}
-
-// The Chrome view must be a valid trace_event JSON object: a
-// traceEvents array of complete ("X") events in microseconds plus
-// per-machine thread_name metadata.
-func TestWriteChromeTrace(t *testing.T) {
-	spans := []drive.Span{
-		{Iter: -1, Machine: 0, Part: -1, Phase: drive.PhasePreprocess, Start: 0, Dur: 2000, BytesIn: 64},
-		{Iter: 0, Machine: 0, Part: 0, Phase: drive.PhaseScatter, Start: 2000, Dur: 1500, Chunks: 3, BytesIn: 96},
-		{Iter: 0, Machine: 1, Part: 1, Phase: drive.PhaseGather, Start: 3500, Dur: 1000, BytesOut: 32},
-		{Iter: 0, Machine: 1, Part: 0, Phase: drive.PhaseScatter, Stolen: true, Start: 4500, Dur: 500},
-		{Iter: 0, Machine: 1, Part: -1, Phase: drive.PhaseSteal, Start: 5000, Dur: 100, StealsAccepted: 1, StealsRejected: 2},
-	}
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, spans); err != nil {
-		t.Fatalf("WriteChromeTrace: %v", err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Ts   float64        `json:"ts"`
-			Dur  float64        `json:"dur"`
-			Pid  int            `json:"pid"`
-			Tid  int            `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	var meta, complete int
-	for _, e := range doc.TraceEvents {
-		switch e.Ph {
-		case "M":
-			meta++
-		case "X":
-			complete++
-		default:
-			t.Fatalf("unexpected event phase %q", e.Ph)
-		}
-	}
-	if meta != 2 { // machines 0 and 1
-		t.Fatalf("thread_name metadata events = %d, want 2", meta)
-	}
-	if complete != len(spans) {
-		t.Fatalf("complete events = %d, want %d", complete, len(spans))
-	}
-	// Spot-check microsecond conversion and tallies on the scatter span.
-	for _, e := range doc.TraceEvents {
-		if e.Ph == "X" && e.Name == "scatter p0" && e.Tid == 0 {
-			if e.Ts != 2.0 || e.Dur != 1.5 {
-				t.Fatalf("scatter span ts/dur = %v/%v µs, want 2/1.5", e.Ts, e.Dur)
-			}
-			if e.Args["chunks"] != float64(3) || e.Args["bytesIn"] != float64(96) {
-				t.Fatalf("scatter span args = %v", e.Args)
-			}
-			return
-		}
-	}
-	t.Fatalf("no scatter p0 span on machine 0 in %s", buf.String())
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"chaos/internal/core/drive"
@@ -193,7 +194,7 @@ func (tl Timeline) engineTreeSpans() []TreeSpan {
 		}
 		out = append(out, TreeSpan{
 			TraceID: tl.TraceID,
-			SpanID:  DeriveSpanID(tl.TraceID+"/engine", uint64(i)).String(),
+			SpanID:  tl.engineSpanID(i),
 			Parent:  tl.RunSpanID,
 			Name:    engineSpanName(s),
 			Kind:    KindEngine,
@@ -204,6 +205,11 @@ func (tl Timeline) engineTreeSpans() []TreeSpan {
 		})
 	}
 	return out
+}
+
+// engineSpanID is the derived span id of the i-th engine span.
+func (tl Timeline) engineSpanID(i int) string {
+	return DeriveSpanID(tl.TraceID+"/engine", uint64(i)).String()
 }
 
 func engineSpanName(s drive.Span) string {
@@ -226,6 +232,24 @@ func (tl Timeline) Tree() ([]*Node, int) {
 	return BuildTree(spans)
 }
 
+// chromeEvent is one trace_event record in the Chrome/Perfetto JSON
+// format (ph "X" = complete event with ts+dur, "M" = metadata). ts and
+// dur are microseconds by spec.
+type chromeEvent struct {
+	Name string  `json:"name"`
+	Ph   string  `json:"ph"`
+	Ts   float64 `json:"ts"`
+	Dur  float64 `json:"dur,omitempty"`
+	Pid  int     `json:"pid"`
+	Tid  int     `json:"tid"`
+	Cat  string  `json:"cat,omitempty"`
+	// ID and BP serve flow events ("s"/"f"): ID pairs the start with its
+	// finish, BP "e" binds the finish to the enclosing slice.
+	ID   int            `json:"id,omitempty"`
+	BP   string         `json:"bp,omitempty"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
 // Chrome thread ids per tier; engine spans get engineTidBase+machine.
 const (
 	tidRequest    = 0
@@ -234,16 +258,52 @@ const (
 	engineTidBase = 10
 )
 
-// WriteChrome emits the merged timeline as Chrome trace_event JSON:
-// the full tree as complete ("X") events on per-tier threads, engine
-// spans on per-machine threads, and flow ("s"/"f") events wherever a
+// tierThreads names the service tiers' threads, in tid order.
+var tierThreads = [...]string{tidRequest: "http", tidLifecycle: "scheduler", tidWAL: "wal"}
+
+// addEngineArgs records an engine span's iteration, partition and
+// byte/chunk/steal tallies in its Chrome event's args.
+func addEngineArgs(args map[string]any, s drive.Span) {
+	args["iter"] = s.Iter
+	if s.Part >= 0 {
+		args["part"] = s.Part
+	}
+	if s.Chunks != 0 {
+		args["chunks"] = s.Chunks
+	}
+	if s.BytesIn != 0 {
+		args["bytesIn"] = s.BytesIn
+	}
+	if s.BytesOut != 0 {
+		args["bytesOut"] = s.BytesOut
+	}
+	if s.Stolen {
+		args["stolen"] = true
+	}
+	if s.Phase == drive.PhaseSteal {
+		args["stealsAccepted"] = s.StealsAccepted
+		args["stealsRejected"] = s.StealsRejected
+	}
+}
+
+// WriteChrome emits the merged timeline as Chrome trace_event JSON
+// ({"traceEvents": [...]}, loadable in about:tracing or Perfetto): the
+// full tree as complete ("X") events on per-tier threads, engine spans
+// on per-machine threads with their iteration, partition and
+// byte/chunk/steal tallies as args, and flow ("s"/"f") events wherever a
 // child runs on a different thread than its parent — the queue
 // boundary between the HTTP request and the worker, and the handoff
-// from the run span into the engine. Virtual-clock engine spans land
-// in their own process (pid 1, "virtual ns") since they cannot be
-// aligned with wall-clock time.
+// from the run span into the engine. Only the tiers and machines
+// present get thread names. Virtual-clock engine spans land in their
+// own process (pid 1, "virtual ns") since they cannot be aligned with
+// wall-clock time. The output is a pure function of the timeline.
 func (tl Timeline) WriteChrome(w io.Writer) error {
 	roots, _ := tl.Tree()
+	// Each engine node's source span, by the id the converter derived.
+	source := make(map[string]drive.Span, len(tl.Engine))
+	for i, s := range tl.Engine {
+		source[tl.engineSpanID(i)] = s
+	}
 
 	// Normalize wall-clock timestamps to the earliest span so the view
 	// opens at ~0 µs instead of the unix epoch offset.
@@ -266,10 +326,23 @@ func (tl Timeline) WriteChrome(w io.Writer) error {
 		base = 0
 	}
 
-	events := []chromeEvent{
-		{Name: "thread_name", Ph: "M", Pid: 0, Tid: tidRequest, Args: map[string]any{"name": "http"}},
-		{Name: "thread_name", Ph: "M", Pid: 0, Tid: tidLifecycle, Args: map[string]any{"name": "scheduler"}},
-		{Name: "thread_name", Ph: "M", Pid: 0, Tid: tidWAL, Args: map[string]any{"name": "wal"}},
+	tidOf := func(sp TreeSpan) int {
+		switch sp.Kind {
+		case KindRequest:
+			return tidRequest
+		case KindWAL:
+			return tidWAL
+		case KindEngine:
+			return engineTidBase + source[sp.SpanID].Machine
+		default:
+			return tidLifecycle
+		}
+	}
+	var events []chromeEvent
+	for tid, name := range tierThreads {
+		if slices.ContainsFunc(tl.Spans, func(sp TreeSpan) bool { return tidOf(sp) == tid }) {
+			events = append(events, chromeEvent{Name: "thread_name", Ph: "M", Pid: 0, Tid: tid, Args: map[string]any{"name": name}})
+		}
 	}
 	seen := map[int]bool{}
 	var machines []int
@@ -297,23 +370,6 @@ func (tl Timeline) WriteChrome(w io.Writer) error {
 			Tid: engineTidBase + m, Args: map[string]any{"name": fmt.Sprintf("machine %d", m)}})
 	}
 
-	tidOf := func(sp TreeSpan) int {
-		switch sp.Kind {
-		case KindRequest:
-			return tidRequest
-		case KindWAL:
-			return tidWAL
-		case KindEngine:
-			// Recover the machine from the detail the converter wrote.
-			var m, iter int
-			if _, err := fmt.Sscanf(sp.Detail, "machine %d iter %d", &m, &iter); err == nil {
-				return engineTidBase + m
-			}
-			return engineTidBase
-		default:
-			return tidLifecycle
-		}
-	}
 	tsOf := func(sp TreeSpan, at int64) float64 {
 		if sp.Clock == "virtual" {
 			return float64(at) / 1e3
@@ -335,6 +391,9 @@ func (tl Timeline) WriteChrome(w io.Writer) error {
 		}
 		if sp.End == 0 {
 			args["open"] = true
+		}
+		if s, ok := source[sp.SpanID]; ok && sp.Kind == KindEngine {
+			addEngineArgs(args, s)
 		}
 		events = append(events, chromeEvent{
 			Name: sp.Name, Ph: "X",

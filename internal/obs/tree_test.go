@@ -239,3 +239,85 @@ func TestTimelineMergesEngineSpans(t *testing.T) {
 		t.Fatalf("virtual-clock engine events = %d, want 2 (own pid keeps clocks apart)", virtualEvents)
 	}
 }
+
+// A flight recording alone (chaos-run -trace-out) renders through the
+// Timeline writer as valid trace_event JSON: complete ("X") events in
+// microseconds carrying each span's engine tallies, thread names for
+// the machines present and for no service tier, and the same bytes on
+// every render.
+func TestWriteChromeTrace(t *testing.T) {
+	spans := []drive.Span{
+		{Iter: -1, Machine: 0, Part: -1, Phase: drive.PhasePreprocess, Start: 0, Dur: 2000, BytesIn: 64},
+		{Iter: 0, Machine: 0, Part: 0, Phase: drive.PhaseScatter, Start: 2000, Dur: 1500, Chunks: 3, BytesIn: 96},
+		{Iter: 0, Machine: 1, Part: 1, Phase: drive.PhaseGather, Start: 3500, Dur: 1000, BytesOut: 32},
+		{Iter: 0, Machine: 1, Part: 0, Phase: drive.PhaseScatter, Stolen: true, Start: 4500, Dur: 500},
+		{Iter: 0, Machine: 1, Part: -1, Phase: drive.PhaseSteal, Start: 5000, Dur: 100, StealsAccepted: 1, StealsRejected: 2},
+	}
+	tl := Timeline{Engine: spans}
+	var buf bytes.Buffer
+	if err := tl.WriteChrome(&buf); err != nil {
+		t.Fatalf("WriteChrome: %v", err)
+	}
+	// Go picks one of two map orders over two keys as rarely as one time
+	// in eight, so one render is compared to many.
+	for i := 0; i < 50; i++ {
+		var again bytes.Buffer
+		if err := tl.WriteChrome(&again); err != nil {
+			t.Fatalf("WriteChrome: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+			t.Fatalf("render %d differs from the first:\n%s\n%s", i+2, buf.String(), again.String())
+		}
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Ts   float64        `json:"ts"`
+			Dur  float64        `json:"dur"`
+			Pid  int            `json:"pid"`
+			Tid  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
+	}
+	var threads []string
+	byName := map[string]map[string]any{}
+	complete := 0
+	for _, e := range doc.TraceEvents {
+		switch e.Ph {
+		case "M":
+			threads = append(threads, fmt.Sprintf("%d=%v", e.Tid, e.Args["name"]))
+		case "X":
+			complete++
+			byName[e.Name] = e.Args
+			if e.Name == "scatter p0" && e.Tid == engineTidBase && (e.Ts != 2.0 || e.Dur != 1.5) {
+				t.Errorf("scatter span ts/dur = %v/%v µs, want 2/1.5", e.Ts, e.Dur)
+			}
+		default:
+			t.Fatalf("unexpected event phase %q", e.Ph)
+		}
+	}
+	if want := []string{"10=machine 0", "11=machine 1"}; fmt.Sprint(threads) != fmt.Sprint(want) {
+		t.Errorf("thread names %v, want %v (machines present, no service tier)", threads, want)
+	}
+	if complete != len(spans) {
+		t.Fatalf("complete events = %d, want %d", complete, len(spans))
+	}
+	for name, want := range map[string]map[string]any{
+		"scatter p0":          {"iter": 0.0, "part": 0.0, "chunks": 3.0, "bytesIn": 96.0},
+		"gather p1":           {"iter": 0.0, "part": 1.0, "bytesOut": 32.0},
+		"scatter p0 (stolen)": {"stolen": true},
+		drive.PhaseSteal:      {"stealsAccepted": 1.0, "stealsRejected": 2.0},
+		drive.PhasePreprocess: {"iter": -1.0, "bytesIn": 64.0},
+	} {
+		args := byName[name]
+		for k, v := range want {
+			if args[k] != v {
+				t.Errorf("%s: args[%q] = %v, want %v (args %v)", name, k, args[k], v, args)
+			}
+		}
+	}
+}

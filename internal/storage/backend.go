@@ -3,11 +3,15 @@
 // randomly across the storage engines of the cluster, and served with
 // per-iteration exactly-once consumption tracking.
 //
-// The Store type holds one machine's share of the graph data. It is pure
-// data-plane: request timing (device bandwidth, network hops) is modeled by
-// the cluster layer, which charges the simulated device before touching the
-// store. The same Store runs over an in-memory backend (used by benches)
-// or a file backend (one file per set per partition, as in §7).
+// The Store type holds one machine's share of the graph data for the
+// simulation. It is pure data-plane: request timing (device bandwidth,
+// network hops) is modeled by the cluster layer, which charges the
+// simulated device before touching the store, so the Store holds every
+// chunk by reference and never copies or persists bytes.
+//
+// A Backend is the byte-level persistence layer of the native plane: the
+// spill transport writes update chunks through a file backend (one file
+// per stream, as in §7).
 package storage
 
 import (
@@ -26,9 +30,9 @@ import (
 // can distinguish "no such set yet" from I/O failures with errors.Is.
 var ErrUnknownStream = errors.New("storage: unknown stream")
 
-// Backend is the byte-level persistence layer under a Store. Streams are
-// named append-only byte sequences, one per (set, partition) pair, matching
-// the paper's file-per-set layout on ext4.
+// Backend is byte-level persistence. Streams are named append-only byte
+// sequences, one per spilled (source, destination) bucket, matching the
+// paper's file-per-set layout on ext4.
 //
 // Who owns a chunk's bytes (DESIGN.md has the long form):
 //
@@ -60,9 +64,8 @@ type Backend interface {
 	Close() error
 }
 
-// MemBackend keeps streams in memory. It is the default for simulations:
-// the simulated device already accounts for I/O time, so the bytes only
-// need to be held somewhere.
+// MemBackend keeps streams in memory: the in-memory Backend the contract
+// tests and the spill transport's tests run against.
 //
 // A stream is a list of segments, one per Write, each an exact-size copy
 // that is never moved, grown or written again. That is the chunk

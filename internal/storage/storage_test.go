@@ -209,8 +209,10 @@ func TestRemainingBytes(t *testing.T) {
 func TestDeleteUpdatesClears(t *testing.T) {
 	s := NewStore(0, 1, NewMemBackend())
 	s.PutChunk(UpdateSet, 0, chunk(1))
-	if err := s.DeleteUpdates(0, func(any) { t.Error("a byte chunk was handed over as held") }); err != nil {
-		t.Fatal(err)
+	var released []any
+	s.DeleteUpdates(0, func(held any) { released = append(released, held) })
+	if len(released) != 1 || !bytes.Equal(released[0].([]byte), chunk(1)) {
+		t.Errorf("DeleteUpdates handed back %q, want the one chunk put", released)
 	}
 	if _, ok, _ := s.NextChunk(UpdateSet, 0); ok {
 		t.Error("update chunk survived deletion")
@@ -228,10 +230,10 @@ func TestDeleteUpdatesClears(t *testing.T) {
 	}
 }
 
-// TestHeldChunksAreModeled: a held update chunk comes back as the slice
-// it was held as, is counted at its modeled length rather than its
-// memory, is handed back by DeleteUpdates, and leaves the set taking byte
-// chunks through the backend as before.
+// TestHeldChunksAreModeled: every chunk the store keeps comes back as the
+// backing array it was handed — a held update slab, a PutChunk'd byte
+// chunk, a vertex chunk — never a copy. A held chunk is counted at its
+// modeled length rather than its memory, and DeleteUpdates hands it back.
 func TestHeldChunksAreModeled(t *testing.T) {
 	s := NewStore(0, 1, NewMemBackend())
 	recs := make([]uint64, 10) // 80 bytes of memory, modeled at 12 a record
@@ -251,21 +253,29 @@ func TestHeldChunksAreModeled(t *testing.T) {
 		t.Errorf("remaining after one consume %d, want 60", got)
 	}
 	var released []int // lengths of the payloads handed back, in order
-	if err := s.DeleteUpdates(0, func(held any) { released = append(released, len(held.([]uint64))) }); err != nil {
-		t.Fatal(err)
-	}
+	s.DeleteUpdates(0, func(held any) { released = append(released, len(held.([]uint64))) })
 	if !slices.Equal(released, []int{10, 5}) {
 		t.Errorf("DeleteUpdates handed back payloads of %v records, want [10 5]", released)
 	}
 	if _, _, ok := s.ConsumeChunk(UpdateSet, 0); ok || s.ChunkCount(UpdateSet, 0) != 0 || s.TotalBytes(UpdateSet, 0) != 0 {
 		t.Error("held chunks survived deletion")
 	}
-	if err := s.PutChunk(UpdateSet, 0, chunk(2)); err != nil {
+
+	edge := chunk(2)
+	if err := s.PutChunk(EdgeSet, 0, edge); err != nil {
 		t.Fatal(err)
 	}
-	data, ok, err := s.NextChunk(UpdateSet, 0)
-	if err != nil || !ok || !bytes.Equal(data, chunk(2)) {
-		t.Errorf("byte chunk after held ones: got %q ok=%v err=%v", data, ok, err)
+	data, ok, err := s.NextChunk(EdgeSet, 0)
+	if err != nil || !ok || len(data) != len(edge) || &data[0] != &edge[0] {
+		t.Errorf("PutChunk'd chunk came back as %q ok=%v err=%v, want the same backing array", data, ok, err)
+	}
+	if got := s.TotalBytes(EdgeSet, 0); got != int64(len(edge)) {
+		t.Errorf("byte chunk counted at %d, want its length %d", got, len(edge))
+	}
+	vert := []byte("v0")
+	s.PutVertexChunk(0, 0, vert)
+	if got, ok := s.GetVertexChunk(0, 0); !ok || len(got) != len(vert) || &got[0] != &vert[0] {
+		t.Errorf("vertex chunk came back as %q ok=%v, want the same backing array", got, ok)
 	}
 }
 
@@ -273,9 +283,9 @@ func TestVertexChunksArePositional(t *testing.T) {
 	s := NewStore(0, 1, NewMemBackend())
 	s.PutVertexChunk(0, 3, []byte("v3"))
 	s.PutVertexChunk(0, 1, []byte("v1"))
-	got, err := s.GetVertexChunk(0, 3)
-	if err != nil || !bytes.Equal(got, []byte("v3")) {
-		t.Errorf("chunk 3: %q %v", got, err)
+	got, ok := s.GetVertexChunk(0, 3)
+	if !ok || !bytes.Equal(got, []byte("v3")) {
+		t.Errorf("chunk 3: %q ok=%v", got, ok)
 	}
 	// Overwrite repoints.
 	s.PutVertexChunk(0, 3, []byte("v3b"))
@@ -283,11 +293,11 @@ func TestVertexChunksArePositional(t *testing.T) {
 	if !bytes.Equal(got, []byte("v3b")) {
 		t.Errorf("chunk 3 after overwrite: %q", got)
 	}
-	if !s.HasVertexChunk(0, 1) || s.HasVertexChunk(0, 9) {
-		t.Error("HasVertexChunk wrong")
+	if _, ok := s.GetVertexChunk(0, 1); !ok {
+		t.Error("chunk 1 missing")
 	}
-	if _, err := s.GetVertexChunk(0, 9); err == nil {
-		t.Error("missing vertex chunk should error")
+	if _, ok := s.GetVertexChunk(0, 9); ok {
+		t.Error("missing vertex chunk reported present")
 	}
 }
 

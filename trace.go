@@ -104,8 +104,10 @@ func (t *TraceRecorder) Spans() ([]TraceSpan, uint64) { return t.ring.Snapshot()
 func (t *TraceRecorder) Dropped() uint64 { return t.ring.Dropped() }
 
 // WriteChromeTrace emits the retained spans as Chrome trace_event JSON
-// ({"traceEvents": [...]}) loadable in about:tracing or Perfetto.
+// ({"traceEvents": [...]}) loadable in about:tracing or Perfetto: one
+// thread per machine, one complete event per span, through the same
+// writer as the job service's merged timeline.
 func (t *TraceRecorder) WriteChromeTrace(w io.Writer) error {
 	spans, _ := t.ring.Snapshot()
-	return obs.WriteChromeTrace(w, spans)
+	return obs.Timeline{Engine: spans}.WriteChrome(w)
 }
