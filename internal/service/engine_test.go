@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"chaos"
+	"chaos/internal/obs"
 )
 
 // TestNativeEngineJobEndToEnd submits a job on the native execution
@@ -177,5 +178,15 @@ func TestOldJournalRecordDefaultsEngineToSim(t *testing.T) {
 	}
 	if v.State != JobDone {
 		t.Errorf("restored state = %s, want done", v.State)
+	}
+	// The record predates tracing too: recovery roots it in a synthetic
+	// submit span, so its trace is a tree like any other.
+	ti, ok := svc.scheduler.TraceInfo("j9")
+	if !ok {
+		t.Fatal("restored job has no trace info")
+	}
+	roots, orphans := obs.BuildTree(ti.spans)
+	if orphans != 0 || len(roots) != 1 || roots[0].Span.Name != "submit" || roots[0].Span.SpanID != ti.rootSpanID {
+		t.Errorf("restored trace: %d roots (%+v), %d orphans; want one submit root and no orphans", len(roots), roots, orphans)
 	}
 }

@@ -38,7 +38,7 @@ func zeroJournalTimes(raw []byte) []byte {
 }
 
 // TestJournalFormGolden pins the journaled form of every job transition.
-// It drives a scripted session through a durable Service: a job that runs
+// It drives a scripted workload through a durable Service: a job that runs
 // and checkpoints, a cache hit, a failure, a queued cancel, a running
 // cancel (accepted, then honoured), a shutdown cancel, and a job left
 // running by a crash. A reopen then meets that job and four seeded
@@ -104,6 +104,12 @@ func TestJournalFormGolden(t *testing.T) {
 		t.Fatal("shutdown drained a job that cannot finish")
 	}
 	crash(t, svc)
+	// Let the crashed instance's worker go: its journal is closed, so
+	// nothing it does from here reaches the data dir.
+	if _, err := svc.scheduler.Cancel("j6"); err != nil {
+		t.Fatal(err)
+	}
+	svc.scheduler.wg.Wait()
 
 	// Seed one record per restart outcome beside j6, which is requeued.
 	w, _, err := durable.OpenWAL(filepath.Join(dir, "wal"), 0)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -53,10 +54,11 @@ type graphRecord struct {
 	Upload           string `json:"upload,omitempty"` // data-dir-relative payload path
 }
 
-// jobRecord is the journaled form of one job transition. It carries the
-// job's complete state, not a delta, so replay is an idempotent upsert:
-// the last record wins, and a record that also made it into a snapshot
-// is harmless to reapply.
+// jobRecord is a job's durable state: Job embeds it, jobRecord.step
+// makes every transition, and the journal gets the whole record at each
+// one — not a delta — so replay is an idempotent upsert: the last record
+// wins, and a record that also made it into a snapshot is harmless to
+// reapply.
 type jobRecord struct {
 	ID        string        `json:"id"`
 	Graph     string        `json:"graph"`
@@ -77,8 +79,8 @@ type jobRecord struct {
 	// (full copy, like the rest of the record — replay is an upsert).
 	// Journaling the spans is what makes GET /v1/jobs/{id}/trace serve a
 	// complete lifecycle tree even after a SIGKILL-restart; engine spans
-	// stay execution-scoped and are never persisted. Absent in records
-	// journaled before tracing existed.
+	// stay execution-scoped and are never persisted. Records journaled
+	// before tracing existed lack them until recovery roots them.
 	TraceID     string         `json:"traceId,omitempty"`
 	TraceRemote bool           `json:"traceRemote,omitempty"`
 	SpanSeq     uint64         `json:"spanSeq,omitempty"`
@@ -236,34 +238,6 @@ func graphFromRecord(rec graphRecord, dataDir string) *Graph {
 	return g
 }
 
-// jobRecordOf flattens a job for the journal/snapshot; callers hold the
-// scheduler's mutex.
-func jobRecordOf(j *Job) jobRecord {
-	return jobRecord{
-		ID:         j.ID,
-		Graph:      j.Graph,
-		Algorithm:  j.Algorithm,
-		Options:    j.Options,
-		State:      j.state,
-		Canceling:  j.canceling.Load() && j.state == JobRunning,
-		Error:      j.err,
-		CacheHit:   j.cacheHit,
-		Restarts:   j.restarts,
-		EnqueuedAt: j.enqueuedAt,
-		StartedAt:  j.startedAt,
-		FinishedAt: j.finishedAt,
-
-		TraceID:     j.traceID,
-		TraceRemote: j.traceRemote,
-		SpanSeq:     j.spanSeq,
-		Spans:       append([]obs.TreeSpan(nil), j.spans...),
-	}
-}
-
-func terminal(s JobState) bool {
-	return s == JobDone || s == JobFailed || s == JobCanceled
-}
-
 // recover rebuilds the service's state from what the WAL found:
 // snapshot first, then journal records as idempotent upserts. Jobs that
 // were queued or running at crash time are re-enqueued (the engine is
@@ -311,7 +285,7 @@ func (s *Service) recover(rec *durable.Recovered) error {
 				// after this record was appended may already hold a
 				// LATER state (the compaction overlap window). A
 				// terminal state never regresses.
-				if terminal(jobs[i].State) && !terminal(jr.State) {
+				if jobs[i].State.terminal() && !jr.State.terminal() {
 					continue
 				}
 				jobs[i] = jr
@@ -351,11 +325,12 @@ func (s *Service) recover(rec *durable.Recovered) error {
 // before it gives the job up as failed.
 const maxRestarts = 3
 
-// restoreJobs files recovered job records with the scheduler. Terminal
-// jobs come back as history (results rehydrate lazily from the disk
-// store); queued/running jobs go back on the queue, or fail if their
-// graph is gone or they have been through maxRestarts restarts already.
-// Changed jobs are re-journaled so the log reflects the requeue/failure.
+// restoreJobs files recovered job records with the scheduler: each one
+// steps through evRestart, which leaves terminal jobs as history (results
+// rehydrate lazily from the disk store), honours an accepted cancel, fails
+// a job whose graph is gone or that has been through maxRestarts restarts,
+// and queues the rest again. Jobs recovery changed are re-journaled so the
+// log reflects the requeue or failure.
 func (s *Service) restoreJobs(recs []jobRecord, nextID int) {
 	sc := s.scheduler
 	now := time.Now().UTC()
@@ -366,73 +341,25 @@ func (s *Service) restoreJobs(recs []jobRecord, nextID int) {
 		if _, dup := sc.jobs[r.ID]; dup {
 			continue
 		}
-		j := &Job{
-			ID:         r.ID,
-			Graph:      r.Graph,
-			Algorithm:  r.Algorithm,
-			Options:    r.Options,
-			state:      r.State,
-			err:        r.Error,
-			cacheHit:   r.CacheHit,
-			restarts:   r.Restarts,
-			enqueuedAt: r.EnqueuedAt,
-			startedAt:  r.StartedAt,
-			finishedAt: r.FinishedAt,
-
-			traceID:     r.TraceID,
-			traceRemote: r.TraceRemote,
-			spanSeq:     r.SpanSeq,
-			spans:       append([]obs.TreeSpan(nil), r.Spans...),
-		}
-		// Rebuild the trace bookkeeping (root/open span ids) from the
-		// journaled spans before any transition below needs to close or
-		// extend them; pre-trace records get a synthetic root.
-		sc.restoreTraceLocked(j)
-		changed := false
-		switch {
-		case !terminal(j.state) && r.Canceling:
-			// The API accepted this cancellation before the crash;
-			// honor it instead of rerunning the job.
-			j.state = JobCanceled
-			j.err = "canceled while running; the process restarted before the run stopped"
-			j.finishedAt = now
-			j.noteTerminalLocked(now)
-			changed = true
-		case !terminal(j.state):
-			reason := ""
-			if _, ok := s.catalog.Get(j.Graph); !ok {
-				reason = fmt.Sprintf("not recoverable after restart: graph %q is gone", j.Graph)
-			} else if j.restarts >= maxRestarts {
-				// A job that takes the process down with it would come
-				// back on every boot: a crash loop. Quarantine it.
-				reason = fmt.Sprintf("not re-enqueued after restart: %d restarts already found this job unfinished", j.restarts)
-			}
-			if reason != "" {
-				j.state = JobFailed
-				j.err = reason
-				j.finishedAt = now
-				j.noteTerminalLocked(now)
-			} else {
-				// Re-enqueues bypass admission control: a job the API
-				// already accepted must not be dropped by MaxQueue.
-				j.state = JobQueued
-				j.startedAt = time.Time{}
-				j.finishedAt = time.Time{}
-				j.restarts++
-				sc.noteRecoveryLocked(j, now)
-				sc.queue = append(sc.queue, j)
-				sc.queued++
-			}
-			changed = true
+		j := &Job{jobRecord: r}
+		_, graphKnown := s.catalog.Get(j.Graph)
+		wasTerminal := j.State.terminal()
+		j.step(jobEvent{kind: evRestart, graphKnown: graphKnown, maxRestarts: maxRestarts}, now)
+		if j.State == JobQueued {
+			// Re-enqueues bypass admission control: a job the API
+			// already accepted must not be dropped by MaxQueue.
+			sc.queue = append(sc.queue, j)
+			sc.queued++
 		}
 		sc.jobs[j.ID] = j
+		sc.byTrace[j.TraceID] = j.ID
 		sc.order = append(sc.order, j.ID)
 		sc.counts[j.Algorithm]++
 		sc.engines[j.engine()]++ // pre-engine records fold to "sim"
 		if seq, ok := jobSeq(j.ID); ok && seq > maxSeq {
 			maxSeq = seq
 		}
-		if changed {
+		if !wasTerminal {
 			sc.noteLocked(j)
 		}
 	}
@@ -446,7 +373,7 @@ func (s *Service) restoreJobs(recs []jobRecord, nextID int) {
 // in transition order; the append is a buffered write, fsync is
 // batched). It also drives the snapshot policy.
 func (s *Service) noteJob(j *Job) {
-	s.persist.note(s.persist.wal.Append(recJob, jobRecordOf(j)))
+	s.persist.note(s.persist.wal.Append(recJob, &j.jobRecord))
 	s.maybeCompact()
 }
 
@@ -535,7 +462,9 @@ func (s *Service) captureSnapshot() (any, error) {
 	sc.mu.Lock()
 	snap.NextJobID = sc.nextID
 	for _, id := range sc.order {
-		snap.Jobs = append(snap.Jobs, jobRecordOf(sc.jobs[id]))
+		r := sc.jobs[id].jobRecord
+		r.Spans = slices.Clone(r.Spans) // encoded after the lock is released
+		snap.Jobs = append(snap.Jobs, r)
 	}
 	sc.mu.Unlock()
 	return snap, nil

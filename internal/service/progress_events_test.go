@@ -278,7 +278,7 @@ func TestEventHubOrderingUnderConcurrentTransitions(t *testing.T) {
 			defer cancel()
 			for ev := range ch {
 				streams[i].events = append(streams[i].events, ev)
-				if ev.Type == EventState && terminal(ev.Job.State) {
+				if ev.Type == EventState && ev.Job.State.terminal() {
 					return
 				}
 			}

@@ -10,19 +10,21 @@ import (
 	"time"
 
 	"chaos"
-	"chaos/internal/obs"
 )
 
 // JobState is the lifecycle state of a job.
 type JobState string
 
-// Job lifecycle: Submit puts a job in JobQueued; a worker moves it to
-// JobRunning and then JobDone or JobFailed; Cancel moves a still-queued
-// job straight to JobCanceled, and asks a running job to stop at its
-// next iteration boundary (the engine observes the job's context there),
-// after which the worker records JobCanceled. After a crash, recovery
-// re-enqueues jobs that were queued or running and fails unrecoverable
-// ones with a restart reason.
+// Job lifecycle: a submission is queued (or, answered from the result
+// cache, done at once); a worker moves it to running and then done or
+// failed; Cancel moves a queued job straight to canceled, and asks a
+// running job to stop at its next iteration boundary (the engine
+// observes the job's context there), after which it ends canceled.
+// After a crash, recovery is one more event on each journaled record:
+// an accepted cancel is honoured, a job whose graph is gone or that has
+// been through maxRestarts restarts fails, and other unfinished work is
+// queued again. jobRecord.step is the one function that makes every one
+// of these transitions.
 const (
 	JobQueued   JobState = "queued"
 	JobRunning  JobState = "running"
@@ -31,36 +33,32 @@ const (
 	JobCanceled JobState = "canceled"
 )
 
-// Job is one algorithm run over a registered graph. Fields after Options
-// are guarded by the scheduler's mutex; handlers read them through
-// snapshots (JobView), never directly.
-type Job struct {
-	ID        string
-	Graph     string
-	Algorithm string
-	Options   chaos.Options
+// terminal reports whether the state is final: done, failed or canceled.
+func (s JobState) terminal() bool {
+	return s == JobDone || s == JobFailed || s == JobCanceled
+}
 
-	state      JobState
-	err        string
-	result     *chaos.Result
-	report     *chaos.Report
-	cacheHit   bool
-	enqueuedAt time.Time
-	startedAt  time.Time
-	finishedAt time.Time
+// Job is one algorithm run over a registered graph. Its durable state is
+// its journal record, embedded whole and changed only by jobRecord.step.
+// The record is guarded by the scheduler's mutex, except that the run
+// reads the identity (ID, Graph, Algorithm, Options), fixed at admission,
+// and the restart count, which only recovery changes, without it. The
+// fields below are live-only: they are never journaled, and handlers read
+// them through snapshots (JobView).
+type Job struct {
+	jobRecord
+
+	result *chaos.Result
+	report *chaos.Report
 
 	// cancel stops the running simulation at its next iteration
-	// boundary; set only while state == JobRunning.
+	// boundary; set only while the job runs.
 	cancel context.CancelFunc
-	// canceling records that Cancel was accepted on a running job;
-	// atomic (all writes still happen under s.mu) so the lock-free
-	// progress ticks can carry the flag — otherwise a cancel would
-	// visibly "un-happen" in every tick between acceptance and the
-	// iteration boundary that honors it.
-	canceling atomic.Bool
-	// restarts counts how many times crash recovery re-enqueued this
-	// job (diagnostics; also journaled).
-	restarts int
+	// runView is the job's view as published at the running transition
+	// and again when a cancel is accepted. The lock-free progress ticks
+	// copy it, so an accepted cancel never "un-happens" in a later tick,
+	// and the ticks never read the record a transition is writing.
+	runView atomic.Pointer[JobView]
 	// answeredFromCache marks a run the executor satisfied from the
 	// result cache instead of computing (the restart-path lookup in
 	// Service.execute); atomic because the executor sets it on the run
@@ -82,20 +80,6 @@ type Job struct {
 	// computeShare is this job's slice of the scheduler's shared
 	// compute-worker budget, fixed when the job starts (0 = unmanaged).
 	computeShare int
-
-	// Trace state (all guarded by s.mu; see trace.go). traceID roots the
-	// job's causal trace; spans is the journaled lifecycle span list
-	// (request/admitted/queued/run/terminal, plus recovery and
-	// checkpoint spans), carried in every jobRecord so the tree survives
-	// a crash-restart. rootSpanID/queuedSpanID/runSpanID locate the
-	// spans later transitions must close or parent under.
-	traceID      string
-	traceRemote  bool
-	spans        []obs.TreeSpan
-	spanSeq      uint64
-	rootSpanID   string
-	queuedSpanID string
-	runSpanID    string
 }
 
 // JobView is an immutable snapshot of a Job, safe to serialize.
@@ -107,8 +91,9 @@ type JobView struct {
 	// or "native". Jobs journaled before the engine option existed
 	// report "sim", the only engine there was.
 	Engine string `json:"engine"`
-	// TraceID is the job's end-to-end trace (GET /v1/traces/{id});
-	// empty only for jobs journaled before tracing existed.
+	// TraceID is the job's end-to-end trace (GET /v1/traces/{id}). Every
+	// job has one: recovery roots records journaled before tracing
+	// existed in a synthetic submit span.
 	TraceID    string        `json:"traceId,omitempty"`
 	State      JobState      `json:"state"`
 	CacheHit   bool          `json:"cacheHit,omitempty"`
@@ -145,45 +130,162 @@ func (j *Job) engine() string {
 	return j.Options.Engine // unknown names never pass Submit; be honest
 }
 
-// identView builds the JobView fields that are stable while a job runs
-// (identity, engine, enqueue/start times, restart count) — the one
-// construction site shared by the locked view() and the lock-free
-// NoteProgress tick, so a new JobView field cannot be added to one and
-// silently stay zero in the other.
-func (j *Job) identView() JobView {
+// view snapshots the job: its record plus the live fields; callers hold
+// s.mu.
+func (j *Job) view() JobView {
 	v := JobView{
 		ID:         j.ID,
 		Graph:      j.Graph,
 		Algorithm:  j.Algorithm,
 		Engine:     j.engine(),
-		TraceID:    j.traceID, // written once at admission, before the job can run
-		Restarts:   j.restarts,
-		EnqueuedAt: j.enqueuedAt,
+		TraceID:    j.TraceID,
+		State:      j.State,
+		CacheHit:   j.CacheHit,
+		Canceling:  j.Canceling,
+		Restarts:   j.Restarts,
+		Error:      j.Error,
+		EnqueuedAt: j.EnqueuedAt,
+		StartedAt:  timeOrNil(j.StartedAt),
+		FinishedAt: timeOrNil(j.FinishedAt),
+		Result:     j.result,
+		Report:     j.report,
 	}
-	if !j.startedAt.IsZero() {
-		t := j.startedAt
-		v.StartedAt = &t
+	if j.State == JobRunning {
+		v.Progress = j.progress.Load()
 	}
 	return v
 }
 
-// view snapshots the job; callers hold s.mu.
-func (j *Job) view() JobView {
-	v := j.identView()
-	v.State = j.state
-	v.CacheHit = j.cacheHit
-	v.Canceling = j.canceling.Load() && j.state == JobRunning
-	v.Error = j.err
-	v.Result = j.result
-	v.Report = j.report
-	if !j.finishedAt.IsZero() {
-		t := j.finishedAt
-		v.FinishedAt = &t
+func timeOrNil(t time.Time) *time.Time {
+	if t.IsZero() {
+		return nil
 	}
-	if j.state == JobRunning {
-		v.Progress = j.progress.Load()
+	return &t
+}
+
+// jobEvent is one thing that happens to a job; jobRecord.step applies it.
+type jobEvent struct {
+	kind jobEventKind
+	// rt roots an admitted job's trace in its request (nil: a synthetic
+	// submit root).
+	rt *reqTrace
+	// err is what the run returned (evFinish; nil is success).
+	err error
+	// name, detail and dur describe an evSpan span, which starts at the
+	// event's time; detail is also the reason a canceled queued job
+	// records (evCancel).
+	name, detail string
+	dur          time.Duration
+	// graphKnown and maxRestarts are what recovery knows (evRestart).
+	graphKnown  bool
+	maxRestarts int
+}
+
+type jobEventKind uint8
+
+const (
+	evSubmit   jobEventKind = iota // admitted to the queue
+	evCacheHit                     // admitted already answered by the result cache
+	evStart                        // a worker picked the job up
+	evFinish                       // the run returned
+	evCancel                       // Cancel, or Shutdown on a queued job
+	evSpan                         // an extra lifecycle span (the result checkpoint)
+	evRestart                      // recovery found the record in the journal
+)
+
+// step applies ev to the record at time now. It is the one function that
+// changes a job's state, error, times, restart count or spans, for the
+// live service and crash recovery alike, so replaying a journal and
+// running the service cannot disagree. An event that does not apply in
+// the record's state changes nothing, so a terminal state is final.
+//
+// step writes the record in place, and only the fields the event
+// changes: a job's run reads the record's identity and restart count
+// without the lock while Cancel steps it.
+func (r *jobRecord) step(ev jobEvent, now time.Time) {
+	ns := now.UnixNano()
+	switch ev.kind {
+	case evSubmit, evCacheHit:
+		if r.State != "" {
+			return
+		}
+		r.EnqueuedAt = now
+		r.initTrace(ev.rt)
+		if ev.kind == evSubmit {
+			r.State = JobQueued
+			r.addSpan("queued", "", r.rootSpan(), ns, 0)
+		} else {
+			r.State, r.CacheHit, r.FinishedAt = JobDone, true, now
+			r.addSpan("done", "served from the result cache", r.rootSpan(), ns, ns)
+		}
+	case evStart:
+		if r.State != JobQueued {
+			return
+		}
+		r.State, r.StartedAt = JobRunning, now
+		r.closeOpenSpans(ns, "")
+		r.addSpan("run", "", r.rootSpan(), ns, 0)
+	case evFinish:
+		switch {
+		case r.State != JobRunning:
+		case ev.err == nil:
+			r.finish(JobDone, "", now)
+		case errors.Is(ev.err, context.Canceled) && r.Canceling:
+			r.finish(JobCanceled, "canceled while running; stopped at an iteration boundary", now)
+		default:
+			r.finish(JobFailed, ev.err.Error(), now)
+		}
+	case evCancel:
+		switch {
+		case r.State == JobQueued:
+			r.finish(JobCanceled, ev.detail, now)
+		case r.State == JobRunning && !r.Canceling:
+			// Journaled: if the process dies before the boundary,
+			// recovery must cancel the job, not rerun it to completion.
+			r.Canceling = true
+			r.addSpan("cancel requested", "stops at the next iteration boundary", r.rootSpan(), ns, ns)
+		}
+	case evSpan:
+		parent := r.runSpan().SpanID // checkpoints nest inside the run
+		if parent == "" {
+			parent = r.rootSpan()
+		}
+		r.addSpan(ev.name, ev.detail, parent, ns, now.Add(ev.dur).UnixNano())
+	case evRestart:
+		if r.TraceID == "" {
+			r.initTrace(nil) // journaled before tracing existed
+		}
+		switch {
+		case r.State.terminal():
+			r.Canceling = false // a stray flag on history; only a run can be canceling
+		case r.Canceling:
+			// The API accepted this cancellation before the crash.
+			r.finish(JobCanceled, "canceled while running; the process restarted before the run stopped", now)
+		case !ev.graphKnown:
+			r.finish(JobFailed, fmt.Sprintf("not recoverable after restart: graph %q is gone", r.Graph), now)
+		case r.Restarts >= ev.maxRestarts:
+			// A job that takes the process down with it would come back
+			// on every boot: a crash loop. Quarantine it.
+			r.finish(JobFailed, fmt.Sprintf("not re-enqueued after restart: %d restarts already found this job unfinished", r.Restarts), now)
+		default:
+			// The run of the previous life is gone: close its spans, mark
+			// the recovery and queue the job again.
+			r.State, r.StartedAt, r.FinishedAt = JobQueued, time.Time{}, time.Time{}
+			r.Restarts++
+			r.closeOpenSpans(ns, "interrupted by restart")
+			r.addSpan("recovered", fmt.Sprintf("restart %d: re-enqueued after crash recovery", r.Restarts), r.rootSpan(), ns, ns)
+			r.addSpan("queued", "requeued after restart", r.rootSpan(), ns, 0)
+		}
 	}
-	return v
+}
+
+// finish moves the record to a terminal state: the open queue or run
+// span closes, and a point span named for the state carries the reason.
+func (r *jobRecord) finish(state JobState, reason string, now time.Time) {
+	ns := now.UnixNano()
+	r.State, r.Error, r.FinishedAt, r.Canceling = state, reason, now, false
+	r.closeOpenSpans(ns, "")
+	r.addSpan(string(state), reason, r.rootSpan(), ns, ns)
 }
 
 // runFunc executes one job and returns its result; the scheduler owns all
@@ -258,13 +360,24 @@ type Scheduler struct {
 }
 
 // noteLocked reports a state transition to the service and to event
-// subscribers; callers hold s.mu and call it after every mutation of a
-// job's state.
+// subscribers; callers hold s.mu.
 func (s *Scheduler) noteLocked(j *Job) {
 	if s.onUpdate != nil {
 		s.onUpdate(j)
 	}
 	s.events.publish(j.ID, EventState, j.view().stripped())
+}
+
+// transitionLocked steps a job's record through ev now, publishes the
+// view a running job's ticks copy, and reports the transition; callers
+// hold s.mu.
+func (s *Scheduler) transitionLocked(j *Job, ev jobEvent) {
+	j.step(ev, time.Now().UTC())
+	if j.State == JobRunning {
+		v := j.view().stripped()
+		j.runView.Store(&v)
+	}
+	s.noteLocked(j)
 }
 
 // NoteProgress files an engine progress tick against a running job:
@@ -274,13 +387,7 @@ func (s *Scheduler) noteLocked(j *Job) {
 // the run, after the running transition and before the terminal one.
 func (s *Scheduler) NoteProgress(j *Job, p chaos.Progress) {
 	j.progress.Store(&p)
-	// The view is assembled lock-free from fields that cannot change
-	// while the job runs (identView: identity, engine, enqueue/start
-	// times, restart count), the atomic canceling flag (so an accepted
-	// cancel never "un-happens" in a later tick), and the tick itself.
-	v := j.identView()
-	v.State = JobRunning
-	v.Canceling = j.canceling.Load()
+	v := *j.runView.Load()
 	v.Progress = &p
 	s.events.publish(j.ID, EventProgress, v)
 }
@@ -398,11 +505,10 @@ func (s *Scheduler) pruneLocked() {
 	kept := s.order[:0]
 	for _, id := range s.order {
 		j := s.jobs[id]
-		terminal := j.state == JobDone || j.state == JobFailed || j.state == JobCanceled
-		if excess > 0 && terminal {
+		if excess > 0 && j.State.terminal() {
 			delete(s.jobs, id)
-			if j.traceID != "" && s.byTrace[j.traceID] == id {
-				delete(s.byTrace, j.traceID)
+			if s.byTrace[j.TraceID] == id {
+				delete(s.byTrace, j.TraceID)
 			}
 			excess--
 			continue
@@ -412,21 +518,23 @@ func (s *Scheduler) pruneLocked() {
 	s.order = kept
 }
 
-// newJobLocked files a new job; callers hold s.mu.
-func (s *Scheduler) newJobLocked(graphID, alg string, opt chaos.Options) *Job {
+// admitLocked files a new job and steps it through its admission event
+// (evSubmit or evCacheHit); callers hold s.mu.
+func (s *Scheduler) admitLocked(ev jobEvent, graphID, alg string, opt chaos.Options) *Job {
 	s.nextID++
-	j := &Job{
-		ID:         fmt.Sprintf("j%d", s.nextID),
-		Graph:      graphID,
-		Algorithm:  alg,
-		Options:    opt,
-		enqueuedAt: time.Now().UTC(),
-	}
+	j := &Job{jobRecord: jobRecord{
+		ID:        fmt.Sprintf("j%d", s.nextID),
+		Graph:     graphID,
+		Algorithm: alg,
+		Options:   opt,
+	}}
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
 	s.counts[alg]++
 	s.engines[j.engine()]++
-	s.pruneLocked() // the new job is not yet terminal, so never evicted
+	s.pruneLocked() // the new job has no state yet, so is never evicted
+	s.transitionLocked(j, ev)
+	s.byTrace[j.TraceID] = j.ID
 	return j
 }
 
@@ -447,13 +555,9 @@ func (s *Scheduler) SubmitTraced(rt *reqTrace, graphID, alg string, opt chaos.Op
 	if s.maxQueue > 0 && s.queued >= s.maxQueue {
 		return JobView{}, &QueueFullError{Depth: s.queued, Max: s.maxQueue, Workers: s.workers}
 	}
-	j := s.newJobLocked(graphID, alg, opt)
-	j.state = JobQueued
-	s.initTraceLocked(j, rt)
-	j.queuedSpanID = j.addSpanLocked(obs.KindLifecycle, "queued", "", j.rootSpanID, j.enqueuedAt.UnixNano(), 0)
+	j := s.admitLocked(jobEvent{kind: evSubmit, rt: rt}, graphID, alg, opt)
 	s.queue = append(s.queue, j)
 	s.queued++
-	s.noteLocked(j)
 	s.cond.Signal()
 	return j.view(), nil
 }
@@ -469,16 +573,8 @@ func (s *Scheduler) AdmitCachedTraced(rt *reqTrace, graphID, alg string, opt cha
 	if s.closed {
 		return JobView{}, ErrShuttingDown
 	}
-	j := s.newJobLocked(graphID, alg, opt)
-	j.state = JobDone
-	j.cacheHit = true
-	j.result = res
-	j.report = rep
-	j.finishedAt = j.enqueuedAt
-	s.initTraceLocked(j, rt)
-	at := j.finishedAt.UnixNano()
-	j.addSpanLocked(obs.KindLifecycle, "done", "served from the result cache", j.rootSpanID, at, at)
-	s.noteLocked(j)
+	j := s.admitLocked(jobEvent{kind: evCacheHit, rt: rt}, graphID, alg, opt)
+	j.result, j.report = res, rep
 	return j.view(), nil
 }
 
@@ -491,7 +587,7 @@ func (s *Scheduler) Get(id string) (JobView, bool) {
 		s.mu.Unlock()
 		return JobView{}, false
 	}
-	needsHydration := j.state == JobDone && j.result == nil && s.hydrate != nil
+	needsHydration := j.State == JobDone && j.result == nil && s.hydrate != nil
 	v := j.view()
 	s.mu.Unlock()
 	if !needsHydration {
@@ -579,7 +675,7 @@ func (s *Scheduler) ListFiltered(f JobFilter) []JobView {
 			}
 		}
 		j := s.jobs[id]
-		if f.State != "" && j.state != f.State {
+		if f.State != "" && j.State != f.State {
 			continue
 		}
 		out = append(out, j.view().stripped())
@@ -616,33 +712,20 @@ func (s *Scheduler) Cancel(id string) (JobView, error) {
 	if !ok {
 		return JobView{}, &notFoundError{what: "job", id: id}
 	}
-	switch j.state {
+	switch j.State {
 	case JobQueued:
-		j.state = JobCanceled
-		j.finishedAt = time.Now().UTC()
-		s.queued--
-		j.noteTerminalLocked(j.finishedAt)
-		s.noteLocked(j)
 		// The job stays in s.queue; workers skip non-queued entries.
-		return j.view(), nil
+		s.queued--
+		s.transitionLocked(j, jobEvent{kind: evCancel})
 	case JobRunning:
-		if !j.canceling.Load() {
-			j.canceling.Store(true)
+		if !j.Canceling { // idempotent: repeat cancels just re-report
+			s.transitionLocked(j, jobEvent{kind: evCancel})
 			j.cancel() // observed at the next iteration boundary
-			if j.traceID != "" {
-				at := time.Now().UTC().UnixNano()
-				j.addSpanLocked(obs.KindLifecycle, "cancel requested",
-					"stops at the next iteration boundary", j.rootSpanID, at, at)
-			}
-			// Journal the accepted cancellation: if the process dies
-			// before the boundary, recovery must cancel the job, not
-			// rerun it to completion.
-			s.noteLocked(j)
 		}
-		return j.view(), nil // idempotent: repeat cancels just re-report
 	default:
-		return j.view(), fmt.Errorf("service: job %s is already %s", id, j.state)
+		return j.view(), fmt.Errorf("service: job %s is already %s", id, j.State)
 	}
+	return j.view(), nil
 }
 
 // popLocked removes and returns the queue head; callers hold s.mu and
@@ -684,20 +767,10 @@ func (s *Scheduler) worker() {
 			return
 		}
 		j := s.popLocked()
-		if j.state != JobQueued { // canceled while waiting
+		if j.State != JobQueued { // canceled while waiting
 			s.mu.Unlock()
 			continue
 		}
-		j.state = JobRunning
-		j.startedAt = time.Now().UTC()
-		if s.onJobStart != nil {
-			s.onJobStart(j.startedAt.Sub(j.enqueuedAt))
-		}
-		// Trace: the queue wait ends here, the run span opens — the
-		// engine flight recording parents under it at serve time.
-		startNs := j.startedAt.UnixNano()
-		j.closeSpanLocked(j.queuedSpanID, startNs, "")
-		j.runSpanID = j.addSpanLocked(obs.KindLifecycle, "run", "", j.rootSpanID, startNs, 0)
 		ctx, cancel := context.WithCancel(context.Background())
 		j.cancel = cancel
 		s.running++
@@ -729,7 +802,12 @@ func (s *Scheduler) worker() {
 				j.computeShare = 1
 			}
 		}
-		s.noteLocked(j)
+		// The run span opens; the engine flight recording parents under
+		// it at serve time.
+		s.transitionLocked(j, jobEvent{kind: evStart})
+		if s.onJobStart != nil {
+			s.onJobStart(j.StartedAt.Sub(j.EnqueuedAt))
+		}
 		s.mu.Unlock()
 
 		res, rep, err := s.run(ctx, j)
@@ -738,34 +816,23 @@ func (s *Scheduler) worker() {
 		s.mu.Lock()
 		s.running--
 		j.cancel = nil
-		j.finishedAt = time.Now().UTC()
-		switch {
-		case err == nil:
-			j.state = JobDone
-			j.result = res
-			j.report = rep
-			if rep != nil && rep.Engine == chaos.EngineNative && !j.answeredFromCache.Load() {
-				// The cached report's WallSeconds belongs to the run
-				// that produced the blob (already counted when it
-				// completed), not to this process.
+		if err == nil {
+			j.result, j.report = res, rep
+		}
+		s.transitionLocked(j, jobEvent{kind: evFinish, err: err})
+		if err == nil && !j.answeredFromCache.Load() {
+			// A cache-answered restart ran nothing: the cached report's
+			// WallSeconds belongs to the run that produced the blob
+			// (already counted when it completed), not to this process.
+			if rep != nil && rep.Engine == chaos.EngineNative {
 				s.nativeWallSeconds += rep.WallSeconds
 				s.spillBytes += rep.SpillBytes
 				s.spillFiles += rep.SpillFiles
 			}
-			if s.onJobDone != nil && !j.answeredFromCache.Load() {
-				// Cache-answered restarts excluded for the same reason
-				// as nativeWallSeconds: nothing ran.
-				s.onJobDone(j.engine(), j.finishedAt.Sub(j.startedAt))
+			if s.onJobDone != nil {
+				s.onJobDone(j.engine(), j.FinishedAt.Sub(j.StartedAt))
 			}
-		case errors.Is(err, context.Canceled) && j.canceling.Load():
-			j.state = JobCanceled
-			j.err = "canceled while running; stopped at an iteration boundary"
-		default:
-			j.state = JobFailed
-			j.err = err.Error()
 		}
-		j.noteTerminalLocked(j.finishedAt)
-		s.noteLocked(j)
 		s.mu.Unlock()
 	}
 }
@@ -784,13 +851,9 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
 	for _, j := range s.queue[s.qhead:] {
-		if j.state == JobQueued {
-			j.state = JobCanceled
-			j.err = "canceled at shutdown before running"
-			j.finishedAt = time.Now().UTC()
+		if j.State == JobQueued {
 			s.queued--
-			j.noteTerminalLocked(j.finishedAt)
-			s.noteLocked(j)
+			s.transitionLocked(j, jobEvent{kind: evCancel, detail: "canceled at shutdown before running"})
 		}
 	}
 	s.queue, s.qhead = nil, 0
@@ -836,7 +899,7 @@ func (s *Scheduler) stats() schedStats {
 		spillFiles:        s.spillFiles,
 	}
 	for _, j := range s.jobs {
-		st.jobs[string(j.state)]++
+		st.jobs[string(j.State)]++
 	}
 	for alg, n := range s.counts {
 		st.perAlgorithm[alg] = n

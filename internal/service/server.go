@@ -345,7 +345,7 @@ func (s *Service) walTreeSpans(traceID, root string, fromNs, toNs int64) []obs.T
 // jobTimeline assembles the merged cross-tier timeline of one job.
 func (s *Service) jobTimeline(t jobTrace) (obs.Timeline, []chaos.TraceSpan, uint64, string) {
 	tl := obs.Timeline{
-		TraceID:    t.traceID,
+		TraceID:    t.view.TraceID,
 		Spans:      t.spans,
 		RunSpanID:  t.runSpanID,
 		RunStartNs: t.runStartNs,
@@ -361,21 +361,12 @@ func (s *Service) jobTimeline(t jobTrace) (obs.Timeline, []chaos.TraceSpan, uint
 		absent = "engine spans are execution-scoped and this process has no recording for the job " +
 			"(still queued, answered from the result cache, or restored from the journal after a restart)"
 	}
-	if t.traceID != "" {
-		from := t.view.EnqueuedAt.UnixNano()
-		to := time.Now().UTC().UnixNano()
-		if t.view.FinishedAt != nil {
-			to = t.view.FinishedAt.UnixNano()
-		}
-		rootID := ""
-		for _, sp := range t.spans {
-			if sp.Kind == obs.KindRequest {
-				rootID = sp.SpanID
-				break
-			}
-		}
-		tl.Spans = append(tl.Spans, s.walTreeSpans(t.traceID, rootID, from, to)...)
+	from := t.view.EnqueuedAt.UnixNano()
+	to := time.Now().UTC().UnixNano()
+	if t.view.FinishedAt != nil {
+		to = t.view.FinishedAt.UnixNano()
 	}
+	tl.Spans = append(tl.Spans, s.walTreeSpans(t.view.TraceID, t.rootSpanID, from, to)...)
 	return tl, engine, dropped, absent
 }
 
@@ -386,9 +377,9 @@ func (s *Service) jobTimeline(t jobTrace) (obs.Timeline, []chaos.TraceSpan, uint
 // spans, and the engine flight recording of both planes. Plain JSON by
 // default; ?format=chrome emits Chrome trace_event JSON loadable in
 // about:tracing or Perfetto, with flow arrows across the queue and
-// engine boundaries. A running job's trace is the spans so far. Only
-// jobs journaled before tracing existed (and never re-run since) have
-// nothing to serve, reported as 404 with the reason.
+// engine boundaries. A running job's trace is the spans so far. Every
+// known job has a trace: recovery roots records journaled before
+// tracing existed in a synthetic submit span.
 func (s *Service) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	s.serveTrace(w, r, r.PathValue("id"))
 }
@@ -411,11 +402,6 @@ func (s *Service) serveTrace(w http.ResponseWriter, r *http.Request, id string) 
 		writeError(w, http.StatusNotFound, &notFoundError{what: "job", id: id})
 		return
 	}
-	if t.traceID == "" && t.rec == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf(
-			"service: job %s has no trace: it was journaled before tracing existed and has not run since", id))
-		return
-	}
 	tl, engine, dropped, absent := s.jobTimeline(t)
 	if r.URL.Query().Get("format") == "chrome" {
 		w.Header().Set("Content-Type", "application/json")
@@ -426,7 +412,7 @@ func (s *Service) serveTrace(w http.ResponseWriter, r *http.Request, id string) 
 	tree, orphans := tl.Tree()
 	writeJSON(w, http.StatusOK, traceResponse{
 		ID:           t.view.ID,
-		TraceID:      t.traceID,
+		TraceID:      t.view.TraceID,
 		Engine:       t.view.Engine,
 		State:        t.view.State,
 		Tree:         tree,
@@ -483,7 +469,7 @@ func (s *Service) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	flusher.Flush()
-	if terminal(jv.State) {
+	if jv.State.terminal() {
 		return
 	}
 	ctx := r.Context()
@@ -502,7 +488,7 @@ func (s *Service) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			flusher.Flush()
-			if ev.Type == EventState && terminal(ev.Job.State) {
+			if ev.Type == EventState && ev.Job.State.terminal() {
 				return
 			}
 		}

@@ -232,7 +232,7 @@ func open(cfg Config) (*Service, error) {
 // when durable, the disk result store) on success.
 func (s *Service) execute(ctx context.Context, job *Job) (*chaos.Result, *chaos.Report, error) {
 	key := cacheKey(job.Graph, job.Algorithm, job.Options)
-	if job.restarts > 0 {
+	if job.Restarts > 0 {
 		// A crash-re-enqueued job may have finished before the crash
 		// with only its "done" record lost in the fsync-batching
 		// window; the fsynced result blob then answers without

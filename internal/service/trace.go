@@ -12,7 +12,7 @@ package service
 
 import (
 	"context"
-	"fmt"
+	"slices"
 	"time"
 
 	"chaos"
@@ -51,157 +51,88 @@ func reqTraceFrom(ctx context.Context) *reqTrace {
 
 // spanSeed is the per-job span-id derivation seed: scoping it to the
 // job keeps ids unique even when one client trace spans many jobs.
-func (j *Job) spanSeed() string { return j.traceID + "/" + j.ID }
+func (r *jobRecord) spanSeed() string { return r.TraceID + "/" + r.ID }
 
-// nextSpanIDLocked derives the job's next span id; callers hold s.mu.
-func (j *Job) nextSpanIDLocked() string {
-	j.spanSeq++
-	return obs.DeriveSpanID(j.spanSeed(), j.spanSeq).String()
-}
-
-// addSpanLocked appends one span to the job's journaled span list and
-// returns its id; end 0 leaves the span open. Callers hold s.mu.
-func (j *Job) addSpanLocked(kind, name, detail, parent string, start, end int64) string {
-	id := j.nextSpanIDLocked()
-	j.spans = append(j.spans, obs.TreeSpan{
-		TraceID: j.traceID,
-		SpanID:  id,
+// addSpan appends one lifecycle span to the record and derives its id
+// from the record's span counter; end 0 leaves the span open.
+func (r *jobRecord) addSpan(name, detail, parent string, start, end int64) {
+	r.SpanSeq++
+	r.Spans = append(r.Spans, obs.TreeSpan{
+		TraceID: r.TraceID,
+		SpanID:  obs.DeriveSpanID(r.spanSeed(), r.SpanSeq).String(),
 		Parent:  parent,
 		Name:    name,
-		Kind:    kind,
+		Kind:    obs.KindLifecycle,
 		Start:   start,
 		End:     end,
 		Detail:  detail,
 	})
-	return id
 }
 
-// closeSpanLocked ends the span with the given id, optionally stamping
-// a detail; callers hold s.mu. Closing an unknown id is a no-op (the
-// span may predate a schema change in an old journal).
-func (j *Job) closeSpanLocked(id string, end int64, detail string) {
-	if id == "" {
-		return
-	}
-	for i := range j.spans {
-		if j.spans[i].SpanID == id {
-			j.spans[i].End = end
+// closeOpenSpans ends every still-open span (a queue wait or a run),
+// stamping detail when it is not empty.
+func (r *jobRecord) closeOpenSpans(end int64, detail string) {
+	for i := range r.Spans {
+		if r.Spans[i].End == 0 {
+			r.Spans[i].End = end
 			if detail != "" {
-				j.spans[i].Detail = detail
+				r.Spans[i].Detail = detail
 			}
-			return
 		}
 	}
 }
 
-// closeOpenSpansLocked ends every still-open span — the crash-recovery
-// path: an open "run" from a dead process will never close itself.
-func (j *Job) closeOpenSpansLocked(end int64, detail string) {
-	for i := range j.spans {
-		if j.spans[i].End == 0 {
-			j.spans[i].End = end
-			j.spans[i].Detail = detail
-		}
-	}
-}
-
-// initTraceLocked roots a job's trace: from the request context when
+// initTrace roots a job's trace at its enqueue time: in the request when
 // the submission came over HTTP (the root is the request span, remote
-// when the caller sent a traceparent), or a synthetic submit span
-// derived from the job's options fingerprint for library callers —
-// either way the ids are derived, never random (see internal/obs).
-// Callers hold s.mu.
-func (s *Scheduler) initTraceLocked(j *Job, rt *reqTrace) {
-	now := j.enqueuedAt.UnixNano()
+// when the caller sent a traceparent), or in a synthetic submit span
+// derived from the job's options fingerprint for library callers and
+// records journaled before tracing existed — either way the ids are
+// derived, never random (see internal/obs).
+func (r *jobRecord) initTrace(rt *reqTrace) {
+	now := r.EnqueuedAt.UnixNano()
+	root := obs.TreeSpan{Kind: obs.KindRequest, Start: now, End: now} // a request is answered at admission
 	if rt != nil {
-		j.traceID = rt.traceID
-		j.traceRemote = rt.remote
-		j.rootSpanID = rt.span
-		name := rt.name
-		if name == "" {
-			name = "request"
+		r.TraceID, r.TraceRemote = rt.traceID, rt.remote
+		root.SpanID, root.Parent, root.Remote, root.Name = rt.span, rt.parent, rt.remote, rt.name
+		root.Start = rt.start.UnixNano()
+		if root.Name == "" {
+			root.Name = "request"
 		}
-		j.spans = append(j.spans, obs.TreeSpan{
-			TraceID: j.traceID,
-			SpanID:  rt.span,
-			Parent:  rt.parent,
-			Remote:  rt.remote,
-			Name:    name,
-			Kind:    obs.KindRequest,
-			Start:   rt.start.UnixNano(),
-			End:     now, // the request is answered at admission
-		})
 	} else {
-		j.traceID = obs.DeriveTraceID(j.Options.Fingerprint()+"|"+j.ID, 0).String()
-		j.rootSpanID = obs.DeriveSpanID(j.spanSeed(), 0).String()
-		j.spans = append(j.spans, obs.TreeSpan{
-			TraceID: j.traceID,
-			SpanID:  j.rootSpanID,
-			Name:    "submit",
-			Kind:    obs.KindRequest,
-			Start:   now,
-			End:     now,
-		})
+		r.TraceID = obs.DeriveTraceID(r.Options.Fingerprint()+"|"+r.ID, 0).String()
+		root.SpanID, root.Name = obs.DeriveSpanID(r.spanSeed(), 0).String(), "submit"
 	}
-	j.addSpanLocked(obs.KindLifecycle, "admitted", "", j.rootSpanID, now, now)
-	s.byTrace[j.traceID] = j.ID
+	root.TraceID = r.TraceID
+	r.Spans = append(r.Spans, root)
+	r.addSpan("admitted", "", root.SpanID, now, now)
 }
 
-// restoreTraceLocked rebuilds a restored job's trace bookkeeping from
-// its journaled spans: the root and the still-open queue/run spans are
-// recomputed rather than journaled. Records from before tracing
-// existed get a fresh synthetic root so recovery and reruns still
-// produce a tree. Callers hold s.mu.
-func (s *Scheduler) restoreTraceLocked(j *Job) {
-	if j.traceID == "" {
-		s.initTraceLocked(j, nil)
-		return
-	}
-	s.byTrace[j.traceID] = j.ID
-	for i := range j.spans {
-		sp := &j.spans[i]
+// rootSpan is the id of the trace's root: the request span.
+func (r *jobRecord) rootSpan() string {
+	root := ""
+	for _, sp := range r.Spans {
 		if sp.Kind == obs.KindRequest {
-			j.rootSpanID = sp.SpanID
+			root = sp.SpanID
 		}
+	}
+	return root
+}
+
+// runSpan is the current life's run span: the one checkpoints and engine
+// spans parent under. It is the zero span before the job starts, and
+// again once recovery requeues it (the run it had belonged to a process
+// that is gone).
+func (r *jobRecord) runSpan() obs.TreeSpan {
+	var run obs.TreeSpan
+	for _, sp := range r.Spans {
 		switch sp.Name {
-		case "queued":
-			if sp.End == 0 {
-				j.queuedSpanID = sp.SpanID
-			}
 		case "run":
-			j.runSpanID = sp.SpanID
+			run = sp
+		case "recovered":
+			run = obs.TreeSpan{}
 		}
 	}
-}
-
-// noteRecoveryLocked files the restart-recovery spans of a job being
-// re-enqueued after a crash: the previous life's open spans are closed
-// at the recovery instant (the run they belonged to is gone), an
-// explicit recovery point marks the requeue, and a fresh queued span
-// opens. Callers hold s.mu.
-func (s *Scheduler) noteRecoveryLocked(j *Job, at time.Time) {
-	now := at.UnixNano()
-	j.closeOpenSpansLocked(now, "interrupted by restart")
-	j.addSpanLocked(obs.KindLifecycle, "recovered",
-		fmt.Sprintf("restart %d: re-enqueued after crash recovery", j.restarts),
-		j.rootSpanID, now, now)
-	j.queuedSpanID = j.addSpanLocked(obs.KindLifecycle, "queued", "requeued after restart", j.rootSpanID, now, 0)
-	// The old run span (if any) stays closed in the tree, but new engine
-	// spans must not parent under it.
-	j.runSpanID = ""
-}
-
-// noteTerminalLocked closes the run/queue spans and files the terminal
-// point span (done/failed/canceled, with the error as detail); callers
-// hold s.mu after setting the final state.
-func (j *Job) noteTerminalLocked(at time.Time) {
-	if j.traceID == "" {
-		return
-	}
-	now := at.UnixNano()
-	j.closeSpanLocked(j.queuedSpanID, now, "")
-	j.closeSpanLocked(j.runSpanID, now, "")
-	j.addSpanLocked(obs.KindLifecycle, string(j.state), j.err, j.rootSpanID, now, now)
+	return run
 }
 
 // NoteJobSpan files an extra lifecycle span against a job — the
@@ -212,31 +143,25 @@ func (j *Job) noteTerminalLocked(at time.Time) {
 func (s *Scheduler) NoteJobSpan(j *Job, name, detail string, start time.Time, dur time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j.traceID == "" {
-		return
-	}
-	parent := j.runSpanID
-	if parent == "" {
-		parent = j.rootSpanID
-	}
-	j.addSpanLocked(obs.KindLifecycle, name, detail, parent, start.UnixNano(), start.Add(dur).UnixNano())
+	j.step(jobEvent{kind: evSpan, name: name, detail: detail, dur: dur}, start)
 	if s.onUpdate != nil {
 		s.onUpdate(j)
 	}
 }
 
 // jobTrace is the scheduler's contribution to GET /v1/jobs/{id}/trace:
-// an immutable snapshot of the job's trace identity, journaled spans,
-// flight recorder and run-span alignment.
+// an immutable snapshot of the job's view, journaled spans, flight
+// recorder and the span ids the timeline hangs other tiers from.
 type jobTrace struct {
-	view    JobView
-	traceID string
-	spans   []obs.TreeSpan
+	view  JobView
+	spans []obs.TreeSpan
 	// rec is the engine flight recorder, nil when this process never
 	// executed the job (queued, cache hit, journal-restored history).
 	rec *chaos.TraceRecorder
-	// runSpanID/runStartNs locate the run span engine spans parent
-	// under and the epoch origin that aligns native engine times.
+	// rootSpanID is the request span WAL spans parent under;
+	// runSpanID/runStartNs locate the run span engine spans parent under
+	// and the epoch origin that aligns native engine times.
+	rootSpanID string
 	runSpanID  string
 	runStartNs int64
 }
@@ -250,19 +175,15 @@ func (s *Scheduler) TraceInfo(id string) (jobTrace, bool) {
 	if !ok {
 		return jobTrace{}, false
 	}
-	t := jobTrace{
-		view:      j.view().stripped(),
-		traceID:   j.traceID,
-		spans:     append([]obs.TreeSpan(nil), j.spans...),
-		rec:       j.trace.Load(),
-		runSpanID: j.runSpanID,
-	}
-	for _, sp := range j.spans {
-		if sp.SpanID == j.runSpanID {
-			t.runStartNs = sp.Start
-		}
-	}
-	return t, true
+	run := j.runSpan()
+	return jobTrace{
+		view:       j.view().stripped(),
+		spans:      slices.Clone(j.Spans),
+		rec:        j.trace.Load(),
+		rootSpanID: j.rootSpan(),
+		runSpanID:  run.SpanID,
+		runStartNs: run.Start,
+	}, true
 }
 
 // JobForTrace resolves a trace id to the job that owns it — the
