@@ -97,8 +97,8 @@ type Options struct {
 	// records are 24 bytes resident against 16 and 17 encoded, so their
 	// resident ceiling is 1.5 and 1.4 times the option. What scatter
 	// holds in flight comes on top (DESIGN.md, "One protocol, two
-	// transports", has the sum). Zero means unlimited (the zero-copy
-	// in-memory transport). The sim engine accepts and ignores it: the
+	// transports", has the sum). Zero means unlimited: nothing ever
+	// spills. The sim engine accepts and ignores it: the
 	// DES models storage, so every sim run is out-of-core by
 	// construction.
 	MemoryBudgetMB int64 `json:"memoryBudgetMB,omitempty"`

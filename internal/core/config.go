@@ -48,7 +48,8 @@ type Config struct {
 	// memory on the native driver: past it, overflowing buckets are
 	// spilled as raw record slabs to temp files under SpillDir, streamed back
 	// in deterministic fold order (out-of-core mode). Zero means
-	// unbounded (the zero-copy in-memory transport). The DES driver
+	// unbounded: the same transport with a budget no Put reaches, which
+	// never writes a byte (drive.Kernel.NewMemTransport). The DES driver
 	// ignores it: simulated storage makes every DES run out-of-core by
 	// construction.
 	TransportBudgetBytes int64

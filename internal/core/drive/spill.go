@@ -9,15 +9,18 @@ import (
 	"chaos/internal/storage"
 )
 
-// SpillTransport is the out-of-core transport: it keeps buckets typed and
-// in memory exactly like MemTransport until the configured budget is
-// exceeded, then writes whole overflowing buckets — each chunk's slab as
-// the bytes it already is, no codec — to one storage stream per
-// (src, dst) pair. Drained buckets stream their spilled chunks back in
-// production order, read straight into arena slabs — spilled chunks
-// always precede a bucket's in-memory tail, so the per-(src, dst) record
-// sequence, and with it every float fold, is identical to the
-// all-in-memory run.
+// SpillTransport is the native driver's update transport. It keeps
+// buckets typed and in memory, slabs moving from scatter to gather by
+// pointer, until the configured budget is exceeded; then it writes whole
+// overflowing buckets — each chunk's slab as the bytes it already is, no
+// codec — to one storage stream per (src, dst) pair, named at the
+// bucket's first spill. An update set that fits is just the run where
+// nothing overflows: NewMemTransport's budget is one no Put reaches, so
+// it never writes or names a stream. Drained buckets stream their
+// spilled chunks back in production order, read straight into arena
+// slabs — spilled chunks always precede a bucket's in-memory tail, so
+// the per-(src, dst) record sequence, and with it every float fold, is
+// identical to the all-in-memory run.
 //
 // A spill file is private to the run and the process that wrote it and
 // never outlives the run, so the raw form need not care about byte order
@@ -30,11 +33,9 @@ import (
 type SpillTransport[U any] struct {
 	updBytes int
 	budget   int64
-	backend  storage.Backend
+	backend  storage.Backend // nil when no Put can reach the budget
 	cleanup  func() error
-
-	grabRecs    func(n int) []UpdRec[U]
-	releaseRecs func([]UpdRec[U])
+	arena    *recArena[U]
 
 	memBytes   atomic.Int64
 	spillBytes atomic.Int64
@@ -57,11 +58,12 @@ type spillRow[U any] struct {
 
 // spillBucket is one (src, dst) slot: the spilled chunk refs (oldest
 // first, always preceding mem in fold order) plus the in-memory tail.
+// Both slices keep their backing arrays across drains, so a warm run
+// appends to a bucket without growing it.
 type spillBucket[U any] struct {
-	stream  string
-	created bool       // stream file exists this run
-	refs    []chunkRef // on-disk chunks, production order
-	mem     [][]UpdRec[U]
+	stream string     // named at the first spill; "" while none happened
+	refs   []chunkRef // on-disk chunks, production order
+	mem    [][]UpdRec[U]
 }
 
 // chunkRef locates one spilled chunk inside its bucket's stream. recs is
@@ -124,20 +126,16 @@ func pointerFree(t reflect.Type) bool {
 func (k *Kernel[V, U, A]) NewSpillTransport(budget int64, backend storage.Backend, cleanup func() error) *SpillTransport[U] {
 	np := k.Layout.NumPartitions
 	t := &SpillTransport[U]{
-		updBytes:    k.UpdBytes,
-		budget:      budget,
-		backend:     backend,
-		cleanup:     cleanup,
-		grabRecs:    k.GrabRecs,
-		releaseRecs: k.ReleaseRecs,
-		rows:        make([]spillRow[U], np),
-		pending:     make([]atomic.Int64, np),
+		updBytes: k.UpdBytes,
+		budget:   budget,
+		backend:  backend,
+		cleanup:  cleanup,
+		arena:    &k.arena,
+		rows:     make([]spillRow[U], np),
+		pending:  make([]atomic.Int64, np),
 	}
 	for src := 0; src < np; src++ {
 		t.rows[src].buckets = make([]spillBucket[U], np)
-		for dst := 0; dst < np; dst++ {
-			t.rows[src].buckets[dst].stream = fmt.Sprintf("upd.s%04d.d%04d", src, dst)
-		}
 	}
 	return t
 }
@@ -171,9 +169,13 @@ func (t *SpillTransport[U]) spillBucket(src, dst int) (int64, int) {
 	if len(b.mem) == 0 {
 		return 0, 0
 	}
+	if b.stream == "" {
+		b.stream = fmt.Sprintf("upd.s%04d.d%04d", src, dst)
+		t.spillFiles.Add(1)
+	}
 	n := len(b.mem)
 	var freed, written int64
-	for i, recs := range b.mem {
+	for _, recs := range b.mem {
 		data := recBytes(recs)
 		off, err := t.backend.Write(b.stream, data)
 		if err != nil {
@@ -181,16 +183,12 @@ func (t *SpillTransport[U]) spillBucket(src, dst int) (int64, int) {
 			// can no longer be materialized for gather.
 			panic(fmt.Sprintf("drive: spill write %s: %v", b.stream, err))
 		}
-		if !b.created {
-			b.created = true
-			t.spillFiles.Add(1)
-		}
 		b.refs = append(b.refs, chunkRef{off: off, recs: len(recs), slab: cap(recs)})
 		freed += int64(len(recs)) * int64(t.updBytes)
 		written += int64(len(data))
-		t.releaseRecs(recs)
-		b.mem[i] = nil
+		t.arena.release(recs)
 	}
+	clear(b.mem)
 	b.mem = b.mem[:0]
 	t.memBytes.Add(-freed)
 	t.spillBytes.Add(written)
@@ -215,48 +213,22 @@ func (t *SpillTransport[U]) DrainFrom(dst, src int) []PendingChunk[U] {
 	out := make([]PendingChunk[U], 0, len(b.refs)+len(b.mem))
 	var drained int64
 	if len(b.refs) > 0 {
-		state := &drainState{stream: b.stream, truncate: func(stream string) {
-			if err := t.backend.Truncate(stream); err != nil {
-				panic(fmt.Sprintf("drive: spill truncate %s: %v", stream, err))
-			}
-		}}
+		state := &drainState{stream: b.stream}
 		state.remaining.Store(int64(len(b.refs)))
 		for _, ref := range b.refs {
-			ref := ref
-			stream := b.stream
 			sz := int64(ref.recs) * int64(t.updBytes)
 			drained += sz
-			out = append(out, PendingChunk[U]{
-				Bytes: sz,
-				load: func() []UpdRec[U] {
-					recs := t.grabRecs(ref.slab)[:ref.recs]
-					if err := t.backend.ReadInto(stream, ref.off, recBytes(recs)); err != nil {
-						panic(fmt.Sprintf("drive: spill read %s@%d: %v", stream, ref.off, err))
-					}
-					return recs
-				},
-				release: func(recs []UpdRec[U]) {
-					t.releaseRecs(recs)
-					state.done()
-				},
-			})
+			out = append(out, PendingChunk[U]{Bytes: sz, t: t, ref: ref, drain: state})
 		}
-		b.refs = nil
+		b.refs = b.refs[:0]
 	}
 	for _, recs := range b.mem {
-		recs := recs
 		sz := int64(len(recs)) * int64(t.updBytes)
 		drained += sz
-		out = append(out, PendingChunk[U]{
-			Bytes: sz,
-			load:  func() []UpdRec[U] { return recs },
-			release: func(recs []UpdRec[U]) {
-				t.memBytes.Add(-sz)
-				t.releaseRecs(recs)
-			},
-		})
+		out = append(out, PendingChunk[U]{Bytes: sz, t: t, recs: recs})
 	}
-	b.mem = nil
+	clear(b.mem)
+	b.mem = b.mem[:0]
 	t.pending[dst].Add(-drained)
 	return out
 }
@@ -269,10 +241,13 @@ func (t *SpillTransport[U]) Stats() TransportStats {
 	}
 }
 
-// Close closes the backend and then runs the cleanup hook (spill
-// directory removal), returning the first error.
+// Close closes the backend, if any, and then runs the cleanup hook
+// (spill directory removal), returning the first error.
 func (t *SpillTransport[U]) Close() error {
-	err := t.backend.Close()
+	var err error
+	if t.backend != nil {
+		err = t.backend.Close()
+	}
 	if t.cleanup != nil {
 		if cerr := t.cleanup(); cerr != nil && err == nil {
 			err = cerr

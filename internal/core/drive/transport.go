@@ -1,6 +1,10 @@
 package drive
 
-import "sync/atomic"
+import (
+	"fmt"
+	"math"
+	"sync/atomic"
+)
 
 // Transport is the seam between update producers (scatter) and consumers
 // (gather): the one place where typed update records either stay typed
@@ -11,12 +15,13 @@ import "sync/atomic"
 // completes (DrainFrom, the streaming consumer API behind the native
 // driver's pipelined phase boundary). A record's Off is relative to the
 // bucket's dst, which both ends of the bucket name.
-// No transport encodes: the in-memory one moves slabs by pointer, and the
-// spilling one writes the slabs that overflow its budget as their own
-// bytes to files only its run reads back. The DES driver's Wire does not
-// encode either: it cuts the same typed records into chunks its
-// simulated storage engines hold, and its devices and network charge
-// each chunk the protocol's byte size, records × UpdBytes.
+// Nothing here encodes. The native driver's SpillTransport moves slabs
+// by pointer and writes only the slabs that overflow its budget, as
+// their own bytes, to files only its run reads back; without a budget
+// (NewMemTransport) it writes nothing. The DES driver's Wire cuts the
+// same typed records into chunks its simulated storage engines hold, and
+// its devices and network charge each chunk the protocol's byte size,
+// records × UpdBytes.
 //
 // Concurrency contract (the native store's one-writer discipline):
 // bucket (src, dst) is written only by the goroutine running scatter(src)
@@ -71,117 +76,62 @@ type TransportStats struct {
 	SpillFiles int
 }
 
-// PendingChunk is one drained update chunk awaiting its gather fold.
-// Load materializes the typed records — safe on any goroutine, so
-// drivers run it on the compute pool exactly like a chunk decode; for a
-// spilled chunk it reads the file straight into an arena slab — and
-// Release returns the slab to the kernel's record arena
-// (and, for the last spilled chunk of a drained bucket, reclaims the
-// bucket's spill-file space).
+// PendingChunk is one drained update chunk awaiting its gather fold:
+// either resident records or a spilled chunk's place in its bucket's
+// stream. Load materializes the typed records — safe on any goroutine,
+// so drivers run it on the compute pool exactly like a chunk decode; for
+// a spilled chunk it reads the file straight into an arena slab — and
+// Release returns the slab to the kernel's record arena (and, for the
+// last spilled chunk of a drained bucket, reclaims the bucket's
+// spill-file space). A chunk is plain data: a copy Loads and Releases
+// like the original.
 type PendingChunk[U any] struct {
 	// Bytes is the chunk's encoded-equivalent size, records × UpdBytes
 	// even for a spilled chunk, for byte tallies and flight-recorder
 	// spans.
-	Bytes   int64
-	load    func() []UpdRec[U]
-	release func([]UpdRec[U])
+	Bytes int64
+	t     *SpillTransport[U]
+	recs  []UpdRec[U] // resident records; nil when spilled
+	ref   chunkRef    // the spilled chunk, when drain is set
+	drain *drainState // the drained bucket's spilled chunks; nil when resident
 }
 
 // Load materializes the chunk's records. Call exactly once.
-func (c *PendingChunk[U]) Load() []UpdRec[U] { return c.load() }
+func (c *PendingChunk[U]) Load() []UpdRec[U] {
+	if c.drain == nil {
+		return c.recs
+	}
+	recs := c.t.arena.grab(c.ref.slab)[:c.ref.recs]
+	if err := c.t.backend.ReadInto(c.drain.stream, c.ref.off, recBytes(recs)); err != nil {
+		panic(fmt.Sprintf("drive: spill read %s@%d: %v", c.drain.stream, c.ref.off, err))
+	}
+	return recs
+}
 
 // Release recycles the records Load returned. Call exactly once, after
 // the fold has consumed them.
-func (c *PendingChunk[U]) Release(recs []UpdRec[U]) { c.release(recs) }
-
-// MemTransport is the zero-copy in-memory transport: typed record slabs
-// move from scatter to gather through per-(src, dst) bucket slots with no
-// encode/decode round-trip. Rows are allocated per source partition so
-// concurrent producers write disjoint backing arrays, and the slabs
-// themselves return to the run's record arena (Kernel.ReleaseRecs) once
-// folded, where the next iteration's scatter finds them.
-type MemTransport[U any] struct {
-	updBytes int
-	release  func([]UpdRec[U])
-	// buckets[src][dst] holds the chunks src's scatter emitted for dst,
-	// in production order. One writer per row during scatter, one reader
-	// per column once the source completes (see the Transport contract).
-	buckets [][][][]UpdRec[U]
-	// pending[dst] is the column's encoded-equivalent byte total,
-	// maintained atomically so steal sweeps can read it while producers
-	// are still appending.
-	pending []atomic.Int64
-}
-
-// NewMemTransport returns the in-memory transport over the kernel's
-// record geometry and arena.
-func (k *Kernel[V, U, A]) NewMemTransport() *MemTransport[U] {
-	np := k.Layout.NumPartitions
-	t := &MemTransport[U]{
-		updBytes: k.UpdBytes,
-		release:  k.ReleaseRecs,
-		buckets:  make([][][][]UpdRec[U], np),
-		pending:  make([]atomic.Int64, np),
+func (c *PendingChunk[U]) Release(recs []UpdRec[U]) {
+	c.t.arena.release(recs)
+	if c.drain == nil {
+		c.t.memBytes.Add(-c.Bytes)
+	} else if c.drain.remaining.Add(-1) == 0 {
+		if err := c.t.backend.Truncate(c.drain.stream); err != nil {
+			panic(fmt.Sprintf("drive: spill truncate %s: %v", c.drain.stream, err))
+		}
 	}
-	for src := 0; src < np; src++ {
-		t.buckets[src] = make([][][]UpdRec[U], np)
-	}
-	return t
 }
-
-// Put appends recs as one chunk of bucket (src, dst). Never spills.
-func (t *MemTransport[U]) Put(src, dst int, recs []UpdRec[U]) (int64, int) {
-	t.buckets[src][dst] = append(t.buckets[src][dst], recs)
-	t.pending[dst].Add(int64(len(recs)) * int64(t.updBytes))
-	return 0, 0
-}
-
-// PendingBytes reports the encoded-equivalent bytes pending for dst.
-func (t *MemTransport[U]) PendingBytes(dst int) int64 {
-	return t.pending[dst].Load()
-}
-
-// DrainFrom removes and returns bucket (src, dst)'s chunks in
-// production order.
-func (t *MemTransport[U]) DrainFrom(dst, src int) []PendingChunk[U] {
-	chunks := t.buckets[src][dst]
-	if len(chunks) == 0 {
-		return nil
-	}
-	t.buckets[src][dst] = nil
-	out := make([]PendingChunk[U], 0, len(chunks))
-	var drained int64
-	for _, recs := range chunks {
-		recs := recs
-		sz := int64(len(recs)) * int64(t.updBytes)
-		drained += sz
-		out = append(out, PendingChunk[U]{
-			Bytes:   sz,
-			load:    func() []UpdRec[U] { return recs },
-			release: t.release,
-		})
-	}
-	t.pending[dst].Add(-drained)
-	return out
-}
-
-// Stats reports zero: the in-memory transport never spills.
-func (t *MemTransport[U]) Stats() TransportStats { return TransportStats{} }
-
-// Close is a no-op: all memory is the arena's or garbage-collected.
-func (t *MemTransport[U]) Close() error { return nil }
 
 // drainState tracks one drained bucket's outstanding spilled chunks so
 // the bucket's spill stream is truncated exactly once, after the last
 // spilled chunk has been folded and released.
 type drainState struct {
 	remaining atomic.Int64
-	truncate  func(stream string)
 	stream    string
 }
 
-func (d *drainState) done() {
-	if d.remaining.Add(-1) == 0 {
-		d.truncate(d.stream)
-	}
+// NewMemTransport returns the native transport with a budget no Put
+// reaches and no backend: every chunk stays resident, moving from
+// scatter to gather by pointer, and nothing is ever written.
+func (k *Kernel[V, U, A]) NewMemTransport() *SpillTransport[U] {
+	return k.NewSpillTransport(math.MaxInt64, nil, nil)
 }

@@ -1,6 +1,9 @@
 package drive
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"unsafe"
@@ -112,8 +115,8 @@ func TestMemTransportFoldOrder(t *testing.T) {
 // PendingBytes count records × UpdBytes whatever went to disk, and
 // PendingBytes returns to 0; the drained records are the records put,
 // source by source and in production order within a source; every
-// stream is truncated after its last release; the cleanup hook runs on
-// Close.
+// stream is truncated after its last release, and no other stream is
+// named or written; the cleanup hook runs on Close.
 func TestSpillTransportRoundTrip(t *testing.T) {
 	overBothBackends(t, func(t *testing.T, backend func(*testing.T) storage.Backend) {
 		t.Run("float32", func(t *testing.T) {
@@ -141,15 +144,23 @@ const roundTripChunk, roundTripDst = 8, 2
 
 // spillCase is one put pattern of TestSpillTransportRoundTrip: chunk c
 // comes from source srcs[c], and its Put must write out spills[c] chunks.
+// streams are the only streams the run may name or write.
 type spillCase struct {
 	name    string
-	budget  int // records
+	budget  int // records, or noBudget
 	srcs    []int
 	spills  []int
 	streams []string
 }
 
+// noBudget is a spillCase budget no Put reaches: the transport gets
+// NewMemTransport's budget, math.MaxInt64 bytes.
+const noBudget = -1
+
 var spillCases = []spillCase{
+	// Nothing spills: the in-memory run is the budgeted transport whose
+	// budget no Put reaches, and it writes and names no stream.
+	{name: "unbudgeted", budget: noBudget, srcs: []int{1, 0, 1, 2}, spills: []int{0, 0, 0, 0}},
 	// Nothing stays resident: each Put spills its own chunk, and two
 	// sources' streams feed one column.
 	{name: "zero-budget", budget: 0, srcs: []int{1, 0, 1}, spills: []int{1, 1, 1},
@@ -187,7 +198,11 @@ func overBothBackends(t *testing.T, run func(t *testing.T, backend func(*testing
 func spillRoundTrip[V any, U comparable, A any](t *testing.T, k *Kernel[V, U, A], backend storage.Backend, sc spillCase, val func(int) U) {
 	recSize := int64(unsafe.Sizeof(UpdRec[U]{}))
 	cleaned := false
-	tr := k.NewSpillTransport(int64(sc.budget)*int64(k.UpdBytes), backend, func() error { cleaned = true; return nil })
+	budget := int64(sc.budget) * int64(k.UpdBytes)
+	if sc.budget == noBudget {
+		budget = math.MaxInt64
+	}
+	tr := k.NewSpillTransport(budget, backend, func() error { cleaned = true; return nil })
 	put := make([][]UpdRec[U], len(sc.srcs))
 	spilled := 0
 	for c, src := range sc.srcs {
@@ -245,10 +260,24 @@ func spillRoundTrip[V any, U comparable, A any](t *testing.T, k *Kernel[V, U, A]
 	if got := tr.PendingBytes(roundTripDst); got != 0 {
 		t.Errorf("PendingBytes after drain = %d, want 0", got)
 	}
-	// The last Release of a bucket's spilled chunks truncates its stream.
-	for _, stream := range sc.streams {
-		if sz, err := backend.Size(stream); err != nil || sz != 0 {
-			t.Errorf("stream %s not truncated after drain: size %d, err %v", stream, sz, err)
+	if got := tr.memBytes.Load(); got != 0 {
+		t.Errorf("resident bytes after every Release = %d, want 0", got)
+	}
+	// The last Release of a bucket's spilled chunks truncates its
+	// stream, and a bucket that never spilled has neither a stream name
+	// nor a stream.
+	for src, row := range tr.rows {
+		for dst, b := range row.buckets {
+			stream := fmt.Sprintf("upd.s%04d.d%04d", src, dst)
+			sz, err := backend.Size(stream)
+			switch {
+			case !slices.Contains(sc.streams, stream):
+				if b.stream != "" || !errors.Is(err, storage.ErrUnknownStream) {
+					t.Errorf("bucket (%d, %d) never spilled but has stream %q (size %d, err %v)", src, dst, b.stream, sz, err)
+				}
+			case b.stream != stream || err != nil || sz != 0:
+				t.Errorf("stream %s (bucket's %q) not truncated after drain: size %d, err %v", stream, b.stream, sz, err)
+			}
 		}
 	}
 	if err := tr.Close(); err != nil {

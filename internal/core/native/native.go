@@ -97,8 +97,10 @@ type run[V, U, A any] struct {
 	// tr carries updates from scatter to gather through the transport
 	// seam (internal/core/drive): typed record slices through
 	// per-(src, dst) buckets under the one-writer-until-completion
-	// discipline, zero-copy in memory and — past
+	// discipline, by pointer in memory and — past
 	// Config.TransportBudgetBytes — written as raw slabs to spill files.
+	// Without a budget it is the same drive.SpillTransport with a budget
+	// no Put reaches.
 	tr drive.Transport[U]
 
 	// Per-phase partition ownership tables: masters claim their own

@@ -98,8 +98,8 @@ func storedBytes(chunks [][]byte) int64 {
 // shared typed scatter kernel on the compute pool over the resident
 // vertex values, and merge each chunk's result — in the deterministic
 // chunk order — into the update transport: record slices move into the
-// per-(src, dst) buckets zero-copy, and a spilling transport writes the
-// ones past its budget to disk as they are.
+// per-(src, dst) buckets by pointer, and the transport writes the ones
+// past its budget, if it has one, to disk as they are.
 
 func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 	kern := r.kern
