@@ -352,7 +352,8 @@ func GenerateWebGraph(pages uint64, seed int64) []Edge {
 // for the undirected algorithms (BFS, WCC, MCST, MIS, SSSP).
 func Undirected(edges []Edge) []Edge { return graph.Undirected(edges) }
 
-// NumVertices returns one past the largest vertex ID in edges.
+// NumVertices returns one past the largest vertex ID in edges, or 0 when
+// no count covers them: edges is empty or names vertex 2^64−1.
 func NumVertices(edges []Edge) uint64 { return graph.MaxVertex(edges) }
 
 // TheoreticalUtilization returns rho(m, k) = 1 - (1 - k/m)^m, the storage

@@ -63,6 +63,18 @@ func TestUndersizedVertexCountFailsTheRun(t *testing.T) {
 			t.Errorf("%s: 4 vertices for an edge from vertex 9: err = %v, want one naming vertex 9", engine, err)
 		}
 	}
+	// The largest ID: one past it is no count at all, given or inferred.
+	top := []Edge{{Src: 0, Dst: 1}, {Src: math.MaxUint64, Dst: 0}}
+	for _, engine := range []string{EngineSim, EngineNative} {
+		for _, n := range []uint64{4, 0} {
+			opt := labOptions(2)
+			opt.Engine = engine
+			_, _, err := RunPreparedContext(context.Background(), "PR", top, n, opt)
+			if err == nil || !strings.Contains(err.Error(), "vertex 18446744073709551615") {
+				t.Errorf("%s: %d vertices for an edge from vertex 2^64-1: err = %v, want one naming it", engine, n, err)
+			}
+		}
+	}
 }
 
 // TestNativeEngineEndToEnd drives the native execution plane through the

@@ -45,10 +45,7 @@ func (b *BFS) Init(id graph.VertexID, v *BFSVertex, _ uint32) {
 // Scatter implements gas.Program: frontier vertices propose level+1 to
 // their neighbors.
 func (b *BFS) Scatter(_ int, e graph.Edge, src *BFSVertex) (graph.VertexID, uint32, bool) {
-	if !src.Active {
-		return 0, 0, false
-	}
-	return e.Dst, src.Level + 1, true
+	return e.Dst, src.Level + 1, src.Active
 }
 
 // InitAccum implements gas.Program.
@@ -73,11 +70,14 @@ func (b *BFS) Apply(_ int, _ graph.VertexID, v *BFSVertex, a uint32) bool {
 }
 
 // ScatterBatch implements gas.BatchScatterer: Scatter, once per edge.
-func (b *BFS) ScatterBatch(iter int, edges []graph.Edge, lo graph.VertexID, verts []BFSVertex, dsts []graph.VertexID, vals []uint32) int {
+// Every pair is stored and only an emitted one kept, so the loop has no
+// branch on the data.
+func (b *BFS) ScatterBatch(iter int, edges []graph.CompactEdge, lo graph.VertexID, verts []BFSVertex, dsts []graph.VertexID, vals []uint32) int {
 	n := 0
 	for _, e := range edges {
-		if dst, val, emit := b.Scatter(iter, e, &verts[e.Src-lo]); emit {
-			dsts[n], vals[n] = dst, val
+		dst, val, emit := b.Scatter(iter, e.Edge(), &verts[graph.VertexID(e.Src)-lo])
+		dsts[n], vals[n] = dst, val
+		if emit {
 			n++
 		}
 	}

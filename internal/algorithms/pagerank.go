@@ -66,11 +66,14 @@ func (*PageRank) Apply(_ int, _ graph.VertexID, v *PRVertex, a float64) bool {
 }
 
 // ScatterBatch implements gas.BatchScatterer: Scatter, once per edge.
-func (pr *PageRank) ScatterBatch(iter int, edges []graph.Edge, lo graph.VertexID, verts []PRVertex, dsts []graph.VertexID, vals []float32) int {
+// Every pair is stored and only an emitted one kept, so the loop has no
+// branch on the data.
+func (pr *PageRank) ScatterBatch(iter int, edges []graph.CompactEdge, lo graph.VertexID, verts []PRVertex, dsts []graph.VertexID, vals []float32) int {
 	n := 0
 	for _, e := range edges {
-		if dst, val, emit := pr.Scatter(iter, e, &verts[e.Src-lo]); emit {
-			dsts[n], vals[n] = dst, val
+		dst, val, emit := pr.Scatter(iter, e.Edge(), &verts[graph.VertexID(e.Src)-lo])
+		dsts[n], vals[n] = dst, val
+		if emit {
 			n++
 		}
 	}

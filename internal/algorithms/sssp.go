@@ -46,10 +46,7 @@ func (s *SSSP) Init(id graph.VertexID, v *SSSPVertex, _ uint32) {
 
 // Scatter implements gas.Program: relaxed vertices propose dist+weight.
 func (s *SSSP) Scatter(_ int, e graph.Edge, src *SSSPVertex) (graph.VertexID, float32, bool) {
-	if !src.Active {
-		return 0, 0, false
-	}
-	return e.Dst, src.Dist + e.Weight, true
+	return e.Dst, src.Dist + e.Weight, src.Active
 }
 
 // InitAccum implements gas.Program.
@@ -73,11 +70,14 @@ func (*SSSP) Apply(_ int, _ graph.VertexID, v *SSSPVertex, a float32) bool {
 }
 
 // ScatterBatch implements gas.BatchScatterer: Scatter, once per edge.
-func (s *SSSP) ScatterBatch(iter int, edges []graph.Edge, lo graph.VertexID, verts []SSSPVertex, dsts []graph.VertexID, vals []float32) int {
+// Every pair is stored and only an emitted one kept, so the loop has no
+// branch on the data.
+func (s *SSSP) ScatterBatch(iter int, edges []graph.CompactWeightedEdge, lo graph.VertexID, verts []SSSPVertex, dsts []graph.VertexID, vals []float32) int {
 	n := 0
 	for _, e := range edges {
-		if dst, val, emit := s.Scatter(iter, e, &verts[e.Src-lo]); emit {
-			dsts[n], vals[n] = dst, val
+		dst, val, emit := s.Scatter(iter, e.Edge(), &verts[graph.VertexID(e.Src)-lo])
+		dsts[n], vals[n] = dst, val
+		if emit {
 			n++
 		}
 	}

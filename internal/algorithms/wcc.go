@@ -33,12 +33,10 @@ func (*WCC) Init(id graph.VertexID, v *WCCVertex, _ uint32) {
 	v.Active = true
 }
 
-// Scatter implements gas.Program.
+// Scatter implements gas.Program: active vertices send their label. It
+// has no branch, so a batch over it has none either.
 func (*WCC) Scatter(_ int, e graph.Edge, src *WCCVertex) (graph.VertexID, uint32, bool) {
-	if !src.Active {
-		return 0, 0, false
-	}
-	return e.Dst, src.Label, true
+	return e.Dst, src.Label, src.Active
 }
 
 // InitAccum implements gas.Program.
@@ -62,11 +60,14 @@ func (*WCC) Apply(_ int, _ graph.VertexID, v *WCCVertex, a uint32) bool {
 }
 
 // ScatterBatch implements gas.BatchScatterer: Scatter, once per edge.
-func (w *WCC) ScatterBatch(iter int, edges []graph.Edge, lo graph.VertexID, verts []WCCVertex, dsts []graph.VertexID, vals []uint32) int {
+// Every pair is stored and only an emitted one kept, so the loop has no
+// branch on the data.
+func (w *WCC) ScatterBatch(iter int, edges []graph.CompactEdge, lo graph.VertexID, verts []WCCVertex, dsts []graph.VertexID, vals []uint32) int {
 	n := 0
 	for _, e := range edges {
-		if dst, val, emit := w.Scatter(iter, e, &verts[e.Src-lo]); emit {
-			dsts[n], vals[n] = dst, val
+		dst, val, emit := w.Scatter(iter, e.Edge(), &verts[graph.VertexID(e.Src)-lo])
+		dsts[n], vals[n] = dst, val
+		if emit {
 			n++
 		}
 	}

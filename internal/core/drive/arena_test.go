@@ -279,29 +279,39 @@ func checkScatterTwins[V, U comparable, A any](t *testing.T, prog gas.Program[V,
 	}
 	data := k.EdgeFmt.EncodeEdges(nil, edges)
 	want := referenceScatter(k, part, verts, data)
-
-	var typed, wire ScatterOut[U]
-	k.ScatterChunkTyped(0, part, verts, data, &typed)
-	k.ScatterChunk(0, part, verts, data, &wire)
-	if typed.N != len(edges) || wire.N != len(edges) {
-		t.Fatalf("%v: scattered %d and %d edges of %d", k.EdgeFmt, typed.N, wire.N, len(edges))
+	// The same chunk at an odd address, which no kernel reads in place.
+	odd := make([]byte, len(data)+1)[1:]
+	copy(odd, data)
+	if readsInPlace(odd) {
+		t.Fatalf("a chunk at an odd address reads in place")
 	}
-	for tp := range want {
-		if !slices.Equal(absolute(layout, tp, typed.Typed[tp]), want[tp]) {
-			t.Errorf("%v: ScatterChunkTyped's updates for partition %d differ from the reference loop's", k.EdgeFmt, tp)
+
+	for _, chunk := range [][]byte{data, odd} {
+		var typed, wire ScatterOut[U]
+		k.ScatterChunkTyped(0, part, verts, chunk, &typed)
+		k.ScatterChunk(0, part, verts, chunk, &wire)
+		if typed.N != len(edges) || wire.N != len(edges) {
+			t.Fatalf("%v: scattered %d and %d edges of %d", k.EdgeFmt, typed.N, wire.N, len(edges))
 		}
-		if got := k.DecodeUpdateChunk(nil, wire.Updates[tp]); !slices.Equal(absolute(layout, tp, got), want[tp]) {
-			t.Errorf("%v: ScatterChunk's updates for partition %d differ from the reference loop's", k.EdgeFmt, tp)
+		for tp := range want {
+			if !slices.Equal(absolute(layout, tp, typed.Typed[tp]), want[tp]) {
+				t.Errorf("%v, in place %v: ScatterChunkTyped's updates for partition %d differ from the reference loop's", k.EdgeFmt, readsInPlace(chunk), tp)
+			}
+			if got := k.DecodeUpdateChunk(nil, wire.Updates[tp]); !slices.Equal(absolute(layout, tp, got), want[tp]) {
+				t.Errorf("%v, in place %v: ScatterChunk's updates for partition %d differ from the reference loop's", k.EdgeFmt, readsInPlace(chunk), tp)
+			}
 		}
 	}
 }
 
-// TestScatterMatchesReferenceLoop: the block-decoding, division-free edge
-// loop emits, as typed records and as ScatterChunk's bytes, exactly the
-// (absolute destination, payload) sequence a loop over Format.Decode,
-// Scatter and a division emits — over a weighted compact layout, a
-// non-compact one (8-byte IDs, destinations on both sides of 2^32) and a
-// four-partition one, none with a power-of-two width.
+// TestScatterMatchesReferenceLoop: the division-free edge loop emits, as
+// typed records and as ScatterChunk's bytes, exactly the (absolute
+// destination, payload) sequence a loop over Format.Decode, Scatter and a
+// division emits — over a weighted compact layout, a non-compact one
+// (8-byte IDs, destinations on both sides of 2^32) and a four-partition
+// one, none with a power-of-two width; and each chunk both where it was
+// encoded, which compact chunks are read in place from, and at an odd
+// address, from which every chunk is decoded.
 func TestScatterMatchesReferenceLoop(t *testing.T) {
 	weighted, err := partition.FixedLayout(3000, 1, 7)
 	if err != nil {

@@ -15,15 +15,24 @@ import (
 // per-record definitions: over random chunks out of partition part, the
 // kernel with the batch forms and the same kernel without them emit the
 // same record sequence per destination partition and fold it into the
-// same accumulators, bit for bit. verts should mix inactive sources and
-// non-finite state; bitsU and bitsA expose a payload's and an
-// accumulator's bits, so that NaN equals NaN.
+// same accumulators, bit for bit. edgeSize is the record size of the
+// layout's edge format for prog: on a compact format the batch scatter
+// reads those records in place, on a non-compact one (16 or 20 bytes)
+// the kernel has no batch scatter and decodes. verts should mix inactive
+// sources and non-finite state; bitsU and bitsA expose a payload's and
+// an accumulator's bits, so that NaN equals NaN.
 func checkBatchMatchesPerRecord[V, U, A any](t *testing.T, prog gas.Program[V, U, A], layout *partition.Layout, part int,
-	verts []V, bitsU func(U) uint64, bitsA func(A) uint64) {
+	edgeSize int, verts []V, bitsU func(U) uint64, bitsA func(A) uint64) {
 	t.Helper()
 	batch := NewKernel(prog, layout)
-	if batch.batchScatter == nil || batch.batchGather == nil {
-		t.Fatalf("%s has no batch forms", prog.Name())
+	if got := batch.EdgeFmt.EdgeSize(); got != edgeSize {
+		t.Fatalf("%s: %d-byte edge records, want %d", prog.Name(), got, edgeSize)
+	}
+	if inPlace := batch.EdgeFmt.Compact; inPlace != (batch.batchScatter != nil) {
+		t.Fatalf("%s over %v: batch scatter bound %v, want %v", prog.Name(), batch.EdgeFmt, batch.batchScatter != nil, inPlace)
+	}
+	if batch.batchGather == nil {
+		t.Fatalf("%s has no batch gather", prog.Name())
 	}
 	plain := NewKernel(prog, layout)
 	plain.batchScatter, plain.batchGather = nil, nil
@@ -76,9 +85,10 @@ func checkBatchMatchesPerRecord[V, U, A any](t *testing.T, prog gas.Program[V, U
 }
 
 // TestBatchMatchesPerRecord runs every program with batch forms through
-// checkBatchMatchesPerRecord: unweighted and weighted compact formats,
-// and for one of them the non-compact format of a graph past 2^32
-// vertices.
+// checkBatchMatchesPerRecord on its own compact format — 8-byte records
+// for PR, WCC and BFS, 12-byte ones for SSSP — and one of them over the
+// non-compact format of a graph past 2^32 vertices, where the scatter
+// kernel decodes.
 func TestBatchMatchesPerRecord(t *testing.T) {
 	u32 := func(v uint32) uint64 { return uint64(v) }
 	f32 := func(v float32) uint64 { return uint64(math.Float32bits(v)) }
@@ -95,19 +105,19 @@ func TestBatchMatchesPerRecord(t *testing.T) {
 	for i := range pr {
 		pr[i] = algorithms.PRVertex{Rank: float32(i) / 7, Degree: uint32(i % 4)} // degree 0: ±Inf and NaN payloads
 	}
-	checkBatchMatchesPerRecord(t, &algorithms.PageRank{}, compact, 1, pr, f32, f64)
+	checkBatchMatchesPerRecord(t, &algorithms.PageRank{}, compact, 1, 8, pr, f32, f64)
 
 	wcc := make([]algorithms.WCCVertex, n)
 	for i := range wcc {
 		wcc[i] = algorithms.WCCVertex{Label: uint32(i * 3), Active: i%3 != 0}
 	}
-	checkBatchMatchesPerRecord(t, &algorithms.WCC{}, compact, 1, wcc, u32, u32)
+	checkBatchMatchesPerRecord(t, &algorithms.WCC{}, compact, 1, 8, wcc, u32, u32)
 
 	bfs := make([]algorithms.BFSVertex, n)
 	for i := range bfs {
 		bfs[i] = algorithms.BFSVertex{Level: uint32(i % 9), Active: i%4 != 0}
 	}
-	checkBatchMatchesPerRecord(t, &algorithms.BFS{}, compact, 1, bfs, u32, u32)
+	checkBatchMatchesPerRecord(t, &algorithms.BFS{}, compact, 1, 8, bfs, u32, u32)
 
 	sssp := make([]algorithms.SSSPVertex, n)
 	for i := range sssp {
@@ -116,7 +126,7 @@ func TestBatchMatchesPerRecord(t *testing.T) {
 			sssp[i].Dist = nonFinite[i/11%len(nonFinite)]
 		}
 	}
-	checkBatchMatchesPerRecord(t, &algorithms.SSSP{}, compact, 1, sssp, f32, f32)
+	checkBatchMatchesPerRecord(t, &algorithms.SSSP{}, compact, 1, 12, sssp, f32, f32)
 
 	// 8-byte edge IDs; the edges leave the first 500 vertices of a
 	// partition 2^30 wide.
@@ -124,5 +134,5 @@ func TestBatchMatchesPerRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBatchMatchesPerRecord(t, &algorithms.WCC{}, wide, 3, wcc[:500], u32, u32)
+	checkBatchMatchesPerRecord(t, &algorithms.WCC{}, wide, 3, 16, wcc[:500], u32, u32)
 }

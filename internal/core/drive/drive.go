@@ -23,6 +23,7 @@
 package drive
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -39,7 +40,7 @@ type UpdRec[U any] = gas.UpdRec[U]
 // a driver needs to replay the chunk's side effects (buffer appends,
 // spills, CPU charges) without touching a single record itself.
 type ScatterOut[U any] struct {
-	N          int // edge records decoded
+	N          int // edge records scattered
 	CombineOps int // combiner merges performed
 	// Typed is ScatterChunkTyped's output: per-destination-partition
 	// arena slabs, each record's Off relative to the slot's partition.
@@ -86,8 +87,9 @@ type Kernel[V, U, A any] struct {
 	Combiner gas.Combiner[U]
 	Rewriter gas.EdgeRewriter[V]
 	// The program's batch forms, nil when it has none: the kernels then
-	// call Scatter and Gather record by record.
-	batchScatter gas.BatchScatterer[V, U]
+	// call Scatter and Gather record by record. batchScatter is bound to
+	// the records of a compact edge format, and nil for the others.
+	batchScatter blockScatter[V, U]
 	batchGather  gas.BatchGatherer[V, U, A]
 
 	// RetainBytes bounds the capacity of byte buffers returned to the
@@ -124,7 +126,12 @@ func NewKernel[V, U, A any](prog gas.Program[V, U, A], layout *partition.Layout)
 		hints:   slabHints{rows: make([]atomic.Pointer[hintRow], layout.NumPartitions)},
 		bufPool: new(sync.Pool), partsPool: new(sync.Pool), recPartsPool: new(sync.Pool), blockPool: new(sync.Pool),
 	}
-	k.batchScatter, _ = any(prog).(gas.BatchScatterer[V, U])
+	switch k.EdgeFmt {
+	case graph.Format{Compact: true}:
+		k.batchScatter = bindScatter[V, U, graph.CompactEdge](prog)
+	case graph.Format{Compact: true, Weighted: true}:
+		k.batchScatter = bindScatter[V, U, graph.CompactWeightedEdge](prog)
+	}
 	k.batchGather, _ = any(prog).(gas.BatchGatherer[V, U, A])
 	if layout.NumVertices < 1<<32 {
 		k.IDBytes = 4
@@ -139,16 +146,60 @@ func NewKernel[V, U, A any](prog gas.Program[V, U, A], layout *partition.Layout)
 	return k
 }
 
-// edgeBlock is how many edges the scatter kernel decodes, and hands to
-// the program, at a time: graph.Format.DecodeEdges examines the format
-// once per block instead of twice per edge, and a program with a batch
-// form is called once per block instead of once per edge.
+// locator is partition.Layout.Of over constants hoisted out of the
+// layout, for the two per-record loops (ScatterChunkTyped's emit loop,
+// BinEdges). It restates Of here because the compiler inlines a call
+// inside an instantiated generic body only when the instantiating package
+// imports the callee's package, and the packages that instantiate a
+// Kernel need not import partition; TestLocatorMatchesLayout holds the
+// two to the same answers.
+type locator struct {
+	recip, per, last uint64
+}
+
+func newLocator(l *partition.Layout) locator {
+	return locator{recip: l.Reciprocal(), per: l.PerPartition, last: uint64(l.NumPartitions - 1)}
+}
+
+// of returns the partition owning v, and its first vertex.
+func (c locator) of(v graph.VertexID) (p int, lo uint64) {
+	var q uint64
+	if c.recip != 0 && uint64(v) < 1<<32 {
+		q, _ = bits.Mul64(c.recip, uint64(v))
+	} else {
+		q = uint64(v) / c.per
+	}
+	q = min(q, c.last)
+	return int(q), q * c.per
+}
+
+// blockScatter is a program's gas.BatchScatterer over one block of an
+// edge chunk's compact records, which it reads where they lie.
+type blockScatter[V, U any] func(iter int, block []byte, lo graph.VertexID, verts []V, dsts []graph.VertexID, vals []U) int
+
+// bindScatter returns prog's batch form over E records as a
+// blockScatter, or nil when prog has none.
+func bindScatter[V, U any, E graph.CompactRecord](prog any) blockScatter[V, U] {
+	b, ok := prog.(gas.BatchScatterer[V, U, E])
+	if !ok {
+		return nil
+	}
+	return func(iter int, block []byte, lo graph.VertexID, verts []V, dsts []graph.VertexID, vals []U) int {
+		return b.ScatterBatch(iter, edgeRecords[E](block), lo, verts, dsts, vals)
+	}
+}
+
+// edgeBlock is how many edges the scatter kernel hands to the program,
+// or decodes, at a time: a program with a batch form is called once per
+// block instead of once per edge, and graph.Format.DecodeEdges examines
+// the format once per block instead of twice per edge.
 const edgeBlock = 256
 
 // scatterBlock is the scatter kernel's scratch for one chunk: a decoded
-// edge block and the (destination, payload) pairs the program emitted
-// for it. It is pooled, not a local: a batch program receives the slices
-// through an interface, and an array handed to one moves to the heap.
+// edge block, when the chunk is not read in place, and the (destination,
+// payload) pairs the program emitted for it. It is pooled, not a local:
+// a batch program receives the slices through an interface, and an array
+// handed to one moves to the heap.
 type scatterBlock[U any] struct {
 	edges [edgeBlock]graph.Edge
 	dsts  [edgeBlock]graph.VertexID
@@ -156,20 +207,22 @@ type scatterBlock[U any] struct {
 }
 
 // ScatterChunkTyped is the pure scatter computation on one edge chunk —
-// the tree's one edge loop: decode the edges a block at a time, consult
-// the rewriter, apply the program's Scatter (through its batch form when
-// it has one and neither rewriter nor combiner needs the edges one by
-// one), and group the emitted updates per destination partition as typed
-// records in arena slabs, each record's Off its destination's index
-// inside that partition. Both drivers run it and neither encodes the
-// records: the DES charges records × UpdBytes for them, and a spilling
-// transport writes the slabs as they are. Each slab starts at the size
-// this (part, destination) pair is known to produce (slabHints) and grows
-// through the arena when a chunk produces more. It may run on any
-// goroutine and must not touch driver state; verts is read-only and
-// stable for the whole phase.
+// the tree's one edge loop: a block at a time, hand the chunk's compact
+// records to the program's batch form where they lie (when it has one,
+// neither rewriter nor combiner needs the edges one by one and
+// readsInPlace admits the chunk), or else decode them, consult the
+// rewriter and apply Scatter edge by edge; then group the emitted
+// updates per destination partition as typed records in arena slabs,
+// each record's Off its destination's index inside that partition. Both
+// drivers run it and neither encodes the records: the DES charges
+// records × UpdBytes for them, and a spilling transport writes the slabs
+// as they are. Each slab starts at the size this (part, destination)
+// pair is known to produce (slabHints) and grows through the arena when
+// a chunk produces more. It may run on any goroutine and must not touch
+// driver state; verts is read-only and stable for the whole phase.
 func (k *Kernel[V, U, A]) ScatterChunkTyped(iter, part int, verts []V, data []byte, out *ScatterOut[U]) {
 	layout := k.Layout
+	loc := newLocator(layout)
 	lo, _ := layout.Range(part)
 	edgeSize := k.EdgeFmt.EdgeSize()
 	out.N = len(data) / edgeSize
@@ -179,7 +232,7 @@ func (k *Kernel[V, U, A]) ScatterChunkTyped(iter, part int, verts []V, data []by
 		out.Combined = make([]map[graph.VertexID]U, layout.NumPartitions)
 	}
 	batch := k.batchScatter
-	if k.Rewriter != nil || k.Combiner != nil {
+	if k.Rewriter != nil || k.Combiner != nil || !readsInPlace(data) {
 		batch = nil
 	}
 	hints := k.hints.row(part)
@@ -189,13 +242,13 @@ func (k *Kernel[V, U, A]) ScatterChunkTyped(iter, part int, verts []V, data []by
 	}
 	for data = data[:out.N*edgeSize]; len(data) > 0; {
 		n := min(edgeBlock*edgeSize, len(data))
-		edges := k.EdgeFmt.DecodeEdges(blk.edges[:0], data[:n])
+		block := data[:n]
 		data = data[n:]
 		var emitted int
 		if batch != nil {
-			emitted = batch.ScatterBatch(iter, edges, lo, verts, blk.dsts[:], blk.vals[:])
+			emitted = batch(iter, block, lo, verts, blk.dsts[:], blk.vals[:])
 		} else {
-			for _, e := range edges {
+			for _, e := range k.EdgeFmt.DecodeEdges(blk.edges[:0], block) {
 				src := &verts[e.Src-lo]
 				if k.Rewriter != nil {
 					k.rewriteEdge(iter, e, src, out)
@@ -208,24 +261,26 @@ func (k *Kernel[V, U, A]) ScatterChunkTyped(iter, part int, verts []V, data []by
 		}
 		if k.Combiner != nil {
 			for i := 0; i < emitted; i++ {
-				k.combine(out, layout.Of(blk.dsts[i]), blk.dsts[i], blk.vals[i])
+				tp, _ := loc.of(blk.dsts[i])
+				k.combine(out, tp, blk.dsts[i], blk.vals[i])
 			}
 			continue
 		}
 		for i := 0; i < emitted; i++ {
 			dst, val := blk.dsts[i], blk.vals[i]
-			tp := layout.Of(dst)
-			recs := typed[tp]
-			if len(recs) == cap(recs) {
-				if recs == nil {
-					recs = k.GrabRecs(hints.want(tp))
+			tp, tlo := loc.of(dst)
+			// typed[tp] is resliced in place, which stores its length
+			// alone: no pointer store, so no write barrier, per record.
+			fill := len(typed[tp])
+			if fill == cap(typed[tp]) {
+				if typed[tp] == nil {
+					typed[tp] = k.GrabRecs(hints.want(tp))
 				} else {
-					recs = k.regrowRecs(recs, len(recs)+len(recs)/2)
+					typed[tp] = k.regrowRecs(typed[tp], fill+fill/2)
 				}
 			}
-			recs = recs[:len(recs)+1]
-			recs[len(recs)-1] = UpdRec[U]{Off: uint32(uint64(dst) - uint64(tp)*layout.PerPartition), Val: val}
-			typed[tp] = recs
+			typed[tp] = typed[tp][:fill+1]
+			typed[tp][fill] = UpdRec[U]{Off: uint32(uint64(dst) - tlo), Val: val}
 		}
 	}
 	k.blockPool.Put(blk)

@@ -39,13 +39,9 @@ type Params struct {
 // memory budget (§3), derives the record geometry and resolves the
 // program extensions the run asks for.
 func Plan[V, U, A any](p Params, prog gas.Program[V, U, A], edges []graph.Edge, numVertices uint64) (*Kernel[V, U, A], error) {
-	if named := graph.MaxVertex(edges); numVertices == 0 {
-		numVertices = named
-	} else if named > numVertices {
-		return nil, fmt.Errorf("core: an edge names vertex %d, but the graph has %d vertices", named-1, numVertices)
-	}
-	if numVertices == 0 {
-		return nil, fmt.Errorf("core: empty graph")
+	numVertices, err := graph.VertexCount(edges, numVertices)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	vbytes := int64(prog.VertexCodec().Bytes)
 	budget := p.MemBudget
@@ -118,19 +114,23 @@ func (k *Kernel[V, U, A]) EncodeVertices(verts []V) [][]byte {
 func (k *Kernel[V, U, A]) BinEdges(batch []graph.Edge, bins *Wire[byte], deg [][]uint32) {
 	// Locals, so the calls into the Wire do not make the loop reload the
 	// format and the layout for every edge; each record is encoded in
-	// place, in the bin's own buffer.
-	layout, format := k.Layout, k.EdgeFmt
+	// place, in the bin's own buffer. Only a bin that needs new backing
+	// or fills a chunk, and a partition's first degree, call out.
+	loc, format := newLocator(k.Layout), k.EdgeFmt
 	size := format.EdgeSize()
 	for _, e := range batch {
-		p := layout.Of(e.Src)
-		format.Encode(bins.Reserve(p, size), e)
+		p, lo := loc.of(e.Src)
+		rec := bins.tryReserve(p, size)
+		if rec == nil {
+			rec = bins.Reserve(p, size)
+		}
+		format.Encode(rec, e)
 		bins.Commit(p)
 		if deg != nil {
 			if deg[p] == nil {
-				deg[p] = make([]uint32, layout.Size(p))
+				deg[p] = make([]uint32, k.Layout.Size(p))
 			}
-			lo, _ := layout.Range(p)
-			deg[p][e.Src-lo]++
+			deg[p][uint64(e.Src)-lo]++
 		}
 	}
 }

@@ -1,12 +1,14 @@
 package drive
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"chaos/internal/algorithms"
 	"chaos/internal/graph"
+	"chaos/internal/partition"
 )
 
 // planPR plans a PageRank run over n vertices on two machines, two
@@ -196,5 +198,39 @@ func TestCombineBuf(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("shipped %v, want %v", got, want)
+	}
+}
+
+// TestLocatorMatchesLayout: the kernels' copy of Layout.Of answers as Of
+// does, and names the partition's first vertex as Range does — on
+// layouts Of multiplies by a reciprocal for, one a width of 1 makes it
+// divide for, IDs on both sides of 2^32, a Layout literal without a
+// reciprocal, and IDs past the last vertex, which clamp.
+func TestLocatorMatchesLayout(t *testing.T) {
+	var layouts []*partition.Layout
+	for _, c := range []struct {
+		n     uint64
+		m, np int
+	}{{3001, 2, 4}, {3000, 1, 7}, {1<<33 + 5, 1, 6}, {8, 2, 8}, {1 << 40, 4, 4}} {
+		l, err := partition.FixedLayout(c.n, c.m, c.np)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layouts = append(layouts, l)
+	}
+	layouts = append(layouts, &partition.Layout{NumVertices: 1000, NumPartitions: 3, NumMachines: 1, PerPartition: 334})
+	for _, l := range layouts {
+		loc := newLocator(l)
+		ids := []graph.VertexID{0, 1, math.MaxUint32, 1 << 32, math.MaxUint64, graph.VertexID(l.NumVertices - 1), graph.VertexID(l.NumVertices)}
+		for p := 0; p < l.NumPartitions; p++ {
+			lo, hi := l.Range(p)
+			ids = append(ids, lo, max(hi, 1)-1, hi)
+		}
+		for _, v := range ids {
+			p, lo := loc.of(v)
+			if want, _ := l.Range(l.Of(v)); p != l.Of(v) || lo != uint64(want) {
+				t.Errorf("%v: vertex %d in partition %d from %d, Layout says %d from %d", l, v, p, lo, l.Of(v), want)
+			}
+		}
 	}
 }

@@ -1,11 +1,13 @@
 package drive
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"sync/atomic"
 	"unsafe"
 
+	"chaos/internal/graph"
 	"chaos/internal/storage"
 )
 
@@ -85,6 +87,24 @@ func recBytes[U any](recs []UpdRec[U]) []byte {
 		return nil
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(&recs[0])), len(recs)*int(unsafe.Sizeof(recs[0])))
+}
+
+// readsInPlace reports whether an edge chunk's compact records can be
+// read where they lie (edgeRecords): on a little-endian host the §8
+// bytes are the records' memory, and both record types are 4-aligned, so
+// the chunk must start on a multiple of 4. A chunk that does not — a
+// big-endian host, bytes resliced off a record boundary — is decoded.
+func readsInPlace(data []byte) bool {
+	return littleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(data)))%4 == 0
+}
+
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// edgeRecords is data, whole compact records that readsInPlace admits,
+// as the records themselves.
+func edgeRecords[E graph.CompactRecord](data []byte) []E {
+	var e E
+	return unsafe.Slice((*E)(unsafe.Pointer(unsafe.SliceData(data))), len(data)/int(unsafe.Sizeof(e)))
 }
 
 // CheckSpillable reports whether update records of type U may spill as

@@ -77,13 +77,24 @@ func (w *Wire[T]) Put(dst int, recs []T) {
 // cross the chunk boundary, which holds for any record whose size divides
 // limit.
 func (w *Wire[T]) Reserve(dst, n int) []T {
-	buf := w.bufs[dst]
-	if cap(buf)-len(buf) < n {
-		buf = w.grow(buf, dst, n)
+	if recs := w.tryReserve(dst, n); recs != nil {
+		return recs
 	}
-	buf = buf[:len(buf)+n]
-	w.bufs[dst] = buf
-	return buf[len(buf)-n:]
+	w.bufs[dst] = w.grow(w.bufs[dst], dst, n)
+	return w.tryReserve(dst, n)
+}
+
+// tryReserve is Reserve when dst's backing has room for n more records,
+// and nil when it has not. A per-record loop calls it first: the compiler
+// inlines it, and Reserve — whose other case allocates — it does not.
+// w.bufs[dst] is resliced in place, which stores its length alone.
+func (w *Wire[T]) tryReserve(dst, n int) []T {
+	l := len(w.bufs[dst]) + n
+	if l > cap(w.bufs[dst]) {
+		return nil
+	}
+	w.bufs[dst] = w.bufs[dst][:l]
+	return w.bufs[dst][l-n : l]
 }
 
 // grow moves dst's buffer onto backing with room for n more records.
@@ -105,13 +116,20 @@ func (w *Wire[T]) grow(buf []T, dst, n int) []T {
 // Commit ends a Reserve: a chunk the reserved records completed goes to
 // flush now, at the instant its last record is written — flush order
 // across destinations is the DES driver's RNG draw order, so it cannot
-// wait for the destination's next Reserve.
+// wait for the destination's next Reserve. Its check inlines; the
+// flush is ship's.
 func (w *Wire[T]) Commit(dst int) {
-	if buf := w.bufs[dst]; len(buf) == w.limit {
-		w.bufs[dst] = nil
-		w.filled[dst] = true
-		w.flush(dst, buf)
+	if len(w.bufs[dst]) == w.limit {
+		w.ship(dst)
 	}
+}
+
+// ship hands dst's full buffer to flush.
+func (w *Wire[T]) ship(dst int) {
+	buf := w.bufs[dst]
+	w.bufs[dst] = nil
+	w.filled[dst] = true
+	w.flush(dst, buf)
 }
 
 // PutChunk ships one pre-assembled chunk immediately, bypassing the

@@ -116,17 +116,22 @@ type Combiner[U any] interface {
 	Combine(a, b U) U
 }
 
-// BatchScatterer is an optional Program extension: Scatter over the
-// edges of one decoded block in a single call, so the engine crosses the
-// program boundary once per block instead of once per edge. The per-edge
+// BatchScatterer is an optional Program extension: Scatter over a block
+// of edge records of the program's compact format (E, graph.CompactEdge
+// or graph.CompactWeightedEdge as Weighted says), read where they lie in
+// the edge chunk, in a single call — so the engine neither decodes the
+// block nor crosses the program boundary once per edge. The per-edge
 // Scatter stays the definition; an implementation is a loop over it on
-// the concrete receiver, where the compiler can inline it.
-type BatchScatterer[V, U any] interface {
-	// ScatterBatch calls Scatter for each edge in order, with src =
-	// &verts[e.Src-lo], writes the emitted (destination, payload) pairs
-	// to dsts and vals in edge order and returns their count. dsts and
-	// vals hold at least len(edges).
-	ScatterBatch(iter int, edges []graph.Edge, lo graph.VertexID, verts []V, dsts []graph.VertexID, vals []U) int
+// the concrete receiver, where the compiler can inline it. Graphs of 2^32
+// vertices or more have no compact format: there the engine decodes and
+// calls Scatter edge by edge.
+type BatchScatterer[V, U any, E graph.CompactRecord] interface {
+	// ScatterBatch calls Scatter for each edge in order, with e =
+	// edges[i].Edge() and src = &verts[e.Src-lo], writes the emitted
+	// (destination, payload) pairs to dsts and vals in edge order and
+	// returns their count. dsts and vals hold at least len(edges); the
+	// slots past the count are scratch it may write.
+	ScatterBatch(iter int, edges []E, lo graph.VertexID, verts []V, dsts []graph.VertexID, vals []U) int
 }
 
 // BatchGatherer is the gather-side twin of BatchScatterer: one call folds

@@ -93,17 +93,32 @@ func Undirected(edges []Edge) []Edge {
 }
 
 // MaxVertex returns one past the largest vertex ID referenced, i.e. the
-// vertex-set size for densely numbered graphs. It returns 0 for an empty
-// edge list.
+// vertex-set size for densely numbered graphs. It returns 0 when there is
+// no such size: for an empty edge list, and for one naming vertex
+// 2^64−1, whose count a uint64 cannot hold (VertexCount says which).
 func MaxVertex(edges []Edge) uint64 {
-	var max uint64
+	n, _ := VertexCount(edges, 0)
+	return n
+}
+
+// VertexCount returns the vertex-set size of edges: n when every ID
+// named is below it, and an error naming the largest ID when one is not.
+// For n == 0 the size is inferred, one past the largest ID, and it is an
+// error when there is nothing to infer it from or the ID is 2^64−1.
+func VertexCount(edges []Edge, n uint64) (uint64, error) {
+	var top VertexID
 	for _, e := range edges {
-		if uint64(e.Src) >= max {
-			max = uint64(e.Src) + 1
-		}
-		if uint64(e.Dst) >= max {
-			max = uint64(e.Dst) + 1
-		}
+		top = max(top, e.Src, e.Dst)
 	}
-	return max
+	switch {
+	case n != 0 && uint64(top) >= n:
+		return 0, fmt.Errorf("an edge names vertex %d, but the graph has %d vertices", top, n)
+	case n != 0:
+		return n, nil
+	case len(edges) == 0:
+		return 0, fmt.Errorf("empty graph")
+	case top == ^VertexID(0):
+		return 0, fmt.Errorf("an edge names vertex %d, past the largest vertex count", top)
+	}
+	return uint64(top) + 1, nil
 }

@@ -25,6 +25,33 @@ type Edge struct {
 	Weight   float32
 }
 
+// CompactEdge is one record of the compact unweighted format as it lies
+// in memory on a little-endian host: Encode writes Src at byte 0 and Dst
+// at byte 4, so a buffer of such records already is a []CompactEdge.
+type CompactEdge struct {
+	Src, Dst uint32
+}
+
+// Edge widens the record.
+func (e CompactEdge) Edge() Edge { return Edge{Src: VertexID(e.Src), Dst: VertexID(e.Dst)} }
+
+// CompactWeightedEdge is CompactEdge of the compact weighted format,
+// whose weight Encode writes at byte 8.
+type CompactWeightedEdge struct {
+	Src, Dst uint32
+	Weight   float32
+}
+
+// Edge widens the record.
+func (e CompactWeightedEdge) Edge() Edge {
+	return Edge{Src: VertexID(e.Src), Dst: VertexID(e.Dst), Weight: e.Weight}
+}
+
+// CompactRecord is the type set of the compact formats' records.
+type CompactRecord interface {
+	CompactEdge | CompactWeightedEdge
+}
+
 // Format describes the binary edge record layout.
 type Format struct {
 	// Compact selects 4-byte vertex IDs (valid for < 2^32 vertices).

@@ -2,11 +2,14 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 var allFormats = []Format{
@@ -258,6 +261,73 @@ func TestMaxVertex(t *testing.T) {
 	}
 	if got := MaxVertex([]Edge{{Src: 5, Dst: 9}}); got != 10 {
 		t.Errorf("got %d, want 10", got)
+	}
+	if got := MaxVertex([]Edge{{Src: math.MaxUint64}}); got != 0 {
+		t.Errorf("vertex 2^64-1: %d, want 0", got)
+	}
+}
+
+func TestVertexCount(t *testing.T) {
+	top := []Edge{{Src: 1, Dst: 0}, {Src: 0, Dst: math.MaxUint64}}
+	for _, c := range []struct {
+		edges []Edge
+		n     uint64
+		want  uint64
+		err   string
+	}{
+		{[]Edge{{Src: 5, Dst: 9}}, 0, 10, ""},
+		{[]Edge{{Src: 5, Dst: 9}}, 10, 10, ""},
+		{[]Edge{{Src: 5, Dst: 9}}, 12, 12, ""},
+		{[]Edge{{Src: 5, Dst: 9}}, 9, 0, "an edge names vertex 9, but the graph has 9 vertices"},
+		{nil, 0, 0, "empty graph"},
+		{nil, 3, 3, ""},
+		{top, 0, 0, "an edge names vertex 18446744073709551615, past the largest vertex count"},
+		{top, math.MaxUint64, 0, "an edge names vertex 18446744073709551615, but the graph has 18446744073709551615 vertices"},
+	} {
+		got, err := VertexCount(c.edges, c.n)
+		if msg := fmt.Sprint(err); got != c.want || (c.err == "") != (err == nil) || err != nil && msg != c.err {
+			t.Errorf("VertexCount(%v, %d) = %d, %v; want %d, %q", c.edges, c.n, got, err, c.want, c.err)
+		}
+	}
+}
+
+// TestCompactRecordLayout: the compact records are the bytes Encode
+// writes — as large as a record of their format, each field at the
+// offset Encode puts it, 4-aligned (readsInPlace's test in package
+// drive) — so on a little-endian host a chunk of them can be read where
+// it lies.
+func TestCompactRecordLayout(t *testing.T) {
+	e := Edge{Src: 0x01020304, Dst: 0x05060708, Weight: 1.5}
+	field := func(buf []byte, off uintptr) uint32 { return binary.LittleEndian.Uint32(buf[off:]) }
+
+	var u CompactEdge
+	f := Format{Compact: true}
+	buf := make([]byte, f.EdgeSize())
+	f.Encode(buf, e)
+	if unsafe.Sizeof(u) != uintptr(f.EdgeSize()) || unsafe.Alignof(u) != 4 {
+		t.Errorf("CompactEdge is %d bytes, %d-aligned; %v records are %d, want 4-aligned", unsafe.Sizeof(u), unsafe.Alignof(u), f, f.EdgeSize())
+	}
+	if field(buf, unsafe.Offsetof(u.Src)) != uint32(e.Src) || field(buf, unsafe.Offsetof(u.Dst)) != uint32(e.Dst) {
+		t.Errorf("CompactEdge's Src and Dst at offsets %d and %d are not where %v writes them", unsafe.Offsetof(u.Src), unsafe.Offsetof(u.Dst), f)
+	}
+
+	var w CompactWeightedEdge
+	f = Format{Compact: true, Weighted: true}
+	buf = make([]byte, f.EdgeSize())
+	f.Encode(buf, e)
+	if unsafe.Sizeof(w) != uintptr(f.EdgeSize()) || unsafe.Alignof(w) != 4 {
+		t.Errorf("CompactWeightedEdge is %d bytes, %d-aligned; %v records are %d, want 4-aligned", unsafe.Sizeof(w), unsafe.Alignof(w), f, f.EdgeSize())
+	}
+	if field(buf, unsafe.Offsetof(w.Src)) != uint32(e.Src) || field(buf, unsafe.Offsetof(w.Dst)) != uint32(e.Dst) ||
+		field(buf, unsafe.Offsetof(w.Weight)) != math.Float32bits(e.Weight) {
+		t.Errorf("CompactWeightedEdge's fields at offsets %d, %d and %d are not where %v writes them",
+			unsafe.Offsetof(w.Src), unsafe.Offsetof(w.Dst), unsafe.Offsetof(w.Weight), f)
+	}
+	if u := (CompactEdge{Src: 3, Dst: 4}).Edge(); u != (Edge{Src: 3, Dst: 4}) {
+		t.Errorf("CompactEdge.Edge() = %+v", u)
+	}
+	if w := (CompactWeightedEdge{Src: 3, Dst: 4, Weight: 2}).Edge(); w != (Edge{Src: 3, Dst: 4, Weight: 2}) {
+		t.Errorf("CompactWeightedEdge.Edge() = %+v", w)
 	}
 }
 

@@ -117,6 +117,10 @@ func (l *Layout) Of(v graph.VertexID) int {
 	return int(p)
 }
 
+// Reciprocal is the constant Of multiplies an ID below 2^32 by instead
+// of dividing it by PerPartition, or 0 where Of always divides.
+func (l *Layout) Reciprocal() uint64 { return l.recip }
+
 // Range returns the vertex-ID range [lo, hi) of partition p.
 func (l *Layout) Range(p int) (lo, hi graph.VertexID) {
 	lo = graph.VertexID(uint64(p) * l.PerPartition)

@@ -250,14 +250,10 @@ func (c *Catalog) Register(spec GraphSpec) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("service: decoding upload: %w", err)
 		}
-		n = chaos.NumVertices(edges)
-		if spec.Vertices != 0 {
-			// A declared count smaller than the edge list's vertex IDs
-			// would index out of range deep inside the engine.
-			if spec.Vertices < n {
-				return nil, fmt.Errorf("service: upload declares %d vertices but edges reference vertex %d", spec.Vertices, n-1)
-			}
-			n = spec.Vertices
+		// A declared count smaller than the edge list's vertex IDs
+		// would index out of range deep inside the engine.
+		if n, err = graph.VertexCount(edges, spec.Vertices); err != nil {
+			return nil, fmt.Errorf("service: upload: %w", err)
 		}
 	default:
 		return nil, fmt.Errorf("service: unknown graph type %q (want rmat, web or upload)", spec.Type)

@@ -44,11 +44,9 @@ type Result[V any] struct {
 // in-flight buffers, so the modeled time is the I/O time; CPU work on these
 // algorithms streams faster than the device delivers.
 func Run[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges []graph.Edge, numVertices uint64) (*Result[V], error) {
-	if numVertices == 0 {
-		numVertices = graph.MaxVertex(edges)
-	}
-	if numVertices == 0 {
-		return nil, fmt.Errorf("xstream: empty graph")
+	numVertices, err := graph.VertexCount(edges, numVertices)
+	if err != nil {
+		return nil, fmt.Errorf("xstream: %w", err)
 	}
 	if cfg.ChunkBytes <= 0 {
 		cfg.ChunkBytes = 4 << 20
