@@ -44,10 +44,14 @@ type machine[V, U, A any] struct {
 	wire *drive.Wire[drive.UpdRec[U]]
 
 	// combBuf stands before the wire when the Pregel-style combiner is
-	// active (nil otherwise). Each sorted chunk it drains leaves through
-	// wire.PutChunk as a chunk of its own, whatever its size: the arena
-	// slab itself, held and returned like any Wire chunk.
+	// active (nil otherwise).
 	combBuf *drive.CombineBuf[V, U, A]
+	// ship is mergeScatter's hand-off to the wire. Without a combiner it
+	// takes a scatter slab, copies it into the wire and returns it to the
+	// arena; with one it takes each sorted chunk combBuf drains, which
+	// leaves through wire.PutChunk as a chunk of its own, whatever its
+	// size: the arena slab itself, held and returned like any Wire chunk.
+	ship func(tp int, recs []drive.UpdRec[U])
 
 	// edgeWire cuts the rewritten next-generation edge records of each
 	// partition into chunks under the §6.1 extended model (nil without a
@@ -96,8 +100,13 @@ func newMachine[V, U, A any](eng *engine[V, U, A], id int) *machine[V, U, A] {
 			m.writeDataChunk(writeChunk{kind: storage.EdgeSetNext, part: part, length: len(chunk), payload: chunk})
 		}).DrawFrom(eng.kern.GrabBuf, eng.kern.ReleaseBuf)
 	}
+	m.ship = func(tp int, recs []drive.UpdRec[U]) {
+		m.wire.Put(tp, recs)
+		eng.kern.ReleaseRecs(recs)
+	}
 	if eng.kern.Combiner != nil {
 		m.combBuf = eng.kern.NewCombineBuf()
+		m.ship = m.wire.PutChunk
 	}
 	return m
 }
@@ -557,6 +566,7 @@ func (m *machine[V, U, A]) scatterRun(p *sim.Proc, iter int) {
 func (m *machine[V, U, A]) scatterPartition(p *sim.Proc, iter, part int, verts []V) {
 	eng := m.eng
 	w, built := m.acquireScatterStream(iter, part, verts)
+	next := func(edges []byte) { m.edgeWire.Put(part, edges) }
 	m.streamChunks(p, storage.EdgeSet, part, func(r chunkReply) {
 		m.trChunks++
 		m.trBytesIn += int64(r.length)
@@ -570,7 +580,7 @@ func (m *machine[V, U, A]) scatterPartition(p *sim.Proc, iter, part int, verts [
 		} else {
 			sc.Wait()
 		}
-		m.mergeScatter(p, part, &sc.out)
+		m.mergeScatter(p, &sc.out, next)
 	})
 	eng.releaseScatterStream(part, verts, built)
 }
@@ -578,25 +588,13 @@ func (m *machine[V, U, A]) scatterPartition(p *sim.Proc, iter, part int, verts [
 // mergeScatter replays one chunk's pure scatter result against the
 // machine's buffers at the chunk's simulated delivery time: CPU charges,
 // buffer appends and chunk spills happen exactly as if the records had
-// been processed inline.
-func (m *machine[V, U, A]) mergeScatter(p *sim.Proc, part int, out *drive.ScatterOut[U]) {
-	eng := m.eng
+// been processed inline. next takes the chunk's rewritten edges.
+func (m *machine[V, U, A]) mergeScatter(p *sim.Proc, out *drive.ScatterOut[U], next func([]byte)) {
 	m.cpu(p, out.N)
-	if eng.kern.Rewriter != nil {
-		m.edgeWire.Put(part, out.EdgesNext)
-	}
-	if m.combBuf != nil {
-		m.combBuf.Add(out.Combined, m.wire.PutChunk)
-	}
-	for tp, recs := range out.Typed {
-		if len(recs) > 0 {
-			m.wire.Put(tp, recs)
-		}
-	}
+	merged := m.eng.kern.MergeScatter(out, m.combBuf, next, m.ship)
 	// Combining costs an extra hash-merge per emitted update; the
 	// paper found this overhead outweighs the traffic reduction.
-	m.cpu(p, 2*out.CombineOps)
-	eng.kern.ReleaseScatterOut(out)
+	m.cpu(p, 2*merged)
 }
 
 // flushAllUpdates writes out the partially filled update (and rewritten

@@ -82,9 +82,6 @@ type Config struct {
 	// engine (§6.6: tolerating storage failures "could easily be added
 	// by replicating the vertex sets").
 	ReplicateVertices bool
-	// DirectoryServiceTime is the per-request service time of the
-	// central directory (defaults to 50µs).
-	DirectoryServiceTime sim.Time
 	// ComputeWorkers bounds the worker pool that executes per-chunk
 	// compute (decode, GAS kernel, update encoding) off the simulation
 	// thread. Zero means GOMAXPROCS. Results, metrics and simulated
@@ -178,9 +175,6 @@ func (c *Config) Normalize() error {
 	}
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = 1000
-	}
-	if c.DirectoryServiceTime <= 0 {
-		c.DirectoryServiceTime = 50 * sim.Microsecond
 	}
 	if c.FailAtIteration > 0 && c.CheckpointEvery <= 0 {
 		return fmt.Errorf("core: failure injection requires checkpointing")

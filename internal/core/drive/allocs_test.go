@@ -35,9 +35,12 @@ func TestUpdRecAllocsEightBytes(t *testing.T) {
 	}
 }
 
-func TestScatterChunkAllocs(t *testing.T) {
-	skipUnderRace(t)
-	const n, np, edges = 1 << 12, 4, 8192
+// wccChunk is a WCC kernel over np partitions of 4096 vertices, active
+// vertices for partition 0 and one chunk of edges from them, every
+// edge emitting an update spread over all partitions.
+func wccChunk(t *testing.T, np, edges int) (*Kernel[algorithms.WCCVertex, uint32, uint32], []algorithms.WCCVertex, []byte) {
+	t.Helper()
+	const n = 1 << 12
 	layout, err := partition.FixedLayout(n, 1, np)
 	if err != nil {
 		t.Fatal(err)
@@ -56,6 +59,13 @@ func TestScatterChunkAllocs(t *testing.T) {
 			Dst: graph.VertexID(i*7) % n,
 		})
 	}
+	return k, verts, data
+}
+
+func TestScatterChunkAllocs(t *testing.T) {
+	skipUnderRace(t)
+	const edges = 8192
+	k, verts, data := wccChunk(t, 4, edges)
 	var emitted int
 	scatter := func() {
 		var out ScatterOut[uint32]
@@ -72,6 +82,37 @@ func TestScatterChunkAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(20, scatter); got > 16 {
 		t.Errorf("ScatterChunkTyped on a %d-edge chunk: %v allocs, want at most 16", edges, got)
+	}
+}
+
+// TestCombineMergeAllocs: a combining run's chunk — ScatterChunkTyped,
+// MergeScatter through the combiner buffer, Flush — costs at most one
+// allocation once the buffer's maps and the arena are warm. The records
+// merge once, in the buffer; a map per destination per chunk fails it.
+func TestCombineMergeAllocs(t *testing.T) {
+	skipUnderRace(t)
+	const edges = 8192
+	k, verts, data := wccChunk(t, 6, edges)
+	k.Combiner = k.Prog.(*algorithms.WCC)
+	k.ChunkBytes = 512 * k.UpdBytes // every destination drains in Add and in Flush
+	comb := k.NewCombineBuf()
+	var merged, shipped int
+	ship := func(_ int, recs []UpdRec[uint32]) {
+		shipped += len(recs)
+		k.ReleaseRecs(recs)
+	}
+	roundTrip := func() {
+		var out ScatterOut[uint32]
+		k.ScatterChunkTyped(0, 0, verts, data, &out)
+		merged = k.MergeScatter(&out, comb, nil, ship)
+		comb.Flush(ship)
+	}
+	roundTrip() // fill the maps, the pools and the arena
+	if merged != edges || shipped != 1<<12 {
+		t.Fatalf("merged %d records and shipped %d, want %d and one per vertex", merged, shipped, edges)
+	}
+	if got := testing.AllocsPerRun(20, roundTrip); got > 1 {
+		t.Errorf("combining round trip of a %d-edge chunk: %v allocs, want at most 1", edges, got)
 	}
 }
 

@@ -40,21 +40,16 @@ type UpdRec[U any] = gas.UpdRec[U]
 // a driver needs to replay the chunk's side effects (buffer appends,
 // spills, CPU charges) without touching a single record itself.
 type ScatterOut[U any] struct {
-	N          int // edge records scattered
-	CombineOps int // combiner merges performed
+	N int // edge records scattered
 	// Typed is ScatterChunkTyped's output: per-destination-partition
-	// arena slabs, each record's Off relative to the slot's partition.
-	// The native driver transfers their ownership to its Transport; the
-	// DES driver copies them into its Wire.
+	// arena slabs, each record's Off relative to the slot's partition,
+	// in emit order. MergeScatter hands them to the driver's ship, or to
+	// the combiner buffer, which merges them and leaves them in place.
 	Typed [][]UpdRec[U]
 	// Updates is ScatterChunk's output (updcodec.go), the same records
 	// encoded: one buffer per destination partition, Typed already
 	// released.
 	Updates [][]byte
-	// Combined replaces both when the Pregel-style combiner is active:
-	// per-destination-partition maps of pre-merged updates, keyed by
-	// absolute vertex ID (CombineBuf turns them into records).
-	Combined []map[graph.VertexID]U
 	// EdgesNext holds the chunk's surviving rewritten edges (§6.1
 	// extended model).
 	EdgesNext []byte
@@ -92,14 +87,6 @@ type Kernel[V, U, A any] struct {
 	batchScatter blockScatter[V, U]
 	batchGather  gas.BatchGatherer[V, U, A]
 
-	// RetainBytes bounds the capacity of byte buffers returned to the
-	// pools (ReleaseBuf): anything larger is dropped for the garbage
-	// collector, so one giant iteration cannot pin its high-water mark
-	// for the rest of the run. Zero disables the bound (tests only);
-	// NewKernel sets DefaultRetainBytes. Record slabs follow the arena's
-	// trim rule instead (Decider.Decide).
-	RetainBytes int
-
 	arena recArena[U]
 	hints slabHints
 	// The pools are allocated apart from the Kernel. The runtime keeps
@@ -111,8 +98,11 @@ type Kernel[V, U, A any] struct {
 	bufPool, partsPool, recPartsPool, blockPool *sync.Pool
 }
 
-// DefaultRetainBytes is the pool retention bound NewKernel installs: the
-// largest byte-buffer capacity worth keeping across iterations.
+// DefaultRetainBytes bounds the capacity of byte buffers returned to the
+// pools (ReleaseBuf): anything larger is dropped for the garbage
+// collector, so one giant iteration cannot pin its high-water mark for
+// the rest of the run. Record slabs follow the arena's trim rule instead
+// (Decider.Decide).
 const DefaultRetainBytes = 8 << 20
 
 // NewKernel derives the record geometry for prog over layout. weighted
@@ -142,7 +132,6 @@ func NewKernel[V, U, A any](prog gas.Program[V, U, A], layout *partition.Layout)
 	k.VCodec = prog.VertexCodec()
 	k.UpdBytes = k.IDBytes + k.UpdCodec.Bytes
 	k.VBytes = k.VCodec.Bytes
-	k.RetainBytes = DefaultRetainBytes
 	return k
 }
 
@@ -209,17 +198,18 @@ type scatterBlock[U any] struct {
 // ScatterChunkTyped is the pure scatter computation on one edge chunk —
 // the tree's one edge loop: a block at a time, hand the chunk's compact
 // records to the program's batch form where they lie (when it has one,
-// neither rewriter nor combiner needs the edges one by one and
-// readsInPlace admits the chunk), or else decode them, consult the
-// rewriter and apply Scatter edge by edge; then group the emitted
-// updates per destination partition as typed records in arena slabs,
-// each record's Off its destination's index inside that partition. Both
-// drivers run it and neither encodes the records: the DES charges
-// records × UpdBytes for them, and a spilling transport writes the slabs
-// as they are. Each slab starts at the size this (part, destination)
-// pair is known to produce (slabHints) and grows through the arena when
-// a chunk produces more. It may run on any goroutine and must not touch
-// driver state; verts is read-only and stable for the whole phase.
+// no rewriter needs the edges one by one and readsInPlace admits the
+// chunk), or else decode them, consult the rewriter and apply Scatter
+// edge by edge; then group the emitted updates per destination
+// partition as typed records in arena slabs, each record's Off its
+// destination's index inside that partition, whether or not the run
+// combines (MergeScatter). Both drivers run it and neither encodes the
+// records: the DES charges records × UpdBytes for them, and a spilling
+// transport writes the slabs as they are. Each slab starts at the size
+// this (part, destination) pair is known to produce (slabHints) and
+// grows through the arena when a chunk produces more. It may run on any
+// goroutine and must not touch driver state; verts is read-only and
+// stable for the whole phase.
 func (k *Kernel[V, U, A]) ScatterChunkTyped(iter, part int, verts []V, data []byte, out *ScatterOut[U]) {
 	layout := k.Layout
 	loc := newLocator(layout)
@@ -228,11 +218,8 @@ func (k *Kernel[V, U, A]) ScatterChunkTyped(iter, part int, verts []V, data []by
 	out.N = len(data) / edgeSize
 	typed := k.GrabRecParts()
 	out.Typed = typed
-	if k.Combiner != nil {
-		out.Combined = make([]map[graph.VertexID]U, layout.NumPartitions)
-	}
 	batch := k.batchScatter
-	if k.Rewriter != nil || k.Combiner != nil || !readsInPlace(data) {
+	if k.Rewriter != nil || !readsInPlace(data) {
 		batch = nil
 	}
 	hints := k.hints.row(part)
@@ -258,13 +245,6 @@ func (k *Kernel[V, U, A]) ScatterChunkTyped(iter, part int, verts []V, data []by
 					emitted++
 				}
 			}
-		}
-		if k.Combiner != nil {
-			for i := 0; i < emitted; i++ {
-				tp, _ := loc.of(blk.dsts[i])
-				k.combine(out, tp, blk.dsts[i], blk.vals[i])
-			}
-			continue
 		}
 		for i := 0; i < emitted; i++ {
 			dst, val := blk.dsts[i], blk.vals[i]
@@ -306,19 +286,29 @@ func (k *Kernel[V, U, A]) rewriteEdge(iter int, e graph.Edge, src *V, out *Scatt
 	k.EdgeFmt.Encode(out.EdgesNext[off:], ne)
 }
 
-// combine merges one emitted update into the chunk's per-destination
-// combiner maps (§11.1).
-func (k *Kernel[V, U, A]) combine(out *ScatterOut[U], tp int, dst graph.VertexID, val U) {
-	mp := out.Combined[tp]
-	if mp == nil {
-		mp = make(map[graph.VertexID]U)
-		out.Combined[tp] = mp
+// MergeScatter merges one chunk's scatter result into the scattering
+// machine's streams — both drivers' one merge, run in chunk order: the
+// rewritten edges go to next; each destination's records go through
+// comb when the combiner is on (nil otherwise), or else leave their slot
+// for ship, which owns them from then on, in ascending destination
+// order; then the chunk's scratch returns to the pools and the arena. It
+// returns the records comb merged, each one hash-merge (§11.1).
+func (k *Kernel[V, U, A]) MergeScatter(out *ScatterOut[U], comb *CombineBuf[V, U, A], next func([]byte), ship func(tp int, recs []UpdRec[U])) (merged int) {
+	if out.EdgesNext != nil {
+		next(out.EdgesNext)
 	}
-	if old, ok := mp[dst]; ok {
-		val = k.Combiner.Combine(old, val)
+	if comb != nil {
+		merged = comb.Add(out.Typed, ship)
+	} else {
+		for tp, recs := range out.Typed {
+			if recs != nil {
+				out.Typed[tp] = nil
+				ship(tp, recs)
+			}
+		}
 	}
-	mp[dst] = val
-	out.CombineOps++
+	k.ReleaseScatterOut(out)
+	return merged
 }
 
 // FoldUpdates is the gather computation on one decoded update chunk of
@@ -402,12 +392,9 @@ func (k *Kernel[V, U, A]) GrabBuf(n int) []byte {
 }
 
 // ReleaseBuf recycles a byte buffer, unless its capacity exceeds
-// RetainBytes.
+// DefaultRetainBytes.
 func (k *Kernel[V, U, A]) ReleaseBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	if k.RetainBytes > 0 && cap(b) > k.RetainBytes {
+	if cap(b) == 0 || cap(b) > DefaultRetainBytes {
 		return
 	}
 	k.bufPool.Put(b[:0])
@@ -422,9 +409,9 @@ func (k *Kernel[V, U, A]) GrabRecParts() [][]UpdRec[U] {
 	return make([][]UpdRec[U], k.Layout.NumPartitions)
 }
 
-// ReleaseScatterOut returns a merged chunk result's scratch memory to the
-// pools and the arena. Typed slots the driver handed to its Transport
-// must be nil'd before the call — whatever remains is recycled here.
+// ReleaseScatterOut returns a chunk result's scratch memory to the pools
+// and the arena: every Typed slab still in its slot, the table, the
+// encoded updates and the rewritten edges.
 func (k *Kernel[V, U, A]) ReleaseScatterOut(out *ScatterOut[U]) {
 	k.releaseUpdates(out)
 	k.releaseTyped(out)
@@ -432,7 +419,6 @@ func (k *Kernel[V, U, A]) ReleaseScatterOut(out *ScatterOut[U]) {
 		k.ReleaseBuf(out.EdgesNext)
 		out.EdgesNext = nil
 	}
-	out.Combined = nil
 }
 
 // releaseTyped returns out's record slabs to the arena and their table

@@ -164,50 +164,69 @@ func (k *Kernel[V, U, A]) InitVertices(part int, deg []uint32) []V {
 }
 
 // CombineBuf is one scatter stream's Pregel-style combiner buffer
-// (§11.1): updates to the same destination vertex merge in place, per
-// destination partition, and leave as one chunk sorted by destination —
-// when a partition holds a chunk's worth of distinct destinations, and
-// at phase end. The sort makes the record order, and with it the gather
-// order and any float fold, independent of map iteration. ship owns
-// recs, a pooled slice. A buffer belongs to one goroutine at a time.
+// (§11.1), the one place updates are combined: updates to the same
+// destination vertex merge in place, per destination partition, and
+// leave as one chunk sorted by destination — when a partition holds a
+// chunk's worth of distinct destinations, and at phase end. The sort
+// makes the record order, and with it the gather order and any float
+// fold, independent of map iteration. Keys are the records' Off, so a
+// shipped record is the key and its value. ship owns recs, an arena
+// slab. A buffer belongs to one goroutine at a time.
 type CombineBuf[V, U, A any] struct {
 	k    *Kernel[V, U, A]
 	per  int // distinct destinations that make a chunk
-	maps []map[graph.VertexID]U
+	maps []map[uint32]U
+	// chunk is Add's scratch: one chunk's records for one destination,
+	// merged among themselves, reused for every destination and chunk.
+	chunk map[uint32]U
 }
 
 // NewCombineBuf returns an empty buffer over k's destination partitions.
 func (k *Kernel[V, U, A]) NewCombineBuf() *CombineBuf[V, U, A] {
 	return &CombineBuf[V, U, A]{
-		k:    k,
-		per:  max(k.ChunkBytes/k.UpdBytes, 1),
-		maps: make([]map[graph.VertexID]U, k.Layout.NumPartitions),
+		k:     k,
+		per:   max(k.ChunkBytes/k.UpdBytes, 1),
+		maps:  make([]map[uint32]U, k.Layout.NumPartitions),
+		chunk: make(map[uint32]U),
 	}
 }
 
-// Add merges one scatter chunk's ScatterOut.Combined, shipping every
-// destination partition that fills, in ascending partition order.
-func (b *CombineBuf[V, U, A]) Add(combined []map[graph.VertexID]U, ship func(tp int, recs []UpdRec[U])) {
-	for tp, chunk := range combined {
-		if len(chunk) == 0 {
+// Add merges one scatter chunk's typed records (ScatterOut.Typed, left
+// in place), shipping every destination partition that fills, in
+// ascending partition order, and returns the records it merged. A
+// destination's records first merge among themselves in record order,
+// and that partial merge then into the buffer, so a float combine rounds
+// a chunk's partial sum before the buffer's.
+func (b *CombineBuf[V, U, A]) Add(typed [][]UpdRec[U], ship func(tp int, recs []UpdRec[U])) (merged int) {
+	comb := b.k.Combiner
+	for tp, recs := range typed {
+		if len(recs) == 0 {
 			continue
 		}
+		for _, r := range recs {
+			if old, ok := b.chunk[r.Off]; ok {
+				r.Val = comb.Combine(old, r.Val)
+			}
+			b.chunk[r.Off] = r.Val
+		}
+		merged += len(recs)
 		mp := b.maps[tp]
 		if mp == nil {
-			mp = make(map[graph.VertexID]U, b.per)
+			mp = make(map[uint32]U, b.per)
 			b.maps[tp] = mp
 		}
-		for dst, val := range chunk {
-			if old, ok := mp[dst]; ok {
-				mp[dst] = b.k.Combiner.Combine(old, val)
-			} else {
-				mp[dst] = val
+		for off, val := range b.chunk {
+			if old, ok := mp[off]; ok {
+				val = comb.Combine(old, val)
 			}
+			mp[off] = val
 		}
+		clear(b.chunk)
 		if len(mp) >= b.per {
 			b.drain(tp, ship)
 		}
 	}
+	return merged
 }
 
 // Flush ships what is left, in ascending partition order.
@@ -222,10 +241,9 @@ func (b *CombineBuf[V, U, A]) drain(tp int, ship func(tp int, recs []UpdRec[U]))
 	if len(mp) == 0 {
 		return
 	}
-	lo, _ := b.k.Layout.Range(tp)
 	recs := b.k.GrabRecs(len(mp))
-	for dst, val := range mp {
-		recs = append(recs, UpdRec[U]{Off: uint32(dst - lo), Val: val})
+	for off, val := range mp {
+		recs = append(recs, UpdRec[U]{Off: off, Val: val})
 	}
 	slices.SortFunc(recs, func(x, y UpdRec[U]) int { return cmp.Compare(x.Off, y.Off) })
 	clear(mp)

@@ -176,19 +176,21 @@ func TestCombineBuf(t *testing.T) {
 		got = append(got, shipped{tp, append([]UpdRec[float32](nil), recs...)})
 		k.ReleaseRecs(recs)
 	}
-	m := func(kv ...float32) map[graph.VertexID]float32 {
-		mp := map[graph.VertexID]float32{}
+	// m lists one destination's records as (offset, value) pairs; each
+	// partition holds 25 vertices.
+	m := func(kv ...float32) []UpdRec[float32] {
+		var recs []UpdRec[float32]
 		for i := 0; i < len(kv); i += 2 {
-			mp[graph.VertexID(kv[i])] = kv[i+1]
+			recs = append(recs, UpdRec[float32]{Off: uint32(kv[i]), Val: kv[i+1]})
 		}
-		return mp
+		return recs
 	}
-	b.Add([]map[graph.VertexID]float32{nil, m(30, 1), nil, m(80, 1)}, ship)
+	b.Add([][]UpdRec[float32]{nil, m(5, 1), nil, m(5, 1)}, ship)
 	if len(got) != 0 {
 		t.Fatalf("shipped %v below the threshold", got)
 	}
-	b.Add([]map[graph.VertexID]float32{nil, m(30, 2, 26, 4), nil, nil}, ship)
-	b.Add([]map[graph.VertexID]float32{m(3, 1), nil, nil, nil}, ship)
+	b.Add([][]UpdRec[float32]{nil, m(5, 2, 1, 4), nil, nil}, ship)
+	b.Add([][]UpdRec[float32]{m(3, 1), nil, nil, nil}, ship)
 	b.Flush(ship)
 	b.Flush(ship) // nothing left
 	want := []shipped{
@@ -198,6 +200,21 @@ func TestCombineBuf(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("shipped %v, want %v", got, want)
+	}
+
+	// A chunk's records merge among themselves before the buffer's value
+	// joins them: 2^24 + (1 + 1) is 2^24 + 2 in float32, where folding
+	// each record into the buffer would round (2^24 + 1) + 1 to 2^24.
+	got = nil
+	if n := b.Add([][]UpdRec[float32]{m(7, 1<<24)}, ship); n != 1 {
+		t.Errorf("merged %d records, want 1", n)
+	}
+	if n := b.Add([][]UpdRec[float32]{m(7, 1, 7, 1)}, ship); n != 2 {
+		t.Errorf("merged %d records, want 2", n)
+	}
+	b.Flush(ship)
+	if want := []shipped{{0, []UpdRec[float32]{{Off: 7, Val: 1<<24 + 2}}}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("shipped %v, want the chunk's partial sum first: %v", got, want)
 	}
 }
 

@@ -30,18 +30,17 @@ func kernelOf[V, U, A any](t *testing.T, prog gas.Program[V, U, A], np int) *Ker
 }
 
 // TestReleaseBufRetentionBound pins the pool-retention bound of byte
-// buffers: one whose capacity exceeds RetainBytes is dropped on release
-// instead of parked in the pool, so one giant iteration cannot pin its
-// peak allocation for the rest of the run. (Record slabs follow the
-// arena's trim rule: arena_test.go.)
+// buffers: one whose capacity exceeds DefaultRetainBytes is dropped on
+// release instead of parked in the pool, so one giant iteration cannot
+// pin its peak allocation for the rest of the run. (Record slabs follow
+// the arena's trim rule: arena_test.go.)
 func TestReleaseBufRetentionBound(t *testing.T) {
 	k := testKernel(t, 2)
-	k.RetainBytes = 1 << 10
-	oversized := k.RetainBytes*2 + 7
+	oversized := DefaultRetainBytes*2 + 7
 	k.ReleaseBuf(make([]byte, 0, oversized))
 	if got := k.GrabBuf(0); cap(got) == oversized {
-		t.Fatalf("oversized buffer (cap %d) came back from the pool despite RetainBytes=%d",
-			oversized, k.RetainBytes)
+		t.Fatalf("oversized buffer (cap %d) came back from the pool despite DefaultRetainBytes=%d",
+			oversized, DefaultRetainBytes)
 	}
 }
 

@@ -58,6 +58,27 @@ func TestGoldenReports(t *testing.T) {
 	}
 }
 
+// TestCombinerGoldenReport pins a combining DES run across commits, as
+// TestGoldenReports pins plain ones. Its partitions hold more distinct
+// destinations than a chunk has records, so the combiner buffer drains
+// in mid-phase, and each drained chunk must leave as a chunk of its own
+// (Wire.PutChunk): cut at the Wire's limit instead, it reads 11203846.
+// Captured on the commit before updates were combined in one place.
+func TestCombinerGoldenReport(t *testing.T) {
+	edges, n := testGraph(13, false)
+	cfg := testConfig(2, n, 8)
+	cfg.CombineUpdates = true
+	_, pr, err := Run(cfg, &algorithms.PageRank{Iterations: 3}, edges, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenRun{Runtime: 11150788, Preprocess: 2772702, Iterations: 3,
+		BytesRead: 5798592, BytesWritten: 2407104, StealsAccepted: 7, StealsRejected: 29}
+	if got := goldenOf(pr); got != want {
+		t.Errorf("combining PageRank report moved:\n got %#v\nwant %#v", got, want)
+	}
+}
+
 // TestDefaultChunkAllocationFollowsData runs a small graph on many
 // machines at the default 4 MiB chunk size, where no (machine,
 // partition) buffer comes near filling a chunk: what the run allocates

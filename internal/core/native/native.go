@@ -217,8 +217,11 @@ func newRun[V, U, A any](cfg core.Config, prog gas.Program[V, U, A], edges []gra
 	for p := 0; p < np; p++ {
 		r.accums[p] = make([]A, layout.Size(p))
 	}
+	r.combined = make([]*drive.CombineBuf[V, U, A], np)
 	if r.kern.Combiner != nil {
-		r.combined = make([]*drive.CombineBuf[V, U, A], np)
+		for p := range r.combined {
+			r.combined[p] = r.kern.NewCombineBuf()
+		}
 	}
 	return r, nil
 }

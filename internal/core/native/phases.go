@@ -154,39 +154,24 @@ func (r *run[V, U, A]) scatterPartition(iter, mach, p int, stolen bool) {
 		spillBytes += sb
 		spillChunks += sn
 	}
-	if kern.Combiner != nil && r.combined[p] == nil {
-		r.combined[p] = kern.NewCombineBuf()
+	next := func(edges []byte) {
+		bytesOut += int64(len(edges))
+		nextWire.Put(0, edges)
 	}
+	comb := r.combined[p]
 
 	for i, sc := range tasks {
 		sc.Wait()
 		tasks[i] = nil
-		out := &sc.out
-		if kern.Rewriter != nil {
-			bytesOut += int64(len(out.EdgesNext))
-			nextWire.Put(0, out.EdgesNext)
-		}
-		if kern.Combiner != nil {
-			r.combined[p].Add(out.Combined, put)
-		}
-		for tp, recs := range out.Typed {
-			if len(recs) == 0 {
-				continue
-			}
-			// Ownership of the record slice transfers to the transport;
-			// nil the slot so ReleaseScatterOut leaves it alone.
-			out.Typed[tp] = nil
-			put(tp, recs)
-		}
-		kern.ReleaseScatterOut(out)
+		kern.MergeScatter(&sc.out, comb, next, put)
 		if i+window < len(chunks) {
 			submit(i + window)
 		}
 	}
 
 	// Flush the remaining combined updates at phase end.
-	if kern.Combiner != nil {
-		r.combined[p].Flush(put)
+	if comb != nil {
+		comb.Flush(put)
 	}
 	if kern.Rewriter != nil {
 		nextWire.FlushPartials()

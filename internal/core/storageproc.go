@@ -123,13 +123,17 @@ func (eng *engine[V, U, A]) arbiterProc(p *sim.Proc, id int) {
 	}
 }
 
+// directoryServiceTime is the central directory's service time per
+// request.
+const directoryServiceTime = 50 * sim.Microsecond
+
 // directoryProc is the centralized metadata server of the Figure 15
 // baseline: every placement and location decision serializes through it.
 func (eng *engine[V, U, A]) directoryProc(p *sim.Proc) {
 	for {
 		switch m := eng.dirIn.Recv(p).(type) {
 		case dirReq:
-			p.Sleep(eng.cfg.DirectoryServiceTime)
+			p.Sleep(directoryServiceTime)
 			resp := dirResp{op: m.op, kind: m.kind, part: m.part, tag: m.tag}
 			switch m.op {
 			case dirPlace:

@@ -106,8 +106,9 @@ type Program[V, U, A any] interface {
 
 // Combiner is an optional Program extension: programs whose updates to the
 // same destination can be pre-merged (a Pregel-style combiner, §11.1 of
-// the paper) implement it, and the engine applies it inside the scatter
-// buffers when Config.CombineUpdates is set. The paper found that for
+// the paper) implement it, and the engine applies it in each scatter
+// stream's combiner buffer, once per emitted update, when
+// Config.CombineUpdates is set. The paper found that for
 // Chaos "the cost of merging the updates to the same vertex outweighs the
 // benefits from reduced network traffic"; the ablation benchmark measures
 // exactly that trade.

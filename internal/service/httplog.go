@@ -77,18 +77,21 @@ func bootNonce() string {
 // startTrace resolves the request's trace context: adopt the caller's
 // trace when it sent a well-formed W3C traceparent (the caller's span
 // becomes the remote parent), otherwise start a fresh derived trace.
-// Either way this process opens its own request span.
-func startTrace(r *http.Request, id uint64, start time.Time) *reqTrace {
+// Either way this process opens its own request span, which the
+// returned traceparent header names.
+func startTrace(r *http.Request, id uint64, start time.Time) (*reqTrace, string) {
 	rt := &reqTrace{name: r.Method + " " + r.URL.Path, start: start}
-	if tid, parent, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
-		rt.traceID = tid.String()
+	tid, parent, ok := obs.ParseTraceparent(r.Header.Get("traceparent"))
+	if ok {
 		rt.parent = parent.String()
 		rt.remote = true
 	} else {
-		rt.traceID = obs.DeriveTraceID(bootNonce(), id).String()
+		tid = obs.DeriveTraceID(bootNonce(), id)
 	}
-	rt.span = obs.DeriveSpanID(rt.traceID+"/req", id).String()
-	return rt
+	rt.traceID = tid.String()
+	span := obs.DeriveSpanID(rt.traceID+"/req", id)
+	rt.span = span.String()
+	return rt, obs.Traceparent(tid, span)
 }
 
 // instrument wraps the API mux with the observability layer: every
@@ -103,12 +106,12 @@ func (s *Service) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := reqID.Add(1)
 		start := time.Now()
-		rt := startTrace(r, id, start)
+		rt, traceparent := startTrace(r, id, start)
 		// Echo the trace identity before the handler writes: the caller
 		// learns which trace to query (GET /v1/traces/{id}) even on
 		// errors, and our request span id is what a downstream hop of
 		// theirs would parent under.
-		w.Header().Set("traceparent", "00-"+rt.traceID+"-"+rt.span+"-01")
+		w.Header().Set("traceparent", traceparent)
 		r = r.WithContext(withReqTrace(r.Context(), rt))
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)

@@ -20,7 +20,6 @@ type Resource struct {
 	freeAt Time
 	busy   Time
 	bytes  int64
-	ops    int64
 }
 
 // NewResource creates a FIFO resource attached to env.
@@ -48,7 +47,6 @@ func (r *Resource) reserve(bytes int64) Time {
 	r.freeAt = start + svc
 	r.busy += svc
 	r.bytes += bytes
-	r.ops++
 	return r.freeAt
 }
 
@@ -76,9 +74,6 @@ func (r *Resource) BusyTime() Time { return r.busy }
 
 // Bytes returns the cumulative bytes served.
 func (r *Resource) Bytes() int64 { return r.bytes }
-
-// Ops returns the number of operations served.
-func (r *Resource) Ops() int64 { return r.ops }
 
 // Utilization returns busy time divided by elapsed virtual time.
 func (r *Resource) Utilization() float64 {

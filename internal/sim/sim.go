@@ -74,7 +74,6 @@ type Env struct {
 	procs   []*Proc
 	rng     *rand.Rand
 	stopped bool
-	nevents uint64
 	// free recycles event structs between heap pops and pushes; a busy
 	// simulation fires millions of events and the per-event allocation
 	// otherwise dominates the scheduler's cost.
@@ -108,9 +107,6 @@ func (e *Env) Now() Time { return e.now }
 // be used from process context or scheduler callbacks, never concurrently.
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
-// Events reports the total number of events fired so far.
-func (e *Env) Events() uint64 { return e.nevents }
-
 // At schedules fn to run in scheduler context at time t. Scheduling in the
 // past panics: it would break causality.
 func (e *Env) At(t Time, fn func()) {
@@ -137,7 +133,6 @@ func (e *Env) Run() Time {
 	for e.events.Len() > 0 {
 		ev := heap.Pop(&e.events).(*event)
 		e.now = ev.at
-		e.nevents++
 		p, fn := ev.proc, ev.fn
 		ev.fn, ev.proc = nil, nil
 		e.free = append(e.free, ev)

@@ -202,19 +202,6 @@ func (b *MemBackend) Close() error {
 	return nil
 }
 
-// Streams returns the stream names currently present, sorted; used by
-// tests and diagnostics.
-func (b *MemBackend) Streams() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	names := make([]string, 0, len(b.streams))
-	for n := range b.streams {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // FileBackend stores each stream as a file under a directory, the layout
 // §7 describes (one file per vertex/edge/update set per partition).
 type FileBackend struct {
