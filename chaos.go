@@ -23,6 +23,7 @@ import (
 
 	"chaos/internal/cluster"
 	"chaos/internal/core"
+	"chaos/internal/core/drive"
 	"chaos/internal/graph"
 	"chaos/internal/metrics"
 	"chaos/internal/rmat"
@@ -180,73 +181,49 @@ const (
 	EngineNative = "native"
 )
 
-// spec builds the cluster hardware description.
-func (o Options) spec() cluster.Spec {
-	m := o.Machines
-	if m <= 0 {
-		m = 1
-	}
-	var s cluster.Spec
-	if o.Storage == HDD {
-		s = cluster.HDD(m)
-	} else {
-		s = cluster.SSD(m)
-	}
-	if o.Network == Net1GigE {
-		s = cluster.GigE1(s)
-	}
-	if o.Cores > 0 {
-		s = cluster.WithCores(s, o.Cores)
-	}
-	if o.LatencyScale > 0 && o.LatencyScale != 1 {
-		s = cluster.ScaleLatencies(s, o.LatencyScale)
-	}
-	return s
-}
-
-// config translates Options into the engine configuration.
+// config translates o's canonical form into the engine configuration,
+// field by field: Canonical has already made every default explicit and
+// folded the stealing knobs, so AlwaysSteal's alpha = +Inf is the one
+// mapping left. ComputeWorkers is read from o because Canonical erases
+// it from the cache key only.
 func (o Options) config() core.Config {
-	cfg := core.DefaultConfig(o.spec())
-	if o.ChunkBytes > 0 {
-		cfg.ChunkBytes = o.ChunkBytes
+	c := o.Canonical()
+	spec := cluster.SSD(c.Machines)
+	if c.Storage == HDD {
+		spec = cluster.HDD(c.Machines)
 	}
-	if o.VertexChunkBytes > 0 {
-		cfg.VertexChunkBytes = o.VertexChunkBytes
+	if c.Network == Net1GigE {
+		spec = cluster.GigE1(spec)
 	}
-	if o.MemBudgetBytes > 0 {
-		cfg.MemBudget = o.MemBudgetBytes
+	spec = cluster.WithCores(spec, c.Cores)
+	if c.LatencyScale != 1 {
+		spec = cluster.ScaleLatencies(spec, c.LatencyScale)
 	}
-	if o.MemoryBudgetMB > 0 {
-		cfg.TransportBudgetBytes = o.MemoryBudgetMB << 20
+	alpha := c.Alpha
+	if c.AlwaysSteal {
+		alpha = math.Inf(1)
 	}
-	if o.BatchK > 0 {
-		cfg.BatchK = o.BatchK
+	return core.Config{
+		Params: drive.Params{
+			MemBudget:        c.MemBudgetBytes,
+			ChunkBytes:       c.ChunkBytes,
+			VertexChunkBytes: c.VertexChunkBytes,
+			MaxIterations:    c.MaxIterations,
+			CheckpointEvery:  c.CheckpointEvery,
+			FailAtIteration:  c.FailAtIteration,
+			CombineUpdates:   c.CombineUpdates,
+			RewriteEdges:     c.RewriteEdges,
+		},
+		Spec:                 spec,
+		BatchK:               c.BatchK,
+		WindowOverride:       c.WindowOverride,
+		Alpha:                alpha,
+		TransportBudgetBytes: c.MemoryBudgetMB << 20,
+		CentralDirectory:     c.CentralDirectory,
+		ReplicateVertices:    c.ReplicateVertices,
+		ComputeWorkers:       o.ComputeWorkers,
+		Seed:                 c.Seed,
 	}
-	cfg.WindowOverride = o.WindowOverride
-	switch {
-	case o.DisableStealing:
-		cfg.Alpha = 0
-	case o.AlwaysSteal:
-		cfg.Alpha = math.Inf(1)
-	case o.Alpha > 0:
-		cfg.Alpha = o.Alpha
-	}
-	cfg.CheckpointEvery = o.CheckpointEvery
-	cfg.FailAtIteration = o.FailAtIteration
-	cfg.CentralDirectory = o.CentralDirectory
-	cfg.CombineUpdates = o.CombineUpdates
-	cfg.RewriteEdges = o.RewriteEdges
-	cfg.ReplicateVertices = o.ReplicateVertices
-	if o.MaxIterations > 0 {
-		cfg.MaxIterations = o.MaxIterations
-	}
-	if o.ComputeWorkers > 0 {
-		cfg.ComputeWorkers = o.ComputeWorkers
-	}
-	if o.Seed != 0 {
-		cfg.Seed = o.Seed
-	}
-	return cfg
 }
 
 // Report summarizes a run: simulated wall-clock (including pre-processing,

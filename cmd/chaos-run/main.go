@@ -113,7 +113,7 @@ func main() {
 		MemoryBudgetMB:  *updateMB,
 		CheckpointEvery: *ckpt,
 		Seed:            *seed,
-		LatencyScale:    float64(*chunkKB<<10) / float64(4<<20),
+		LatencyScale:    chaos.LatencyScaleFor(*chunkKB << 10),
 		Engine:          eng,
 	}
 

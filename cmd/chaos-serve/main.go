@@ -92,7 +92,7 @@ func main() {
 		Workers: *workers,
 		BaseOptions: chaos.Options{
 			ChunkBytes:     *chunkKB << 10,
-			LatencyScale:   float64(*chunkKB<<10) / float64(4<<20),
+			LatencyScale:   chaos.LatencyScaleFor(*chunkKB << 10),
 			Engine:         defaultEngine,
 			MemoryBudgetMB: *memoryBudgetMB,
 		},

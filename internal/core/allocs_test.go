@@ -36,7 +36,7 @@ func TestDESSteadyStateAllocs(t *testing.T) {
 	cfg.ChunkBytes = 64 << 10
 	cfg.ComputeWorkers = 2
 	var allocated [10]uint64 // by the end of each iteration
-	cfg.Progress = func(p Progress) {
+	cfg.Progress = func(p drive.Progress) {
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
 		allocated[p.Iterations-1] = m.TotalAlloc

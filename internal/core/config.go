@@ -16,23 +16,30 @@ import (
 
 	"chaos/internal/cluster"
 	"chaos/internal/core/drive"
-	"chaos/internal/sim"
 )
 
-// Config parameterizes one Chaos run.
+// Paper defaults a run falls back to (DefaultConfig, Normalize).
+const (
+	// PaperChunkBytes is the 4 MB block of §7.
+	PaperChunkBytes = 4 << 20
+	// PaperBatchK is the batch factor k = 5 of §6.5: 99.3%+ storage
+	// utilization regardless of cluster size.
+	PaperBatchK = 5
+	// DefaultMaxIterations caps the main loop when nothing else does
+	// (a safety net; every program converges or counts its own rounds).
+	DefaultMaxIterations = 1000
+)
+
+// Config parameterizes one Chaos run. The embedded drive.Params is the
+// clock-free part the protocol's policy reads under either driver; the
+// fields declared here are the hardware, each driver's own knobs and the
+// run's observers.
 type Config struct {
+	drive.Params
 	// Spec describes the cluster hardware.
 	Spec cluster.Spec
-	// ChunkBytes is the edge/update chunk size; the paper uses 4 MB
-	// blocks (§7). Benches use smaller chunks with smaller graphs to
-	// preserve the chunk-per-partition ratio.
-	ChunkBytes int
-	// VertexChunkBytes is the vertex-set chunk size (defaults to
-	// ChunkBytes).
-	VertexChunkBytes int
 	// BatchK is the batch factor k: the number of requests kept
-	// outstanding at storage engines. The paper's sweet spot is k=5
-	// (99.3%+ utilization regardless of cluster size, §6.5).
+	// outstanding at storage engines (§6.5).
 	BatchK int
 	// WindowOverride, when positive, fixes the request window phi*k
 	// directly (the Figure 16 sweep).
@@ -40,10 +47,6 @@ type Config struct {
 	// Alpha is the work-stealing bias of §10.2: 0 disables stealing, 1
 	// is the analytic criterion, math.Inf(1) always steals.
 	Alpha float64
-	// MemBudget is the per-machine memory available for one partition's
-	// vertex set; it determines the partition count (§3). Zero means
-	// unconstrained (one partition per machine).
-	MemBudget int64
 	// TransportBudgetBytes bounds the update transport's resident
 	// memory on the native driver: past it, overflowing buckets are
 	// spilled as raw record slabs to temp files under SpillDir, streamed back
@@ -58,26 +61,9 @@ type Config struct {
 	// affects results and is deliberately absent from option
 	// fingerprints.
 	SpillDir string
-	// MaxIterations caps the main loop (safety net; 0 means 1000).
-	MaxIterations int
-	// CheckpointEvery enables vertex-state checkpoints at every n-th
-	// iteration boundary using the 2-phase protocol of §6.6 (0 = off).
-	CheckpointEvery int
-	// FailAtIteration injects one transient machine failure at the start
-	// of the given 1-based iteration; the run then recovers from the last
-	// checkpoint (requires CheckpointEvery > 0).
-	FailAtIteration int
 	// CentralDirectory replaces randomized chunk placement with the
 	// centralized metadata server of the Figure 15 baseline.
 	CentralDirectory bool
-	// CombineUpdates applies the program's Combiner (if implemented)
-	// inside scatter buffers, the Pregel-style aggregation of §11.1.
-	CombineUpdates bool
-	// RewriteEdges enables the §6.1 extended model for programs
-	// implementing gas.EdgeRewriter: scatter materializes a rewritten
-	// next-generation edge set that replaces the old one each iteration.
-	// Incompatible with checkpoint rollback and the central directory.
-	RewriteEdges bool
 	// ReplicateVertices mirrors every vertex chunk on a second storage
 	// engine (§6.6: tolerating storage failures "could easily be added
 	// by replicating the vertex sets").
@@ -91,23 +77,11 @@ type Config struct {
 	// Seed selects the random stream for placement, stealing order and
 	// request routing.
 	Seed int64
-	// Interrupt, when non-nil, is polled at each iteration boundary
-	// (machine 0's decision point). When it returns true the run stops
-	// cleanly at that boundary — in-flight chunk work drains, the
-	// simulation unwinds — and Run returns ErrInterrupted. The job
-	// service wires a context's Done check here so DELETE on a running
-	// job is observed between iterations.
-	Interrupt func() bool
-	// Progress, when non-nil, is called at the same iteration boundary
-	// Interrupt is polled at, with a snapshot of the run's counters so
-	// far. The callback only observes state the decision point has
-	// already settled — it draws no randomness, consumes no virtual
-	// time, and cannot reorder simulated events — so subscribing is
-	// guaranteed not to change results, reports or the virtual clock
-	// (TestProgressDoesNotPerturbRun). It runs on the simulation
-	// goroutine: a slow callback stalls host wall-clock, never
-	// simulated time.
-	Progress func(Progress)
+	// Progress, when non-nil, is called at the iteration boundary
+	// Interrupt is polled at, with a drive.Progress snapshot of the
+	// run's counters so far. It runs on the simulation goroutine: a
+	// slow callback stalls host wall-clock, never simulated time.
+	Progress func(drive.Progress)
 	// Trace, when non-nil, receives one drive.Span per unit of
 	// per-machine work (preprocess, scatter/gather/apply per partition,
 	// steal sweeps) the moment the engine settles it. Like Progress the
@@ -121,38 +95,14 @@ type Config struct {
 	Trace drive.TraceFn
 }
 
-// Progress is the point-in-time counter snapshot handed to
-// Config.Progress at each iteration boundary. The final snapshot of a
-// converged run matches the run's metrics (same Iterations, bytes and
-// steal totals at the last decision point).
-type Progress struct {
-	// Iterations counts completed iterations (1 at the first boundary).
-	Iterations int
-	// Now is the virtual clock at the decision point.
-	Now sim.Time
-	// BytesRead / BytesWritten are the device-level totals so far.
-	BytesRead, BytesWritten int64
-	// StealsAccepted counts steal proposals accepted so far.
-	StealsAccepted int
-	// StealsRejected counts steal proposals the §5.4 criterion turned
-	// down so far.
-	StealsRejected int
-	// SpillBytes counts bytes the native driver's update transport has
-	// written to spill storage so far, records at their in-memory size
-	// (metrics.Run.SpillBytes; always 0 under the DES driver, whose
-	// simulated storage engines account bytes in BytesRead/BytesWritten
-	// instead).
-	SpillBytes int64
-}
-
 // DefaultConfig returns the paper's defaults on the given hardware.
 func DefaultConfig(spec cluster.Spec) Config {
 	return Config{
-		Spec:       spec,
-		ChunkBytes: 4 << 20,
-		BatchK:     5,
-		Alpha:      1,
-		Seed:       1,
+		Params: drive.Params{ChunkBytes: PaperChunkBytes},
+		Spec:   spec,
+		BatchK: PaperBatchK,
+		Alpha:  1,
+		Seed:   1,
 	}
 }
 
@@ -164,17 +114,18 @@ func (c *Config) Normalize() error {
 	if c.Spec.Machines <= 0 {
 		return fmt.Errorf("core: config needs at least one machine")
 	}
+	c.Machines = c.Spec.Machines
 	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = 4 << 20
+		c.ChunkBytes = PaperChunkBytes
 	}
 	if c.VertexChunkBytes <= 0 {
 		c.VertexChunkBytes = c.ChunkBytes
 	}
 	if c.BatchK <= 0 {
-		c.BatchK = 5
+		c.BatchK = PaperBatchK
 	}
 	if c.MaxIterations <= 0 {
-		c.MaxIterations = 1000
+		c.MaxIterations = DefaultMaxIterations
 	}
 	if c.FailAtIteration > 0 && c.CheckpointEvery <= 0 {
 		return fmt.Errorf("core: failure injection requires checkpointing")
@@ -186,23 +137,6 @@ func (c *Config) Normalize() error {
 		return fmt.Errorf("core: edge rewriting cannot roll back; disable failure injection")
 	}
 	return nil
-}
-
-// Params is the clock-free slice of a normalized configuration: what the
-// protocol's policy in internal/core/drive depends on under any driver.
-func (c *Config) Params() drive.Params {
-	return drive.Params{
-		Machines:         c.Spec.Machines,
-		MemBudget:        c.MemBudget,
-		ChunkBytes:       c.ChunkBytes,
-		VertexChunkBytes: c.VertexChunkBytes,
-		MaxIterations:    c.MaxIterations,
-		CheckpointEvery:  c.CheckpointEvery,
-		FailAtIteration:  c.FailAtIteration,
-		CombineUpdates:   c.CombineUpdates,
-		RewriteEdges:     c.RewriteEdges,
-		Interrupt:        c.Interrupt,
-	}
 }
 
 // window returns the request window phi*k (Equation 3): large enough that

@@ -16,21 +16,27 @@ import (
 // decision point with its §6.6 checkpoint (the chunk kernels, gather
 // fold and apply step are in drive.go). None of it reads a clock.
 
-// Params is the clock-free slice of a run's configuration. Both drivers
-// take it from core.Config.Params (this package cannot import core).
+// Params is the clock-free slice of a run's configuration: what the
+// protocol's policy depends on under any driver. core.Config embeds it
+// (this package cannot import core), and both drivers hand it to Plan.
 type Params struct {
-	Machines int
+	Machines int // core.Config.Normalize copies it from the spec
 	// MemBudget is the per-machine budget for one partition's vertex
 	// set (§3); zero or less means one partition per machine.
 	MemBudget        int64
-	ChunkBytes       int
+	ChunkBytes       int // edge/update chunks; the paper's are 4 MB (§7)
 	VertexChunkBytes int
 	MaxIterations    int
-	CheckpointEvery  int // see Decider
-	FailAtIteration  int // see Decider
-	CombineUpdates   bool
-	RewriteEdges     bool
-	// Interrupt is polled once per decision point; nil never interrupts.
+	CheckpointEvery  int  // see Decider
+	FailAtIteration  int  // see Decider
+	CombineUpdates   bool // §11.1, with the program's gas.Combiner
+	RewriteEdges     bool // §6.1, with the program's gas.EdgeRewriter
+	// Interrupt, when non-nil, is polled at each iteration boundary
+	// (machine 0's decision point). When it returns true the run stops
+	// cleanly at that boundary — in-flight chunk work drains, the
+	// simulation unwinds — and the driver returns core.ErrInterrupted.
+	// The job service wires a context's Done check here so DELETE on a
+	// running job is observed between iterations.
 	Interrupt func() bool
 }
 

@@ -81,3 +81,37 @@ type Span struct {
 // cheap: a slow callback stalls host wall-clock, never simulated time
 // or results.
 type TraceFn func(Span)
+
+// Progress is a live snapshot of a running job, reported at each
+// iteration boundary — the decision point, where Params.Interrupt is
+// polled too. Subscribing is guaranteed not to perturb the run: the
+// driver hands over counters the decision point has already settled,
+// and the callback cannot reach the run's RNG, clock or event order, so
+// results, reports and the virtual clock are bit-identical with and
+// without a subscriber (TestProgressDoesNotPerturbRun). The final
+// snapshot of a converged run matches its metrics. JSON tags are the
+// job API's wire form.
+type Progress struct {
+	// Iterations counts completed iterations (1 at the first boundary).
+	Iterations int `json:"iterations"`
+	// SimulatedSeconds is the DES driver's virtual clock at the
+	// boundary; zero under the native driver, which has none.
+	SimulatedSeconds float64 `json:"simulatedSeconds"`
+	// WallSeconds is the host wall-clock since the run started, filled
+	// by the native driver only (zero under the DES driver, whose
+	// progress stream stays bit-reproducible).
+	WallSeconds float64 `json:"wallSeconds,omitempty"`
+	// BytesRead / BytesWritten are device-level totals so far.
+	BytesRead    int64 `json:"bytesRead"`
+	BytesWritten int64 `json:"bytesWritten"`
+	// StealsAccepted counts steal proposals accepted so far.
+	StealsAccepted int `json:"stealsAccepted"`
+	// StealsRejected counts steal proposals the §5.4 criterion turned
+	// down so far.
+	StealsRejected int `json:"stealsRejected"`
+	// SpillBytes counts bytes the native driver's update transport has
+	// written to spill files so far, records at their in-memory size
+	// (TransportStats.SpillBytes; always zero under the DES driver,
+	// whose simulated storage accounts bytes in BytesRead/BytesWritten).
+	SpillBytes int64 `json:"spillBytes,omitempty"`
+}

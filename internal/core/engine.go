@@ -93,7 +93,7 @@ func newEngine[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges []graph
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	kern, err := drive.Plan(cfg.Params(), prog, edges, numVertices)
+	kern, err := drive.Plan(cfg.Params, prog, edges, numVertices)
 	if err != nil {
 		return nil, err
 	}
@@ -203,14 +203,14 @@ func (eng *engine[V, U, A]) decide(iter int) {
 		// every counter read here is already settled for this iteration,
 		// and the callback cannot touch the RNG, clock or mailboxes, so a
 		// run with a subscriber is bit-identical to one without.
-		eng.cfg.Progress(Progress{
-			Iterations:     iter + 1,
-			Now:            eng.env.Now(),
-			BytesRead:      eng.run.BytesRead,
-			BytesWritten:   eng.run.BytesWritten,
-			StealsAccepted: eng.run.StealsAccepted,
-			StealsRejected: eng.run.StealsRejected,
-			SpillBytes:     eng.run.SpillBytes,
+		eng.cfg.Progress(drive.Progress{
+			Iterations:       iter + 1,
+			SimulatedSeconds: eng.env.Now().Seconds(),
+			BytesRead:        eng.run.BytesRead,
+			BytesWritten:     eng.run.BytesWritten,
+			StealsAccepted:   eng.run.StealsAccepted,
+			StealsRejected:   eng.run.StealsRejected,
+			SpillBytes:       eng.run.SpillBytes,
 		})
 	}
 	eng.decision = eng.dec.Decide(iter)

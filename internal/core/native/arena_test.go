@@ -61,7 +61,7 @@ func TestNativeSteadyStateAllocs(t *testing.T) {
 			// The progress hook runs once the iteration's machine goroutines
 			// have returned and the pool is idle, just before the decision
 			// point trims the arena and restarts its high-water mark.
-			cfg.Progress = func(p core.Progress) {
+			cfg.Progress = func(p drive.Progress) {
 				var m runtime.MemStats
 				runtime.ReadMemStats(&m)
 				allocated[p.Iterations-1] = m.TotalAlloc

@@ -162,7 +162,7 @@ func newRun[V, U, A any](cfg core.Config, prog gas.Program[V, U, A], edges []gra
 	if cfg.CentralDirectory {
 		return nil, fmt.Errorf("native: the central-directory baseline is a DES-only experiment")
 	}
-	kern, err := drive.Plan(cfg.Params(), prog, edges, numVertices)
+	kern, err := drive.Plan(cfg.Params, prog, edges, numVertices)
 	if err != nil {
 		return nil, err
 	}
@@ -256,9 +256,9 @@ func (r *run[V, U, A]) execute(edges []graph.Edge) (err error) {
 
 		// Decision point (machine 0's role under the DES driver).
 		if r.cfg.Progress != nil {
-			r.cfg.Progress(core.Progress{
+			r.cfg.Progress(drive.Progress{
 				Iterations:     iter + 1,
-				Now:            r.elapsed(),
+				WallSeconds:    r.elapsed().Seconds(),
 				BytesRead:      r.bytesRead.Load(),
 				BytesWritten:   r.bytesWritten.Load(),
 				StealsAccepted: int(r.stealsAcc.Load()),

@@ -10,6 +10,7 @@ import (
 	"chaos/internal/algorithms"
 	"chaos/internal/cluster"
 	"chaos/internal/core"
+	"chaos/internal/core/drive"
 	"chaos/internal/core/native"
 	"chaos/internal/gas"
 	"chaos/internal/graph"
@@ -394,8 +395,8 @@ func TestNativeInterruptStopsAtBoundary(t *testing.T) {
 func TestNativeProgressReporting(t *testing.T) {
 	edges, n := rmatEdges(7, false, 5)
 	c := cfg(2, n, 8)
-	var ticks []core.Progress
-	c.Progress = func(p core.Progress) { ticks = append(ticks, p) }
+	var ticks []drive.Progress
+	c.Progress = func(p drive.Progress) { ticks = append(ticks, p) }
 	_, run, err := native.Run(c, &algorithms.PageRank{Iterations: 4}, edges, n)
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +408,7 @@ func TestNativeProgressReporting(t *testing.T) {
 	if last.Iterations != run.Iterations {
 		t.Errorf("last tick reports %d iterations, run has %d", last.Iterations, run.Iterations)
 	}
-	if last.BytesRead == 0 || last.Now == 0 {
+	if last.BytesRead == 0 || last.WallSeconds == 0 {
 		t.Errorf("final tick not populated: %+v", last)
 	}
 	if last.StealsRejected != run.StealsRejected {
@@ -417,7 +418,7 @@ func TestNativeProgressReporting(t *testing.T) {
 		t.Errorf("last tick reports %d spill bytes, run has %d", last.SpillBytes, run.SpillBytes)
 	}
 	for i := 1; i < len(ticks); i++ {
-		if ticks[i].Iterations != ticks[i-1].Iterations+1 || ticks[i].Now < ticks[i-1].Now {
+		if ticks[i].Iterations != ticks[i-1].Iterations+1 || ticks[i].WallSeconds < ticks[i-1].WallSeconds {
 			t.Errorf("ticks not monotonic: %+v -> %+v", ticks[i-1], ticks[i])
 		}
 	}

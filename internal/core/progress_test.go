@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chaos/internal/algorithms"
+	"chaos/internal/core/drive"
 	"chaos/internal/graph"
 )
 
@@ -14,9 +15,9 @@ import (
 func TestProgressReportsAtEveryBoundary(t *testing.T) {
 	edges, n := testGraph(8, false)
 
-	var ticks []Progress
+	var ticks []drive.Progress
 	cfg := testConfig(2, n, 8)
-	cfg.Progress = func(p Progress) { ticks = append(ticks, p) }
+	cfg.Progress = func(p drive.Progress) { ticks = append(ticks, p) }
 	_, run, err := Run(cfg, &algorithms.PageRank{Iterations: 5}, edges, n)
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +31,7 @@ func TestProgressReportsAtEveryBoundary(t *testing.T) {
 		}
 		if i > 0 {
 			prev := ticks[i-1]
-			if p.Now < prev.Now || p.BytesRead < prev.BytesRead ||
+			if p.SimulatedSeconds < prev.SimulatedSeconds || p.BytesRead < prev.BytesRead ||
 				p.BytesWritten < prev.BytesWritten || p.StealsAccepted < prev.StealsAccepted {
 				t.Errorf("tick %d counters regressed: %+v after %+v", i, p, prev)
 			}
@@ -63,7 +64,7 @@ func TestProgressDoesNotPerturbRun(t *testing.T) {
 	}
 	cfg := testConfig(2, n, 5)
 	ticks := 0
-	cfg.Progress = func(Progress) { ticks++ }
+	cfg.Progress = func(drive.Progress) { ticks++ }
 	got, run, err := Run(cfg, &algorithms.BFS{}, und, n)
 	if err != nil {
 		t.Fatal(err)

@@ -184,7 +184,7 @@ func figure19(r *report, s Scale) error {
 	var giraphBase float64
 	var giraphVals []float64
 	for i, m := range s.Machines {
-		spec := cluster.ScaleLatencies(cluster.SSD(m), float64(s.ChunkBytes)/float64(4<<20))
+		spec := cluster.ScaleLatencies(cluster.SSD(m), chaos.LatencyScaleFor(s.ChunkBytes))
 		cfg := giraph.DefaultConfig(spec)
 		res, err := giraph.RunPageRank(cfg, edges, n)
 		if err != nil {

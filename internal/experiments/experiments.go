@@ -79,7 +79,7 @@ func (s Scale) options(m int, n uint64) chaos.Options {
 		Network:        s.Network,
 		ChunkBytes:     s.ChunkBytes,
 		MemBudgetBytes: budget,
-		LatencyScale:   float64(s.ChunkBytes) / float64(4<<20),
+		LatencyScale:   chaos.LatencyScaleFor(s.ChunkBytes),
 		ComputeWorkers: s.ComputeWorkers,
 		Seed:           1,
 	}

@@ -12,7 +12,7 @@ import (
 // X-Stream (direct I/O) and Chaos (client-server storage protocol).
 func table1(r *report, s Scale) error {
 	r.row("  %-10s %12s %12s %8s", "algorithm", "x-stream(s)", "chaos(s)", "ratio")
-	spec := cluster.ScaleLatencies(cluster.SSD(1), float64(s.ChunkBytes)/float64(4<<20))
+	spec := cluster.ScaleLatencies(cluster.SSD(1), chaos.LatencyScaleFor(s.ChunkBytes))
 	xcfg := xstream.Config{Spec: spec, ChunkBytes: s.ChunkBytes}
 	for _, alg := range chaos.Algorithms() {
 		edges, n := graphFor(alg, s.StrongScale)

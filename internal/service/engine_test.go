@@ -131,6 +131,8 @@ func TestBadOptionsRejectedAtSubmit(t *testing.T) {
 		`{"failAtIteration":3}`:                         `core: failure injection requires checkpointing`,
 		`{"rewriteEdges":true,"centralDirectory":true}`: `core: edge rewriting is not supported with the central directory baseline`,
 		`{"rewriteEdges":true,"failAtIteration":3,"checkpointEvery":1}`: `core: edge rewriting cannot roll back; disable failure injection`,
+		// << 20 would wrap this budget to 1 MiB.
+		`{"memoryBudgetMB":17592186044417}`: `chaos: memoryBudgetMB 17592186044417 is more than the 8796093022207 MiB a byte count can hold`,
 	} {
 		w := postJSON(t, h, "/v1/jobs", `{"graph":"g","algorithm":"PR","options":`+options+`}`)
 		var resp errorResponse

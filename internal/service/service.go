@@ -390,11 +390,7 @@ func mergeOptions(base, opt chaos.Options) chaos.Options {
 		if opt.ChunkBytes == base.ChunkBytes && base.LatencyScale != 0 {
 			opt.LatencyScale = base.LatencyScale
 		} else {
-			cb := opt.ChunkBytes
-			if cb == 0 {
-				cb = 4 << 20
-			}
-			opt.LatencyScale = float64(cb) / float64(4<<20)
+			opt.LatencyScale = chaos.LatencyScaleFor(opt.ChunkBytes)
 		}
 	}
 	if opt.Seed == 0 {

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
+
+	"chaos/internal/cluster"
+	"chaos/internal/core"
 )
 
 // String returns the flag/API spelling of the storage device ("ssd" or
@@ -135,6 +139,25 @@ func ParseOptions(alg, storage, network string, base Options) (string, Options, 
 	return canon, base, nil
 }
 
+// defaults is the engine's default configuration, normalized: the one
+// source of every default Canonical makes explicit.
+var defaults = func() core.Config {
+	cfg := core.DefaultConfig(cluster.SSD(1))
+	_ = cfg.Normalize() // cannot fail: one machine, no option set
+	return cfg
+}()
+
+// LatencyScaleFor returns the LatencyScale that keeps the paper's
+// latency-to-service-time ratios at the given chunk size (see DESIGN.md):
+// the chunk's fraction of the paper's 4 MB chunk. Zero or less means the
+// paper chunk, scale 1.
+func LatencyScaleFor(chunkBytes int) float64 {
+	if chunkBytes <= 0 {
+		chunkBytes = core.PaperChunkBytes
+	}
+	return float64(chunkBytes) / float64(core.PaperChunkBytes)
+}
+
 // Canonical returns o with every implied default made explicit, such that
 // two Options produce identical runs over the same input if and only if
 // their canonical forms are equal, and running the canonical form behaves
@@ -142,11 +165,9 @@ func ParseOptions(alg, storage, network string, base Options) (string, Options, 
 // canonical form so that, e.g., {Seed: 0} and {Seed: 1} share one entry.
 //
 // Only fields with something to fold appear below; every other field is
-// its own canonical form. The explicit values must stay in lockstep with
-// the engine defaults (cluster.SSD, core.DefaultConfig,
-// Config.normalize): if a default changes there without changing here,
-// equal fingerprints would no longer imply equal runs.
-// TestCanonicalRunEquivalence sweeps option shapes to catch such drift.
+// its own canonical form. The defaults are the engine's own (defaults
+// above), and config translates the canonical form, so a run sees
+// exactly the values the fingerprint names.
 func (o Options) Canonical() Options {
 	c := o
 	if c.Machines <= 0 {
@@ -159,10 +180,10 @@ func (o Options) Canonical() Options {
 		c.Network = Net40GigE
 	}
 	if c.Cores <= 0 {
-		c.Cores = 16
+		c.Cores = defaults.Spec.Cores
 	}
 	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = 4 << 20
+		c.ChunkBytes = defaults.ChunkBytes
 	}
 	if c.VertexChunkBytes <= 0 {
 		c.VertexChunkBytes = c.ChunkBytes
@@ -174,21 +195,21 @@ func (o Options) Canonical() Options {
 		c.MemoryBudgetMB = 0
 	}
 	if c.BatchK <= 0 {
-		c.BatchK = 5
+		c.BatchK = defaults.BatchK
 	}
 	if c.WindowOverride < 0 {
 		c.WindowOverride = 0
 	}
-	// Fold the three stealing knobs into one canonical triple: the
-	// engine resolves DisableStealing, then AlwaysSteal, then Alpha, with
-	// alpha = 1 the paper default when none is set.
+	// Fold the three stealing knobs into one canonical triple:
+	// DisableStealing wins, then AlwaysSteal, then Alpha, with the
+	// engine's alpha the default when none is set (NaN included).
 	switch {
 	case c.DisableStealing:
 		c.Alpha, c.AlwaysSteal = 0, false
 	case c.AlwaysSteal:
 		c.Alpha = 0
-	case c.Alpha <= 0:
-		c.Alpha = 1
+	case !(c.Alpha > 0):
+		c.Alpha = defaults.Alpha
 	}
 	if c.CheckpointEvery < 0 {
 		c.CheckpointEvery = 0
@@ -197,9 +218,9 @@ func (o Options) Canonical() Options {
 		c.FailAtIteration = 0
 	}
 	if c.MaxIterations <= 0 {
-		c.MaxIterations = 1000
+		c.MaxIterations = defaults.MaxIterations
 	}
-	if c.LatencyScale <= 0 {
+	if !(c.LatencyScale > 0) {
 		c.LatencyScale = 1
 	}
 	// ComputeWorkers is a host-performance knob: the engine guarantees
@@ -219,7 +240,7 @@ func (o Options) Canonical() Options {
 		c.Engine = eng
 	}
 	if c.Seed == 0 {
-		c.Seed = 1
+		c.Seed = defaults.Seed
 	}
 	return c
 }
@@ -264,14 +285,19 @@ func (o Options) Fingerprint() string {
 }
 
 // Validate reports the error a run with o would fail with before doing
-// any work: an unknown engine name, or an option combination the engine
-// rejects (failure injection without checkpoints, edge rewriting with the
-// central directory or with failure injection). The rules are the
-// engine's own — Validate runs its normalization — so front ends that
-// call it at submission reject exactly what the run would.
+// any work: an unknown engine name, a memory budget too large to count
+// in bytes, or an option combination the engine rejects (failure
+// injection without checkpoints, edge rewriting with the central
+// directory or with failure injection). The rules are the engine's own —
+// Validate runs its normalization — and every run checks them through
+// Validate, so front ends that call it at submission reject exactly what
+// the run would.
 func (o Options) Validate() error {
 	if _, err := ParseEngine(o.Engine); err != nil {
 		return err
+	}
+	if o.MemoryBudgetMB > math.MaxInt64>>20 {
+		return fmt.Errorf("chaos: memoryBudgetMB %d is more than the %d MiB a byte count can hold", o.MemoryBudgetMB, math.MaxInt64>>20)
 	}
 	cfg := o.config()
 	return cfg.Normalize()

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -269,7 +270,7 @@ func TestCanonicalFoldsStealingKnobs(t *testing.T) {
 // canonical form behaves exactly like running the original options.
 // Each case leaves most fields zero so that a drift between Canonical's
 // explicit values and the engine defaults (cluster.SSD,
-// core.DefaultConfig, Config.normalize) shows up as diverging reports.
+// core.DefaultConfig, Config.Normalize) shows up as diverging reports.
 func TestCanonicalRunEquivalence(t *testing.T) {
 	edges := GenerateRMAT(6, false, 42)
 	lab := Options{ChunkBytes: 1 << 10, LatencyScale: 1.0 / 4096}
@@ -394,4 +395,103 @@ func TestRunByNameResultSummaries(t *testing.T) {
 	if want := int(NumVertices(edges)); cond.Vertices != want || cond.Vertices == 0 {
 		t.Errorf("Cond with inferred n: Vertices = %d, want %d", cond.Vertices, want)
 	}
+}
+
+// TestEveryOptionReachesTheEngine: a non-default value in any Options
+// field must change the engine configuration config builds, so no option
+// is accepted and silently dropped. Fields are found by reflection, as
+// in TestEveryFieldReachesFingerprint; the exemptions reach the run some
+// other way or not at all, and must leave the configuration alone.
+func TestEveryOptionReachesTheEngine(t *testing.T) {
+	exempt := map[string]bool{
+		// Selects the driver (runProgram), not a configuration value.
+		"Engine": true,
+		// Accepted and ignored by both engines.
+		"NativeBarrier": true,
+	}
+	base := Options{}.config()
+	canon := reflect.ValueOf(Options{}.Canonical())
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		var opt Options
+		v := reflect.ValueOf(&opt).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(1)
+			if v.Interface() == canon.Field(i).Interface() {
+				v.SetInt(3) // 1 is this field's default
+			}
+		case reflect.Float64:
+			v.SetFloat(0.375)
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.String:
+			v.SetString(EngineNative)
+		default:
+			t.Fatalf("Options.%s: kind %s has no off-default value here", f.Name, v.Kind())
+		}
+		moved := !reflect.DeepEqual(opt.config(), base)
+		if moved == exempt[f.Name] {
+			t.Errorf("Options.%s = %v: engine config moved = %v, exempt = %v", f.Name, v.Interface(), moved, exempt[f.Name])
+		}
+	}
+}
+
+// TestHugeMemoryBudgetRejected: a budget whose byte count overflows an
+// int64 would wrap to a small or negative transport budget; Validate
+// refuses it, and so does every run, since runs validate through it.
+func TestHugeMemoryBudgetRejected(t *testing.T) {
+	const want = "chaos: memoryBudgetMB 17592186044417 is more than the 8796093022207 MiB a byte count can hold"
+	huge := Options{MemoryBudgetMB: 1<<44 + 1} // << 20 wraps to 1 MiB
+	if err := huge.Validate(); err == nil || err.Error() != want {
+		t.Errorf("Validate = %v, want %s", err, want)
+	}
+	if err := (Options{MemoryBudgetMB: 1 << 43}).Validate(); err == nil {
+		t.Error("Validate accepted 2^43 MiB, whose byte count is MinInt64")
+	}
+	if err := (Options{MemoryBudgetMB: 1<<43 - 1}).Validate(); err != nil {
+		t.Errorf("Validate refused the largest countable budget: %v", err)
+	}
+	if _, err := RunByName("PR", GenerateRMAT(4, false, 1), 0, huge); err == nil || err.Error() != want {
+		t.Errorf("RunByName = %v, want %s", err, want)
+	}
+}
+
+// FuzzOptions holds the options contract over arbitrary scalar values:
+// Canonical is idempotent, the fingerprint is the canonical form's, the
+// engine runs the same configuration for o and its canonical form (up to
+// ComputeWorkers, which Canonical erases from the cache key only), and
+// Validate gives both the same verdict.
+func FuzzOptions(f *testing.F) {
+	f.Add(0, 0, 0, 0, 0, 0, int64(0), int64(0), 0, 0, 0.0, false, false, 0, 0, false, false, false, false, 0, 0.0, 0, "", false, int64(0))
+	f.Add(3, 1, 1, 8, 4096, 2048, int64(2097152), int64(12), 7, 9, 2.5, false, false, 2, 3, true, true, true, true, 42, 0.25, 4, "native", true, int64(99))
+	f.Add(-3, 7, -2, -1, -5, -6, int64(-7), int64(1<<44+1), -2, -9, -1.0, true, true, -1, -4, false, false, false, false, -10, -0.5, -2, "DES", false, int64(-11))
+	f.Fuzz(func(t *testing.T, machines, storage, network, cores, chunk, vchunk int, memBudget, memMB int64, batchK, window int,
+		alpha float64, disable, always bool, ckpt, fail int, central, combine, rewrite, replicate bool,
+		maxIter int, latency float64, workers int, engine string, barrier bool, seed int64) {
+		o := Options{
+			Machines: machines, Storage: Storage(storage), Network: Network(network), Cores: cores,
+			ChunkBytes: chunk, VertexChunkBytes: vchunk, MemBudgetBytes: memBudget, MemoryBudgetMB: memMB,
+			BatchK: batchK, WindowOverride: window, Alpha: alpha, DisableStealing: disable, AlwaysSteal: always,
+			CheckpointEvery: ckpt, FailAtIteration: fail, CentralDirectory: central, CombineUpdates: combine,
+			RewriteEdges: rewrite, ReplicateVertices: replicate, MaxIterations: maxIter, LatencyScale: latency,
+			ComputeWorkers: workers, Engine: engine, NativeBarrier: barrier, Seed: seed,
+		}
+		c := o.Canonical()
+		if again := c.Canonical(); again != c {
+			t.Fatalf("Canonical is not idempotent:\n%+v\n%+v", c, again)
+		}
+		if o.Fingerprint() != c.Fingerprint() {
+			t.Fatalf("fingerprints differ:\n%s\n%s", o.Fingerprint(), c.Fingerprint())
+		}
+		got, want := o.config(), c.config()
+		got.ComputeWorkers, want.ComputeWorkers = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("config differs from the canonical form's:\n%+v\n%+v", got, want)
+		}
+		if e1, e2 := fmt.Sprint(o.Validate()), fmt.Sprint(c.Validate()); e1 != e2 {
+			t.Fatalf("Validate differs: %s vs %s", e1, e2)
+		}
+	})
 }

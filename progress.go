@@ -3,41 +3,15 @@ package chaos
 import (
 	"context"
 
-	"chaos/internal/core"
+	"chaos/internal/core/drive"
 )
 
 // Progress is a live snapshot of a running simulation, reported at each
 // iteration boundary — the same boundary cooperative cancellation is
-// observed at. Subscribing is guaranteed not to perturb the run: the
-// engine invokes the callback with already-settled counters and the
-// callback cannot reach the run's RNG, clock or event order, so
-// results, reports and the virtual clock are bit-identical with and
-// without a subscriber (see DESIGN.md and TestProgressDoesNotPerturbRun).
-type Progress struct {
-	// Iterations counts completed iterations (1 at the first boundary).
-	Iterations int `json:"iterations"`
-	// SimulatedSeconds is the virtual clock at the boundary. Zero under
-	// the native engine, which has no virtual clock (see WallSeconds).
-	SimulatedSeconds float64 `json:"simulatedSeconds"`
-	// WallSeconds is the host wall-clock since the run started,
-	// reported by the native engine only (zero under the DES engine,
-	// whose progress stream stays bit-reproducible).
-	WallSeconds float64 `json:"wallSeconds,omitempty"`
-	// BytesRead / BytesWritten are device-level totals so far.
-	BytesRead    int64 `json:"bytesRead"`
-	BytesWritten int64 `json:"bytesWritten"`
-	// StealsAccepted counts steal proposals accepted so far.
-	StealsAccepted int `json:"stealsAccepted"`
-	// StealsRejected counts steal proposals the §5.4 criterion turned
-	// down so far.
-	StealsRejected int `json:"stealsRejected"`
-	// SpillBytes counts bytes the native engine's update transport has
-	// written to spill files so far, records at their in-memory size
-	// (Report.SpillBytes has the ratio to encoded; always zero under the
-	// DES engine, whose simulated storage accounts bytes in
-	// BytesRead/BytesWritten).
-	SpillBytes int64 `json:"spillBytes,omitempty"`
-}
+// observed at. The DES engine fills SimulatedSeconds and the native
+// engine WallSeconds. Subscribing is guaranteed not to perturb the run
+// (see DESIGN.md and TestProgressDoesNotPerturbRun).
+type Progress = drive.Progress
 
 // progressKey carries the subscriber through a context; the engine-side
 // wiring happens in runProgram, so every context-taking entry point
@@ -64,24 +38,4 @@ func progressFrom(ctx context.Context) func(Progress) {
 	}
 	fn, _ := ctx.Value(progressKey{}).(func(Progress))
 	return fn
-}
-
-// progressOf adapts an engine's counter snapshot to the public form.
-// Under the native engine Now is host wall-clock, surfaced as
-// WallSeconds so SimulatedSeconds never carries a non-simulated figure.
-func progressOf(engine string, p core.Progress) Progress {
-	out := Progress{
-		Iterations:     p.Iterations,
-		BytesRead:      p.BytesRead,
-		BytesWritten:   p.BytesWritten,
-		StealsAccepted: p.StealsAccepted,
-		StealsRejected: p.StealsRejected,
-		SpillBytes:     p.SpillBytes,
-	}
-	if engine == EngineNative {
-		out.WallSeconds = p.Now.Seconds()
-	} else {
-		out.SimulatedSeconds = p.Now.Seconds()
-	}
-	return out
 }

@@ -22,8 +22,7 @@ import (
 // finishes the current iteration, unwinds cleanly and the error is
 // ctx.Err() (so callers can errors.Is against context.Canceled).
 func runProgram[V, U, A any](ctx context.Context, opt Options, prog gas.Program[V, U, A], edges []Edge, n uint64) ([]V, *Report, error) {
-	engine, err := ParseEngine(opt.Engine)
-	if err != nil {
+	if err := opt.Validate(); err != nil {
 		return nil, nil, err
 	}
 	cfg := opt.config()
@@ -44,12 +43,14 @@ func runProgram[V, U, A any](ctx context.Context, opt Options, prog gas.Program[
 		cfg.Trace = fn // TraceSpan = drive.Span, same time base per engine
 	}
 	cfg.SpillDir = spillDirFrom(ctx)
-	if fn := progressFrom(ctx); fn != nil {
-		cfg.Progress = func(p core.Progress) { fn(progressOf(engine, p)) }
-	}
-	var values []V
-	var run *metrics.Run
-	if engine == EngineNative {
+	cfg.Progress = progressFrom(ctx)
+	nativeEngine := opt.Canonical().Engine == EngineNative
+	var (
+		values []V
+		run    *metrics.Run
+		err    error
+	)
+	if nativeEngine {
 		values, run, err = native.Run(cfg, prog, edges, n)
 	} else {
 		values, run, err = core.Run(cfg, prog, edges, n)
@@ -60,7 +61,7 @@ func runProgram[V, U, A any](ctx context.Context, opt Options, prog gas.Program[
 		}
 		return nil, nil, err
 	}
-	if engine == EngineNative {
+	if nativeEngine {
 		return values, nativeReportFrom(run, cfg.Spec.Machines), nil
 	}
 	return values, reportFrom(run, cfg.Spec.Machines), nil
