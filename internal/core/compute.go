@@ -357,11 +357,11 @@ func (m *machine[V, U, A]) dirRequest(op dirOp, kind storage.SetKind, part int, 
 // streamChunks drives the batched chunk protocol of §6.5 for one partition's
 // edge or update set: keep a window of phi*k requests outstanding to
 // uniformly random storage engines, process chunk replies as they arrive,
-// and finish when every engine has reported empty. The reply identifies
-// the chunk by (store, cursor index); its computation was dispatched to
-// the worker pool when the stream was acquired, and the caller's onChunk
-// merges the result at the deterministic delivery instant.
-func (m *machine[V, U, A]) streamChunks(p *sim.Proc, kind storage.SetKind, part int, onChunk func(chunkReply)) {
+// and finish when every engine has reported empty. Each request carries
+// dispatch (nil for updates), which the serving storage engine applies to
+// the chunk it consumes; the caller's onChunk takes the reply at the
+// deterministic delivery instant.
+func (m *machine[V, U, A]) streamChunks(p *sim.Proc, kind storage.SetKind, part int, dispatch func(held any) any, onChunk func(chunkReply)) {
 	eng := m.eng
 	nm := eng.layout.NumMachines
 	outstanding := 0
@@ -385,7 +385,7 @@ func (m *machine[V, U, A]) streamChunks(p *sim.Proc, kind storage.SetKind, part 
 					return
 				}
 				m.send(r.machine, controlMsgBytes, eng.storeIn[r.machine],
-					chunkReq{kind: kind, part: part, from: m.id, replyTo: m.inbox})
+					chunkReq{kind: kind, part: part, from: m.id, replyTo: m.inbox, dispatch: dispatch})
 			})
 			return true
 		}
@@ -405,7 +405,7 @@ func (m *machine[V, U, A]) streamChunks(p *sim.Proc, kind storage.SetKind, part 
 			for empty[t] {
 				t = (t + 1) % nm
 			}
-			m.send(t, controlMsgBytes, eng.storeIn[t], chunkReq{kind: kind, part: part, from: m.id, replyTo: m.inbox})
+			m.send(t, controlMsgBytes, eng.storeIn[t], chunkReq{kind: kind, part: part, from: m.id, replyTo: m.inbox, dispatch: dispatch})
 			outstanding++
 			return true
 		}
@@ -554,35 +554,26 @@ func (m *machine[V, U, A]) scatterRun(p *sim.Proc, iter int) {
 	m.stats.Add(metrics.Barrier, p.Now()-t0)
 }
 
-// scatterPartition streams a partition's edges and emits updates. The
-// per-chunk computation (decode, rewriter, Scatter, update encoding) was
-// dispatched to the worker pool when the stream was acquired; here each
-// delivered chunk's pure result is merged — in delivery order, before any
-// simulated time is charged for it — into the machine's spill buffers.
-// With a combiner, updates to the same destination merge inside the
-// buffers (§11.1); with a rewriter, the surviving edges are written into
-// the next-generation edge set (§6.1 extended model). verts, which
-// loadVertices handed out, goes back through releaseScatterStream.
+// scatterPartition streams a partition's edges and emits updates. Each
+// chunk's computation (decode, rewriter, Scatter, update records) is
+// dispatched to the worker pool when a storage engine serves the chunk;
+// here each delivered chunk's pure result is merged — in delivery order,
+// before any simulated time is charged for it — into the machine's spill
+// buffers. With a combiner, updates to the same destination merge inside
+// the buffers (§11.1); with a rewriter, the surviving edges are written
+// into the next-generation edge set (§6.1 extended model). verts, which
+// loadVertices handed out, goes back once every task reading it is
+// joined.
 func (m *machine[V, U, A]) scatterPartition(p *sim.Proc, iter, part int, verts []V) {
-	eng := m.eng
-	w, built := m.acquireScatterStream(iter, part, verts)
 	next := func(edges []byte) { m.edgeWire.Put(part, edges) }
-	m.streamChunks(p, storage.EdgeSet, part, func(r chunkReply) {
+	m.streamChunks(p, storage.EdgeSet, part, m.scatterDispatch(iter, part, verts), func(r chunkReply) {
 		m.trChunks++
 		m.trBytesIn += int64(r.length)
-		sc := w.at(r.from, r.idx)
-		if sc == nil {
-			// Inline mode (and, defensively, any chunk predating the
-			// stream's task set): the reply carries the bytes, run the
-			// same kernel at the delivery instant.
-			sc = &scatterChunk[U]{}
-			eng.kern.ScatterChunkTyped(iter, part, verts, r.payload.([]byte), &sc.out)
-		} else {
-			sc.Wait()
-		}
+		sc := r.payload.(*scatterChunk[U])
+		sc.Wait()
 		m.mergeScatter(p, &sc.out, next)
 	})
-	eng.releaseScatterStream(part, verts, built)
+	m.eng.putVerts(verts)
 }
 
 // mergeScatter replays one chunk's pure scatter result against the
@@ -647,7 +638,7 @@ func (m *machine[V, U, A]) gatherRun(p *sim.Proc, iter int) {
 func (m *machine[V, U, A]) gatherPartition(p *sim.Proc, part int, verts []V, accums []A) {
 	eng := m.eng
 	var tail *drive.Task
-	m.streamChunks(p, storage.UpdateSet, part, func(r chunkReply) {
+	m.streamChunks(p, storage.UpdateSet, part, nil, func(r chunkReply) {
 		m.trChunks++
 		m.trBytesIn += int64(r.length)
 		m.cpu(p, r.length/eng.kern.UpdBytes)

@@ -69,8 +69,11 @@ func TestParallelChunkProcessingIsDeterministic(t *testing.T) {
 }
 
 // The extended-model paths run their kernels on workers too: the combiner
-// merges inside per-chunk maps, the rewriter emits next-generation edge
-// chunks, and checkpoint/rollback replays iterations.
+// merges each chunk's output in its buffer, the rewriter emits
+// next-generation edge chunks, and checkpoint/rollback replays
+// iterations. The Figure 15 baseline dispatches each scatter task from a
+// directory lookup's continuation, and a one-request window keeps a
+// single task in flight per stream.
 func TestParallelExtensionsAreDeterministic(t *testing.T) {
 	edges, n := testGraph(8, true)
 
@@ -88,4 +91,14 @@ func TestParallelExtensionsAreDeterministic(t *testing.T) {
 		func() gas.Program[algorithms.PRVertex, float32, float64] {
 			return &algorithms.PageRank{Iterations: 5}
 		}, edges, n, func(c *Config) { c.CheckpointEvery = 2; c.FailAtIteration = 3 })
+
+	checkWorkerDeterminism(t, "PR+directory",
+		func() gas.Program[algorithms.PRVertex, float32, float64] {
+			return &algorithms.PageRank{Iterations: 5}
+		}, edges, n, func(c *Config) { c.CentralDirectory = true })
+
+	checkWorkerDeterminism(t, "PR+window1",
+		func() gas.Program[algorithms.PRVertex, float32, float64] {
+			return &algorithms.PageRank{Iterations: 5}
+		}, edges, n, func(c *Config) { c.WindowOverride = 1 })
 }

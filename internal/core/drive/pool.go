@@ -72,8 +72,8 @@ func NewPool(workers int) *Pool {
 				}
 				t.Fn()
 				// Drop the closure so the captured inputs (notably a
-				// pre-read chunk's bytes) become collectable as soon as
-				// the result exists, not when the stream is released.
+				// chunk's bytes) become collectable as soon as the
+				// result exists, not when it is merged.
 				t.Fn = nil
 				t.done.Done()
 			}
@@ -81,10 +81,6 @@ func NewPool(workers int) *Pool {
 	}
 	return p
 }
-
-// Inline reports whether the pool runs tasks at submission time (the
-// serial degenerate mode).
-func (p *Pool) Inline() bool { return p.inline }
 
 // Window is how many chunk tasks a streaming producer keeps in flight on
 // the pool: one per worker plus one, so no worker waits for the producer

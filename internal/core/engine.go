@@ -52,11 +52,10 @@ type engine[V, U, A any] struct {
 	dir        *storage.Directory
 	dirIn      *sim.Mailbox
 
-	// Compute offload (see parallel.go): the worker pool and the
-	// per-partition pre-dispatched scatter tasks (scratch pools live on
-	// the kernel). The map is touched only from simulation context.
-	pool           *drive.Pool
-	scatterStreams map[int]*scatterStream[V, U]
+	// Compute offload (see parallel.go): the worker pool the storage
+	// engines dispatch scatter tasks to and the streamers fold update
+	// chunks on (scratch pools live on the kernel).
+	pool *drive.Pool
 
 	// freeVerts is the free list loadVertices draws its vertex sets from
 	// and putVerts returns them to, once no pool task reads them. Every
@@ -102,16 +101,15 @@ func newEngine[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges []graph
 	env := sim.NewEnv(cfg.Seed)
 	clu := cluster.New(env, cfg.Spec)
 	eng := &engine[V, U, A]{
-		cfg:            cfg,
-		prog:           prog,
-		layout:         layout,
-		env:            env,
-		clu:            clu,
-		kern:           kern,
-		dec:            kern.NewDecider(),
-		window:         cfg.window(clu),
-		run:            metrics.NewRun(prog.Name(), cfg.Spec.Machines),
-		scatterStreams: make(map[int]*scatterStream[V, U]),
+		cfg:    cfg,
+		prog:   prog,
+		layout: layout,
+		env:    env,
+		clu:    clu,
+		kern:   kern,
+		dec:    kern.NewDecider(),
+		window: cfg.window(clu),
+		run:    metrics.NewRun(prog.Name(), cfg.Spec.Machines),
 	}
 
 	nm := cfg.Spec.Machines

@@ -74,37 +74,3 @@ func clusterEnv(t *testing.T, cfg Config) *cluster.Cluster {
 	}
 	return cluster.New(sim.NewEnv(1), cfg.Spec)
 }
-
-// TestScatterStreamHoldsBuilderVertices: a partition's shared scatter
-// tasks read the vertex set of the streamer that built them, so that set
-// goes back to the free list with the stream's last reference, not with
-// its builder's — the builder can finish while a stealer still has chunks
-// whose tasks are queued. A joining streamer's own set goes back at once.
-// No whole-run test sees an early return: a builder's next load takes a
-// network round trip, and the stealer's last task has run by then.
-func TestScatterStreamHoldsBuilderVertices(t *testing.T) {
-	edges, n := testGraph(6, false)
-	eng, err := newEngine(testConfig(2, n, 8), &algorithms.PageRank{Iterations: 1}, edges, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.env.Close()
-	eng.pool = drive.NewPool(2)
-	defer eng.pool.Close()
-	mine := make([]algorithms.PRVertex, eng.layout.Size(0))
-	theirs := make([]algorithms.PRVertex, eng.layout.Size(0))
-	if _, built := eng.machines[0].acquireScatterStream(0, 0, mine); !built {
-		t.Fatal("the first streamer did not build the task set")
-	}
-	if _, built := eng.machines[1].acquireScatterStream(0, 0, theirs); built {
-		t.Fatal("the second streamer built a task set of its own")
-	}
-	eng.releaseScatterStream(0, mine, true)
-	if len(eng.freeVerts) != 0 {
-		t.Fatal("the builder's vertex set went back while another streamer shares its tasks")
-	}
-	eng.releaseScatterStream(0, theirs, false)
-	if len(eng.freeVerts) != 2 || &eng.freeVerts[0][0] != &theirs[0] || &eng.freeVerts[1][0] != &mine[0] {
-		t.Fatal("the last release did not return the joiner's vertex set, then the builder's")
-	}
-}

@@ -13,26 +13,26 @@ const controlMsgBytes = 64
 
 // chunkReq asks a storage engine for any unconsumed chunk of a partition's
 // edge or update set (§6.3: the request names a partition, never a
-// particular chunk).
+// particular chunk). dispatch, set on edge streams, takes the chunk the
+// engine serves and starts its scatter (parallel.go); the reply carries
+// what it returns instead of the chunk.
 type chunkReq struct {
-	kind    storage.SetKind
-	part    int
-	from    int
-	replyTo *sim.Mailbox
+	kind     storage.SetKind
+	part     int
+	from     int
+	replyTo  *sim.Mailbox
+	dispatch func(held any) any
 }
 
 // chunkReply carries one chunk back, or empty=true when the storage engine
-// has no unconsumed chunks left for that partition this iteration. The
-// chunk is identified by its cursor index on the serving store, and length
-// is what the link charges. payload is what the store holds: an edge
-// chunk's bytes, an update chunk's []drive.UpdRec[U] slab. A pre-dispatched
-// scatter task already holds its edge chunk, so only the inline path reads
-// an edge payload.
+// has no unconsumed chunks left for that partition this iteration. length
+// is what the link charges. payload is an update chunk's
+// []drive.UpdRec[U] slab, as the store holds it, or an edge chunk's
+// *scatterChunk[U], the scatter task dispatched over its bytes.
 type chunkReply struct {
 	kind    storage.SetKind
 	part    int
 	from    int
-	idx     int
 	length  int
 	payload any
 	empty   bool

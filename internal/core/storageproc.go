@@ -35,11 +35,14 @@ func (eng *engine[V, U, A]) storageProc(p *sim.Proc, id int) {
 		switch m := inbox.Recv(p).(type) {
 		case chunkReq:
 			idx, length, ok := st.ConsumeChunk(m.kind, m.part)
-			reply := chunkReply{kind: m.kind, part: m.part, from: id, idx: idx, length: length, empty: !ok}
+			reply := chunkReply{kind: m.kind, part: m.part, from: id, length: length, empty: !ok}
 			if ok {
 				dev.Use(p, int64(length))
 				eng.run.BytesRead += int64(length)
 				reply.payload = st.HeldChunk(m.kind, m.part, idx)
+				if m.dispatch != nil {
+					reply.payload = m.dispatch(reply.payload)
+				}
 			}
 			eng.clu.Send(id, m.from, int64(length)+controlMsgBytes, m.replyTo, reply)
 		case writeChunk:

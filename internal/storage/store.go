@@ -140,7 +140,7 @@ func (s *Store) NextChunk(kind SetKind, part int) (data []byte, ok bool, err err
 
 // ConsumeChunk advances the consumption cursor of the given set, returning
 // the consumed chunk's cursor index and modeled length. HeldChunk recovers
-// its payload; the engine's pre-dispatched compute tasks already hold it.
+// its payload.
 func (s *Store) ConsumeChunk(kind SetKind, part int) (idx, length int, ok bool) {
 	cs := s.set(kind, part)
 	if cs.consumed >= len(cs.chunks) {
@@ -149,21 +149,6 @@ func (s *Store) ConsumeChunk(kind SetKind, part int) (idx, length int, ok bool) 
 	idx = cs.consumed
 	cs.consumed++
 	return idx, cs.chunks[idx].length, true
-}
-
-// UnconsumedChunks returns the payload of every not-yet-consumed chunk of
-// the given set in cursor order without consuming anything, and the
-// cursor index of the first one. The engine uses it to dispatch a
-// stream's compute tasks up front; consumption (and its device charge)
-// still happens request by request through ConsumeChunk.
-func (s *Store) UnconsumedChunks(kind SetKind, part int) (held []any, base int) {
-	cs := s.set(kind, part)
-	base = cs.consumed
-	held = make([]any, 0, len(cs.chunks)-base)
-	for _, ref := range cs.chunks[base:] {
-		held = append(held, ref.held)
-	}
-	return held, base
 }
 
 // ResetConsumption rewinds the consumption cursor of a set, the equivalent
