@@ -61,6 +61,13 @@ type Config struct {
 	// affects results and is deliberately absent from option
 	// fingerprints.
 	SpillDir string
+	// Bins, when set, lends the native driver the pre-processing output
+	// (§3) of earlier runs over the same edges, and keeps the output of
+	// this one for later runs (drive.BinCache). Operational like
+	// SpillDir: a borrowed bin set is the one this run would build, so
+	// results and reports do not depend on it. The DES driver ignores
+	// it: it charges pre-processing in virtual time.
+	Bins *drive.BinCache
 	// CentralDirectory replaces randomized chunk placement with the
 	// centralized metadata server of the Figure 15 baseline.
 	CentralDirectory bool

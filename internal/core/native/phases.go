@@ -9,24 +9,71 @@ import (
 
 // ---------------------------------------------------------------------------
 // Pre-processing (§3): one pass over the input edge list, binning edges
-// by source partition into chunks, counting out-degrees if the program
-// wants them, then initializing the resident vertex sets. Machines bin
-// their input slices concurrently; per-partition chunk lists are
-// concatenated in machine order so the edge stream every later scatter
-// sees is deterministic.
+// by source partition into chunks and counting out-degrees if the
+// program wants them, then initializing the resident vertex sets. The
+// pass's output is a drive.Bins, a pure function of the edges and the
+// bin key, so a run over edges it has seen before borrows it from
+// Config.Bins instead of binning again; only the vertex initialization
+// is this run's own.
 
 func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
+	t0 := r.elapsed()
+	key := drive.BinKey{
+		Machines:    r.nm,
+		Partitions:  r.layout.NumPartitions,
+		NumVertices: r.layout.NumVertices,
+		ChunkBytes:  r.cfg.ChunkBytes,
+		Format:      r.kern.EdgeFmt,
+		Degrees:     r.prog.NeedsDegrees(),
+	}
+	bins, built := r.cfg.Bins.Lookup(edges, key, func() *drive.Bins { return r.binEdges(edges, key.Degrees) })
+	// The §3 output counts as written whether this run built it or
+	// borrowed it, so a report never depends on which runs came before.
+	r.bytesWritten.Add(bins.Bytes)
+	if r.cfg.Trace != nil {
+		for _, s := range bins.Spans {
+			if !built {
+				// Borrowed: the build's tallies over this run's lookup.
+				s.Start, s.Dur = int64(t0), int64(r.elapsed()-t0)
+			}
+			r.cfg.Trace(s)
+		}
+	}
+	// The run's own edge generations start from the shared lists; the
+	// rewriting extension replaces them with fresh ones (promoteEdges).
+	copy(r.edges, bins.Chunks)
+
+	// Initialize vertex values straight into the resident store. Init
+	// may keep private program state (it runs on the simulation thread
+	// under the DES driver), so this stays on one goroutine. No bytes
+	// move — the store is the decoded values themselves — so nothing is
+	// tallied here; vertex bytes only count where the codec runs
+	// (checkpoints and their restore).
+	for p := range r.verts {
+		var deg []uint32
+		if bins.Deg != nil {
+			deg = bins.Deg[p]
+		}
+		r.verts[p] = r.kern.InitVertices(p, deg)
+	}
+}
+
+// binEdges is the §3 pass itself. Machines bin their input slices
+// concurrently; per-partition chunk lists are concatenated in machine
+// order so the edge stream every later scatter sees is deterministic.
+// It reads the run's kernel and geometry and writes none of its state.
+func (r *run[V, U, A]) binEdges(edges []graph.Edge, needDeg bool) *drive.Bins {
 	np := r.layout.NumPartitions
 	perMachine := drive.SplitInput(edges, r.nm)
 	edgeSize := r.kern.EdgeFmt.EdgeSize()
 	limit := drive.SpillLimit(r.cfg.ChunkBytes, edgeSize)
-	needDeg := r.prog.NeedsDegrees()
 
 	type binned struct {
 		chunks [][][]byte // per partition
 		deg    [][]uint32 // per partition, nil unless needDeg
 	}
 	bins := make([]binned, r.nm)
+	spans := make([]drive.Span, r.nm)
 	var wg sync.WaitGroup
 	wg.Add(r.nm)
 	for m := 0; m < r.nm; m++ {
@@ -47,14 +94,11 @@ func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
 			})
 			r.kern.BinEdges(perMachine[m], wire, b.deg)
 			wire.FlushPartials()
-			r.bytesWritten.Add(binnedBytes)
-			if r.cfg.Trace != nil {
-				r.cfg.Trace(drive.Span{
-					Iter: -1, Machine: m, Part: -1, Phase: drive.PhasePreprocess,
-					Start: int64(t0), Dur: int64(r.elapsed() - t0),
-					Chunks:  nchunks,
-					BytesIn: int64(len(perMachine[m]) * edgeSize), BytesOut: binnedBytes,
-				})
+			spans[m] = drive.Span{
+				Iter: -1, Machine: m, Part: -1, Phase: drive.PhasePreprocess,
+				Start: int64(t0), Dur: int64(r.elapsed() - t0),
+				Chunks:  nchunks,
+				BytesIn: int64(len(perMachine[m]) * edgeSize), BytesOut: binnedBytes,
 			}
 		}(m)
 	}
@@ -62,25 +106,20 @@ func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
 
 	// Concatenate in machine order (the deterministic stream order) and
 	// fold degrees.
-	degAcc := make([][]uint32, np)
+	chunks := make([][][]byte, np)
+	var degAcc [][]uint32
+	if needDeg {
+		degAcc = make([][]uint32, np)
+	}
 	for m := range bins {
-		for p, chunks := range bins[m].chunks {
-			r.edges[p] = append(r.edges[p], chunks...)
+		for p, list := range bins[m].chunks {
+			chunks[p] = append(chunks[p], list...)
 		}
 		for p, deg := range bins[m].deg {
 			r.kern.FoldDegrees(degAcc, p, deg)
 		}
 	}
-
-	// Initialize vertex values straight into the resident store. Init
-	// may keep private program state (it runs on the simulation thread
-	// under the DES driver), so this stays on one goroutine. No bytes
-	// move — the store is the decoded values themselves — so nothing is
-	// tallied here; vertex bytes only count where the codec runs
-	// (checkpoints and their restore).
-	for p := 0; p < np; p++ {
-		r.verts[p] = r.kern.InitVertices(p, degAcc[p])
-	}
+	return drive.NewBins(chunks, degAcc, spans)
 }
 
 // storedBytes sums a chunk list's encoded lengths (flight-recorder

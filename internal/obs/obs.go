@@ -11,37 +11,38 @@ package obs
 
 import "sync"
 
-// Ring is a fixed-capacity buffer with drop-oldest overflow. It is
+// Ring is a bounded buffer with drop-oldest overflow. It is
 // generic over the record type: the engines' flight recorders hold
 // drive.Span, the service's WAL ops timeline holds its own record.
+// Its storage grows by append up to the capacity and wraps from
+// there, so a ring that sees a few dozen spans holds a few dozen, not
+// its cap: the service keeps a finished job's recorder for as long as
+// the job stays in history.
 type Ring[T any] struct {
-	mu      sync.Mutex
-	spans   []T    // circular storage, len == cap
-	head    int    // index of the oldest span
-	size    int    // live spans, ≤ len(spans)
-	dropped uint64 // spans overwritten since creation
+	mu       sync.Mutex
+	capacity int    // most spans retained
+	spans    []T    // storage, len ≤ capacity; circular once full
+	head     int    // index of the oldest span
+	dropped  uint64 // spans overwritten since creation
 }
 
 // NewRing returns a ring holding at most capacity spans; a
 // non-positive capacity is bumped to 1 so Record always has a slot.
 func NewRing[T any](capacity int) *Ring[T] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring[T]{spans: make([]T, capacity)}
+	return &Ring[T]{capacity: max(capacity, 1)}
 }
 
 // Record appends s, evicting the oldest span when full. Safe for
-// concurrent use; the critical section is one span copy.
+// concurrent use; the critical section is one span copy (and, while
+// the ring is below its cap, the append's occasional regrowth).
 func (r *Ring[T]) Record(s T) {
 	r.mu.Lock()
-	if r.size == len(r.spans) {
-		r.spans[r.head] = s
-		r.head = (r.head + 1) % len(r.spans)
-		r.dropped++
+	if len(r.spans) < r.capacity {
+		r.spans = append(r.spans, s) // head stays 0 until the ring is full
 	} else {
-		r.spans[(r.head+r.size)%len(r.spans)] = s
-		r.size++
+		r.spans[r.head] = s
+		r.head = (r.head + 1) % r.capacity
+		r.dropped++
 	}
 	r.mu.Unlock()
 }
@@ -51,10 +52,9 @@ func (r *Ring[T]) Record(s T) {
 func (r *Ring[T]) Snapshot() ([]T, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]T, r.size)
-	for i := 0; i < r.size; i++ {
-		out[i] = r.spans[(r.head+i)%len(r.spans)]
-	}
+	out := make([]T, 0, len(r.spans))
+	out = append(out, r.spans[r.head:]...)
+	out = append(out, r.spans[:r.head]...)
 	return out, r.dropped
 }
 

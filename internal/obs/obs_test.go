@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"chaos/internal/core/drive"
 )
@@ -67,5 +69,33 @@ func TestRingUnderCapacity(t *testing.T) {
 	spans, dropped := r.Snapshot()
 	if dropped != 0 || len(spans) != 2 || spans[0].Iter != 3 || spans[1].Iter != 4 {
 		t.Fatalf("snapshot = %v dropped=%d, want iters [3 4] dropped=0", spans, dropped)
+	}
+}
+
+// A ring's storage follows what it records, not its cap: the service
+// keeps every executed job's recorder (cap 8192 by default) while the
+// job stays in history, and a small job records a few dozen spans.
+// Averaged over many rings so the runtime's own allocations vanish.
+func TestRingAllocs(t *testing.T) {
+	const capacity, spans, rings = 8192, 10, 100
+	keep := make([]*Ring[drive.Span], rings)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = NewRing[drive.Span](capacity)
+		for j := 0; j < spans; j++ {
+			keep[i].Record(drive.Span{Iter: j})
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRing := float64(after.TotalAlloc-before.TotalAlloc) / rings
+	capBytes := float64(capacity) * float64(unsafe.Sizeof(drive.Span{}))
+	if perRing >= 0.01*capBytes {
+		t.Errorf("a ring holding %d spans allocated %.0f B, want under 1%% of its cap's %.0f B", spans, perRing, capBytes)
+	}
+	for _, r := range keep {
+		if got, _ := r.Snapshot(); len(got) != spans || got[spans-1].Iter != spans-1 {
+			t.Fatalf("snapshot %v, want %d spans in order", got, spans)
+		}
 	}
 }

@@ -7,8 +7,10 @@ import (
 	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
 	"chaos"
+	"chaos/internal/core/drive"
 	"chaos/internal/graph"
 )
 
@@ -31,7 +33,8 @@ type GraphSpec struct {
 }
 
 // Graph is a registered graph: the materialized edge slice plus lazily
-// cached views, shared read-only by every job that references it.
+// cached views and, per view handed to a native job, its pre-processing
+// output (§3), all shared read-only by every job that references it.
 //
 // A graph restored from the durable log starts unmaterialized: only its
 // metadata (and, for uploads, the persisted edge-list file) came back
@@ -55,13 +58,18 @@ type Graph struct {
 	load func() ([]chaos.Edge, error)
 
 	// loadMu serializes materialization only; g.mu guards the quick
-	// state reads (edges pointer, views map) and is never held across
-	// generation or file IO, so Info/List stay responsive while a big
-	// restored graph rebuilds.
+	// state reads (edges pointer, views and bin caches) and is never
+	// held across generation, conversion, binning or file IO, so
+	// Info/List stay responsive while a big graph is worked on.
 	loadMu sync.Mutex
 	mu     sync.Mutex
 	edges  []chaos.Edge // nil for a restored graph until ensure()
-	views  map[chaos.View][]chaos.Edge
+	views  map[chaos.View]*viewSlot
+	// bins holds the bin sets of every native job's view, at most
+	// drive.MaxBinSets for the whole graph, least recently used out
+	// first; binCaches binds it to each view's edge slice.
+	bins      *drive.BinStore
+	binCaches map[chaos.View]*chaos.BinCache
 	// persisted means the registration has reached the durable log. A
 	// snapshot captured in the window between catalog insertion and the
 	// journal append must skip the graph: if persisting then fails, the
@@ -135,6 +143,8 @@ type GraphInfo struct {
 	Registered   time.Time `json:"registered"`
 	Materialized bool      `json:"materialized"`
 	CachedViews  []string  `json:"cachedViews"`
+	// Bytes is what the graph holds resident, by kind.
+	Bytes GraphBytes `json:"bytes"`
 }
 
 // Info snapshots the graph for serialization.
@@ -148,26 +158,69 @@ func (g *Graph) Info() GraphInfo {
 		Registered:   g.Registered,
 		Materialized: g.Materialized(),
 		CachedViews:  g.CachedViews(),
+		Bytes:        g.Bytes(),
 	}
 }
 
+// viewSlot is one converted view: the conversion runs once, outside
+// g.mu, and concurrent callers wait on ready.
+type viewSlot struct {
+	ready chan struct{} // closed once edges is set
+	edges []chaos.Edge
+}
+
+// applyView converts edges to a view; a variable so a test can hold a
+// conversion open.
+var applyView = chaos.View.Apply
+
 // View returns the graph's edges in the requested view, converting on
 // first use and caching the result so subsequent jobs skip the
-// pre-processing (the point of registering a graph once). For a graph
+// conversion (the point of registering a graph once). For a graph
 // restored from the durable log the caller must ensure() first; the
 // scheduler's execute path always does.
 func (g *Graph) View(v chaos.View) []chaos.Edge {
+	g.mu.Lock()
+	edges := g.edges
 	if v == chaos.ViewDirected {
-		return g.edges
+		g.mu.Unlock()
+		return edges
 	}
+	if g.views == nil {
+		g.views = make(map[chaos.View]*viewSlot)
+	}
+	slot, ok := g.views[v]
+	if !ok {
+		slot = &viewSlot{ready: make(chan struct{})}
+		g.views[v] = slot
+	}
+	g.mu.Unlock()
+	if ok {
+		<-slot.ready
+		return slot.edges
+	}
+	converted := applyView(v, edges)
+	g.mu.Lock()
+	slot.edges = converted
+	g.mu.Unlock()
+	close(slot.ready)
+	return converted
+}
+
+// binCache returns the bin cache of view v, whose edges View returned,
+// creating it on the view's first native job.
+func (g *Graph) binCache(v chaos.View, edges []chaos.Edge) *chaos.BinCache {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if cached, ok := g.views[v]; ok {
-		return cached
+	if c, ok := g.binCaches[v]; ok {
+		return c
 	}
-	converted := v.Apply(g.edges)
-	g.views[v] = converted
-	return converted
+	if g.bins == nil {
+		g.bins = drive.NewBinStore()
+		g.binCaches = make(map[chaos.View]*chaos.BinCache)
+	}
+	c := g.bins.Bind(edges)
+	g.binCaches[v] = c
+	return c
 }
 
 // CachedViews lists the views materialized so far (diagnostics).
@@ -178,11 +231,49 @@ func (g *Graph) CachedViews() []string {
 		return []string{} // restored and still cold: nothing resident
 	}
 	names := []string{chaos.ViewDirected.String()}
-	for v := range g.views {
-		names = append(names, v.String())
+	for v, slot := range g.views {
+		if slot.edges != nil {
+			names = append(names, v.String())
+		}
 	}
 	sort.Strings(names)
 	return names
+}
+
+// GraphBytes is what a graph holds resident, by kind.
+type GraphBytes struct {
+	// Edges is the edge slice: 0 while a restored graph is cold.
+	Edges int64 `json:"edges"`
+	// Views is the converted views (undirected, augmented); the
+	// directed view is the edge slice itself.
+	Views int64 `json:"views"`
+	// Bins is the native pre-processing output kept for its views.
+	Bins int64 `json:"bins"`
+}
+
+// add sums o into b.
+func (b *GraphBytes) add(o GraphBytes) {
+	b.Edges += o.Edges
+	b.Views += o.Views
+	b.Bins += o.Bins
+}
+
+// edgeBytes is one resident chaos.Edge.
+const edgeBytes = int64(unsafe.Sizeof(chaos.Edge{}))
+
+// Bytes counts what the graph holds.
+func (g *Graph) Bytes() GraphBytes {
+	g.mu.Lock()
+	b := GraphBytes{Edges: int64(len(g.edges)) * edgeBytes}
+	for _, slot := range g.views {
+		b.Views += int64(len(slot.edges)) * edgeBytes
+	}
+	bins := g.bins
+	g.mu.Unlock()
+	if bins != nil {
+		b.Bins = bins.Bytes()
+	}
+	return b
 }
 
 // Catalog is the registry of materialized graphs.
@@ -285,7 +376,6 @@ func (c *Catalog) Register(spec GraphSpec) (*Graph, error) {
 		Registered: time.Now().UTC(),
 		spec:       persistSpec,
 		edges:      edges,
-		views:      make(map[chaos.View][]chaos.Edge),
 	}
 	c.graphs[id] = g
 	c.order = append(c.order, id)
@@ -301,9 +391,6 @@ func (c *Catalog) restore(g *Graph) {
 	defer c.mu.Unlock()
 	if _, exists := c.graphs[g.ID]; exists {
 		return
-	}
-	if g.views == nil {
-		g.views = make(map[chaos.View][]chaos.Edge)
 	}
 	c.graphs[g.ID] = g
 	c.order = append(c.order, g.ID)
@@ -342,6 +429,15 @@ func (c *Catalog) Get(id string) (*Graph, bool) {
 	defer c.mu.RUnlock()
 	g, ok := c.graphs[id]
 	return g, ok
+}
+
+// Bytes sums what every registered graph holds, by kind.
+func (c *Catalog) Bytes() GraphBytes {
+	var b GraphBytes
+	for _, g := range c.List() {
+		b.add(g.Bytes())
+	}
+	return b
 }
 
 // List returns every registered graph in registration order.

@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"chaos"
 	"chaos/internal/graph"
@@ -107,5 +109,52 @@ func TestCatalogRejectsUndersizedUpload(t *testing.T) {
 	// The same data with a sufficient (or inferred) count registers fine.
 	if g, err := c.Register(GraphSpec{Type: "upload", Data: buf.Bytes()}); err != nil || g.Vertices != 101 {
 		t.Fatalf("inferred upload: %+v, %v", g, err)
+	}
+}
+
+// TestViewConvertsOutsideLock holds a view conversion open: Info (and
+// with it GET /v1/graphs) answers meanwhile, the view is not listed as
+// cached until it exists, and a second caller waits for the one
+// conversion instead of starting its own.
+func TestViewConvertsOutsideLock(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	var conversions atomic.Int32
+	applyView = func(v chaos.View, edges []chaos.Edge) []chaos.Edge {
+		conversions.Add(1)
+		close(started)
+		<-release
+		return v.Apply(edges)
+	}
+	t.Cleanup(func() { applyView = chaos.View.Apply })
+
+	g, err := NewCatalog().Register(GraphSpec{Type: "rmat", Scale: 6, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := make(chan []chaos.Edge, 2)
+	go func() { views <- g.View(chaos.ViewUndirected) }()
+	<-started
+	go func() { views <- g.View(chaos.ViewUndirected) }()
+
+	info := make(chan GraphInfo)
+	go func() { info <- g.Info() }()
+	select {
+	case got := <-info:
+		if !slices.Equal(got.CachedViews, []string{"directed"}) || got.Bytes.Views != 0 {
+			t.Errorf("mid-conversion info lists %v, %d view bytes; want only the directed view", got.CachedViews, got.Bytes.Views)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Info blocked behind a view conversion")
+	}
+	close(release)
+	first, second := <-views, <-views
+	if n := conversions.Load(); n != 1 {
+		t.Fatalf("%d conversions of one view, want 1", n)
+	}
+	if len(first) == 0 || &first[0] != &second[0] {
+		t.Error("the two callers got different views")
+	}
+	if b := g.Info().Bytes; b.Views != int64(len(first))*edgeBytes || b.Edges != int64(g.EdgeCount)*edgeBytes {
+		t.Errorf("bytes %+v after the conversion", b)
 	}
 }

@@ -188,6 +188,14 @@ func (s *Service) metricsText() string {
 	p.scalar("chaos_running", "Simulations currently executing.", "gauge", float64(st.Running))
 	p.scalar("chaos_workers", "Size of the simulation worker pool.", "gauge", float64(st.Workers))
 	p.scalar("chaos_graphs", "Graphs registered in the catalog.", "gauge", float64(st.Graphs))
+	held := s.catalog.Bytes()
+	p.family("chaos_catalog_bytes", "Bytes the catalog holds resident, by kind: edge slices, converted views, native edge bins.", "gauge")
+	for _, k := range []struct {
+		kind  string
+		bytes int64
+	}{{"edges", held.Edges}, {"views", held.Views}, {"bins", held.Bins}} {
+		p.sample("chaos_catalog_bytes", [][2]string{{"kind", k.kind}}, float64(k.bytes))
+	}
 
 	p.family("chaos_jobs_submitted_total", "Job submissions by algorithm.", "counter")
 	algs := make([]string, 0, len(st.PerAlgorithm))

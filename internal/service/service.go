@@ -7,7 +7,8 @@
 //   - the Catalog registers graphs once (R-MAT/webgraph generation
 //     parameters or an uploaded chaos-gen binary edge list), materializes
 //     the edge slice, and lazily caches the undirected and augmented
-//     views the algorithms consume, so repeated jobs skip pre-processing;
+//     views the algorithms consume and, per view, the native engine's
+//     edge bins, so repeated jobs skip pre-processing;
 //   - the Scheduler runs submitted jobs on a bounded worker pool (N
 //     concurrent simulations, each itself a multi-core cluster model)
 //     with queued/running/done/failed states and cancellation;
@@ -283,7 +284,14 @@ func (s *Service) execute(ctx context.Context, job *Job) (*chaos.Result, *chaos.
 		// journal keep the submitted options.
 		opt.ComputeWorkers = job.computeShare
 	}
-	res, rep, err := chaos.RunPreparedContext(ctx, job.Algorithm, g.View(view), g.Vertices, opt)
+	edges := g.View(view)
+	if job.engine() == chaos.EngineNative {
+		// Native runs borrow the view's pre-processing output from the
+		// graph, built by the first run of each bin key. Like the spill
+		// dir, it cannot change the run (see chaos.WithBinCache).
+		ctx = chaos.WithBinCache(ctx, g.binCache(view, edges))
+	}
+	res, rep, err := chaos.RunPreparedContext(ctx, job.Algorithm, edges, g.Vertices, opt)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -43,6 +43,7 @@ func runProgram[V, U, A any](ctx context.Context, opt Options, prog gas.Program[
 		cfg.Trace = fn // TraceSpan = drive.Span, same time base per engine
 	}
 	cfg.SpillDir = spillDirFrom(ctx)
+	cfg.Bins = binCacheFrom(ctx)
 	cfg.Progress = progressFrom(ctx)
 	nativeEngine := opt.Canonical().Engine == EngineNative
 	var (

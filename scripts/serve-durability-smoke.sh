@@ -104,13 +104,15 @@ wait $SSE || { echo "event stream did not terminate with the job" >&2; exit 1; }
 grep -q '^event: state' "$EVENTS" || { echo "no state events in SSE stream" >&2; cat "$EVENTS" >&2; exit 1; }
 grep -q '"state":"done"' "$EVENTS" || { echo "SSE stream missed the done transition" >&2; cat "$EVENTS" >&2; exit 1; }
 
-# /metrics serves Prometheus text exposition with the serving and WAL
-# counter families.
+# /metrics serves Prometheus text exposition with the serving, catalog
+# and WAL counter families.
 METRICS=$(curl -sf $BASE/metrics)
 echo "$METRICS" | grep -q '^# TYPE chaos_jobs gauge' || { echo "metrics missing TYPE preamble" >&2; exit 1; }
 echo "$METRICS" | grep -q '^chaos_jobs{state="done"} [1-9]' || { echo "metrics missing done-job count" >&2; echo "$METRICS" >&2; exit 1; }
 echo "$METRICS" | grep -q '^chaos_wal_records_total [1-9]' || { echo "metrics missing WAL records" >&2; exit 1; }
 echo "$METRICS" | grep -q '^chaos_persist_healthy 1' || { echo "persistence not healthy" >&2; exit 1; }
+# The catalog counts the edge slice the job ran on.
+echo "$METRICS" | grep -q '^chaos_catalog_bytes{kind="edges"} [1-9]' || { echo "catalog bytes miss the resident edges" >&2; exit 1; }
 # One job has executed here: histograms fed, pprof answering.
 check_observability 1
 # The executing process serves the full tree, trace-id lookup included.
@@ -143,6 +145,9 @@ echo "$STATS" | grep -q '"diskHits": [1-9]' || { echo "no disk hit recorded" >&2
 # done jobs now: the pre-crash run and the cache-hit resubmission).
 METRICS=$(curl -sf $BASE/metrics)
 echo "$METRICS" | grep -q '^chaos_jobs{state="done"} [2-9]' || { echo "recovered metrics missing job history" >&2; exit 1; }
+# The restored graph stays cold: the resubmission never ran, so no
+# edge slice is resident.
+echo "$METRICS" | grep -q '^chaos_catalog_bytes{kind="edges"} 0$' || { echo "a cold restored graph counts resident edges" >&2; exit 1; }
 # The SSE stream of a job finished before the crash replays as a single
 # terminal snapshot on the recovered process.
 REPLAY=$(curl -sN -m 10 $BASE/v1/jobs/$JOB/events)

@@ -79,6 +79,43 @@ func spillDirFrom(ctx context.Context) string {
 	return dir
 }
 
+// BinCache lends the native engine the pre-processing output (§3) of
+// earlier runs over one edge slice: the edge chunks per partition and
+// the out-degrees, keyed by everything they depend on (machines,
+// partitions, chunk size, edge format, degrees). A run over any other
+// slice bypasses it. Safe for concurrent runs, which share a set
+// read-only; the DES engine ignores it.
+type BinCache = drive.BinCache
+
+// NewBinCache returns a cache bound to edges, holding at most
+// drive.MaxBinSets bin sets.
+func NewBinCache(edges []Edge) *BinCache { return drive.NewBinStore().Bind(edges) }
+
+// binCacheKey carries a BinCache through a context, mirroring
+// spillDirKey.
+type binCacheKey struct{}
+
+// WithBinCache returns a context under which native runs over c's edge
+// slice borrow their bin sets from c, building and keeping them on a
+// miss. Operational like WithSpillDir: a borrowed set is the one the run
+// would have built, so values and reports are those of a run without
+// it, and it is absent from option fingerprints.
+func WithBinCache(ctx context.Context, c *BinCache) context.Context {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return context.WithValue(ctx, binCacheKey{}, c)
+}
+
+// binCacheFrom extracts the cache WithBinCache installed, nil if none.
+func binCacheFrom(ctx context.Context) *BinCache {
+	if ctx == nil {
+		return nil
+	}
+	c, _ := ctx.Value(binCacheKey{}).(*BinCache)
+	return c
+}
+
 // TraceRecorder collects a run's span stream into a bounded ring,
 // dropping the oldest spans on overflow so recording never blocks or
 // grows without bound. Safe for concurrent use; one recorder should
