@@ -147,16 +147,17 @@ func newEngine[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges []graph
 
 // execute drives the simulation to completion. The compute pool exists
 // only for the duration of the run; close drains every dispatched task,
-// so a failed run never leaks worker goroutines.
+// so a failed run never leaks worker goroutines. Closing the environment
+// unwinds the processes left parked, also when a process's panic unwinds
+// through Run.
 func (eng *engine[V, U, A]) execute() error {
 	eng.pool = drive.NewPool(eng.cfg.ComputeWorkers)
 	defer eng.pool.Close()
+	defer eng.env.Close()
 	eng.env.Run()
 	if stuck := eng.env.Stuck(); len(stuck) > 0 {
-		eng.env.Close()
 		return fmt.Errorf("core: deadlock, stuck processes: %v", stuck)
 	}
-	eng.env.Close()
 	eng.run.Runtime = eng.env.Now()
 	eng.run.DeviceUtilization = eng.clu.DeviceUtilization()
 	return nil

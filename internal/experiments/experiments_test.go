@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -39,7 +40,9 @@ func rowLines(t *testing.T, f Figure) []string {
 // to the committed figure record by exact equality: simulated results do
 // not depend on the host, so there is no tolerance to tune. A change
 // meant to move the evaluation re-captures the record with -update and
-// says why in its description.
+// says why in its description. The experiments run as parallel
+// subtests; -update writes the record, in table order, once they all
+// have finished.
 func checkRecord(t *testing.T, s Scale) {
 	path := filepath.Join("testdata", "figures."+s.Name+".json")
 	var committed []Figure
@@ -50,9 +53,9 @@ func checkRecord(t *testing.T, s Scale) {
 	} else if !*update {
 		t.Fatal(err)
 	}
-	var fresh []string
+	fresh := make([]string, len(All)) // fresh[k] is All[k]'s record entry
 	recorded := 0
-	for _, e := range All {
+	for k, e := range All {
 		if e.ID == NativeID {
 			continue
 		}
@@ -61,12 +64,13 @@ func checkRecord(t *testing.T, s Scale) {
 		// (Table1, Figure10, Capacity), as before the table existed.
 		label, _, _ := strings.Cut(e.Paper, " (")
 		t.Run(strings.ReplaceAll(label, " ", ""), func(t *testing.T) {
+			t.Parallel()
 			fig, err := e.Run(io.Discard, s)
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
 			got := rowLines(t, fig)
-			fresh = append(fresh, fmt.Sprintf(" {\"id\": %q, \"rows\": [\n  %s\n ]}", e.ID, strings.Join(got, ",\n  ")))
+			fresh[k] = fmt.Sprintf(" {\"id\": %q, \"rows\": [\n  %s\n ]}", e.ID, strings.Join(got, ",\n  "))
 			if *update {
 				return
 			}
@@ -85,14 +89,19 @@ func checkRecord(t *testing.T, s Scale) {
 			}
 		})
 	}
-	if *update {
+	if !*update {
+		return
+	}
+	t.Cleanup(func() {
+		fresh = slices.DeleteFunc(fresh, func(f string) bool { return f == "" })
 		if len(fresh) != recorded {
-			t.Fatalf("-update needs every experiment to run and succeed: got %d of %d", len(fresh), recorded)
+			t.Errorf("-update needs every experiment to run and succeed: got %d of %d", len(fresh), recorded)
+			return
 		}
 		if err := os.WriteFile(path, []byte("[\n"+strings.Join(fresh, ",\n")+"\n]\n"), 0o644); err != nil {
-			t.Fatal(err)
+			t.Error(err)
 		}
-	}
+	})
 }
 
 // TestEveryExperimentRunsAtQuickScale holds every simulated experiment
@@ -189,15 +198,26 @@ func TestExperimentsDocMatchesTable(t *testing.T) {
 }
 
 func TestWeakScalingCacheHits(t *testing.T) {
-	a, err := RunWeakScaling(Quick, []string{"Cond"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunWeakScaling(Quick, []string{"Cond"})
-	if err != nil {
-		t.Fatal(err)
+	// Two concurrent callers of one sweep (Figures 7 and 14 run as
+	// parallel subtests) share a single run.
+	var a, b *WeakScalingResult
+	var errA, errB error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); a, errA = RunWeakScaling(Quick, []string{"Cond"}) }()
+	go func() { defer wg.Done(); b, errB = RunWeakScaling(Quick, []string{"Cond"}) }()
+	wg.Wait()
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
 	}
 	if a != b {
+		t.Error("concurrent identical sweeps should share one result")
+	}
+	c, err := RunWeakScaling(Quick, []string{"Cond"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c != a {
 		t.Error("second identical sweep should hit the cache")
 	}
 }

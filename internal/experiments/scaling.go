@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"chaos"
 	"chaos/internal/cluster"
@@ -54,14 +55,22 @@ type WeakScalingResult struct {
 }
 
 // weakCache memoizes weak-scaling sweeps so that Figures 7 and 14, which
-// plot different series of the same experiment, run it once.
-var weakCache = map[string]*WeakScalingResult{}
+// plot different series of the same experiment, run it once. weakMu is
+// held across a whole sweep, so a concurrent caller of the same sweep
+// waits for it and then hits the cache.
+var (
+	weakMu    sync.Mutex
+	weakCache = map[string]*WeakScalingResult{}
+)
 
 // RunWeakScaling performs the §9.1 experiment: problem size doubles with
 // the machine count (RMAT-27 on 1 machine to RMAT-32 on 32 in the paper).
-// Results are memoized per (scale, algorithm set).
+// Results are memoized per (scale, algorithm set); it is safe for
+// concurrent use.
 func RunWeakScaling(s Scale, algs []string) (*WeakScalingResult, error) {
 	key := fmt.Sprintf("%+v|%v", s, algs)
+	weakMu.Lock()
+	defer weakMu.Unlock()
 	if r, ok := weakCache[key]; ok {
 		return r, nil
 	}

@@ -15,9 +15,6 @@ func NewMailbox(env *Env, name string) *Mailbox {
 	return &Mailbox{env: env, name: name}
 }
 
-// Len returns the number of queued messages.
-func (m *Mailbox) Len() int { return len(m.q) }
-
 // Put delivers msg immediately (at the current virtual time), waking the
 // receiver if one is parked. It may be called from process or scheduler
 // context.
@@ -50,18 +47,6 @@ func (m *Mailbox) Recv(p *Proc) any {
 	m.q[0] = nil
 	m.q = m.q[1:]
 	return msg
-}
-
-// TryRecv returns the next message without blocking; ok is false if the
-// mailbox is empty.
-func (m *Mailbox) TryRecv() (msg any, ok bool) {
-	if len(m.q) == 0 {
-		return nil, false
-	}
-	msg = m.q[0]
-	m.q[0] = nil
-	m.q = m.q[1:]
-	return msg, true
 }
 
 // Barrier makes n processes rendezvous: each caller parks until all n have

@@ -3,17 +3,23 @@
 // scheduled processes, FIFO bandwidth/latency resources (storage devices,
 // NICs), mailboxes and barriers.
 //
-// Exactly one process runs at any moment; the scheduler hands control to
-// the process whose next event is earliest, with a monotonically increasing
-// sequence number breaking ties. All randomness must come from Env.Rand.
-// Runs with equal seeds are therefore bit-for-bit reproducible.
+// Each process is a coroutine (iter.Pull), so exactly one process runs at
+// any moment: the scheduler resumes the process whose next event is
+// earliest, with a monotonically increasing sequence number breaking ties,
+// and the process runs until it parks again. All randomness must come from
+// Env.Rand. Runs with equal seeds are therefore bit-for-bit reproducible.
+//
+// A panic inside a process surfaces from Env.Run, naming the process and
+// carrying the stack it failed on. Env.Close unwinds every process still
+// parked, running its deferred calls.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"math/rand"
-	"runtime"
+	"runtime/debug"
 )
 
 // Time is virtual time in nanoseconds since the start of the simulation.
@@ -67,13 +73,11 @@ func (h *eventHeap) Pop() any {
 // Env is a simulation environment. The zero value is not usable; create
 // environments with NewEnv.
 type Env struct {
-	now     Time
-	events  eventHeap
-	seq     uint64
-	resume  chan struct{}
-	procs   []*Proc
-	rng     *rand.Rand
-	stopped bool
+	now    Time
+	events eventHeap
+	seq    uint64
+	procs  []*Proc
+	rng    *rand.Rand
 	// free recycles event structs between heap pops and pushes; a busy
 	// simulation fires millions of events and the per-event allocation
 	// otherwise dominates the scheduler's cost.
@@ -94,10 +98,7 @@ func (e *Env) newEvent(at Time, fn func(), p *Proc) *event {
 
 // NewEnv returns an environment whose random choices derive from seed.
 func NewEnv(seed int64) *Env {
-	return &Env{
-		resume: make(chan struct{}),
-		rng:    rand.New(rand.NewSource(seed)),
-	}
+	return &Env{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -128,7 +129,8 @@ func (e *Env) scheduleWake(t Time, p *Proc) {
 
 // Run drives the simulation until no events remain, and returns the final
 // virtual time. Processes still blocked afterwards can be inspected with
-// Stuck; call Close to release their goroutines.
+// Stuck; call Close to unwind them. A panic inside a process is re-raised
+// here as a string naming the process, followed by its stack.
 func (e *Env) Run() Time {
 	for e.events.Len() > 0 {
 		ev := heap.Pop(&e.events).(*event)
@@ -141,8 +143,9 @@ func (e *Env) Run() Time {
 				continue
 			}
 			p.state = procRunning
-			p.wake <- struct{}{}
-			<-e.resume
+			if _, more := p.next(); !more {
+				p.state = procDone
+			}
 		} else {
 			fn()
 		}
@@ -163,15 +166,14 @@ func (e *Env) Stuck() []string {
 	return s
 }
 
-// Close terminates all parked process goroutines. The environment must not
-// be used afterwards.
+// Close unwinds every process that has not finished: a parked process
+// returns from its park by panicking with stopped, so its deferred calls
+// run, and a process that never started never runs. The environment must
+// not be used afterwards.
 func (e *Env) Close() {
-	e.stopped = true
 	for _, p := range e.procs {
-		if p.state == procParked {
-			p.wake <- struct{}{}
-			<-e.resume
-		}
+		p.stop()
+		p.state = procDone
 	}
 }
 
@@ -184,42 +186,46 @@ const (
 	procDone
 )
 
-// Proc is a simulated process: a goroutine that runs only when the
-// scheduler hands it control and parks whenever it waits for virtual time
-// or a message.
+// Proc is a simulated process: a coroutine that runs only when the
+// scheduler resumes it and parks whenever it waits for virtual time or a
+// message. Parking switches straight back to Env.Run.
 type Proc struct {
 	env       *Env
 	name      string
-	wake      chan struct{}
+	next      func() (struct{}, bool) // resumes the process until it parks or returns
+	stop      func()                  // unwinds a parked process; a no-op once it is done
+	yield     func(struct{}) bool     // parks; false once Close has stopped the process
 	state     procState
 	blockedOn string
 }
 
+// stopped is the value a parked process panics with when Close stops it.
+// Unwinding by panic runs the process's deferred calls; Spawn's wrapper
+// recovers it. (runtime.Goexit would instead end the goroutine that called
+// Close.)
+type stopped struct{}
+
 // Spawn starts a new process executing fn. The process first runs at the
 // current virtual time, after already-queued events.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, wake: make(chan struct{})}
+	p := &Proc{env: e, name: name}
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.wake
-		if e.stopped {
-			p.state = procDone
-			e.resume <- struct{}{}
-			return
-		}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		// iter.Pull re-raises a process's panic from Env.Run, where the
+		// stack no longer shows where the process failed: keep it here.
+		defer func() {
+			switch r := recover(); r.(type) {
+			case nil, stopped:
+			default:
+				panic(fmt.Sprintf("sim: process %s: %v\n\n%s", name, r, debug.Stack()))
+			}
+		}()
+		p.yield = yield
 		fn(p)
-		p.state = procDone
-		e.resume <- struct{}{}
-	}()
+	})
 	e.scheduleWake(e.now, p)
 	return p
 }
-
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Env returns the environment the process belongs to.
-func (p *Proc) Env() *Env { return p.env }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
@@ -228,14 +234,10 @@ func (p *Proc) Now() Time { return p.env.now }
 func (p *Proc) park(why string) {
 	p.state = procParked
 	p.blockedOn = why
-	p.env.resume <- struct{}{}
-	<-p.wake
-	p.blockedOn = ""
-	if p.env.stopped {
-		p.state = procDone
-		p.env.resume <- struct{}{}
-		runtime.Goexit()
+	if !p.yield(struct{}{}) {
+		panic(stopped{})
 	}
+	p.blockedOn = ""
 }
 
 // Sleep advances the process's local time by d.
@@ -255,11 +257,4 @@ func (p *Proc) SleepUntil(t Time) {
 	}
 	p.env.scheduleWake(t, p)
 	p.park("sleep-until")
-}
-
-// Yield reschedules the process at the current time, letting every event
-// already queued for this instant run first.
-func (p *Proc) Yield() {
-	p.env.scheduleWake(p.env.now, p)
-	p.park("yield")
 }

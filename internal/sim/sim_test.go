@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -187,8 +188,8 @@ func TestMailboxPreservesFIFO(t *testing.T) {
 	}
 }
 
-// TestMailboxDoesNotRetainReceived pins the pop discipline of Recv and
-// TryRecv: the popped slot is zeroed, so the backing array shared with
+// TestMailboxDoesNotRetainReceived pins the pop discipline of Recv: the
+// popped slot is zeroed, so the backing array shared with
 // later messages does not keep a received message reachable. The DES
 // sends held update slabs through mailboxes; a retained message would
 // pin its slab until the array is outgrown.
@@ -202,13 +203,6 @@ func TestMailboxDoesNotRetainReceived(t *testing.T) {
 	env.Run()
 	if beforeRecv[0] != nil {
 		t.Error("Recv left the received message in the backing array")
-	}
-	beforeTry := mb.q
-	if _, ok := mb.TryRecv(); !ok {
-		t.Fatal("TryRecv found no message")
-	}
-	if beforeTry[0] != nil {
-		t.Error("TryRecv left the received message in the backing array")
 	}
 }
 
@@ -310,16 +304,71 @@ func TestSpawnAfterRunContinues(t *testing.T) {
 	}
 }
 
-func TestYieldRunsQueuedEventsFirst(t *testing.T) {
+// failAtHelper is the frame TestProcessPanicReachesRun expects to find in
+// the re-raised panic's stack.
+func failAtHelper() { panic("boom") }
+
+// TestProcessPanicReachesRun pins where a process's panic surfaces: Env.Run
+// re-raises it naming the process and the stack it failed on, and Close
+// then unwinds the processes still parked, running their deferred calls.
+func TestProcessPanicReachesRun(t *testing.T) {
 	env := NewEnv(1)
-	var order []string
-	env.Spawn("a", func(p *Proc) {
-		env.At(env.Now(), func() { order = append(order, "event") })
-		p.Yield()
-		order = append(order, "proc")
+	mb := NewMailbox(env, "never")
+	var unwound bool
+	env.Spawn("sibling", func(p *Proc) {
+		defer func() { unwound = true }()
+		mb.Recv(p)
 	})
-	env.Run()
-	if len(order) != 2 || order[0] != "event" || order[1] != "proc" {
-		t.Errorf("order = %v, want [event proc]", order)
+	env.Spawn("faulty", func(p *Proc) {
+		p.Sleep(Second)
+		failAtHelper()
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		env.Run()
+	}()
+	msg, ok := got.(string)
+	if !ok {
+		t.Fatalf("Run's panic value = %#v, want a string", got)
 	}
+	for _, want := range []string{"sim: process faulty: boom", "failAtHelper"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("Run's panic value lacks %q:\n%s", want, msg)
+		}
+	}
+	if unwound {
+		t.Error("the parked sibling unwound before Close")
+	}
+	env.Close()
+	if !unwound {
+		t.Error("Close did not run the parked sibling's deferred call")
+	}
+}
+
+// BenchmarkMailboxHandoff measures what bench's sim.mailbox_handoffs_per_s
+// probe does: two processes pass a message back and forth, so each
+// iteration is one round trip of two mailbox puts, two scheduler events and
+// two process switches.
+func BenchmarkMailboxHandoff(b *testing.B) {
+	env := NewEnv(1)
+	ping, pong := NewMailbox(env, "ping"), NewMailbox(env, "pong")
+	env.Spawn("ping", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			pong.Put(i)
+			ping.Recv(p)
+		}
+	})
+	env.Spawn("pong", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			pong.Recv(p)
+			ping.Put(i)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run()
+	b.StopTimer()
+	env.Close()
+	b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "handoffs/s")
 }
