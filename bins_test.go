@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"chaos/internal/core/drive"
+	"chaos/internal/graph"
 	"chaos/internal/raceflag"
 )
 
@@ -18,12 +20,13 @@ func TestWarmRunAllocs(t *testing.T) {
 	}
 	edges := GenerateRMAT(12, false, 1)
 	opt := Options{Engine: EngineNative, Machines: 2, ChunkBytes: 64 << 10, ComputeWorkers: 2, Seed: 1}
-	cache := NewBinCache(edges)
+	src := graph.Edges(edges)
+	cache := drive.NewBinStore().Bind(src)
 	ctx := WithBinCache(context.Background(), cache)
 	run := func() (*Result, uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, _, err := RunPreparedContext(ctx, "PR", edges, 1<<12, opt)
+		res, _, err := RunSourceContext(ctx, "PR", src, 1<<12, opt)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

@@ -33,6 +33,10 @@ import (
 // Edge is a directed edge with an optional weight.
 type Edge = graph.Edge
 
+// EdgeSource is an edge list read by position, in batches: an edge
+// slice, a buffer of binary edge records, or a View of either.
+type EdgeSource = graph.Source
+
 // VertexID identifies a vertex; IDs are dense in [0, NumVertices).
 type VertexID = graph.VertexID
 

@@ -75,15 +75,16 @@ func main() {
 		cli.Fatal(logger, "parsing engine", err)
 	}
 
-	var edges []chaos.Edge
+	// The input is read as it lies: a file stays its binary records,
+	// which the run decodes as it streams them (§3).
+	var src chaos.EdgeSource
 	n := *vertices
 	if *input != "" {
 		needW := *weighted || chaos.NeedsWeights(alg)
-		f, err := os.Open(*input)
+		data, err := os.ReadFile(*input)
 		if err != nil {
 			cli.Fatal(logger, "opening input", err)
 		}
-		defer f.Close()
 		// Without an explicit vertex count, assume the compact format
 		// (files under 2^32 vertices) and infer the count from the
 		// edges read.
@@ -91,15 +92,14 @@ func main() {
 		if n > 0 {
 			format = graph.FormatFor(n, needW)
 		}
-		edges, err = graph.NewReader(f, format).ReadAll()
-		if err != nil {
+		if src, err = graph.Records(data, format); err != nil {
 			cli.Fatal(logger, "reading edge list", err)
 		}
 		if n == 0 {
-			n = chaos.NumVertices(edges)
+			n, _ = graph.VertexCount(src, 0)
 		}
 	} else {
-		edges = chaos.GenerateRMAT(*scale, chaos.NeedsWeights(alg), 42)
+		src = graph.Edges(chaos.GenerateRMAT(*scale, chaos.NeedsWeights(alg), 42))
 		n = uint64(1) << uint(*scale)
 	}
 
@@ -117,8 +117,8 @@ func main() {
 		Engine:          eng,
 	}
 
-	// Convert to the algorithm's edge view explicitly (instead of
-	// through RunByName) so the run can go through RunPreparedContext,
+	// Read through the algorithm's edge view explicitly (instead of
+	// through RunByName) so the run can go through RunSourceContext,
 	// the entry point that observes a context-attached flight recorder.
 	view, err := chaos.ViewFor(alg)
 	if err != nil {
@@ -130,7 +130,7 @@ func main() {
 		rec = chaos.NewTraceRecorder(*traceSpans)
 		ctx = chaos.WithTrace(ctx, rec.Record)
 	}
-	_, rep, err := chaos.RunPreparedContext(ctx, alg, view.Apply(edges), n, opt)
+	_, rep, err := chaos.RunSourceContext(ctx, alg, view.Source(src), n, opt)
 	if err != nil {
 		cli.Fatal(logger, "running algorithm", err)
 	}
@@ -155,7 +155,7 @@ func main() {
 	fmt.Printf("algorithm          %s\n", rep.Algorithm)
 	fmt.Printf("machines           %d\n", rep.Machines)
 	fmt.Printf("engine             %s\n", rep.Engine)
-	fmt.Printf("edges              %d\n", len(edges))
+	fmt.Printf("edges              %d\n", src.Len())
 	if rep.Engine == chaos.EngineNative {
 		// The native plane has no virtual clock: there are no simulated
 		// seconds, device-utilization or breakdown figures to report.

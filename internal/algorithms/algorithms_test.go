@@ -31,7 +31,7 @@ func TestBFSAllLevels(t *testing.T) {
 	edges, n := rmatEdges(8, false, 7)
 	und := graph.Undirected(edges)
 	want := refalgo.BFSLevels(graph.BuildAdjacency(und, n), 0)
-	values, _, err := core.Run(cfg(4, n, 5), &algorithms.BFS{}, und, n)
+	values, _, err := core.Run(cfg(4, n, 5), &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestBFSNonZeroRoot(t *testing.T) {
 	und := graph.Undirected(edges)
 	root := graph.VertexID(17)
 	want := refalgo.BFSLevels(graph.BuildAdjacency(und, n), root)
-	values, _, err := core.Run(cfg(2, n, 5), &algorithms.BFS{Root: root}, und, n)
+	values, _, err := core.Run(cfg(2, n, 5), &algorithms.BFS{Root: root}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestWCCMatchesUnionFind(t *testing.T) {
 	edges, n := rmatEdges(8, false, 11)
 	und := graph.Undirected(edges)
 	want := refalgo.WCCLabels(graph.BuildAdjacency(und, n))
-	values, _, err := core.Run(cfg(4, n, 5), &algorithms.WCC{}, und, n)
+	values, _, err := core.Run(cfg(4, n, 5), &algorithms.WCC{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 	edges, n := rmatEdges(8, true, 13)
 	und := graph.Undirected(edges)
 	want := refalgo.SSSPDistances(graph.BuildAdjacency(und, n), 0)
-	values, _, err := core.Run(cfg(4, n, 5), &algorithms.SSSP{}, und, n)
+	values, _, err := core.Run(cfg(4, n, 5), &algorithms.SSSP{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 func TestPageRankMatchesPowerIteration(t *testing.T) {
 	edges, n := rmatEdges(8, false, 15)
 	want := refalgo.PageRank(graph.BuildAdjacency(edges, n), 5)
-	values, _, err := core.Run(cfg(4, n, 8), &algorithms.PageRank{Iterations: 5}, edges, n)
+	values, _, err := core.Run(cfg(4, n, 8), &algorithms.PageRank{Iterations: 5}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestMISIsMaximalIndependent(t *testing.T) {
 		edges, n := rmatEdges(7, false, seed)
 		und := graph.Undirected(edges)
 		prog := &algorithms.MIS{}
-		values, _, err := core.Run(cfg(4, n, 2), prog, und, n)
+		values, _, err := core.Run(cfg(4, n, 2), prog, graph.Edges(und), n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestMCSTMatchesKruskal(t *testing.T) {
 		und := graph.Undirected(edges)
 		wantW, wantE := refalgo.MSTWeight(graph.BuildAdjacency(und, n))
 		prog := &algorithms.MCST{}
-		_, _, err := core.Run(cfg(4, n, 8), prog, und, n)
+		_, _, err := core.Run(cfg(4, n, 8), prog, graph.Edges(und), n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestSCCMatchesTarjan(t *testing.T) {
 	edges, n := rmatEdges(7, false, 23)
 	want := refalgo.SCCIDs(graph.BuildAdjacency(edges, n))
 	aug := algorithms.AugmentEdges(edges)
-	values, _, err := core.Run(cfg(4, n, 11), &algorithms.SCC{}, aug, n)
+	values, _, err := core.Run(cfg(4, n, 11), &algorithms.SCC{}, graph.Edges(aug), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestConductanceMatchesDirectCount(t *testing.T) {
 	adj := graph.BuildAdjacency(edges, n)
 	want := refalgo.Conductance(adj, algorithms.InSubset)
 	prog := &algorithms.Conductance{}
-	values, run, err := core.Run(cfg(4, n, 13), prog, edges, n)
+	values, run, err := core.Run(cfg(4, n, 13), prog, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestSpMVMatchesDirectProduct(t *testing.T) {
 	edges, n := rmatEdges(8, true, 31)
 	adj := graph.BuildAdjacency(edges, n)
 	prog := &algorithms.SpMV{}
-	values, _, err := core.Run(cfg(4, n, 8), prog, edges, n)
+	values, _, err := core.Run(cfg(4, n, 8), prog, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestSpMVMatchesDirectProduct(t *testing.T) {
 func TestBPMatchesSequentialRecurrence(t *testing.T) {
 	edges, n := rmatEdges(7, true, 37)
 	prog := &algorithms.BP{Iterations: 4}
-	values, _, err := core.Run(cfg(4, n, 4), prog, edges, n)
+	values, _, err := core.Run(cfg(4, n, 4), prog, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"chaos/internal/gas"
 	"chaos/internal/graph"
@@ -44,15 +45,59 @@ type SCC struct {
 	mode int
 }
 
-// AugmentEdges returns the edge list SCC expects: each directed edge
-// forward (weight 0) plus its reverse (weight 1).
+// AugmentEdges returns the edge list SCC expects, materialized.
 func AugmentEdges(edges []graph.Edge) []graph.Edge {
-	out := make([]graph.Edge, 0, 2*len(edges))
-	for _, e := range edges {
-		out = append(out, graph.Edge{Src: e.Src, Dst: e.Dst, Weight: 0},
-			graph.Edge{Src: e.Dst, Dst: e.Src, Weight: 1})
+	return graph.Collect(AugmentedView(graph.Edges(edges)))
+}
+
+// AugmentedSource is the edge list SCC expects over a base source: each
+// base edge forward (weight 0), then reversed (weight 1). View position
+// v is base edge v/2, so the view needs no index.
+type AugmentedSource struct{ base graph.Source }
+
+// AugmentedView returns the augmented view of base.
+func AugmentedView(base graph.Source) *AugmentedSource { return &AugmentedSource{base} }
+
+// Len implements graph.Source.
+func (a *AugmentedSource) Len() int { return 2 * a.base.Len() }
+
+// Base is the source a is a view of.
+func (a *AugmentedSource) Base() graph.Source { return a.base }
+
+// Range implements graph.Source: it reads base edges lo/2 up to hi/2,
+// rounded up, in a third of scratch and expands them into the rest.
+func (a *AugmentedSource) Range(lo, hi int, scratch []graph.Edge, fn func([]graph.Edge)) {
+	if lo < 0 || hi > a.Len() || lo > hi {
+		panic(fmt.Sprintf("algorithms: range [%d, %d) of an augmented view of %d edges", lo, hi, a.Len()))
 	}
-	return out
+	if lo == hi {
+		return
+	}
+	raw, out := graph.SplitScratch(scratch)
+	pos := lo &^ 1 // the view position of base edge lo/2
+	k := 0         // out[:k] is expanded and not yet yielded
+	a.base.Range(lo/2, (hi+1)/2, raw, func(batch []graph.Edge) {
+		o, p, j := out, pos, k // locals, not the closure's shared variables, in the loop
+		for _, e := range batch {
+			if j > len(o)-2 {
+				fn(o[:j])
+				j = 0
+			}
+			if p >= lo {
+				o[j] = graph.Edge{Src: e.Src, Dst: e.Dst}
+				j++
+			}
+			if p+1 < hi {
+				o[j] = graph.Edge{Src: e.Dst, Dst: e.Src, Weight: 1}
+				j++
+			}
+			p += 2
+		}
+		pos, k = p, j
+	})
+	if k > 0 {
+		fn(out[:k])
+	}
 }
 
 // Name implements gas.Program.

@@ -9,6 +9,7 @@ import (
 	"chaos/internal/algorithms"
 	"chaos/internal/cluster"
 	"chaos/internal/core/drive"
+	"chaos/internal/graph"
 	"chaos/internal/raceflag"
 	"chaos/internal/rmat"
 )
@@ -41,7 +42,7 @@ func TestDESSteadyStateAllocs(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		allocated[p.Iterations-1] = m.TotalAlloc
 	}
-	if _, _, err := Run(cfg, &algorithms.PageRank{Iterations: len(allocated)}, edges, gen.NumVertices()); err != nil {
+	if _, _, err := Run(cfg, &algorithms.PageRank{Iterations: len(allocated)}, graph.Edges(edges), gen.NumVertices()); err != nil {
 		t.Fatal(err)
 	}
 	var late []int64 // what iterations 6 to 10 allocated
@@ -77,7 +78,7 @@ func TestScatterInFlightIgnoresWorkers(t *testing.T) {
 		var most int64
 		cfg.Progress = func(drive.Progress) { most = max(most, eng.kern.ArenaHighWater()) }
 		var err error
-		if eng, err = newEngine(cfg, &algorithms.PageRank{Iterations: 5}, edges, gen.NumVertices()); err != nil {
+		if eng, err = newEngine(cfg, &algorithms.PageRank{Iterations: 5}, graph.Edges(edges), gen.NumVertices()); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.execute(); err != nil {

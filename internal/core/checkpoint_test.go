@@ -14,7 +14,7 @@ func TestCheckpointingPreservesResults(t *testing.T) {
 	want := refalgo.BFSLevels(graph.BuildAdjacency(und, n), 0)
 	cfg := testConfig(4, n, 5)
 	cfg.CheckpointEvery = 1
-	values, run, err := Run(cfg, &algorithms.BFS{}, und, n)
+	values, run, err := Run(cfg, &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,13 +35,13 @@ func TestCheckpointOverheadIsModest(t *testing.T) {
 	edges, n := testGraph(9, false)
 	base := testConfig(4, n, 8)
 	prog := &algorithms.PageRank{Iterations: 5}
-	_, runBase, err := Run(base, prog, edges, n)
+	_, runBase, err := Run(base, prog, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ck := base
 	ck.CheckpointEvery = 1
-	_, runCk, err := Run(ck, prog, edges, n)
+	_, runCk, err := Run(ck, prog, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestFailureRecoveryFromCheckpoint(t *testing.T) {
 	cfg := testConfig(4, n, 5)
 	cfg.CheckpointEvery = 1
 	cfg.FailAtIteration = 2 // transient failure after a checkpoint exists
-	values, run, err := Run(cfg, &algorithms.BFS{}, und, n)
+	values, run, err := Run(cfg, &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +84,13 @@ func TestFailureRecoveryBitIdenticalToCleanRun(t *testing.T) {
 	prog := &algorithms.PageRank{Iterations: 6}
 	clean := testConfig(2, n, 8)
 	clean.CheckpointEvery = 2
-	a, _, err := Run(clean, prog, edges, n)
+	a, _, err := Run(clean, prog, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	failed := clean
 	failed.FailAtIteration = 5
-	b, runB, err := Run(failed, prog, edges, n)
+	b, runB, err := Run(failed, prog, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +108,14 @@ func TestFailureWithoutCheckpointRejected(t *testing.T) {
 	edges, n := testGraph(6, false)
 	cfg := testConfig(2, n, 5)
 	cfg.FailAtIteration = 2
-	if _, _, err := Run(cfg, &algorithms.BFS{}, edges, n); err == nil {
+	if _, _, err := Run(cfg, &algorithms.BFS{}, graph.Edges(edges), n); err == nil {
 		t.Error("failure injection without checkpointing should be rejected")
 	}
 }
 
 func TestRuntimeIncludesPreprocessing(t *testing.T) {
 	edges, n := testGraph(7, false)
-	_, run, err := Run(testConfig(2, n, 5), &algorithms.BFS{}, graph.Undirected(edges), n)
+	_, run, err := Run(testConfig(2, n, 5), &algorithms.BFS{}, graph.Edges(graph.Undirected(edges)), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +128,11 @@ func TestDeterministicRuntimeForSeed(t *testing.T) {
 	edges, n := testGraph(7, false)
 	und := graph.Undirected(edges)
 	cfg := testConfig(4, n, 5)
-	_, a, err := Run(cfg, &algorithms.BFS{}, und, n)
+	_, a, err := Run(cfg, &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, b, err := Run(cfg, &algorithms.BFS{}, und, n)
+	_, b, err := Run(cfg, &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestDeterministicRuntimeForSeed(t *testing.T) {
 	}
 	cfg2 := cfg
 	cfg2.Seed = 99
-	_, c, err := Run(cfg2, &algorithms.BFS{}, und, n)
+	_, c, err := Run(cfg2, &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}

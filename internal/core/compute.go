@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"chaos/internal/core/drive"
+	"chaos/internal/graph"
 	"chaos/internal/metrics"
 	"chaos/internal/sim"
 	"chaos/internal/storage"
@@ -259,7 +260,7 @@ func (m *machine[V, U, A]) resetEdgeCursors() {
 func (m *machine[V, U, A]) preprocess(p *sim.Proc) {
 	eng := m.eng
 	mk := m.markSpan(p)
-	myEdges := eng.inputEdges[m.id]
+	lo, hi := eng.inputSplit[m.id][0], eng.inputSplit[m.id][1]
 	edgeSize := eng.kern.EdgeFmt.EdgeSize()
 	perChunk := max(eng.cfg.ChunkBytes/edgeSize, 1) // the DES chunk: whole records, at least one
 	limit := perChunk * edgeSize
@@ -273,14 +274,18 @@ func (m *machine[V, U, A]) preprocess(p *sim.Proc) {
 	}).DrawFrom(eng.kern.GrabBuf, eng.kern.ReleaseBuf)
 	dev := eng.clu.Machines[m.id].Device
 
-	for i := 0; i < len(myEdges); i += perChunk {
-		batch := myEdges[i:min(i+perChunk, len(myEdges))]
-		dev.Use(p, int64(len(batch)*edgeSize)) // read the raw input
-		eng.run.BytesRead += int64(len(batch) * edgeSize)
-		m.trBytesIn += int64(len(batch) * edgeSize)
+	// One scratch for the machine's whole pass: the input is read a
+	// chunk at a time.
+	scratch := graph.NewScratch()
+	bin := func(batch []graph.Edge) { eng.kern.BinEdges(batch, bins, localDeg) }
+	for i := lo; i < hi; i += perChunk {
+		n := min(perChunk, hi-i)
+		dev.Use(p, int64(n*edgeSize)) // read the raw input
+		eng.run.BytesRead += int64(n * edgeSize)
+		m.trBytesIn += int64(n * edgeSize)
 		m.trChunks++
-		m.cpu(p, len(batch))
-		eng.kern.BinEdges(batch, bins, localDeg)
+		m.cpu(p, n)
+		eng.input.Range(i, i+n, scratch, bin)
 	}
 	bins.FlushPartials()
 	m.drainWrites(p)

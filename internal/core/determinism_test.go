@@ -26,11 +26,11 @@ func checkWorkerDeterminism[V, U, A any](t *testing.T, name string,
 	parallel := serial
 	parallel.ComputeWorkers = 8
 
-	sVals, sRun, err := Run(serial, mkProg(), edges, n)
+	sVals, sRun, err := Run(serial, mkProg(), graph.Edges(edges), n)
 	if err != nil {
 		t.Fatalf("%s serial: %v", name, err)
 	}
-	pVals, pRun, err := Run(parallel, mkProg(), edges, n)
+	pVals, pRun, err := Run(parallel, mkProg(), graph.Edges(edges), n)
 	if err != nil {
 		t.Fatalf("%s parallel: %v", name, err)
 	}

@@ -70,8 +70,8 @@ type BinKey struct {
 const MaxBinSets = 4
 
 // BinStore holds bin sets for the caches bound to it (one per edge
-// slice) under one bound and one byte count: the job service keeps one
-// store per registered graph and one cache per view of it.
+// source) under one bound and one byte count: the job service keeps one
+// store per registered graph and binds it to each view's source.
 type BinStore struct {
 	mu   sync.Mutex
 	sets map[binSlot]*binEntry
@@ -80,8 +80,8 @@ type BinStore struct {
 }
 
 type binSlot struct {
-	cache *BinCache
-	key   BinKey
+	src graph.Source
+	key BinKey
 }
 
 type binEntry struct {
@@ -95,9 +95,10 @@ func NewBinStore() *BinStore {
 	return &BinStore{sets: make(map[binSlot]*binEntry)}
 }
 
-// Bind returns a cache over edges that keeps its bin sets in s.
-func (s *BinStore) Bind(edges []graph.Edge) *BinCache {
-	return &BinCache{store: s, first: unsafe.SliceData(edges), n: len(edges)}
+// Bind returns a cache over src that keeps its bin sets in s. Caches
+// bound to one source share its sets.
+func (s *BinStore) Bind(src graph.Source) *BinCache {
+	return &BinCache{store: s, src: src}
 }
 
 // Bytes is what the store's built sets hold.
@@ -119,29 +120,27 @@ func (s *BinStore) Each(fn func(BinKey, *Bins)) {
 	}
 }
 
-// BinCache is a BinStore bound to one edge slice, identified by its
-// first element's address and its length: a run over any other slice
-// bypasses the cache, so a cache can never answer for edges it was not
-// built from. A nil cache bypasses too.
+// BinCache is a BinStore bound to one edge source: a run over any other
+// source bypasses the cache, so a cache can never answer for edges it
+// was not built from. A nil cache bypasses too.
 type BinCache struct {
 	store *BinStore
-	first *graph.Edge
-	n     int
+	src   graph.Source
 }
 
 // Store is the store c keeps its sets in.
 func (c *BinCache) Store() *BinStore { return c.store }
 
-// Lookup returns key's bin set over edges, running build on a miss.
+// Lookup returns key's bin set over src, running build on a miss.
 // Concurrent misses on one key build once: the others wait for the set
 // without holding the store's lock. built reports whether this call ran
 // build.
-func (c *BinCache) Lookup(edges []graph.Edge, key BinKey, build func() *Bins) (bins *Bins, built bool) {
-	if c == nil || unsafe.SliceData(edges) != c.first || len(edges) != c.n {
+func (c *BinCache) Lookup(src graph.Source, key BinKey, build func() *Bins) (bins *Bins, built bool) {
+	if c == nil || src != c.src {
 		return build(), true
 	}
 	s := c.store
-	slot := binSlot{c, key}
+	slot := binSlot{src, key}
 	s.mu.Lock()
 	s.tick++
 	if e, ok := s.sets[slot]; ok {

@@ -15,7 +15,7 @@ func testBins(held int64) *Bins {
 // Concurrent misses on one key build once, and every caller gets the
 // set that build returned; a later lookup borrows it.
 func TestBinStoreBuildsOnce(t *testing.T) {
-	edges := make([]graph.Edge, 8)
+	edges := graph.Edges(make([]graph.Edge, 8))
 	c := NewBinStore().Bind(edges)
 	key := BinKey{Machines: 2, Partitions: 2}
 	release := make(chan struct{})
@@ -53,22 +53,30 @@ func TestBinStoreBuildsOnce(t *testing.T) {
 	}
 }
 
-// A cache answers only for the slice it is bound to: another slice, even
-// an equal copy or a prefix, builds and leaves the store untouched.
+// A cache answers only for the source it is bound to: another source,
+// even one over the same slice, a copy or a prefix, builds and leaves
+// the store untouched.
 func TestBinCacheBindsOneSlice(t *testing.T) {
 	edges := make([]graph.Edge, 8)
-	c := NewBinStore().Bind(edges)
+	src := graph.Edges(edges)
+	c := NewBinStore().Bind(src)
 	key := BinKey{Machines: 1}
-	for _, other := range [][]graph.Edge{append([]graph.Edge(nil), edges...), edges[:4], edges[1:]} {
+	for _, other := range []graph.Source{graph.Edges(edges), graph.Edges(append([]graph.Edge(nil), edges...)), graph.Edges(edges[:4]), graph.UndirectedView(src)} {
 		if _, built := c.Lookup(other, key, func() *Bins { return testBins(8) }); !built {
-			t.Fatal("a lookup over another slice was answered from the cache")
+			t.Fatalf("a lookup over another source (%T) was answered from the cache", other)
 		}
 	}
 	if n := c.store.Bytes(); n != 0 {
 		t.Fatalf("bypassed lookups left %d bytes in the store", n)
 	}
+	if _, built := c.Lookup(src, key, func() *Bins { return testBins(8) }); !built {
+		t.Fatal("the bound source's first lookup did not build")
+	}
+	if _, built := c.store.Bind(src).Lookup(src, key, func() *Bins { return testBins(8) }); built {
+		t.Fatal("a second cache bound to the same source rebuilt its set")
+	}
 	var nilCache *BinCache
-	if _, built := nilCache.Lookup(edges, key, func() *Bins { return testBins(8) }); !built {
+	if _, built := nilCache.Lookup(src, key, func() *Bins { return testBins(8) }); !built {
 		t.Fatal("a nil cache answered")
 	}
 }
@@ -77,7 +85,7 @@ func TestBinCacheBindsOneSlice(t *testing.T) {
 // bound to the store, and the byte count drops by what it held.
 func TestBinStoreEvictsLeastRecentlyUsed(t *testing.T) {
 	s := NewBinStore()
-	a, b := make([]graph.Edge, 4), make([]graph.Edge, 4)
+	a, b := graph.Edges(make([]graph.Edge, 4)), graph.Edges(make([]graph.Edge, 4))
 	ca, cb := s.Bind(a), s.Bind(b)
 	held := func(i int) int64 { return int64(16 << i) }
 	sets := make([]*Bins, MaxBinSets+1)

@@ -458,22 +458,15 @@ func StealCriterion(vBytes, dBytes int64, workers int, alpha float64) bool {
 	return lhs < rhs
 }
 
-// SplitInput divides the unsorted edge list evenly across machines,
-// modeling the paper's input "randomly distributed over all storage
-// devices" (§8).
-func SplitInput(edges []graph.Edge, nm int) [][]graph.Edge {
-	out := make([][]graph.Edge, nm)
-	per := (len(edges) + nm - 1) / nm
-	for i := 0; i < nm; i++ {
-		lo := i * per
-		hi := lo + per
-		if lo > len(edges) {
-			lo = len(edges)
-		}
-		if hi > len(edges) {
-			hi = len(edges)
-		}
-		out[i] = edges[lo:hi]
+// SplitInput divides an unsorted edge list of n edges evenly across nm
+// machines, modeling the paper's input "randomly distributed over all
+// storage devices" (§8): machine i reads positions [lo, hi) of the
+// list, ⌈n/nm⌉ of them but for the last machines.
+func SplitInput(n, nm int) [][2]int {
+	out := make([][2]int, nm)
+	per := (n + nm - 1) / nm
+	for i := range out {
+		out[i] = [2]int{min(i*per, n), min((i+1)*per, n)}
 	}
 	return out
 }

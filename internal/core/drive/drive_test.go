@@ -2,6 +2,7 @@ package drive
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -112,27 +113,102 @@ func TestStealCriterion(t *testing.T) {
 func TestSplitInputCoversAllEdges(t *testing.T) {
 	prop := func(nEdges uint16, nmRaw uint8) bool {
 		nm := int(nmRaw%32) + 1
-		edges := make([]graph.Edge, int(nEdges)%5000)
-		for i := range edges {
-			edges[i] = graph.Edge{Src: graph.VertexID(i)}
-		}
-		parts := SplitInput(edges, nm)
+		n := int(nEdges) % 5000
+		parts := SplitInput(n, nm)
 		if len(parts) != nm {
 			return false
 		}
-		// Slices must be contiguous, in order, and cover every edge.
+		// Ranges must be contiguous, in order, and cover every edge.
 		seen := 0
 		for _, p := range parts {
-			for _, e := range p {
-				if int(e.Src) != seen {
-					return false
-				}
-				seen++
+			if p[0] != seen || p[1] < p[0] {
+				return false
 			}
+			seen = p[1]
 		}
-		return seen == len(edges)
+		return seen == n
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// loopsAtCuts returns r base edges whose undirected view, split across
+// nm machines, has a self-loop at every cut: there a view position's
+// base edge shifts by one, and a cut elsewhere falls between an edge
+// and its reverse.
+func loopsAtCuts(r, nm int) []graph.Edge {
+	edges := make([]graph.Edge, r)
+	for i := range edges {
+		edges[i] = graph.Edge{Src: graph.VertexID(i % 50), Dst: graph.VertexID((i*7 + 1) % 50), Weight: float32(i)}
+	}
+	// Each round turns at least one edge into a self-loop, so it ends.
+	for {
+		var base []int // base[v] is view position v's base edge
+		for i, e := range edges {
+			base = append(base, i)
+			if e.Src != e.Dst {
+				base = append(base, i)
+			}
+		}
+		per, moved := (len(base)+nm-1)/nm, false
+		for cut := per; cut < len(base); cut += per {
+			if e := &edges[base[cut]]; e.Src != e.Dst {
+				e.Dst, moved = e.Src, true
+			}
+		}
+		if !moved {
+			return edges
+		}
+	}
+}
+
+// TestSplitInputReadsViewCuts: every machine's range of a view, read
+// through the view's source over §8 records, is the slice the split of
+// the materialized view gave it, for all three views and machine counts
+// 1-8 and 32.
+func TestSplitInputReadsViewCuts(t *testing.T) {
+	f := graph.Format{Compact: true, Weighted: true}
+	for _, nm := range []int{1, 2, 3, 4, 5, 6, 7, 8, 32} {
+		edges := loopsAtCuts(1000, nm)
+		recs, err := graph.Records(f.EncodeEdges(nil, edges), f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var und, aug []graph.Edge // the materializing loops
+		for _, e := range edges {
+			rev := graph.Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight}
+			und = append(und, e)
+			if e.Src != e.Dst {
+				und = append(und, rev)
+			}
+			aug = append(aug, graph.Edge{Src: e.Src, Dst: e.Dst}, graph.Edge{Src: e.Dst, Dst: e.Src, Weight: 1})
+		}
+		per := (len(und) + nm - 1) / nm
+		for cut := per; cut < len(und); cut += per {
+			if und[cut].Src != und[cut].Dst {
+				t.Fatalf("%d machines: undirected position %d, a cut, is no self-loop", nm, cut)
+			}
+		}
+		for _, v := range []struct {
+			name string
+			src  graph.Source
+			want []graph.Edge
+		}{
+			{"directed", recs, edges},
+			{"undirected", graph.UndirectedView(recs), und},
+			{"augmented", algorithms.AugmentedView(recs), aug},
+		} {
+			per := (len(v.want) + nm - 1) / nm
+			scratch := graph.NewScratch()
+			for m, r := range SplitInput(v.src.Len(), nm) {
+				want := v.want[min(m*per, len(v.want)):min((m+1)*per, len(v.want))]
+				var got []graph.Edge
+				v.src.Range(r[0], r[1], scratch, func(b []graph.Edge) { got = append(got, b...) })
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s view, %d machines: machine %d read %d edges over [%d, %d), want the split's %d", v.name, nm, m, len(got), r[0], r[1], len(want))
+				}
+			}
+		}
 	}
 }

@@ -41,11 +41,11 @@ type Params struct {
 }
 
 // Plan infers the vertex count when the caller passes zero and refuses
-// one the edges name a vertex beyond, sizes the partition layout from the
-// memory budget (§3), derives the record geometry and resolves the
-// program extensions the run asks for.
-func Plan[V, U, A any](p Params, prog gas.Program[V, U, A], edges []graph.Edge, numVertices uint64) (*Kernel[V, U, A], error) {
-	numVertices, err := graph.VertexCount(edges, numVertices)
+// one the edges name a vertex beyond (one pass over src), sizes the
+// partition layout from the memory budget (§3), derives the record
+// geometry and resolves the program extensions the run asks for.
+func Plan[V, U, A any](p Params, prog gas.Program[V, U, A], src graph.Source, numVertices uint64) (*Kernel[V, U, A], error) {
+	numVertices, err := graph.VertexCount(src, numVertices)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

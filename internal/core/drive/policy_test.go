@@ -17,7 +17,7 @@ func planPR(t *testing.T, n uint64, p Params) *Kernel[algorithms.PRVertex, float
 	t.Helper()
 	p.Machines = 2
 	p.MemBudget = int64(n)*8/4 + 8
-	k, err := Plan(p, &algorithms.PageRank{Iterations: 10}, []graph.Edge{{Src: 0, Dst: 1}}, n)
+	k, err := Plan(p, &algorithms.PageRank{Iterations: 10}, graph.Edges([]graph.Edge{{Src: 0, Dst: 1}}), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,14 +25,14 @@ func planPR(t *testing.T, n uint64, p Params) *Kernel[algorithms.PRVertex, float
 }
 
 func TestPlanRejectsWhatTheProgramCannotDo(t *testing.T) {
-	if _, err := Plan(Params{Machines: 1}, &algorithms.PageRank{}, nil, 0); err == nil {
+	if _, err := Plan(Params{Machines: 1}, &algorithms.PageRank{}, graph.Edges(nil), 0); err == nil {
 		t.Error("empty graph planned")
 	}
-	_, err := Plan(Params{Machines: 1, RewriteEdges: true}, &algorithms.PageRank{}, nil, 10)
+	_, err := Plan(Params{Machines: 1, RewriteEdges: true}, &algorithms.PageRank{}, graph.Edges(nil), 10)
 	if err == nil {
 		t.Error("PageRank is no EdgeRewriter, yet the plan accepted RewriteEdges")
 	}
-	k, err := Plan(Params{Machines: 1, CombineUpdates: true}, &algorithms.PageRank{}, []graph.Edge{{Src: 3, Dst: 1}}, 0)
+	k, err := Plan(Params{Machines: 1, CombineUpdates: true}, &algorithms.PageRank{}, graph.Edges([]graph.Edge{{Src: 3, Dst: 1}}), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,10 +40,10 @@ func TestPlanRejectsWhatTheProgramCannotDo(t *testing.T) {
 		t.Errorf("combiner %v, %d vertices inferred; want set, 4", k.Combiner, k.Layout.NumVertices)
 	}
 	// UpdRec.Off addresses 2^32 vertices of one partition, no more.
-	if k, err = Plan(Params{Machines: 2}, &algorithms.PageRank{}, nil, 1<<33); err != nil || k.Layout.PerPartition != 1<<32 {
+	if k, err = Plan(Params{Machines: 2}, &algorithms.PageRank{}, graph.Edges(nil), 1<<33); err != nil || k.Layout.PerPartition != 1<<32 {
 		t.Errorf("2^33 vertices on two machines: %v; want two partitions of 2^32", err)
 	}
-	if _, err = Plan(Params{Machines: 2}, &algorithms.PageRank{}, nil, 1<<33+2); err == nil || !strings.Contains(err.Error(), "2^32") {
+	if _, err = Plan(Params{Machines: 2}, &algorithms.PageRank{}, graph.Edges(nil), 1<<33+2); err == nil || !strings.Contains(err.Error(), "2^32") {
 		t.Errorf("partitions of 2^32+1 vertices planned (error: %v)", err)
 	}
 }

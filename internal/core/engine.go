@@ -47,7 +47,8 @@ type engine[V, U, A any] struct {
 	// barrier and the decision barrier of each iteration.
 	decision drive.Decision
 
-	inputEdges [][]graph.Edge // per-machine slice of the unsorted input
+	input      graph.Source // the unsorted input edge list
+	inputSplit [][2]int     // each machine's [lo, hi) of input
 	run        *metrics.Run
 	dir        *storage.Directory
 	dirIn      *sim.Mailbox
@@ -67,7 +68,7 @@ type engine[V, U, A any] struct {
 // Run executes prog over the given unsorted edge list on the configured
 // cluster and returns the final vertex values plus runtime statistics.
 // Timing covers pre-processing through the final apply, as in the paper.
-func Run[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges []graph.Edge, numVertices uint64) ([]V, *metrics.Run, error) {
+func Run[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges graph.Source, numVertices uint64) ([]V, *metrics.Run, error) {
 	eng, err := newEngine(cfg, prog, edges, numVertices)
 	if err != nil {
 		return nil, nil, err
@@ -88,7 +89,7 @@ func Run[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges []graph.Edge,
 
 // newEngine validates the configuration and builds the simulated cluster,
 // stores and machine state for one run.
-func newEngine[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges []graph.Edge, numVertices uint64) (*engine[V, U, A], error) {
+func newEngine[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges graph.Source, numVertices uint64) (*engine[V, U, A], error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
@@ -113,7 +114,7 @@ func newEngine[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges []graph
 	}
 
 	nm := cfg.Spec.Machines
-	eng.inputEdges = drive.SplitInput(edges, nm)
+	eng.input, eng.inputSplit = edges, drive.SplitInput(edges.Len(), nm)
 	for i := 0; i < nm; i++ {
 		eng.stores = append(eng.stores, storage.NewStore(i, layout.NumPartitions, nil))
 		eng.storeIn = append(eng.storeIn, sim.NewMailbox(env, fmt.Sprintf("store%d", i)))

@@ -13,7 +13,7 @@ import (
 func TestTinyGraphs(t *testing.T) {
 	// Single vertex with a self-loop.
 	edges := []graph.Edge{{Src: 0, Dst: 0}}
-	values, _, err := Run(testConfig(2, 1, 5), &algorithms.BFS{}, edges, 1)
+	values, _, err := Run(testConfig(2, 1, 5), &algorithms.BFS{}, graph.Edges(edges), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestTinyGraphs(t *testing.T) {
 	}
 	// Two vertices, one edge, more machines than vertices.
 	edges = []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}}
-	values, _, err = Run(testConfig(4, 2, 5), &algorithms.BFS{}, edges, 2)
+	values, _, err = Run(testConfig(4, 2, 5), &algorithms.BFS{}, graph.Edges(edges), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,14 +32,14 @@ func TestTinyGraphs(t *testing.T) {
 }
 
 func TestEmptyGraphRejected(t *testing.T) {
-	if _, _, err := Run(testConfig(1, 1, 5), &algorithms.BFS{}, nil, 0); err == nil {
+	if _, _, err := Run(testConfig(1, 1, 5), &algorithms.BFS{}, graph.Edges(nil), 0); err == nil {
 		t.Error("empty graph should error")
 	}
 }
 
 func TestVertexCountInferred(t *testing.T) {
 	edges := graph.Undirected([]graph.Edge{{Src: 0, Dst: 7}})
-	values, _, err := Run(testConfig(2, 8, 5), &algorithms.BFS{}, edges, 0)
+	values, _, err := Run(testConfig(2, 8, 5), &algorithms.BFS{}, graph.Edges(edges), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +51,13 @@ func TestVertexCountInferred(t *testing.T) {
 func TestHDDSlowerThanSSDProportionally(t *testing.T) {
 	edges, n := testGraph(9, false)
 	ssdCfg := testConfig(4, n, 8)
-	_, ssd, err := Run(ssdCfg, &algorithms.PageRank{Iterations: 3}, edges, n)
+	_, ssd, err := Run(ssdCfg, &algorithms.PageRank{Iterations: 3}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hddCfg := ssdCfg
 	hddCfg.Spec = cluster.ScaleLatencies(cluster.HDD(4), float64(ssdCfg.ChunkBytes)/float64(4<<20))
-	_, hdd, err := Run(hddCfg, &algorithms.PageRank{Iterations: 3}, edges, n)
+	_, hdd, err := Run(hddCfg, &algorithms.PageRank{Iterations: 3}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +72,13 @@ func TestHDDSlowerThanSSDProportionally(t *testing.T) {
 func TestSlowNetworkHurtsMultiMachine(t *testing.T) {
 	edges, n := testGraph(9, false)
 	fast := testConfig(4, n, 8)
-	_, f, err := Run(fast, &algorithms.PageRank{Iterations: 3}, edges, n)
+	_, f, err := Run(fast, &algorithms.PageRank{Iterations: 3}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	slow := fast
 	slow.Spec = cluster.GigE1(fast.Spec)
-	_, s, err := Run(slow, &algorithms.PageRank{Iterations: 3}, edges, n)
+	_, s, err := Run(slow, &algorithms.PageRank{Iterations: 3}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +93,13 @@ func TestStealingImprovesSkewedRuntime(t *testing.T) {
 	edges, n := testGraph(10, false)
 	und := graph.Undirected(edges)
 	withSteal := testConfig(8, n, 5)
-	_, a, err := Run(withSteal, &algorithms.BFS{}, und, n)
+	_, a, err := Run(withSteal, &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	noSteal := withSteal
 	noSteal.Alpha = 0
-	_, b, err := Run(noSteal, &algorithms.BFS{}, und, n)
+	_, b, err := Run(noSteal, &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +114,12 @@ func TestStealingImprovesSkewedRuntime(t *testing.T) {
 func TestCentralDirectorySlowerAtScale(t *testing.T) {
 	edges, n := testGraph(10, false)
 	cfg := testConfig(8, n, 8)
-	_, chaosRun, err := Run(cfg, &algorithms.PageRank{Iterations: 3}, edges, n)
+	_, chaosRun, err := Run(cfg, &algorithms.PageRank{Iterations: 3}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.CentralDirectory = true
-	_, central, err := Run(cfg, &algorithms.PageRank{Iterations: 3}, edges, n)
+	_, central, err := Run(cfg, &algorithms.PageRank{Iterations: 3}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,12 +133,12 @@ func TestWindowOneUnderutilizesDevices(t *testing.T) {
 	edges, n := testGraph(10, false)
 	cfg := testConfig(8, n, 8)
 	cfg.WindowOverride = 10
-	_, batched, err := Run(cfg, &algorithms.PageRank{Iterations: 3}, edges, n)
+	_, batched, err := Run(cfg, &algorithms.PageRank{Iterations: 3}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.WindowOverride = 1
-	_, serial, err := Run(cfg, &algorithms.PageRank{Iterations: 3}, edges, n)
+	_, serial, err := Run(cfg, &algorithms.PageRank{Iterations: 3}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestExactlyOnceUnderMaximumStealing(t *testing.T) {
 	want := refalgo.PageRank(graph.BuildAdjacency(edges, n), 4)
 	cfg := testConfig(6, n, 8)
 	cfg.Alpha = math.Inf(1)
-	values, run, err := Run(cfg, &algorithms.PageRank{Iterations: 4}, edges, n)
+	values, run, err := Run(cfg, &algorithms.PageRank{Iterations: 4}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}

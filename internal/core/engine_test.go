@@ -35,7 +35,7 @@ func testGraph(scale int, weighted bool) ([]graph.Edge, uint64) {
 func TestBFSMatchesReferenceSingleMachine(t *testing.T) {
 	edges, n := testGraph(8, false)
 	und := graph.Undirected(edges)
-	values, run, err := Run(testConfig(1, n, 5), &algorithms.BFS{}, und, n)
+	values, run, err := Run(testConfig(1, n, 5), &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestBFSMatchesReferenceMultiMachine(t *testing.T) {
 	und := graph.Undirected(edges)
 	want := refalgo.BFSLevels(graph.BuildAdjacency(und, n), 0)
 	for _, m := range []int{2, 4, 8} {
-		values, _, err := Run(testConfig(m, n, 5), &algorithms.BFS{}, und, n)
+		values, _, err := Run(testConfig(m, n, 5), &algorithms.BFS{}, graph.Edges(und), n)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -71,7 +71,7 @@ func TestPageRankMatchesReference(t *testing.T) {
 	edges, n := testGraph(8, false)
 	want := refalgo.PageRank(graph.BuildAdjacency(edges, n), 5)
 	for _, m := range []int{1, 4} {
-		values, _, err := Run(testConfig(m, n, 8), &algorithms.PageRank{Iterations: 5}, edges, n)
+		values, _, err := Run(testConfig(m, n, 8), &algorithms.PageRank{Iterations: 5}, graph.Edges(edges), n)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -87,12 +87,12 @@ func TestPageRankMatchesReference(t *testing.T) {
 func TestResultsIdenticalAcrossClusterSizes(t *testing.T) {
 	edges, n := testGraph(7, false)
 	und := graph.Undirected(edges)
-	base, _, err := Run(testConfig(1, n, 5), &algorithms.WCC{}, und, n)
+	base, _, err := Run(testConfig(1, n, 5), &algorithms.WCC{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range []int{2, 5} {
-		got, _, err := Run(testConfig(m, n, 5), &algorithms.WCC{}, und, n)
+		got, _, err := Run(testConfig(m, n, 5), &algorithms.WCC{}, graph.Edges(und), n)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -110,7 +110,7 @@ func TestStealingDoesNotChangeResults(t *testing.T) {
 	for _, alpha := range []float64{0, 1, math.Inf(1)} {
 		cfg := testConfig(4, n, 5)
 		cfg.Alpha = alpha
-		values, _, err := Run(cfg, &algorithms.BFS{}, und, n)
+		values, _, err := Run(cfg, &algorithms.BFS{}, graph.Edges(und), n)
 		if err != nil {
 			t.Fatalf("alpha=%v: %v", alpha, err)
 		}
@@ -129,7 +129,7 @@ func TestBatchFactorDoesNotChangeResults(t *testing.T) {
 	for _, w := range []int{1, 2, 10, 32} {
 		cfg := testConfig(3, n, 8)
 		cfg.WindowOverride = w
-		values, _, err := Run(cfg, &algorithms.PageRank{Iterations: 3}, edges, n)
+		values, _, err := Run(cfg, &algorithms.PageRank{Iterations: 3}, graph.Edges(edges), n)
 		if err != nil {
 			t.Fatalf("window=%d: %v", w, err)
 		}
@@ -146,7 +146,7 @@ func TestCentralDirectoryModeCorrect(t *testing.T) {
 	und := graph.Undirected(edges)
 	cfg := testConfig(4, n, 5)
 	cfg.CentralDirectory = true
-	values, _, err := Run(cfg, &algorithms.BFS{}, und, n)
+	values, _, err := Run(cfg, &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ func TestCombinerPreservesPageRank(t *testing.T) {
 	want := refalgo.PageRank(graph.BuildAdjacency(edges, n), 5)
 	cfg := testConfig(4, n, 8)
 	cfg.CombineUpdates = true
-	values, run, err := Run(cfg, &algorithms.PageRank{Iterations: 5}, edges, n)
+	values, run, err := Run(cfg, &algorithms.PageRank{Iterations: 5}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestCombinerPreservesPageRank(t *testing.T) {
 	// Combining must not increase the update volume.
 	plain := cfg
 	plain.CombineUpdates = false
-	_, runPlain, err := Run(plain, &algorithms.PageRank{Iterations: 5}, edges, n)
+	_, runPlain, err := Run(plain, &algorithms.PageRank{Iterations: 5}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestCombinerPreservesBFS(t *testing.T) {
 	want := refalgo.BFSLevels(graph.BuildAdjacency(und, n), 0)
 	cfg := testConfig(3, n, 5)
 	cfg.CombineUpdates = true
-	values, _, err := Run(cfg, &algorithms.BFS{}, und, n)
+	values, _, err := Run(cfg, &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestCombinerRequiresImplementation(t *testing.T) {
 	cfg := testConfig(2, n, 2)
 	cfg.CombineUpdates = true
 	// MIS has no Combiner (its updates are not mergeable).
-	if _, _, err := Run(cfg, &algorithms.MIS{}, graph.Undirected(edges), n); err == nil {
+	if _, _, err := Run(cfg, &algorithms.MIS{}, graph.Edges(graph.Undirected(edges)), n); err == nil {
 		t.Error("combining without a Combiner implementation should error")
 	}
 }
@@ -71,7 +71,7 @@ func TestEdgeRewritingPreservesMCST(t *testing.T) {
 		cfg := testConfig(m, n, 8)
 		cfg.RewriteEdges = true
 		prog := &algorithms.MCST{}
-		_, run, err := Run(cfg, prog, und, n)
+		_, run, err := Run(cfg, prog, graph.Edges(und), n)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -83,7 +83,7 @@ func TestEdgeRewritingPreservesMCST(t *testing.T) {
 		plain := cfg
 		plain.RewriteEdges = false
 		prog2 := &algorithms.MCST{}
-		_, runPlain, err := Run(plain, prog2, und, n)
+		_, runPlain, err := Run(plain, prog2, graph.Edges(und), n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestEdgeRewritingRequiresImplementation(t *testing.T) {
 	edges, n := testGraph(6, false)
 	cfg := testConfig(2, n, 5)
 	cfg.RewriteEdges = true
-	if _, _, err := Run(cfg, &algorithms.BFS{}, graph.Undirected(edges), n); err == nil {
+	if _, _, err := Run(cfg, &algorithms.BFS{}, graph.Edges(graph.Undirected(edges)), n); err == nil {
 		t.Error("rewriting without an EdgeRewriter implementation should error")
 	}
 }
@@ -108,14 +108,14 @@ func TestEdgeRewritingConfigConflicts(t *testing.T) {
 	cfg := testConfig(2, n, 8)
 	cfg.RewriteEdges = true
 	cfg.CentralDirectory = true
-	if _, _, err := Run(cfg, &algorithms.MCST{}, und, n); err == nil {
+	if _, _, err := Run(cfg, &algorithms.MCST{}, graph.Edges(und), n); err == nil {
 		t.Error("rewriting with the central directory should be rejected")
 	}
 	cfg = testConfig(2, n, 8)
 	cfg.RewriteEdges = true
 	cfg.CheckpointEvery = 1
 	cfg.FailAtIteration = 2
-	if _, _, err := Run(cfg, &algorithms.MCST{}, und, n); err == nil {
+	if _, _, err := Run(cfg, &algorithms.MCST{}, graph.Edges(und), n); err == nil {
 		t.Error("rewriting with failure injection should be rejected")
 	}
 }
@@ -127,7 +127,7 @@ func TestVertexReplicationRecoversFromLostPrimaries(t *testing.T) {
 
 	cfg := testConfig(4, n, 5)
 	cfg.ReplicateVertices = true
-	eng, err := newEngine(cfg, &algorithms.BFS{}, und, n)
+	eng, err := newEngine(cfg, &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestVertexReplicationWithoutFlagCannotRecover(t *testing.T) {
 	edges, n := testGraph(6, false)
 	und := graph.Undirected(edges)
 	cfg := testConfig(3, n, 5)
-	eng, err := newEngine(cfg, &algorithms.BFS{}, und, n)
+	eng, err := newEngine(cfg, &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +181,13 @@ func TestReplicationDoublesVertexWriteTraffic(t *testing.T) {
 	edges, n := testGraph(7, false)
 	und := graph.Undirected(edges)
 	base := testConfig(4, n, 5)
-	_, plain, err := Run(base, &algorithms.BFS{}, und, n)
+	_, plain, err := Run(base, &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	repl := base
 	repl.ReplicateVertices = true
-	values, mirrored, err := Run(repl, &algorithms.BFS{}, und, n)
+	values, mirrored, err := Run(repl, &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}

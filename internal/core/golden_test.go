@@ -37,7 +37,7 @@ func goldenOf(r *metrics.Run) goldenRun {
 func TestGoldenReports(t *testing.T) {
 	edges, n := testGraph(10, false)
 
-	_, wcc, err := Run(testConfig(4, n, 8), &algorithms.WCC{}, graph.Undirected(edges), n)
+	_, wcc, err := Run(testConfig(4, n, 8), &algorithms.WCC{}, graph.Edges(graph.Undirected(edges)), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestGoldenReports(t *testing.T) {
 		t.Errorf("WCC report moved:\n got %#v\nwant %#v", got, wantWCC)
 	}
 
-	_, pr, err := Run(testConfig(4, n, 8), &algorithms.PageRank{Iterations: 5}, edges, n)
+	_, pr, err := Run(testConfig(4, n, 8), &algorithms.PageRank{Iterations: 5}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestCombinerGoldenReport(t *testing.T) {
 	edges, n := testGraph(13, false)
 	cfg := testConfig(2, n, 8)
 	cfg.CombineUpdates = true
-	_, pr, err := Run(cfg, &algorithms.PageRank{Iterations: 3}, edges, n)
+	_, pr, err := Run(cfg, &algorithms.PageRank{Iterations: 3}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestDefaultChunkAllocationFollowsData(t *testing.T) {
 	cfg.MemBudget = int64(n)*8/int64(2*m) + 8 // 2 partitions per machine
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, run, err := Run(cfg, &algorithms.WCC{}, graph.Undirected(edges), n)
+	_, run, err := Run(cfg, &algorithms.WCC{}, graph.Edges(graph.Undirected(edges)), n)
 	if err != nil {
 		t.Fatal(err)
 	}

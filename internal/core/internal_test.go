@@ -15,7 +15,7 @@ import (
 func TestUpdateRecordRoundTrip(t *testing.T) {
 	for _, n := range []uint64{1 << 10, 1 << 33} {
 		cfg := testConfig(2, n, 8)
-		eng, err := newEngine(cfg, &algorithms.PageRank{Iterations: 1}, []graph.Edge{{Src: 0, Dst: 1}}, n)
+		eng, err := newEngine(cfg, &algorithms.PageRank{Iterations: 1}, graph.Edges([]graph.Edge{{Src: 0, Dst: 1}}), n)
 		if err != nil {
 			t.Fatal(err)
 		}

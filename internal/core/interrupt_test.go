@@ -22,7 +22,7 @@ func TestInterruptStopsAtIterationBoundary(t *testing.T) {
 		polls++
 		return polls >= 2 // cancel at the second iteration boundary
 	}
-	values, run, err := Run(cfg, &algorithms.PageRank{Iterations: 10}, edges, n)
+	values, run, err := Run(cfg, &algorithms.PageRank{Iterations: 10}, graph.Edges(edges), n)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
@@ -39,13 +39,13 @@ func TestInterruptStopsAtIterationBoundary(t *testing.T) {
 func TestInterruptNeverFiringChangesNothing(t *testing.T) {
 	edges, n := testGraph(7, false)
 	und := graph.Undirected(edges)
-	plain, prep, err := Run(testConfig(2, n, 5), &algorithms.BFS{}, und, n)
+	plain, prep, err := Run(testConfig(2, n, 5), &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig(2, n, 5)
 	cfg.Interrupt = func() bool { return false }
-	got, rep, err := Run(cfg, &algorithms.BFS{}, und, n)
+	got, rep, err := Run(cfg, &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}

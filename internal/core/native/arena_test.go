@@ -11,6 +11,7 @@ import (
 	"chaos/internal/cluster"
 	"chaos/internal/core"
 	"chaos/internal/core/drive"
+	"chaos/internal/graph"
 	"chaos/internal/raceflag"
 	"chaos/internal/rmat"
 )
@@ -67,11 +68,11 @@ func TestNativeSteadyStateAllocs(t *testing.T) {
 				allocated[p.Iterations-1] = m.TotalAlloc
 				highWater = max(highWater, r.kern.ArenaHighWater())
 			}
-			r, err := newRun(cfg, &algorithms.PageRank{Iterations: len(allocated)}, edges, 0)
+			r, err := newRun(cfg, &algorithms.PageRank{Iterations: len(allocated)}, graph.Edges(edges), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := r.execute(edges); err != nil {
+			if err := r.execute(graph.Edges(edges)); err != nil {
 				t.Fatal(err)
 			}
 			if budget > 0 && r.rmet.SpillBytes == 0 {
@@ -124,12 +125,12 @@ func TestScatterWindowKeepsMergeOrder(t *testing.T) {
 		cfg := core.DefaultConfig(cluster.SSD(2))
 		cfg.ChunkBytes = 1 << 10
 		cfg.ComputeWorkers = workers
-		r, err := newRun(cfg, &algorithms.PageRank{Iterations: 1}, edges, gen.NumVertices())
+		r, err := newRun(cfg, &algorithms.PageRank{Iterations: 1}, graph.Edges(edges), gen.NumVertices())
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.pool = drive.NewPool(workers)
-		r.preprocess(edges)
+		r.preprocess(graph.Edges(edges))
 		if len(r.edges[0]) < 4*r.pool.Window() {
 			t.Fatalf("partition 0 has %d chunks, too few to outrun a window of %d", len(r.edges[0]), r.pool.Window())
 		}
@@ -172,7 +173,7 @@ func TestFinishedRunIsCollectable(t *testing.T) {
 	before := heap()
 	cfg := core.DefaultConfig(cluster.SSD(2))
 	cfg.ChunkBytes = 64 << 10
-	if _, _, err := Run(cfg, &algorithms.PageRank{Iterations: 3}, edges, gen.NumVertices()); err != nil {
+	if _, _, err := Run(cfg, &algorithms.PageRank{Iterations: 3}, graph.Edges(edges), gen.NumVertices()); err != nil {
 		t.Fatal(err)
 	}
 	arena := int64(len(edges)) * int64(unsafe.Sizeof(drive.UpdRec[float32]{}))

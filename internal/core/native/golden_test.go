@@ -37,7 +37,7 @@ func goldenNative[V, U, A any](t *testing.T, c core.Config, prog gas.Program[V, 
 			mu.Unlock()
 		}
 	}
-	values, run, err := native.Run(c, prog, edges, n)
+	values, run, err := native.Run(c, prog, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ import (
 // metrics mirror the DES driver's shape, with wall-clock durations in
 // the time fields (Runtime, Preprocess) — callers that report "simulated
 // seconds" must not source them from a native run.
-func Run[V, U, A any](cfg core.Config, prog gas.Program[V, U, A], edges []graph.Edge, numVertices uint64) ([]V, *metrics.Run, error) {
+func Run[V, U, A any](cfg core.Config, prog gas.Program[V, U, A], edges graph.Source, numVertices uint64) ([]V, *metrics.Run, error) {
 	r, err := newRun(cfg, prog, edges, numVertices)
 	if err != nil {
 		return nil, nil, err
@@ -155,7 +155,7 @@ type run[V, U, A any] struct {
 	rmet  *metrics.Run
 }
 
-func newRun[V, U, A any](cfg core.Config, prog gas.Program[V, U, A], edges []graph.Edge, numVertices uint64) (*run[V, U, A], error) {
+func newRun[V, U, A any](cfg core.Config, prog gas.Program[V, U, A], edges graph.Source, numVertices uint64) (*run[V, U, A], error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
@@ -229,7 +229,7 @@ func newRun[V, U, A any](cfg core.Config, prog gas.Program[V, U, A], edges []gra
 // execute drives the run: preprocess, then iterations of scatter and
 // gather+apply with a decision point between iterations, mirroring the
 // DES driver's loop.
-func (r *run[V, U, A]) execute(edges []graph.Edge) (err error) {
+func (r *run[V, U, A]) execute(edges graph.Source) (err error) {
 	// The native plane measures real elapsed time by design: its report
 	// carries wall-clock, never virtual time (see Report.WallSeconds).
 	// These are the only two clock reads in the engine packages, and they

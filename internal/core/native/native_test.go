@@ -59,7 +59,7 @@ func TestNativeBFSMatchesReference(t *testing.T) {
 	und := graph.Undirected(edges)
 	want := refalgo.BFSLevels(graph.BuildAdjacency(und, n), 0)
 	for _, m := range machineCounts {
-		values, run, err := native.Run(cfg(m, n, 5), &algorithms.BFS{}, und, n)
+		values, run, err := native.Run(cfg(m, n, 5), &algorithms.BFS{}, graph.Edges(und), n)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -79,7 +79,7 @@ func TestNativeWCCMatchesReference(t *testing.T) {
 	und := graph.Undirected(edges)
 	want := refalgo.WCCLabels(graph.BuildAdjacency(und, n))
 	for _, m := range machineCounts {
-		values, _, err := native.Run(cfg(m, n, 5), &algorithms.WCC{}, und, n)
+		values, _, err := native.Run(cfg(m, n, 5), &algorithms.WCC{}, graph.Edges(und), n)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -96,7 +96,7 @@ func TestNativeSSSPMatchesReference(t *testing.T) {
 	und := graph.Undirected(edges)
 	want := refalgo.SSSPDistances(graph.BuildAdjacency(und, n), 0)
 	for _, m := range machineCounts {
-		values, _, err := native.Run(cfg(m, n, 5), &algorithms.SSSP{}, und, n)
+		values, _, err := native.Run(cfg(m, n, 5), &algorithms.SSSP{}, graph.Edges(und), n)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -119,7 +119,7 @@ func TestNativePageRankMatchesReference(t *testing.T) {
 	edges, n := rmatEdges(8, false, 15)
 	want := refalgo.PageRank(graph.BuildAdjacency(edges, n), 5)
 	for _, m := range machineCounts {
-		values, _, err := native.Run(cfg(m, n, 8), &algorithms.PageRank{Iterations: 5}, edges, n)
+		values, _, err := native.Run(cfg(m, n, 8), &algorithms.PageRank{Iterations: 5}, graph.Edges(edges), n)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -137,7 +137,7 @@ func TestNativeMISMatchesReference(t *testing.T) {
 	adj := graph.BuildAdjacency(und, n)
 	for _, m := range machineCounts {
 		prog := &algorithms.MIS{}
-		values, _, err := native.Run(cfg(m, n, 2), prog, und, n)
+		values, _, err := native.Run(cfg(m, n, 2), prog, graph.Edges(und), n)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -160,7 +160,7 @@ func TestNativeMCSTMatchesReference(t *testing.T) {
 	wantW, wantE := refalgo.MSTWeight(graph.BuildAdjacency(und, n))
 	for _, m := range machineCounts {
 		prog := &algorithms.MCST{}
-		_, _, err := native.Run(cfg(m, n, 8), prog, und, n)
+		_, _, err := native.Run(cfg(m, n, 8), prog, graph.Edges(und), n)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -178,7 +178,7 @@ func TestNativeSCCMatchesReference(t *testing.T) {
 	want := refalgo.SCCIDs(graph.BuildAdjacency(edges, n))
 	aug := algorithms.AugmentEdges(edges)
 	for _, m := range machineCounts {
-		values, _, err := native.Run(cfg(m, n, 11), &algorithms.SCC{}, aug, n)
+		values, _, err := native.Run(cfg(m, n, 11), &algorithms.SCC{}, graph.Edges(aug), n)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -208,7 +208,7 @@ func TestNativeConductanceMatchesReference(t *testing.T) {
 	want := refalgo.Conductance(adj, algorithms.InSubset)
 	for _, m := range machineCounts {
 		prog := &algorithms.Conductance{}
-		values, run, err := native.Run(cfg(m, n, 13), prog, edges, n)
+		values, run, err := native.Run(cfg(m, n, 13), prog, graph.Edges(edges), n)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -226,7 +226,7 @@ func TestNativeSpMVMatchesReference(t *testing.T) {
 	adj := graph.BuildAdjacency(edges, n)
 	for _, m := range machineCounts {
 		prog := &algorithms.SpMV{}
-		values, _, err := native.Run(cfg(m, n, 8), prog, edges, n)
+		values, _, err := native.Run(cfg(m, n, 8), prog, graph.Edges(edges), n)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -247,7 +247,7 @@ func TestNativeBPMatchesReference(t *testing.T) {
 	edges, n := rmatEdges(7, true, 37)
 	for _, m := range machineCounts {
 		prog := &algorithms.BP{Iterations: 4}
-		values, _, err := native.Run(cfg(m, n, 4), prog, edges, n)
+		values, _, err := native.Run(cfg(m, n, 4), prog, graph.Edges(edges), n)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -265,11 +265,11 @@ func TestNativeBPMatchesReference(t *testing.T) {
 // equal values, equal iteration counts, equal recoveries.
 func agreeExactly[V, U, A any](t *testing.T, name string, c core.Config, prog func() gas.Program[V, U, A], edges []graph.Edge, n uint64) *metrics.Run {
 	t.Helper()
-	simV, simRun, err := core.Run(c, prog(), edges, n)
+	simV, simRun, err := core.Run(c, prog(), graph.Edges(edges), n)
 	if err != nil {
 		t.Fatalf("%s: sim: %v", name, err)
 	}
-	natV, natRun, err := native.Run(c, prog(), edges, n)
+	natV, natRun, err := native.Run(c, prog(), graph.Edges(edges), n)
 	if err != nil {
 		t.Fatalf("%s: native: %v", name, err)
 	}
@@ -308,11 +308,11 @@ func TestNativeAgreesWithSimDriver(t *testing.T) {
 		t.Errorf("the injected failure fired %d times, want 1", run.Recoveries)
 	}
 
-	simPR, _, err := core.Run(cfg(4, n, 8), &algorithms.PageRank{Iterations: 5}, edges, n)
+	simPR, _, err := core.Run(cfg(4, n, 8), &algorithms.PageRank{Iterations: 5}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	natPR, _, err := native.Run(cfg(4, n, 8), &algorithms.PageRank{Iterations: 5}, edges, n)
+	natPR, _, err := native.Run(cfg(4, n, 8), &algorithms.PageRank{Iterations: 5}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,11 +351,11 @@ func TestNativeDeterministicForSeed(t *testing.T) {
 		{"m=4", cfg(4, n7, 8), edges7, n7},
 		{"m=8 always-steal checkpointed", streamed, edges8, n8},
 	} {
-		v1, run1, err := native.Run(tc.c, &algorithms.PageRank{Iterations: 5}, tc.edges, tc.n)
+		v1, run1, err := native.Run(tc.c, &algorithms.PageRank{Iterations: 5}, graph.Edges(tc.edges), tc.n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2, run2, err := native.Run(tc.c, &algorithms.PageRank{Iterations: 5}, tc.edges, tc.n)
+		v2, run2, err := native.Run(tc.c, &algorithms.PageRank{Iterations: 5}, graph.Edges(tc.edges), tc.n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,7 +383,7 @@ func TestNativeInterruptStopsAtBoundary(t *testing.T) {
 		boundaries++
 		return boundaries >= 2
 	}
-	_, _, err := native.Run(c, &algorithms.PageRank{Iterations: 10}, edges, n)
+	_, _, err := native.Run(c, &algorithms.PageRank{Iterations: 10}, graph.Edges(edges), n)
 	if err != core.ErrInterrupted {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
@@ -397,7 +397,7 @@ func TestNativeProgressReporting(t *testing.T) {
 	c := cfg(2, n, 8)
 	var ticks []drive.Progress
 	c.Progress = func(p drive.Progress) { ticks = append(ticks, p) }
-	_, run, err := native.Run(c, &algorithms.PageRank{Iterations: 4}, edges, n)
+	_, run, err := native.Run(c, &algorithms.PageRank{Iterations: 4}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestNativeCheckpointRecovery(t *testing.T) {
 	c := cfg(2, n, 5)
 	c.CheckpointEvery = 1
 	c.FailAtIteration = 2 // transient failure after a checkpoint exists
-	values, run, err := native.Run(c, &algorithms.BFS{}, und, n)
+	values, run, err := native.Run(c, &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestNativeCombinerPreservesResults(t *testing.T) {
 	want := refalgo.PageRank(graph.BuildAdjacency(edges, n), 5)
 	c := cfg(2, n, 8)
 	c.CombineUpdates = true
-	values, _, err := native.Run(c, &algorithms.PageRank{Iterations: 5}, edges, n)
+	values, _, err := native.Run(c, &algorithms.PageRank{Iterations: 5}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestNativeEdgeRewritingPreservesMCST(t *testing.T) {
 	c := cfg(2, n, 8)
 	c.RewriteEdges = true
 	prog := &algorithms.MCST{}
-	_, _, err := native.Run(c, prog, und, n)
+	_, _, err := native.Run(c, prog, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func TestNativeRejectsCentralDirectory(t *testing.T) {
 	edges, n := rmatEdges(6, false, 1)
 	c := cfg(2, n, 8)
 	c.CentralDirectory = true
-	if _, _, err := native.Run(c, &algorithms.PageRank{Iterations: 1}, edges, n); err == nil {
+	if _, _, err := native.Run(c, &algorithms.PageRank{Iterations: 1}, graph.Edges(edges), n); err == nil {
 		t.Fatal("central directory should be rejected by the native driver")
 	}
 }
@@ -503,7 +503,7 @@ func TestNativeStealingOnStreamedPath(t *testing.T) {
 	want := refalgo.PageRank(graph.BuildAdjacency(edges, n), 5)
 	c := cfg(8, n, 8)
 	c.Alpha = math.Inf(1)
-	values, run, err := native.Run(c, &algorithms.PageRank{Iterations: 5}, edges, n)
+	values, run, err := native.Run(c, &algorithms.PageRank{Iterations: 5}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,11 +523,11 @@ func TestNativeComputeWorkersDoNotChangeResults(t *testing.T) {
 	serial.ComputeWorkers = 1
 	pooled := serial
 	pooled.ComputeWorkers = 8
-	v1, _, err := native.Run(serial, &algorithms.PageRank{Iterations: 5}, edges, n)
+	v1, _, err := native.Run(serial, &algorithms.PageRank{Iterations: 5}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, _, err := native.Run(pooled, &algorithms.PageRank{Iterations: 5}, edges, n)
+	v2, _, err := native.Run(pooled, &algorithms.PageRank{Iterations: 5}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}

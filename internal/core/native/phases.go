@@ -12,11 +12,11 @@ import (
 // by source partition into chunks and counting out-degrees if the
 // program wants them, then initializing the resident vertex sets. The
 // pass's output is a drive.Bins, a pure function of the edges and the
-// bin key, so a run over edges it has seen before borrows it from
+// bin key, so a run over a source it has seen before borrows it from
 // Config.Bins instead of binning again; only the vertex initialization
 // is this run's own.
 
-func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
+func (r *run[V, U, A]) preprocess(edges graph.Source) {
 	t0 := r.elapsed()
 	key := drive.BinKey{
 		Machines:    r.nm,
@@ -62,9 +62,9 @@ func (r *run[V, U, A]) preprocess(edges []graph.Edge) {
 // concurrently; per-partition chunk lists are concatenated in machine
 // order so the edge stream every later scatter sees is deterministic.
 // It reads the run's kernel and geometry and writes none of its state.
-func (r *run[V, U, A]) binEdges(edges []graph.Edge, needDeg bool) *drive.Bins {
+func (r *run[V, U, A]) binEdges(edges graph.Source, needDeg bool) *drive.Bins {
 	np := r.layout.NumPartitions
-	perMachine := drive.SplitInput(edges, r.nm)
+	perMachine := drive.SplitInput(edges.Len(), r.nm)
 	edgeSize := r.kern.EdgeFmt.EdgeSize()
 	limit := drive.SpillLimit(r.cfg.ChunkBytes, edgeSize)
 
@@ -92,13 +92,14 @@ func (r *run[V, U, A]) binEdges(edges []graph.Edge, needDeg bool) *drive.Bins {
 				nchunks++
 				binnedBytes += int64(len(chunk))
 			})
-			r.kern.BinEdges(perMachine[m], wire, b.deg)
+			lo, hi := perMachine[m][0], perMachine[m][1]
+			edges.Range(lo, hi, graph.NewScratch(), func(batch []graph.Edge) { r.kern.BinEdges(batch, wire, b.deg) })
 			wire.FlushPartials()
 			spans[m] = drive.Span{
 				Iter: -1, Machine: m, Part: -1, Phase: drive.PhasePreprocess,
 				Start: int64(t0), Dur: int64(r.elapsed() - t0),
 				Chunks:  nchunks,
-				BytesIn: int64(len(perMachine[m]) * edgeSize), BytesOut: binnedBytes,
+				BytesIn: int64((hi - lo) * edgeSize), BytesOut: binnedBytes,
 			}
 		}(m)
 	}

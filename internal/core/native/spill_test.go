@@ -58,12 +58,12 @@ func requireNoSpillLeftovers(t *testing.T, dir string) {
 // order they were produced in.
 func TestNativeSpillMatchesInMemory(t *testing.T) {
 	edges, n := rmatEdges(7, false, 21)
-	mem, _, err := native.Run(cfg(4, n, 8), &algorithms.PageRank{Iterations: 5}, edges, n)
+	mem, _, err := native.Run(cfg(4, n, 8), &algorithms.PageRank{Iterations: 5}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := spillCfg(t, 4, n, 8)
-	spilled, run, err := native.Run(c, &algorithms.PageRank{Iterations: 5}, edges, n)
+	spilled, run, err := native.Run(c, &algorithms.PageRank{Iterations: 5}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +109,12 @@ func spillAgrees[V, U, A any](t *testing.T, name string, prog func() gas.Program
 	t.Run(name, func(t *testing.T) {
 		mem := cfg(2, n, vbytes)
 		mem.TransportBudgetBytes = 0
-		memV, memRun, err := native.Run(mem, prog(), edges, n)
+		memV, memRun, err := native.Run(mem, prog(), graph.Edges(edges), n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c := spillCfg(t, 2, n, vbytes)
-		spV, spRun, err := native.Run(c, prog(), edges, n)
+		spV, spRun, err := native.Run(c, prog(), graph.Edges(edges), n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,14 +179,14 @@ func (maxInID) UpdateCodec() gas.Codec[ptrUpd] {
 func TestNativeSpillRefusesPointerUpdates(t *testing.T) {
 	edges, n := rmatEdges(6, false, 3)
 	c := spillCfg(t, 2, n, 4)
-	if _, _, err := native.Run(c, maxInID{}, edges, n); err == nil || !strings.Contains(err.Error(), "native_test.ptrUpd") {
+	if _, _, err := native.Run(c, maxInID{}, graph.Edges(edges), n); err == nil || !strings.Contains(err.Error(), "native_test.ptrUpd") {
 		t.Fatalf("budgeted run: err = %v, want one naming native_test.ptrUpd", err)
 	}
 	requireNoSpillLeftovers(t, c.SpillDir)
 
 	plain := cfg(2, n, 4)
 	plain.TransportBudgetBytes = 0
-	values, _, err := native.Run(plain, maxInID{}, edges, n)
+	values, _, err := native.Run(plain, maxInID{}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestNativeSpillMatchesReference(t *testing.T) {
 	want := refalgo.BFSLevels(graph.BuildAdjacency(und, n), 0)
 	for _, m := range machineCounts {
 		c := spillCfg(t, m, n, 5)
-		values, run, err := native.Run(c, &algorithms.BFS{}, und, n)
+		values, run, err := native.Run(c, &algorithms.BFS{}, graph.Edges(und), n)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -234,7 +234,7 @@ func TestNativeSpillWeightedMatchesReference(t *testing.T) {
 	und := graph.Undirected(edges)
 	want := refalgo.SSSPDistances(graph.BuildAdjacency(und, n), 0)
 	c := spillCfg(t, 2, n, 5)
-	values, _, err := native.Run(c, &algorithms.SSSP{}, und, n)
+	values, _, err := native.Run(c, &algorithms.SSSP{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestNativeSpillCleanupOnInterrupt(t *testing.T) {
 		boundaries++
 		return boundaries >= 2
 	}
-	_, _, err := native.Run(c, &algorithms.PageRank{Iterations: 10}, edges, n)
+	_, _, err := native.Run(c, &algorithms.PageRank{Iterations: 10}, graph.Edges(edges), n)
 	if err != core.ErrInterrupted {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
@@ -280,7 +280,7 @@ func TestNativeSpillCleanupAfterRollback(t *testing.T) {
 	c := spillCfg(t, 2, n, 5)
 	c.CheckpointEvery = 1
 	c.FailAtIteration = 2
-	values, run, err := native.Run(c, &algorithms.BFS{}, und, n)
+	values, run, err := native.Run(c, &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestNativeSpillSurvivesRestart(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(orphan, "upd.s0000.d0001"), []byte("stale"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := native.Run(c, &algorithms.PageRank{Iterations: 3}, edges, n); err != nil {
+	if _, _, err := native.Run(c, &algorithms.PageRank{Iterations: 3}, graph.Edges(edges), n); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(orphan); err != nil {
@@ -333,7 +333,7 @@ func TestNativeUnbudgetedRunNeverSpills(t *testing.T) {
 	edges, n := rmatEdges(7, false, 3)
 	c := cfg(2, n, 8)
 	c.SpillDir = t.TempDir()
-	_, run, err := native.Run(c, &algorithms.PageRank{Iterations: 3}, edges, n)
+	_, run, err := native.Run(c, &algorithms.PageRank{Iterations: 3}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestProgressReportsAtEveryBoundary(t *testing.T) {
 	var ticks []drive.Progress
 	cfg := testConfig(2, n, 8)
 	cfg.Progress = func(p drive.Progress) { ticks = append(ticks, p) }
-	_, run, err := Run(cfg, &algorithms.PageRank{Iterations: 5}, edges, n)
+	_, run, err := Run(cfg, &algorithms.PageRank{Iterations: 5}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,14 +58,14 @@ func TestProgressDoesNotPerturbRun(t *testing.T) {
 	edges, n := testGraph(7, false)
 	und := graph.Undirected(edges)
 
-	plain, plainRun, err := Run(testConfig(2, n, 5), &algorithms.BFS{}, und, n)
+	plain, plainRun, err := Run(testConfig(2, n, 5), &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig(2, n, 5)
 	ticks := 0
 	cfg.Progress = func(drive.Progress) { ticks++ }
-	got, run, err := Run(cfg, &algorithms.BFS{}, und, n)
+	got, run, err := Run(cfg, &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}

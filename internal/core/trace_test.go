@@ -18,7 +18,7 @@ func TestTraceEmitsPerPhaseSpans(t *testing.T) {
 	var spans []drive.Span
 	cfg := testConfig(2, n, 8)
 	cfg.Trace = func(s drive.Span) { spans = append(spans, s) }
-	_, run, err := Run(cfg, &algorithms.PageRank{Iterations: 5}, edges, n)
+	_, run, err := Run(cfg, &algorithms.PageRank{Iterations: 5}, graph.Edges(edges), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +81,14 @@ func TestTraceDoesNotPerturbRun(t *testing.T) {
 	edges, n := testGraph(7, false)
 	und := graph.Undirected(edges)
 
-	plain, plainRun, err := Run(testConfig(2, n, 5), &algorithms.BFS{}, und, n)
+	plain, plainRun, err := Run(testConfig(2, n, 5), &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig(2, n, 5)
 	fired := 0
 	cfg.Trace = func(drive.Span) { fired++ }
-	got, run, err := Run(cfg, &algorithms.BFS{}, und, n)
+	got, run, err := Run(cfg, &algorithms.BFS{}, graph.Edges(und), n)
 	if err != nil {
 		t.Fatal(err)
 	}

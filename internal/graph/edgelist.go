@@ -75,47 +75,39 @@ func (r *Reader) ReadAll() ([]Edge, error) {
 	}
 }
 
-// Undirected returns the edge list converted for undirected algorithms by
-// adding the reverse of every edge (§8: "we convert directed to undirected
-// graphs by adding a reverse edge"). A self-loop is its own reverse and is
-// emitted once; duplicating it would double the loop's degree and weight
-// contribution in every undirected view.
-func Undirected(edges []Edge) []Edge {
-	out := make([]Edge, 0, 2*len(edges))
-	for _, e := range edges {
-		if e.Src == e.Dst {
-			out = append(out, e)
-			continue
-		}
-		out = append(out, e, Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight})
-	}
-	return out
-}
-
 // MaxVertex returns one past the largest vertex ID referenced, i.e. the
 // vertex-set size for densely numbered graphs. It returns 0 when there is
 // no such size: for an empty edge list, and for one naming vertex
 // 2^64−1, whose count a uint64 cannot hold (VertexCount says which).
 func MaxVertex(edges []Edge) uint64 {
-	n, _ := VertexCount(edges, 0)
+	n, _ := VertexCount(Edges(edges), 0)
 	return n
 }
 
-// VertexCount returns the vertex-set size of edges: n when every ID
-// named is below it, and an error naming the largest ID when one is not.
-// For n == 0 the size is inferred, one past the largest ID, and it is an
-// error when there is nothing to infer it from or the ID is 2^64−1.
-func VertexCount(edges []Edge, n uint64) (uint64, error) {
-	var top VertexID
-	for _, e := range edges {
-		top = max(top, e.Src, e.Dst)
+// VertexCount returns the vertex-set size of src, read in one pass: n
+// when every ID named is below it, and an error naming the largest ID
+// when one is not. For n == 0 the size is inferred, one past the largest
+// ID, and it is an error when there is nothing to infer it from or the
+// ID is 2^64−1.
+func VertexCount(src Source, n uint64) (uint64, error) {
+	// A view's edges name exactly its base's vertices: read the base.
+	if v, ok := src.(interface{ Base() Source }); ok {
+		src = v.Base()
 	}
+	var top VertexID
+	src.Range(0, src.Len(), NewScratch(), func(batch []Edge) {
+		t := top
+		for _, e := range batch {
+			t = max(t, e.Src, e.Dst)
+		}
+		top = t
+	})
 	switch {
 	case n != 0 && uint64(top) >= n:
 		return 0, fmt.Errorf("an edge names vertex %d, but the graph has %d vertices", top, n)
 	case n != 0:
 		return n, nil
-	case len(edges) == 0:
+	case src.Len() == 0:
 		return 0, fmt.Errorf("empty graph")
 	case top == ^VertexID(0):
 		return 0, fmt.Errorf("an edge names vertex %d, past the largest vertex count", top)

@@ -140,75 +140,6 @@ func TestReaderReportsTruncation(t *testing.T) {
 	}
 }
 
-// FuzzReadEdges feeds the edge reader bytes a client uploaded, in
-// every format: it fails exactly on a partial trailing record, returns
-// one edge per whole record otherwise, and writing those edges back
-// reproduces the upload byte for byte (so weights keep their bits,
-// NaN payloads included). Format.DecodeEdges, the bulk decoder, agrees
-// with the Reader edge for edge, weights bit for bit.
-func FuzzReadEdges(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3})
-	f.Add(bytes.Repeat([]byte{0xff, 0x7f, 0xc0, 0x01}, 15))
-	for _, format := range allFormats {
-		var buf bytes.Buffer
-		w := NewWriter(&buf, format)
-		for _, e := range []Edge{{Src: 1, Dst: 2, Weight: 0.5}, {Src: 1 << 31, Dst: 0, Weight: -3}} {
-			if err := w.WriteEdge(e); err != nil {
-				f.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	// One writer per format for the whole run: a fresh one allocates a
-	// 1 MiB buffer, which would dominate every input.
-	outs := make([]bytes.Buffer, len(allFormats))
-	writers := make([]*Writer, len(allFormats))
-	for i, format := range allFormats {
-		writers[i] = NewWriter(&outs[i], format)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for i, format := range allFormats {
-			edges, err := NewReader(bytes.NewReader(data), format).ReadAll()
-			if partial := len(data)%format.EdgeSize() != 0; partial != (err != nil) {
-				t.Fatalf("%v: %d bytes: err = %v", format, len(data), err)
-			}
-			if err != nil {
-				continue
-			}
-			if len(edges) != len(data)/format.EdgeSize() {
-				t.Fatalf("%v: %d bytes decoded to %d edges", format, len(data), len(edges))
-			}
-			dec := format.DecodeEdges(nil, data)
-			if len(dec) != len(edges) {
-				t.Fatalf("%v: DecodeEdges gave %d edges, the Reader %d", format, len(dec), len(edges))
-			}
-			for j, e := range edges {
-				d := dec[j]
-				if d.Src != e.Src || d.Dst != e.Dst || math.Float32bits(d.Weight) != math.Float32bits(e.Weight) {
-					t.Fatalf("%v: edge %d: DecodeEdges %+v, the Reader %+v", format, j, d, e)
-				}
-			}
-			out, w := &outs[i], writers[i]
-			out.Reset()
-			for _, e := range edges {
-				if err := w.WriteEdge(e); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(out.Bytes(), data) {
-				t.Fatalf("%v: rewriting %d edges changed the bytes", format, len(edges))
-			}
-		}
-	})
-}
-
 func TestUndirectedDoublesEdges(t *testing.T) {
 	in := []Edge{{Src: 1, Dst: 2, Weight: 5}, {Src: 3, Dst: 4, Weight: 7}}
 	out := Undirected(in)
@@ -284,7 +215,7 @@ func TestVertexCount(t *testing.T) {
 		{top, 0, 0, "an edge names vertex 18446744073709551615, past the largest vertex count"},
 		{top, math.MaxUint64, 0, "an edge names vertex 18446744073709551615, but the graph has 18446744073709551615 vertices"},
 	} {
-		got, err := VertexCount(c.edges, c.n)
+		got, err := VertexCount(Edges(c.edges), c.n)
 		if msg := fmt.Sprint(err); got != c.want || (c.err == "") != (err == nil) || err != nil && msg != c.err {
 			t.Errorf("VertexCount(%v, %d) = %d, %v; want %d, %q", c.edges, c.n, got, err, c.want, c.err)
 		}

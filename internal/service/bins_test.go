@@ -180,13 +180,13 @@ func TestBinEvictionKeepsRunningJob(t *testing.T) {
 	runKey := func(ctx context.Context, k key, cached bool) *chaos.Result {
 		t.Helper()
 		view, _ := chaos.ViewFor(k.alg)
-		edges := g.View(view)
+		src := g.source(view)
 		if cached {
-			ctx = chaos.WithBinCache(ctx, g.binCache(view, edges))
+			ctx = chaos.WithBinCache(ctx, g.bins.Bind(src))
 		}
 		opt := nativeOpts
 		opt.Machines = k.machines
-		res, _, err := chaos.RunPreparedContext(ctx, k.alg, edges, g.Vertices, mergeOptions(labOptions, opt))
+		res, _, err := chaos.RunSourceContext(ctx, k.alg, src, g.Vertices, mergeOptions(labOptions, opt))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,9 +201,9 @@ func TestBinEvictionKeepsRunningJob(t *testing.T) {
 	full := binBytes(t, svc)
 	// The fifth set's size, from a store of its own.
 	view, _ := chaos.ViewFor(keys[4].alg)
-	fifth := chaos.NewBinCache(g.View(view))
+	fifth := drive.NewBinStore().Bind(g.source(view))
 	opt := nativeOpts
-	if _, _, err := chaos.RunPreparedContext(chaos.WithBinCache(context.Background(), fifth), keys[4].alg, g.View(view), g.Vertices, mergeOptions(labOptions, opt)); err != nil {
+	if _, _, err := chaos.RunSourceContext(chaos.WithBinCache(context.Background(), fifth), keys[4].alg, g.source(view), g.Vertices, mergeOptions(labOptions, opt)); err != nil {
 		t.Fatal(err)
 	}
 	fifthSize := fifth.Store().Bytes()
@@ -233,18 +233,18 @@ func TestBinEvictionKeepsRunningJob(t *testing.T) {
 	}
 }
 
-// TestBinCacheBypassedForAnotherSlice: a view's cache handed a copy of
-// the view answers nothing and keeps nothing, and the run is correct.
+// TestBinCacheBypassedForAnotherSlice: a view's cache handed another
+// source of the same edges answers nothing and keeps nothing, and the
+// run is correct.
 func TestBinCacheBypassedForAnotherSlice(t *testing.T) {
 	svc := newTestService(t, 1)
 	g, err := svc.RegisterGraph(GraphSpec{Name: "g", Type: "rmat", Scale: 8, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := g.View(chaos.ViewUndirected)
-	ctx := chaos.WithBinCache(context.Background(), g.binCache(chaos.ViewUndirected, view))
+	ctx := chaos.WithBinCache(context.Background(), g.bins.Bind(g.source(chaos.ViewUndirected)))
 	opt := mergeOptions(labOptions, nativeOpts)
-	res, _, err := chaos.RunPreparedContext(ctx, "WCC", append([]chaos.Edge(nil), view...), g.Vertices, opt)
+	res, _, err := chaos.RunPreparedContext(ctx, "WCC", g.View(chaos.ViewUndirected), g.Vertices, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,10 @@
 package service
 
 import (
-	"bytes"
 	"fmt"
 	"regexp"
-	"sort"
 	"sync"
 	"time"
-	"unsafe"
 
 	"chaos"
 	"chaos/internal/core/drive"
@@ -32,15 +29,17 @@ type GraphSpec struct {
 	Data     []byte `json:"data,omitempty"`
 }
 
-// Graph is a registered graph: the materialized edge slice plus lazily
-// cached views and, per view handed to a native job, its pre-processing
-// output (§3), all shared read-only by every job that references it.
+// Graph is a registered graph: its edge list held once, as the §8
+// records it was uploaded or generated as, the sources its three views
+// are read through, and, per view handed to a native job, that view's
+// pre-processing output (§3), all shared read-only by every job that
+// references it.
 //
-// A graph restored from the durable log starts unmaterialized: only its
-// metadata (and, for uploads, the persisted edge-list file) came back
-// from disk, and `load` regenerates the edge slice on first use. The
-// generated graph types are deterministic functions of their spec, so
-// re-materialization is exact; uploads re-read their persisted payload.
+// A graph restored from the durable log starts cold: only its metadata
+// (and, for uploads, the persisted edge-list file) came back from disk,
+// and `load` rebuilds the records on first use. The generated graph
+// types are deterministic functions of their spec, so regeneration is
+// exact; uploads re-read their persisted payload.
 type Graph struct {
 	ID         string
 	Type       string
@@ -53,23 +52,25 @@ type Graph struct {
 	// stripped; it is what the durable log records so the graph can be
 	// rebuilt after a restart.
 	spec GraphSpec
-	// load materializes the edge slice for restored graphs (nil once
-	// edges is set, or for graphs registered in this process).
-	load func() ([]chaos.Edge, error)
+	// load rebuilds the records of a restored graph (nil for graphs
+	// registered in this process).
+	load func() (*graph.RecordSource, error)
 
-	// loadMu serializes materialization only; g.mu guards the quick
-	// state reads (edges pointer, views and bin caches) and is never
-	// held across generation, conversion, binning or file IO, so
-	// Info/List stay responsive while a big graph is worked on.
+	// loadMu serializes loading only; g.mu guards the sources, which
+	// are set once, and is never held across generation, indexing,
+	// binning or file IO, so Info/List stay responsive while a big
+	// graph is worked on.
 	loadMu sync.Mutex
 	mu     sync.Mutex
-	edges  []chaos.Edge // nil for a restored graph until ensure()
-	views  map[chaos.View]*viewSlot
+	// recs is the directed view itself, nil while a restored graph is
+	// cold; undirected and augmented are the other views over it.
+	recs       *graph.RecordSource
+	undirected *graph.UndirectedSource
+	augmented  chaos.EdgeSource
 	// bins holds the bin sets of every native job's view, at most
 	// drive.MaxBinSets for the whole graph, least recently used out
-	// first; binCaches binds it to each view's edge slice.
-	bins      *drive.BinStore
-	binCaches map[chaos.View]*chaos.BinCache
+	// first, each bound to the view source it was built from.
+	bins *drive.BinStore
 	// persisted means the registration has reached the durable log. A
 	// snapshot captured in the window between catalog insertion and the
 	// journal append must skip the graph: if persisting then fails, the
@@ -92,48 +93,53 @@ func (g *Graph) isPersisted() bool {
 	return g.persisted
 }
 
-// ensure materializes a restored graph's edge slice. It is a no-op for
-// graphs registered in this process; every job run calls it before
-// touching View. Concurrent calls are serialized; after the first
-// success the edges are immutable.
+// hold builds the views over recs and keeps them. The undirected view
+// reads recs once to index its self-loops, outside g.mu.
+func (g *Graph) hold(recs *graph.RecordSource) {
+	und := graph.UndirectedView(recs)
+	aug := chaos.ViewAugmented.Source(recs)
+	g.mu.Lock()
+	g.recs, g.undirected, g.augmented = recs, und, aug
+	g.mu.Unlock()
+}
+
+// ensure loads a restored graph's records. It is a no-op for graphs
+// registered in this process; every job run calls it before reading a
+// source. Concurrent calls are serialized; after the first success the
+// records are immutable.
 func (g *Graph) ensure() error {
 	g.loadMu.Lock()
 	defer g.loadMu.Unlock()
-	g.mu.Lock()
-	loaded := g.edges != nil
-	g.mu.Unlock()
-	if loaded {
+	if g.Materialized() {
 		return nil
 	}
 	if g.load == nil {
 		return fmt.Errorf("service: graph %q has no edges and no loader", g.ID)
 	}
-	edges, err := g.load() // potentially slow: no locks besides loadMu
+	recs, err := g.load() // potentially slow: no locks besides loadMu
 	if err != nil {
 		return fmt.Errorf("service: re-materializing graph %q: %w", g.ID, err)
 	}
-	if len(edges) != g.EdgeCount {
+	if recs.Len() != g.EdgeCount {
 		// The regenerated/re-read edge list disagrees with the recorded
 		// metadata: a swapped upload file or a generator change. Serving
 		// it would silently invalidate every cached result for this id.
-		return fmt.Errorf("service: graph %q re-materialized with %d edges, recorded %d", g.ID, len(edges), g.EdgeCount)
+		return fmt.Errorf("service: graph %q re-materialized with %d edges, recorded %d", g.ID, recs.Len(), g.EdgeCount)
 	}
-	g.mu.Lock()
-	g.edges = edges
-	g.mu.Unlock()
+	g.hold(recs)
 	return nil
 }
 
-// Materialized reports whether the edge slice is resident (restored
+// Materialized reports whether the records are resident (restored
 // graphs stay cold until their first job).
 func (g *Graph) Materialized() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.edges != nil
+	return g.recs != nil
 }
 
-// GraphInfo is the wire form of a Graph (Graph itself carries the edge
-// slices and a mutex, so it never crosses the API boundary).
+// GraphInfo is the wire form of a Graph (Graph itself carries the
+// records and a mutex, so it never crosses the API boundary).
 type GraphInfo struct {
 	ID           string    `json:"id"`
 	Type         string    `json:"type"`
@@ -142,7 +148,6 @@ type GraphInfo struct {
 	Edges        int       `json:"edges"`
 	Registered   time.Time `json:"registered"`
 	Materialized bool      `json:"materialized"`
-	CachedViews  []string  `json:"cachedViews"`
 	// Bytes is what the graph holds resident, by kind.
 	Bytes GraphBytes `json:"bytes"`
 }
@@ -157,95 +162,44 @@ func (g *Graph) Info() GraphInfo {
 		Edges:        g.EdgeCount,
 		Registered:   g.Registered,
 		Materialized: g.Materialized(),
-		CachedViews:  g.CachedViews(),
 		Bytes:        g.Bytes(),
 	}
 }
 
-// viewSlot is one converted view: the conversion runs once, outside
-// g.mu, and concurrent callers wait on ready.
-type viewSlot struct {
-	ready chan struct{} // closed once edges is set
-	edges []chaos.Edge
+// source returns the graph's edges in view v, read through its records;
+// nil while a restored graph is cold (the scheduler's execute path
+// ensures first).
+func (g *Graph) source(v chaos.View) chaos.EdgeSource {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	switch {
+	case g.recs == nil:
+		return nil
+	case v == chaos.ViewUndirected:
+		return g.undirected
+	case v == chaos.ViewAugmented:
+		return g.augmented
+	}
+	return g.recs
 }
 
-// applyView converts edges to a view; a variable so a test can hold a
-// conversion open.
-var applyView = chaos.View.Apply
-
-// View returns the graph's edges in the requested view, converting on
-// first use and caching the result so subsequent jobs skip the
-// conversion (the point of registering a graph once). For a graph
-// restored from the durable log the caller must ensure() first; the
-// scheduler's execute path always does.
+// View returns a fresh copy of the graph's edges in view v, nil while a
+// restored graph is cold. Jobs read the view's source instead; a copy
+// is for callers that need a slice.
 func (g *Graph) View(v chaos.View) []chaos.Edge {
-	g.mu.Lock()
-	edges := g.edges
-	if v == chaos.ViewDirected {
-		g.mu.Unlock()
-		return edges
+	src := g.source(v)
+	if src == nil {
+		return nil
 	}
-	if g.views == nil {
-		g.views = make(map[chaos.View]*viewSlot)
-	}
-	slot, ok := g.views[v]
-	if !ok {
-		slot = &viewSlot{ready: make(chan struct{})}
-		g.views[v] = slot
-	}
-	g.mu.Unlock()
-	if ok {
-		<-slot.ready
-		return slot.edges
-	}
-	converted := applyView(v, edges)
-	g.mu.Lock()
-	slot.edges = converted
-	g.mu.Unlock()
-	close(slot.ready)
-	return converted
-}
-
-// binCache returns the bin cache of view v, whose edges View returned,
-// creating it on the view's first native job.
-func (g *Graph) binCache(v chaos.View, edges []chaos.Edge) *chaos.BinCache {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if c, ok := g.binCaches[v]; ok {
-		return c
-	}
-	if g.bins == nil {
-		g.bins = drive.NewBinStore()
-		g.binCaches = make(map[chaos.View]*chaos.BinCache)
-	}
-	c := g.bins.Bind(edges)
-	g.binCaches[v] = c
-	return c
-}
-
-// CachedViews lists the views materialized so far (diagnostics).
-func (g *Graph) CachedViews() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.edges == nil {
-		return []string{} // restored and still cold: nothing resident
-	}
-	names := []string{chaos.ViewDirected.String()}
-	for v, slot := range g.views {
-		if slot.edges != nil {
-			names = append(names, v.String())
-		}
-	}
-	sort.Strings(names)
-	return names
+	return graph.Collect(src)
 }
 
 // GraphBytes is what a graph holds resident, by kind.
 type GraphBytes struct {
-	// Edges is the edge slice: 0 while a restored graph is cold.
+	// Edges is the edge records: 0 while a restored graph is cold.
 	Edges int64 `json:"edges"`
-	// Views is the converted views (undirected, augmented); the
-	// directed view is the edge slice itself.
+	// Views is the undirected view's self-loop index; the views
+	// themselves are read through the records.
 	Views int64 `json:"views"`
 	// Bins is the native pre-processing output kept for its views.
 	Bins int64 `json:"bins"`
@@ -258,21 +212,16 @@ func (b *GraphBytes) add(o GraphBytes) {
 	b.Bins += o.Bins
 }
 
-// edgeBytes is one resident chaos.Edge.
-const edgeBytes = int64(unsafe.Sizeof(chaos.Edge{}))
-
 // Bytes counts what the graph holds.
 func (g *Graph) Bytes() GraphBytes {
+	var b GraphBytes
 	g.mu.Lock()
-	b := GraphBytes{Edges: int64(len(g.edges)) * edgeBytes}
-	for _, slot := range g.views {
-		b.Views += int64(len(slot.edges)) * edgeBytes
+	if g.recs != nil {
+		b.Edges = int64(len(g.recs.Bytes()))
+		b.Views = g.undirected.IndexBytes()
 	}
-	bins := g.bins
 	g.mu.Unlock()
-	if bins != nil {
-		b.Bins = bins.Bytes()
-	}
+	b.Bins = g.bins.Bytes()
 	return b
 }
 
@@ -309,6 +258,34 @@ func (spec GraphSpec) checkBounds() error {
 	return nil
 }
 
+// generate encodes the edges a generated graph's spec names, once,
+// into the §8 records of its vertex count.
+func (spec GraphSpec) generate() (recs *graph.RecordSource, n uint64, weighted bool) {
+	var edges []chaos.Edge
+	if spec.Type == "rmat" {
+		edges, n, weighted = chaos.GenerateRMAT(spec.Scale, spec.Weighted, spec.Seed), uint64(1)<<uint(spec.Scale), spec.Weighted
+	} else {
+		edges, n = chaos.GenerateWebGraph(spec.Pages, spec.Seed), spec.Pages
+	}
+	f := graph.FormatFor(n, weighted)
+	recs, err := graph.Records(f.EncodeEdges(nil, edges), f)
+	if err != nil {
+		panic(err) // whole records by construction
+	}
+	return recs, n, weighted
+}
+
+// uploaded returns the source over an upload's payload, which it keeps
+// as it is: records in the compact format unless the declared vertex
+// count needs wider IDs.
+func (spec GraphSpec) uploaded(data []byte) (*graph.RecordSource, error) {
+	declared := spec.Vertices
+	if declared == 0 {
+		declared = 1 // compact format; infer the count from the edges
+	}
+	return graph.Records(data, graph.FormatFor(declared, spec.Weighted))
+}
+
 // Register materializes the graph spec describes and files it under
 // spec.Name (or a generated id). Registering a name twice is an error:
 // the catalog's contract is that a graph id always denotes the same edge
@@ -317,41 +294,43 @@ func (c *Catalog) Register(spec GraphSpec) (*Graph, error) {
 	if err := spec.checkBounds(); err != nil {
 		return nil, err
 	}
-	var edges []chaos.Edge
+	var recs *graph.RecordSource
 	var n uint64
 	weighted := spec.Weighted
 	switch spec.Type {
-	case "rmat":
-		edges = chaos.GenerateRMAT(spec.Scale, spec.Weighted, spec.Seed)
-		n = uint64(1) << uint(spec.Scale)
-	case "web":
-		edges = chaos.GenerateWebGraph(spec.Pages, spec.Seed)
-		n = spec.Pages
-		weighted = false
+	case "rmat", "web":
+		recs, n, weighted = spec.generate()
 	case "upload":
 		if len(spec.Data) == 0 {
 			return nil, fmt.Errorf("service: upload needs a non-empty data field")
 		}
-		declared := spec.Vertices
-		if declared == 0 {
-			declared = 1 // compact format; infer the count from the edges
-		}
 		var err error
-		edges, err = graph.NewReader(bytes.NewReader(spec.Data), graph.FormatFor(declared, spec.Weighted)).ReadAll()
-		if err != nil {
+		if recs, err = spec.uploaded(spec.Data); err != nil {
 			return nil, fmt.Errorf("service: decoding upload: %w", err)
 		}
 		// A declared count smaller than the edge list's vertex IDs
 		// would index out of range deep inside the engine.
-		if n, err = graph.VertexCount(edges, spec.Vertices); err != nil {
+		if n, err = graph.VertexCount(recs, spec.Vertices); err != nil {
 			return nil, fmt.Errorf("service: upload: %w", err)
 		}
 	default:
 		return nil, fmt.Errorf("service: unknown graph type %q (want rmat, web or upload)", spec.Type)
 	}
-	if len(edges) == 0 {
+	if recs.Len() == 0 {
 		return nil, fmt.Errorf("service: graph has no edges")
 	}
+	persistSpec := spec
+	persistSpec.Data = nil // upload payloads are persisted as files, not journal records
+	g := &Graph{
+		Type:       spec.Type,
+		Weighted:   weighted,
+		Vertices:   n,
+		EdgeCount:  recs.Len(),
+		Registered: time.Now().UTC(),
+		spec:       persistSpec,
+		bins:       drive.NewBinStore(),
+	}
+	g.hold(recs)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -365,18 +344,7 @@ func (c *Catalog) Register(spec GraphSpec) (*Graph, error) {
 	if _, exists := c.graphs[id]; exists {
 		return nil, &conflictError{what: "graph", id: id}
 	}
-	persistSpec := spec
-	persistSpec.Data = nil // upload payloads are persisted as files, not journal records
-	g := &Graph{
-		ID:         id,
-		Type:       spec.Type,
-		Weighted:   weighted,
-		Vertices:   n,
-		EdgeCount:  len(edges),
-		Registered: time.Now().UTC(),
-		spec:       persistSpec,
-		edges:      edges,
-	}
+	g.ID = id
 	c.graphs[id] = g
 	c.order = append(c.order, id)
 	return g, nil

@@ -3,9 +3,7 @@ package service
 import (
 	"bytes"
 	"slices"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"chaos"
 	"chaos/internal/graph"
@@ -21,8 +19,8 @@ func TestCatalogRegisterAndViews(t *testing.T) {
 		t.Errorf("graph %+v", g)
 	}
 
-	// Views are converted once and cached: the second call returns the
-	// same backing slice.
+	// The graph is held once, as its records; a view is read through
+	// them, and View hands out a fresh copy of it.
 	u1 := g.View(chaos.ViewUndirected)
 	u2 := g.View(chaos.ViewUndirected)
 	// Non-loop edges gain a reverse; self-loops are emitted once.
@@ -35,20 +33,19 @@ func TestCatalogRegisterAndViews(t *testing.T) {
 	if len(u1) != 2*g.EdgeCount-loops {
 		t.Errorf("undirected view has %d edges, want %d", len(u1), 2*g.EdgeCount-loops)
 	}
-	if &u1[0] != &u2[0] {
-		t.Error("undirected view was recomputed instead of cached")
+	if &u1[0] == &u2[0] || !slices.Equal(u1, u2) {
+		t.Error("two copies of the undirected view share memory or differ")
 	}
 	if d := g.View(chaos.ViewDirected); len(d) != g.EdgeCount {
-		t.Error("directed view must be the raw edge slice")
+		t.Error("directed view must be the raw edge list")
 	}
-	views := g.CachedViews()
-	if len(views) != 2 { // directed + undirected; augmented untouched
-		t.Errorf("cached views %v", views)
+	if a := g.View(chaos.ViewAugmented); len(a) != 2*g.EdgeCount {
+		t.Errorf("augmented view has %d edges, want %d", len(a), 2*g.EdgeCount)
 	}
-	// The views live in a map; the listing is sorted.
-	g.View(chaos.ViewAugmented)
-	if views := g.CachedViews(); !slices.Equal(views, []string{"augmented", "directed", "undirected"}) {
-		t.Errorf("cached views %v, want augmented, directed, undirected", views)
+	// Unweighted compact records, 8 bytes an edge; the undirected view
+	// holds its self-loop index and nothing else.
+	if b := g.Bytes(); b.Edges != int64(8*g.EdgeCount) || b.Views <= 0 || b.Views > 64 || b.Bins != 0 {
+		t.Errorf("bytes %+v, want %d B of records and a few index bytes", b, 8*g.EdgeCount)
 	}
 
 	// Lookup by id, anonymous registration, and listing order.
@@ -112,49 +109,27 @@ func TestCatalogRejectsUndersizedUpload(t *testing.T) {
 	}
 }
 
-// TestViewConvertsOutsideLock holds a view conversion open: Info (and
-// with it GET /v1/graphs) answers meanwhile, the view is not listed as
-// cached until it exists, and a second caller waits for the one
-// conversion instead of starting its own.
-func TestViewConvertsOutsideLock(t *testing.T) {
-	started, release := make(chan struct{}), make(chan struct{})
-	var conversions atomic.Int32
-	applyView = func(v chaos.View, edges []chaos.Edge) []chaos.Edge {
-		conversions.Add(1)
-		close(started)
-		<-release
-		return v.Apply(edges)
-	}
-	t.Cleanup(func() { applyView = chaos.View.Apply })
-
-	g, err := NewCatalog().Register(GraphSpec{Type: "rmat", Scale: 6, Seed: 1})
+// TestCatalogHoldsRecords: a weighted RMAT-14 graph with its
+// undirected view in use is held as its 12-byte records and the view's
+// self-loop index. The edge slice and a copy of the view the catalog
+// held before came to more than four times that.
+func TestCatalogHoldsRecords(t *testing.T) {
+	g, err := NewCatalog().Register(GraphSpec{Type: "rmat", Scale: 14, Weighted: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	views := make(chan []chaos.Edge, 2)
-	go func() { views <- g.View(chaos.ViewUndirected) }()
-	<-started
-	go func() { views <- g.View(chaos.ViewUndirected) }()
-
-	info := make(chan GraphInfo)
-	go func() { info <- g.Info() }()
-	select {
-	case got := <-info:
-		if !slices.Equal(got.CachedViews, []string{"directed"}) || got.Bytes.Views != 0 {
-			t.Errorf("mid-conversion info lists %v, %d view bytes; want only the directed view", got.CachedViews, got.Bytes.Views)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Info blocked behind a view conversion")
+	und := g.source(chaos.ViewUndirected)
+	if und == nil || und.Len() <= g.EdgeCount {
+		t.Fatal("no undirected view over the records")
 	}
-	close(release)
-	first, second := <-views, <-views
-	if n := conversions.Load(); n != 1 {
-		t.Fatalf("%d conversions of one view, want 1", n)
+	b := g.Bytes()
+	held := b.Edges + b.Views
+	copies := int64(g.EdgeCount+und.Len()) * 24 // []Edge and its undirected copy
+	t.Logf("records %d B + index %d B = %d B; edge slice and undirected copy %d B (%.1fx)", b.Edges, b.Views, held, copies, float64(copies)/float64(held))
+	if b.Edges != int64(12*g.EdgeCount) {
+		t.Errorf("records %d B, want 12 per edge (%d)", b.Edges, 12*g.EdgeCount)
 	}
-	if len(first) == 0 || &first[0] != &second[0] {
-		t.Error("the two callers got different views")
-	}
-	if b := g.Info().Bytes; b.Views != int64(len(first))*edgeBytes || b.Edges != int64(g.EdgeCount)*edgeBytes {
-		t.Errorf("bytes %+v after the conversion", b)
+	if 4*held > copies {
+		t.Errorf("the graph holds %d B, over a quarter of the %d B the copies held", held, copies)
 	}
 }

@@ -189,7 +189,7 @@ func (s *Service) metricsText() string {
 	p.scalar("chaos_workers", "Size of the simulation worker pool.", "gauge", float64(st.Workers))
 	p.scalar("chaos_graphs", "Graphs registered in the catalog.", "gauge", float64(st.Graphs))
 	held := s.catalog.Bytes()
-	p.family("chaos_catalog_bytes", "Bytes the catalog holds resident, by kind: edge slices, converted views, native edge bins.", "gauge")
+	p.family("chaos_catalog_bytes", "Bytes the catalog holds resident, by kind: edge records, undirected-view indexes, native edge bins.", "gauge")
 	for _, k := range []struct {
 		kind  string
 		bytes int64

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"chaos"
+	"chaos/internal/core/drive"
 	"chaos/internal/durable"
 	"chaos/internal/graph"
 	"chaos/internal/obs"
@@ -195,6 +195,7 @@ func graphFromRecord(rec graphRecord, dataDir string) *Graph {
 		EdgeCount:  rec.Edges,
 		Registered: rec.Registered,
 		persisted:  true, // it came FROM the log
+		bins:       drive.NewBinStore(),
 		spec: GraphSpec{
 			Name:     rec.ID,
 			Type:     rec.Type,
@@ -206,34 +207,27 @@ func graphFromRecord(rec graphRecord, dataDir string) *Graph {
 		},
 	}
 	switch rec.Type {
-	case "rmat":
-		g.load = func() ([]chaos.Edge, error) {
-			return chaos.GenerateRMAT(rec.Scale, rec.SpecWeighted, rec.Seed), nil
-		}
-	case "web":
-		g.load = func() ([]chaos.Edge, error) {
-			return chaos.GenerateWebGraph(rec.Pages, rec.Seed), nil
+	case "rmat", "web":
+		g.load = func() (*graph.RecordSource, error) {
+			recs, _, _ := g.spec.generate()
+			return recs, nil
 		}
 	case "upload":
 		path := filepath.Join(dataDir, rec.Upload)
-		g.load = func() ([]chaos.Edge, error) {
+		g.load = func() (*graph.RecordSource, error) {
 			data, err := os.ReadFile(path)
 			if err != nil {
 				return nil, err
 			}
-			declared := rec.DeclaredVertices
-			if declared == 0 {
-				declared = 1 // compact format, as at registration
-			}
-			return graph.NewReader(bytes.NewReader(data), graph.FormatFor(declared, rec.SpecWeighted)).ReadAll()
+			return g.spec.uploaded(data)
 		}
 	default:
-		g.load = func() ([]chaos.Edge, error) {
+		g.load = func() (*graph.RecordSource, error) {
 			return nil, fmt.Errorf("unknown persisted graph type %q", rec.Type)
 		}
 	}
 	if err := g.spec.checkBounds(); err != nil {
-		g.load = func() ([]chaos.Edge, error) { return nil, err }
+		g.load = func() (*graph.RecordSource, error) { return nil, err }
 	}
 	return g
 }

@@ -227,8 +227,8 @@ func open(cfg Config) (*Service, error) {
 }
 
 // execute runs one job to completion on a worker goroutine: resolve the
-// graph (re-materializing it if it was restored from the journal), fetch
-// its cached edge view, run the algorithm — canceling at iteration
+// graph (re-materializing it if it was restored from the journal), take
+// the source of its edge view, run the algorithm — canceling at iteration
 // boundaries once ctx is canceled — and populate the result cache (and,
 // when durable, the disk result store) on success.
 func (s *Service) execute(ctx context.Context, job *Job) (*chaos.Result, *chaos.Report, error) {
@@ -284,14 +284,14 @@ func (s *Service) execute(ctx context.Context, job *Job) (*chaos.Result, *chaos.
 		// journal keep the submitted options.
 		opt.ComputeWorkers = job.computeShare
 	}
-	edges := g.View(view)
+	src := g.source(view)
 	if job.engine() == chaos.EngineNative {
 		// Native runs borrow the view's pre-processing output from the
 		// graph, built by the first run of each bin key. Like the spill
 		// dir, it cannot change the run (see chaos.WithBinCache).
-		ctx = chaos.WithBinCache(ctx, g.binCache(view, edges))
+		ctx = chaos.WithBinCache(ctx, g.bins.Bind(src))
 	}
-	res, rep, err := chaos.RunPreparedContext(ctx, job.Algorithm, edges, g.Vertices, opt)
+	res, rep, err := chaos.RunSourceContext(ctx, job.Algorithm, src, g.Vertices, opt)
 	if err != nil {
 		return nil, nil, err
 	}

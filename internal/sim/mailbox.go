@@ -6,13 +6,17 @@ package sim
 type Mailbox struct {
 	env    *Env
 	name   string
+	reason string // a receiver's park reason, built once
+	// q[head:] are the queued messages. A drained queue restarts at the
+	// front of its array, so a steady flow reuses one backing array.
 	q      []any
+	head   int
 	waiter *Proc
 }
 
 // NewMailbox creates a mailbox attached to env.
 func NewMailbox(env *Env, name string) *Mailbox {
-	return &Mailbox{env: env, name: name}
+	return &Mailbox{env: env, name: name, reason: "recv " + name}
 }
 
 // Put delivers msg immediately (at the current virtual time), waking the
@@ -36,16 +40,18 @@ func (m *Mailbox) PutAfter(d Time, msg any) {
 // Recv returns the next message, parking the calling process until one is
 // available. Only one process may wait on a mailbox at a time.
 func (m *Mailbox) Recv(p *Proc) any {
-	for len(m.q) == 0 {
+	for m.head == len(m.q) {
 		if m.waiter != nil && m.waiter != p {
 			panic("sim: two processes waiting on mailbox " + m.name)
 		}
 		m.waiter = p
-		p.park("recv " + m.name)
+		p.park(m.reason)
 	}
-	msg := m.q[0]
-	m.q[0] = nil
-	m.q = m.q[1:]
+	msg := m.q[m.head]
+	m.q[m.head] = nil // the array must not keep a received message reachable
+	if m.head++; m.head == len(m.q) {
+		m.q, m.head = m.q[:0], 0
+	}
 	return msg
 }
 

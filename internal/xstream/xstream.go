@@ -44,7 +44,7 @@ type Result[V any] struct {
 // in-flight buffers, so the modeled time is the I/O time; CPU work on these
 // algorithms streams faster than the device delivers.
 func Run[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges []graph.Edge, numVertices uint64) (*Result[V], error) {
-	numVertices, err := graph.VertexCount(edges, numVertices)
+	numVertices, err := graph.VertexCount(graph.Edges(edges), numVertices)
 	if err != nil {
 		return nil, fmt.Errorf("xstream: %w", err)
 	}

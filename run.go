@@ -12,6 +12,7 @@ import (
 	"chaos/internal/core"
 	"chaos/internal/core/native"
 	"chaos/internal/gas"
+	"chaos/internal/graph"
 	"chaos/internal/metrics"
 )
 
@@ -21,7 +22,7 @@ import (
 // is observed at iteration boundaries under both drivers: the run
 // finishes the current iteration, unwinds cleanly and the error is
 // ctx.Err() (so callers can errors.Is against context.Canceled).
-func runProgram[V, U, A any](ctx context.Context, opt Options, prog gas.Program[V, U, A], edges []Edge, n uint64) ([]V, *Report, error) {
+func runProgram[V, U, A any](ctx context.Context, opt Options, prog gas.Program[V, U, A], edges EdgeSource, n uint64) ([]V, *Report, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -70,7 +71,7 @@ func runProgram[V, U, A any](ctx context.Context, opt Options, prog gas.Program[
 
 // runVector runs prog and projects each vertex's state to the one field
 // the typed Run functions return.
-func runVector[V, U, A, T any](ctx context.Context, opt Options, prog gas.Program[V, U, A], edges []Edge, n uint64, pick func(V) T) ([]T, *Report, error) {
+func runVector[V, U, A, T any](ctx context.Context, opt Options, prog gas.Program[V, U, A], edges EdgeSource, n uint64, pick func(V) T) ([]T, *Report, error) {
 	values, rep, err := runProgram(ctx, opt, prog, edges, n)
 	if err != nil {
 		return nil, nil, err
@@ -84,9 +85,10 @@ func runVector[V, U, A, T any](ctx context.Context, opt Options, prog gas.Progra
 
 // View names the edge-list transformation an algorithm consumes. The
 // evaluation (§8) runs the undirected algorithms over edges plus their
-// reverses and SCC over the forward/backward augmented list; callers that
-// run many jobs over one graph (the job service) apply the view once,
-// cache it, and dispatch through RunPrepared.
+// reverses and SCC over the forward/backward augmented list. A view is
+// read through its base edge list (View.Source) rather than copied;
+// callers that run many jobs over one graph (the job service) build the
+// view's source once and dispatch through RunSourceContext.
 type View int
 
 const (
@@ -109,17 +111,25 @@ func (v View) String() string {
 	}
 }
 
+// Source returns the view of src, read through src.
+func (v View) Source(src EdgeSource) EdgeSource {
+	switch v {
+	case ViewUndirected:
+		return graph.UndirectedView(src)
+	case ViewAugmented:
+		return algorithms.AugmentedView(src)
+	default:
+		return src
+	}
+}
+
 // Apply materializes the view of edges. ViewDirected returns edges
 // unchanged (no copy).
 func (v View) Apply(edges []Edge) []Edge {
-	switch v {
-	case ViewUndirected:
-		return Undirected(edges)
-	case ViewAugmented:
-		return algorithms.AugmentEdges(edges)
-	default:
+	if v == ViewDirected {
 		return edges
 	}
+	return graph.Collect(v.Source(graph.Edges(edges)))
 }
 
 // ViewFor returns the view RunByName applies for the named algorithm.
@@ -135,10 +145,10 @@ func ViewFor(name string) (View, error) {
 // of edges. Levels of unreachable vertices are ^uint32(0). n may be zero
 // to infer the vertex count.
 func RunBFS(edges []Edge, n uint64, root VertexID, opt Options) ([]uint32, *Report, error) {
-	return runBFS(context.Background(), ViewUndirected.Apply(edges), n, root, opt)
+	return runBFS(context.Background(), ViewUndirected.Source(graph.Edges(edges)), n, root, opt)
 }
 
-func runBFS(ctx context.Context, undirected []Edge, n uint64, root VertexID, opt Options) ([]uint32, *Report, error) {
+func runBFS(ctx context.Context, undirected EdgeSource, n uint64, root VertexID, opt Options) ([]uint32, *Report, error) {
 	return runVector(ctx, opt, &algorithms.BFS{Root: root}, undirected, n,
 		func(v algorithms.BFSVertex) uint32 { return v.Level })
 }
@@ -146,10 +156,10 @@ func runBFS(ctx context.Context, undirected []Edge, n uint64, root VertexID, opt
 // RunWCC returns the minimum vertex ID of each vertex's weakly connected
 // component.
 func RunWCC(edges []Edge, n uint64, opt Options) ([]uint32, *Report, error) {
-	return runWCC(context.Background(), ViewUndirected.Apply(edges), n, opt)
+	return runWCC(context.Background(), ViewUndirected.Source(graph.Edges(edges)), n, opt)
 }
 
-func runWCC(ctx context.Context, undirected []Edge, n uint64, opt Options) ([]uint32, *Report, error) {
+func runWCC(ctx context.Context, undirected EdgeSource, n uint64, opt Options) ([]uint32, *Report, error) {
 	return runVector(ctx, opt, &algorithms.WCC{}, undirected, n,
 		func(v algorithms.WCCVertex) uint32 { return v.Label })
 }
@@ -157,10 +167,10 @@ func runWCC(ctx context.Context, undirected []Edge, n uint64, opt Options) ([]ui
 // RunSSSP returns shortest-path distances from root over the undirected
 // weighted view of edges (Inf for unreachable vertices).
 func RunSSSP(edges []Edge, n uint64, root VertexID, opt Options) ([]float32, *Report, error) {
-	return runSSSP(context.Background(), ViewUndirected.Apply(edges), n, root, opt)
+	return runSSSP(context.Background(), ViewUndirected.Source(graph.Edges(edges)), n, root, opt)
 }
 
-func runSSSP(ctx context.Context, undirected []Edge, n uint64, root VertexID, opt Options) ([]float32, *Report, error) {
+func runSSSP(ctx context.Context, undirected EdgeSource, n uint64, root VertexID, opt Options) ([]float32, *Report, error) {
 	return runVector(ctx, opt, &algorithms.SSSP{Root: root}, undirected, n,
 		func(v algorithms.SSSPVertex) float32 { return v.Dist })
 }
@@ -168,10 +178,10 @@ func runSSSP(ctx context.Context, undirected []Edge, n uint64, root VertexID, op
 // RunPageRank runs iters rounds of PageRank over the directed edge list
 // and returns the rank vector.
 func RunPageRank(edges []Edge, n uint64, iters int, opt Options) ([]float32, *Report, error) {
-	return runPageRank(context.Background(), edges, n, iters, opt)
+	return runPageRank(context.Background(), graph.Edges(edges), n, iters, opt)
 }
 
-func runPageRank(ctx context.Context, edges []Edge, n uint64, iters int, opt Options) ([]float32, *Report, error) {
+func runPageRank(ctx context.Context, edges EdgeSource, n uint64, iters int, opt Options) ([]float32, *Report, error) {
 	return runVector(ctx, opt, &algorithms.PageRank{Iterations: iters}, edges, n,
 		func(v algorithms.PRVertex) float32 { return v.Rank })
 }
@@ -179,10 +189,10 @@ func runPageRank(ctx context.Context, edges []Edge, n uint64, iters int, opt Opt
 // RunMIS computes a maximal independent set over the undirected view of
 // edges and returns the membership vector.
 func RunMIS(edges []Edge, n uint64, opt Options) ([]bool, *Report, error) {
-	return runMIS(context.Background(), ViewUndirected.Apply(edges), n, opt)
+	return runMIS(context.Background(), ViewUndirected.Source(graph.Edges(edges)), n, opt)
 }
 
-func runMIS(ctx context.Context, undirected []Edge, n uint64, opt Options) ([]bool, *Report, error) {
+func runMIS(ctx context.Context, undirected EdgeSource, n uint64, opt Options) ([]bool, *Report, error) {
 	prog := &algorithms.MIS{}
 	return runVector(ctx, opt, prog, undirected, n, prog.InSet)
 }
@@ -200,10 +210,10 @@ type MCSTResult struct {
 // RunMCST computes the minimum-cost spanning forest of the undirected
 // weighted view of edges (Borůvka's algorithm).
 func RunMCST(edges []Edge, n uint64, opt Options) (*MCSTResult, *Report, error) {
-	return runMCST(context.Background(), ViewUndirected.Apply(edges), n, opt)
+	return runMCST(context.Background(), ViewUndirected.Source(graph.Edges(edges)), n, opt)
 }
 
-func runMCST(ctx context.Context, undirected []Edge, n uint64, opt Options) (*MCSTResult, *Report, error) {
+func runMCST(ctx context.Context, undirected EdgeSource, n uint64, opt Options) (*MCSTResult, *Report, error) {
 	prog := &algorithms.MCST{}
 	values, rep, err := runProgram(ctx, opt, prog, undirected, n)
 	if err != nil {
@@ -219,10 +229,10 @@ func runMCST(ctx context.Context, undirected []Edge, n uint64, opt Options) (*MC
 // RunSCC returns each vertex's strongly connected component label over the
 // directed edge list.
 func RunSCC(edges []Edge, n uint64, opt Options) ([]uint32, *Report, error) {
-	return runSCC(context.Background(), ViewAugmented.Apply(edges), n, opt)
+	return runSCC(context.Background(), ViewAugmented.Source(graph.Edges(edges)), n, opt)
 }
 
-func runSCC(ctx context.Context, augmented []Edge, n uint64, opt Options) ([]uint32, *Report, error) {
+func runSCC(ctx context.Context, augmented EdgeSource, n uint64, opt Options) ([]uint32, *Report, error) {
 	return runVector(ctx, opt, &algorithms.SCC{}, augmented, n,
 		func(v algorithms.SCCVertex) uint32 { return v.SCC })
 }
@@ -230,10 +240,10 @@ func runSCC(ctx context.Context, augmented []Edge, n uint64, opt Options) ([]uin
 // RunConductance computes the conductance of a deterministic hash-based
 // vertex subset over the directed edge list (a single pass).
 func RunConductance(edges []Edge, n uint64, opt Options) (float64, *Report, error) {
-	return runConductance(context.Background(), edges, n, opt)
+	return runConductance(context.Background(), graph.Edges(edges), n, opt)
 }
 
-func runConductance(ctx context.Context, edges []Edge, n uint64, opt Options) (float64, *Report, error) {
+func runConductance(ctx context.Context, edges EdgeSource, n uint64, opt Options) (float64, *Report, error) {
 	prog := &algorithms.Conductance{}
 	values, rep, err := runProgram(ctx, opt, prog, edges, n)
 	if err != nil {
@@ -245,10 +255,10 @@ func runConductance(ctx context.Context, edges []Edge, n uint64, opt Options) (f
 // RunSpMV computes y = A*x over the weighted directed edge list
 // (A[dst][src] = weight; x is a deterministic input vector) and returns y.
 func RunSpMV(edges []Edge, n uint64, opt Options) ([]float32, *Report, error) {
-	return runSpMV(context.Background(), edges, n, opt)
+	return runSpMV(context.Background(), graph.Edges(edges), n, opt)
 }
 
-func runSpMV(ctx context.Context, edges []Edge, n uint64, opt Options) ([]float32, *Report, error) {
+func runSpMV(ctx context.Context, edges EdgeSource, n uint64, opt Options) ([]float32, *Report, error) {
 	return runVector(ctx, opt, &algorithms.SpMV{}, edges, n,
 		func(v algorithms.SpMVVertex) float32 { return v.Y })
 }
@@ -256,10 +266,10 @@ func runSpMV(ctx context.Context, edges []Edge, n uint64, opt Options) ([]float3
 // RunBP runs iters rounds of simplified loopy belief propagation over the
 // weighted directed edge list and returns the belief vector.
 func RunBP(edges []Edge, n uint64, iters int, opt Options) ([]float32, *Report, error) {
-	return runBP(context.Background(), edges, n, iters, opt)
+	return runBP(context.Background(), graph.Edges(edges), n, iters, opt)
 }
 
-func runBP(ctx context.Context, edges []Edge, n uint64, iters int, opt Options) ([]float32, *Report, error) {
+func runBP(ctx context.Context, edges EdgeSource, n uint64, iters int, opt Options) ([]float32, *Report, error) {
 	return runVector(ctx, opt, &algorithms.BP{Iterations: iters}, edges, n,
 		func(v algorithms.BPVertex) float32 { return v.Belief })
 }
@@ -280,7 +290,7 @@ type Result struct {
 
 // preparedRun runs one algorithm with its evaluation-default parameters
 // over edges already in the algorithm's view, and summarizes the values.
-type preparedRun func(ctx context.Context, edges []Edge, n uint64, opt Options) (*Result, *Report, error)
+type preparedRun func(ctx context.Context, edges EdgeSource, n uint64, opt Options) (*Result, *Report, error)
 
 // algorithm is one row of algorithmTable.
 type algorithm struct {
@@ -297,12 +307,12 @@ type algorithm struct {
 // root 0 for the traversals and 5 rounds for the iterative algorithms.
 var algorithmTable = []algorithm{
 	{name: "BFS", view: ViewUndirected,
-		run: vectorRun(func(ctx context.Context, edges []Edge, n uint64, opt Options) ([]uint32, *Report, error) {
+		run: vectorRun(func(ctx context.Context, edges EdgeSource, n uint64, opt Options) ([]uint32, *Report, error) {
 			return runBFS(ctx, edges, n, 0, opt)
 		}, bfsSummary)},
 	{name: "WCC", view: ViewUndirected, run: vectorRun(runWCC, componentSummary)},
 	{name: "MCST", view: ViewUndirected, weights: true,
-		run: func(ctx context.Context, edges []Edge, n uint64, opt Options) (*Result, *Report, error) {
+		run: func(ctx context.Context, edges EdgeSource, n uint64, opt Options) (*Result, *Report, error) {
 			forest, rep, err := runMCST(ctx, edges, n, opt)
 			if err != nil {
 				return nil, nil, err
@@ -314,16 +324,16 @@ var algorithmTable = []algorithm{
 		}},
 	{name: "MIS", view: ViewUndirected, run: vectorRun(runMIS, misSummary)},
 	{name: "SSSP", view: ViewUndirected, weights: true,
-		run: vectorRun(func(ctx context.Context, edges []Edge, n uint64, opt Options) ([]float32, *Report, error) {
+		run: vectorRun(func(ctx context.Context, edges EdgeSource, n uint64, opt Options) ([]float32, *Report, error) {
 			return runSSSP(ctx, edges, n, 0, opt)
 		}, ssspSummary)},
 	{name: "PR", aliases: []string{"pagerank"}, view: ViewDirected,
-		run: vectorRun(func(ctx context.Context, edges []Edge, n uint64, opt Options) ([]float32, *Report, error) {
+		run: vectorRun(func(ctx context.Context, edges EdgeSource, n uint64, opt Options) ([]float32, *Report, error) {
 			return runPageRank(ctx, edges, n, 5, opt)
 		}, prSummary)},
 	{name: "SCC", view: ViewAugmented, run: vectorRun(runSCC, componentSummary)},
 	{name: "Cond", aliases: []string{"conductance"}, view: ViewDirected,
-		run: func(ctx context.Context, edges []Edge, n uint64, opt Options) (*Result, *Report, error) {
+		run: func(ctx context.Context, edges EdgeSource, n uint64, opt Options) (*Result, *Report, error) {
 			cond, rep, err := runConductance(ctx, edges, n, opt)
 			if err != nil {
 				return nil, nil, err
@@ -331,20 +341,20 @@ var algorithmTable = []algorithm{
 			// The value is a scalar; n = 0 still reports the inferred
 			// vertex count.
 			if n == 0 {
-				n = NumVertices(edges)
+				n, _ = graph.VertexCount(edges, 0)
 			}
 			return &Result{Vertices: int(n), Summary: map[string]float64{"conductance": cond}}, rep, nil
 		}},
 	{name: "SpMV", view: ViewDirected, weights: true, run: vectorRun(runSpMV, spmvSummary)},
 	{name: "BP", view: ViewDirected, weights: true,
-		run: vectorRun(func(ctx context.Context, edges []Edge, n uint64, opt Options) ([]float32, *Report, error) {
+		run: vectorRun(func(ctx context.Context, edges EdgeSource, n uint64, opt Options) ([]float32, *Report, error) {
 			return runBP(ctx, edges, n, 5, opt)
 		}, bpSummary)},
 }
 
 // vectorRun adapts a typed runner whose output is one value per vertex.
-func vectorRun[T any](run func(context.Context, []Edge, uint64, Options) ([]T, *Report, error), summary func([]T) map[string]float64) preparedRun {
-	return func(ctx context.Context, edges []Edge, n uint64, opt Options) (*Result, *Report, error) {
+func vectorRun[T any](run func(context.Context, EdgeSource, uint64, Options) ([]T, *Report, error), summary func([]T) map[string]float64) preparedRun {
+	return func(ctx context.Context, edges EdgeSource, n uint64, opt Options) (*Result, *Report, error) {
 		values, rep, err := run(ctx, edges, n, opt)
 		if err != nil {
 			return nil, nil, err
@@ -391,9 +401,6 @@ func NeedsWeights(name string) bool {
 
 // RunPrepared runs the named algorithm with its evaluation-default
 // parameters, assuming edges is already in the view ViewFor(name) returns.
-// Callers that cache converted edge lists — the job service keeps one
-// undirected and one augmented copy per graph — use it to skip the
-// per-run conversion RunByName performs.
 func RunPrepared(name string, edges []Edge, n uint64, opt Options) (*Result, *Report, error) {
 	return RunPreparedContext(context.Background(), name, edges, n, opt)
 }
@@ -401,14 +408,22 @@ func RunPrepared(name string, edges []Edge, n uint64, opt Options) (*Result, *Re
 // RunPreparedContext is RunPrepared with cooperative cancellation: the
 // engine polls ctx at each iteration boundary and, once ctx is
 // canceled, finishes the iteration, unwinds the simulation cleanly and
-// returns ctx.Err(). The job service uses it to make DELETE on a
-// running job take effect without killing the process.
+// returns ctx.Err().
 func RunPreparedContext(ctx context.Context, name string, edges []Edge, n uint64, opt Options) (*Result, *Report, error) {
+	return RunSourceContext(ctx, name, graph.Edges(edges), n, opt)
+}
+
+// RunSourceContext is RunPreparedContext over an edge source already in
+// the view ViewFor(name) returns: the engine streams it in its §3 pass
+// and never copies it whole. The job service runs every job this way,
+// over the views of the records it keeps per graph, and makes DELETE on
+// a running job take effect through ctx.
+func RunSourceContext(ctx context.Context, name string, src EdgeSource, n uint64, opt Options) (*Result, *Report, error) {
 	a, err := lookupAlgorithm(name)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, rep, err := a.run(ctx, edges, n, opt)
+	res, rep, err := a.run(ctx, src, n, opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -495,14 +510,14 @@ func bpSummary(beliefs []float32) map[string]float64 {
 }
 
 // RunByNameResult dispatches to the named algorithm with its
-// evaluation-default parameters, applying the algorithm's edge view
-// first, and returns the captured Result alongside the Report.
+// evaluation-default parameters, reading edges through the algorithm's
+// view, and returns the captured Result alongside the Report.
 func RunByNameResult(name string, edges []Edge, n uint64, opt Options) (*Result, *Report, error) {
 	view, err := ViewFor(name)
 	if err != nil {
 		return nil, nil, err
 	}
-	return RunPrepared(name, view.Apply(edges), n, opt)
+	return RunSourceContext(context.Background(), name, view.Source(graph.Edges(edges)), n, opt)
 }
 
 // RunByName dispatches to the named algorithm with its evaluation-default

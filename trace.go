@@ -80,23 +80,19 @@ func spillDirFrom(ctx context.Context) string {
 }
 
 // BinCache lends the native engine the pre-processing output (§3) of
-// earlier runs over one edge slice: the edge chunks per partition and
+// earlier runs over one EdgeSource: the edge chunks per partition and
 // the out-degrees, keyed by everything they depend on (machines,
 // partitions, chunk size, edge format, degrees). A run over any other
-// slice bypasses it. Safe for concurrent runs, which share a set
+// source bypasses it. Safe for concurrent runs, which share a set
 // read-only; the DES engine ignores it.
 type BinCache = drive.BinCache
-
-// NewBinCache returns a cache bound to edges, holding at most
-// drive.MaxBinSets bin sets.
-func NewBinCache(edges []Edge) *BinCache { return drive.NewBinStore().Bind(edges) }
 
 // binCacheKey carries a BinCache through a context, mirroring
 // spillDirKey.
 type binCacheKey struct{}
 
 // WithBinCache returns a context under which native runs over c's edge
-// slice borrow their bin sets from c, building and keeping them on a
+// source borrow their bin sets from c, building and keeping them on a
 // miss. Operational like WithSpillDir: a borrowed set is the one the run
 // would have built, so values and reports are those of a run without
 // it, and it is absent from option fingerprints.
