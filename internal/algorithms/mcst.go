@@ -85,7 +85,7 @@ func (m *MCST) Init(id graph.VertexID, v *MCSTVertex, _ uint32) {
 
 // find is the union-find lookup with path compression. It may only be
 // called from Apply and Converged, which the engine serializes; Scatter
-// and RewriteEdge run concurrently on the engine's compute workers and
+// and KeepEdge run concurrently on the engine's compute workers and
 // must use the read-only findRO.
 func (m *MCST) find(x uint64) uint64 {
 	for m.parent[x] != x {
@@ -240,11 +240,11 @@ func (*MCST) UpdateCodec() gas.Codec[MCSTUpdate] {
 // AccumBytes implements gas.Program.
 func (*MCST) AccumBytes() int { return 26 }
 
-// RewriteEdge implements gas.EdgeRewriter (the §6.1 extended model): an
+// KeepEdge implements gas.EdgeRewriter (the §6.1 extended model): an
 // edge whose endpoints have merged is internal to a component and can
 // never be a Borůvka candidate again, so it is dropped from the next
 // iteration's stream. Later rounds then stream a shrinking edge set, the
 // classic Borůvka compaction.
-func (m *MCST) RewriteEdge(_ int, e graph.Edge, _ *MCSTVertex) (graph.Edge, bool) {
-	return e, m.findRO(uint64(e.Src)) != m.findRO(uint64(e.Dst))
+func (m *MCST) KeepEdge(_ int, e graph.Edge, _ *MCSTVertex) bool {
+	return m.findRO(uint64(e.Src)) != m.findRO(uint64(e.Dst))
 }

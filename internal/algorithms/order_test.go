@@ -211,12 +211,12 @@ func TestMCSTRewriteEdgeDropsInternal(t *testing.T) {
 	p.Init(0, &v, 0)
 	p.Init(1, &v, 0)
 	p.Init(2, &v, 0)
-	// Union 0 and 1 directly through the structure RewriteEdge consults.
+	// Union 0 and 1 directly through the structure KeepEdge consults.
 	p.parent[1] = 0
-	if _, keep := p.RewriteEdge(0, graph.Edge{Src: 0, Dst: 1}, &v); keep {
+	if p.KeepEdge(0, graph.Edge{Src: 0, Dst: 1}, &v) {
 		t.Error("intra-component edge kept")
 	}
-	if _, keep := p.RewriteEdge(0, graph.Edge{Src: 1, Dst: 2}, &v); !keep {
+	if !p.KeepEdge(0, graph.Edge{Src: 1, Dst: 2}, &v) {
 		t.Error("crossing edge dropped")
 	}
 }

@@ -198,12 +198,6 @@ func (c *Cluster) Phi(chunkBytes int64) float64 {
 	return 1 + float64(c.RoundTripLatency(chunkBytes))/rs
 }
 
-// AggregateStorageBandwidth returns the cluster-wide maximum storage
-// bandwidth, the bottleneck resource Chaos aims to saturate.
-func (c *Cluster) AggregateStorageBandwidth() float64 {
-	return float64(c.N()) * c.Spec.StorageBytesPerSec
-}
-
 // DeviceUtilization returns the mean utilization of all storage devices.
 func (c *Cluster) DeviceUtilization() float64 {
 	var u float64

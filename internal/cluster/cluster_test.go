@@ -106,15 +106,6 @@ func TestPhiAboveOneForPaperConfig(t *testing.T) {
 	}
 }
 
-func TestAggregateBandwidthScalesLinearly(t *testing.T) {
-	env := sim.NewEnv(1)
-	c1 := New(env, SSD(1))
-	c32 := New(env, SSD(32))
-	if c32.AggregateStorageBandwidth() != 32*c1.AggregateStorageBandwidth() {
-		t.Error("aggregate bandwidth should scale with machine count")
-	}
-}
-
 func TestDeviceUtilizationAveraged(t *testing.T) {
 	env := sim.NewEnv(1)
 	c := New(env, SSD(2))

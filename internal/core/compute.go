@@ -311,7 +311,9 @@ func (m *machine[V, U, A]) preprocess(p *sim.Proc) {
 
 	// Initialize vertex values and record them on storage.
 	for _, part := range eng.layout.PartitionsOf(m.id) {
-		m.writeVertices(part, eng.kern.InitVertices(part, m.degAcc[part]), false)
+		eng.verts[part] = eng.kern.InitVertices(part, m.degAcc[part])
+		eng.accums[part] = make([]A, len(eng.verts[part]))
+		m.writeVertices(part, false)
 	}
 	m.drainWrites(p)
 	m.emitSpan(p, mk, -1, -1, drive.PhasePreprocess, false)
@@ -444,24 +446,12 @@ func (m *machine[V, U, A]) streamChunks(p *sim.Proc, kind storage.SetKind, part 
 }
 
 // loadVertices reads a partition's vertex set into memory, pipelining chunk
-// reads from their hashed homes (§6.4). The buffer comes from the
-// engine's free list, and the caller gives it back with putVerts once no
-// task reads it; the chunks overwrite every vertex.
+// reads from their hashed homes (§6.4), and returns the resident set. The
+// reads charge the devices and links what moving the chunks would; the
+// values themselves never leave eng.verts. Callers only read it until
+// the partition's master applies.
 func (m *machine[V, U, A]) loadVertices(p *sim.Proc, part int) []V {
 	eng := m.eng
-	size := eng.layout.Size(part)
-	if size == 0 {
-		return nil
-	}
-	var verts []V
-	if n := len(eng.freeVerts); n > 0 {
-		verts = eng.freeVerts[n-1][:size]
-		eng.freeVerts[n-1] = nil
-		eng.freeVerts = eng.freeVerts[:n-1]
-	} else {
-		verts = make([]V, size, eng.layout.PerPartition)
-	}
-	per := eng.kern.VerticesPerChunk()
 	n := eng.vertexChunks(part)
 	issued, done := 0, 0
 	for done < n {
@@ -478,59 +468,55 @@ func (m *machine[V, U, A]) loadVertices(p *sim.Proc, part int) []V {
 		if !ok || r.part != part {
 			panic(fmt.Sprintf("core: machine %d: got %T while loading vertices of partition %d", m.id, msg, part))
 		}
-		eng.kern.VCodec.DecodeSliceInto(verts[r.idx*per:], r.data)
-		m.trBytesIn += int64(len(r.data))
+		m.trBytesIn += int64(r.length)
 		done++
 	}
-	return verts
+	return eng.verts[part]
 }
 
-// putVerts returns a vertex set loadVertices handed out.
-func (eng *engine[V, U, A]) putVerts(verts []V) {
-	if cap(verts) > 0 {
-		eng.freeVerts = append(eng.freeVerts, verts)
-	}
-}
-
-// writeVertices records a partition's vertex set back to storage,
-// asynchronously, optionally also charging the checkpoint shadow copy and
-// capturing its bytes (phase 1 of §6.6).
-func (m *machine[V, U, A]) writeVertices(part int, verts []V, checkpoint bool) {
+// writeVertices records a partition's resident vertex set back to
+// storage, asynchronously, optionally also charging the checkpoint shadow
+// copy and staging its bytes (phase 1 of §6.6), the one encode of vertex
+// state.
+func (m *machine[V, U, A]) writeVertices(part int, checkpoint bool) {
 	eng := m.eng
-	chunks := eng.kern.EncodeVertices(verts)
-	for idx, data := range chunks {
-		m.trBytesOut += int64(len(data))
+	for idx, n := 0, eng.vertexChunks(part); idx < n; idx++ {
+		length := eng.kern.VertexChunkLen(part, idx)
+		m.trBytesOut += int64(length)
 		home := storage.VertexChunkHome(part, idx, eng.layout.NumMachines)
 		m.pendingWrites++
-		m.send(home, int64(len(data))+controlMsgBytes, eng.storeIn[home],
-			vertexWrite{part: part, idx: idx, from: m.id, data: data})
+		m.send(home, int64(length)+controlMsgBytes, eng.storeIn[home],
+			vertexWrite{part: part, idx: idx, from: m.id, length: length})
 		if eng.cfg.ReplicateVertices {
 			rep := storage.VertexChunkReplica(part, idx, eng.layout.NumMachines)
 			m.pendingWrites++
-			m.send(rep, int64(len(data))+controlMsgBytes, eng.storeIn[rep],
-				vertexWrite{part: part, idx: idx, from: m.id, data: data})
+			m.send(rep, int64(length)+controlMsgBytes, eng.storeIn[rep],
+				vertexWrite{part: part, idx: idx, from: m.id, length: length})
 		}
 		if checkpoint {
 			m.pendingWrites++
-			m.send(home, int64(len(data))+controlMsgBytes, eng.storeIn[home],
-				ckptWrite{bytes: len(data), from: m.id, ackTo: m.inbox})
+			m.send(home, int64(length)+controlMsgBytes, eng.storeIn[home],
+				ckptWrite{bytes: length, from: m.id, ackTo: m.inbox})
 		}
 	}
 	if checkpoint {
-		eng.dec.Stage(part, chunks)
+		eng.dec.Stage(part, eng.kern.EncodeVertices(eng.verts[part]))
 	}
 }
 
 // restore rewrites this machine's partitions' vertex sets from the last
-// committed checkpoint after a transient failure.
+// committed checkpoint after a transient failure: decoded into the
+// resident sets, and written to their homes.
 func (m *machine[V, U, A]) restore(p *sim.Proc) {
 	eng := m.eng
 	for _, part := range eng.layout.PartitionsOf(m.id) {
-		for idx, data := range eng.dec.Checkpoint(part) {
+		chunks := eng.dec.Checkpoint(part)
+		eng.kern.RestoreVertices(part, eng.verts[part], chunks)
+		for idx, data := range chunks {
 			home := storage.VertexChunkHome(part, idx, eng.layout.NumMachines)
 			m.pendingWrites++
 			m.send(home, int64(len(data))+controlMsgBytes, eng.storeIn[home],
-				vertexWrite{part: part, idx: idx, from: m.id, data: data})
+				vertexWrite{part: part, idx: idx, from: m.id, length: len(data)})
 		}
 	}
 	m.drainWrites(p)
@@ -566,9 +552,9 @@ func (m *machine[V, U, A]) scatterRun(p *sim.Proc, iter int) {
 // before any simulated time is charged for it — into the machine's spill
 // buffers. With a combiner, updates to the same destination merge inside
 // the buffers (§11.1); with a rewriter, the surviving edges are written
-// into the next-generation edge set (§6.1 extended model). verts, which
-// loadVertices handed out, goes back once every task reading it is
-// joined.
+// into the next-generation edge set (§6.1 extended model). verts is the
+// partition's resident set, read-only until its master applies; every
+// task reading it is joined at its chunk's delivery.
 func (m *machine[V, U, A]) scatterPartition(p *sim.Proc, iter, part int, verts []V) {
 	next := func(edges []byte) { m.edgeWire.Put(part, edges) }
 	m.streamChunks(p, storage.EdgeSet, part, m.scatterDispatch(iter, part, verts), func(r chunkReply) {
@@ -578,7 +564,6 @@ func (m *machine[V, U, A]) scatterPartition(p *sim.Proc, iter, part int, verts [
 		sc.Wait()
 		m.mergeScatter(p, &sc.out, next)
 	})
-	m.eng.putVerts(verts)
 }
 
 // mergeScatter replays one chunk's pure scatter result against the
@@ -616,13 +601,12 @@ func (m *machine[V, U, A]) gatherRun(p *sim.Proc, iter int) {
 		t0 := p.Now()
 		mk := m.markSpan(p)
 		verts := m.loadVertices(p, part)
-		accums := eng.kern.ResetAccums(make([]A, len(verts)))
+		accums := eng.kern.ResetAccums(eng.accums[part])
 		m.gatherPartition(p, part, verts, accums)
 		m.emitSpan(p, mk, iter, part, drive.PhaseGather, false)
 		m.stats.Add(metrics.GPMasterMe, p.Now()-t0)
 		mk = m.markSpan(p)
 		m.applyPartition(p, iter, part, verts, accums)
-		eng.putVerts(verts)
 		m.emitSpan(p, mk, iter, part, drive.PhaseApply, false)
 	}
 	m.stealSweep(p, gatherPhase, iter)
@@ -686,7 +670,7 @@ func (m *machine[V, U, A]) applyPartition(p *sim.Proc, iter, part int, verts []V
 	t0 := p.Now()
 	m.cpu(p, len(verts))
 	eng.dec.Changed.Add(eng.kern.ApplyVertices(iter, part, verts, accums))
-	m.writeVertices(part, verts, eng.dec.CheckpointDue(iter))
+	m.writeVertices(part, eng.dec.CheckpointDue(iter))
 	// Delete the consumed update set everywhere (§6.1).
 	for s := 0; s < eng.layout.NumMachines; s++ {
 		m.pendingWrites++
@@ -784,7 +768,6 @@ func (m *machine[V, U, A]) gatherSteal(p *sim.Proc, iter, part int) {
 	t0 = p.Now()
 	accums := eng.kern.ResetAccums(make([]A, len(verts)))
 	m.gatherPartition(p, part, verts, accums)
-	eng.putVerts(verts)
 	m.stats.Add(metrics.GPMasterOther, p.Now()-t0)
 	m.emitSpan(p, mk, iter, part, drive.PhaseGather, true)
 

@@ -50,8 +50,8 @@ type ScatterOut[U any] struct {
 	// encoded: one buffer per destination partition, Typed already
 	// released.
 	Updates [][]byte
-	// EdgesNext holds the chunk's surviving rewritten edges (§6.1
-	// extended model).
+	// EdgesNext holds the chunk's records the §6.1 rewriter kept, as
+	// the chunk held them.
 	EdgesNext []byte
 }
 
@@ -235,10 +235,14 @@ func (k *Kernel[V, U, A]) ScatterChunkTyped(iter, part int, verts []V, data []by
 		if batch != nil {
 			emitted = batch(iter, block, lo, verts, blk.dsts[:], blk.vals[:])
 		} else {
-			for _, e := range k.EdgeFmt.DecodeEdges(blk.edges[:0], block) {
+			for i, e := range k.EdgeFmt.DecodeEdges(blk.edges[:0], block) {
 				src := &verts[e.Src-lo]
-				if k.Rewriter != nil {
-					k.rewriteEdge(iter, e, src, out)
+				if k.Rewriter != nil && k.Rewriter.KeepEdge(iter, e, src) {
+					// The §6.1 rewriter keeps the record as it lies.
+					if out.EdgesNext == nil {
+						out.EdgesNext = k.GrabBuf(0)
+					}
+					out.EdgesNext = append(out.EdgesNext, block[i*edgeSize:(i+1)*edgeSize]...)
 				}
 				if dst, val, emit := k.Prog.Scatter(iter, e, src); emit {
 					blk.dsts[emitted], blk.vals[emitted] = dst, val
@@ -269,21 +273,6 @@ func (k *Kernel[V, U, A]) ScatterChunkTyped(iter, part int, verts []V, data []by
 			hints.saw(tp, len(recs))
 		}
 	}
-}
-
-// rewriteEdge consults the §6.1 rewriter about one edge and keeps the
-// survivor for the next generation's edge set.
-func (k *Kernel[V, U, A]) rewriteEdge(iter int, e graph.Edge, src *V, out *ScatterOut[U]) {
-	ne, keep := k.Rewriter.RewriteEdge(iter, e, src)
-	if !keep {
-		return
-	}
-	if out.EdgesNext == nil {
-		out.EdgesNext = k.GrabBuf(0)
-	}
-	off := len(out.EdgesNext)
-	out.EdgesNext = append(out.EdgesNext, make([]byte, k.EdgeFmt.EdgeSize())...)
-	k.EdgeFmt.Encode(out.EdgesNext[off:], ne)
 }
 
 // MergeScatter merges one chunk's scatter result into the scattering

@@ -12,9 +12,10 @@ import (
 )
 
 // The protocol's policy, written once for both drivers: run planning,
-// vertex-chunk geometry, pre-processing, the combiner buffer and the
-// decision point with its §6.6 checkpoint (the chunk kernels, gather
-// fold and apply step are in drive.go). None of it reads a clock.
+// vertex-chunk geometry, the resident vertex sets' checkpoint codec,
+// pre-processing, the combiner buffer and the decision point with its
+// §6.6 checkpoint (the chunk kernels, gather fold and apply step are in
+// drive.go). None of it reads a clock.
 
 // Params is the clock-free slice of a run's configuration: what the
 // protocol's policy depends on under any driver. core.Config embeds it
@@ -95,13 +96,22 @@ func (k *Kernel[V, U, A]) VertexChunks(part int) int {
 	return int((k.Layout.Size(part) + per - 1) / per)
 }
 
+// VertexChunkLen is the modeled length of chunk idx of partition part's
+// vertex set: its records × VBytes, the last chunk short.
+func (k *Kernel[V, U, A]) VertexChunkLen(part, idx int) int {
+	per := k.VerticesPerChunk()
+	return min(per, int(k.Layout.Size(part))-idx*per) * k.VBytes
+}
+
 // VertexSetBytes is V in the steal criterion: the partition's encoded
 // vertex set, the transfer a steal costs.
 func (k *Kernel[V, U, A]) VertexSetBytes(part int) int64 {
 	return int64(k.Layout.Size(part)) * int64(k.VBytes)
 }
 
-// EncodeVertices encodes a partition's vertex set into its chunks.
+// EncodeVertices encodes a partition's vertex set into its chunks, each
+// fresh bytes: the §6.6 shadow copy, the one place vertex state is
+// encoded.
 func (k *Kernel[V, U, A]) EncodeVertices(verts []V) [][]byte {
 	per := k.VerticesPerChunk()
 	chunks := make([][]byte, 0, (len(verts)+per-1)/per)
@@ -109,6 +119,31 @@ func (k *Kernel[V, U, A]) EncodeVertices(verts []V) [][]byte {
 		chunks = append(chunks, k.VCodec.EncodeSlice(verts[lo:min(lo+per, len(verts))]))
 	}
 	return chunks
+}
+
+// RestoreVertices decodes partition part's committed checkpoint chunks
+// into its resident vertex set, which they must fill exactly.
+func (k *Kernel[V, U, A]) RestoreVertices(part int, verts []V, chunks [][]byte) {
+	at := 0
+	for _, c := range chunks {
+		at += k.VCodec.DecodeSliceInto(verts[at:], c)
+	}
+	if at != len(verts) {
+		panic(fmt.Sprintf("drive: checkpoint for partition %d held %d records, want %d", part, at, len(verts)))
+	}
+}
+
+// CollectVertices copies the resident vertex sets, verts[p] partition
+// p's, into one value vector indexed by vertex.
+func (k *Kernel[V, U, A]) CollectVertices(verts [][]V) []V {
+	values := make([]V, k.Layout.NumVertices)
+	for p, vs := range verts {
+		lo, hi := k.Layout.Range(p)
+		if copied := copy(values[lo:hi], vs); uint64(copied) != uint64(hi-lo) {
+			panic(fmt.Sprintf("drive: partition %d held %d records, want %d", p, copied, uint64(hi-lo)))
+		}
+	}
+	return values
 }
 
 // BinEdges is the pre-processing pass over one batch of input edges
@@ -267,8 +302,9 @@ type Decision struct {
 // Decider is the decision point between iterations (machine 0's role in
 // the paper): convergence, the iteration cap, cooperative interruption,
 // the two-phase vertex checkpoint of §6.6 and the injected transient
-// failure that exercises it. It holds the checkpoint's bytes; moving
-// them back into a vertex store is each driver's restore. Stage may run
+// failure that exercises it. It holds the checkpoint's bytes, the only
+// encoded vertex state of a run; each driver's restore decodes them into
+// its resident sets with RestoreVertices. Stage may run
 // concurrently for distinct partitions and Changed from anywhere; Decide
 // runs alone, once the iteration has settled.
 type Decider[V, U, A any] struct {

@@ -64,18 +64,52 @@ func TestVertexChunkGeometry(t *testing.T) {
 			t.Errorf("partition %d: encoded into %d chunks, geometry says %d", part, len(chunks), k.VertexChunks(part))
 		}
 		var total int64
-		back, at := make([]algorithms.PRVertex, len(verts)), 0
-		for _, c := range chunks {
+		for idx, c := range chunks {
 			total += int64(len(c))
-			at += k.VCodec.DecodeSliceInto(back[at:], c)
+			if len(c) != k.VertexChunkLen(part, idx) {
+				t.Errorf("partition %d chunk %d: %d encoded bytes, VertexChunkLen says %d", part, idx, len(c), k.VertexChunkLen(part, idx))
+			}
 		}
+		back := make([]algorithms.PRVertex, len(verts))
+		k.RestoreVertices(part, back, chunks)
 		if total != k.VertexSetBytes(part) || !reflect.DeepEqual(back, verts) {
 			t.Errorf("partition %d: %d encoded bytes (want %d), round trip equal: %v",
 				part, total, k.VertexSetBytes(part), reflect.DeepEqual(back, verts))
 		}
+		if len(chunks) > 1 {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("partition %d: restoring from a chunk short did not panic", part)
+					}
+				}()
+				k.RestoreVertices(part, back, chunks[1:])
+			}()
+		}
 	}
 	if k.VertexChunks(0) == 0 {
 		t.Error("no vertex chunks at all")
+	}
+}
+
+func TestCollectVertices(t *testing.T) {
+	k := planPR(t, 1000, Params{})
+	verts := make([][]algorithms.PRVertex, k.Layout.NumPartitions)
+	for p := range verts {
+		verts[p] = k.InitVertices(p, nil)
+		lo, _ := k.Layout.Range(p)
+		for i := range verts[p] {
+			verts[p][i].Rank = float32(lo) + float32(i)
+		}
+	}
+	values := k.CollectVertices(verts)
+	if uint64(len(values)) != k.Layout.NumVertices {
+		t.Fatalf("%d values for %d vertices", len(values), k.Layout.NumVertices)
+	}
+	for v, val := range values {
+		if val.Rank != float32(v) {
+			t.Fatalf("vertex %d holds partition value %g", v, val.Rank)
+		}
 	}
 }
 

@@ -58,11 +58,15 @@ type engine[V, U, A any] struct {
 	// chunks on (scratch pools live on the kernel).
 	pool *drive.Pool
 
-	// freeVerts is the free list loadVertices draws its vertex sets from
-	// and putVerts returns them to, once no pool task reads them. Every
-	// buffer holds Layout.PerPartition vertices, so it serves any
-	// partition.
-	freeVerts [][]V
+	// verts[p] is partition p's vertex set, resident and typed for the
+	// run as on the native plane: its master fills it in pre-processing
+	// and rewrites it at apply, and the master and every stealer of p
+	// read this one slice. The storage engines model its chunks' I/O by
+	// length; the vertex codec runs only at §6.6 checkpoints. accums[p]
+	// is the master's gather accumulators of p, allocated with the set
+	// and reset at each gather.
+	verts  [][]V
+	accums [][]A
 }
 
 // Run executes prog over the given unsorted edge list on the configured
@@ -113,10 +117,12 @@ func newEngine[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges graph.S
 		run:    metrics.NewRun(prog.Name(), cfg.Spec.Machines),
 	}
 
+	np := layout.NumPartitions
+	eng.verts, eng.accums = make([][]V, np), make([][]A, np)
 	nm := cfg.Spec.Machines
 	eng.input, eng.inputSplit = edges, drive.SplitInput(edges.Len(), nm)
 	for i := 0; i < nm; i++ {
-		eng.stores = append(eng.stores, storage.NewStore(i, layout.NumPartitions, nil))
+		eng.stores = append(eng.stores, storage.NewStore(i, np, nil))
 		eng.storeIn = append(eng.storeIn, sim.NewMailbox(env, fmt.Sprintf("store%d", i)))
 		eng.arbIn = append(eng.arbIn, sim.NewMailbox(env, fmt.Sprintf("arb%d", i)))
 	}
@@ -164,32 +170,24 @@ func (eng *engine[V, U, A]) execute() error {
 	return nil
 }
 
-// collectValues reads the final vertex state back from the stores
-// (host-side; the computation has already recorded it on storage).
+// collectValues returns the final vertex state (host-side), once every
+// vertex chunk is found on storage: on its home, or on its replica when
+// the run replicates vertex sets (§6.6).
 func (eng *engine[V, U, A]) collectValues() ([]V, error) {
-	values := make([]V, eng.layout.NumVertices)
+	nm := eng.layout.NumMachines
 	for part := 0; part < eng.layout.NumPartitions; part++ {
-		lo, hi := eng.layout.Range(part)
-		size := uint64(hi - lo)
-		at := uint64(lo)
 		for idx, n := 0, eng.vertexChunks(part); idx < n; idx++ {
-			home := storage.VertexChunkHome(part, idx, eng.layout.NumMachines)
-			data, ok := eng.stores[home].GetVertexChunk(part, idx)
+			_, ok := eng.stores[storage.VertexChunkHome(part, idx, nm)].GetVertexChunk(part, idx)
 			if !ok && eng.cfg.ReplicateVertices {
-				// Primary lost: recover from the replica (§6.6).
-				rep := storage.VertexChunkReplica(part, idx, eng.layout.NumMachines)
-				data, ok = eng.stores[rep].GetVertexChunk(part, idx)
+				// Primary lost: recover from the replica.
+				_, ok = eng.stores[storage.VertexChunkReplica(part, idx, nm)].GetVertexChunk(part, idx)
 			}
 			if !ok {
 				return nil, fmt.Errorf("core: collecting results: no copy of vertex chunk %d of partition %d", idx, part)
 			}
-			at += uint64(eng.kern.VCodec.DecodeSliceInto(values[at:], data))
-		}
-		if at != uint64(hi) {
-			return nil, fmt.Errorf("core: partition %d vertex chunks held %d records, want %d", part, at-uint64(lo), size)
 		}
 	}
-	return values, nil
+	return eng.kern.CollectVertices(eng.verts), nil
 }
 
 // vertexChunks is the chunk count of partition part's vertex set.

@@ -58,17 +58,20 @@ type vertexRead struct {
 	replyTo   *sim.Mailbox
 }
 
-// vertexReadReply returns a vertex chunk.
+// vertexReadReply returns a vertex chunk. The values stay in the
+// engine's resident set; length is what the link charges, the chunk's
+// records × VCodec.Bytes.
 type vertexReadReply struct {
 	part, idx int
-	data      []byte
+	length    int
 }
 
-// vertexWrite stores vertex chunk idx of a partition and acknowledges.
+// vertexWrite stores vertex chunk idx of a partition, of modeled size
+// length, and acknowledges.
 type vertexWrite struct {
 	part, idx int
 	from      int
-	data      []byte
+	length    int
 }
 
 // deleteUpdates discards a partition's consumed update set after gather.

@@ -62,8 +62,7 @@ func Run[V, U, A any](cfg core.Config, prog gas.Program[V, U, A], edges graph.So
 		// The partial vertex state is not a result anyone asked for.
 		return nil, nil, core.ErrInterrupted
 	}
-	values := r.collectValues()
-	return values, r.rmet, nil
+	return r.kern.CollectVertices(r.verts), r.rmet, nil
 }
 
 // run carries the state of one native execution.
@@ -143,7 +142,7 @@ type run[V, U, A any] struct {
 	// applyMu serializes Init/Apply across partitions: those program
 	// hooks run on the single simulation thread under the DES driver,
 	// so programs are free to keep private state in them (MCST's
-	// component forest does). Scatter/Gather/Combine/RewriteEdge run
+	// component forest does). Scatter/Gather/Combine/KeepEdge run
 	// concurrently here exactly as they do on the DES driver's worker
 	// pool. Pipelining preserves the contract Apply additionally relies
 	// on — running strictly after every scatter of its iteration —
@@ -436,36 +435,11 @@ func (r *run[V, U, A]) promoteEdges() {
 
 // restore decodes the last committed checkpoint back into the resident
 // vertex store after an injected failure — one of the places vertex
-// bytes genuinely move, so it reads through the codec and counts toward
-// BytesRead.
+// bytes genuinely move, so it counts toward BytesRead.
 func (r *run[V, U, A]) restore() {
 	for p, verts := range r.verts {
 		chunks := r.dec.Checkpoint(p)
-		if chunks == nil {
-			continue
-		}
-		at := 0
-		for _, c := range chunks {
-			at += r.kern.VCodec.DecodeSliceInto(verts[at:], c)
-			r.bytesRead.Add(int64(len(c)))
-		}
-		if at != len(verts) {
-			panic(fmt.Sprintf("native: checkpoint for partition %d held %d records, want %d", p, at, len(verts)))
-		}
+		r.kern.RestoreVertices(p, verts, chunks)
+		r.bytesRead.Add(storedBytes(chunks))
 	}
-}
-
-// collectValues copies the final vertex state out of the resident store.
-func (r *run[V, U, A]) collectValues() []V {
-	values := make([]V, r.layout.NumVertices)
-	for p := 0; p < r.layout.NumPartitions; p++ {
-		lo, hi := r.layout.Range(p)
-		if lo == hi {
-			continue
-		}
-		if copied := copy(values[lo:hi], r.verts[p]); uint64(copied) != uint64(hi-lo) {
-			panic(fmt.Sprintf("native: partition %d store held %d records, want %d", p, copied, uint64(hi-lo)))
-		}
-	}
-	return values
 }

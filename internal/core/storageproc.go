@@ -54,20 +54,20 @@ func (eng *engine[V, U, A]) storageProc(p *sim.Proc, id int) {
 			eng.run.BytesWritten += int64(m.length)
 			eng.clu.Send(id, m.from, controlMsgBytes, eng.machines[m.from].inbox, writeAck{from: id})
 		case vertexRead:
-			data, ok := st.GetVertexChunk(m.part, m.idx)
+			length, ok := st.GetVertexChunk(m.part, m.idx)
 			if !ok {
 				// Every vertex chunk is written in pre-processing, before
 				// any load: a miss is a protocol bug, not a storage fault.
 				panic(fmt.Sprintf("core: storage %d: vertex chunk %d of partition %d read before it was written", id, m.idx, m.part))
 			}
-			dev.Use(p, int64(len(data)))
-			eng.run.BytesRead += int64(len(data))
-			eng.clu.Send(id, m.from, int64(len(data))+controlMsgBytes, m.replyTo,
-				vertexReadReply{part: m.part, idx: m.idx, data: data})
+			dev.Use(p, int64(length))
+			eng.run.BytesRead += int64(length)
+			eng.clu.Send(id, m.from, int64(length)+controlMsgBytes, m.replyTo,
+				vertexReadReply{part: m.part, idx: m.idx, length: length})
 		case vertexWrite:
-			st.PutVertexChunk(m.part, m.idx, m.data)
-			dev.Use(p, int64(len(m.data)))
-			eng.run.BytesWritten += int64(len(m.data))
+			st.PutVertexChunk(m.part, m.idx, m.length)
+			dev.Use(p, int64(m.length))
+			eng.run.BytesWritten += int64(m.length)
 			eng.clu.Send(id, m.from, controlMsgBytes, eng.machines[m.from].inbox, writeAck{from: id})
 		case deleteUpdates:
 			// The master deletes after its own folds and every stealer's

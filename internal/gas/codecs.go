@@ -14,15 +14,6 @@ func Uint32Codec() Codec[uint32] {
 	}
 }
 
-// Uint64Codec serializes a uint64 in 8 bytes.
-func Uint64Codec() Codec[uint64] {
-	return Codec[uint64]{
-		Bytes: 8,
-		Put:   func(b []byte, v *uint64) { binary.LittleEndian.PutUint64(b, *v) },
-		Get:   func(b []byte, v *uint64) { *v = binary.LittleEndian.Uint64(b) },
-	}
-}
-
 // Float32Codec serializes a float32 in 4 bytes.
 func Float32Codec() Codec[float32] {
 	return Codec[float32]{

@@ -146,11 +146,11 @@ type BatchGatherer[V, U, A any] interface {
 // EdgeRewriter is an optional Program extension implementing the extended
 // model of §6.1, in which "edges may also be rewritten during the
 // computation": the engine consults it for every edge during scatter and
-// materializes a next-generation edge set that replaces the old one at the
-// iteration boundary. Dropping edges shrinks later iterations' streams
-// (e.g. Borůvka discarding intra-component edges).
+// materializes a next-generation edge set, the records it keeps as they
+// were, that replaces the old one at the iteration boundary. Dropping
+// edges shrinks later iterations' streams (e.g. Borůvka discarding
+// intra-component edges).
 type EdgeRewriter[V any] interface {
-	// RewriteEdge returns the edge to carry into the next iteration and
-	// whether to keep it at all.
-	RewriteEdge(iter int, e graph.Edge, src *V) (graph.Edge, bool)
+	// KeepEdge reports whether to carry e into the next iteration.
+	KeepEdge(iter int, e graph.Edge, src *V) bool
 }

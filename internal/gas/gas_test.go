@@ -21,20 +21,6 @@ func TestUint32CodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUint64CodecRoundTrip(t *testing.T) {
-	c := Uint64Codec()
-	prop := func(v uint64) bool {
-		buf := make([]byte, c.Bytes)
-		c.Put(buf, &v)
-		var got uint64
-		c.Get(buf, &got)
-		return got == v
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestFloat32CodecRoundTrip(t *testing.T) {
 	c := Float32Codec()
 	for _, v := range []float32{0, 1.5, -3.25, 1e30, -1e-30} {

@@ -32,9 +32,6 @@ func BuildAdjacency(edges []Edge, n uint64) *Adjacency {
 	return &Adjacency{N: n, Out: out}
 }
 
-// OutDegree returns the out-degree of v.
-func (a *Adjacency) OutDegree(v VertexID) int { return len(a.Out[v]) }
-
 // NumEdges returns the total number of directed edges.
 func (a *Adjacency) NumEdges() uint64 {
 	var m uint64

@@ -268,8 +268,8 @@ func TestBuildAdjacency(t *testing.T) {
 	if a.N != 3 {
 		t.Errorf("N = %d, want 3", a.N)
 	}
-	if a.OutDegree(0) != 2 || a.OutDegree(1) != 0 || a.OutDegree(2) != 1 {
-		t.Errorf("degrees wrong: %d %d %d", a.OutDegree(0), a.OutDegree(1), a.OutDegree(2))
+	if len(a.Out[0]) != 2 || len(a.Out[1]) != 0 || len(a.Out[2]) != 1 {
+		t.Errorf("degrees wrong: %d %d %d", len(a.Out[0]), len(a.Out[1]), len(a.Out[2]))
 	}
 	if a.NumEdges() != 3 {
 		t.Errorf("NumEdges = %d, want 3", a.NumEdges())

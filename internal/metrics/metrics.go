@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"fmt"
-	"strings"
 
 	"chaos/internal/sim"
 )
@@ -140,13 +139,4 @@ func (r *Run) String() string {
 	return fmt.Sprintf("%s: %v (%d iters, %.2f GB read, %.2f GB written, util %.1f%%)",
 		r.Algorithm, r.Runtime, r.Iterations,
 		float64(r.BytesRead)/1e9, float64(r.BytesWritten)/1e9, 100*r.DeviceUtilization)
-}
-
-// BreakdownTable renders the Figure 17-style fractions as a text table.
-func (r *Run) BreakdownTable() string {
-	var b strings.Builder
-	for _, c := range Categories() {
-		fmt.Fprintf(&b, "  %-14s %6.1f%%\n", c, 100*r.Fraction(c))
-	}
-	return b.String()
 }

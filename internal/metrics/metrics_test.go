@@ -79,17 +79,6 @@ func TestRebalanceTimeIsWorstMachine(t *testing.T) {
 	}
 }
 
-func TestBreakdownTableRendersAllCategories(t *testing.T) {
-	r := NewRun("BFS", 1)
-	r.Machines[0].Add(GPMasterMe, sim.Second)
-	table := r.BreakdownTable()
-	for _, c := range Categories() {
-		if !strings.Contains(table, c.String()) {
-			t.Errorf("table missing category %q:\n%s", c, table)
-		}
-	}
-}
-
 func TestRunString(t *testing.T) {
 	r := NewRun("WCC", 1)
 	r.Runtime = sim.Second

@@ -154,9 +154,6 @@ func (l *Layout) PartitionsOf(m int) []int {
 	return ps
 }
 
-// Multiple returns the per-machine partition multiple k.
-func (l *Layout) Multiple() int { return l.NumPartitions / l.NumMachines }
-
 // BinEdges performs the pre-processing pass in memory: one scan of the edge
 // list, binning each edge by the partition of its source. The engine's
 // distributed pre-processing streams edges instead but uses the same rule.

@@ -126,9 +126,6 @@ func TestMasterAssignmentRoundRobin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Multiple() != 3 {
-		t.Errorf("multiple = %d, want 3", l.Multiple())
-	}
 	counts := make(map[int]int)
 	for p := 0; p < l.NumPartitions; p++ {
 		counts[l.Master(p)]++

@@ -33,7 +33,7 @@ func TestSchedulerQueueRingCompaction(t *testing.T) {
 	}{{jobs: 100, compacts: true}, {jobs: 10}} {
 		t.Run(fmt.Sprint(tc.jobs), func(t *testing.T) {
 			g := newGate()
-			s := NewScheduler(SchedulerConfig{Workers: 1}, g.run)
+			s := startScheduler(SchedulerConfig{Workers: 1}, g.run)
 			defer s.Shutdown(context.Background())
 
 			for i := 0; i < tc.jobs; i++ {
@@ -80,7 +80,7 @@ func TestSchedulerQueueRingCompaction(t *testing.T) {
 // the admitted ones, and admits again once the queue drains.
 func TestSchedulerQueueBound(t *testing.T) {
 	g := newGate()
-	s := NewScheduler(SchedulerConfig{Workers: 1, MaxQueue: 3}, g.run)
+	s := startScheduler(SchedulerConfig{Workers: 1, MaxQueue: 3}, g.run)
 	defer func() {
 		close(g.release)
 		s.Shutdown(context.Background())
@@ -183,7 +183,7 @@ func TestSubmitQueueFull429(t *testing.T) {
 // the sequence, so the listing continues just past the missing id.
 func TestListFilteredAfterEvictedCursor(t *testing.T) {
 	g := newGate()
-	s := NewScheduler(SchedulerConfig{Workers: 1, Retain: 3}, g.run)
+	s := startScheduler(SchedulerConfig{Workers: 1, Retain: 3}, g.run)
 	defer s.Shutdown(context.Background())
 
 	var ids []string
@@ -226,7 +226,7 @@ func TestListFilteredAfterEvictedCursor(t *testing.T) {
 // single-job GET still does.
 func TestListStripsPayloads(t *testing.T) {
 	g := newGate()
-	s := NewScheduler(SchedulerConfig{Workers: 1}, g.run)
+	s := startScheduler(SchedulerConfig{Workers: 1}, g.run)
 	defer s.Shutdown(context.Background())
 
 	jv, err := s.Submit("g", "PR", chaos.Options{Seed: 1})
@@ -257,7 +257,7 @@ func TestListStripsPayloads(t *testing.T) {
 func TestEventHubOrderingUnderConcurrentTransitions(t *testing.T) {
 	const jobs = 8
 	g := newGate()
-	s := NewScheduler(SchedulerConfig{Workers: 4}, g.run)
+	s := startScheduler(SchedulerConfig{Workers: 4}, g.run)
 	defer s.Shutdown(context.Background())
 
 	// Subscriptions must exist before the first transition: subscribe,
@@ -331,7 +331,7 @@ func TestEventHubOrderingUnderConcurrentTransitions(t *testing.T) {
 // job completes (the full report supersedes it).
 func TestProgressTicksFlowToViewsAndEvents(t *testing.T) {
 	g := newGate()
-	s := NewScheduler(SchedulerConfig{Workers: 1}, g.run)
+	s := startScheduler(SchedulerConfig{Workers: 1}, g.run)
 	defer s.Shutdown(context.Background())
 
 	ch, cancel := s.Subscribe("j1")
@@ -427,7 +427,7 @@ func TestEventHubDropsLaggingSubscriber(t *testing.T) {
 // comes back already closed.
 func TestShutdownDisconnectsEventStreams(t *testing.T) {
 	g := newGate()
-	s := NewScheduler(SchedulerConfig{Workers: 1}, g.run)
+	s := startScheduler(SchedulerConfig{Workers: 1}, g.run)
 
 	jv, err := s.Submit("g", "PR", chaos.Options{Seed: 1})
 	if err != nil {
@@ -690,7 +690,7 @@ func TestJobEventsSSE(t *testing.T) {
 // budget instead of every job taking GOMAXPROCS.
 func TestComputeBudgetShares(t *testing.T) {
 	g := newGate()
-	s := NewScheduler(SchedulerConfig{Workers: 2, ComputeBudget: 8}, g.run)
+	s := startScheduler(SchedulerConfig{Workers: 2, ComputeBudget: 8}, g.run)
 	defer func() {
 		close(g.release)
 		s.Shutdown(context.Background())

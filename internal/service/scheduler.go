@@ -424,14 +424,8 @@ type SchedulerConfig struct {
 	ComputeBudget int
 }
 
-// NewScheduler starts a pool of workers feeding jobs through run.
-func NewScheduler(cfg SchedulerConfig, run runFunc) *Scheduler {
-	s := newScheduler(cfg, run)
-	s.start()
-	return s
-}
-
-// newScheduler is NewScheduler without starting the workers.
+// newScheduler builds a pool of workers feeding jobs through run; start
+// launches them.
 func newScheduler(cfg SchedulerConfig, run runFunc) *Scheduler {
 	if cfg.Retain <= 0 {
 		cfg.Retain = 10000

@@ -44,6 +44,14 @@ func (g *gate) run(ctx context.Context, j *Job) (*chaos.Result, *chaos.Report, e
 	return &chaos.Result{Algorithm: j.Algorithm}, &chaos.Report{Algorithm: j.Algorithm}, nil
 }
 
+// startScheduler builds a scheduler over run and starts its workers, as
+// Open does once the service is restored.
+func startScheduler(cfg SchedulerConfig, run runFunc) *Scheduler {
+	s := newScheduler(cfg, run)
+	s.start()
+	return s
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -61,7 +69,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestSchedulerBoundsConcurrency(t *testing.T) {
 	const workers, jobs = 3, 12
 	g := newGate()
-	s := NewScheduler(SchedulerConfig{Workers: workers}, g.run)
+	s := startScheduler(SchedulerConfig{Workers: workers}, g.run)
 
 	var wg sync.WaitGroup
 	for i := 0; i < jobs; i++ {
@@ -104,7 +112,7 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 // finished ones conflict, canceled jobs never run.
 func TestSchedulerCancel(t *testing.T) {
 	g := newGate()
-	s := NewScheduler(SchedulerConfig{Workers: 1}, g.run)
+	s := startScheduler(SchedulerConfig{Workers: 1}, g.run)
 	defer func() {
 		close(g.release)
 		s.Shutdown(context.Background())
@@ -157,7 +165,7 @@ func TestSchedulerCancel(t *testing.T) {
 // cancels queued ones, and refuses new submissions.
 func TestSchedulerShutdownDrains(t *testing.T) {
 	g := newGate()
-	s := NewScheduler(SchedulerConfig{Workers: 1}, g.run)
+	s := startScheduler(SchedulerConfig{Workers: 1}, g.run)
 
 	running, _ := s.Submit("g", "PR", chaos.Options{})
 	waitFor(t, "job running", func() bool {
@@ -197,7 +205,7 @@ func TestSchedulerShutdownDrains(t *testing.T) {
 // running jobs survive even when the cap is exceeded.
 func TestSchedulerRetentionEvictsOnlyFinishedJobs(t *testing.T) {
 	g := newGate()
-	s := NewScheduler(SchedulerConfig{Workers: 1, Retain: 3}, g.run)
+	s := startScheduler(SchedulerConfig{Workers: 1, Retain: 3}, g.run)
 	defer s.Shutdown(context.Background())
 
 	// Five finished jobs, released one at a time.
@@ -307,7 +315,7 @@ func TestResultCacheEvictionOrderAndCompaction(t *testing.T) {
 // paging over a mixed-state history.
 func TestSchedulerListFiltered(t *testing.T) {
 	g := newGate()
-	s := NewScheduler(SchedulerConfig{Workers: 1}, g.run)
+	s := startScheduler(SchedulerConfig{Workers: 1}, g.run)
 	defer func() {
 		close(g.release)
 		s.Shutdown(context.Background())
@@ -361,7 +369,7 @@ func TestSchedulerListFiltered(t *testing.T) {
 
 // TestSchedulerFailedJob surfaces run errors as the failed state.
 func TestSchedulerFailedJob(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{Workers: 1}, func(ctx context.Context, j *Job) (*chaos.Result, *chaos.Report, error) {
+	s := startScheduler(SchedulerConfig{Workers: 1}, func(ctx context.Context, j *Job) (*chaos.Result, *chaos.Report, error) {
 		return nil, nil, fmt.Errorf("boom")
 	})
 	defer s.Shutdown(context.Background())

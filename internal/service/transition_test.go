@@ -24,7 +24,7 @@ func TestProgressTicksCarryAcceptedCancel(t *testing.T) {
 	var ticks, firstAfter atomic.Int64 // firstAfter: first tick filed after Cancel returned
 	release := make(chan struct{})
 	var s *Scheduler
-	s = NewScheduler(SchedulerConfig{Workers: 1}, func(ctx context.Context, j *Job) (*chaos.Result, *chaos.Report, error) {
+	s = startScheduler(SchedulerConfig{Workers: 1}, func(ctx context.Context, j *Job) (*chaos.Result, *chaos.Report, error) {
 		for i := int64(1); ; i++ {
 			if accepted.Load() {
 				firstAfter.CompareAndSwap(0, i)

@@ -64,7 +64,7 @@ func TestPromoteEdgesResetsConsumption(t *testing.T) {
 
 func TestDropVertexChunk(t *testing.T) {
 	s := NewStore(0, 1, NewMemBackend())
-	s.PutVertexChunk(0, 3, []byte("v"))
+	s.PutVertexChunk(0, 3, 1)
 	s.DropVertexChunk(0, 3)
 	if _, ok := s.GetVertexChunk(0, 3); ok {
 		t.Error("dropped chunk still readable")

@@ -54,10 +54,13 @@ type chunkSet struct {
 // (§6.4), not consumed.
 type vertexKey struct{ part, idx int }
 
-// Store is one machine's storage engine state. It holds every chunk by
-// reference: the modeled device charges each chunk's I/O, so the bytes
-// only need to be kept somewhere, and a Store that keeps references
-// cannot fail. Methods are not safe for concurrent use; in the simulation
+// Store is one machine's storage engine state. It holds every edge and
+// update chunk by reference: the modeled device charges each chunk's
+// I/O, so the bytes only need to be kept somewhere, and a Store that
+// keeps references cannot fail. Of a vertex chunk it keeps only the
+// modeled length: the driver holds vertex sets resident and typed, so
+// the store records which engine holds which chunk, and what reading it
+// costs. Methods are not safe for concurrent use; in the simulation
 // all calls are serialized by the DES scheduler, mirroring the single
 // storage-engine thread of §7.
 type Store struct {
@@ -65,7 +68,7 @@ type Store struct {
 	edges        []chunkSet
 	updates      []chunkSet
 	edgesNext    []chunkSet
-	vertexChunks map[vertexKey][]byte
+	vertexChunks map[vertexKey]int
 }
 
 // NewStore creates the storage engine for one machine covering nparts
@@ -77,7 +80,7 @@ func NewStore(machine, nparts int, backend Backend) *Store {
 		edges:        make([]chunkSet, nparts),
 		updates:      make([]chunkSet, nparts),
 		edgesNext:    make([]chunkSet, nparts),
-		vertexChunks: make(map[vertexKey][]byte),
+		vertexChunks: make(map[vertexKey]int),
 	}
 }
 
@@ -203,18 +206,17 @@ func (s *Store) PromoteEdges(part int) {
 	s.edges[part].consumed = 0
 }
 
-// PutVertexChunk stores (or replaces) vertex chunk idx of a partition,
-// holding data by reference. Vertex chunks are fixed-position: masters
-// rewrite them after apply, each time as fresh bytes, so a reader of the
-// previous chunk is never disturbed.
-func (s *Store) PutVertexChunk(part, idx int, data []byte) {
-	s.vertexChunks[vertexKey{part, idx}] = data
+// PutVertexChunk stores (or replaces) vertex chunk idx of a partition at
+// its modeled length. Vertex chunks are fixed-position: masters rewrite
+// them after apply.
+func (s *Store) PutVertexChunk(part, idx, length int) {
+	s.vertexChunks[vertexKey{part, idx}] = length
 }
 
-// GetVertexChunk returns vertex chunk idx of a partition, or ok=false when
-// none is stored here.
-func (s *Store) GetVertexChunk(part, idx int) (data []byte, ok bool) {
-	data, ok = s.vertexChunks[vertexKey{part, idx}]
+// GetVertexChunk returns the modeled length of vertex chunk idx of a
+// partition, or ok=false when none is stored here.
+func (s *Store) GetVertexChunk(part, idx int) (length int, ok bool) {
+	length, ok = s.vertexChunks[vertexKey{part, idx}]
 	return
 }
 

@@ -25,19 +25,19 @@ check_observability() {
   local min_jobs=$1 m
   m=$(curl -sf $BASE/metrics)
   for fam in chaos_http_request_duration_seconds chaos_job_queue_wait_seconds chaos_job_wall_seconds; do
-    echo "$m" | grep -q "^# TYPE $fam histogram" || { echo "metrics missing histogram $fam" >&2; exit 1; }
-    echo "$m" | grep -q "^${fam}_bucket.*le=\"+Inf\"" || { echo "$fam has no +Inf bucket" >&2; exit 1; }
+    grep -q "^# TYPE $fam histogram" <<<"$m" || { echo "metrics missing histogram $fam" >&2; exit 1; }
+    grep -q "^${fam}_bucket.*le=\"+Inf\"" <<<"$m" || { echo "$fam has no +Inf bucket" >&2; exit 1; }
   done
   # POST /v1/jobs was hit on this process by the time we scrape.
-  echo "$m" | grep -q "^chaos_http_request_duration_seconds_count{route=\"POST /v1/jobs\"} [1-9]" \
+  grep -q "^chaos_http_request_duration_seconds_count{route=\"POST /v1/jobs\"} [1-9]" <<<"$m" \
     || { echo "no request-duration samples for POST /v1/jobs" >&2; exit 1; }
-  echo "$m" | grep -q "^chaos_job_queue_wait_seconds_count [$min_jobs-9]" \
+  grep -q "^chaos_job_queue_wait_seconds_count [$min_jobs-9]" <<<"$m" \
     || { echo "queue-wait histogram missing executed jobs" >&2; exit 1; }
   # Capture, then grep: piping straight into grep -q would close the
   # pipe on the first match and fail curl under pipefail.
   local heap
   heap=$(curl -sf "$DEBUG/debug/pprof/heap?debug=1" || true)
-  echo "$heap" | grep -q '^heap profile' \
+  grep -q '^heap profile' <<<"$heap" \
     || { echo "pprof heap profile not served on $DEBUG_ADDR" >&2; exit 1; }
 }
 
@@ -47,13 +47,13 @@ check_observability() {
 check_trace() {
   local t
   t=$(curl -sf $BASE/v1/jobs/$JOB/trace)
-  echo "$t" | grep -q "\"traceId\": \"$TRACE_ID\"" \
+  grep -q "\"traceId\": \"$TRACE_ID\"" <<<"$t" \
     || { echo "trace id drifted: $t" >&2; exit 1; }
   for name in 'POST /v1/jobs' queued run done; do
-    echo "$t" | grep -q "\"name\": \"$name\"" \
+    grep -q "\"name\": \"$name\"" <<<"$t" \
       || { echo "trace tree missing '$name' span: $t" >&2; exit 1; }
   done
-  echo "$t" | grep -q '"orphans": 0' \
+  grep -q '"orphans": 0' <<<"$t" \
     || { echo "trace tree has orphan spans: $t" >&2; exit 1; }
 }
 
@@ -107,19 +107,19 @@ grep -q '"state":"done"' "$EVENTS" || { echo "SSE stream missed the done transit
 # /metrics serves Prometheus text exposition with the serving, catalog
 # and WAL counter families.
 METRICS=$(curl -sf $BASE/metrics)
-echo "$METRICS" | grep -q '^# TYPE chaos_jobs gauge' || { echo "metrics missing TYPE preamble" >&2; exit 1; }
-echo "$METRICS" | grep -q '^chaos_jobs{state="done"} [1-9]' || { echo "metrics missing done-job count" >&2; echo "$METRICS" >&2; exit 1; }
-echo "$METRICS" | grep -q '^chaos_wal_records_total [1-9]' || { echo "metrics missing WAL records" >&2; exit 1; }
-echo "$METRICS" | grep -q '^chaos_persist_healthy 1' || { echo "persistence not healthy" >&2; exit 1; }
+grep -q '^# TYPE chaos_jobs gauge' <<<"$METRICS" || { echo "metrics missing TYPE preamble" >&2; exit 1; }
+grep -q '^chaos_jobs{state="done"} [1-9]' <<<"$METRICS" || { echo "metrics missing done-job count" >&2; echo "$METRICS" >&2; exit 1; }
+grep -q '^chaos_wal_records_total [1-9]' <<<"$METRICS" || { echo "metrics missing WAL records" >&2; exit 1; }
+grep -q '^chaos_persist_healthy 1' <<<"$METRICS" || { echo "persistence not healthy" >&2; exit 1; }
 # The catalog counts the edge slice the job ran on.
-echo "$METRICS" | grep -q '^chaos_catalog_bytes{kind="edges"} [1-9]' || { echo "catalog bytes miss the resident edges" >&2; exit 1; }
+grep -q '^chaos_catalog_bytes{kind="edges"} [1-9]' <<<"$METRICS" || { echo "catalog bytes miss the resident edges" >&2; exit 1; }
 # One job has executed here: histograms fed, pprof answering.
 check_observability 1
 # The executing process serves the full tree, trace-id lookup included.
 check_trace
 # Capture, then grep (see check_observability: grep -q + pipefail).
 BYTRACE=$(curl -sf $BASE/v1/traces/$TRACE_ID)
-echo "$BYTRACE" | grep -q "\"id\": \"$JOB\"" \
+grep -q "\"id\": \"$JOB\"" <<<"$BYTRACE" \
   || { echo "trace id does not resolve to the job" >&2; exit 1; }
 
 # SIGTERM: graceful shutdown snapshots before exit.
@@ -133,25 +133,25 @@ wait_up
 # grepping: grep -q exits on the first match, and under pipefail the
 # SIGPIPE that gives curl would fail the whole pipeline.)
 GRAPHS=$(curl -sf $BASE/v1/graphs)
-echo "$GRAPHS" | grep -q '"id": "smoke"' || { echo "graph lost" >&2; exit 1; }
+grep -q '"id": "smoke"' <<<"$GRAPHS" || { echo "graph lost" >&2; exit 1; }
 # ...and the identical submission is an immediate cache hit served from
 # the disk result store (the fresh process's memory cache was empty).
 HIT=$(curl -sf -XPOST $BASE/v1/jobs -d '{"graph":"smoke","algorithm":"PR","options":{"machines":2,"seed":7}}')
-echo "$HIT" | grep -q '"state": "done"' || { echo "resubmission not served from cache: $HIT" >&2; exit 1; }
-echo "$HIT" | grep -q '"cacheHit": true' || { echo "no cacheHit flag: $HIT" >&2; exit 1; }
+grep -q '"state": "done"' <<<"$HIT" || { echo "resubmission not served from cache: $HIT" >&2; exit 1; }
+grep -q '"cacheHit": true' <<<"$HIT" || { echo "no cacheHit flag: $HIT" >&2; exit 1; }
 STATS=$(curl -sf $BASE/v1/stats)
-echo "$STATS" | grep -q '"diskHits": [1-9]' || { echo "no disk hit recorded" >&2; exit 1; }
+grep -q '"diskHits": [1-9]' <<<"$STATS" || { echo "no disk hit recorded" >&2; exit 1; }
 # The recovered process exposes the restored history on /metrics (two
 # done jobs now: the pre-crash run and the cache-hit resubmission).
 METRICS=$(curl -sf $BASE/metrics)
-echo "$METRICS" | grep -q '^chaos_jobs{state="done"} [2-9]' || { echo "recovered metrics missing job history" >&2; exit 1; }
+grep -q '^chaos_jobs{state="done"} [2-9]' <<<"$METRICS" || { echo "recovered metrics missing job history" >&2; exit 1; }
 # The restored graph stays cold: the resubmission never ran, so no
 # edge slice is resident.
-echo "$METRICS" | grep -q '^chaos_catalog_bytes{kind="edges"} 0$' || { echo "a cold restored graph counts resident edges" >&2; exit 1; }
+grep -q '^chaos_catalog_bytes{kind="edges"} 0$' <<<"$METRICS" || { echo "a cold restored graph counts resident edges" >&2; exit 1; }
 # The SSE stream of a job finished before the crash replays as a single
 # terminal snapshot on the recovered process.
 REPLAY=$(curl -sN -m 10 $BASE/v1/jobs/$JOB/events)
-echo "$REPLAY" | grep -q '"state":"done"' || { echo "no terminal snapshot for recovered job" >&2; exit 1; }
+grep -q '"state":"done"' <<<"$REPLAY" || { echo "no terminal snapshot for recovered job" >&2; exit 1; }
 # Observability after recovery: the histogram families come back
 # pre-seeded (0 is a real value — the cache-hit resubmission never
 # executed, so queue-wait legitimately has no new samples) and the
@@ -172,6 +172,6 @@ check_trace
 # Engine spans are execution-scoped: the restored trace reports the
 # tier absent with a reason instead of inventing a recording.
 RESTORED=$(curl -sf $BASE/v1/jobs/$JOB/trace)
-echo "$RESTORED" | grep -q '"engineAbsent"' \
+grep -q '"engineAbsent"' <<<"$RESTORED" \
   || { echo "restored trace claims an engine recording" >&2; exit 1; }
 echo "SMOKE OK"
