@@ -92,11 +92,11 @@ type Options struct {
 	// unconstrained (one partition per machine).
 	MemBudgetBytes int64 `json:"memBudgetBytes,omitempty"`
 	// MemoryBudgetMB bounds the native engine's resident update-set
-	// memory, in MiB. Past the budget the update transport encodes
-	// overflowing buckets and spills them to temp files, streaming them
-	// back in deterministic fold order — the out-of-core execution the
-	// paper runs from secondary storage. The budget counts updates at
-	// their encoded size. A resident record is that size exactly for
+	// memory, in MiB. Past the budget the update transport spills
+	// overflowing buckets to temp files, each slab as the raw record
+	// bytes it already is, and streams them back in deterministic fold
+	// order — the out-of-core execution the paper runs from secondary
+	// storage. The budget counts updates at their §8 record size. A resident record is that size exactly for
 	// the eight algorithms with a 4-byte update payload on a graph
 	// below 2^32 vertices (8 bytes either way); MCST's and MIS's
 	// records are 24 bytes resident against 16 and 17 encoded, so their

@@ -39,7 +39,13 @@ func main() {
 		g := rmat.New(*scale, *seed)
 		g.Weighted = *weighted
 		f = g.Format()
-		each = g.Each
+		each = func(fn func(graph.Edge)) {
+			g.Each(graph.NewScratch(), func(batch []graph.Edge) {
+				for _, e := range batch {
+					fn(e)
+				}
+			})
+		}
 		nv = g.NumVertices()
 	case "web":
 		g := webgraph.New(*pages, *seed)

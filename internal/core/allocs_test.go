@@ -17,12 +17,12 @@ import (
 // TestDESSteadyStateAllocs is TestNativeSteadyStateAllocs for the DES
 // driver: a run's chunk memory comes round again. Update chunks are arena
 // slabs that the storage engines return when they delete an update set,
-// and vertex sets come from a free list; so of iterations 6 to 10 of a
-// PageRank run, the median one allocates at most half an iteration's
-// update records. At the parent commit every update chunk and every
-// vertex set was fresh memory, 1.6 iterations' worth of update records per
-// iteration; with the recycling it is about a quarter (tasks, messages
-// and accumulators). The median for the reason the native test gives:
+// and vertex sets and master accumulators stay resident for the run; so
+// of iterations 6 to 10 of a PageRank run, the median one allocates at
+// most half an iteration's update records. With every update chunk fresh
+// memory it was 1.6 iterations' worth of update records per iteration;
+// now it is about 4 % (tasks and messages). The median for the reason
+// the native test gives:
 // which iteration first reaches the run's peak need depends on how the
 // pool's goroutines interleave with the simulation. The pool is fixed at
 // two workers, so the figure is the same on any host.

@@ -76,8 +76,8 @@ type Config struct {
 	// by replicating the vertex sets").
 	ReplicateVertices bool
 	// ComputeWorkers bounds the worker pool that executes per-chunk
-	// compute (decode, GAS kernel, update encoding) off the simulation
-	// thread. Zero means GOMAXPROCS. Results, metrics and simulated
+	// compute (edge decode, the scatter kernel, gather folds) off the
+	// simulation thread. Zero means GOMAXPROCS. Results, metrics and simulated
 	// times are bit-identical for every worker count (see parallel.go);
 	// the knob only trades wall-clock time.
 	ComputeWorkers int

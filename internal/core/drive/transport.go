@@ -7,15 +7,15 @@ import (
 )
 
 // Transport is the seam between update producers (scatter) and consumers
-// (gather): the one place where typed update records either stay typed
-// slices or become encoded bytes. A driver Puts the records partition
+// (gather): typed update records pass through it as arena slabs, and
+// none is encoded on the way. A driver Puts the records partition
 // src's scatter emitted for partition dst, chunk by chunk, and later
 // drains partition dst's pending chunks in the deterministic
 // (source partition, chunk) fold order, source by source as each scatter
 // completes (DrainFrom, the streaming consumer API behind the native
 // driver's pipelined phase boundary). A record's Off is relative to the
 // bucket's dst, which both ends of the bucket name.
-// Nothing here encodes. The native driver's SpillTransport moves slabs
+// The native driver's SpillTransport moves slabs
 // by pointer and writes only the slabs that overflow its budget, as
 // their own bytes, to files only its run reads back; without a budget
 // (NewMemTransport) it writes nothing. The DES driver's Wire cuts the

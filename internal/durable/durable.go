@@ -40,15 +40,3 @@ type Record struct {
 	Kind string          `json:"kind"`
 	Data json.RawMessage `json:"data"`
 }
-
-// Log is the append-side interface the service writes state changes
-// through. *WAL implements it; a nil Log (in-memory mode) means the
-// caller skips persistence entirely.
-type Log interface {
-	// Append journals one record. It returns once the record is in the
-	// OS write buffer; durability follows within the sync interval, or
-	// immediately after a Sync.
-	Append(kind string, v any) error
-	// Sync blocks until every appended record is fsynced.
-	Sync() error
-}

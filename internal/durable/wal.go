@@ -82,7 +82,9 @@ func OpenWAL(dir string, syncInterval time.Duration) (*WAL, *Recovered, error) {
 	return w, rec, nil
 }
 
-// Append journals one record (see Log).
+// Append journals one record. It returns once the record is in the OS
+// write buffer; durability follows within the sync interval, or
+// immediately after a Sync.
 func (w *WAL) Append(kind string, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -102,7 +104,7 @@ func (w *WAL) Append(kind string, v any) error {
 	return nil
 }
 
-// Sync blocks until every appended record is fsynced (see Log).
+// Sync blocks until every appended record is fsynced.
 func (w *WAL) Sync() error { return w.journal.Sync() }
 
 // AppendedSinceCompact returns how many records the journal has
@@ -175,5 +177,3 @@ func (w *WAL) Compact(capture func() (any, error)) error {
 // Close fsyncs and closes the journal. The caller should Compact first
 // if it wants a fresh snapshot on disk (replay works either way).
 func (w *WAL) Close() error { return w.journal.Close() }
-
-var _ Log = (*WAL)(nil)

@@ -12,7 +12,7 @@ import (
 
 // xstreamRun adapts the generic single-machine engine to one call site per
 // vertex-state type.
-func xstreamRun[V, U, A any](cfg xstream.Config, prog gas.Program[V, U, A], edges []chaos.Edge, n uint64) (float64, error) {
+func xstreamRun[V, U, A any](cfg xstream.Config, prog gas.Program[V, U, A], edges graph.Source, n uint64) (float64, error) {
 	res, err := xstream.Run(cfg, prog, edges, n)
 	if err != nil {
 		return 0, err
@@ -20,31 +20,35 @@ func xstreamRun[V, U, A any](cfg xstream.Config, prog gas.Program[V, U, A], edge
 	return res.Runtime.Seconds(), nil
 }
 
-// xstreamByName runs the named algorithm on the X-Stream baseline with the
-// same input conventions as chaos.RunByName.
+// xstreamByName runs the named algorithm on the X-Stream baseline over
+// the view chaos.RunByName reads for it.
 func xstreamByName(cfg xstream.Config, alg string, edges []chaos.Edge, n uint64) (float64, error) {
-	und := func() []chaos.Edge { return graph.Undirected(edges) }
+	view, err := chaos.ViewFor(alg)
+	if err != nil {
+		return 0, err
+	}
+	src := view.Source(graph.Edges(edges))
 	switch alg {
 	case "BFS":
-		return xstreamRun(cfg, &algorithms.BFS{}, und(), n)
+		return xstreamRun(cfg, &algorithms.BFS{}, src, n)
 	case "WCC":
-		return xstreamRun(cfg, &algorithms.WCC{}, und(), n)
+		return xstreamRun(cfg, &algorithms.WCC{}, src, n)
 	case "MCST":
-		return xstreamRun(cfg, &algorithms.MCST{}, und(), n)
+		return xstreamRun(cfg, &algorithms.MCST{}, src, n)
 	case "MIS":
-		return xstreamRun(cfg, &algorithms.MIS{}, und(), n)
+		return xstreamRun(cfg, &algorithms.MIS{}, src, n)
 	case "SSSP":
-		return xstreamRun(cfg, &algorithms.SSSP{}, und(), n)
+		return xstreamRun(cfg, &algorithms.SSSP{}, src, n)
 	case "PR":
-		return xstreamRun(cfg, &algorithms.PageRank{Iterations: 5}, edges, n)
+		return xstreamRun(cfg, &algorithms.PageRank{Iterations: 5}, src, n)
 	case "SCC":
-		return xstreamRun(cfg, &algorithms.SCC{}, algorithms.AugmentEdges(edges), n)
+		return xstreamRun(cfg, &algorithms.SCC{}, src, n)
 	case "Cond":
-		return xstreamRun(cfg, &algorithms.Conductance{}, edges, n)
+		return xstreamRun(cfg, &algorithms.Conductance{}, src, n)
 	case "SpMV":
-		return xstreamRun(cfg, &algorithms.SpMV{}, edges, n)
+		return xstreamRun(cfg, &algorithms.SpMV{}, src, n)
 	case "BP":
-		return xstreamRun(cfg, &algorithms.BP{Iterations: 5}, edges, n)
+		return xstreamRun(cfg, &algorithms.BP{Iterations: 5}, src, n)
 	default:
 		return 0, fmt.Errorf("experiments: unknown algorithm %s", alg)
 	}

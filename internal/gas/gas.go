@@ -97,7 +97,10 @@ type Program[V, U, A any] interface {
 	Converged(iter int, changed uint64) bool
 	// VertexCodec serializes vertex state for storage.
 	VertexCodec() Codec[V]
-	// UpdateCodec serializes update payloads for storage and network.
+	// UpdateCodec describes the update payload's §8 encoding. Its Bytes
+	// sizes an update record (drive.Kernel.UpdBytes), which the DES
+	// charges and the transport budget counts; only bench/'s layer
+	// probes and the wire-size tests encode with it.
 	UpdateCodec() Codec[U]
 	// AccumBytes is the in-memory accumulator size, used to cost the
 	// master's fetch of stealer accumulators over the network.

@@ -59,11 +59,19 @@ func (g *Generator) Generate() []graph.Edge {
 	return edges
 }
 
-// Each invokes fn for every generated edge, in Generate's order.
-func (g *Generator) Each(fn func(graph.Edge)) {
+// Each generates the edges in Generate's order a batch at a time: it
+// fills batch, which must not be empty, and calls fn on the filled part,
+// the last time with the remainder. fn must not keep the slice. A caller
+// that encodes the edges holds one batch of them, not all.
+func (g *Generator) Each(batch []graph.Edge, fn func([]graph.Edge)) {
 	rng, t := rand.New(rand.NewSource(g.Seed)), g.thresholds()
-	for n := g.NumEdges(); n > 0; n-- {
-		fn(g.edge(rng, t))
+	for n := g.NumEdges(); n > 0; {
+		b := batch[:min(n, uint64(len(batch)))]
+		for i := range b {
+			b[i] = g.edge(rng, t)
+		}
+		fn(b)
+		n -= uint64(len(b))
 	}
 }
 

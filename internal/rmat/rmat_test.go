@@ -59,7 +59,7 @@ func TestDeterministicForSeed(t *testing.T) {
 		g.Weighted = weighted
 		want := g.Generate()
 		var each []graph.Edge
-		g.Each(func(e graph.Edge) { each = append(each, e) })
+		g.Each(make([]graph.Edge, 1000), func(b []graph.Edge) { each = append(each, b...) }) // a short last batch
 		if len(each) != len(want) {
 			t.Fatalf("weighted %v: Each yielded %d edges, Generate %d", weighted, len(each), len(want))
 		}
@@ -155,7 +155,11 @@ func TestDegreeSkew(t *testing.T) {
 	// exceed the mean (16), and low-ID vertices should be the hubs.
 	g := New(12, 7)
 	deg := make([]int, g.NumVertices())
-	g.Each(func(e graph.Edge) { deg[e.Src]++ })
+	g.Each(make([]graph.Edge, 1024), func(b []graph.Edge) {
+		for _, e := range b {
+			deg[e.Src]++
+		}
+	})
 	sorted := append([]int(nil), deg...)
 	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
 	if sorted[0] < 100 {
@@ -175,16 +179,18 @@ func TestQuadrantProbabilities(t *testing.T) {
 	// With scale 1 the first bit split directly reflects (A,B,C,D).
 	g := New(16, 9)
 	var counts [4]float64
-	g.Each(func(e graph.Edge) {
-		hi := uint64(g.NumVertices() / 2)
-		q := 0
-		if uint64(e.Src) >= hi {
-			q += 2
+	hi := uint64(g.NumVertices() / 2)
+	g.Each(make([]graph.Edge, 1024), func(b []graph.Edge) {
+		for _, e := range b {
+			q := 0
+			if uint64(e.Src) >= hi {
+				q += 2
+			}
+			if uint64(e.Dst) >= hi {
+				q++
+			}
+			counts[q]++
 		}
-		if uint64(e.Dst) >= hi {
-			q++
-		}
-		counts[q]++
 	})
 	total := float64(g.NumEdges())
 	want := [4]float64{g.A, g.B, g.C, g.D}

@@ -9,6 +9,8 @@ import (
 	"chaos"
 	"chaos/internal/core/drive"
 	"chaos/internal/graph"
+	"chaos/internal/rmat"
+	"chaos/internal/webgraph"
 )
 
 // GraphSpec describes a graph to register. Type selects the source:
@@ -259,16 +261,31 @@ func (spec GraphSpec) checkBounds() error {
 }
 
 // generate encodes the edges a generated graph's spec names, once,
-// into the §8 records of its vertex count.
+// into the §8 records of its vertex count, as the generator yields them:
+// registration never holds the graph as a slice of Edge, only its
+// records and one batch.
 func (spec GraphSpec) generate() (recs *graph.RecordSource, n uint64, weighted bool) {
-	var edges []chaos.Edge
+	var f graph.Format
+	var data []byte
 	if spec.Type == "rmat" {
-		edges, n, weighted = chaos.GenerateRMAT(spec.Scale, spec.Weighted, spec.Seed), uint64(1)<<uint(spec.Scale), spec.Weighted
+		g := rmat.New(spec.Scale, spec.Seed)
+		g.Weighted = spec.Weighted
+		n, weighted, f = g.NumVertices(), g.Weighted, g.Format()
+		data = make([]byte, 0, g.NumEdges()*uint64(f.EdgeSize()))
+		g.Each(graph.NewScratch(), func(batch []graph.Edge) { data = f.EncodeEdges(data, batch) })
 	} else {
-		edges, n = chaos.GenerateWebGraph(spec.Pages, spec.Seed), spec.Pages
+		g := webgraph.New(spec.Pages, spec.Seed)
+		n, f = g.NumVertices(), g.Format()
+		sz := f.EdgeSize()
+		// The expected count and a sixteenth: its spread is about 1% at
+		// a few thousand pages, and narrower above.
+		data = make([]byte, 0, spec.Pages*uint64(g.MeanOutDegree*sz)*17/16)
+		g.Each(func(e graph.Edge) {
+			data = append(data, make([]byte, sz)...)
+			f.Encode(data[len(data)-sz:], e)
+		})
 	}
-	f := graph.FormatFor(n, weighted)
-	recs, err := graph.Records(f.EncodeEdges(nil, edges), f)
+	recs, err := graph.Records(data, f)
 	if err != nil {
 		panic(err) // whole records by construction
 	}

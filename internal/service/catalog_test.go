@@ -2,11 +2,13 @@ package service
 
 import (
 	"bytes"
+	"runtime"
 	"slices"
 	"testing"
 
 	"chaos"
 	"chaos/internal/graph"
+	"chaos/internal/raceflag"
 )
 
 func TestCatalogRegisterAndViews(t *testing.T) {
@@ -131,5 +133,30 @@ func TestCatalogHoldsRecords(t *testing.T) {
 	}
 	if 4*held > copies {
 		t.Errorf("the graph holds %d B, over a quarter of the %d B the copies held", held, copies)
+	}
+}
+
+// TestRegisterAllocatesAboutItsRecords: registering a weighted RMAT-14
+// graph allocates little beyond the 12-byte records it keeps, because
+// generation encodes the edges a batch at a time. Generating the graph
+// as a slice of 24-byte Edges and encoding that came to about three
+// times the records.
+func TestRegisterAllocatesAboutItsRecords(t *testing.T) {
+	if raceflag.Enabled() {
+		t.Skip("allocation sizes are not meaningful under -race")
+	}
+	c := NewCatalog()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := c.Register(GraphSpec{Type: "rmat", Scale: 14, Weighted: true, Seed: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := g.Bytes().Edges
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("records %d B, registration allocated %d B (%.2fx)", records, allocated, float64(allocated)/float64(records))
+	if float64(allocated) > 1.25*float64(records) {
+		t.Errorf("registration allocated %d B, over 1.25x the %d B of records it keeps", allocated, records)
 	}
 }

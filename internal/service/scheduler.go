@@ -398,42 +398,20 @@ func (s *Scheduler) Subscribe(id string) (<-chan JobEvent, func()) {
 	return s.events.subscribe(id)
 }
 
-// SchedulerConfig parameterizes a Scheduler.
-type SchedulerConfig struct {
-	// Workers bounds concurrently running simulations.
-	Workers int
-	// Retain bounds the finished-job history: once more than Retain jobs
-	// exist, the oldest finished ones are evicted (queued and running
-	// jobs never are), so an always-on server does not grow without
-	// bound. <= 0 means the default of 10000.
-	Retain int
-	// MaxQueue bounds the number of queued (not yet running) jobs;
-	// Submit past it returns *QueueFullError so the HTTP layer can
-	// answer 429 with Retry-After. 0 = unbounded.
-	MaxQueue int
-	// ComputeBudget is the total engine compute workers shared across
-	// running jobs: a job that does not pin Options.ComputeWorkers
-	// starts with the budget divided by the concurrency it will see
-	// (running + backlog, capped at Workers), so a lone job gets the
-	// whole budget and a burst's shares sum to at most the budget —
-	// except that every job keeps a floor of one worker, so a pool
-	// wider than the budget still runs Workers jobs at one worker each.
-	// Without the budget every job defaults to GOMAXPROCS, and N
-	// concurrent jobs oversubscribe the host N×. 0 = unmanaged (the
-	// old behavior).
-	ComputeBudget int
-}
+// maxJobHistory bounds the finished-job history: once more jobs exist,
+// the oldest finished ones are evicted (queued and running jobs never
+// are), so an always-on server does not grow without bound.
+const maxJobHistory = 10000
 
-// newScheduler builds a pool of workers feeding jobs through run; start
+// newScheduler builds a pool of cfg.Workers workers feeding jobs through
+// run, admitting at most cfg.MaxQueue queued jobs and sharing
+// cfg.ComputeBudget, which open has resolved (0 = unmanaged); start
 // launches them.
-func newScheduler(cfg SchedulerConfig, run runFunc) *Scheduler {
-	if cfg.Retain <= 0 {
-		cfg.Retain = 10000
-	}
+func newScheduler(cfg Config, run runFunc) *Scheduler {
 	s := &Scheduler{
 		run:           run,
 		workers:       cfg.Workers,
-		retain:        cfg.Retain,
+		retain:        maxJobHistory,
 		maxQueue:      cfg.MaxQueue,
 		computeBudget: cfg.ComputeBudget,
 		jobs:          make(map[string]*Job),

@@ -46,7 +46,7 @@ func (g *gate) run(ctx context.Context, j *Job) (*chaos.Result, *chaos.Report, e
 
 // startScheduler builds a scheduler over run and starts its workers, as
 // Open does once the service is restored.
-func startScheduler(cfg SchedulerConfig, run runFunc) *Scheduler {
+func startScheduler(cfg Config, run runFunc) *Scheduler {
 	s := newScheduler(cfg, run)
 	s.start()
 	return s
@@ -69,7 +69,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestSchedulerBoundsConcurrency(t *testing.T) {
 	const workers, jobs = 3, 12
 	g := newGate()
-	s := startScheduler(SchedulerConfig{Workers: workers}, g.run)
+	s := startScheduler(Config{Workers: workers}, g.run)
 
 	var wg sync.WaitGroup
 	for i := 0; i < jobs; i++ {
@@ -112,7 +112,7 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 // finished ones conflict, canceled jobs never run.
 func TestSchedulerCancel(t *testing.T) {
 	g := newGate()
-	s := startScheduler(SchedulerConfig{Workers: 1}, g.run)
+	s := startScheduler(Config{Workers: 1}, g.run)
 	defer func() {
 		close(g.release)
 		s.Shutdown(context.Background())
@@ -165,7 +165,7 @@ func TestSchedulerCancel(t *testing.T) {
 // cancels queued ones, and refuses new submissions.
 func TestSchedulerShutdownDrains(t *testing.T) {
 	g := newGate()
-	s := startScheduler(SchedulerConfig{Workers: 1}, g.run)
+	s := startScheduler(Config{Workers: 1}, g.run)
 
 	running, _ := s.Submit("g", "PR", chaos.Options{})
 	waitFor(t, "job running", func() bool {
@@ -205,7 +205,9 @@ func TestSchedulerShutdownDrains(t *testing.T) {
 // running jobs survive even when the cap is exceeded.
 func TestSchedulerRetentionEvictsOnlyFinishedJobs(t *testing.T) {
 	g := newGate()
-	s := startScheduler(SchedulerConfig{Workers: 1, Retain: 3}, g.run)
+	s := newScheduler(Config{Workers: 1}, g.run)
+	s.retain = 3
+	s.start()
 	defer s.Shutdown(context.Background())
 
 	// Five finished jobs, released one at a time.
@@ -315,7 +317,7 @@ func TestResultCacheEvictionOrderAndCompaction(t *testing.T) {
 // paging over a mixed-state history.
 func TestSchedulerListFiltered(t *testing.T) {
 	g := newGate()
-	s := startScheduler(SchedulerConfig{Workers: 1}, g.run)
+	s := startScheduler(Config{Workers: 1}, g.run)
 	defer func() {
 		close(g.release)
 		s.Shutdown(context.Background())
@@ -369,7 +371,7 @@ func TestSchedulerListFiltered(t *testing.T) {
 
 // TestSchedulerFailedJob surfaces run errors as the failed state.
 func TestSchedulerFailedJob(t *testing.T) {
-	s := startScheduler(SchedulerConfig{Workers: 1}, func(ctx context.Context, j *Job) (*chaos.Result, *chaos.Report, error) {
+	s := startScheduler(Config{Workers: 1}, func(ctx context.Context, j *Job) (*chaos.Result, *chaos.Report, error) {
 		return nil, nil, fmt.Errorf("boom")
 	})
 	defer s.Shutdown(context.Background())

@@ -5,10 +5,10 @@
 // Three pieces cooperate:
 //
 //   - the Catalog registers graphs once (R-MAT/webgraph generation
-//     parameters or an uploaded chaos-gen binary edge list), materializes
-//     the edge slice, and lazily caches the undirected and augmented
-//     views the algorithms consume and, per view, the native engine's
-//     edge bins, so repeated jobs skip pre-processing;
+//     parameters or an uploaded chaos-gen binary edge list), holds each
+//     as its §8 edge records, reads the undirected and augmented views
+//     the algorithms consume through them, and keeps, per view, the
+//     native engine's edge bins, so repeated jobs skip pre-processing;
 //   - the Scheduler runs submitted jobs on a bounded worker pool (N
 //     concurrent simulations, each itself a multi-core cluster model)
 //     with queued/running/done/failed states and cancellation;
@@ -45,12 +45,6 @@ type Config struct {
 	// request leaves at zero fall back to these (used by chaos-serve to
 	// set lab-scale chunk sizes, and by tests).
 	BaseOptions chaos.Options
-	// MaxCacheEntries bounds the result cache; oldest entries are
-	// evicted first (default 4096).
-	MaxCacheEntries int
-	// MaxJobHistory bounds how many finished jobs stay queryable;
-	// queued and running jobs are never evicted (default 10000).
-	MaxJobHistory int
 	// MaxQueue bounds the number of queued (not yet running) jobs —
 	// the admission control that keeps a traffic burst from growing the
 	// queue without bound. Submissions past it fail with *QueueFullError
@@ -61,8 +55,10 @@ type Config struct {
 	// not pin Options.ComputeWorkers starts with the budget divided by
 	// the concurrency it will run beside (running + backlog, capped at
 	// Workers), so N concurrent simulations stop oversubscribing the
-	// host N×. Negative disables the division (every job defaults to
-	// GOMAXPROCS again).
+	// host N×. Every job keeps a floor of one worker, so a pool wider
+	// than the budget still runs Workers jobs at one worker each.
+	// Negative disables the division (every job defaults to GOMAXPROCS
+	// again).
 	ComputeBudget int
 	// MaxUploadBytes bounds POST /v1/graphs request bodies (default
 	// 64 MiB). Graph uploads carry whole edge lists, so they get a far
@@ -114,6 +110,10 @@ type Service struct {
 	closeOnce sync.Once
 }
 
+// maxCacheEntries bounds the result cache; the oldest entries are
+// evicted first.
+const maxCacheEntries = 4096
+
 // walSpanCap bounds the retained WAL operation spans; old spans fall
 // off first, which only thins the WAL tier of very old traces.
 const walSpanCap = 4096
@@ -148,9 +148,6 @@ func Open(cfg Config) (*Service, error) {
 func open(cfg Config) (*Service, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
-	}
-	if cfg.MaxCacheEntries <= 0 {
-		cfg.MaxCacheEntries = 4096
 	}
 	if cfg.MaxUploadBytes <= 0 {
 		cfg.MaxUploadBytes = 64 << 20
@@ -190,20 +187,15 @@ func open(cfg Config) (*Service, error) {
 		if err := os.MkdirAll(s.spillDir, 0o755); err != nil {
 			return nil, fmt.Errorf("service: creating spill dir: %w", err)
 		}
-		s.cache = newResultCache(cfg.MaxCacheEntries, p.store)
+		s.cache = newResultCache(maxCacheEntries, p.store)
 		// The WAL reports its operations as observational spans into a
 		// bounded ring (never back into the journal; see durable.SpanHook).
 		s.walSpans = obs.NewRing[durable.Span](walSpanCap)
 		p.wal.SetTrace(s.walSpans.Record)
 	} else {
-		s.cache = newResultCache(cfg.MaxCacheEntries, nil)
+		s.cache = newResultCache(maxCacheEntries, nil)
 	}
-	s.scheduler = newScheduler(SchedulerConfig{
-		Workers:       cfg.Workers,
-		Retain:        cfg.MaxJobHistory,
-		MaxQueue:      cfg.MaxQueue,
-		ComputeBudget: cfg.ComputeBudget,
-	}, s.execute)
+	s.scheduler = newScheduler(cfg, s.execute)
 	// Latency histograms, pre-seeded with every route and engine so the
 	// first scrape sees zeros; the scheduler hooks feed the queue-wait
 	// and job-wall families. Set before the workers start any job.

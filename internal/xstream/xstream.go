@@ -1,20 +1,22 @@
 // Package xstream implements the single-machine comparison column of
 // Table 1: an X-Stream-style edge-centric engine using streaming partitions
-// with direct local I/O. Running the same GAS programs as Chaos, it differs
-// from a one-machine Chaos deployment exactly where the paper says the two
-// systems differ (§8): X-Stream issues direct, synchronous I/O against the
-// local device with no client-server indirection, while Chaos routes every
-// chunk through its storage-engine protocol to facilitate distribution.
-// Table 1 accordingly shows X-Stream somewhat faster on a single machine.
+// with direct local I/O. It runs the same GAS programs as Chaos, through
+// the same kernels (internal/core/drive): a third driver of that package,
+// owning only its device charges. It differs from a one-machine Chaos
+// deployment exactly where the paper says the two systems differ (§8):
+// X-Stream issues direct, synchronous I/O against the local device with
+// no client-server indirection, while Chaos routes every chunk through
+// its storage-engine protocol to facilitate distribution. Table 1
+// accordingly shows X-Stream somewhat faster on a single machine.
 package xstream
 
 import (
 	"fmt"
 
 	"chaos/internal/cluster"
+	"chaos/internal/core/drive"
 	"chaos/internal/gas"
 	"chaos/internal/graph"
-	"chaos/internal/partition"
 	"chaos/internal/sim"
 )
 
@@ -27,9 +29,10 @@ type Config struct {
 	// MemBudget bounds a streaming partition's vertex set (§3); zero
 	// means one partition.
 	MemBudget int64
-	// MaxIterations caps the loop (0 = 1000).
-	MaxIterations int
 }
+
+// maxIterations caps a run that does not converge.
+const maxIterations = 1000
 
 // Result carries the outcome of a run.
 type Result[V any] struct {
@@ -42,140 +45,102 @@ type Result[V any] struct {
 // Run executes prog over edges on a single machine with direct I/O.
 // X-Stream overlaps computation with streaming I/O through multiple
 // in-flight buffers, so the modeled time is the I/O time; CPU work on these
-// algorithms streams faster than the device delivers.
-func Run[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges []graph.Edge, numVertices uint64) (*Result[V], error) {
-	numVertices, err := graph.VertexCount(graph.Edges(edges), numVertices)
-	if err != nil {
-		return nil, fmt.Errorf("xstream: %w", err)
-	}
+// algorithms streams faster than the device delivers. The kernels run
+// inline on the one simulated process.
+func Run[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges graph.Source, numVertices uint64) (*Result[V], error) {
 	if cfg.ChunkBytes <= 0 {
 		cfg.ChunkBytes = 4 << 20
 	}
-	if cfg.MaxIterations <= 0 {
-		cfg.MaxIterations = 1000
-	}
-	vcodec := prog.VertexCodec()
-	ucodec := prog.UpdateCodec()
-	memBudget := cfg.MemBudget
-	if memBudget <= 0 {
-		memBudget = int64(numVertices+1) * int64(vcodec.Bytes)
-	}
-	layout, err := partition.NewLayout(numVertices, 1, int64(vcodec.Bytes), memBudget)
+	params := drive.Params{Machines: 1, MemBudget: cfg.MemBudget, ChunkBytes: cfg.ChunkBytes, MaxIterations: maxIterations}
+	k, err := drive.Plan(params, prog, edges, numVertices)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("xstream: %w", err)
 	}
-	edgeFmt := graph.FormatFor(numVertices, prog.Weighted())
-	idBytes := 4
-	if numVertices >= 1<<32 {
-		idBytes = 8
-	}
-	updBytes := idBytes + ucodec.Bytes
+	np := k.Layout.NumPartitions
+	edgeSize := k.EdgeFmt.EdgeSize()
 
 	env := sim.NewEnv(1)
 	spec := cfg.Spec
 	spec.Machines = 1
-	clu := cluster.New(env, spec)
-	dev := clu.Machines[0].Device
+	dev := cluster.New(env, spec).Machines[0].Device
 
 	res := &Result[V]{}
 	env.Spawn("xstream", func(p *sim.Proc) {
 		// Pre-processing: one pass binning edges by source partition.
-		edgeSize := edgeFmt.EdgeSize()
-		dev.Use(p, int64(len(edges)*edgeSize)) // read input
-		parts := layout.BinEdges(edges)
-		for _, es := range parts {
-			dev.Use(p, int64(len(es)*edgeSize)) // write binned edge sets
+		dev.Use(p, int64(edges.Len()*edgeSize)) // read input
+		parts := make([][][]byte, np)
+		partBytes := make([]int64, np)
+		bins := drive.NewWire(np, drive.SpillLimit(cfg.ChunkBytes, edgeSize), func(pi int, chunk []byte) {
+			parts[pi] = append(parts[pi], chunk)
+			partBytes[pi] += int64(len(chunk))
+		})
+		var deg [][]uint32
+		if prog.NeedsDegrees() {
+			deg = make([][]uint32, np)
+		}
+		edges.Range(0, edges.Len(), graph.NewScratch(), func(batch []graph.Edge) { k.BinEdges(batch, bins, deg) })
+		bins.FlushPartials()
+		for _, n := range partBytes {
+			dev.Use(p, n) // write binned edge sets
 		}
 
 		// Vertex state per partition, resident on "disk" between uses.
-		verts := make([][]V, layout.NumPartitions)
-		var degrees [][]uint32
-		if prog.NeedsDegrees() {
-			degrees = make([][]uint32, layout.NumPartitions)
-			for pi := range degrees {
-				degrees[pi] = make([]uint32, layout.Size(pi))
-			}
-			for _, e := range edges {
-				pi := layout.Of(e.Src)
-				lo, _ := layout.Range(pi)
-				degrees[pi][e.Src-lo]++
-			}
-		}
+		verts := make([][]V, np)
+		accums := make([][]A, np)
 		for pi := range verts {
-			lo, hi := layout.Range(pi)
-			vs := make([]V, hi-lo)
-			for i := range vs {
-				var d uint32
-				if degrees != nil {
-					d = degrees[pi][i]
-				}
-				prog.Init(lo+graph.VertexID(i), &vs[i], d)
+			var d []uint32
+			if deg != nil {
+				d = deg[pi]
 			}
-			verts[pi] = vs
-			dev.Use(p, int64(len(vs)*vcodec.Bytes)) // write vertex set
+			verts[pi] = k.InitVertices(pi, d)
+			accums[pi] = make([]A, len(verts[pi]))
+			dev.Use(p, k.VertexSetBytes(pi)) // write vertex set
 		}
 
-		updates := make([][]struct {
-			dst graph.VertexID
-			val U
-		}, layout.NumPartitions)
-
-		for iter := 0; iter < cfg.MaxIterations; iter++ {
+		// updates[pi] is the update set bound for partition pi, as the
+		// arena slabs scatter shipped in source partition, chunk and
+		// edge order; sent[pi] counts its records.
+		updates := make([][][]drive.UpdRec[U], np)
+		sent := make([]int64, np)
+		ship := func(pi int, recs []drive.UpdRec[U]) {
+			updates[pi] = append(updates[pi], recs)
+			sent[pi] += int64(len(recs))
+		}
+		decider := k.NewDecider()
+		var out drive.ScatterOut[U]
+		for iter := 0; ; iter++ {
 			// Scatter: stream each partition's edges sequentially.
-			for pi := range parts {
-				dev.Use(p, int64(len(verts[pi])*vcodec.Bytes)) // load vertices
-				lo, _ := layout.Range(pi)
-				dev.Use(p, int64(len(parts[pi])*edgeSize))
-				for _, e := range parts[pi] {
-					dst, val, emit := prog.Scatter(iter, e, &verts[pi][e.Src-lo])
-					if !emit {
-						continue
-					}
-					tp := layout.Of(dst)
-					updates[tp] = append(updates[tp], struct {
-						dst graph.VertexID
-						val U
-					}{dst, val})
+			for pi, chunks := range parts {
+				dev.Use(p, k.VertexSetBytes(pi)) // load vertices
+				dev.Use(p, partBytes[pi])
+				for _, chunk := range chunks {
+					k.ScatterChunkTyped(iter, pi, verts[pi], chunk, &out)
+					k.MergeScatter(&out, nil, nil, ship)
 				}
 			}
 			// Write out the produced update sets.
-			for _, us := range updates {
-				dev.Use(p, int64(len(us)*updBytes))
+			for _, n := range sent {
+				dev.Use(p, n*int64(k.UpdBytes))
 			}
 			// Gather + apply per partition.
-			var changed uint64
 			for pi := range parts {
-				dev.Use(p, int64(len(verts[pi])*vcodec.Bytes)) // load vertices
-				lo, _ := layout.Range(pi)
-				accums := make([]A, len(verts[pi]))
-				for i := range accums {
-					accums[i] = prog.InitAccum()
+				dev.Use(p, k.VertexSetBytes(pi)) // load vertices
+				acc := k.ResetAccums(accums[pi])
+				dev.Use(p, sent[pi]*int64(k.UpdBytes)) // stream updates
+				for _, recs := range updates[pi] {
+					k.FoldUpdates(verts[pi], acc, recs)
+					k.ReleaseRecs(recs)
 				}
-				dev.Use(p, int64(len(updates[pi])*updBytes)) // stream updates
-				for _, u := range updates[pi] {
-					accums[u.dst-lo] = prog.Gather(accums[u.dst-lo], u.val, &verts[pi][u.dst-lo])
-				}
-				for i := range verts[pi] {
-					if prog.Apply(iter, lo+graph.VertexID(i), &verts[pi][i], accums[i]) {
-						changed++
-					}
-				}
-				dev.Use(p, int64(len(verts[pi])*vcodec.Bytes)) // write back
-				updates[pi] = updates[pi][:0]
+				decider.Changed.Add(k.ApplyVertices(iter, pi, verts[pi], acc))
+				dev.Use(p, k.VertexSetBytes(pi)) // write back
+				updates[pi], sent[pi] = updates[pi][:0], 0
 			}
 			res.Iterations = iter + 1
-			if prog.Converged(iter, changed) {
+			if decider.Decide(iter).Done {
 				break
 			}
 		}
-
-		// Assemble final values.
-		out := make([]V, numVertices)
-		for pi := range verts {
-			lo, _ := layout.Range(pi)
-			copy(out[lo:], verts[pi])
-		}
-		res.Values = out
+		res.Values = k.CollectVertices(verts)
 	})
 	env.Run()
 	env.Close()
