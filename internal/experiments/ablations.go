@@ -37,22 +37,20 @@ func ablationCombiner(r *report, s Scale) error {
 func ablationCompaction(r *report, s Scale) error {
 	r.row("  %-9s %12s %12s %12s %12s %10s",
 		"machines", "plain(s)", "compact(s)", "plainMB", "compactMB", "speedup")
-	for _, m := range s.Machines {
-		edges, n := graphFor("MCST", s.StrongScale)
-		opt := s.options(m, n)
-		plain, err := chaos.RunByName("MCST", edges, n, opt)
-		if err != nil {
-			return fmt.Errorf("m=%d plain: %w", m, err)
-		}
-		opt.RewriteEdges = true
-		compact, err := chaos.RunByName("MCST", edges, n, opt)
-		if err != nil {
-			return fmt.Errorf("m=%d compact: %w", m, err)
-		}
+	plain, err := runs("MCST", s.Machines, strong(s, "MCST"))
+	if err != nil {
+		return err
+	}
+	compact, err := runs("MCST", s.Machines, strong(s, "MCST", func(o *chaos.Options) { o.RewriteEdges = true }))
+	if err != nil {
+		return err
+	}
+	for i, m := range s.Machines {
+		p, c := plain[i], compact[i]
 		r.row("  %-9d %12.4f %12.4f %12.1f %12.1f %9.2fx",
-			m, plain.SimulatedSeconds, compact.SimulatedSeconds,
-			float64(plain.BytesRead)/1e6, float64(compact.BytesRead)/1e6,
-			plain.SimulatedSeconds/compact.SimulatedSeconds)
+			m, p.SimulatedSeconds, c.SimulatedSeconds,
+			float64(p.BytesRead)/1e6, float64(c.BytesRead)/1e6,
+			p.SimulatedSeconds/c.SimulatedSeconds)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"chaos"
@@ -20,19 +21,19 @@ func figure14(r *report, s Scale) error {
 		return err
 	}
 	r.xAxis("machines", res.Machines)
+	vals := make([]float64, len(res.Machines))
 	for _, alg := range chaos.Algorithms() {
-		bw := res.Bandwidth[alg]
-		vals := make([]float64, len(bw))
-		for i := range bw {
-			vals[i] = bw[i] / bw[0]
+		reps := res.Reports[alg]
+		for i, rep := range reps {
+			vals[i] = rep.AggregateBandwidth / reps[0].AggregateBandwidth
 		}
 		r.series(alg, vals, "%8.2f")
 	}
-	maxNorm := make([]float64, len(res.Machines))
-	for i := range maxNorm {
-		maxNorm[i] = res.MaxBandwidth[i] / res.MaxBandwidth[0]
+	// The devices' theoretical maximum is linear in machines.
+	for i, m := range res.Machines {
+		vals[i] = float64(m) / float64(res.Machines[0])
 	}
-	r.series("max", maxNorm, "%8.2f")
+	r.series("max", vals, "%8.2f")
 	return nil
 }
 
@@ -42,27 +43,15 @@ func figure15(r *report, s Scale) error {
 	r.xAxis("machines", s.Machines)
 	for _, alg := range []string{"BFS", "PR"} {
 		for _, central := range []bool{false, true} {
-			var base float64
-			var vals []float64
-			for i, m := range s.Machines {
-				scale := s.WeakBase + log2(m)
-				edges, n := graphFor(alg, scale)
-				opt := s.options(m, n)
-				opt.CentralDirectory = central
-				rep, err := chaos.RunByName(alg, edges, n, opt)
-				if err != nil {
-					return fmt.Errorf("%s central=%v m=%d: %w", alg, central, m, err)
-				}
-				if i == 0 {
-					base = rep.SimulatedSeconds
-				}
-				vals = append(vals, rep.SimulatedSeconds/base)
+			reps, err := runs(alg, s.Machines, weak(s, alg, func(o *chaos.Options) { o.CentralDirectory = central }))
+			if err != nil {
+				return err
 			}
 			name := alg
 			if central {
 				name += " central"
 			}
-			r.series(name, vals, "%8.2f")
+			r.series(name, over(reps, reps[0].SimulatedSeconds), "%8.2f")
 		}
 	}
 	return nil
@@ -75,25 +64,16 @@ func figure16(r *report, s Scale) error {
 	windows := []int{1, 2, 3, 5, 10, 16, 32}
 	r.cells("  %-10s", "phi*k", " %8.0f", floats(windows))
 	for _, alg := range chaos.Algorithms() {
-		edges, n := graphFor(alg, s.StrongScale)
-		var at10 float64
-		times := make([]float64, len(windows))
-		for i, pk := range windows {
-			opt := s.options(m, n)
-			opt.WindowOverride = pk
-			rep, err := chaos.RunByName(alg, edges, n, opt)
-			if err != nil {
-				return fmt.Errorf("%s phi*k=%d: %w", alg, pk, err)
-			}
-			times[i] = rep.SimulatedSeconds
-			if pk == 10 {
-				at10 = rep.SimulatedSeconds
-			}
+		largest := strong(s, alg)(m)
+		reps, err := runs(alg, windows, func(pk int) input {
+			in := largest
+			in.opt.WindowOverride = pk
+			return in
+		})
+		if err != nil {
+			return err
 		}
-		for i := range times {
-			times[i] /= at10
-		}
-		r.cells("  %-10s", alg, " %8.2f", times)
+		r.cells("  %-10s", alg, " %8.2f", over(reps, reps[slices.Index(windows, 10)].SimulatedSeconds))
 	}
 	return nil
 }
@@ -127,36 +107,26 @@ func figure17(r *report, s Scale) error {
 // figure18 reproduces Figure 18: the work-stealing bias sweep.
 func figure18(r *report, s Scale) error {
 	m := s.Machines[len(s.Machines)-1]
-	scale := s.WeakBase + log2(m)
 	alphas := []float64{0, 0.8, 1.0, 1.2, math.Inf(1)}
 	r.row("  %-6s %8s %8s %8s %8s %8s", "alg", "a=0", "a=0.8", "a=1", "a=1.2", "a=inf")
 	for _, alg := range []string{"BFS", "PR"} {
-		edges, n := graphFor(alg, scale)
-		times := make([]float64, len(alphas))
-		var at1 float64
-		for i, a := range alphas {
-			opt := s.options(m, n)
+		largest := weak(s, alg)(m)
+		reps, err := runs(alg, alphas, func(a float64) input {
+			in := largest
 			switch {
 			case a == 0:
-				opt.DisableStealing = true
+				in.opt.DisableStealing = true
 			case math.IsInf(a, 1):
-				opt.AlwaysSteal = true
+				in.opt.AlwaysSteal = true
 			default:
-				opt.Alpha = a
+				in.opt.Alpha = a
 			}
-			rep, err := chaos.RunByName(alg, edges, n, opt)
-			if err != nil {
-				return fmt.Errorf("%s alpha=%v: %w", alg, a, err)
-			}
-			times[i] = rep.SimulatedSeconds
-			if a == 1.0 {
-				at1 = rep.SimulatedSeconds
-			}
+			return in
+		})
+		if err != nil {
+			return err
 		}
-		for i := range times {
-			times[i] /= at1
-		}
-		r.cells("  %-6s", alg, " %8.3f", times)
+		r.cells("  %-6s", alg, " %8.3f", over(reps, reps[slices.Index(alphas, 1.0)].SimulatedSeconds))
 	}
 	return nil
 }
@@ -164,23 +134,15 @@ func figure18(r *report, s Scale) error {
 // figure19 reproduces Figure 19: Chaos vs the Giraph baseline on PageRank,
 // each normalized to its own single-machine runtime.
 func figure19(r *report, s Scale) error {
-	edges, n := graphFor("PR", s.StrongScale)
 	r.xAxis("machines", s.Machines)
-
-	var chaosBase float64
-	var chaosVals []float64
-	for i, m := range s.Machines {
-		rep, err := chaos.RunByName("PR", edges, n, s.options(m, n))
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			chaosBase = rep.SimulatedSeconds
-		}
-		chaosVals = append(chaosVals, rep.SimulatedSeconds/chaosBase)
+	reps, err := runs("PR", s.Machines, strong(s, "PR"))
+	if err != nil {
+		return err
 	}
+	chaosVals := over(reps, reps[0].SimulatedSeconds)
 	r.series("Chaos", chaosVals, "%8.3f")
 
+	edges, n := graphFor("PR", s.StrongScale)
 	var giraphBase float64
 	var giraphVals []float64
 	for i, m := range s.Machines {

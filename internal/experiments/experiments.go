@@ -12,7 +12,11 @@
 // in a fixed order, never by ranging a map.
 package experiments
 
-import "chaos"
+import (
+	"fmt"
+
+	"chaos"
+)
 
 // Scale selects the experiment size. Lab is sized so the full suite runs
 // in a couple of minutes inside the discrete-event simulation.
@@ -89,4 +93,69 @@ func (s Scale) options(m int, n uint64) chaos.Options {
 func graphFor(alg string, scale int) ([]chaos.Edge, uint64) {
 	edges := chaos.GenerateRMAT(scale, chaos.NeedsWeights(alg), 42)
 	return edges, uint64(1) << uint(scale)
+}
+
+// input is one run: a graph and the options it runs under.
+type input struct {
+	edges []chaos.Edge
+	n     uint64
+	opt   chaos.Options
+}
+
+// runs is the evaluation's one sweep loop: it runs alg once per point, on
+// the input at(point) names, and returns the reports in point order.
+func runs[P any](alg string, points []P, at func(P) input) ([]*chaos.Report, error) {
+	reps := make([]*chaos.Report, len(points))
+	for i, p := range points {
+		in := at(p)
+		rep, err := chaos.RunByName(alg, in.edges, in.n, in.opt)
+		if err != nil {
+			return nil, fmt.Errorf("%s at %v: %w", alg, p, err)
+		}
+		reps[i] = rep
+	}
+	return reps, nil
+}
+
+// strong is the strong-scaling axis (§9.2): alg's fixed StrongScale graph
+// on m machines at point m, under each mutation in order.
+func strong(s Scale, alg string, mutate ...func(*chaos.Options)) func(m int) input {
+	edges, n := graphFor(alg, s.StrongScale)
+	return func(m int) input {
+		opt := s.options(m, n)
+		for _, f := range mutate {
+			f(&opt)
+		}
+		return input{edges, n, opt}
+	}
+}
+
+// weak is the weak-scaling axis (§9.1): RMAT-(WeakBase + log2 m) on m
+// machines at point m, under each mutation in order.
+func weak(s Scale, alg string, mutate ...func(*chaos.Options)) func(m int) input {
+	return func(m int) input {
+		edges, n := graphFor(alg, s.WeakBase+log2(m))
+		opt := s.options(m, n)
+		for _, f := range mutate {
+			f(&opt)
+		}
+		return input{edges, n, opt}
+	}
+}
+
+// over normalizes a sweep: each report's simulated seconds over base.
+func over(reps []*chaos.Report, base float64) []float64 {
+	vals := make([]float64, len(reps))
+	for i, rep := range reps {
+		vals[i] = rep.SimulatedSeconds / base
+	}
+	return vals
+}
+
+func log2(m int) int {
+	n := 0
+	for 1<<uint(n) < m {
+		n++
+	}
+	return n
 }

@@ -6,46 +6,22 @@ import (
 	"chaos"
 )
 
-// bfsAndPR runs the two representative algorithms of §9.4 for a machine
-// sweep under an option transform, returning normalized runtimes against
-// the baseline series.
-func bfsAndPR(s Scale, mutate func(*chaos.Options)) (map[string][]float64, error) {
-	out := make(map[string][]float64)
-	for _, alg := range []string{"BFS", "PR"} {
-		edges, n := graphFor(alg, s.StrongScale)
-		for _, m := range s.Machines {
-			opt := s.options(m, n)
-			if mutate != nil {
-				mutate(&opt)
-			}
-			rep, err := chaos.RunByName(alg, edges, n, opt)
-			if err != nil {
-				return nil, fmt.Errorf("%s m=%d: %w", alg, m, err)
-			}
-			out[alg] = append(out[alg], rep.SimulatedSeconds)
-		}
-	}
-	return out, nil
-}
-
 // figure10 reproduces Figure 10: sensitivity to the number of CPU cores.
+// Its baseline is the p=16 sweep's one-machine run: 16 is the default
+// core count, so that sweep is also the default configuration's.
 func figure10(r *report, s Scale) error {
-	base, err := bfsAndPR(s, nil) // 16 cores
-	if err != nil {
-		return err
-	}
 	r.xAxis("machines", s.Machines)
+	base := make(map[string]float64)
 	for _, p := range []int{16, 12, 8} {
-		runs, err := bfsAndPR(s, func(o *chaos.Options) { o.Cores = p })
-		if err != nil {
-			return err
-		}
 		for _, alg := range []string{"BFS", "PR"} {
-			vals := make([]float64, len(s.Machines))
-			for i := range vals {
-				vals[i] = runs[alg][i] / base[alg][0]
+			reps, err := runs(alg, s.Machines, strong(s, alg, func(o *chaos.Options) { o.Cores = p }))
+			if err != nil {
+				return err
 			}
-			r.series(fmt.Sprintf("%s p=%d", alg, p), vals, "%8.3f")
+			if p == 16 {
+				base[alg] = reps[0].SimulatedSeconds
+			}
+			r.series(fmt.Sprintf("%s p=%d", alg, p), over(reps, base[alg]), "%8.3f")
 		}
 	}
 	return nil
@@ -53,55 +29,42 @@ func figure10(r *report, s Scale) error {
 
 // figure11 reproduces Figure 11: SSD vs HDD.
 func figure11(r *report, s Scale) error {
-	// Both arms are pinned so a chaos-bench -storage override cannot turn
-	// the labeled SSD baseline into a second HDD run.
-	ssd, err := bfsAndPR(s, func(o *chaos.Options) { o.Storage = chaos.SSD })
-	if err != nil {
-		return err
-	}
-	hdd, err := bfsAndPR(s, func(o *chaos.Options) { o.Storage = chaos.HDD })
-	if err != nil {
-		return err
-	}
 	r.xAxis("machines", s.Machines)
 	for _, alg := range []string{"BFS", "PR"} {
-		vals := make([]float64, len(s.Machines))
-		for i := range vals {
-			vals[i] = ssd[alg][i] / ssd[alg][0]
+		// Both arms are pinned so a chaos-bench -storage override cannot
+		// turn the labeled SSD baseline into a second HDD run.
+		ssd, err := runs(alg, s.Machines, strong(s, alg, func(o *chaos.Options) { o.Storage = chaos.SSD }))
+		if err != nil {
+			return err
 		}
-		r.series(alg+" SSD", vals, "%8.3f")
-		for i := range vals {
-			vals[i] = hdd[alg][i] / ssd[alg][0]
+		hdd, err := runs(alg, s.Machines, strong(s, alg, func(o *chaos.Options) { o.Storage = chaos.HDD }))
+		if err != nil {
+			return err
 		}
-		r.series(alg+" HDD", vals, "%8.3f")
-		r.row("  %s HDD/SSD single-machine ratio: %.2fx", alg, hdd[alg][0]/ssd[alg][0])
+		base := ssd[0].SimulatedSeconds
+		r.series(alg+" SSD", over(ssd, base), "%8.3f")
+		r.series(alg+" HDD", over(hdd, base), "%8.3f")
+		r.row("  %s HDD/SSD single-machine ratio: %.2fx", alg, hdd[0].SimulatedSeconds/base)
 	}
 	return nil
 }
 
 // figure12 reproduces Figure 12: 40 GigE vs 1 GigE.
 func figure12(r *report, s Scale) error {
-	// Both arms are pinned so a chaos-bench -network override cannot turn
-	// the labeled 40G baseline into a second 1G run.
-	fast, err := bfsAndPR(s, func(o *chaos.Options) { o.Network = chaos.Net40GigE })
-	if err != nil {
-		return err
-	}
-	slow, err := bfsAndPR(s, func(o *chaos.Options) { o.Network = chaos.Net1GigE })
-	if err != nil {
-		return err
-	}
 	r.xAxis("machines", s.Machines)
 	for _, alg := range []string{"BFS", "PR"} {
-		vals := make([]float64, len(s.Machines))
-		for i := range vals {
-			vals[i] = fast[alg][i] / fast[alg][0]
+		// Both arms are pinned so a chaos-bench -network override cannot
+		// turn the labeled 40G baseline into a second 1G run.
+		fast, err := runs(alg, s.Machines, strong(s, alg, func(o *chaos.Options) { o.Network = chaos.Net40GigE }))
+		if err != nil {
+			return err
 		}
-		r.series(alg+" 40G", vals, "%8.3f")
-		for i := range vals {
-			vals[i] = slow[alg][i] / slow[alg][0]
+		slow, err := runs(alg, s.Machines, strong(s, alg, func(o *chaos.Options) { o.Network = chaos.Net1GigE }))
+		if err != nil {
+			return err
 		}
-		r.series(alg+" 1G", vals, "%8.3f")
+		r.series(alg+" 40G", over(fast, fast[0].SimulatedSeconds), "%8.3f")
+		r.series(alg+" 1G", over(slow, slow[0].SimulatedSeconds), "%8.3f")
 	}
 	return nil
 }

@@ -46,12 +46,8 @@ func figure5(r *report, s Scale) error {
 // WeakScalingResult carries one weak-scaling sweep for reuse by Figure 14.
 type WeakScalingResult struct {
 	Machines []int
-	// Normalized[alg][i] is runtime at Machines[i] over runtime at 1.
-	Normalized map[string][]float64
-	// Bandwidth[alg][i] is the aggregate storage bandwidth achieved.
-	Bandwidth map[string][]float64
-	// MaxBandwidth[i] is the theoretical aggregate device bandwidth.
-	MaxBandwidth []float64
+	// Reports[alg][i] is alg's run on Machines[i].
+	Reports map[string][]*chaos.Report
 }
 
 // weakCache memoizes weak-scaling sweeps so that Figures 7 and 14, which
@@ -74,30 +70,13 @@ func RunWeakScaling(s Scale, algs []string) (*WeakScalingResult, error) {
 	if r, ok := weakCache[key]; ok {
 		return r, nil
 	}
-	res := &WeakScalingResult{
-		Machines:     s.Machines,
-		Normalized:   make(map[string][]float64),
-		Bandwidth:    make(map[string][]float64),
-		MaxBandwidth: make([]float64, len(s.Machines)),
-	}
-	for i, m := range s.Machines {
-		res.MaxBandwidth[i] = float64(m) * 400e6
-	}
+	res := &WeakScalingResult{Machines: s.Machines, Reports: make(map[string][]*chaos.Report)}
 	for _, alg := range algs {
-		var base float64
-		for i, m := range s.Machines {
-			scale := s.WeakBase + log2(m)
-			edges, n := graphFor(alg, scale)
-			rep, err := chaos.RunByName(alg, edges, n, s.options(m, n))
-			if err != nil {
-				return nil, fmt.Errorf("%s m=%d: %w", alg, m, err)
-			}
-			if i == 0 {
-				base = rep.SimulatedSeconds
-			}
-			res.Normalized[alg] = append(res.Normalized[alg], rep.SimulatedSeconds/base)
-			res.Bandwidth[alg] = append(res.Bandwidth[alg], rep.AggregateBandwidth)
+		reps, err := runs(alg, s.Machines, weak(s, alg))
+		if err != nil {
+			return nil, err
 		}
+		res.Reports[alg] = reps
 	}
 	weakCache[key] = res
 	return res, nil
@@ -113,7 +92,8 @@ func figure7(r *report, s Scale) error {
 	r.xAxis("machines", res.Machines)
 	var sum float64
 	for _, alg := range chaos.Algorithms() {
-		vals := res.Normalized[alg]
+		reps := res.Reports[alg]
+		vals := over(reps, reps[0].SimulatedSeconds)
 		r.series(alg, vals, "%8.2f")
 		sum += vals[len(vals)-1]
 	}
@@ -127,19 +107,12 @@ func figure8(r *report, s Scale) error {
 	r.xAxis("machines", s.Machines)
 	var sum float64
 	for _, alg := range chaos.Algorithms() {
-		edges, n := graphFor(alg, s.StrongScale)
-		var base float64
-		var vals []float64
-		for i, m := range s.Machines {
-			rep, err := chaos.RunByName(alg, edges, n, s.options(m, n))
-			if err != nil {
-				return fmt.Errorf("%s m=%d: %w", alg, m, err)
-			}
-			if i == 0 {
-				base = rep.SimulatedSeconds
-			}
-			vals = append(vals, rep.SimulatedSeconds/base)
+		reps, err := runs(alg, s.Machines, strong(s, alg))
+		if err != nil {
+			return err
 		}
+		base := reps[0].SimulatedSeconds
+		vals := over(reps, base)
 		r.series(alg, vals, "%8.3f")
 		sum += base / (vals[len(vals)-1] * base)
 	}
@@ -155,31 +128,18 @@ func figure9(r *report, s Scale) error {
 	n := s.WebPages
 	r.xAxis("machines", s.Machines)
 	for _, alg := range []string{"BFS", "PR"} {
-		var base float64
-		var vals []float64
-		for i, m := range s.Machines {
+		reps, err := runs(alg, s.Machines, func(m int) input {
 			opt := s.options(m, n)
 			opt.Storage = chaos.HDD
-			rep, err := chaos.RunByName(alg, edges, n, opt)
-			if err != nil {
-				return fmt.Errorf("%s m=%d: %w", alg, m, err)
-			}
-			if i == 0 {
-				base = rep.SimulatedSeconds
-			}
-			vals = append(vals, rep.SimulatedSeconds/base)
+			return input{edges, n, opt}
+		})
+		if err != nil {
+			return err
 		}
+		vals := over(reps, reps[0].SimulatedSeconds)
 		r.series(alg, vals, "%8.3f")
 		r.row("  %s speedup at %d machines: %.1fx",
 			alg, s.Machines[len(s.Machines)-1], 1/vals[len(vals)-1])
 	}
 	return nil
-}
-
-func log2(m int) int {
-	n := 0
-	for 1<<uint(n) < m {
-		n++
-	}
-	return n
 }

@@ -312,11 +312,8 @@ func (c *Catalog) Register(spec GraphSpec) (*Graph, error) {
 		return nil, err
 	}
 	var recs *graph.RecordSource
-	var n uint64
-	weighted := spec.Weighted
 	switch spec.Type {
 	case "rmat", "web":
-		recs, n, weighted = spec.generate()
 	case "upload":
 		if len(spec.Data) == 0 {
 			return nil, fmt.Errorf("service: upload needs a non-empty data field")
@@ -325,13 +322,33 @@ func (c *Catalog) Register(spec GraphSpec) (*Graph, error) {
 		if recs, err = spec.uploaded(spec.Data); err != nil {
 			return nil, fmt.Errorf("service: decoding upload: %w", err)
 		}
+	default:
+		return nil, fmt.Errorf("service: unknown graph type %q (want rmat, web or upload)", spec.Type)
+	}
+	// A name that cannot be filed fails after the spec's own checks but
+	// before the graph is generated or scanned.
+	if spec.Name != "" {
+		if !graphNameRE.MatchString(spec.Name) {
+			return nil, fmt.Errorf("service: invalid graph name %q", spec.Name)
+		}
+		c.mu.RLock()
+		_, exists := c.graphs[spec.Name]
+		c.mu.RUnlock()
+		if exists {
+			return nil, &conflictError{what: "graph", id: spec.Name}
+		}
+	}
+	var n uint64
+	weighted := spec.Weighted
+	if recs == nil {
+		recs, n, weighted = spec.generate()
+	} else {
 		// A declared count smaller than the edge list's vertex IDs
 		// would index out of range deep inside the engine.
+		var err error
 		if n, err = graph.VertexCount(recs, spec.Vertices); err != nil {
 			return nil, fmt.Errorf("service: upload: %w", err)
 		}
-	default:
-		return nil, fmt.Errorf("service: unknown graph type %q (want rmat, web or upload)", spec.Type)
 	}
 	if recs.Len() == 0 {
 		return nil, fmt.Errorf("service: graph has no edges")
@@ -355,9 +372,8 @@ func (c *Catalog) Register(spec GraphSpec) (*Graph, error) {
 	if id == "" {
 		c.nextID++
 		id = fmt.Sprintf("g%d", c.nextID)
-	} else if !graphNameRE.MatchString(id) {
-		return nil, fmt.Errorf("service: invalid graph name %q", id)
 	}
+	// A concurrent registration may have taken the name since the check.
 	if _, exists := c.graphs[id]; exists {
 		return nil, &conflictError{what: "graph", id: id}
 	}

@@ -160,3 +160,33 @@ func TestRegisterAllocatesAboutItsRecords(t *testing.T) {
 		t.Errorf("registration allocated %d B, over 1.25x the %d B of records it keeps", allocated, records)
 	}
 }
+
+// TestRejectedNameBuildsNoGraph: a registration whose name is invalid or
+// taken fails before the graph is generated, so it allocates a small
+// fraction of the records it would have built.
+func TestRejectedNameBuildsNoGraph(t *testing.T) {
+	if raceflag.Enabled() {
+		t.Skip("allocation sizes are not meaningful under -race")
+	}
+	c := NewCatalog()
+	spec := GraphSpec{Name: "taken", Type: "rmat", Scale: 16, Weighted: true, Seed: 1}
+	g, err := c.Register(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := g.Bytes().Edges
+	bad := spec
+	bad.Name = "-invalid"
+	for _, rejected := range []GraphSpec{spec, bad} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := c.Register(rejected)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("registering %q succeeded", rejected.Name)
+		}
+		if allocated := after.TotalAlloc - before.TotalAlloc; allocated > uint64(records)/100 {
+			t.Errorf("rejecting %q allocated %d B, want under 1%% of the %d B of records", rejected.Name, allocated, records)
+		}
+	}
+}

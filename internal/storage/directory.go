@@ -91,13 +91,3 @@ func (d *Directory) Delete(kind SetKind, part int) {
 	delete(d.total, k)
 	delete(d.consumed, k)
 }
-
-// Remaining returns the total unconsumed chunks of (kind, part).
-func (d *Directory) Remaining(kind SetKind, part int) int {
-	total, consumed := d.slot(kind, part)
-	rem := 0
-	for m := range total {
-		rem += total[m] - consumed[m]
-	}
-	return rem
-}

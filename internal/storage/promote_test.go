@@ -19,7 +19,7 @@ func TestPromoteEdgesSwapsGenerations(t *testing.T) {
 		t.Error("old edges survived promotion")
 	}
 	// The next-generation set is fresh again.
-	if s.ChunkCount(EdgeSetNext, 0) != 0 {
+	if _, _, ok := s.ConsumeChunk(EdgeSetNext, 0); ok {
 		t.Error("next-generation set not reset")
 	}
 }

@@ -201,8 +201,9 @@ func TestRemainingBytes(t *testing.T) {
 	if got := s.RemainingBytes(UpdateSet, 0); got != 50 {
 		t.Errorf("remaining after one consume %d, want 50", got)
 	}
-	if got := s.TotalBytes(UpdateSet, 0); got != 150 {
-		t.Errorf("total %d, want 150", got)
+	s.ResetConsumption(UpdateSet, 0)
+	if got := s.RemainingBytes(UpdateSet, 0); got != 150 {
+		t.Errorf("remaining after reset %d, want the 150 still held", got)
 	}
 }
 
@@ -217,7 +218,7 @@ func TestDeleteUpdatesClears(t *testing.T) {
 	if _, ok, _ := s.NextChunk(UpdateSet, 0); ok {
 		t.Error("update chunk survived deletion")
 	}
-	if s.ChunkCount(UpdateSet, 0) != 0 || s.TotalBytes(UpdateSet, 0) != 0 {
+	if s.RemainingBytes(UpdateSet, 0) != 0 {
 		t.Error("counters not cleared")
 	}
 	// Writing after delete works.
@@ -257,7 +258,7 @@ func TestHeldChunksAreModeled(t *testing.T) {
 	if !slices.Equal(released, []int{10, 5}) {
 		t.Errorf("DeleteUpdates handed back payloads of %v records, want [10 5]", released)
 	}
-	if _, _, ok := s.ConsumeChunk(UpdateSet, 0); ok || s.ChunkCount(UpdateSet, 0) != 0 || s.TotalBytes(UpdateSet, 0) != 0 {
+	if _, _, ok := s.ConsumeChunk(UpdateSet, 0); ok || s.RemainingBytes(UpdateSet, 0) != 0 {
 		t.Error("held chunks survived deletion")
 	}
 
@@ -265,12 +266,12 @@ func TestHeldChunksAreModeled(t *testing.T) {
 	if err := s.PutChunk(EdgeSet, 0, edge); err != nil {
 		t.Fatal(err)
 	}
+	if got := s.RemainingBytes(EdgeSet, 0); got != int64(len(edge)) {
+		t.Errorf("byte chunk counted at %d, want its length %d", got, len(edge))
+	}
 	data, ok, err := s.NextChunk(EdgeSet, 0)
 	if err != nil || !ok || len(data) != len(edge) || &data[0] != &edge[0] {
 		t.Errorf("PutChunk'd chunk came back as %q ok=%v err=%v, want the same backing array", data, ok, err)
-	}
-	if got := s.TotalBytes(EdgeSet, 0); got != int64(len(edge)) {
-		t.Errorf("byte chunk counted at %d, want its length %d", got, len(edge))
 	}
 	s.PutVertexChunk(0, 0, 2)
 	if got, ok := s.GetVertexChunk(0, 0); !ok || got != 2 {
@@ -405,11 +406,19 @@ func TestDirectoryLocateConsumesExactlyOnce(t *testing.T) {
 		t.Errorf("located %d chunks, want 10", found)
 	}
 	d.Reset(UpdateSet, 1)
-	if d.Remaining(UpdateSet, 1) != 10 {
-		t.Errorf("after reset remaining = %d, want 10", d.Remaining(UpdateSet, 1))
+	found = 0
+	for {
+		if _, ok := d.Locate(UpdateSet, 1); !ok {
+			break
+		}
+		found++
 	}
+	if found != 10 {
+		t.Errorf("after reset located %d chunks, want 10", found)
+	}
+	d.Reset(UpdateSet, 1)
 	d.Delete(UpdateSet, 1)
-	if d.Remaining(UpdateSet, 1) != 0 {
+	if _, ok := d.Locate(UpdateSet, 1); ok {
 		t.Error("delete did not clear directory")
 	}
 }

@@ -47,7 +47,6 @@ type chunkRef struct {
 type chunkSet struct {
 	chunks   []chunkRef
 	consumed int
-	bytes    int64
 }
 
 // vertexKey addresses one vertex chunk: vertex chunks are fixed-position
@@ -102,14 +101,13 @@ func (s *Store) set(kind SetKind, part int) *chunkSet {
 
 // HoldChunk appends a chunk of a partition's set by reference: payload is
 // not copied, and HeldChunk hands the same value back. length is the
-// chunk's modeled size, what ConsumeChunk, RemainingBytes and TotalBytes
-// report for it. The DES driver stores every edge and update chunk this
-// way: edge bins charged at their length, typed update slabs at records ×
+// chunk's modeled size, what ConsumeChunk and RemainingBytes report for
+// it. The DES driver stores every edge and update chunk this way: edge
+// bins charged at their length, typed update slabs at records ×
 // UpdBytes, which no modeled device ever reads.
 func (s *Store) HoldChunk(kind SetKind, part int, payload any, length int) {
 	cs := s.set(kind, part)
 	cs.chunks = append(cs.chunks, chunkRef{length: length, held: payload})
-	cs.bytes += int64(length)
 }
 
 // HeldChunk returns the payload of chunk idx of the given set, which
@@ -172,16 +170,6 @@ func (s *Store) RemainingBytes(kind SetKind, part int) int64 {
 	return rem
 }
 
-// TotalBytes returns the stored bytes of a set.
-func (s *Store) TotalBytes(kind SetKind, part int) int64 {
-	return s.set(kind, part).bytes
-}
-
-// ChunkCount returns the number of stored chunks of a set.
-func (s *Store) ChunkCount(kind SetKind, part int) int {
-	return len(s.set(kind, part).chunks)
-}
-
 // DeleteUpdates discards a partition's update set after its gather phase
 // completes (§6.1: update sets are deleted after the gather). Each held
 // payload goes to release, which the caller may reuse at once: the DES
@@ -195,7 +183,6 @@ func (s *Store) DeleteUpdates(part int, release func(held any)) {
 	clear(cs.chunks)
 	cs.chunks = cs.chunks[:0]
 	cs.consumed = 0
-	cs.bytes = 0
 }
 
 // PromoteEdges replaces a partition's edge set with the rewritten

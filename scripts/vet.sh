@@ -3,7 +3,9 @@
 # verification. Everything here runs offline against the module cache:
 # no downloads, no external tools.
 #
-#   1. go vet: the stock suite.
+#   1. go vet: the stock suite, over the root module and over bench/,
+#      a module of its own (replace chaos => ../) that the root ./...
+#      pattern never reaches.
 #   2. gofmt -l: formatting is a gate, not a suggestion.
 #
 # The determinism rules (no map order, host clock or global math/rand in
@@ -14,6 +16,7 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet"
 go vet ./...
+(cd bench && go vet ./...)
 
 echo "== gofmt"
 unformatted=$(gofmt -l . | grep -v '^\.git/' || true)
