@@ -2,6 +2,8 @@ package service
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"regexp"
 	"sync"
 	"time"
@@ -31,32 +33,22 @@ type GraphSpec struct {
 	Data     []byte `json:"data,omitempty"`
 }
 
-// Graph is a registered graph: its edge list held once, as the §8
-// records it was uploaded or generated as, the sources its three views
-// are read through, and, per view handed to a native job, that view's
-// pre-processing output (§3), all shared read-only by every job that
-// references it.
+// Graph is a registered graph: its durable record (the metadata the
+// journal and snapshots hold, and all a restart needs to rebuild the
+// edges), its edge list held once, as the §8 records it was uploaded or
+// generated as, the sources its three views are read through, and, per
+// view handed to a native job, that view's pre-processing output (§3),
+// all shared read-only by every job that references it.
 //
-// A graph restored from the durable log starts cold: only its metadata
-// (and, for uploads, the persisted edge-list file) came back from disk,
-// and `load` rebuilds the records on first use. The generated graph
-// types are deterministic functions of their spec, so regeneration is
-// exact; uploads re-read their persisted payload.
+// A graph restored from the durable log starts cold: only its record
+// came back from disk, and `ensure` rebuilds the edge records from it on
+// first use. The generated graph types are deterministic functions of
+// their spec, so regeneration is exact; uploads re-read their persisted
+// payload.
 type Graph struct {
-	ID         string
-	Type       string
-	Weighted   bool
-	Vertices   uint64
-	EdgeCount  int
-	Registered time.Time
-
-	// spec is the registration request with any upload payload
-	// stripped; it is what the durable log records so the graph can be
-	// rebuilt after a restart.
-	spec GraphSpec
-	// load rebuilds the records of a restored graph (nil for graphs
-	// registered in this process).
-	load func() (*graph.RecordSource, error)
+	// graphRecord is set before the graph is filed and never written
+	// after, so it is read without a lock.
+	graphRecord
 
 	// loadMu serializes loading only; g.mu guards the sources, which
 	// are set once, and is never held across generation, indexing,
@@ -73,26 +65,6 @@ type Graph struct {
 	// drive.MaxBinSets for the whole graph, least recently used out
 	// first, each bound to the view source it was built from.
 	bins *drive.BinStore
-	// persisted means the registration has reached the durable log. A
-	// snapshot captured in the window between catalog insertion and the
-	// journal append must skip the graph: if persisting then fails, the
-	// registration is rolled back and reported 500, and a snapshot that
-	// had captured it would resurrect it on restart.
-	persisted bool
-}
-
-// markPersisted records that the durable log holds this registration.
-func (g *Graph) markPersisted() {
-	g.mu.Lock()
-	g.persisted = true
-	g.mu.Unlock()
-}
-
-// isPersisted reports whether the durable log holds this registration.
-func (g *Graph) isPersisted() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.persisted
 }
 
 // hold builds the views over recs and keeps them. The undirected view
@@ -105,20 +77,18 @@ func (g *Graph) hold(recs *graph.RecordSource) {
 	g.mu.Unlock()
 }
 
-// ensure loads a restored graph's records. It is a no-op for graphs
+// ensure loads a restored graph's records from its record (an upload's
+// payload path is relative to dataDir). It is a no-op for graphs
 // registered in this process; every job run calls it before reading a
 // source. Concurrent calls are serialized; after the first success the
 // records are immutable.
-func (g *Graph) ensure() error {
+func (g *Graph) ensure(dataDir string) error {
 	g.loadMu.Lock()
 	defer g.loadMu.Unlock()
 	if g.Materialized() {
 		return nil
 	}
-	if g.load == nil {
-		return fmt.Errorf("service: graph %q has no edges and no loader", g.ID)
-	}
-	recs, err := g.load() // potentially slow: no locks besides loadMu
+	recs, err := g.load(dataDir) // potentially slow: no locks besides loadMu
 	if err != nil {
 		return fmt.Errorf("service: re-materializing graph %q: %w", g.ID, err)
 	}
@@ -232,6 +202,8 @@ type Catalog struct {
 	mu     sync.RWMutex
 	graphs map[string]*Graph
 	order  []string
+	// nextID is the highest n of a g<n> filed (or the snapshot's): it
+	// only rises, so a generated id never names a graph filed before.
 	nextID int
 }
 
@@ -243,43 +215,43 @@ func NewCatalog() *Catalog {
 var graphNameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]*$`)
 
 // checkBounds rejects a generated graph whose size is outside what the
-// service will generate. Register and the loader of a graph restored
+// service will generate. Registration and the loader of a graph restored
 // from the durable log both call it, so a snapshot or journal cannot
 // name a graph that registration would refuse.
-func (spec GraphSpec) checkBounds() error {
-	switch spec.Type {
+func (r *graphRecord) checkBounds() error {
+	switch r.Type {
 	case "rmat":
-		if spec.Scale < 1 || spec.Scale > 30 {
-			return fmt.Errorf("service: rmat scale %d out of range [1,30]", spec.Scale)
+		if r.Scale < 1 || r.Scale > 30 {
+			return fmt.Errorf("service: rmat scale %d out of range [1,30]", r.Scale)
 		}
 	case "web":
-		if spec.Pages < 2 || spec.Pages > 1<<30 {
-			return fmt.Errorf("service: web pages %d out of range [2,2^30]", spec.Pages)
+		if r.Pages < 2 || r.Pages > 1<<30 {
+			return fmt.Errorf("service: web pages %d out of range [2,2^30]", r.Pages)
 		}
 	}
 	return nil
 }
 
-// generate encodes the edges a generated graph's spec names, once,
+// generate encodes the edges a generated graph's record names, once,
 // into the §8 records of its vertex count, as the generator yields them:
 // registration never holds the graph as a slice of Edge, only its
 // records and one batch.
-func (spec GraphSpec) generate() (recs *graph.RecordSource, n uint64, weighted bool) {
+func (r *graphRecord) generate() (recs *graph.RecordSource, n uint64, weighted bool) {
 	var f graph.Format
 	var data []byte
-	if spec.Type == "rmat" {
-		g := rmat.New(spec.Scale, spec.Seed)
-		g.Weighted = spec.Weighted
+	if r.Type == "rmat" {
+		g := rmat.New(r.Scale, r.Seed)
+		g.Weighted = r.SpecWeighted
 		n, weighted, f = g.NumVertices(), g.Weighted, g.Format()
 		data = make([]byte, 0, g.NumEdges()*uint64(f.EdgeSize()))
 		g.Each(graph.NewScratch(), func(batch []graph.Edge) { data = f.EncodeEdges(data, batch) })
 	} else {
-		g := webgraph.New(spec.Pages, spec.Seed)
+		g := webgraph.New(r.Pages, r.Seed)
 		n, f = g.NumVertices(), g.Format()
 		sz := f.EdgeSize()
 		// The expected count and a sixteenth: its spread is about 1% at
 		// a few thousand pages, and narrower above.
-		data = make([]byte, 0, spec.Pages*uint64(g.MeanOutDegree*sz)*17/16)
+		data = make([]byte, 0, r.Pages*uint64(g.MeanOutDegree*sz)*17/16)
 		g.Each(func(e graph.Edge) {
 			data = append(data, make([]byte, sz)...)
 			f.Encode(data[len(data)-sz:], e)
@@ -295,20 +267,60 @@ func (spec GraphSpec) generate() (recs *graph.RecordSource, n uint64, weighted b
 // uploaded returns the source over an upload's payload, which it keeps
 // as it is: records in the compact format unless the declared vertex
 // count needs wider IDs.
-func (spec GraphSpec) uploaded(data []byte) (*graph.RecordSource, error) {
-	declared := spec.Vertices
+func (r *graphRecord) uploaded(data []byte) (*graph.RecordSource, error) {
+	declared := r.DeclaredVertices
 	if declared == 0 {
 		declared = 1 // compact format; infer the count from the edges
 	}
-	return graph.Records(data, graph.FormatFor(declared, spec.Weighted))
+	return graph.Records(data, graph.FormatFor(declared, r.SpecWeighted))
+}
+
+// load rebuilds the edge records a restored graph's record names: a
+// generated graph from its spec, an upload from its payload file under
+// dataDir. A spec past registration's bounds fails with the reason, so
+// its jobs fail and the process does not.
+func (r *graphRecord) load(dataDir string) (*graph.RecordSource, error) {
+	if err := r.checkBounds(); err != nil {
+		return nil, err
+	}
+	switch r.Type {
+	case "rmat", "web":
+		recs, _, _ := r.generate()
+		return recs, nil
+	case "upload":
+		data, err := os.ReadFile(filepath.Join(dataDir, r.Upload))
+		if err != nil {
+			return nil, err
+		}
+		return r.uploaded(data)
+	}
+	return nil, fmt.Errorf("unknown persisted graph type %q", r.Type)
 }
 
 // Register materializes the graph spec describes and files it under
 // spec.Name (or a generated id). Registering a name twice is an error:
 // the catalog's contract is that a graph id always denotes the same edge
-// set, which is what lets results be cached per graph.
+// set, which is what lets results be cached per graph. A durable
+// service registers through Service.RegisterGraph, which journals the
+// graph as it files it.
 func (c *Catalog) Register(spec GraphSpec) (*Graph, error) {
-	if err := spec.checkBounds(); err != nil {
+	g, err := c.build(spec)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.file(g, nil); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// build checks spec and materializes the graph it describes, unfiled.
+func (c *Catalog) build(spec GraphSpec) (*Graph, error) {
+	g := &Graph{graphRecord: graphRecord{
+		ID: spec.Name, Type: spec.Type, Scale: spec.Scale, Pages: spec.Pages, Seed: spec.Seed,
+		SpecWeighted: spec.Weighted, DeclaredVertices: spec.Vertices,
+	}, bins: drive.NewBinStore()}
+	if err := g.checkBounds(); err != nil {
 		return nil, err
 	}
 	var recs *graph.RecordSource
@@ -319,7 +331,7 @@ func (c *Catalog) Register(spec GraphSpec) (*Graph, error) {
 			return nil, fmt.Errorf("service: upload needs a non-empty data field")
 		}
 		var err error
-		if recs, err = spec.uploaded(spec.Data); err != nil {
+		if recs, err = g.uploaded(spec.Data); err != nil {
 			return nil, fmt.Errorf("service: decoding upload: %w", err)
 		}
 	default:
@@ -331,74 +343,65 @@ func (c *Catalog) Register(spec GraphSpec) (*Graph, error) {
 		if !graphNameRE.MatchString(spec.Name) {
 			return nil, fmt.Errorf("service: invalid graph name %q", spec.Name)
 		}
-		c.mu.RLock()
-		_, exists := c.graphs[spec.Name]
-		c.mu.RUnlock()
-		if exists {
+		if _, exists := c.Get(spec.Name); exists {
 			return nil, &conflictError{what: "graph", id: spec.Name}
 		}
 	}
-	var n uint64
-	weighted := spec.Weighted
 	if recs == nil {
-		recs, n, weighted = spec.generate()
+		recs, g.Vertices, g.Weighted = g.generate()
 	} else {
 		// A declared count smaller than the edge list's vertex IDs
 		// would index out of range deep inside the engine.
 		var err error
-		if n, err = graph.VertexCount(recs, spec.Vertices); err != nil {
+		if g.Vertices, err = graph.VertexCount(recs, spec.Vertices); err != nil {
 			return nil, fmt.Errorf("service: upload: %w", err)
 		}
+		g.Weighted = spec.Weighted
 	}
 	if recs.Len() == 0 {
 		return nil, fmt.Errorf("service: graph has no edges")
 	}
-	persistSpec := spec
-	persistSpec.Data = nil // upload payloads are persisted as files, not journal records
-	g := &Graph{
-		Type:       spec.Type,
-		Weighted:   weighted,
-		Vertices:   n,
-		EdgeCount:  recs.Len(),
-		Registered: time.Now().UTC(),
-		spec:       persistSpec,
-		bins:       drive.NewBinStore(),
-	}
+	g.EdgeCount = recs.Len()
+	g.Registered = time.Now().UTC()
 	g.hold(recs)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id := spec.Name
-	if id == "" {
-		c.nextID++
-		id = fmt.Sprintf("g%d", c.nextID)
-	}
-	// A concurrent registration may have taken the name since the check.
-	if _, exists := c.graphs[id]; exists {
-		return nil, &conflictError{what: "graph", id: id}
-	}
-	g.ID = id
-	c.graphs[id] = g
-	c.order = append(c.order, id)
 	return g, nil
 }
 
-// restore files a graph rebuilt from the durable log without
-// materializing its edges. Duplicate ids are ignored (journal replay is
-// idempotent: a registration can appear in both the snapshot and the
-// surviving journal segment around a compaction).
-func (c *Catalog) restore(g *Graph) {
+// file enters g under its id, or the next unused g<n> when it has none,
+// and, when journal is set, appends its record first in the same
+// critical section: a failed append files nothing. captureSnapshot
+// copies records under c.mu too, so no graph is visible, to a job or a
+// snapshot, before the journal holds its record, and a compaction can
+// never drop a segment whose graph its snapshot lacks. Registration and
+// recovery (journal nil: the record came from the log) both file here.
+func (c *Catalog) file(g *Graph, journal func(*graphRecord) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if g.ID == "" {
+		g.ID = fmt.Sprintf("g%d", c.nextID+1)
+	}
+	// A concurrent registration may have taken the name since build.
 	if _, exists := c.graphs[g.ID]; exists {
-		return
+		return &conflictError{what: "graph", id: g.ID}
+	}
+	if journal != nil {
+		if err := journal(&g.graphRecord); err != nil {
+			return err
+		}
 	}
 	c.graphs[g.ID] = g
 	c.order = append(c.order, g.ID)
+	// Past every g<n> filed, named ones too, so a generated id is never
+	// one a client took.
+	var n int
+	if _, err := fmt.Sscanf(g.ID, "g%d", &n); err == nil && n > c.nextID {
+		c.nextID = n
+	}
+	return nil
 }
 
-// remove unregisters a graph; the registration path uses it to roll
-// back when persisting a fresh registration fails.
+// remove unregisters a graph; durable registration uses it to unfile a
+// graph whose journal record could not be synced.
 func (c *Catalog) remove(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -411,16 +414,6 @@ func (c *Catalog) remove(id string) {
 			c.order = append(c.order[:i], c.order[i+1:]...)
 			break
 		}
-	}
-}
-
-// floorNextID raises the anonymous-id counter so ids assigned after a
-// restart never collide with recovered ones.
-func (c *Catalog) floorNextID(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n > c.nextID {
-		c.nextID = n
 	}
 }
 

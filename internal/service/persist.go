@@ -1,6 +1,7 @@
 package service
 
 import (
+	"crypto/rand"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -13,7 +14,6 @@ import (
 	"chaos"
 	"chaos/internal/core/drive"
 	"chaos/internal/durable"
-	"chaos/internal/graph"
 	"chaos/internal/obs"
 )
 
@@ -22,7 +22,8 @@ import (
 //	wal/journal-<seq>.wal   append-only record segments (durable.Journal)
 //	wal/snapshot.json       latest compacting snapshot (serviceSnapshot)
 //	results/<k[:2]>/<key>   content-addressed result blobs (storedResult)
-//	uploads/<id>.edges      uploaded edge-list payloads (chaos-gen binary)
+//	uploads/<name>.edges    uploaded edge-list payloads (chaos-gen binary),
+//	                        named at random: a graph's record holds its path
 //
 // Unknown kinds are skipped on replay, so older binaries tolerate
 // journals written by newer ones.
@@ -32,7 +33,9 @@ const (
 	recResult = "result" // resultRecord: a result-store write
 )
 
-// graphRecord is the journaled form of a registration. Edge bytes are
+// graphRecord is a graph's durable state, the journaled form of its
+// registration: Graph embeds it, and the record is appended in the
+// critical section that files the graph (Catalog.file). Edge bytes are
 // never journaled: generated graphs are deterministic functions of
 // (type, scale/pages, seed), and uploads persist their payload under
 // uploads/ with only the path recorded here.
@@ -43,14 +46,15 @@ type graphRecord struct {
 	Pages      uint64    `json:"pages,omitempty"`
 	Seed       int64     `json:"seed,omitempty"`
 	Registered time.Time `json:"registered"`
-	// SpecWeighted and DeclaredVertices reproduce the upload record
-	// format (graph.FormatFor's inputs); Weighted/Vertices/Edges are the
+	// SpecWeighted and DeclaredVertices are the request's Weighted and
+	// Vertices, which reproduce the edge records (generation's and
+	// graph.FormatFor's inputs); Weighted/Vertices/EdgeCount are the
 	// effective metadata served without materializing.
 	SpecWeighted     bool   `json:"specWeighted,omitempty"`
 	DeclaredVertices uint64 `json:"declaredVertices,omitempty"`
 	Weighted         bool   `json:"weighted"`
 	Vertices         uint64 `json:"vertices"`
-	Edges            int    `json:"edges"`
+	EdgeCount        int    `json:"edges"`
 	Upload           string `json:"upload,omitempty"` // data-dir-relative payload path
 }
 
@@ -121,7 +125,7 @@ type persistence struct {
 }
 
 func openPersistence(cfg Config) (*persistence, *durable.Recovered, error) {
-	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(cfg.DataDir, "uploads"), 0o755); err != nil {
 		return nil, nil, err
 	}
 	wal, rec, err := durable.OpenWAL(filepath.Join(cfg.DataDir, "wal"), 0)
@@ -148,88 +152,19 @@ func (p *persistence) note(err error) {
 	}
 }
 
+// failed notes err, a registration the log could not take, and returns
+// it for the request to answer with.
+func (p *persistence) failed(err error) error {
+	p.note(err)
+	return fmt.Errorf("service: persisting graph registration: %w", err)
+}
+
 // lastError returns the sticky persistence failure, "" when healthy.
 func (p *persistence) lastError() string {
 	if s, ok := p.err.Load().(string); ok {
 		return s
 	}
 	return ""
-}
-
-// uploadRel is where a graph's uploaded payload lives, relative to the
-// data dir. Derived from the id so nothing has to be mutated after
-// registration.
-func uploadRel(id string) string { return filepath.Join("uploads", id+".edges") }
-
-// graphRecordOf flattens a registered graph for the journal/snapshot.
-func graphRecordOf(g *Graph) graphRecord {
-	rec := graphRecord{
-		ID:               g.ID,
-		Type:             g.Type,
-		Scale:            g.spec.Scale,
-		Pages:            g.spec.Pages,
-		Seed:             g.spec.Seed,
-		Registered:       g.Registered,
-		SpecWeighted:     g.spec.Weighted,
-		DeclaredVertices: g.spec.Vertices,
-		Weighted:         g.Weighted,
-		Vertices:         g.Vertices,
-		Edges:            g.EdgeCount,
-	}
-	if g.Type == "upload" {
-		rec.Upload = uploadRel(g.ID)
-	}
-	return rec
-}
-
-// graphFromRecord rebuilds a catalog entry lazily: metadata now, edges
-// on first use via the loader. A spec past registration's bounds gets a
-// loader that fails with the reason, so its jobs fail and the process
-// does not.
-func graphFromRecord(rec graphRecord, dataDir string) *Graph {
-	g := &Graph{
-		ID:         rec.ID,
-		Type:       rec.Type,
-		Weighted:   rec.Weighted,
-		Vertices:   rec.Vertices,
-		EdgeCount:  rec.Edges,
-		Registered: rec.Registered,
-		persisted:  true, // it came FROM the log
-		bins:       drive.NewBinStore(),
-		spec: GraphSpec{
-			Name:     rec.ID,
-			Type:     rec.Type,
-			Scale:    rec.Scale,
-			Pages:    rec.Pages,
-			Weighted: rec.SpecWeighted,
-			Seed:     rec.Seed,
-			Vertices: rec.DeclaredVertices,
-		},
-	}
-	switch rec.Type {
-	case "rmat", "web":
-		g.load = func() (*graph.RecordSource, error) {
-			recs, _, _ := g.spec.generate()
-			return recs, nil
-		}
-	case "upload":
-		path := filepath.Join(dataDir, rec.Upload)
-		g.load = func() (*graph.RecordSource, error) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return nil, err
-			}
-			return g.spec.uploaded(data)
-		}
-	default:
-		g.load = func() (*graph.RecordSource, error) {
-			return nil, fmt.Errorf("unknown persisted graph type %q", rec.Type)
-		}
-	}
-	if err := g.spec.checkBounds(); err != nil {
-		g.load = func() (*graph.RecordSource, error) { return nil, err }
-	}
-	return g
 }
 
 // recover rebuilds the service's state from what the WAL found:
@@ -246,10 +181,15 @@ func (s *Service) recover(rec *durable.Recovered) error {
 		}
 	}
 
-	graphs := snap.Graphs
-	graphIdx := make(map[string]int, len(graphs))
-	for i, g := range graphs {
-		graphIdx[g.ID] = i
+	// Graphs file as they are met, snapshot first, and stay cold until a
+	// job needs their edges. A record whose id is filed already (the
+	// snapshot holds it around a compaction) conflicts and is skipped.
+	s.catalog.nextID = max(0, snap.NextGraphID) // nothing else runs yet
+	restore := func(gr graphRecord) {
+		s.catalog.file(&Graph{graphRecord: gr, bins: drive.NewBinStore()}, nil)
+	}
+	for _, gr := range snap.Graphs {
+		restore(gr)
 	}
 	jobs := snap.Jobs
 	jobIdx := make(map[string]int, len(jobs))
@@ -264,11 +204,7 @@ func (s *Service) recover(rec *durable.Recovered) error {
 			if err := json.Unmarshal(r.Data, &gr); err != nil {
 				return fmt.Errorf("service: decoding graph record: %w", err)
 			}
-			if _, ok := graphIdx[gr.ID]; ok {
-				continue // snapshot already has it (compaction overlap)
-			}
-			graphIdx[gr.ID] = len(graphs)
-			graphs = append(graphs, gr)
+			restore(gr)
 		case recJob:
 			var jr jobRecord
 			if err := json.Unmarshal(r.Data, &jr); err != nil {
@@ -293,17 +229,6 @@ func (s *Service) recover(rec *durable.Recovered) error {
 			// Forward compatibility: skip kinds this binary predates.
 		}
 	}
-
-	// Catalog: restore metadata; edges re-materialize lazily.
-	nextGraph := snap.NextGraphID
-	for _, gr := range graphs {
-		s.catalog.restore(graphFromRecord(gr, s.persist.dataDir))
-		var n int
-		if _, err := fmt.Sscanf(gr.ID, "g%d", &n); err == nil && n > nextGraph {
-			nextGraph = n
-		}
-	}
-	s.catalog.floorNextID(nextGraph)
 
 	// Scheduler: restore history, re-enqueue interrupted work.
 	sort.SliceStable(jobs, func(i, k int) bool {
@@ -371,28 +296,42 @@ func (s *Service) noteJob(j *Job) {
 	s.maybeCompact()
 }
 
-// persistGraph makes a fresh registration durable: the upload payload
-// (if any) first, fsynced, then the journal record, synced before the
-// client sees 201 — a graph the API acknowledged must never vanish.
+// persistGraph files a fresh registration durably. An upload's payload
+// is written and fsynced first, under a name of its own (the graph's id
+// is settled only as it is filed); the catalog then files the graph in
+// the critical section that journals it, and the journal is synced
+// before the client sees 201, unfiling the graph if that fails: a graph
+// the API acknowledged must never vanish.
 func (s *Service) persistGraph(g *Graph, payload []byte) error {
 	p := s.persist
+	var path string
 	if g.Type == "upload" {
-		path := filepath.Join(p.dataDir, uploadRel(g.ID))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return err
-		}
+		g.Upload = filepath.Join("uploads", rand.Text()+".edges")
+		path = filepath.Join(p.dataDir, g.Upload)
 		if err := durable.WriteFileAtomic(path, payload); err != nil {
-			return err
+			return p.failed(err)
 		}
 	}
-	if err := p.wal.Append(recGraph, graphRecordOf(g)); err != nil {
+	if err := s.catalog.file(g, s.journalGraph); err != nil {
+		if path != "" {
+			os.Remove(path) // no record names it
+		}
 		return err
 	}
 	if err := p.wal.Sync(); err != nil {
-		return err
+		s.catalog.remove(g.ID)
+		return p.failed(err)
 	}
-	g.markPersisted() // snapshots may include it from here on
 	s.maybeCompact()
+	return nil
+}
+
+// journalGraph appends a registration's record; the catalog calls it
+// with its lock held, as the scheduler calls noteJob.
+func (s *Service) journalGraph(r *graphRecord) error {
+	if err := s.persist.wal.Append(recGraph, r); err != nil {
+		return s.persist.failed(err)
+	}
 	return nil
 }
 
@@ -438,20 +377,10 @@ func (s *Service) captureSnapshot() (any, error) {
 	c := s.catalog
 	c.mu.RLock()
 	snap.NextGraphID = c.nextID
-	graphs := make([]*Graph, 0, len(c.order))
 	for _, id := range c.order {
-		graphs = append(graphs, c.graphs[id])
+		snap.Graphs = append(snap.Graphs, c.graphs[id].graphRecord)
 	}
 	c.mu.RUnlock()
-	for _, g := range graphs {
-		// Skip registrations the journal does not hold yet: if their
-		// persist step fails they are rolled back and reported 500, and
-		// a snapshot must not resurrect them (isPersisted takes g.mu,
-		// so it cannot be read under the catalog lock ordering).
-		if g.isPersisted() {
-			snap.Graphs = append(snap.Graphs, graphRecordOf(g))
-		}
-	}
 	sc := s.scheduler
 	sc.mu.Lock()
 	snap.NextJobID = sc.nextID

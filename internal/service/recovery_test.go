@@ -152,7 +152,7 @@ func TestRecoveryRequeuesInterruptedJobs(t *testing.T) {
 	}
 	must(w.Append(recGraph, graphRecord{
 		ID: "g1", Type: "rmat", Scale: 6, Seed: 1, SpecWeighted: true,
-		Weighted: true, Vertices: 1 << 6, Edges: 1 << 10, Registered: now,
+		Weighted: true, Vertices: 1 << 6, EdgeCount: 1 << 10, Registered: now,
 	}))
 	must(w.Append(recJob, jobRecord{ID: "j1", Graph: "g1", Algorithm: "PR", Options: opts, State: JobRunning, EnqueuedAt: now, StartedAt: now}))
 	must(w.Append(recJob, jobRecord{ID: "j2", Graph: "g1", Algorithm: "BFS", Options: opts, State: JobQueued, EnqueuedAt: now}))

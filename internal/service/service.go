@@ -240,7 +240,7 @@ func (s *Service) execute(ctx context.Context, job *Job) (*chaos.Result, *chaos.
 	if !ok {
 		return nil, nil, fmt.Errorf("service: graph %q disappeared", job.Graph)
 	}
-	if err := g.ensure(); err != nil {
+	if err := g.ensure(s.cfg.DataDir); err != nil {
 		return nil, nil, err
 	}
 	view, err := chaos.ViewFor(job.Algorithm)
@@ -301,21 +301,19 @@ func (s *Service) execute(ctx context.Context, job *Job) (*chaos.Result, *chaos.
 }
 
 // RegisterGraph materializes and files a graph, and — when durable —
-// persists the registration (upload payloads land as files under the
-// data dir, generated graphs as their spec) before acknowledging it.
+// journals the registration as it files it (upload payloads land as
+// files under the data dir, generated graphs as their spec) and syncs
+// it before acknowledging it.
 func (s *Service) RegisterGraph(spec GraphSpec) (*Graph, error) {
-	g, err := s.catalog.Register(spec)
+	if s.persist == nil {
+		return s.catalog.Register(spec)
+	}
+	g, err := s.catalog.build(spec)
 	if err != nil {
 		return nil, err
 	}
-	if s.persist != nil {
-		if err := s.persistGraph(g, spec.Data); err != nil {
-			// Roll back: a registration the log does not have must not
-			// be visible, or it would silently vanish on restart.
-			s.catalog.remove(g.ID)
-			s.persist.note(err)
-			return nil, fmt.Errorf("service: persisting graph %q: %w", g.ID, err)
-		}
+	if err := s.persistGraph(g, spec.Data); err != nil {
+		return nil, err
 	}
 	return g, nil
 }

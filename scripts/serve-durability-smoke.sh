@@ -8,7 +8,9 @@
 # caller-chosen traceparent, and its lifecycle trace tree is asserted
 # complete (request root -> queued -> run -> done, no orphan spans)
 # before the restart, after the graceful restart, and after a final
-# SIGKILL restart that leaves recovery nothing but the journal.
+# SIGKILL restart that leaves recovery nothing but the journal. The
+# process killed runs -snapshot-every 1 and registers an upload first, so
+# compactions run around that registration; both graphs must come back.
 set -euo pipefail
 BIN=${1:-./chaos-serve}
 DIR=$(mktemp -d)
@@ -57,6 +59,18 @@ check_trace() {
     || { echo "trace tree has orphan spans: $t" >&2; exit 1; }
 }
 
+# wait_done JOB: poll the job until it ends; fail unless it ends done.
+wait_done() {
+  local state
+  for i in $(seq 1 200); do
+    state=$(curl -sf $BASE/v1/jobs/$1 | sed -n 's/.*"state": "\([a-z]*\)".*/\1/p')
+    [ "$state" = done ] && return 0
+    [ "$state" = failed ] && { echo "job $1 failed" >&2; exit 1; }
+    sleep 0.1
+  done
+  echo "job $1 never finished: $state" >&2; exit 1
+}
+
 wait_up() {
   for i in $(seq 1 100); do
     curl -sf $BASE/healthz >/dev/null 2>&1 && return 0
@@ -93,13 +107,7 @@ grep -qi "^traceparent: 00-$TRACE_ID-" "$HDRS" \
 EVENTS="$DIR/events.txt"
 curl -sN -m 60 $BASE/v1/jobs/$JOB/events > "$EVENTS" &
 SSE=$!
-for i in $(seq 1 200); do
-  STATE=$(curl -sf $BASE/v1/jobs/$JOB | sed -n 's/.*"state": "\([a-z]*\)".*/\1/p')
-  [ "$STATE" = done ] && break
-  [ "$STATE" = failed ] && { echo "job failed" >&2; exit 1; }
-  sleep 0.1
-done
-[ "$STATE" = done ] || { echo "job never finished: $STATE" >&2; exit 1; }
+wait_done $JOB
 wait $SSE || { echo "event stream did not terminate with the job" >&2; exit 1; }
 grep -q '^event: state' "$EVENTS" || { echo "no state events in SSE stream" >&2; cat "$EVENTS" >&2; exit 1; }
 grep -q '"state":"done"' "$EVENTS" || { echo "SSE stream missed the done transition" >&2; cat "$EVENTS" >&2; exit 1; }
@@ -125,7 +133,8 @@ grep -q "\"id\": \"$JOB\"" <<<"$BYTRACE" \
 # SIGTERM: graceful shutdown snapshots before exit.
 kill -TERM $PID; wait $PID || true
 
-"$BIN" -addr $ADDR -debug-addr $DEBUG_ADDR -workers 2 -chunk-kb 1 -data-dir "$DIR/state" &
+# This process compacts after every journal record.
+"$BIN" -addr $ADDR -debug-addr $DEBUG_ADDR -workers 2 -chunk-kb 1 -data-dir "$DIR/state" -snapshot-every 1 &
 PID=$!
 wait_up
 
@@ -160,6 +169,12 @@ check_observability 0
 # The lifecycle trace rode the journal across the graceful restart.
 check_trace
 
+# An upload of four edges (compact records: little-endian uint32 source
+# and destination), registered where every record trips a compaction.
+UPLOAD=$(printf '\0\0\0\0\1\0\0\0\1\0\0\0\2\0\0\0\2\0\0\0\3\0\0\0\3\0\0\0\0\0\0\0' | base64 -w0)
+curl -sf -XPOST $BASE/v1/graphs -d "{\"name\":\"up\",\"type\":\"upload\",\"vertices\":4,\"data\":\"$UPLOAD\"}" >/dev/null \
+  || { echo "upload registration failed" >&2; exit 1; }
+
 # SIGKILL: no snapshot, no drain — the journal alone must rebuild the
 # trace. Sleep past the fsync batching window first so the journal
 # holds everything the dead process acknowledged.
@@ -168,6 +183,15 @@ kill -KILL $PID; wait $PID 2>/dev/null || true
 "$BIN" -addr $ADDR -debug-addr $DEBUG_ADDR -workers 2 -chunk-kb 1 -data-dir "$DIR/state" &
 PID=$!
 wait_up
+# Both graphs survived the compactions and the kill, with their edge
+# counts (the rmat graph's 2^7 x 16 edges; the upload's four).
+GRAPHS=$(curl -sf $BASE/v1/graphs)
+for want in '"id": "smoke"' '"edges": 2048' '"id": "up"' '"edges": 4,'; do
+  grep -q "$want" <<<"$GRAPHS" || { echo "graph list after the kill lacks $want: $GRAPHS" >&2; exit 1; }
+done
+UPJOB=$(curl -sf -XPOST $BASE/v1/jobs -d '{"graph":"up","algorithm":"PR","options":{"machines":2,"seed":7}}' \
+  | sed -n 's/.*"id": "\(j[0-9]*\)".*/\1/p')
+wait_done $UPJOB
 check_trace
 # Engine spans are execution-scoped: the restored trace reports the
 # tier absent with a reason instead of inventing a recording.
