@@ -9,8 +9,10 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"chaos/internal/cli"
@@ -31,27 +33,14 @@ func main() {
 	)
 	flag.Parse()
 
-	var f graph.Format
-	var each func(func(graph.Edge))
-	var nv uint64
+	var g graph.Generator
 	switch *typ {
 	case "rmat":
-		g := rmat.New(*scale, *seed)
-		g.Weighted = *weighted
-		f = g.Format()
-		each = func(fn func(graph.Edge)) {
-			g.Each(graph.NewScratch(), func(batch []graph.Edge) {
-				for _, e := range batch {
-					fn(e)
-				}
-			})
-		}
-		nv = g.NumVertices()
+		rg := rmat.New(*scale, *seed)
+		rg.Weighted = *weighted
+		g = rg
 	case "web":
-		g := webgraph.New(*pages, *seed)
-		f = g.Format()
-		each = g.Each
-		nv = g.NumVertices()
+		g = webgraph.New(*pages, *seed)
 	default:
 		cli.Fatal(logger, "unknown graph type", fmt.Errorf("%q is not a graph type (want rmat or web)", *typ))
 	}
@@ -69,14 +58,26 @@ func main() {
 		}()
 		w = file
 	}
-	ew := graph.NewWriter(w, f)
-	each(func(e graph.Edge) {
-		if err := ew.WriteEdge(e); err != nil {
-			cli.Fatal(logger, "writing edge", err)
+	edges, err := write(w, g)
+	if err != nil {
+		cli.Fatal(logger, "writing output", err)
+	}
+	logger.Info("wrote graph", "edges", edges, "vertices", g.NumVertices(), "format", fmt.Sprint(g.Format()))
+}
+
+// write encodes g's edges to w as §8 records, a batch at a time, and
+// returns how many it wrote.
+func write(w io.Writer, g graph.Generator) (edges int, err error) {
+	f := g.Format()
+	bw := bufio.NewWriterSize(w, 1<<20)
+	g.Each(graph.NewScratch(), func(batch []graph.Edge) {
+		if err == nil {
+			_, err = bw.Write(f.EncodeEdges(bw.AvailableBuffer(), batch))
+			edges += len(batch)
 		}
 	})
-	if err := ew.Flush(); err != nil {
-		cli.Fatal(logger, "flushing output", err)
+	if err != nil {
+		return edges, err
 	}
-	logger.Info("wrote graph", "edges", ew.Count(), "vertices", nv, "format", fmt.Sprint(f))
+	return edges, bw.Flush()
 }

@@ -147,8 +147,7 @@ func figure19(r *report, s Scale) error {
 	var giraphVals []float64
 	for i, m := range s.Machines {
 		spec := cluster.ScaleLatencies(cluster.SSD(m), chaos.LatencyScaleFor(s.ChunkBytes))
-		cfg := giraph.DefaultConfig(spec)
-		res, err := giraph.RunPageRank(cfg, edges, n)
+		res, err := giraph.RunPageRank(spec, edges, n)
 		if err != nil {
 			return err
 		}

@@ -21,31 +21,25 @@ import (
 	"chaos/internal/sim"
 )
 
-// Config parameterizes a Giraph-style run.
-type Config struct {
-	Spec cluster.Spec
-	// Iterations is the number of PageRank supersteps.
-	Iterations int
-	// BytesPerMessage models Giraph's message record size (vertex ID +
+// The baseline's fixed parameters.
+const (
+	// iterations is the number of PageRank supersteps.
+	iterations = 5
+	// bytesPerMessage models Giraph's message record size (vertex ID +
 	// value plus object overhead; Giraph's Java object model makes this
 	// considerably larger than Chaos's packed updates).
-	BytesPerMessage int
-	// SpillFragmentation models the out-of-core message store's random
+	bytesPerMessage = 16
+	// spillFragmentation models the out-of-core message store's random
 	// access pattern: incoming message batches from every peer
 	// interleave across per-partition spill files, so the effective
 	// spill bandwidth degrades with the number of senders. The paper
 	// attributes much of out-of-core Giraph's slowdown to such
 	// engineering issues (§10.2). Effective spill cost is multiplied by
-	// (1 + SpillFragmentation*(machines-1)).
-	SpillFragmentation float64
-	// Seed drives placement randomness.
-	Seed int64
-}
-
-// DefaultConfig returns the baseline configuration on the given hardware.
-func DefaultConfig(spec cluster.Spec) Config {
-	return Config{Spec: spec, Iterations: 5, BytesPerMessage: 16, SpillFragmentation: 0.15, Seed: 1}
-}
+	// (1 + spillFragmentation*(machines-1)).
+	spillFragmentation = 0.15
+	// seed drives placement randomness.
+	seed = 1
+)
 
 // Owner returns the machine owning vertex v under random (hash)
 // partitioning, Giraph's default.
@@ -66,19 +60,13 @@ type Result struct {
 // RunPageRank executes PageRank on the Giraph baseline and returns the
 // runtime plus the computed ranks (validated against the same reference as
 // Chaos).
-func RunPageRank(cfg Config, edges []graph.Edge, numVertices uint64) (*Result, error) {
-	if cfg.Spec.Machines <= 0 {
+func RunPageRank(spec cluster.Spec, edges []graph.Edge, numVertices uint64) (*Result, error) {
+	if spec.Machines <= 0 {
 		return nil, fmt.Errorf("giraph: invalid machine count")
 	}
-	if cfg.Iterations <= 0 {
-		cfg.Iterations = 5
-	}
-	if cfg.BytesPerMessage <= 0 {
-		cfg.BytesPerMessage = 16
-	}
-	nm := cfg.Spec.Machines
-	env := sim.NewEnv(cfg.Seed)
-	clu := cluster.New(env, cfg.Spec)
+	nm := spec.Machines
+	env := sim.NewEnv(seed)
+	clu := cluster.New(env, spec)
 
 	// Static partitioning: each machine owns the out-edges of its
 	// vertices and receives the messages of its vertices.
@@ -116,7 +104,7 @@ func RunPageRank(cfg Config, edges []graph.Edge, numVertices uint64) (*Result, e
 					inMsgs++
 				}
 			}
-			for step := 0; step < cfg.Iterations; step++ {
+			for step := 0; step < iterations; step++ {
 				// Compute phase: stream own adjacency from local
 				// disk, emit one message per edge to the target's
 				// owner. Out-of-core Giraph reads its edge store
@@ -132,7 +120,7 @@ func RunPageRank(cfg Config, edges []graph.Edge, numVertices uint64) (*Result, e
 					if cnt == 0 {
 						continue
 					}
-					bytes := cnt * int64(cfg.BytesPerMessage)
+					bytes := cnt * bytesPerMessage
 					if o != i {
 						// Egress charge; the receiver's spill is
 						// charged below against its own budget.
@@ -142,8 +130,8 @@ func RunPageRank(cfg Config, edges []graph.Edge, numVertices uint64) (*Result, e
 				// Spill received messages to local disk, then read
 				// them back for the apply; fragmentation across
 				// per-partition stores grows with the sender count.
-				frag := 1 + cfg.SpillFragmentation*float64(nm-1)
-				me.Device.Use(p, int64(float64(2*inMsgs*int64(cfg.BytesPerMessage))*frag))
+				frag := 1 + spillFragmentation*float64(nm-1)
+				me.Device.Use(p, int64(float64(2*inMsgs*bytesPerMessage)*frag))
 				barrier.Wait(p)
 				// Apply phase for owned vertices (machine 0 also
 				// folds the shared arrays exactly once).

@@ -14,7 +14,7 @@ func TestPageRankCorrect(t *testing.T) {
 	g := rmat.New(8, 3)
 	edges := g.Generate()
 	n := g.NumVertices()
-	res, err := RunPageRank(DefaultConfig(cluster.SSD(4)), edges, n)
+	res, err := RunPageRank(cluster.SSD(4), edges, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,11 @@ func TestScalingWorseThanLinear(t *testing.T) {
 	g := rmat.New(10, 5)
 	edges := g.Generate()
 	n := g.NumVertices()
-	r1, err := RunPageRank(DefaultConfig(cluster.SSD(1)), edges, n)
+	r1, err := RunPageRank(cluster.SSD(1), edges, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := RunPageRank(DefaultConfig(cluster.SSD(8)), edges, n)
+	r8, err := RunPageRank(cluster.SSD(8), edges, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestScalingWorseThanLinear(t *testing.T) {
 }
 
 func TestInvalidConfig(t *testing.T) {
-	if _, err := RunPageRank(Config{}, nil, 0); err == nil {
+	if _, err := RunPageRank(cluster.Spec{}, nil, 0); err == nil {
 		t.Error("zero machines should error")
 	}
 }

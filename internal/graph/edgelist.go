@@ -1,78 +1,17 @@
 package graph
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-)
+import "fmt"
 
-// Writer streams binary edge records to an underlying writer.
-type Writer struct {
-	w   *bufio.Writer
-	f   Format
-	buf []byte
-	n   uint64
-}
-
-// NewWriter creates an edge-list writer using format f.
-func NewWriter(w io.Writer, f Format) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, 1<<20), f: f, buf: make([]byte, f.EdgeSize())}
-}
-
-// WriteEdge appends one edge record.
-func (w *Writer) WriteEdge(e Edge) error {
-	w.f.Encode(w.buf, e)
-	if _, err := w.w.Write(w.buf); err != nil {
-		return err
-	}
-	w.n++
-	return nil
-}
-
-// Count returns the number of edges written so far.
-func (w *Writer) Count() uint64 { return w.n }
-
-// Flush writes any buffered records to the underlying writer.
-func (w *Writer) Flush() error { return w.w.Flush() }
-
-// Reader streams binary edge records from an underlying reader.
-type Reader struct {
-	r   *bufio.Reader
-	f   Format
-	buf []byte
-}
-
-// NewReader creates an edge-list reader expecting format f.
-func NewReader(r io.Reader, f Format) *Reader {
-	return &Reader{r: bufio.NewReaderSize(r, 1<<20), f: f, buf: make([]byte, f.EdgeSize())}
-}
-
-// ReadEdge returns the next edge, or io.EOF after the last record. A
-// truncated final record is reported as an error.
-func (r *Reader) ReadEdge() (Edge, error) {
-	_, err := io.ReadFull(r.r, r.buf)
-	if err == io.ErrUnexpectedEOF {
-		return Edge{}, fmt.Errorf("graph: truncated edge record: %w", err)
-	}
-	if err != nil {
-		return Edge{}, err
-	}
-	return r.f.Decode(r.buf), nil
-}
-
-// ReadAll reads every remaining edge.
-func (r *Reader) ReadAll() ([]Edge, error) {
-	var edges []Edge
-	for {
-		e, err := r.ReadEdge()
-		if err == io.EOF {
-			return edges, nil
-		}
-		if err != nil {
-			return edges, err
-		}
-		edges = append(edges, e)
-	}
+// Generator is a synthetic graph (package rmat's or webgraph's): its
+// vertex count, the §8 format of its records, and its edges in a fixed
+// order. Each fills batch, which must not be empty, and calls fn on the
+// filled part, the last time with the remainder; fn must not keep the
+// slice. Every producer of a generated graph's records is one loop over
+// these batches into Format.EncodeEdges.
+type Generator interface {
+	NumVertices() uint64
+	Format() Format
+	Each(batch []Edge, fn func([]Edge))
 }
 
 // MaxVertex returns one past the largest vertex ID referenced, i.e. the

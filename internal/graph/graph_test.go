@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -87,56 +86,6 @@ func TestNonCompactCarries64BitIDs(t *testing.T) {
 	f.Encode(buf, e)
 	if got := f.Decode(buf); got.Src != e.Src || got.Dst != e.Dst {
 		t.Errorf("64-bit IDs mangled: %+v", got)
-	}
-}
-
-func TestWriterReaderStream(t *testing.T) {
-	for _, f := range allFormats {
-		rng := rand.New(rand.NewSource(1))
-		var edges []Edge
-		for i := 0; i < 1000; i++ {
-			e := Edge{Src: VertexID(rng.Uint32()), Dst: VertexID(rng.Uint32())}
-			if f.Weighted {
-				e.Weight = rng.Float32()
-			}
-			edges = append(edges, e)
-		}
-		var buf bytes.Buffer
-		w := NewWriter(&buf, f)
-		for _, e := range edges {
-			if err := w.WriteEdge(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if w.Count() != 1000 {
-			t.Errorf("writer count %d, want 1000", w.Count())
-		}
-		if got := buf.Len(); got != 1000*f.EdgeSize() {
-			t.Errorf("%v: stream size %d, want %d", f, got, 1000*f.EdgeSize())
-		}
-		got, err := NewReader(&buf, f).ReadAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(edges) {
-			t.Fatalf("read %d edges, want %d", len(got), len(edges))
-		}
-		for i := range got {
-			if got[i] != edges[i] {
-				t.Fatalf("%v: edge %d: got %+v want %+v", f, i, got[i], edges[i])
-			}
-		}
-	}
-}
-
-func TestReaderReportsTruncation(t *testing.T) {
-	f := Format{Compact: true}
-	r := NewReader(bytes.NewReader([]byte{1, 2, 3}), f)
-	if _, err := r.ReadEdge(); err == nil || err == io.EOF {
-		t.Errorf("truncated record: err = %v, want explicit error", err)
 	}
 }
 

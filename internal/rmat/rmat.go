@@ -48,14 +48,12 @@ func (g *Generator) Format() graph.Format {
 	return graph.FormatFor(g.NumVertices(), g.Weighted)
 }
 
-// Generate materializes the full edge list in memory. Intended for
-// laboratory scales; for streaming use Each.
+// Generate materializes the full edge list in memory: Each over one
+// batch that holds the whole graph. Intended for laboratory scales; for
+// streaming use Each.
 func (g *Generator) Generate() []graph.Edge {
 	edges := make([]graph.Edge, g.NumEdges())
-	rng, t := rand.New(rand.NewSource(g.Seed)), g.thresholds()
-	for i := range edges {
-		edges[i] = g.edge(rng, t)
-	}
+	g.Each(edges, func([]graph.Edge) {})
 	return edges
 }
 

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"sync"
 	"time"
 
@@ -237,31 +238,26 @@ func (r *graphRecord) checkBounds() error {
 // registration never holds the graph as a slice of Edge, only its
 // records and one batch.
 func (r *graphRecord) generate() (recs *graph.RecordSource, n uint64, weighted bool) {
-	var f graph.Format
-	var data []byte
+	var g graph.Generator
+	var edges uint64 // the buffer's capacity in records
 	if r.Type == "rmat" {
-		g := rmat.New(r.Scale, r.Seed)
-		g.Weighted = r.SpecWeighted
-		n, weighted, f = g.NumVertices(), g.Weighted, g.Format()
-		data = make([]byte, 0, g.NumEdges()*uint64(f.EdgeSize()))
-		g.Each(graph.NewScratch(), func(batch []graph.Edge) { data = f.EncodeEdges(data, batch) })
+		rg := rmat.New(r.Scale, r.Seed)
+		rg.Weighted = r.SpecWeighted
+		g, edges = rg, rg.NumEdges()
 	} else {
-		g := webgraph.New(r.Pages, r.Seed)
-		n, f = g.NumVertices(), g.Format()
-		sz := f.EdgeSize()
+		wg := webgraph.New(r.Pages, r.Seed)
 		// The expected count and a sixteenth: its spread is about 1% at
 		// a few thousand pages, and narrower above.
-		data = make([]byte, 0, r.Pages*uint64(g.MeanOutDegree*sz)*17/16)
-		g.Each(func(e graph.Edge) {
-			data = append(data, make([]byte, sz)...)
-			f.Encode(data[len(data)-sz:], e)
-		})
+		g, edges = wg, r.Pages*uint64(wg.MeanOutDegree)*17/16
 	}
+	f := g.Format()
+	data := make([]byte, 0, edges*uint64(f.EdgeSize()))
+	g.Each(graph.NewScratch(), func(batch []graph.Edge) { data = f.EncodeEdges(data, batch) })
 	recs, err := graph.Records(data, f)
 	if err != nil {
 		panic(err) // whole records by construction
 	}
-	return recs, n, weighted
+	return recs, g.NumVertices(), f.Weighted
 }
 
 // uploaded returns the source over an upload's payload, which it keeps
@@ -277,7 +273,8 @@ func (r *graphRecord) uploaded(data []byte) (*graph.RecordSource, error) {
 
 // load rebuilds the edge records a restored graph's record names: a
 // generated graph from its spec, an upload from its payload file under
-// dataDir. A spec past registration's bounds fails with the reason, so
+// dataDir's uploads/. A spec past registration's bounds, or a payload
+// path that leaves uploads/, fails with the reason, opening nothing, so
 // its jobs fail and the process does not.
 func (r *graphRecord) load(dataDir string) (*graph.RecordSource, error) {
 	if err := r.checkBounds(); err != nil {
@@ -288,6 +285,9 @@ func (r *graphRecord) load(dataDir string) (*graph.RecordSource, error) {
 		recs, _, _ := r.generate()
 		return recs, nil
 	case "upload":
+		if rel, ok := strings.CutPrefix(filepath.Clean(r.Upload), "uploads"+string(filepath.Separator)); !ok || !filepath.IsLocal(rel) {
+			return nil, fmt.Errorf("upload payload %q is not a file under uploads/", r.Upload)
+		}
 		data, err := os.ReadFile(filepath.Join(dataDir, r.Upload))
 		if err != nil {
 			return nil, err

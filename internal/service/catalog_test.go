@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"runtime"
 	"slices"
 	"testing"
@@ -93,20 +92,13 @@ func TestCatalogRejectsBadSpecs(t *testing.T) {
 // every job on the graph would crash the engine on an out-of-range
 // vertex index.
 func TestCatalogRejectsUndersizedUpload(t *testing.T) {
-	var buf bytes.Buffer
-	w := graph.NewWriter(&buf, graph.FormatFor(128, false))
-	if err := w.WriteEdge(graph.Edge{Src: 0, Dst: 100}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	data := graph.FormatFor(128, false).EncodeEdges(nil, []graph.Edge{{Src: 0, Dst: 100}})
 	c := NewCatalog()
-	if _, err := c.Register(GraphSpec{Type: "upload", Vertices: 2, Data: buf.Bytes()}); err == nil {
+	if _, err := c.Register(GraphSpec{Type: "upload", Vertices: 2, Data: data}); err == nil {
 		t.Fatal("undersized vertex declaration should be rejected")
 	}
 	// The same data with a sufficient (or inferred) count registers fine.
-	if g, err := c.Register(GraphSpec{Type: "upload", Data: buf.Bytes()}); err != nil || g.Vertices != 101 {
+	if g, err := c.Register(GraphSpec{Type: "upload", Data: data}); err != nil || g.Vertices != 101 {
 		t.Fatalf("inferred upload: %+v, %v", g, err)
 	}
 }

@@ -156,8 +156,18 @@ func (p *persistence) note(err error) {
 // it for the request to answer with.
 func (p *persistence) failed(err error) error {
 	p.note(err)
-	return fmt.Errorf("service: persisting graph registration: %w", err)
+	return &persistError{err}
 }
+
+// persistError is a registration the durable log could not take: the
+// service's fault, not the request's, so the HTTP layer answers 500.
+type persistError struct{ err error }
+
+func (e *persistError) Error() string {
+	return "service: persisting graph registration: " + e.err.Error()
+}
+
+func (e *persistError) Unwrap() error { return e.err }
 
 // lastError returns the sticky persistence failure, "" when healthy.
 func (p *persistence) lastError() string {

@@ -274,20 +274,11 @@ func TestRecoveryTornJournalTail(t *testing.T) {
 // bit-identical results to the original process.
 func TestUploadSurvivesRestart(t *testing.T) {
 	edges := chaos.GenerateRMAT(6, false, 5)
-	var buf bytes.Buffer
-	wr := graph.NewWriter(&buf, graph.FormatFor(1<<6, false))
-	for _, e := range edges {
-		if err := wr.WriteEdge(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := wr.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	data := graph.FormatFor(1<<6, false).EncodeEdges(nil, edges)
 
 	dir := t.TempDir()
 	svc1 := openDurable(t, dir, 1)
-	if _, err := svc1.RegisterGraph(GraphSpec{Name: "up", Type: "upload", Vertices: 1 << 6, Data: buf.Bytes()}); err != nil {
+	if _, err := svc1.RegisterGraph(GraphSpec{Name: "up", Type: "upload", Vertices: 1 << 6, Data: data}); err != nil {
 		t.Fatal(err)
 	}
 	crash(t, svc1)
@@ -541,6 +532,48 @@ func TestRestoredSpecOutOfBoundsFailsItsJob(t *testing.T) {
 	}
 	if jv := waitJob(t, svc, "j2"); jv.State != JobDone {
 		t.Errorf("job on the valid graph ended %s (%q), want done", jv.State, jv.Error)
+	}
+}
+
+// TestRestoredUploadOutsideUploadsFailsItsJob: a snapshot's upload path
+// is joined to the data dir only when it names a file under uploads/. A
+// valid edge file beside the data dir, named by a relative path that
+// leaves it, is never read: the open succeeds, the graph stays listed
+// and cold, and its job fails with the reason instead of computing over
+// the outside file's edges.
+func TestRestoredUploadOutsideUploadsFailsItsJob(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "data")
+	walDir := filepath.Join(dir, "wal")
+	if err := os.MkdirAll(walDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	outside := graph.FormatFor(1<<6, false).EncodeEdges(nil, chaos.GenerateRMAT(6, false, 5))
+	if err := os.WriteFile(filepath.Join(root, "outside.edges"), outside, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := `{"nextJobID":3,"graphs":[` +
+		`{"id":"up","type":"upload","vertices":64,"edges":1024,"upload":"../outside.edges"},` +
+		`{"id":"dotdot","type":"upload","vertices":64,"edges":1024,"upload":"uploads/../../outside.edges"}],"jobs":[` +
+		`{"id":"j1","graph":"up","algorithm":"BFS","options":{"machines":2,"chunkBytes":1024},"state":"queued"},` +
+		`{"id":"j2","graph":"dotdot","algorithm":"BFS","options":{"machines":2,"chunkBytes":1024},"state":"queued"}]}`
+	if err := os.WriteFile(filepath.Join(walDir, "snapshot.json"), []byte(snapshot), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc := openDurable(t, dir, 1)
+	defer svc.Shutdown(context.Background())
+	for _, c := range []struct{ job, graph, path string }{{"j1", "up", "../outside.edges"}, {"j2", "dotdot", "uploads/../../outside.edges"}} {
+		reason := fmt.Sprintf("upload payload %q is not a file under uploads/", c.path)
+		if jv := waitJob(t, svc, c.job); jv.State != JobFailed || !strings.Contains(jv.Error, reason) {
+			t.Errorf("job on graph %s ended %s (%q), want failed with %q", c.graph, jv.State, jv.Error, reason)
+		}
+		g, ok := svc.Catalog().Get(c.graph)
+		if !ok {
+			t.Fatalf("graph %s not listed", c.graph)
+		}
+		if g.Materialized() {
+			t.Errorf("graph %s holds the outside file's edges", c.graph)
+		}
 	}
 }
 

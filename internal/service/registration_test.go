@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -17,23 +16,6 @@ import (
 	"chaos/internal/durable"
 	"chaos/internal/graph"
 )
-
-// encodeUpload returns edges as a chaos-gen binary edge list of n
-// vertices, the payload of an upload registration.
-func encodeUpload(t *testing.T, n uint64, edges []graph.Edge) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := graph.NewWriter(&buf, graph.FormatFor(n, false))
-	for _, e := range edges {
-		if err := w.WriteEdge(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // graphRecordMask zeroes a graph record's registration time and blanks
 // its upload's payload name, which is random.
@@ -63,7 +45,7 @@ func TestGraphRecordForm(t *testing.T) {
 	if _, err := svc.RegisterGraph(GraphSpec{Name: "rmat6", Type: "rmat", Scale: 6, Weighted: true, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	data := encodeUpload(t, 100, []graph.Edge{{Src: 0, Dst: 99}, {Src: 5, Dst: 7}, {Src: 7, Dst: 5}})
+	data := graph.FormatFor(100, false).EncodeEdges(nil, []graph.Edge{{Src: 0, Dst: 99}, {Src: 5, Dst: 7}, {Src: 7, Dst: 5}})
 	if _, err := svc.RegisterGraph(GraphSpec{Type: "upload", Vertices: 100, Data: data}); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +124,7 @@ func TestConcurrentRegistrationsSurviveCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	upload := encodeUpload(t, 8, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 7}})
+	upload := graph.FormatFor(8, false).EncodeEdges(nil, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 7}})
 	const writers, each = 4, 8
 	var mu sync.Mutex
 	acked := map[string]int{}
@@ -190,7 +172,8 @@ func TestConcurrentRegistrationsSurviveCompaction(t *testing.T) {
 }
 
 // TestRegistrationFailsWithItsJournal: a registration whose journal
-// append fails answers with the reason and files nothing — the graph is
+// append fails answers 500 with the reason (a malformed spec still gets
+// 400) and files nothing — the graph is
 // neither listed nor in the next snapshot, and an upload leaves no
 // payload behind — and the failure is the service's sticky persistence
 // error.
@@ -203,10 +186,17 @@ func TestRegistrationFailsWithItsJournal(t *testing.T) {
 	w := httptest.NewRecorder()
 	body := strings.NewReader(`{"name":"lost","type":"rmat","scale":6,"seed":1}`)
 	svc.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/graphs", body))
-	if w.Code == http.StatusCreated || !strings.Contains(w.Body.String(), "journal closed") {
-		t.Errorf("registration answered %d %s, want a failure naming the closed journal", w.Code, w.Body)
+	if w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), "journal closed") {
+		t.Errorf("registration answered %d %s, want 500 naming the closed journal", w.Code, w.Body)
 	}
-	data := encodeUpload(t, 4, []graph.Edge{{Src: 0, Dst: 3}})
+	// A spec the service refuses is still the client's mistake.
+	w = httptest.NewRecorder()
+	body = strings.NewReader(`{"name":"bad","type":"rmat","scale":99,"seed":1}`)
+	svc.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/graphs", body))
+	if w.Code != http.StatusBadRequest {
+		t.Errorf("a malformed spec answered %d %s, want 400", w.Code, w.Body)
+	}
+	data := graph.FormatFor(4, false).EncodeEdges(nil, []graph.Edge{{Src: 0, Dst: 3}})
 	if _, err := svc.RegisterGraph(GraphSpec{Name: "lost-upload", Type: "upload", Data: data}); err == nil {
 		t.Error("an upload registered on a closed journal")
 	}

@@ -168,11 +168,14 @@ func writeError(w http.ResponseWriter, status int, err error) {
 func statusFor(err error, fallback int) int {
 	var nf *notFoundError
 	var cf *conflictError
+	var pe *persistError
 	switch {
 	case errors.As(err, &nf):
 		return http.StatusNotFound
 	case errors.As(err, &cf):
 		return http.StatusConflict
+	case errors.As(err, &pe):
+		return http.StatusInternalServerError
 	case errors.Is(err, ErrShuttingDown):
 		return http.StatusServiceUnavailable
 	default:

@@ -250,16 +250,7 @@ func TestEndToEnd(t *testing.T) {
 // calling the library directly.
 func TestUploadedGraphMatchesDirectRun(t *testing.T) {
 	edges := chaos.GenerateRMAT(6, false, 5)
-	var buf bytes.Buffer
-	w := graph.NewWriter(&buf, graph.FormatFor(1<<6, false))
-	for _, e := range edges {
-		if err := w.WriteEdge(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	data := graph.FormatFor(1<<6, false).EncodeEdges(nil, edges)
 
 	svc := newTestService(t, 1)
 	ts := httptest.NewServer(svc.Handler())
@@ -268,7 +259,7 @@ func TestUploadedGraphMatchesDirectRun(t *testing.T) {
 
 	var g GraphInfo
 	code, body := doJSON(t, client, http.MethodPost, ts.URL+"/v1/graphs",
-		GraphSpec{Name: "up", Type: "upload", Vertices: 1 << 6, Data: buf.Bytes()}, &g)
+		GraphSpec{Name: "up", Type: "upload", Vertices: 1 << 6, Data: data}, &g)
 	if code != http.StatusCreated {
 		t.Fatalf("upload: %d %s", code, body)
 	}

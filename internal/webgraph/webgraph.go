@@ -64,19 +64,31 @@ func (g *Generator) Format() graph.Format {
 // Generate materializes the full edge list.
 func (g *Generator) Generate() []graph.Edge {
 	var edges []graph.Edge
-	g.Each(func(e graph.Edge) { edges = append(edges, e) })
+	g.Each(graph.NewScratch(), func(b []graph.Edge) { edges = append(edges, b...) })
 	return edges
 }
 
-// Each invokes fn for every link in a deterministic order.
-func (g *Generator) Each(fn func(graph.Edge)) {
+// Each generates the links in a deterministic order a batch at a time:
+// it fills batch, which must not be empty, and calls fn on the filled
+// part, the last time with the remainder. fn must not keep the slice.
+// The draws do not depend on len(batch).
+func (g *Generator) Each(batch []graph.Edge, fn func([]graph.Edge)) {
 	rng := rand.New(rand.NewSource(g.Seed))
+	n := 0
 	for p := uint64(0); p < g.Pages; p++ {
 		// Out-degree: geometric-ish skew around the mean, min 1.
 		d := 1 + rng.Intn(2*g.MeanOutDegree-1)
 		for i := 0; i < d; i++ {
-			fn(graph.Edge{Src: graph.VertexID(p), Dst: graph.VertexID(g.target(rng, p))})
+			if n == len(batch) {
+				fn(batch)
+				n = 0
+			}
+			batch[n] = graph.Edge{Src: graph.VertexID(p), Dst: graph.VertexID(g.target(rng, p))}
+			n++
 		}
+	}
+	if n > 0 {
+		fn(batch[:n])
 	}
 }
 
