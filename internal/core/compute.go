@@ -15,7 +15,6 @@ import (
 type degreeDelta struct {
 	part   int
 	counts []uint32
-	from   int
 }
 
 // machine is one computation engine plus the master-side steal state shared
@@ -145,7 +144,7 @@ func (m *machine[V, U, A]) handleAsync(msg any) bool {
 	case getAccums:
 		if accums, ok := m.stolenAccums[t.part]; ok {
 			bytes := int64(len(accums))*int64(m.eng.prog.AccumBytes()) + controlMsgBytes
-			m.send(t.from, bytes, t.replyTo, accumReply{part: t.part, from: m.id, accums: accums})
+			m.send(t.from, bytes, t.replyTo, accumReply{part: t.part, accums: accums})
 			delete(m.stolenAccums, t.part)
 		} else {
 			m.requestedAccums[t.part] = true
@@ -298,7 +297,7 @@ func (m *machine[V, U, A]) preprocess(p *sim.Proc) {
 			master := eng.layout.Master(part)
 			counts := localDeg[part]
 			bytes := int64(4*len(counts)) + controlMsgBytes
-			m.send(master, bytes, eng.machines[master].inbox, degreeDelta{part: part, counts: counts, from: m.id})
+			m.send(master, bytes, eng.machines[master].inbox, degreeDelta{part: part, counts: counts})
 		}
 		expect := eng.layout.NumMachines * len(eng.layout.PartitionsOf(m.id))
 		for m.degGot < expect {
@@ -452,7 +451,7 @@ func (m *machine[V, U, A]) streamChunks(p *sim.Proc, kind storage.SetKind, part 
 // the partition's master applies.
 func (m *machine[V, U, A]) loadVertices(p *sim.Proc, part int) []V {
 	eng := m.eng
-	n := eng.vertexChunks(part)
+	n := eng.kern.VertexChunks(part)
 	issued, done := 0, 0
 	for done < n {
 		for issued < n && issued-done < eng.window {
@@ -480,7 +479,7 @@ func (m *machine[V, U, A]) loadVertices(p *sim.Proc, part int) []V {
 // state.
 func (m *machine[V, U, A]) writeVertices(part int, checkpoint bool) {
 	eng := m.eng
-	for idx, n := 0, eng.vertexChunks(part); idx < n; idx++ {
+	for idx, n := 0, eng.kern.VertexChunks(part); idx < n; idx++ {
 		length := eng.kern.VertexChunkLen(part, idx)
 		m.trBytesOut += int64(length)
 		home := storage.VertexChunkHome(part, idx, eng.layout.NumMachines)
@@ -776,7 +775,7 @@ func (m *machine[V, U, A]) gatherSteal(p *sim.Proc, iter, part int) {
 		delete(m.requestedAccums, part)
 		master := eng.layout.Master(part)
 		bytes := int64(len(accums))*int64(eng.prog.AccumBytes()) + controlMsgBytes
-		m.send(master, bytes, eng.machines[master].inbox, accumReply{part: part, from: m.id, accums: accums})
+		m.send(master, bytes, eng.machines[master].inbox, accumReply{part: part, accums: accums})
 	} else {
 		m.stolenAccums[part] = accums
 		for {

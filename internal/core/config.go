@@ -31,11 +31,13 @@ const (
 )
 
 // Config parameterizes one Chaos run. The embedded drive.Params is the
-// clock-free part the protocol's policy reads under either driver; the
-// fields declared here are the hardware, each driver's own knobs and the
-// run's observers.
+// clock-free part the protocol's policy reads under either driver, and
+// the embedded drive.Env what the run is lent without it changing a
+// value; the fields declared here are the hardware and each driver's own
+// knobs.
 type Config struct {
 	drive.Params
+	drive.Env
 	// Spec describes the cluster hardware.
 	Spec cluster.Spec
 	// BatchK is the batch factor k: the number of requests kept
@@ -56,18 +58,6 @@ type Config struct {
 	// ignores it: simulated storage makes every DES run out-of-core by
 	// construction.
 	TransportBudgetBytes int64
-	// SpillDir is the parent directory for the native driver's spill
-	// files ("" = the OS temp dir). Operational, not semantic: it never
-	// affects results and is deliberately absent from option
-	// fingerprints.
-	SpillDir string
-	// Bins, when set, lends the native driver the pre-processing output
-	// (§3) of earlier runs over the same edges, and keeps the output of
-	// this one for later runs (drive.BinCache). Operational like
-	// SpillDir: a borrowed bin set is the one this run would build, so
-	// results and reports do not depend on it. The DES driver ignores
-	// it: it charges pre-processing in virtual time.
-	Bins *drive.BinCache
 	// CentralDirectory replaces randomized chunk placement with the
 	// centralized metadata server of the Figure 15 baseline.
 	CentralDirectory bool
@@ -84,22 +74,6 @@ type Config struct {
 	// Seed selects the random stream for placement, stealing order and
 	// request routing.
 	Seed int64
-	// Progress, when non-nil, is called at the iteration boundary
-	// Interrupt is polled at, with a drive.Progress snapshot of the
-	// run's counters so far. It runs on the simulation goroutine: a
-	// slow callback stalls host wall-clock, never simulated time.
-	Progress func(drive.Progress)
-	// Trace, when non-nil, receives one drive.Span per unit of
-	// per-machine work (preprocess, scatter/gather/apply per partition,
-	// steal sweeps) the moment the engine settles it. Like Progress the
-	// hook is observational-only: it is handed already-settled tallies
-	// and cannot reach the run's RNG, clock or mailboxes, so attaching
-	// a recorder leaves results, reports and the virtual clock
-	// bit-identical (TestTraceDoesNotPerturbRun). Under this driver the
-	// callback always runs on the simulation goroutine; the native
-	// driver invokes it concurrently from machine goroutines, so shared
-	// recorders must be safe for concurrent use (obs.Ring is).
-	Trace drive.TraceFn
 }
 
 // DefaultConfig returns the paper's defaults on the given hardware.

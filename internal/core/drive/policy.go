@@ -41,6 +41,37 @@ type Params struct {
 	Interrupt func() bool
 }
 
+// Env is what a run is lent beside its configuration: observers, a
+// directory and a cache that change no value, report or virtual clock.
+// core.Config embeds it, and the root package carries it through a
+// context (chaos.WithTrace and its siblings) whole.
+type Env struct {
+	// Trace, when non-nil, receives one Span per unit of per-machine
+	// work (preprocess, scatter/gather/apply per partition, steal
+	// sweeps) the moment the driver settles it. Observational only: it
+	// is handed already-settled tallies and cannot reach the run's RNG,
+	// clock or mailboxes, so attaching a recorder leaves results,
+	// reports and the virtual clock bit-identical
+	// (TestTraceDoesNotPerturbRun). See TraceFn for which goroutine
+	// calls it.
+	Trace TraceFn
+	// Progress, when non-nil, is called at the iteration boundary
+	// Params.Interrupt is polled at, with a snapshot of the run's
+	// counters so far. It runs on the decision goroutine: a slow
+	// callback stalls host wall-clock, never simulated time.
+	Progress func(Progress)
+	// SpillDir is the parent directory for the native driver's spill
+	// files ("" = the OS temp dir). It is absent from option
+	// fingerprints.
+	SpillDir string
+	// Bins, when set, lends the native driver the pre-processing output
+	// (§3) of earlier runs over the same edges, and keeps the output of
+	// this one for later runs. A borrowed bin set is the one this run
+	// would build. The DES driver ignores it: it charges pre-processing
+	// in virtual time.
+	Bins *BinCache
+}
+
 // Plan infers the vertex count when the caller passes zero and refuses
 // one the edges name a vertex beyond (one pass over src), sizes the
 // partition layout from the memory budget (§3), derives the record

@@ -176,7 +176,7 @@ func (eng *engine[V, U, A]) execute() error {
 func (eng *engine[V, U, A]) collectValues() ([]V, error) {
 	nm := eng.layout.NumMachines
 	for part := 0; part < eng.layout.NumPartitions; part++ {
-		for idx, n := 0, eng.vertexChunks(part); idx < n; idx++ {
+		for idx, n := 0, eng.kern.VertexChunks(part); idx < n; idx++ {
 			_, ok := eng.stores[storage.VertexChunkHome(part, idx, nm)].GetVertexChunk(part, idx)
 			if !ok && eng.cfg.ReplicateVertices {
 				// Primary lost: recover from the replica.
@@ -189,9 +189,6 @@ func (eng *engine[V, U, A]) collectValues() ([]V, error) {
 	}
 	return eng.kern.CollectVertices(eng.verts), nil
 }
-
-// vertexChunks is the chunk count of partition part's vertex set.
-func (eng *engine[V, U, A]) vertexChunks(part int) int { return eng.kern.VertexChunks(part) }
 
 // decide is machine 0's step between the gather barrier and the decision
 // barrier: report progress, then publish the decision point's verdict.

@@ -137,7 +137,7 @@ func TestVertexReplicationRecoversFromLostPrimaries(t *testing.T) {
 	// Simulate a storage failure: drop every primary vertex chunk.
 	nm := eng.layout.NumMachines
 	for part := 0; part < eng.layout.NumPartitions; part++ {
-		for idx := 0; idx < eng.vertexChunks(part); idx++ {
+		for idx := 0; idx < eng.kern.VertexChunks(part); idx++ {
 			home := storage.VertexChunkHome(part, idx, nm)
 			eng.stores[home].DropVertexChunk(part, idx)
 		}
@@ -166,7 +166,7 @@ func TestVertexReplicationWithoutFlagCannotRecover(t *testing.T) {
 	}
 	nm := eng.layout.NumMachines
 	for part := 0; part < eng.layout.NumPartitions; part++ {
-		if eng.vertexChunks(part) > 0 {
+		if eng.kern.VertexChunks(part) > 0 {
 			home := storage.VertexChunkHome(part, 0, nm)
 			eng.stores[home].DropVertexChunk(part, 0)
 			break

@@ -62,8 +62,8 @@ type vertexRead struct {
 // engine's resident set; length is what the link charges, the chunk's
 // records × VCodec.Bytes.
 type vertexReadReply struct {
-	part, idx int
-	length    int
+	part   int
+	length int
 }
 
 // vertexWrite stores vertex chunk idx of a partition, of modeled size
@@ -121,7 +121,6 @@ type getAccums struct {
 // modeled wire size is len * Program.AccumBytes).
 type accumReply struct {
 	part   int
-	from   int
 	accums any
 }
 
@@ -131,7 +130,6 @@ type dirOp int
 const (
 	dirPlace dirOp = iota
 	dirLocate
-	dirReset
 	dirDelete
 )
 
@@ -147,9 +145,6 @@ type dirReq struct {
 
 // dirResp carries the directory's placement/location decision.
 type dirResp struct {
-	op      dirOp
-	kind    storage.SetKind
-	part    int
 	tag     uint64
 	machine int
 	ok      bool

@@ -13,7 +13,7 @@ type shutdown struct{}
 
 // writeAck confirms a write-class request (chunk write, vertex write,
 // update delete, checkpoint write) back to the issuing computation engine.
-type writeAck struct{ from int }
+type writeAck struct{}
 
 // ckptWrite charges the device for a checkpoint shadow copy (the bytes are
 // retained by the engine's checkpoint map, so only the I/O is modeled).
@@ -52,7 +52,7 @@ func (eng *engine[V, U, A]) storageProc(p *sim.Proc, id int) {
 			st.HoldChunk(m.kind, m.part, m.payload, m.length)
 			dev.Use(p, int64(m.length))
 			eng.run.BytesWritten += int64(m.length)
-			eng.clu.Send(id, m.from, controlMsgBytes, eng.machines[m.from].inbox, writeAck{from: id})
+			eng.clu.Send(id, m.from, controlMsgBytes, eng.machines[m.from].inbox, writeAck{})
 		case vertexRead:
 			length, ok := st.GetVertexChunk(m.part, m.idx)
 			if !ok {
@@ -63,22 +63,22 @@ func (eng *engine[V, U, A]) storageProc(p *sim.Proc, id int) {
 			dev.Use(p, int64(length))
 			eng.run.BytesRead += int64(length)
 			eng.clu.Send(id, m.from, int64(length)+controlMsgBytes, m.replyTo,
-				vertexReadReply{part: m.part, idx: m.idx, length: length})
+				vertexReadReply{part: m.part, length: length})
 		case vertexWrite:
 			st.PutVertexChunk(m.part, m.idx, m.length)
 			dev.Use(p, int64(m.length))
 			eng.run.BytesWritten += int64(m.length)
-			eng.clu.Send(id, m.from, controlMsgBytes, eng.machines[m.from].inbox, writeAck{from: id})
+			eng.clu.Send(id, m.from, controlMsgBytes, eng.machines[m.from].inbox, writeAck{})
 		case deleteUpdates:
 			// The master deletes after its own folds and every stealer's
 			// have been joined, so the held slabs can go back to the arena.
 			st.DeleteUpdates(m.part, releaseHeld)
-			eng.clu.Send(id, m.from, controlMsgBytes, eng.machines[m.from].inbox, writeAck{from: id})
+			eng.clu.Send(id, m.from, controlMsgBytes, eng.machines[m.from].inbox, writeAck{})
 		case ckptWrite:
 			dev.Use(p, int64(m.bytes))
 			eng.run.BytesWritten += int64(m.bytes)
 			eng.run.CheckpointBytes += int64(m.bytes)
-			eng.clu.Send(id, m.from, controlMsgBytes, m.ackTo, writeAck{from: id})
+			eng.clu.Send(id, m.from, controlMsgBytes, m.ackTo, writeAck{})
 		case shutdown:
 			return
 		default:
@@ -137,16 +137,13 @@ func (eng *engine[V, U, A]) directoryProc(p *sim.Proc) {
 		switch m := eng.dirIn.Recv(p).(type) {
 		case dirReq:
 			p.Sleep(directoryServiceTime)
-			resp := dirResp{op: m.op, kind: m.kind, part: m.part, tag: m.tag}
+			resp := dirResp{tag: m.tag}
 			switch m.op {
 			case dirPlace:
 				resp.machine = eng.dir.Place(m.kind, m.part)
 				resp.ok = true
 			case dirLocate:
 				resp.machine, resp.ok = eng.dir.Locate(m.kind, m.part)
-			case dirReset:
-				eng.dir.Reset(m.kind, m.part)
-				resp.ok = true
 			case dirDelete:
 				eng.dir.Delete(m.kind, m.part)
 				resp.ok = true

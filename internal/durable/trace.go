@@ -16,7 +16,7 @@ type Span struct {
 	Bytes int
 }
 
-// SpanHook observes durability operations. Install it with SetTrace.
+// SpanHook observes durability operations. Install it with WAL.SetTrace.
 //
 // The hook is OBSERVATIONAL ONLY: it must not change what the journal
 // writes or when (the same contract as chaos.WithTrace; the one
@@ -26,21 +26,15 @@ type Span struct {
 // bounded ring (obs.Ring) is the intended consumer.
 type SpanHook func(Span)
 
-// SetTrace installs (or, with nil, removes) the journal's span hook.
-// Install it before concurrent use — typically right after open,
-// before the first append.
-func (j *Journal) SetTrace(hook SpanHook) {
-	j.mu.Lock()
-	j.hook = hook
-	j.mu.Unlock()
-}
-
 // SetTrace installs (or, with nil, removes) the WAL's span hook: the
 // journal's append/fsync/rotate spans plus the WAL's own snapshot
-// spans (see Compact).
+// spans (see Compact). Install it before concurrent use — typically
+// right after open, before the first append.
 func (w *WAL) SetTrace(hook SpanHook) {
 	w.mu.Lock()
 	w.hook = hook
 	w.mu.Unlock()
-	w.journal.SetTrace(hook)
+	w.journal.mu.Lock()
+	w.journal.hook = hook
+	w.journal.mu.Unlock()
 }

@@ -40,12 +40,7 @@ func runProgram[V, U, A any](ctx context.Context, opt Options, prog gas.Program[
 			}
 		}
 	}
-	if fn := traceFrom(ctx); fn != nil {
-		cfg.Trace = fn // TraceSpan = drive.Span, same time base per engine
-	}
-	cfg.SpillDir = spillDirFrom(ctx)
-	cfg.Bins = binCacheFrom(ctx)
-	cfg.Progress = progressFrom(ctx)
+	cfg.Env = envFrom(ctx)
 	nativeEngine := opt.Canonical().Engine == EngineNative
 	var (
 		values []V
