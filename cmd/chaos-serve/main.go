@@ -23,16 +23,18 @@
 // listener with net/http/pprof (keep it off the public address). The
 // queue is bounded by -max-queue: overflow answers 429 with
 // Retry-After. The host compute budget (-compute-budget, default
-// GOMAXPROCS) is divided across concurrently running simulations so N
-// jobs do not oversubscribe the machine N×.
+// GOMAXPROCS) is always divided across concurrently running simulations
+// so N jobs do not oversubscribe the machine N×.
 //
 // With -data-dir, graph registrations, job history and memoized results
-// survive restarts: state is journaled to a write-ahead log with
-// periodic compacting snapshots, and results live in a size-bounded
-// disk store (see DESIGN.md for the format and recovery semantics).
-// Jobs that were queued or running when the process died are re-enqueued
-// on the next start. Without -data-dir the service is purely in-memory,
-// exactly as before.
+// survive restarts: registrations and job transitions are journaled to a
+// write-ahead log with periodic compacting snapshots, and results live
+// in a size-bounded disk store that re-indexes itself on start (see
+// DESIGN.md for the format and recovery semantics). Jobs that were
+// queued or running when the process died are re-enqueued on the next
+// start, and one whose result was stored before the crash is answered
+// from the store without running. Without -data-dir the service is
+// purely in-memory.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener stops, queued
 // jobs are canceled, running simulations drain, and (when durable) a
@@ -65,7 +67,7 @@ func main() {
 		maxQueue = flag.Int("max-queue", 1024,
 			"queued-job bound; submissions past it answer 429 with Retry-After (0 = unbounded)")
 		computeBudget = flag.Int("compute-budget", 0,
-			"total engine compute workers shared across running jobs (0 = GOMAXPROCS, -1 = unmanaged)")
+			"total engine compute workers shared across running jobs (0 or less = GOMAXPROCS)")
 
 		dataDir       = flag.String("data-dir", "", "durable state directory (empty = in-memory only)")
 		snapshotEvery = flag.Int("snapshot-every", 1024,

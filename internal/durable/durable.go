@@ -4,22 +4,21 @@
 //
 // The design splits durability into two tiers with different shapes:
 //
-//   - Small, ordered facts — graph registrations, job lifecycle
-//     transitions, result-store writes — go through the WAL: an
-//     append-only journal of length-prefixed, checksummed JSON records
-//     (see Journal for the on-disk framing). Appends are cheap buffered
-//     writes; an fsync batcher makes the tail durable every
-//     SyncInterval, and Sync forces it for records that must not be
-//     lost (a registration acknowledged with 201, a result file the
-//     journal is about to reference). Replay on boot rebuilds state;
-//     a periodic snapshot compacts the journal so replay time is
-//     bounded by the state size, not the service's uptime.
+//   - Small, ordered facts — graph registrations and job lifecycle
+//     transitions — go through the WAL: an append-only journal of
+//     length-prefixed, checksummed JSON records (see Journal for the
+//     on-disk framing). Appends are cheap buffered writes; an fsync
+//     batcher makes the tail durable every SyncInterval, and Sync
+//     forces it for records that must not be lost (a registration
+//     acknowledged with 201). Replay on boot rebuilds state; a
+//     periodic snapshot compacts the journal so replay time is bounded
+//     by the state size, not the service's uptime.
 //
 //   - Large, immutable blobs — finished (Result, Report) payloads —
 //     go to the ResultStore, a content-addressed directory tree
 //     (results/<key[:2]>/<key>) with size-bounded LRU eviction. Blobs
-//     are never journaled; the journal only records that a key was
-//     written.
+//     are never journaled: the store re-indexes its own directory on
+//     open.
 //
 // Record replay must be idempotent and convergent (the last record for
 // an entity wins): compaction rotates the journal segment before
@@ -29,7 +28,7 @@
 //
 // The package knows nothing about the service's record schemas; it
 // moves opaque kinds and JSON payloads. internal/service defines the
-// graph/job/result record types and the recovery logic.
+// graph and job record types and the recovery logic.
 package durable
 
 import "encoding/json"

@@ -16,25 +16,12 @@ type Span struct {
 	Bytes int
 }
 
-// SpanHook observes durability operations. Install it with WAL.SetTrace.
+// SpanHook observes durability operations; OpenWAL takes it.
 //
 // The hook is OBSERVATIONAL ONLY: it must not change what the journal
-// writes or when (the same contract as chaos.WithTrace; the one
-// installer is the job service, right after it opens the WAL). It is
-// invoked with journal-internal locks held, so it must be cheap and
-// must never call back into the journal or WAL; recording into a
-// bounded ring (obs.Ring) is the intended consumer.
+// writes or when (the same contract as chaos.WithTrace; the job service
+// is the one caller that passes one). It is invoked with
+// journal-internal locks held, so it must be cheap and must never call
+// back into the journal or WAL; recording into a bounded ring (obs.Ring)
+// is the intended consumer.
 type SpanHook func(Span)
-
-// SetTrace installs (or, with nil, removes) the WAL's span hook: the
-// journal's append/fsync/rotate spans plus the WAL's own snapshot
-// spans (see Compact). Install it before concurrent use — typically
-// right after open, before the first append.
-func (w *WAL) SetTrace(hook SpanHook) {
-	w.mu.Lock()
-	w.hook = hook
-	w.mu.Unlock()
-	w.journal.mu.Lock()
-	w.journal.hook = hook
-	w.journal.mu.Unlock()
-}

@@ -19,7 +19,7 @@ type WAL struct {
 	appended  int        // records since the last compaction (snapshot policy input)
 	total     int        // records appended over the WAL's lifetime (this process)
 	snapshots int        // successful compactions (this process)
-	hook      SpanHook   // observational span reporter, nil when tracing is off
+	hook      SpanHook   // observational span reporter, fixed at open (nil: tracing off)
 	compactMu sync.Mutex // serializes Compact callers
 }
 
@@ -54,9 +54,10 @@ type Recovered struct {
 }
 
 // OpenWAL opens (creating if necessary) the durable state under dir and
-// recovers whatever a previous process left. syncInterval <= 0 means
-// DefaultSyncInterval.
-func OpenWAL(dir string, syncInterval time.Duration) (*WAL, *Recovered, error) {
+// recovers whatever a previous process left. trace, when not nil,
+// observes the journal's append/fsync/rotate spans and the WAL's own
+// snapshot spans (see Compact) from the first append on.
+func OpenWAL(dir string, trace SpanHook) (*WAL, *Recovered, error) {
 	rec := &Recovered{}
 	var raw json.RawMessage
 	if found, err := LoadSnapshot(dir, &raw); err != nil {
@@ -64,7 +65,7 @@ func OpenWAL(dir string, syncInterval time.Duration) (*WAL, *Recovered, error) {
 	} else if found {
 		rec.Snapshot = raw
 	}
-	j, torn, err := OpenJournal(dir, syncInterval, func(payload []byte) error {
+	j, torn, err := OpenJournal(dir, 0, func(payload []byte) error {
 		var r Record
 		if err := json.Unmarshal(payload, &r); err != nil {
 			// The frame passed its checksum, so this is a schema bug or
@@ -78,7 +79,10 @@ func OpenWAL(dir string, syncInterval time.Duration) (*WAL, *Recovered, error) {
 		return nil, nil, err
 	}
 	rec.Torn = torn
-	w := &WAL{dir: dir, journal: j, appended: len(rec.Records), total: len(rec.Records)}
+	j.mu.Lock() // the flusher already runs
+	j.hook = trace
+	j.mu.Unlock()
+	w := &WAL{dir: dir, journal: j, appended: len(rec.Records), total: len(rec.Records), hook: trace}
 	return w, rec, nil
 }
 
@@ -166,10 +170,9 @@ func (w *WAL) Compact(capture func() (any, error)) error {
 	}
 	w.mu.Lock()
 	w.snapshots++
-	hook := w.hook
 	w.mu.Unlock()
-	if hook != nil {
-		hook(Span{Op: "snapshot", Start: start, Dur: time.Since(start)})
+	if w.hook != nil {
+		w.hook(Span{Op: "snapshot", Start: start, Dur: time.Since(start)})
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/json"
+	"sync"
 	"testing"
 )
 
@@ -12,7 +13,7 @@ type testRec struct {
 
 func TestWALRecoversSnapshotAndRecords(t *testing.T) {
 	dir := t.TempDir()
-	w, rec, err := OpenWAL(dir, 0)
+	w, rec, err := OpenWAL(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestWALRecoversSnapshotAndRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, rec, err := OpenWAL(dir, 0)
+	w2, rec, err := OpenWAL(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +56,49 @@ func TestWALRecoversSnapshotAndRecords(t *testing.T) {
 	}
 }
 
+// TestWALTraceFromOpen: the span hook OpenWAL takes sees every kind of
+// operation from the first append on, the journal's and the WAL's own.
+func TestWALTraceFromOpen(t *testing.T) {
+	var (
+		mu  sync.Mutex
+		ops = map[string]int{}
+	)
+	w, _, err := OpenWAL(t.TempDir(), func(sp Span) {
+		mu.Lock()
+		defer mu.Unlock()
+		if sp.Op != "append" || sp.Bytes > 0 {
+			ops[sp.Op]++
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Append("job", testRec{"j1", "queued"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Compact(func() (any, error) { return testState{}, nil }); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, op := range []string{"append", "fsync", "rotate", "snapshot"} {
+		if ops[op] == 0 {
+			t.Errorf("no %s span reached the hook: %v", op, ops)
+		}
+	}
+}
+
 type testState struct {
 	Jobs []testRec `json:"jobs"`
 }
 
 func TestWALCompactBoundsReplay(t *testing.T) {
 	dir := t.TempDir()
-	w, _, err := OpenWAL(dir, 0)
+	w, _, err := OpenWAL(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +122,7 @@ func TestWALCompactBoundsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2, rec, err := OpenWAL(dir, 0)
+	w2, rec, err := OpenWAL(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +147,7 @@ func TestWALCompactBoundsReplay(t *testing.T) {
 // Compact, and restarts from the replayed record count.
 func TestWALStats(t *testing.T) {
 	dir := t.TempDir()
-	w, _, err := OpenWAL(dir, 0)
+	w, _, err := OpenWAL(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +182,7 @@ func TestWALStats(t *testing.T) {
 
 	// A restart keeps replayed records in the lifetime count but resets
 	// the per-process fsync and snapshot counters.
-	w2, _, err := OpenWAL(dir, 0)
+	w2, _, err := OpenWAL(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

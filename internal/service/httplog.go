@@ -123,7 +123,7 @@ func (s *Service) instrument(next http.Handler) http.Handler {
 		if route == "" {
 			route = routeUnmatched
 		}
-		s.metrics.observeHTTP(route, elapsed.Seconds())
+		s.observeHTTP(route, elapsed.Seconds())
 		if logger != nil {
 			logger.Info("http_request",
 				slog.Uint64("req", id),

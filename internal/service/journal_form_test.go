@@ -112,7 +112,7 @@ func TestJournalFormGolden(t *testing.T) {
 	svc.scheduler.wg.Wait()
 
 	// Seed one record per restart outcome beside j6, which is requeued.
-	w, _, err := durable.OpenWAL(filepath.Join(dir, "wal"), 0)
+	w, _, err := durable.OpenWAL(filepath.Join(dir, "wal"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestJournalFormGolden(t *testing.T) {
 // jobs in id order under a "# id" header.
 func journalJobForm(t *testing.T, dir string) []byte {
 	t.Helper()
-	w, rec, err := durable.OpenWAL(filepath.Join(dir, "wal"), 0)
+	w, rec, err := durable.OpenWAL(filepath.Join(dir, "wal"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,50 +123,26 @@ func (p *promWriter) histogram(name string, labels [][2]string, h *histogram) {
 // claimed (404s, bad methods). Real routes pre-seed their own series.
 const routeUnmatched = "unmatched"
 
-// serviceMetrics holds the service's latency histograms. All series
-// are pre-seeded at construction — every route, both engines — so the
-// first scrape sees zeros, not absent series (absent-vs-zero matters
-// to alerting), and the maps stay read-only afterward, which is what
+// newHistograms builds one latency histogram per name, each pre-seeded
+// so the first scrape sees zeros, not absent series (absent-vs-zero
+// matters to alerting). The map stays read-only afterward, which is what
 // makes lock-free concurrent lookup safe.
-type serviceMetrics struct {
-	httpDur   map[string]*histogram // by mux route pattern + routeUnmatched
-	queueWait *histogram            // submit -> dequeue, per started job
-	jobWall   map[string]*histogram // start -> done, by engine
-}
-
-func newServiceMetrics(routes []string) *serviceMetrics {
-	m := &serviceMetrics{
-		httpDur:   make(map[string]*histogram, len(routes)+1),
-		queueWait: newHistogram(latencyBuckets),
-		jobWall:   make(map[string]*histogram, 2),
-	}
-	for _, r := range routes {
-		m.httpDur[r] = newHistogram(latencyBuckets)
-	}
-	m.httpDur[routeUnmatched] = newHistogram(latencyBuckets)
-	for _, eng := range []string{chaos.EngineSim, chaos.EngineNative} {
-		m.jobWall[eng] = newHistogram(latencyBuckets)
+func newHistograms(names ...string) map[string]*histogram {
+	m := make(map[string]*histogram, len(names))
+	for _, n := range names {
+		m[n] = newHistogram(latencyBuckets)
 	}
 	return m
 }
 
 // observeHTTP files a request duration under its route pattern,
 // folding unknown patterns into the unmatched series.
-func (m *serviceMetrics) observeHTTP(route string, seconds float64) {
-	h, ok := m.httpDur[route]
+func (s *Service) observeHTTP(route string, seconds float64) {
+	h, ok := s.httpDur[route]
 	if !ok {
-		h = m.httpDur[routeUnmatched]
+		h = s.httpDur[routeUnmatched]
 	}
 	h.observe(seconds)
-}
-
-// observeJobWall files a completed run's wall time under its engine;
-// engines outside the pre-seeded set (impossible past Submit
-// validation) are dropped rather than invented.
-func (m *serviceMetrics) observeJobWall(engine string, seconds float64) {
-	if h, ok := m.jobWall[engine]; ok {
-		h.observe(seconds)
-	}
 }
 
 // jobStates fixes the label order so scrapes are stable and every
@@ -225,19 +201,19 @@ func (s *Service) metricsText() string {
 	// Latency histograms. Route and engine series were pre-seeded at
 	// Open, so the first scrape already names every route at zero.
 	p.family("chaos_http_request_duration_seconds", "HTTP request duration by mux route pattern.", "histogram")
-	routes := make([]string, 0, len(s.metrics.httpDur))
-	for route := range s.metrics.httpDur {
+	routes := make([]string, 0, len(s.httpDur))
+	for route := range s.httpDur {
 		routes = append(routes, route)
 	}
 	sort.Strings(routes)
 	for _, route := range routes {
-		p.histogram("chaos_http_request_duration_seconds", [][2]string{{"route", route}}, s.metrics.httpDur[route])
+		p.histogram("chaos_http_request_duration_seconds", [][2]string{{"route", route}}, s.httpDur[route])
 	}
 	p.family("chaos_job_queue_wait_seconds", "Time jobs spent queued before a worker started them.", "histogram")
-	p.histogram("chaos_job_queue_wait_seconds", nil, s.metrics.queueWait)
+	p.histogram("chaos_job_queue_wait_seconds", nil, s.scheduler.queueWait)
 	p.family("chaos_job_wall_seconds", "Wall-clock of completed runs by execution engine.", "histogram")
 	for _, eng := range []string{chaos.EngineSim, chaos.EngineNative} {
-		p.histogram("chaos_job_wall_seconds", [][2]string{{"engine", eng}}, s.metrics.jobWall[eng])
+		p.histogram("chaos_job_wall_seconds", [][2]string{{"engine", eng}}, s.scheduler.jobWall[eng])
 	}
 
 	p.scalar("chaos_result_cache_entries", "Entries in the in-memory result cache.", "gauge", float64(st.Cache.Entries))

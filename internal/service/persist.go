@@ -26,11 +26,12 @@ import (
 //	                        named at random: a graph's record holds its path
 //
 // Unknown kinds are skipped on replay, so older binaries tolerate
-// journals written by newer ones.
+// journals written by newer ones. That covers the "result" record older
+// binaries appended for every stored blob: the store re-indexes its own
+// directory, so recovery never read it.
 const (
-	recGraph  = "graph"  // graphRecord: a registration (spec, not edge bytes)
-	recJob    = "job"    // jobRecord: full job state at a transition (upsert)
-	recResult = "result" // resultRecord: a result-store write
+	recGraph = "graph" // graphRecord: a registration (spec, not edge bytes)
+	recJob   = "job"   // jobRecord: full job state at a transition (upsert)
 )
 
 // graphRecord is a graph's durable state, the journaled form of its
@@ -85,18 +86,9 @@ type jobRecord struct {
 	// complete lifecycle tree even after a SIGKILL-restart; engine spans
 	// stay execution-scoped and are never persisted. Records journaled
 	// before tracing existed lack them until recovery roots them.
-	TraceID     string         `json:"traceId,omitempty"`
-	TraceRemote bool           `json:"traceRemote,omitempty"`
-	SpanSeq     uint64         `json:"spanSeq,omitempty"`
-	Spans       []obs.TreeSpan `json:"spans,omitempty"`
-}
-
-// resultRecord notes a result-store write. The store itself re-indexes
-// its directory on boot, so the record is informational (ordering the
-// blob against job transitions in the log, sizing during debugging).
-type resultRecord struct {
-	Key   string `json:"key"`
-	Bytes int    `json:"bytes"`
+	TraceID string         `json:"traceId,omitempty"`
+	SpanSeq uint64         `json:"spanSeq,omitempty"`
+	Spans   []obs.TreeSpan `json:"spans,omitempty"`
 }
 
 // serviceSnapshot is the compacting snapshot: the full durable state at
@@ -124,11 +116,13 @@ type persistence struct {
 	err atomic.Value // string
 }
 
-func openPersistence(cfg Config) (*persistence, *durable.Recovered, error) {
+// openPersistence opens the data dir's WAL, reporting its operations to
+// trace, and its result store.
+func openPersistence(cfg Config, trace durable.SpanHook) (*persistence, *durable.Recovered, error) {
 	if err := os.MkdirAll(filepath.Join(cfg.DataDir, "uploads"), 0o755); err != nil {
 		return nil, nil, err
 	}
-	wal, rec, err := durable.OpenWAL(filepath.Join(cfg.DataDir, "wal"), 0)
+	wal, rec, err := durable.OpenWAL(filepath.Join(cfg.DataDir, "wal"), trace)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -233,8 +227,6 @@ func (s *Service) recover(rec *durable.Recovered) error {
 			}
 			jobIdx[jr.ID] = len(jobs)
 			jobs = append(jobs, jr)
-		case recResult:
-			// The result store re-indexed its directory already.
 		default:
 			// Forward compatibility: skip kinds this binary predates.
 		}
@@ -345,9 +337,9 @@ func (s *Service) journalGraph(r *graphRecord) error {
 	return nil
 }
 
-// persistResult makes a finished run durable: blob first (fsynced by
-// the store), then the journal record. Runs on the worker goroutine
-// that computed the result, off every lock.
+// persistResult makes a finished run durable: the store writes and
+// fsyncs its blob. Runs on the worker goroutine that computed the
+// result, off every lock.
 func (s *Service) persistResult(key string, res *chaos.Result, rep *chaos.Report) {
 	p := s.persist
 	data, err := json.Marshal(storedResult{Result: res, Report: rep})
@@ -355,11 +347,7 @@ func (s *Service) persistResult(key string, res *chaos.Result, rep *chaos.Report
 		p.note(err)
 		return
 	}
-	if err := p.store.Put(key, data); err != nil {
-		p.note(err)
-		return
-	}
-	p.note(p.wal.Append(recResult, resultRecord{Key: key, Bytes: len(data)}))
+	p.note(p.store.Put(key, data))
 }
 
 // maybeCompact kicks off a background snapshot once the journal has

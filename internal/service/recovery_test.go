@@ -16,6 +16,7 @@ import (
 	"chaos"
 	"chaos/internal/durable"
 	"chaos/internal/graph"
+	"chaos/internal/obs"
 )
 
 // openDurable starts a durable Service on dir without registering a
@@ -138,7 +139,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 // with a restart reason, and the done job stays done.
 func TestRecoveryRequeuesInterruptedJobs(t *testing.T) {
 	dir := t.TempDir()
-	w, _, err := durable.OpenWAL(filepath.Join(dir, "wal"), 0)
+	w, _, err := durable.OpenWAL(filepath.Join(dir, "wal"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +439,7 @@ func TestLegacyDataDirRestores(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(walDir, "snapshot.json"), snapshot, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	wal, _, err := durable.OpenWAL(walDir, 0)
+	wal, _, err := durable.OpenWAL(walDir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,6 +575,148 @@ func TestRestoredUploadOutsideUploadsFailsItsJob(t *testing.T) {
 		if g.Materialized() {
 			t.Errorf("graph %s holds the outside file's edges", c.graph)
 		}
+	}
+}
+
+// TestJournalHoldsOnlyGraphsAndJobs: a durable job that ends done leaves
+// only graph and job records in the journal. Its result lives in the
+// store, which re-indexes its own directory on open, so no record names
+// the blob.
+func TestJournalHoldsOnlyGraphsAndJobs(t *testing.T) {
+	dir := t.TempDir()
+	svc := openDurable(t, dir, 1)
+	if _, err := svc.RegisterGraph(GraphSpec{Name: "g", Type: "rmat", Scale: 6, Seed: 2}); err != nil {
+		t.Fatal(err)
+	}
+	jv, err := svc.Submit("g", "PR", chaos.Options{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitJob(t, svc, jv.ID); got.State != JobDone {
+		t.Fatalf("job %s: %s %q", got.ID, got.State, got.Error)
+	}
+	crash(t, svc) // no final snapshot: every record stays in the journal
+	if blobs, _ := filepath.Glob(filepath.Join(dir, "results", "*", "*")); len(blobs) != 1 {
+		t.Fatalf("result blobs %v, want the job's one", blobs)
+	}
+
+	w, rec, err := durable.OpenWAL(filepath.Join(dir, "wal"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	kinds := map[string]int{}
+	for _, r := range rec.Records {
+		kinds[r.Kind]++
+	}
+	if len(kinds) != 2 || kinds[recGraph] != 1 || kinds[recJob] == 0 {
+		t.Errorf("journal record kinds %v, want one graph record and the job's records only", kinds)
+	}
+}
+
+// TestRestartAnsweredFromStore crafts the data dir a crash inside the
+// fsync window leaves: a native job's result blob is stored, but the
+// job's journal records end at running because its done record was lost.
+// Recovery requeues the job, and the worker answers it from the store
+// without running it: the job ends done with the stored result, the cache
+// counts a disk hit, and no run is accounted in this process (no native
+// wall seconds, no job-wall observation, no engine recording). The trace
+// tree goes recovered → queued → run → done with no orphans.
+func TestRestartAnsweredFromStore(t *testing.T) {
+	opts := mergeOptions(labOptions, chaos.Options{Seed: 7, Engine: chaos.EngineNative})
+
+	// A first process computes the result and stores its blob.
+	src := t.TempDir()
+	svc1 := openDurable(t, src, 1)
+	if _, err := svc1.RegisterGraph(GraphSpec{Name: "g1", Type: "rmat", Scale: 6, Weighted: true, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	jv, err := svc1.Submit("g1", "PR", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := waitJob(t, svc1, jv.ID)
+	if first.State != JobDone || first.Report.WallSeconds <= 0 {
+		t.Fatalf("first run: %s %q, report %+v", first.State, first.Error, first.Report)
+	}
+	if err := svc1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// The crashed process's data dir: that blob, and a journal whose
+	// records for the job end at running. Recovery never lets a journaled
+	// done regress to running, so the records are written by hand.
+	dir := t.TempDir()
+	if err := os.CopyFS(filepath.Join(dir, "results"), os.DirFS(filepath.Join(src, "results"))); err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := durable.OpenWAL(filepath.Join(dir, "wal"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now().UTC()
+	for _, r := range []struct {
+		kind string
+		v    any
+	}{
+		{recGraph, graphRecord{
+			ID: "g1", Type: "rmat", Scale: 6, Seed: 1, SpecWeighted: true,
+			Weighted: true, Vertices: 1 << 6, EdgeCount: 1 << 10, Registered: now,
+		}},
+		{recJob, jobRecord{ID: "j1", Graph: "g1", Algorithm: "PR", Options: opts, State: JobQueued, EnqueuedAt: now}},
+		{recJob, jobRecord{ID: "j1", Graph: "g1", Algorithm: "PR", Options: opts, State: JobRunning, EnqueuedAt: now, StartedAt: now}},
+	} {
+		if err := w.Append(r.kind, r.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+
+	svc := openDurable(t, dir, 1)
+	t.Cleanup(func() { svc.Shutdown(context.Background()) })
+	got := waitJob(t, svc, "j1")
+	if got.State != JobDone || got.Restarts != 1 {
+		t.Fatalf("restarted job: %s %q restarts=%d, want done after 1 restart", got.State, got.Error, got.Restarts)
+	}
+	if got.Result == nil || fmt.Sprint(got.Result.Summary) != fmt.Sprint(first.Result.Summary) {
+		t.Errorf("restarted job's result %+v, want the stored %v", got.Result, first.Result.Summary)
+	}
+	st := svc.Stats()
+	if st.Cache.DiskHits != 1 || st.Cache.Hits != 1 {
+		t.Errorf("cache %+v, want the answer counted as one disk hit", st.Cache)
+	}
+	if st.NativeWallSeconds != 0 {
+		t.Errorf("native wall seconds %g, want 0: nothing ran in this process", st.NativeWallSeconds)
+	}
+	metrics := svc.metricsText()
+	for _, want := range []string{
+		`chaos_job_queue_wait_seconds_count 1`,
+		`chaos_job_wall_seconds_count{engine="native"} 0`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+
+	ti, ok := svc.Scheduler().TraceInfo("j1")
+	if !ok {
+		t.Fatal("no trace info for the restarted job")
+	}
+	if ti.rec != nil {
+		t.Error("the job claims an engine recording; nothing ran")
+	}
+	if roots, orphans := obs.BuildTree(ti.spans); len(roots) != 1 || orphans != 0 {
+		t.Errorf("trace tree: %d roots, %d orphans, want 1/0", len(roots), orphans)
+	}
+	var names []string
+	for _, sp := range ti.spans {
+		names = append(names, sp.Name)
+	}
+	if want := []string{"submit", "admitted", "recovered", "queued", "run", "done"}; fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Errorf("trace spans %v, want %v", names, want)
 	}
 }
 

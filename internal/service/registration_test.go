@@ -66,7 +66,7 @@ func TestGraphRecordForm(t *testing.T) {
 	if got, want := maskGraphRecord(graphs), "["+rmat+","+upload+"]"; got != want {
 		t.Errorf("snapshot graphs\n got %s\nwant %s", got, want)
 	}
-	w, rec, err := durable.OpenWAL(filepath.Join(dir, "wal"), 0)
+	w, rec, err := durable.OpenWAL(filepath.Join(dir, "wal"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

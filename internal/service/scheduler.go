@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -59,12 +60,6 @@ type Job struct {
 	// copy it, so an accepted cancel never "un-happens" in a later tick,
 	// and the ticks never read the record a transition is writing.
 	runView atomic.Pointer[JobView]
-	// answeredFromCache marks a run the executor satisfied from the
-	// result cache instead of computing (the restart-path lookup in
-	// Service.execute); atomic because the executor sets it on the run
-	// goroutine while metrics accounting reads it under s.mu. Such a
-	// "run" must not count toward nativeWallSeconds — nothing ran.
-	answeredFromCache atomic.Bool
 
 	// progress is the engine's latest iteration-boundary snapshot,
 	// written by the run goroutine at every tick and read by view();
@@ -78,7 +73,7 @@ type Job struct {
 	// of a running job is simply a prefix.
 	trace atomic.Pointer[chaos.TraceRecorder]
 	// computeShare is this job's slice of the scheduler's shared
-	// compute-worker budget, fixed when the job starts (0 = unmanaged).
+	// compute-worker budget, fixed when the job starts.
 	computeShare int
 }
 
@@ -303,8 +298,7 @@ type Scheduler struct {
 	retain   int // finished jobs kept in history
 	maxQueue int // queued-job bound (0 = unbounded)
 	// computeBudget is the shared pool of engine compute workers divided
-	// across running jobs (0 = unmanaged: every job defaults to
-	// GOMAXPROCS, oversubscribing the host N×).
+	// across running jobs.
 	computeBudget int
 
 	mu   sync.Mutex
@@ -337,7 +331,13 @@ type Scheduler struct {
 	// counters); like nativeWallSeconds, cache hits add nothing.
 	spillBytes int64
 	spillFiles int
-	wg         sync.WaitGroup
+	// queueWait (submit to start, per started job) and jobWall (start to
+	// done, by engine, per completed run) are the /metrics latency
+	// histograms, pre-seeded so the first scrape sees zeros; the map is
+	// read-only after newScheduler.
+	queueWait *histogram
+	jobWall   map[string]*histogram
+	wg        sync.WaitGroup
 
 	// events fans state transitions and progress ticks out to SSE
 	// subscribers; it has its own lock and never blocks publishers.
@@ -347,16 +347,12 @@ type Scheduler struct {
 	// transition with s.mu held — the service journals them through it.
 	// Holding the lock keeps the journal in transition order.
 	onUpdate func(*Job)
-	// hydrate, when set, lazily reloads the (result, report) of a done
-	// job whose payload did not survive in memory (a job restored from
-	// the journal); it may read the disk result store.
+	// hydrate, when set, looks up the stored (result, report) of a job's
+	// key: it lazily reloads the payload of a done job that did not
+	// survive in memory (a job restored from the journal), and answers a
+	// restarted job whose run finished before the crash. It may read the
+	// disk result store.
 	hydrate func(graph, algorithm string, opt chaos.Options) (*chaos.Result, *chaos.Report, bool)
-	// onJobStart and onJobDone, when set (before any submission), feed
-	// the /metrics latency histograms: queue wait as a worker dequeues a
-	// job, and wall time by engine when a run completes successfully.
-	// Both are called with s.mu held, so they must stay cheap.
-	onJobStart func(queueWait time.Duration)
-	onJobDone  func(engine string, wall time.Duration)
 }
 
 // noteLocked reports a state transition to the service and to event
@@ -405,8 +401,7 @@ const maxJobHistory = 10000
 
 // newScheduler builds a pool of cfg.Workers workers feeding jobs through
 // run, admitting at most cfg.MaxQueue queued jobs and sharing
-// cfg.ComputeBudget, which open has resolved (0 = unmanaged); start
-// launches them.
+// cfg.ComputeBudget, which open has resolved; start launches them.
 func newScheduler(cfg Config, run runFunc) *Scheduler {
 	s := &Scheduler{
 		run:           run,
@@ -418,6 +413,8 @@ func newScheduler(cfg Config, run runFunc) *Scheduler {
 		byTrace:       make(map[string]string),
 		counts:        make(map[string]int),
 		engines:       make(map[string]int),
+		queueWait:     newHistogram(latencyBuckets),
+		jobWall:       newHistograms(chaos.EngineSim, chaos.EngineNative),
 		events:        newEventHub(),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -747,42 +744,48 @@ func (s *Scheduler) worker() {
 		j.cancel = cancel
 		s.running++
 		s.queued--
-		if s.computeBudget > 0 {
-			// Split the host compute budget across the concurrency this
-			// job will actually see: the jobs running now plus the backlog
-			// that will run beside it, capped at the pool size. A lone job
-			// on an idle pool gets the whole budget; a burst divides it so
-			// the shares of jobs started under load sum to at most the
-			// budget — instead of every job defaulting to GOMAXPROCS and
-			// oversubscribing the host N×. A simulation's pool is fixed at
-			// start, so shares are never rebalanced mid-run: a job started
-			// alone briefly overlaps later arrivals above the budget, and
-			// that is the accepted trade against idling the whole machine
-			// between bursts. ComputeWorkers only trades wall-clock —
-			// results are bit-identical for every value — so the share is
-			// free to vary run to run.
-			// s.queued, not the queue slice length: canceled jobs linger
-			// in the slice until popped and must not dilute the shares of
-			// jobs that will actually run.
-			concurrency := s.running + s.queued
-			if concurrency > s.workers {
-				concurrency = s.workers
-			}
-			if share := s.computeBudget / concurrency; share > 1 {
-				j.computeShare = share
-			} else {
-				j.computeShare = 1
-			}
-		}
+		// Split the host compute budget across the concurrency this job
+		// will actually see: the jobs running now plus the backlog that
+		// will run beside it, capped at the pool size. A lone job on an
+		// idle pool gets the whole budget; a burst divides it so the
+		// shares of jobs started under load sum to at most the budget —
+		// instead of every job defaulting to GOMAXPROCS and
+		// oversubscribing the host N×. A simulation's pool is fixed at
+		// start, so shares are never rebalanced mid-run: a job started
+		// alone briefly overlaps later arrivals above the budget, and that
+		// is the accepted trade against idling the whole machine between
+		// bursts. ComputeWorkers only trades wall-clock — results are
+		// bit-identical for every value — so the share is free to vary
+		// run to run.
+		// s.queued, not the queue slice length: canceled jobs linger in
+		// the slice until popped and must not dilute the shares of jobs
+		// that will actually run.
+		concurrency := min(s.running+s.queued, s.workers)
+		j.computeShare = max(s.computeBudget/concurrency, 1)
 		// The run span opens; the engine flight recording parents under
 		// it at serve time.
 		s.transitionLocked(j, jobEvent{kind: evStart})
-		if s.onJobStart != nil {
-			s.onJobStart(j.StartedAt.Sub(j.EnqueuedAt))
-		}
+		s.queueWait.observe(j.StartedAt.Sub(j.EnqueuedAt).Seconds())
 		s.mu.Unlock()
 
-		res, rep, err := s.run(ctx, j)
+		// A crash-re-enqueued job may have finished before the crash
+		// with only its done record lost in the fsync-batching window;
+		// its fsynced result blob then answers without running. Fresh
+		// submissions were already cache-checked at admission, so only
+		// restarted jobs pay this lookup.
+		var (
+			res *chaos.Result
+			rep *chaos.Report
+			err error
+			hit bool
+		)
+		if j.Restarts > 0 && s.hydrate != nil {
+			res, rep, hit = s.hydrate(j.Graph, j.Algorithm, j.Options)
+		}
+		ran := !hit
+		if ran {
+			res, rep, err = s.run(ctx, j)
+		}
 		cancel()
 
 		s.mu.Lock()
@@ -792,17 +795,17 @@ func (s *Scheduler) worker() {
 			j.result, j.report = res, rep
 		}
 		s.transitionLocked(j, jobEvent{kind: evFinish, err: err})
-		if err == nil && !j.answeredFromCache.Load() {
-			// A cache-answered restart ran nothing: the cached report's
-			// WallSeconds belongs to the run that produced the blob
-			// (already counted when it completed), not to this process.
+		// A job answered from the store ran nothing here: its report's
+		// WallSeconds belongs to the run that produced the blob.
+		if err == nil && ran {
 			if rep != nil && rep.Engine == chaos.EngineNative {
 				s.nativeWallSeconds += rep.WallSeconds
 				s.spillBytes += rep.SpillBytes
 				s.spillFiles += rep.SpillFiles
 			}
-			if s.onJobDone != nil {
-				s.onJobDone(j.engine(), j.FinishedAt.Sub(j.StartedAt))
+			// Engines outside the pre-seeded pair never pass Submit.
+			if h, ok := s.jobWall[j.engine()]; ok {
+				h.observe(j.FinishedAt.Sub(j.StartedAt).Seconds())
 			}
 		}
 		s.mu.Unlock()
@@ -845,39 +848,24 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 	}
 }
 
-// schedStats is the scheduler's contribution to /v1/stats.
-type schedStats struct {
-	queueDepth        int
-	running           int
-	jobs              map[string]int
-	perAlgorithm      map[string]int
-	perEngine         map[string]int
-	nativeWallSeconds float64
-	spillBytes        int64
-	spillFiles        int
-}
-
-func (s *Scheduler) stats() schedStats {
+// stats fills the scheduler's section of /v1/stats: the pool, the queue,
+// the job counts and the completed runs' native counters.
+func (s *Scheduler) stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := schedStats{
-		running:           s.running,
-		queueDepth:        s.queued,
-		jobs:              make(map[string]int),
-		perAlgorithm:      make(map[string]int),
-		perEngine:         make(map[string]int),
-		nativeWallSeconds: s.nativeWallSeconds,
-		spillBytes:        s.spillBytes,
-		spillFiles:        s.spillFiles,
+	st := Stats{
+		Workers:           s.workers,
+		Running:           s.running,
+		QueueDepth:        s.queued,
+		Jobs:              make(map[string]int),
+		PerAlgorithm:      maps.Clone(s.counts),
+		PerEngine:         maps.Clone(s.engines),
+		NativeWallSeconds: s.nativeWallSeconds,
+		SpillBytes:        s.spillBytes,
+		SpillFiles:        s.spillFiles,
 	}
 	for _, j := range s.jobs {
-		st.jobs[string(j.State)]++
-	}
-	for alg, n := range s.counts {
-		st.perAlgorithm[alg] = n
-	}
-	for eng, n := range s.engines {
-		st.perEngine[eng] = n
+		st.Jobs[string(j.State)]++
 	}
 	return st
 }

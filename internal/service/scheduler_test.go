@@ -86,8 +86,8 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 	// All workers saturate, and no more than `workers` run at once.
 	waitFor(t, "pool saturation", func() bool { return g.active.Load() == workers })
 	st := s.stats()
-	if st.running != workers || st.queueDepth != jobs-workers {
-		t.Errorf("stats: running %d queued %d, want %d/%d", st.running, st.queueDepth, workers, jobs-workers)
+	if st.Running != workers || st.QueueDepth != jobs-workers {
+		t.Errorf("stats: running %d queued %d, want %d/%d", st.Running, st.QueueDepth, workers, jobs-workers)
 	}
 	close(g.release)
 	waitFor(t, "all jobs done", func() bool { return g.runs.Load() == jobs })
@@ -152,7 +152,7 @@ func TestSchedulerCancel(t *testing.T) {
 		jv, _ := s.Get(running.ID)
 		return jv.State == JobCanceled
 	})
-	waitFor(t, "queue drained", func() bool { return s.stats().queueDepth == 0 })
+	waitFor(t, "queue drained", func() bool { return s.stats().QueueDepth == 0 })
 	if got := g.runs.Load(); got != 0 {
 		t.Errorf("%d jobs ran to completion, want 0 (both were canceled)", got)
 	}

@@ -51,14 +51,12 @@ type Config struct {
 	// (HTTP 429 + Retry-After). 0 = unbounded.
 	MaxQueue int
 	// ComputeBudget is the total engine compute workers shared across
-	// concurrently running jobs (default GOMAXPROCS): a job that does
+	// concurrently running jobs (0 or less: GOMAXPROCS): a job that does
 	// not pin Options.ComputeWorkers starts with the budget divided by
 	// the concurrency it will run beside (running + backlog, capped at
 	// Workers), so N concurrent simulations stop oversubscribing the
 	// host N×. Every job keeps a floor of one worker, so a pool wider
 	// than the budget still runs Workers jobs at one worker each.
-	// Negative disables the division (every job defaults to GOMAXPROCS
-	// again).
 	ComputeBudget int
 	// MaxUploadBytes bounds POST /v1/graphs request bodies (default
 	// 64 MiB). Graph uploads carry whole edge lists, so they get a far
@@ -94,7 +92,9 @@ type Service struct {
 	scheduler *Scheduler
 	cache     *resultCache
 
-	metrics *serviceMetrics
+	// httpDur holds the request-duration histograms by mux route pattern
+	// plus routeUnmatched; the scheduler keeps the job histograms.
+	httpDur map[string]*histogram
 
 	persist *persistence // nil without Config.DataDir
 	// spillDir is the parent directory handed to native out-of-core runs
@@ -103,9 +103,9 @@ type Service struct {
 	// files across restarts.
 	spillDir string
 	// walSpans retains the durability tier's recent operation spans
-	// (append/fsync/rotate/snapshot, reported by the WAL's SetTrace
-	// hook); the trace endpoint merges the ones overlapping a job's
-	// lifetime into its tree. Nil without a data dir.
+	// (append/fsync/rotate/snapshot, reported by the hook the WAL is
+	// opened with); the trace endpoint merges the ones overlapping a
+	// job's lifetime into its tree. Nil without a data dir.
 	walSpans  *obs.Ring[durable.Span]
 	closeOnce sync.Once
 }
@@ -158,19 +158,21 @@ func open(cfg Config) (*Service, error) {
 	if cfg.TraceSpanCap <= 0 {
 		cfg.TraceSpanCap = 8192
 	}
-	switch {
-	case cfg.ComputeBudget == 0:
+	if cfg.ComputeBudget <= 0 {
 		cfg.ComputeBudget = runtime.GOMAXPROCS(0)
-	case cfg.ComputeBudget < 0:
-		cfg.ComputeBudget = 0 // explicit opt-out: unmanaged
 	}
 	s := &Service{
 		cfg:     cfg,
 		catalog: NewCatalog(),
 	}
+	// Every route's series exists from the first scrape.
+	s.httpDur = newHistograms(append(s.routePatterns(), routeUnmatched)...)
 	var recovered *durable.Recovered
 	if cfg.DataDir != "" {
-		p, rec, err := openPersistence(cfg)
+		// The WAL reports its operations as observational spans into a
+		// bounded ring (never back into the journal; see durable.SpanHook).
+		s.walSpans = obs.NewRing[durable.Span](walSpanCap)
+		p, rec, err := openPersistence(cfg, s.walSpans.Record)
 		if err != nil {
 			return nil, fmt.Errorf("service: opening data dir %s: %w", cfg.DataDir, err)
 		}
@@ -188,24 +190,15 @@ func open(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("service: creating spill dir: %w", err)
 		}
 		s.cache = newResultCache(maxCacheEntries, p.store)
-		// The WAL reports its operations as observational spans into a
-		// bounded ring (never back into the journal; see durable.SpanHook).
-		s.walSpans = obs.NewRing[durable.Span](walSpanCap)
-		p.wal.SetTrace(s.walSpans.Record)
 	} else {
 		s.cache = newResultCache(maxCacheEntries, nil)
 	}
 	s.scheduler = newScheduler(cfg, s.execute)
-	// Latency histograms, pre-seeded with every route and engine so the
-	// first scrape sees zeros; the scheduler hooks feed the queue-wait
-	// and job-wall families. Set before the workers start any job.
-	s.metrics = newServiceMetrics(s.routePatterns())
-	s.scheduler.onJobStart = func(wait time.Duration) { s.metrics.queueWait.observe(wait.Seconds()) }
-	s.scheduler.onJobDone = func(engine string, wall time.Duration) { s.metrics.observeJobWall(engine, wall.Seconds()) }
 	if s.persist != nil {
 		// Hooks before recovery: requeue/failure transitions during
 		// recovery must hit the journal too. The lazy result hydrator
-		// serves GETs of pre-crash done jobs from the disk store.
+		// serves GETs of pre-crash done jobs from the disk store, and
+		// answers restarted jobs whose blob outlived their done record.
 		s.scheduler.onUpdate = s.noteJob
 		s.scheduler.hydrate = func(graphID, alg string, opt chaos.Options) (*chaos.Result, *chaos.Report, bool) {
 			return s.cache.lookup(cacheKey(graphID, alg, opt))
@@ -224,18 +217,6 @@ func open(cfg Config) (*Service, error) {
 // boundaries once ctx is canceled — and populate the result cache (and,
 // when durable, the disk result store) on success.
 func (s *Service) execute(ctx context.Context, job *Job) (*chaos.Result, *chaos.Report, error) {
-	key := cacheKey(job.Graph, job.Algorithm, job.Options)
-	if job.Restarts > 0 {
-		// A crash-re-enqueued job may have finished before the crash
-		// with only its "done" record lost in the fsync-batching
-		// window; the fsynced result blob then answers without
-		// re-simulating. Fresh submissions were already cache-checked
-		// in Submit, so only restarted jobs pay this lookup.
-		if res, rep, ok := s.cache.lookup(key); ok {
-			job.answeredFromCache.Store(true)
-			return res, rep, nil
-		}
-	}
 	g, ok := s.catalog.Get(job.Graph)
 	if !ok {
 		return nil, nil, fmt.Errorf("service: graph %q disappeared", job.Graph)
@@ -257,8 +238,8 @@ func (s *Service) execute(ctx context.Context, job *Job) (*chaos.Result, *chaos.
 	// Flight recorder: every executed job records its per-phase span
 	// stream into a bounded ring served by GET /v1/jobs/{id}/trace.
 	// Like progress, attaching it cannot change the run (see
-	// chaos.WithTrace); cache-answered jobs above never reach here and
-	// stay recorder-less.
+	// chaos.WithTrace); cache-answered jobs never reach here and stay
+	// recorder-less.
 	rec := chaos.NewTraceRecorder(s.cfg.TraceSpanCap)
 	job.trace.Store(rec)
 	ctx = chaos.WithTrace(ctx, rec.Record)
@@ -268,7 +249,7 @@ func (s *Service) execute(ctx context.Context, job *Job) (*chaos.Result, *chaos.
 		ctx = chaos.WithSpillDir(ctx, s.spillDir)
 	}
 	opt := job.Options
-	if opt.ComputeWorkers == 0 && job.computeShare > 0 {
+	if opt.ComputeWorkers == 0 {
 		// The job did not pin its host parallelism: run it on its share
 		// of the scheduler's compute budget instead of the GOMAXPROCS
 		// default, which would oversubscribe the host by the number of
@@ -287,12 +268,13 @@ func (s *Service) execute(ctx context.Context, job *Job) (*chaos.Result, *chaos.
 	if err != nil {
 		return nil, nil, err
 	}
+	key := cacheKey(job.Graph, job.Algorithm, job.Options)
 	s.cache.store(key, res, rep)
 	if s.persist != nil {
-		// Blob (fsynced) before journal record: a journaled key never
-		// points at a hole. The done transition is journaled by the
-		// scheduler hook after this returns. The write is the job's
-		// durability checkpoint, so it becomes a span under the run.
+		// The blob is fsynced before the scheduler journals the done
+		// transition after this returns, so a done job's result survives
+		// any crash. The write is the job's durability checkpoint, so it
+		// becomes a span under the run.
 		start := time.Now().UTC()
 		s.persistResult(key, res, rep)
 		s.scheduler.NoteJobSpan(job, "checkpoint", "result blob persisted", start, time.Since(start))
@@ -455,20 +437,9 @@ type DurableStats struct {
 
 // Stats snapshots the service counters.
 func (s *Service) Stats() Stats {
-	st := s.scheduler.stats()
-	out := Stats{
-		Graphs:            len(s.catalog.List()),
-		Workers:           s.cfg.Workers,
-		QueueDepth:        st.queueDepth,
-		Running:           st.running,
-		Jobs:              st.jobs,
-		PerAlgorithm:      st.perAlgorithm,
-		PerEngine:         st.perEngine,
-		NativeWallSeconds: st.nativeWallSeconds,
-		SpillBytes:        st.spillBytes,
-		SpillFiles:        st.spillFiles,
-		Cache:             s.cache.stats(),
-	}
+	out := s.scheduler.stats()
+	out.Graphs = len(s.catalog.List())
+	out.Cache = s.cache.stats()
 	if s.persist != nil {
 		out.Durable = &DurableStats{
 			DataDir:        s.persist.dataDir,

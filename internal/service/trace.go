@@ -92,7 +92,7 @@ func (r *jobRecord) initTrace(rt *reqTrace) {
 	now := r.EnqueuedAt.UnixNano()
 	root := obs.TreeSpan{Kind: obs.KindRequest, Start: now, End: now} // a request is answered at admission
 	if rt != nil {
-		r.TraceID, r.TraceRemote = rt.traceID, rt.remote
+		r.TraceID = rt.traceID
 		root.SpanID, root.Parent, root.Remote, root.Name = rt.span, rt.parent, rt.remote, rt.name
 		root.Start = rt.start.UnixNano()
 		if root.Name == "" {

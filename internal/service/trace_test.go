@@ -168,7 +168,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 // and the terminal state, with zero orphan spans.
 func TestTraceTreeSurvivesCrashRequeue(t *testing.T) {
 	dir := t.TempDir()
-	w, _, err := durable.OpenWAL(filepath.Join(dir, "wal"), 0)
+	w, _, err := durable.OpenWAL(filepath.Join(dir, "wal"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestTraceTreeSurvivesCrashRequeue(t *testing.T) {
 	must(w.Append(recJob, jobRecord{
 		ID: "j1", Graph: "g1", Algorithm: "PR", Options: opts,
 		State: JobRunning, EnqueuedAt: now, StartedAt: now,
-		TraceID: trace, TraceRemote: false, SpanSeq: 4, Spans: spans,
+		TraceID: trace, SpanSeq: 4, Spans: spans,
 	}))
 	must(w.Sync())
 	w.Close()
