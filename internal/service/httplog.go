@@ -74,24 +74,22 @@ func bootNonce() string {
 	return bootNonceVal
 }
 
-// startTrace resolves the request's trace context: adopt the caller's
-// trace when it sent a well-formed W3C traceparent (the caller's span
-// becomes the remote parent), otherwise start a fresh derived trace.
-// Either way this process opens its own request span, which the
-// returned traceparent header names.
-func startTrace(r *http.Request, id uint64, start time.Time) (*reqTrace, string) {
-	rt := &reqTrace{name: r.Method + " " + r.URL.Path, start: start}
+// startTrace opens the request span: in the caller's trace when it sent
+// a well-formed W3C traceparent (the caller's span becomes the remote
+// parent), otherwise in a fresh derived trace. The returned traceparent
+// header names the span; a submission's job trace roots in it.
+func startTrace(r *http.Request, id uint64, start time.Time) (*obs.TreeSpan, string) {
+	root := &obs.TreeSpan{Name: r.Method + " " + r.URL.Path, Kind: obs.KindRequest, Start: start.UnixNano()}
 	tid, parent, ok := obs.ParseTraceparent(r.Header.Get("traceparent"))
 	if ok {
-		rt.parent = parent.String()
-		rt.remote = true
+		root.Parent, root.Remote = parent.String(), true
 	} else {
 		tid = obs.DeriveTraceID(bootNonce(), id)
 	}
-	rt.traceID = tid.String()
-	span := obs.DeriveSpanID(rt.traceID+"/req", id)
-	rt.span = span.String()
-	return rt, obs.Traceparent(tid, span)
+	root.TraceID = tid.String()
+	span := obs.DeriveSpanID(root.TraceID+"/req", id)
+	root.SpanID = span.String()
+	return root, obs.Traceparent(tid, span)
 }
 
 // instrument wraps the API mux with the observability layer: every
@@ -106,13 +104,13 @@ func (s *Service) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := reqID.Add(1)
 		start := time.Now()
-		rt, traceparent := startTrace(r, id, start)
+		root, traceparent := startTrace(r, id, start)
 		// Echo the trace identity before the handler writes: the caller
 		// learns which trace to query (GET /v1/traces/{id}) even on
 		// errors, and our request span id is what a downstream hop of
 		// theirs would parent under.
 		w.Header().Set("traceparent", traceparent)
-		r = r.WithContext(withReqTrace(r.Context(), rt))
+		r = r.WithContext(withRequestSpan(r.Context(), root))
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)
 		elapsed := time.Since(start)
@@ -127,7 +125,7 @@ func (s *Service) instrument(next http.Handler) http.Handler {
 		if logger != nil {
 			logger.Info("http_request",
 				slog.Uint64("req", id),
-				slog.String("trace", rt.traceID),
+				slog.String("trace", root.TraceID),
 				slog.String("method", r.Method),
 				slog.String("path", r.URL.Path),
 				slog.String("route", route),

@@ -269,12 +269,11 @@ func (s *Service) restoreJobs(recs []jobRecord, nextID int) {
 		if j.State == JobQueued {
 			// Re-enqueues bypass admission control: a job the API
 			// already accepted must not be dropped by MaxQueue.
-			sc.queue = append(sc.queue, j)
 			sc.queued++
 		}
 		sc.jobs[j.ID] = j
 		sc.byTrace[j.TraceID] = j.ID
-		sc.order = append(sc.order, j.ID)
+		sc.order = append(sc.order, j)
 		sc.counts[j.Algorithm]++
 		sc.engines[j.engine()]++ // pre-engine records fold to "sim"
 		if seq, ok := jobSeq(j.ID); ok && seq > maxSeq {
@@ -382,8 +381,8 @@ func (s *Service) captureSnapshot() (any, error) {
 	sc := s.scheduler
 	sc.mu.Lock()
 	snap.NextJobID = sc.nextID
-	for _, id := range sc.order {
-		r := sc.jobs[id].jobRecord
+	for _, j := range sc.order {
+		r := j.jobRecord
 		r.Spans = slices.Clone(r.Spans) // encoded after the lock is released
 		snap.Jobs = append(snap.Jobs, r)
 	}

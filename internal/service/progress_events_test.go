@@ -17,64 +17,6 @@ import (
 	"chaos"
 )
 
-// TestSchedulerQueueRingCompaction is the regression test for the queue
-// pinning bug: popping with queue = queue[1:] kept every popped *Job
-// reachable through the backing array for the life of the scheduler.
-// The ring-head pop must nil slots immediately and compact the dead
-// prefix, so after a full drain nothing in the backing array pins a job.
-// 100 jobs cross the compaction threshold. 10 stay under it, so the
-// array they were queued in is the one they are popped from, and it
-// must hold no job after the drain either: a pop that slices past the
-// slot instead of nilling it leaves the job there.
-func TestSchedulerQueueRingCompaction(t *testing.T) {
-	for _, tc := range []struct {
-		jobs     int
-		compacts bool
-	}{{jobs: 100, compacts: true}, {jobs: 10}} {
-		t.Run(fmt.Sprint(tc.jobs), func(t *testing.T) {
-			g := newGate()
-			s := startScheduler(Config{Workers: 1}, g.run)
-			defer s.Shutdown(context.Background())
-
-			for i := 0; i < tc.jobs; i++ {
-				if _, err := s.Submit("g", "PR", chaos.Options{Seed: int64(i + 1)}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			s.mu.Lock()
-			queuedIn := s.queue[:cap(s.queue)]
-			s.mu.Unlock()
-			close(g.release)
-			waitFor(t, "all jobs done", func() bool { return g.runs.Load() == int32(tc.jobs) })
-			waitFor(t, "queue drained", func() bool {
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				return s.queueLenLocked() == 0
-			})
-
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if s.queued != 0 {
-				t.Errorf("queued counter = %d after drain, want 0", s.queued)
-			}
-			// The whole backing array — not just the live window — must be
-			// free of job pointers: a non-nil slot behind the head is
-			// exactly the leak this fix removes.
-			arrays := [][]*Job{s.queue[:cap(s.queue)]}
-			if !tc.compacts {
-				arrays = append(arrays, queuedIn)
-			}
-			for _, backing := range arrays {
-				for i, j := range backing {
-					if j != nil {
-						t.Fatalf("backing array slot %d still pins job %s after drain", i, j.ID)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestSchedulerQueueBound: admission control rejects the submission
 // that would exceed MaxQueue with *QueueFullError, keeps FIFO order for
 // the admitted ones, and admits again once the queue drains.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"chaos"
+	"chaos/internal/obs"
 )
 
 // JobState is the lifecycle state of a job.
@@ -161,9 +162,9 @@ func timeOrNil(t time.Time) *time.Time {
 // jobEvent is one thing that happens to a job; jobRecord.step applies it.
 type jobEvent struct {
 	kind jobEventKind
-	// rt roots an admitted job's trace in its request (nil: a synthetic
-	// submit root).
-	rt *reqTrace
+	// root is the request span an admitted job's trace roots in (nil: a
+	// synthetic submit root).
+	root *obs.TreeSpan
 	// err is what the run returned (evFinish; nil is success).
 	err error
 	// name, detail and dur describe an evSpan span, which starts at the
@@ -205,7 +206,7 @@ func (r *jobRecord) step(ev jobEvent, now time.Time) {
 			return
 		}
 		r.EnqueuedAt = now
-		r.initTrace(ev.rt)
+		r.initTrace(ev.root)
 		if ev.kind == evSubmit {
 			r.State = JobQueued
 			r.addSpan("queued", "", r.rootSpan(), ns, 0)
@@ -291,7 +292,10 @@ type runFunc func(ctx context.Context, j *Job) (*chaos.Result, *chaos.Report, er
 
 // Scheduler runs jobs on a bounded worker pool: at most `workers`
 // simulations execute concurrently, the rest wait in a bounded FIFO
-// queue (admission control rejects past MaxQueue).
+// queue (admission control rejects past MaxQueue). The queue is the
+// queued part of the job list: a job is queued only when it is appended
+// to order, so every queued job sits at or past next, and a worker takes
+// the first queued job from next on.
 type Scheduler struct {
 	run      runFunc
 	workers  int
@@ -303,19 +307,17 @@ type Scheduler struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// queue is the FIFO of submitted jobs: live entries are
-	// queue[qhead:]. Popping advances qhead after nilling the slot —
-	// queue = queue[1:] would pin every popped *Job (result payloads
-	// included) in the backing array — and compacts once the dead
-	// prefix dominates, the same ring-head discipline as resultCache.
-	queue  []*Job
-	qhead  int
+	// order is every job in submission order; a worker has passed
+	// order[:next]. Pruning drops finished jobs from it and clears the
+	// vacated tail, so history retention plus MaxQueue bounds what it
+	// holds.
+	order  []*Job
+	next   int
 	queued int // jobs in state JobQueued (admission-control depth)
 	jobs   map[string]*Job
 	// byTrace maps a trace id to the job that owns it (GET
 	// /v1/traces/{id}); pruned together with the job history.
 	byTrace map[string]string
-	order   []string
 	nextID  int
 	running int
 	closed  bool
@@ -464,27 +466,31 @@ func (e *QueueFullError) RetryAfterSeconds() int {
 	return retry
 }
 
-// pruneLocked evicts the oldest finished jobs beyond the retention cap;
+// pruneLocked evicts the oldest finished jobs beyond the retention cap
+// and moves next back over the evicted jobs a worker had passed;
 // callers hold s.mu.
 func (s *Scheduler) pruneLocked() {
 	excess := len(s.order) - s.retain
 	if excess <= 0 {
 		return
 	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		j := s.jobs[id]
+	kept, next := s.order[:0], 0
+	for i, j := range s.order {
 		if excess > 0 && j.State.terminal() {
-			delete(s.jobs, id)
-			if s.byTrace[j.TraceID] == id {
+			delete(s.jobs, j.ID)
+			if s.byTrace[j.TraceID] == j.ID {
 				delete(s.byTrace, j.TraceID)
 			}
 			excess--
 			continue
 		}
-		kept = append(kept, id)
+		if i < s.next {
+			next++
+		}
+		kept = append(kept, j)
 	}
-	s.order = kept
+	clear(s.order[len(kept):]) // an evicted job is pinned nowhere
+	s.order, s.next = kept, next
 }
 
 // admitLocked files a new job and steps it through its admission event
@@ -498,7 +504,7 @@ func (s *Scheduler) admitLocked(ev jobEvent, graphID, alg string, opt chaos.Opti
 		Options:   opt,
 	}}
 	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
+	s.order = append(s.order, j)
 	s.counts[alg]++
 	s.engines[j.engine()]++
 	s.pruneLocked() // the new job has no state yet, so is never evicted
@@ -513,9 +519,9 @@ func (s *Scheduler) Submit(graphID, alg string, opt chaos.Options) (JobView, err
 	return s.SubmitTraced(nil, graphID, alg, opt)
 }
 
-// SubmitTraced is Submit rooted in the request's trace context (nil
+// SubmitTraced is Submit rooted in the request span (nil
 // derives a synthetic root from the job's options fingerprint).
-func (s *Scheduler) SubmitTraced(rt *reqTrace, graphID, alg string, opt chaos.Options) (JobView, error) {
+func (s *Scheduler) SubmitTraced(root *obs.TreeSpan, graphID, alg string, opt chaos.Options) (JobView, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -524,8 +530,7 @@ func (s *Scheduler) SubmitTraced(rt *reqTrace, graphID, alg string, opt chaos.Op
 	if s.maxQueue > 0 && s.queued >= s.maxQueue {
 		return JobView{}, &QueueFullError{Depth: s.queued, Max: s.maxQueue, Workers: s.workers}
 	}
-	j := s.admitLocked(jobEvent{kind: evSubmit, rt: rt}, graphID, alg, opt)
-	s.queue = append(s.queue, j)
+	j := s.admitLocked(jobEvent{kind: evSubmit, root: root}, graphID, alg, opt)
 	s.queued++
 	s.cond.Signal()
 	return j.view(), nil
@@ -533,16 +538,16 @@ func (s *Scheduler) SubmitTraced(rt *reqTrace, graphID, alg string, opt chaos.Op
 
 // AdmitCachedTraced files an already-answered job (a result-cache hit)
 // directly in the done state, so clients observe the same lifecycle
-// either way. It is rooted in the request's trace context; the trace
+// either way. It is rooted in the request span; the trace
 // tree records admission and an immediate done span (no queue, run or
 // engine spans — nothing ran).
-func (s *Scheduler) AdmitCachedTraced(rt *reqTrace, graphID, alg string, opt chaos.Options, res *chaos.Result, rep *chaos.Report) (JobView, error) {
+func (s *Scheduler) AdmitCachedTraced(root *obs.TreeSpan, graphID, alg string, opt chaos.Options, res *chaos.Result, rep *chaos.Report) (JobView, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return JobView{}, ErrShuttingDown
 	}
-	j := s.admitLocked(jobEvent{kind: evCacheHit, rt: rt}, graphID, alg, opt)
+	j := s.admitLocked(jobEvent{kind: evCacheHit, root: root}, graphID, alg, opt)
 	j.result, j.report = res, rep
 	return j.view(), nil
 }
@@ -637,13 +642,12 @@ func (s *Scheduler) ListFiltered(f JobFilter) []JobView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := []JobView{}
-	for _, id := range s.order {
+	for _, j := range s.order {
 		if afterSeq >= 0 {
-			if seq, ok := jobSeq(id); ok && seq <= afterSeq {
+			if seq, ok := jobSeq(j.ID); ok && seq <= afterSeq {
 				continue
 			}
 		}
-		j := s.jobs[id]
 		if f.State != "" && j.State != f.State {
 			continue
 		}
@@ -683,7 +687,7 @@ func (s *Scheduler) Cancel(id string) (JobView, error) {
 	}
 	switch j.State {
 	case JobQueued:
-		// The job stays in s.queue; workers skip non-queued entries.
+		// The job stays in order as history; workers pass it.
 		s.queued--
 		s.transitionLocked(j, jobEvent{kind: evCancel})
 	case JobRunning:
@@ -697,49 +701,23 @@ func (s *Scheduler) Cancel(id string) (JobView, error) {
 	return j.view(), nil
 }
 
-// popLocked removes and returns the queue head; callers hold s.mu and
-// have checked non-emptiness. The vacated slot is nilled immediately
-// (so a finished job's payload is collectable the moment history
-// eviction drops it) and the dead prefix is compacted once it
-// dominates, releasing the backing array that queue = queue[1:] used
-// to pin every popped *Job in.
-func (s *Scheduler) popLocked() *Job {
-	j := s.queue[s.qhead]
-	s.queue[s.qhead] = nil
-	s.qhead++
-	switch {
-	case s.qhead == len(s.queue):
-		// Drained: every slot behind qhead is already nil, so resetting
-		// in place pins nothing.
-		s.queue = s.queue[:0]
-		s.qhead = 0
-	case s.qhead >= 32 && s.qhead*2 >= len(s.queue):
-		s.queue = append(make([]*Job, 0, len(s.queue)-s.qhead), s.queue[s.qhead:]...)
-		s.qhead = 0
-	}
-	return j
-}
-
-// queueLen reports the live queue window; callers hold s.mu.
-func (s *Scheduler) queueLenLocked() int { return len(s.queue) - s.qhead }
-
-// worker pops queued jobs until shutdown.
+// worker runs queued jobs, oldest first, until shutdown.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		for s.queueLenLocked() == 0 && !s.closed {
+		for s.queued == 0 && !s.closed {
 			s.cond.Wait()
 		}
-		if s.queueLenLocked() == 0 && s.closed {
+		if s.queued == 0 { // closed: Shutdown canceled the backlog
 			s.mu.Unlock()
 			return
 		}
-		j := s.popLocked()
-		if j.State != JobQueued { // canceled while waiting
-			s.mu.Unlock()
-			continue
+		for s.order[s.next].State != JobQueued { // running, canceled or answered
+			s.next++
 		}
+		j := s.order[s.next]
+		s.next++
 		ctx, cancel := context.WithCancel(context.Background())
 		j.cancel = cancel
 		s.running++
@@ -756,10 +734,8 @@ func (s *Scheduler) worker() {
 		// is the accepted trade against idling the whole machine between
 		// bursts. ComputeWorkers only trades wall-clock — results are
 		// bit-identical for every value — so the share is free to vary
-		// run to run.
-		// s.queued, not the queue slice length: canceled jobs linger in
-		// the slice until popped and must not dilute the shares of jobs
-		// that will actually run.
+		// run to run. s.queued counts only jobs that will run, so a
+		// canceled one dilutes no share.
 		concurrency := min(s.running+s.queued, s.workers)
 		j.computeShare = max(s.computeBudget/concurrency, 1)
 		// The run span opens; the engine flight recording parents under
@@ -825,13 +801,12 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 	s.events.closeAll()
 	s.mu.Lock()
 	s.closed = true
-	for _, j := range s.queue[s.qhead:] {
+	for _, j := range s.order[s.next:] {
 		if j.State == JobQueued {
 			s.queued--
 			s.transitionLocked(j, jobEvent{kind: evCancel, detail: "canceled at shutdown before running"})
 		}
 	}
-	s.queue, s.qhead = nil, 0
 	s.cond.Broadcast()
 	s.mu.Unlock()
 

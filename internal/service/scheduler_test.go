@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"chaos"
 )
@@ -247,6 +250,188 @@ func TestSchedulerRetentionEvictsOnlyFinishedJobs(t *testing.T) {
 		got, _ := s.Get(last.ID)
 		return got.State == JobDone
 	})
+}
+
+// TestPrunedJobsAreCollectable holds the scheduler's memory to its
+// history bound: once pruning drops a finished job, nothing in the
+// scheduler pins it. (a) Jobs canceled while queued behind a busy worker
+// are history like any other, so submit-then-cancel traffic cannot grow
+// memory without bound; (b) so are jobs a worker has run, and a drained
+// scheduler counts no queued job.
+func TestPrunedJobsAreCollectable(t *testing.T) {
+	const retain = 4
+	for _, tc := range []struct {
+		name   string
+		jobs   int
+		cancel bool
+	}{{name: "canceled", jobs: 200, cancel: true}, {name: "drained", jobs: 100}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newGate()
+			s := newScheduler(Config{Workers: 1}, g.run)
+			s.retain = retain
+			s.start()
+			defer s.Shutdown(context.Background())
+			defer close(g.release)
+
+			first, err := s.Submit("g", "PR", chaos.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "first job running", func() bool {
+				jv, _ := s.Get(first.ID)
+				return jv.State == JobRunning
+			})
+			var ptrs []weak.Pointer[Job]
+			for i := 0; i < tc.jobs; i++ {
+				jv, err := s.Submit("g", "PR", chaos.Options{Seed: int64(i + 1)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.mu.Lock()
+				ptrs = append(ptrs, weak.Make(s.jobs[jv.ID]))
+				s.mu.Unlock()
+				if tc.cancel {
+					if _, err := s.Cancel(jv.ID); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if !tc.cancel {
+				for range tc.jobs + 1 { // the first job, then the rest
+					g.release <- struct{}{}
+				}
+				waitFor(t, "jobs done", func() bool {
+					last := s.List()
+					return last[len(last)-1].State == JobDone
+				})
+				// One more submission prunes the drained history.
+				if _, err := s.Submit("g", "PR", chaos.Options{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.GC()
+			runtime.GC()
+			reachable := 0
+			for _, p := range ptrs {
+				if p.Value() != nil {
+					reachable++
+				}
+			}
+			if reachable > retain+1 {
+				t.Errorf("%d of %d jobs still reachable with history capped at %d", reachable, tc.jobs, retain)
+			}
+			if !tc.cancel {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				if s.queued != 0 {
+					t.Errorf("queued counter = %d after drain, want 0", s.queued)
+				}
+			}
+		})
+	}
+}
+
+// TestDispatchOrderSurvivesPruning interleaves queued submissions,
+// cancels and cache hits on one busy worker with a history cap of three,
+// so admissions prune finished jobs both behind and ahead of the
+// worker's position while jobs wait. Every job not canceled must run
+// exactly once, in submission order, and Shutdown must cancel exactly
+// the jobs still queued.
+func TestDispatchOrderSurvivesPruning(t *testing.T) {
+	started := make(chan string, 1)
+	proceed := make(chan struct{})
+	s := newScheduler(Config{Workers: 1}, func(ctx context.Context, j *Job) (*chaos.Result, *chaos.Report, error) {
+		started <- j.ID
+		select {
+		case <-proceed:
+			return &chaos.Result{}, &chaos.Report{}, nil
+		case <-ctx.Done():
+			return nil, nil, ctx.Err()
+		}
+	})
+	s.retain = 3
+	s.start()
+
+	var want, got []string // jobs that must run, in submission order; jobs that started
+	busy := false          // a run is waiting on proceed
+	take := func() {
+		select {
+		case id := <-started:
+			got, busy = append(got, id), true
+		case <-time.After(30 * time.Second):
+			t.Fatalf("no job started; %d of %d ran", len(got), len(want))
+		}
+	}
+	submit := func() string {
+		jv, err := s.Submit("g", "PR", chaos.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jv.ID
+	}
+	for r := 0; r < 60; r++ {
+		switch r % 3 {
+		case 0:
+			want = append(want, submit())
+			if !busy {
+				take()
+			}
+		case 1: // canceled while queued behind the running job
+			if busy {
+				if jv, err := s.Cancel(submit()); err != nil || jv.State != JobCanceled {
+					t.Fatalf("cancel of a queued job: %s, %v", jv.State, err)
+				}
+			}
+		case 2: // done at admission
+			if _, err := s.AdmitCachedTraced(nil, "g", "PR", chaos.Options{}, &chaos.Result{}, &chaos.Report{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r%4 == 3 && busy { // a run finishes; the worker takes the next queued job
+			proceed <- struct{}{}
+			busy = false
+			if len(got) < len(want) {
+				take()
+			}
+		}
+	}
+
+	queued := want[len(got):]
+	if len(queued) == 0 {
+		t.Fatal("no job left queued for Shutdown to cancel")
+	}
+	short, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := s.Shutdown(short); err == nil {
+		t.Fatal("shutdown with a running job should time out")
+	}
+	const atShutdown = "canceled at shutdown before running"
+	for _, id := range queued {
+		if jv, _ := s.Get(id); jv.State != JobCanceled || jv.Error != atShutdown {
+			t.Errorf("job %s queued at shutdown ended %s (%q)", id, jv.State, jv.Error)
+		}
+	}
+	n := 0
+	for _, jv := range s.List() {
+		if jv.Error == atShutdown {
+			n++
+		}
+	}
+	if n != len(queued) {
+		t.Errorf("shutdown canceled %d jobs, want the %d queued", n, len(queued))
+	}
+	close(proceed)
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case id := <-started:
+		t.Fatalf("job %s started after shutdown", id)
+	default:
+	}
+	if !slices.Equal(got, want[:len(got)]) {
+		t.Errorf("jobs ran in order %v, want %v", got, want[:len(got)])
+	}
 }
 
 // TestResultCacheEviction checks the bounded cache evicts oldest-first.

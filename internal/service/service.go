@@ -333,11 +333,11 @@ func (s *Service) SubmitCtx(ctx context.Context, graphID, algorithm string, opt 
 	if err := opt.Validate(); err != nil {
 		return JobView{}, err
 	}
-	rt := reqTraceFrom(ctx)
+	root := requestSpan(ctx)
 	if res, rep, ok := s.cache.lookup(cacheKey(g.ID, algorithm, opt)); ok {
-		return s.scheduler.AdmitCachedTraced(rt, g.ID, algorithm, opt, res, rep)
+		return s.scheduler.AdmitCachedTraced(root, g.ID, algorithm, opt, res, rep)
 	}
-	return s.scheduler.SubmitTraced(rt, g.ID, algorithm, opt)
+	return s.scheduler.SubmitTraced(root, g.ID, algorithm, opt)
 }
 
 // mergeOptions fills zero-valued fields of opt from base. Only the knobs

@@ -5,8 +5,8 @@
 // spans and WAL operation spans are merged in at serve time — see
 // obs.Timeline and DESIGN.md "One trace per job, across tiers".
 //
-// Everything here is observational-only: trace context rides
-// context.Context (reqTrace, mirroring chaos.WithTrace), never
+// Everything here is observational-only: the request span rides
+// context.Context (withRequestSpan, mirroring chaos.WithTrace), never
 // chaos.Options, so tracing can never change a result or a cache key.
 package service
 
@@ -19,34 +19,22 @@ import (
 	"chaos/internal/obs"
 )
 
-// reqTrace is the trace context the HTTP middleware extracts from an
-// inbound traceparent header (or mints when there is none) and hands
-// down the submission path on the request context. The scheduler roots
-// the job's span tree in it.
-type reqTrace struct {
-	traceID string // lowercase-hex trace id
-	span    string // the request (root) span's id
-	parent  string // inbound parent span id, "" when the trace starts here
-	remote  bool   // the parent span lives in the caller's process
-	name    string // root span name, e.g. "POST /v1/jobs"
-	start   time.Time
+type requestSpanKey struct{}
+
+// withRequestSpan attaches the request span the HTTP middleware opened
+// (startTrace); the middleware is the only producer. The scheduler roots
+// a submitted job's span tree in it.
+func withRequestSpan(ctx context.Context, root *obs.TreeSpan) context.Context {
+	return context.WithValue(ctx, requestSpanKey{}, root)
 }
 
-type reqTraceKey struct{}
-
-// withReqTrace attaches the request's trace context; the middleware is
-// the only producer.
-func withReqTrace(ctx context.Context, rt *reqTrace) context.Context {
-	return context.WithValue(ctx, reqTraceKey{}, rt)
-}
-
-// reqTraceFrom extracts what withReqTrace attached, nil if nothing.
-func reqTraceFrom(ctx context.Context) *reqTrace {
+// requestSpan extracts what withRequestSpan attached, nil if nothing.
+func requestSpan(ctx context.Context) *obs.TreeSpan {
 	if ctx == nil {
 		return nil
 	}
-	rt, _ := ctx.Value(reqTraceKey{}).(*reqTrace)
-	return rt
+	root, _ := ctx.Value(requestSpanKey{}).(*obs.TreeSpan)
+	return root
 }
 
 // spanSeed is the per-job span-id derivation seed: scoping it to the
@@ -82,27 +70,23 @@ func (r *jobRecord) closeOpenSpans(end int64, detail string) {
 	}
 }
 
-// initTrace roots a job's trace at its enqueue time: in the request when
-// the submission came over HTTP (the root is the request span, remote
-// when the caller sent a traceparent), or in a synthetic submit span
-// derived from the job's options fingerprint for library callers and
-// records journaled before tracing existed — either way the ids are
-// derived, never random (see internal/obs).
-func (r *jobRecord) initTrace(rt *reqTrace) {
+// initTrace roots a job's trace at its enqueue time: in a copy of the
+// request span when the submission came over HTTP (remote when the
+// caller sent a traceparent), or in a synthetic submit span derived from
+// the job's options fingerprint for library callers and records
+// journaled before tracing existed — either way the ids are derived,
+// never random (see internal/obs).
+func (r *jobRecord) initTrace(req *obs.TreeSpan) {
 	now := r.EnqueuedAt.UnixNano()
-	root := obs.TreeSpan{Kind: obs.KindRequest, Start: now, End: now} // a request is answered at admission
-	if rt != nil {
-		r.TraceID = rt.traceID
-		root.SpanID, root.Parent, root.Remote, root.Name = rt.span, rt.parent, rt.remote, rt.name
-		root.Start = rt.start.UnixNano()
-		if root.Name == "" {
-			root.Name = "request"
-		}
+	var root obs.TreeSpan
+	if req != nil {
+		root = *req
+		r.TraceID = root.TraceID
 	} else {
 		r.TraceID = obs.DeriveTraceID(r.Options.Fingerprint()+"|"+r.ID, 0).String()
-		root.SpanID, root.Name = obs.DeriveSpanID(r.spanSeed(), 0).String(), "submit"
+		root = obs.TreeSpan{TraceID: r.TraceID, SpanID: obs.DeriveSpanID(r.spanSeed(), 0).String(), Name: "submit", Kind: obs.KindRequest, Start: now}
 	}
-	root.TraceID = r.TraceID
+	root.End = now // a request is answered at admission
 	r.Spans = append(r.Spans, root)
 	r.addSpan("admitted", "", root.SpanID, now, now)
 }

@@ -98,7 +98,7 @@ func fuzzEvent(b byte) jobEvent {
 	switch ev.kind {
 	case evSubmit, evCacheHit:
 		if b&8 != 0 {
-			ev.rt = &reqTrace{traceID: "4bf92f3577b34da6a3ce929d0e0e4736", span: "00f067aa0ba902b7", name: "POST /v1/jobs", start: time.Unix(1, 0)}
+			ev.root = &obs.TreeSpan{TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", SpanID: "00f067aa0ba902b7", Name: "POST /v1/jobs", Kind: obs.KindRequest, Start: time.Unix(1, 0).UnixNano()}
 		}
 	case evFinish:
 		ev.err = []error{nil, context.Canceled, errors.New("boom")}[b>>3%3]
