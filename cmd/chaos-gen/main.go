@@ -36,6 +36,9 @@ func main() {
 	var g graph.Generator
 	switch *typ {
 	case "rmat":
+		if err := rmat.CheckScale(*scale); err != nil {
+			cli.Fatal(logger, "checking scale", err)
+		}
 		rg := rmat.New(*scale, *seed)
 		rg.Weighted = *weighted
 		g = rg

@@ -34,6 +34,7 @@ import (
 	"chaos"
 	"chaos/internal/cli"
 	"chaos/internal/graph"
+	"chaos/internal/rmat"
 )
 
 func main() {
@@ -99,6 +100,9 @@ func main() {
 			n, _ = graph.VertexCount(src, 0)
 		}
 	} else {
+		if err := rmat.CheckScale(*scale); err != nil {
+			cli.Fatal(logger, "checking scale", err)
+		}
 		src = graph.Edges(chaos.GenerateRMAT(*scale, chaos.NeedsWeights(alg), 42))
 		n = uint64(1) << uint(*scale)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -222,4 +223,214 @@ func TestFormatSelection(t *testing.T) {
 	if f := New(33, 1).Format(); f.Compact {
 		t.Error("scale-33 (2^33 vertices) must use non-compact format")
 	}
+}
+
+// referenceEach is the generator as math/rand defines it, the per-draw
+// loop Each replaces: each level compares one rng.Float64() with the
+// cumulative probabilities, then a weighted edge takes rng.Float32().
+// It calls fn on the first n edges.
+func referenceEach(g *Generator, rng *rand.Rand, n uint64, fn func(graph.Edge)) {
+	a, ab, abc := g.A, g.A+g.B, g.A+g.B+g.C
+	for ; n > 0; n-- {
+		var src, dst uint64
+		for range g.Scale {
+			r := rng.Float64()
+			src = src<<1 | bit(r >= ab)
+			dst = dst<<1 | (bit(r >= a) ^ bit(r >= ab) ^ bit(r >= abc))
+		}
+		e := graph.Edge{Src: graph.VertexID(src), Dst: graph.VertexID(dst)}
+		if g.Weighted {
+			e.Weight = rng.Float32()
+		}
+		fn(e)
+	}
+}
+
+// matchReference generates g's first n edges from src through each, in
+// batches of batch, and from ref through referenceEach, and fails at the
+// first edge where they differ, weight bits included.
+func matchReference(t testing.TB, g *Generator, src rand.Source64, ref rand.Source, n uint64, batch int) {
+	t.Helper()
+	var got []graph.Edge
+	g.each(src, n, make([]graph.Edge, batch), func(b []graph.Edge) {
+		if len(b) == 0 || len(b) > batch {
+			t.Fatalf("%+v: a batch of %d edges from a buffer of %d", g, len(b), batch)
+		}
+		got = append(got, b...)
+	})
+	if uint64(len(got)) != n {
+		t.Fatalf("%+v: yielded %d edges, want %d", g, len(got), n)
+	}
+	i := 0
+	referenceEach(g, rand.New(ref), n, func(want graph.Edge) {
+		e := got[i]
+		if e.Src != want.Src || e.Dst != want.Dst || math.Float32bits(e.Weight) != math.Float32bits(want.Weight) {
+			t.Fatalf("%+v: edge %d is %+v, math/rand's is %+v", g, i, e, want)
+		}
+		i++
+	})
+}
+
+// TestEachMatchesMathRand holds the block stream, the integer thresholds
+// and the quadrant table to the per-draw loop over math/rand, edge for
+// edge. Scales past 8 compare their first 2^12 edges, 9 to 59 blocks of
+// the stream; TestGenerateDigests pins whole graphs.
+func TestEachMatchesMathRand(t *testing.T) {
+	probs := []struct{ a, b, c float64 }{
+		{DefaultA, DefaultB, DefaultC},
+		{0.5, 0.25, 0.125}, // every threshold on a bucket edge
+		{1, 0, 0},
+		{0, 0, 0},
+	}
+	batches := []int{1, 7, 1000, 4109}
+	scales := []int{33, 40, 59} // past the 32 levels a word of quadrants holds
+	for s := 20; s >= 1; s-- {
+		scales = append(scales, s)
+	}
+	i := 0
+	for _, seed := range []int64{0, 1, 42, -7, 1<<31 - 1, 1 << 40, math.MinInt64} {
+		for _, scale := range scales {
+			for _, weighted := range []bool{false, true} {
+				for _, p := range probs {
+					g := &Generator{Scale: scale, A: p.a, B: p.b, C: p.c, D: 1 - p.a - p.b - p.c, Weighted: weighted, Seed: seed}
+					n := min(g.NumEdges(), 1<<12)
+					matchReference(t, g, rand.NewSource(seed).(rand.Source64), rand.NewSource(seed), n, batches[i%len(batches)])
+					i++
+				}
+			}
+		}
+	}
+}
+
+// replay is a rand.Source64 whose first outputs are given and whose
+// later ones continue math/rand's recurrence from them, as a seeded
+// source's do once its register is all outputs.
+type replay struct {
+	y []uint64
+	k int
+}
+
+func (r *replay) Uint64() uint64 {
+	if r.k == len(r.y) {
+		r.y = append(r.y, r.y[r.k-lagLong]+r.y[r.k-lagShort])
+	}
+	r.k++
+	return r.y[r.k-1]
+}
+
+func (r *replay) Int63() int64 { return int64(r.Uint64() & (1<<63 - 1)) }
+func (r *replay) Seed(int64)   { panic("replay: Seed") }
+
+// TestRejectedDrawsMatchMathRand builds the register Each starts from by
+// hand, so that the draws math/rand resamples occur: Int63 draws whose
+// Float64 rounds to 1, and Float64s whose Float32 does. No seed a test
+// can search for yields the first; the second comes about once in 2^25
+// weighted edges. The same register holds draws on each side of every
+// threshold, including thresholds one draw inside a bucket's ends.
+func TestRejectedDrawsMatchMathRand(t *testing.T) {
+	const top, bucket = 1 << 63, 1 << bucketShift
+	specials := []uint64{
+		top - 512,         // least(1): Float64 rounds it to 1
+		top - 1,           // the largest Int63
+		^uint64(0),        // bit 63 set: Int63 masks it to top-1
+		top | (top - 700), // masks to a draw that rounds to 1
+		top - 1<<38,       // Float64 keeps it, Float32 rounds it to 1
+		top - 513,         // the largest draw Float64 keeps
+		0, bucket - 2, bucket - 1, bucket, bucket + 1, bucket + 2, 2*bucket - 1, 2 * bucket,
+		least(DefaultA), least(DefaultA) - 1,
+		least(DefaultA + DefaultB), least(DefaultA+DefaultB) - 1,
+		least(DefaultA + DefaultB + DefaultC), least(DefaultA+DefaultB+DefaultC) - 1,
+	}
+	src := rand.NewSource(1).(rand.Source64)
+	reg := make([]uint64, lagLong)
+	for i := range reg {
+		reg[i] = src.Uint64()
+		if i%3 == 0 { // a special draw in every third place
+			reg[i] = specials[i/3%len(specials)]
+		}
+	}
+	// Thresholds one draw below bucket 1, one draw into it, and on
+	// bucket 2's first draw: a table that marks a bucket by the wrong
+	// end misplaces one of the special draws around them.
+	a, b, c := float64(bucket-1)/top, 2.0/top, float64(bucket-1)/top
+	if least(a) != bucket-1 || least(a+b) != bucket+1 || least(a+b+c) != 2*bucket {
+		t.Fatalf("thresholds %d, %d, %d", least(a), least(a+b), least(a+b+c))
+	}
+	probs := []struct{ a, b, c float64 }{{DefaultA, DefaultB, DefaultC}, {a, b, c}}
+	resampled := false
+	for _, p := range probs {
+		for scale := 1; scale <= 6; scale++ {
+			for _, weighted := range []bool{false, true} {
+				g := &Generator{Scale: scale, A: p.a, B: p.b, C: p.c, D: 1 - p.a - p.b - p.c, Weighted: weighted}
+				ref := &replay{y: append([]uint64(nil), reg...)}
+				n := uint64(2000)
+				matchReference(t, g, &replay{y: append([]uint64(nil), reg...)}, ref, n, 37)
+				per := uint64(scale)
+				if weighted {
+					per++
+				}
+				resampled = resampled || uint64(ref.k) > n*per
+			}
+		}
+	}
+	if !resampled {
+		t.Fatal("no edge drew a value math/rand resamples")
+	}
+}
+
+// TestLeastIsExact: least(p) is the boundary of the float predicate the
+// reference loop evaluates, so u >= least(p) and Float64 >= p agree on
+// every draw.
+func TestLeastIsExact(t *testing.T) {
+	ge := func(u uint64, p float64) bool { return float64(u)/(1<<63) >= p }
+	for _, p := range []float64{
+		DefaultA, DefaultA + DefaultB, DefaultA + DefaultB + DefaultC,
+		0, 0.5, 1, math.Nextafter(1, 0), 1e-300, -1, 2, math.NaN(),
+	} {
+		l := least(p)
+		switch {
+		case l > 1<<63+1:
+			t.Errorf("least(%v) = %d, past 2^63+1", p, l)
+		case l == 1<<63+1:
+			if !(p > 1 || math.IsNaN(p)) || ge(1<<63, p) {
+				t.Errorf("least(%v) says no draw reaches it", p)
+			}
+		default:
+			if !ge(l, p) || (l > 0 && ge(l-1, p)) {
+				t.Errorf("least(%v) = %d is not the predicate's boundary", p, l)
+			}
+		}
+	}
+	if got := least(1); got != 1<<63-512 {
+		t.Errorf("least(1) = %d, want 2^63-512, the first draw Float64 resamples", got)
+	}
+}
+
+func TestCheckScale(t *testing.T) {
+	for _, scale := range []int{1, 18, 30} {
+		if err := CheckScale(scale); err != nil {
+			t.Errorf("scale %d: %v", scale, err)
+		}
+	}
+	for _, scale := range []int{0, -1, 31, 60} {
+		if err := CheckScale(scale); err == nil {
+			t.Errorf("scale %d accepted", scale)
+		}
+	}
+	if err := CheckScale(45); err == nil || err.Error() != "rmat scale 45 out of range [1,30]" {
+		t.Errorf("CheckScale(45) = %v", err)
+	}
+}
+
+// FuzzGenerateMatchesMathRand holds Each to the per-draw loop at any
+// seed, scale and probabilities, NaN and out-of-range ones included.
+func FuzzGenerateMatchesMathRand(f *testing.F) {
+	f.Add(int64(1), uint8(10), DefaultA, DefaultB, DefaultC, false)
+	f.Add(int64(-7), uint8(17), 0.5, 0.25, 0.125, true)
+	f.Add(int64(math.MinInt64), uint8(23), 1.0, 0.0, 0.0, true)
+	f.Add(int64(42), uint8(3), math.NaN(), -1.0, 2.0, false)
+	f.Fuzz(func(t *testing.T, seed int64, scale uint8, a, b, c float64, weighted bool) {
+		g := &Generator{Scale: 1 + int(scale)%24, A: a, B: b, C: c, D: 1 - a - b - c, Weighted: weighted, Seed: seed}
+		matchReference(t, g, rand.NewSource(seed).(rand.Source64), rand.NewSource(seed), min(g.NumEdges(), 2048), 1000)
+	})
 }

@@ -222,8 +222,8 @@ var graphNameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_.-]*$`)
 func (r *graphRecord) checkBounds() error {
 	switch r.Type {
 	case "rmat":
-		if r.Scale < 1 || r.Scale > 30 {
-			return fmt.Errorf("service: rmat scale %d out of range [1,30]", r.Scale)
+		if err := rmat.CheckScale(r.Scale); err != nil {
+			return fmt.Errorf("service: %w", err)
 		}
 	case "web":
 		if r.Pages < 2 || r.Pages > 1<<30 {
