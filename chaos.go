@@ -316,8 +316,13 @@ func nativeReportFrom(run *metrics.Run, machines int) *Report {
 }
 
 // GenerateRMAT produces a scale-n R-MAT graph (2^n vertices, 2^(n+4)
-// edges), the synthetic workload of the evaluation (§8).
+// edges), the synthetic workload of the evaluation (§8). It panics, with
+// rmat.CheckScale's error and before allocating, on a scale outside
+// [1,30], the range every R-MAT entry point generates.
 func GenerateRMAT(scale int, weighted bool, seed int64) []Edge {
+	if err := rmat.CheckScale(scale); err != nil {
+		panic("chaos: " + err.Error())
+	}
 	g := rmat.New(scale, seed)
 	g.Weighted = weighted
 	return g.Generate()

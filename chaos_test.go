@@ -1,8 +1,10 @@
 package chaos
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"chaos/internal/graph"
@@ -178,5 +180,34 @@ func TestWebGraphGeneratorExport(t *testing.T) {
 	}
 	if NumVertices(edges) > 500 {
 		t.Errorf("vertex IDs out of range: %d", NumVertices(edges))
+	}
+}
+
+// TestGenerateRMATRefusesScale: a scale outside rmat.CheckScale's [1,30]
+// panics with its error before the edges are allocated — scale 31 would
+// ask for 768 GiB of edges, and scale 60 and up once returned an empty
+// graph — while a valid one generates 2^(scale+4) edges.
+func TestGenerateRMATRefusesScale(t *testing.T) {
+	for _, scale := range []int{0, 31, 60} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("chaos: rmat scale %d out of range [1,30]", scale)
+				if got := recover(); got != want {
+					t.Errorf("GenerateRMAT(%d) panicked with %v, want %q", scale, got, want)
+				}
+			}()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			defer func() {
+				runtime.ReadMemStats(&after)
+				if n := after.TotalAlloc - before.TotalAlloc; n > 4<<10 {
+					t.Errorf("GenerateRMAT(%d) allocated %d bytes before refusing", scale, n)
+				}
+			}()
+			GenerateRMAT(scale, false, 1)
+		}()
+	}
+	if edges := GenerateRMAT(4, true, 1); len(edges) != 1<<8 || NumVertices(edges) > 1<<4 {
+		t.Errorf("scale 4: %d edges on %d vertices, want 256 on at most 16", len(edges), NumVertices(edges))
 	}
 }

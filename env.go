@@ -21,9 +21,20 @@ type Progress = drive.Progress
 // read-only; the DES engine ignores it.
 type BinCache = drive.BinCache
 
+// SlabStore lends runs the update-record slabs earlier runs left: a run
+// takes a spare slab from it before it allocates one, and gives back the
+// slabs it would otherwise drop when it trims and when it ends. It holds
+// at most, per record type, the most runs it has been lent to at once
+// times the largest update memory one such run had out at a time. Safe
+// for concurrent runs on either engine.
+type SlabStore = drive.SlabStore
+
+// NewSlabStore returns an empty SlabStore.
+func NewSlabStore() *SlabStore { return drive.NewSlabStore() }
+
 // envKey carries a run's drive.Env through a context: WithTrace,
-// WithProgress, WithSpillDir and WithBinCache each set one field of it,
-// and runProgram hands it to the driver whole.
+// WithProgress, WithSpillDir, WithBinCache and WithSlabStore each set one
+// field of it, and runProgram hands it to the driver whole.
 type envKey struct{}
 
 // envFrom returns the env the With* calls installed on ctx, zero if none.
@@ -72,4 +83,14 @@ func WithSpillDir(ctx context.Context, dir string) context.Context {
 // it, and it is absent from option fingerprints.
 func WithBinCache(ctx context.Context, c *BinCache) context.Context {
 	return withEnv(ctx, func(env *drive.Env) { env.Bins = c })
+}
+
+// WithSlabStore returns a context under which runs on either engine draw
+// their update-record slabs from s before allocating and give them back
+// to s. Operational like WithBinCache: a slab's backing is all it
+// changes, so values and reports are those of a run without it, and it
+// is absent from option fingerprints. The job service lends one store to
+// every job it executes.
+func WithSlabStore(ctx context.Context, s *SlabStore) context.Context {
+	return withEnv(ctx, func(env *drive.Env) { env.Slabs = s })
 }

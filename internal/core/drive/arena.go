@@ -2,8 +2,10 @@ package drive
 
 import (
 	"math/bits"
+	"reflect"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // recArena is one run's update-record memory: every []UpdRec[U] the run
@@ -14,7 +16,9 @@ import (
 // (DESIGN.md, "Who owns a chunk's bytes"). It is a plain mutex-guarded
 // free list per size class: unlike a sync.Pool it survives garbage
 // collections, hands back a slab of the capacity asked for, and gets an
-// outgrown slab back instead of abandoning it.
+// outgrown slab back instead of abandoning it. A run lent a SlabStore
+// (Kernel.BorrowSlabs) takes from it on a miss, before it allocates, and
+// gives it what it would otherwise drop.
 //
 // Slab capacities come in four classes per power of two (4, 5, 6, 7, 8,
 // 10, 12, 14, 16, 20, ...), so a slab holds at most a quarter more than
@@ -30,6 +34,9 @@ type recArena[U any] struct {
 	// and highWater its maximum since the last trim: the figure a memory
 	// budget is held against (Kernel.ArenaHighWater).
 	inUse, highWater int64
+	// shelf is the lent store's shelf for this record type, nil while
+	// no store is lent.
+	shelf *slabShelf[U]
 }
 
 const (
@@ -68,6 +75,8 @@ func (a *recArena[U]) grab(n int) []UpdRec[U] {
 		slab = f[len(f)-1]
 		f[len(f)-1] = nil
 		a.free[c] = f[:len(f)-1]
+	} else if a.shelf != nil {
+		slab = a.shelf.take(c)
 	}
 	held := slabSize(c)
 	if slab != nil {
@@ -107,12 +116,14 @@ func (a *recArena[U]) release(slab []UpdRec[U]) {
 // goroutines interleave, and a rule that trims to last iteration's exact
 // count drops slabs the next one allocates again (a tenth of an
 // iteration's update memory per five iterations of a budgeted run, when
-// measured).
+// measured). A slab trim drops goes to the lent store, if any.
 func (a *recArena[U]) trim() {
 	a.mu.Lock()
+	a.shelf.noteHigh(a.highWater)
 	for c := range a.free {
 		f := a.free[c]
 		for len(f) > 0 && int(a.out[c])+len(f) > 2*int(a.peak[c]) {
+			a.shelf.give(f[len(f)-1])
 			f[len(f)-1] = nil
 			f = f[:len(f)-1]
 		}
@@ -121,6 +132,147 @@ func (a *recArena[U]) trim() {
 	}
 	a.highWater = a.inUse
 	a.mu.Unlock()
+}
+
+// lend makes s the arena's store until the returned func gives it every
+// free slab and ends the loan. A slab still out at that moment — held by
+// a transport bucket or the DES store — never reaches s, and one
+// released after it stays with the arena.
+func (a *recArena[U]) lend(s *SlabStore) (giveBack func()) {
+	if s == nil {
+		return func() {}
+	}
+	sh := borrow[U](s)
+	a.mu.Lock()
+	a.shelf = sh
+	a.mu.Unlock()
+	return func() {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		sh.noteHigh(a.highWater)
+		for c := range a.free {
+			for i, slab := range a.free[c] {
+				sh.give(slab)
+				a.free[c][i] = nil
+			}
+			a.free[c] = a.free[c][:0]
+		}
+		a.shelf = nil
+		sh.store.mu.Lock()
+		sh.store.lending--
+		sh.store.mu.Unlock()
+	}
+}
+
+// SlabStore keeps the update-record slabs of finished runs for later
+// runs to take before they allocate. The job service lends one to every
+// run it executes (Env.Slabs), so a served job starts with the update
+// memory earlier jobs left instead of allocating its own. It holds free
+// slabs per record type and slab class under one mutex and one byte
+// count.
+//
+// There is no knob: for each record type the store holds at most the
+// most runs it has been lent to at once times the largest arena high
+// water, in bytes, that one run of that type reached; a slab past that
+// is dropped for the collector. A run lent no store keeps nothing past
+// its end (TestFinishedRunIsCollectable), which is why this is an object
+// a caller lends and not a process-wide pool. Safe for concurrent runs.
+type SlabStore struct {
+	mu sync.Mutex
+	// shelves maps reflect.TypeFor[U]() to its *slabShelf[U]: Go has
+	// no generic package-level variables.
+	shelves map[reflect.Type]any
+	// lending counts the runs lent the store now, and mostLending its
+	// maximum so far.
+	lending, mostLending int
+	held                 int64 // bytes on every shelf
+}
+
+// slabShelf is a SlabStore's slabs of one record type. Its fields are
+// guarded by store.mu.
+type slabShelf[U any] struct {
+	store *SlabStore
+	free  [slabClasses][][]UpdRec[U]
+	held  int64 // bytes on the shelf
+	high  int64 // the largest arena high water of one run, bytes
+}
+
+// NewSlabStore returns an empty store.
+func NewSlabStore() *SlabStore {
+	return &SlabStore{shelves: make(map[reflect.Type]any)}
+}
+
+// Bytes is what the store holds.
+func (s *SlabStore) Bytes() int64 {
+	s.mu.Lock()
+	n := s.held
+	s.mu.Unlock()
+	return n
+}
+
+// borrow counts one more run lent s and returns its shelf for U.
+func borrow[U any](s *SlabStore) *slabShelf[U] {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.lending++
+	s.mostLending = max(s.mostLending, s.lending)
+	t := reflect.TypeFor[U]()
+	sh, ok := s.shelves[t].(*slabShelf[U])
+	if !ok {
+		sh = &slabShelf[U]{store: s}
+		s.shelves[t] = sh
+	}
+	return sh
+}
+
+// slabBytes is what n records of U hold.
+func slabBytes[U any](n int) int64 { return int64(n) * int64(unsafe.Sizeof(UpdRec[U]{})) }
+
+// take returns a slab of class c, or nil when the shelf has none.
+func (sh *slabShelf[U]) take(c int) []UpdRec[U] {
+	s := sh.store
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f := sh.free[c]
+	if len(f) == 0 {
+		return nil
+	}
+	slab := f[len(f)-1]
+	f[len(f)-1] = nil
+	sh.free[c] = f[:len(f)-1]
+	sh.held -= slabBytes[U](cap(slab))
+	s.held -= slabBytes[U](cap(slab))
+	return slab
+}
+
+// give shelves a free slab, or drops it when the shelf is at its bound.
+// A nil shelf drops it.
+func (sh *slabShelf[U]) give(slab []UpdRec[U]) {
+	if sh == nil {
+		return
+	}
+	s := sh.store
+	size := slabBytes[U](cap(slab))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if sh.held+size > int64(s.mostLending)*sh.high {
+		return
+	}
+	c := slabClassOf(cap(slab))
+	sh.free[c] = append(sh.free[c], slab[:0])
+	sh.held += size
+	s.held += size
+}
+
+// noteHigh raises the shelf's high water to a run's, given in records.
+// A nil shelf ignores it.
+func (sh *slabShelf[U]) noteHigh(records int64) {
+	if sh == nil {
+		return
+	}
+	sh.store.mu.Lock()
+	sh.high = max(sh.high, slabBytes[U](int(records)))
+	sh.store.mu.Unlock()
 }
 
 // slabHints is what the typed scatter has learned about its own output:

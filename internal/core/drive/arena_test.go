@@ -2,8 +2,10 @@ package drive
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"chaos/internal/algorithms"
@@ -343,4 +345,131 @@ func TestScatterMatchesReferenceLoop(t *testing.T) {
 		pr[i] = algorithms.PRVertex{Rank: float32(i), Degree: uint32(1 + i%5)}
 	}
 	checkScatterTwins(t, &algorithms.PageRank{}, four, 1, pr)
+}
+
+// TestSlabStoreLoan: a run lent a store gives it every free slab when
+// the loan ends, the next run takes them before it allocates, and a slab
+// still out when the loan ends — held by a transport bucket or the DES
+// store — never reaches it, not even when it is released afterwards.
+// The store keeps at most its bound: the most runs lent at once times
+// the largest high water one run reached, in bytes.
+func TestSlabStoreLoan(t *testing.T) {
+	s := NewSlabStore()
+	first := testKernel(t, 2)
+	giveBack := first.BorrowSlabs(s)
+	kept, out := first.GrabRecs(1000), first.GrabRecs(500)
+	first.ReleaseRecs(kept)
+	giveBack()
+	if want := slabBytes[float32](cap(kept)); s.Bytes() != want {
+		t.Fatalf("the loan ended with %d bytes in the store, want the free slab's %d", s.Bytes(), want)
+	}
+	if again := first.GrabRecs(1000); sameBacking(again, kept) {
+		t.Fatal("a slab given to the store stayed with the finished run too")
+	}
+	first.ReleaseRecs(out) // after the loan: stays with the finished run
+	if s.Bytes() != slabBytes[float32](cap(kept)) {
+		t.Fatal("a slab released after the loan reached the store")
+	}
+
+	second := testKernel(t, 2)
+	giveBack = second.BorrowSlabs(s)
+	if got := second.GrabRecs(1000); !sameBacking(got, kept) {
+		t.Fatal("the next run allocated a slab the store held")
+	}
+	if s.Bytes() != 0 {
+		t.Fatalf("%d bytes left in the store after its one slab was taken", s.Bytes())
+	}
+	if got := second.GrabRecs(500); sameBacking(got, out) {
+		t.Fatal("a slab that was out when its loan ended came back from the store")
+	}
+	giveBack()
+
+	// Both runs had a 1000- and a 500-record slab out at most, one run at
+	// a time: the store holds at most their bytes, whatever it is given.
+	// The third run's eight slabs are its caller's own, so they raise no
+	// high water of its.
+	third := testKernel(t, 2)
+	giveBack = third.BorrowSlabs(s)
+	for range 8 {
+		third.ReleaseRecs(make([]UpdRec[float32], 0, 1024))
+	}
+	giveBack()
+	bound := slabBytes[float32](slabSize(slabClassFor(1000)) + slabSize(slabClassFor(500)))
+	if s.Bytes() == 0 || s.Bytes() > bound {
+		t.Errorf("given eight slabs of %d bytes, the store holds %d bytes, want some and at most its bound of %d", slabBytes[float32](1024), s.Bytes(), bound)
+	}
+}
+
+// TestSlabStoreConcurrent: four runs share one store, each on its own
+// goroutine and kernel, five loans in a row of grabs, releases and
+// decision-point trims: no slab is ever handed to two holders — each
+// grab stamps its slab with a number of its own and finds the stamp
+// intact when it releases it — and, under -race, nothing races.
+// TestArenaConcurrent is the same for one arena.
+func TestSlabStoreConcurrent(t *testing.T) {
+	s := NewSlabStore()
+	const runs, loans = 4, 5
+	kernels := make([][]*Kernel[algorithms.PRVertex, float32, float64], runs)
+	for g := range kernels {
+		for range loans {
+			kernels[g] = append(kernels[g], testKernel(t, 2))
+		}
+	}
+	var wg sync.WaitGroup
+	var stamps atomic.Uint32
+	for g := 0; g < runs; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for _, k := range kernels[g] {
+				giveBack := k.BorrowSlabs(s)
+				type holding struct {
+					slab  []UpdRec[float32]
+					stamp uint32
+				}
+				var held []holding
+				for i := 0; i < 1000; i++ {
+					if i%100 == 99 {
+						k.arena.trim()
+					}
+					if len(held) < 1+i/250 && rng.Intn(2) == 0 {
+						h := holding{k.GrabRecs(1 + rng.Intn(300)), uint32(stamps.Add(1))}
+						h.slab = h.slab[:cap(h.slab)]
+						for j := range h.slab {
+							h.slab[j].Off = h.stamp
+						}
+						held = append(held, h)
+						continue
+					}
+					if len(held) == 0 {
+						continue
+					}
+					h := held[len(held)-1]
+					held = held[:len(held)-1]
+					for j := range h.slab {
+						if h.slab[j].Off != h.stamp {
+							t.Errorf("run %d: the slab it stamped %d was stamped %d by another holder", g, h.stamp, h.slab[j].Off)
+							return
+						}
+					}
+					k.ReleaseRecs(h.slab)
+				}
+				for _, h := range held {
+					k.ReleaseRecs(h.slab)
+				}
+				giveBack()
+			}
+		}(g)
+	}
+	wg.Wait()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.lending != 0 || s.mostLending < 1 || s.mostLending > runs {
+		t.Errorf("after every loan ended: %d runs lent, at most %d at once", s.lending, s.mostLending)
+	}
+	sh := s.shelves[reflect.TypeFor[float32]()].(*slabShelf[float32])
+	if s.held != sh.held || s.held > int64(s.mostLending)*sh.high {
+		t.Errorf("the store holds %d bytes (its shelf %d), past its bound of %d runs × %d", s.held, sh.held, s.mostLending, sh.high)
+	}
 }

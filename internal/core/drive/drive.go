@@ -358,6 +358,14 @@ func (k *Kernel[V, U, A]) regrowRecs(recs []UpdRec[U], n int) []UpdRec[U] {
 	return grown
 }
 
+// BorrowSlabs lends the run's record arena s (nil lends nothing): until
+// the returned func runs, the arena takes slabs from s before it
+// allocates and gives s the ones its decision-point trim drops; the func
+// gives s every slab left free and ends the loan. Both drivers defer it
+// around their run, so every exit path gives back. The loan changes
+// where a slab's backing comes from, never a value or a report.
+func (k *Kernel[V, U, A]) BorrowSlabs(s *SlabStore) (giveBack func()) { return k.arena.lend(s) }
+
 // ArenaHighWater is the most slab capacity, in records, the run has had
 // out of its arena at one moment since the last decision point — what a
 // test holds against the memory budget.

@@ -42,7 +42,7 @@ type Params struct {
 }
 
 // Env is what a run is lent beside its configuration: observers, a
-// directory and a cache that change no value, report or virtual clock.
+// directory and caches that change no value, report or virtual clock.
 // core.Config embeds it, and the root package carries it through a
 // context (chaos.WithTrace and its siblings) whole.
 type Env struct {
@@ -70,6 +70,11 @@ type Env struct {
 	// would build. The DES driver ignores it: it charges pre-processing
 	// in virtual time.
 	Bins *BinCache
+	// Slabs, when set, lends the run's record arena a store of spare
+	// update slabs: the arena takes from it before it allocates and
+	// gives it back what it would drop (Kernel.BorrowSlabs). Both
+	// drivers borrow it.
+	Slabs *SlabStore
 }
 
 // Plan infers the vertex count when the caller passes zero and refuses

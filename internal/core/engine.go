@@ -156,8 +156,10 @@ func newEngine[V, U, A any](cfg Config, prog gas.Program[V, U, A], edges graph.S
 // only for the duration of the run; close drains every dispatched task,
 // so a failed run never leaks worker goroutines. Closing the environment
 // unwinds the processes left parked, also when a process's panic unwinds
-// through Run.
+// through Run. The arena gives its free slabs back to a lent store last,
+// once both have.
 func (eng *engine[V, U, A]) execute() error {
+	defer eng.kern.BorrowSlabs(eng.cfg.Slabs)()
 	eng.pool = drive.NewPool(eng.cfg.ComputeWorkers)
 	defer eng.pool.Close()
 	defer eng.env.Close()

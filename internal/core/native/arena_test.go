@@ -2,6 +2,7 @@ package native
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"chaos/internal/cluster"
 	"chaos/internal/core"
 	"chaos/internal/core/drive"
+	"chaos/internal/gas"
 	"chaos/internal/graph"
 	"chaos/internal/raceflag"
 	"chaos/internal/rmat"
@@ -181,4 +183,75 @@ func TestFinishedRunIsCollectable(t *testing.T) {
 		t.Errorf("%d bytes still live one collection after the run; its arena held about %d", left, arena)
 	}
 	runtime.KeepAlive(edges)
+}
+
+// storeRun runs prog natively through s, as the job service runs a job,
+// and returns its record type and the largest arena high water it
+// reached, in bytes, read at each decision point before the trim.
+func storeRun[V, U, A any](t *testing.T, s *drive.SlabStore, prog gas.Program[V, U, A], edges []graph.Edge, n uint64) (reflect.Type, int64) {
+	t.Helper()
+	c := core.DefaultConfig(cluster.SSD(2))
+	c.ChunkBytes = 4 << 10
+	c.MemBudget = int64(n) * 4 // a few partitions per machine
+	c.Slabs = s
+	var r *run[V, U, A]
+	var high int64
+	c.Progress = func(drive.Progress) { high = max(high, r.kern.ArenaHighWater()) }
+	r, err := newRun(c, prog, graph.Edges(edges), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.execute(graph.Edges(edges)); err != nil {
+		t.Fatalf("%s: %v", prog.Name(), err)
+	}
+	return reflect.TypeFor[U](), high * int64(unsafe.Sizeof(drive.UpdRec[U]{}))
+}
+
+// TestSlabStoreBound: one store lent to a run of every algorithm in turn,
+// twice over, never holds more than its bound. Runs come one at a time,
+// so the bound is, summed over record types, the largest high water in
+// bytes one run of the type reached.
+func TestSlabStoreBound(t *testing.T) {
+	gen := rmat.New(9, 3)
+	gen.Weighted = true
+	edges, n := gen.Generate(), gen.NumVertices()
+	und := graph.Undirected(edges)
+	aug := algorithms.AugmentEdges(edges)
+	runs := []func(*drive.SlabStore) (reflect.Type, int64){
+		func(s *drive.SlabStore) (reflect.Type, int64) { return storeRun(t, s, &algorithms.BFS{}, und, n) },
+		func(s *drive.SlabStore) (reflect.Type, int64) { return storeRun(t, s, &algorithms.WCC{}, und, n) },
+		func(s *drive.SlabStore) (reflect.Type, int64) { return storeRun(t, s, &algorithms.MCST{}, und, n) },
+		func(s *drive.SlabStore) (reflect.Type, int64) { return storeRun(t, s, &algorithms.MIS{}, und, n) },
+		func(s *drive.SlabStore) (reflect.Type, int64) { return storeRun(t, s, &algorithms.SSSP{}, und, n) },
+		func(s *drive.SlabStore) (reflect.Type, int64) {
+			return storeRun(t, s, &algorithms.PageRank{Iterations: 5}, edges, n)
+		},
+		func(s *drive.SlabStore) (reflect.Type, int64) { return storeRun(t, s, &algorithms.SCC{}, aug, n) },
+		func(s *drive.SlabStore) (reflect.Type, int64) {
+			return storeRun(t, s, &algorithms.Conductance{}, edges, n)
+		},
+		func(s *drive.SlabStore) (reflect.Type, int64) { return storeRun(t, s, &algorithms.SpMV{}, edges, n) },
+		func(s *drive.SlabStore) (reflect.Type, int64) {
+			return storeRun(t, s, &algorithms.BP{Iterations: 4}, edges, n)
+		},
+	}
+	s := drive.NewSlabStore()
+	high := make(map[reflect.Type]int64)
+	for pass := range 2 {
+		for i, run := range runs {
+			typ, h := run(s)
+			high[typ] = max(high[typ], h)
+			var bound int64
+			for _, h := range high {
+				bound += h
+			}
+			if s.Bytes() > bound {
+				t.Errorf("pass %d, run %d: the store holds %d bytes, past its bound of %d", pass, i, s.Bytes(), bound)
+			}
+			if s.Bytes() == 0 {
+				t.Errorf("pass %d, run %d: the store holds nothing", pass, i)
+			}
+		}
+	}
+	t.Logf("%d record types; the store holds %d bytes", len(high), s.Bytes())
 }

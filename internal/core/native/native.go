@@ -235,6 +235,9 @@ func (r *run[V, U, A]) execute(edges graph.Source) (err error) {
 	// feed only the times reported (Report, Progress), never a value or a
 	// decision.
 	r.start = time.Now()
+	// Deferred first, so it runs last: the pool has drained and the
+	// transport is closed before the arena's free slabs go back.
+	defer r.kern.BorrowSlabs(r.cfg.Slabs)()
 	r.pool = drive.NewPool(r.cfg.ComputeWorkers)
 	defer r.pool.Close()
 	// Closing the transport removes any spill files, on every exit path:

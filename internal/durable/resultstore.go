@@ -132,8 +132,10 @@ func (s *ResultStore) Get(key string) ([]byte, bool) {
 // Put stores data under key (a no-op when the key exists — blobs are
 // content-addressed, so equal keys mean equal bytes) and evicts the
 // coldest blobs if the store now exceeds its bound. The blob is fsynced
-// before Put returns: the journal records the write right after, and a
-// journaled key must never point at a hole.
+// before Put returns: the caller journals the job's done transition only
+// after, so a job the journal holds as done never finds a hole where its
+// result should be. No record names the blob; the store re-indexes its
+// own directory on open.
 func (s *ResultStore) Put(key string, data []byte) error {
 	if !storeKeyRE.MatchString(key) {
 		return fmt.Errorf("durable: invalid result-store key %q", key)

@@ -27,11 +27,15 @@ func MaxVertex(edges []Edge) uint64 {
 // when every ID named is below it, and an error naming the largest ID
 // when one is not. For n == 0 the size is inferred, one past the largest
 // ID, and it is an error when there is nothing to infer it from or the
-// ID is 2^64−1.
+// ID is 2^64−1. A RecordSource vouched for at n or fewer vertices
+// (RecordSource.Vouch) is not read.
 func VertexCount(src Source, n uint64) (uint64, error) {
 	// A view's edges name exactly its base's vertices: read the base.
 	if v, ok := src.(interface{ Base() Source }); ok {
 		src = v.Base()
+	}
+	if r, ok := src.(*RecordSource); ok && r.vertices != 0 && n >= r.vertices {
+		return n, nil
 	}
 	var top VertexID
 	src.Range(0, src.Len(), NewScratch(), func(batch []Edge) {

@@ -171,6 +171,36 @@ func TestVertexCount(t *testing.T) {
 	}
 }
 
+// TestVouchedVertexCount: VertexCount accepts a count at or past the one
+// a RecordSource was vouched for without reading a record, for the
+// source and for its views, and reads the records for any other: a
+// smaller count, or none to infer. The records here name vertex 9 and
+// are vouched for 4, so an answer that did not read them shows.
+func TestVouchedVertexCount(t *testing.T) {
+	f := Format{Compact: true}
+	recs, err := Records(f.EncodeEdges(nil, []Edge{{Src: 0, Dst: 1}, {Src: 9, Dst: 2}}), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs.Vouch(4)
+	for _, src := range []Source{recs, UndirectedView(recs)} {
+		for _, c := range []struct {
+			n, want uint64
+			err     string
+		}{
+			{4, 4, ""}, // not read
+			{6, 6, ""}, // not read
+			{3, 0, "an edge names vertex 9, but the graph has 3 vertices"},
+			{0, 10, ""},
+		} {
+			got, err := VertexCount(src, c.n)
+			if msg := fmt.Sprint(err); got != c.want || (c.err == "") != (err == nil) || err != nil && msg != c.err {
+				t.Errorf("%T: VertexCount(%d) = %d, %v; want %d, %q", src, c.n, got, err, c.want, c.err)
+			}
+		}
+	}
+}
+
 // TestCompactRecordLayout: the compact records are the bytes Encode
 // writes — as large as a record of their format, each field at the
 // offset Encode puts it, 4-aligned (readsInPlace's test in package

@@ -73,6 +73,9 @@ type RecordSource struct {
 	data []byte
 	f    Format
 	n    int
+	// vertices is a count every record names a vertex below (Vouch), 0
+	// when none is known.
+	vertices uint64
 }
 
 // Records returns the source over data, records in format f. It is an
@@ -88,6 +91,13 @@ func Records(data []byte, f Format) (*RecordSource, error) {
 
 // Len implements Source.
 func (r *RecordSource) Len() int { return r.n }
+
+// Vouch records that every record of r names a vertex below n, which
+// the caller has established: r was encoded from a generator of n
+// vertices, or VertexCount has read it against n. VertexCount then
+// accepts a count of n or more for r, and for the views over it, without
+// reading a record. Call it before r is shared.
+func (r *RecordSource) Vouch(n uint64) { r.vertices = n }
 
 // Bytes is the record buffer.
 func (r *RecordSource) Bytes() []byte { return r.data }

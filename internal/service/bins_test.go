@@ -255,3 +255,55 @@ func TestBinCacheBypassedForAnotherSlice(t *testing.T) {
 		t.Errorf("a bypassed run left %d bin bytes", n)
 	}
 }
+
+// slabBytes reads chaos_update_slab_bytes off /metrics.
+func slabBytes(t *testing.T, svc *Service) int64 {
+	t.Helper()
+	for _, line := range strings.Split(svc.metricsText(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "chaos_update_slab_bytes "); ok {
+			n, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return int64(n)
+		}
+	}
+	t.Fatal("/metrics has no chaos_update_slab_bytes")
+	return 0
+}
+
+// TestServiceLendsSlabStore: every executed job, on either engine, is
+// lent the service's slab store. The store is empty before the first
+// job; after a DES job and after native ones it holds the slabs they
+// gave back, shown alike by /metrics and /v1/stats, and jobs drawing on
+// it equal direct runs.
+func TestServiceLendsSlabStore(t *testing.T) {
+	svc := newTestService(t, 1)
+	g, err := svc.RegisterGraph(GraphSpec{Name: "g", Type: "rmat", Scale: 9, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := slabBytes(t, svc); n != 0 {
+		t.Fatalf("a fresh service's store holds %d bytes", n)
+	}
+	for _, opt := range []chaos.Options{{}, nativeOpts} {
+		for _, job := range []struct {
+			alg  string
+			seed int64
+		}{{"PR", 1}, {"PR", 2}, {"WCC", 1}} {
+			opt.Seed = job.seed
+			jv, err := svc.Submit("g", job.alg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLikeDirect(t, g, waitJob(t, svc, jv.ID), opt)
+		}
+		n := slabBytes(t, svc)
+		if n == 0 {
+			t.Errorf("engine %q: the store holds nothing after its jobs", opt.Engine)
+		}
+		if st := svc.Stats().UpdateSlabBytes; st != n {
+			t.Errorf("/v1/stats reports %d slab bytes, /metrics %d", st, n)
+		}
+	}
+}

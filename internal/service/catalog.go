@@ -79,7 +79,8 @@ func (g *Graph) hold(recs *graph.RecordSource) {
 }
 
 // ensure loads a restored graph's records from its record (an upload's
-// payload path is relative to dataDir). It is a no-op for graphs
+// payload path is relative to dataDir) and checks them against it: the
+// edge count, and an upload's vertex count (load). It is a no-op for graphs
 // registered in this process; every job run calls it before reading a
 // source. Concurrent calls are serialized; after the first success the
 // records are immutable.
@@ -257,6 +258,9 @@ func (r *graphRecord) generate() (recs *graph.RecordSource, n uint64, weighted b
 	if err != nil {
 		panic(err) // whole records by construction
 	}
+	// The generator names no vertex past its count, so no job's plan
+	// need read the records to check it.
+	recs.Vouch(g.NumVertices())
 	return recs, g.NumVertices(), f.Weighted
 }
 
@@ -292,7 +296,18 @@ func (r *graphRecord) load(dataDir string) (*graph.RecordSource, error) {
 		if err != nil {
 			return nil, err
 		}
-		return r.uploaded(data)
+		recs, err := r.uploaded(data)
+		if err != nil {
+			return nil, err
+		}
+		// Registration checked the payload against the recorded count;
+		// the file read back is checked once here, so no job need.
+		n, err := graph.VertexCount(recs, r.Vertices)
+		if err != nil {
+			return nil, err
+		}
+		recs.Vouch(n)
+		return recs, nil
 	}
 	return nil, fmt.Errorf("unknown persisted graph type %q", r.Type)
 }
@@ -356,6 +371,7 @@ func (c *Catalog) build(spec GraphSpec) (*Graph, error) {
 		if g.Vertices, err = graph.VertexCount(recs, spec.Vertices); err != nil {
 			return nil, fmt.Errorf("service: upload: %w", err)
 		}
+		recs.Vouch(g.Vertices)
 		g.Weighted = spec.Weighted
 	}
 	if recs.Len() == 0 {

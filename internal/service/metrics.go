@@ -172,6 +172,7 @@ func (s *Service) metricsText() string {
 	}{{"edges", held.Edges}, {"views", held.Views}, {"bins", held.Bins}} {
 		p.sample("chaos_catalog_bytes", [][2]string{{"kind", k.kind}}, float64(k.bytes))
 	}
+	p.scalar("chaos_update_slab_bytes", "Bytes of update-record slabs finished jobs left for later ones.", "gauge", float64(st.UpdateSlabBytes))
 
 	p.family("chaos_jobs_submitted_total", "Job submissions by algorithm.", "counter")
 	algs := make([]string, 0, len(st.PerAlgorithm))

@@ -196,6 +196,7 @@ func TestMetricsHistogramsPreSeededAndFed(t *testing.T) {
 		`chaos_job_queue_wait_seconds_count 0`,
 		`chaos_job_wall_seconds_count{engine="sim"} 0`,
 		`chaos_job_wall_seconds_count{engine="native"} 0`,
+		"\nchaos_update_slab_bytes 0\n",
 	}
 	for _, route := range svc.routePatterns() {
 		wanted = append(wanted,

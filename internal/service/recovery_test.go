@@ -578,6 +578,51 @@ func TestRestoredUploadOutsideUploadsFailsItsJob(t *testing.T) {
 	}
 }
 
+// TestRestoredUploadPastItsCountFailsItsJob: a restored upload's payload
+// is checked against its recorded vertex count once, when the graph is
+// re-materialized, since no job's plan reads it again. A payload naming
+// vertex 70 under a count of 64 fails its job with a reason naming the
+// vertex, leaves the graph cold, and the next job, on a valid graph, is
+// done.
+func TestRestoredUploadPastItsCountFailsItsJob(t *testing.T) {
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	if err := os.MkdirAll(filepath.Join(dir, "uploads"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(walDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	edges := chaos.GenerateRMAT(6, false, 5)
+	edges[len(edges)/2].Dst = 70
+	payload := graph.FormatFor(1<<6, false).EncodeEdges(nil, edges)
+	if err := os.WriteFile(filepath.Join(dir, "uploads", "bad.edges"), payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := `{"nextJobID":3,"graphs":[` +
+		`{"id":"bad","type":"upload","vertices":64,"declaredVertices":64,"edges":1024,"upload":"uploads/bad.edges"},` +
+		`{"id":"small","type":"rmat","scale":6,"seed":1,"vertices":64,"edges":1024}],"jobs":[` +
+		`{"id":"j1","graph":"bad","algorithm":"PR","options":{"machines":2,"chunkBytes":1024},"state":"queued"},` +
+		`{"id":"j2","graph":"small","algorithm":"PR","options":{"machines":2,"chunkBytes":1024},"state":"queued"}]}`
+	if err := os.WriteFile(filepath.Join(walDir, "snapshot.json"), []byte(snapshot), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc := openDurable(t, dir, 1)
+	defer svc.Shutdown(context.Background())
+	const reason = "an edge names vertex 70, but the graph has 64 vertices"
+	if jv := waitJob(t, svc, "j1"); jv.State != JobFailed || !strings.Contains(jv.Error, reason) {
+		t.Errorf("job on the upload past its count ended %s (%q), want failed with %q", jv.State, jv.Error, reason)
+	}
+	if g, ok := svc.Catalog().Get("bad"); !ok {
+		t.Error("the upload past its count is not listed")
+	} else if g.Materialized() {
+		t.Error("the upload past its count holds its records")
+	}
+	if jv := waitJob(t, svc, "j2"); jv.State != JobDone {
+		t.Errorf("job on the valid graph ended %s (%q), want done", jv.State, jv.Error)
+	}
+}
+
 // TestJournalHoldsOnlyGraphsAndJobs: a durable job that ends done leaves
 // only graph and job records in the journal. Its result lives in the
 // store, which re-indexes its own directory on open, so no record names

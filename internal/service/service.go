@@ -106,7 +106,11 @@ type Service struct {
 	// (append/fsync/rotate/snapshot, reported by the hook the WAL is
 	// opened with); the trace endpoint merges the ones overlapping a
 	// job's lifetime into its tree. Nil without a data dir.
-	walSpans  *obs.Ring[durable.Span]
+	walSpans *obs.Ring[durable.Span]
+	// slabs is lent to every job the service executes, on both engines
+	// (chaos.WithSlabStore): a job takes its update-record slabs from
+	// the ones earlier jobs gave back before it allocates.
+	slabs     *chaos.SlabStore
 	closeOnce sync.Once
 }
 
@@ -164,6 +168,7 @@ func open(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:     cfg,
 		catalog: NewCatalog(),
+		slabs:   chaos.NewSlabStore(),
 	}
 	// Every route's series exists from the first scrape.
 	s.httpDur = newHistograms(append(s.routePatterns(), routeUnmatched)...)
@@ -248,6 +253,10 @@ func (s *Service) execute(ctx context.Context, job *Job) (*chaos.Result, *chaos.
 		// boot) instead of the OS temp dir.
 		ctx = chaos.WithSpillDir(ctx, s.spillDir)
 	}
+	// Update records come from the slabs earlier jobs gave back. Like the
+	// spill dir, the store cannot change the run (see
+	// chaos.WithSlabStore).
+	ctx = chaos.WithSlabStore(ctx, s.slabs)
 	opt := job.Options
 	if opt.ComputeWorkers == 0 {
 		// The job did not pin its host parallelism: run it on its share
@@ -413,9 +422,12 @@ type Stats struct {
 	NativeWallSeconds float64 `json:"nativeWallSeconds"`
 	// SpillBytes / SpillFiles sum the out-of-core spill traffic of
 	// completed native runs with a memory budget (cache hits excluded).
-	SpillBytes int64      `json:"spillBytes"`
-	SpillFiles int        `json:"spillFiles"`
-	Cache      CacheStats `json:"cache"`
+	SpillBytes int64 `json:"spillBytes"`
+	SpillFiles int   `json:"spillFiles"`
+	// UpdateSlabBytes is what the service's slab store holds: the
+	// update-record slabs finished jobs gave back for later ones.
+	UpdateSlabBytes int64      `json:"updateSlabBytes"`
+	Cache           CacheStats `json:"cache"`
 	// Durable reports the persistence layer; nil without a data dir.
 	Durable *DurableStats `json:"durable,omitempty"`
 }
@@ -440,6 +452,7 @@ func (s *Service) Stats() Stats {
 	out := s.scheduler.stats()
 	out.Graphs = len(s.catalog.List())
 	out.Cache = s.cache.stats()
+	out.UpdateSlabBytes = s.slabs.Bytes()
 	if s.persist != nil {
 		out.Durable = &DurableStats{
 			DataDir:        s.persist.dataDir,
