@@ -23,10 +23,12 @@ type BinCache = drive.BinCache
 
 // SlabStore lends runs the update-record slabs earlier runs left: a run
 // takes a spare slab from it before it allocates one, and gives back the
-// slabs it would otherwise drop when it trims and when it ends. It holds
-// at most, per record type, the most runs it has been lent to at once
-// times the largest update memory one such run had out at a time. Safe
-// for concurrent runs on either engine.
+// slabs it would otherwise drop when it trims and when it ends. Runs of
+// different algorithms share its slabs when their update records are of
+// one size and hold no pointer. It holds at most, per record size, the
+// most runs it has been lent to at once times twice the largest update
+// memory one such run had out at a time. Safe for concurrent runs on
+// either engine.
 type SlabStore = drive.SlabStore
 
 // NewSlabStore returns an empty SlabStore.

@@ -3,6 +3,7 @@ package drive
 import (
 	"math/bits"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -34,9 +35,9 @@ type recArena[U any] struct {
 	// and highWater its maximum since the last trim: the figure a memory
 	// budget is held against (Kernel.ArenaHighWater).
 	inUse, highWater int64
-	// shelf is the lent store's shelf for this record type, nil while
+	// shelf is the lent store's shelf for this record size, nil while
 	// no store is lent.
-	shelf *slabShelf[U]
+	shelf *slabShelf
 }
 
 const (
@@ -75,8 +76,8 @@ func (a *recArena[U]) grab(n int) []UpdRec[U] {
 		slab = f[len(f)-1]
 		f[len(f)-1] = nil
 		a.free[c] = f[:len(f)-1]
-	} else if a.shelf != nil {
-		slab = a.shelf.take(c)
+	} else if slab = takeSlab[U](a.shelf, c); slab != nil {
+		c = slabClassOf(cap(slab)) // the class release files it under
 	}
 	held := slabSize(c)
 	if slab != nil {
@@ -107,23 +108,28 @@ func (a *recArena[U]) release(slab []UpdRec[U]) {
 	a.mu.Unlock()
 }
 
-// trim is the decision-point rule: each class keeps up to twice as many
-// slabs as the finished iteration had in use at once and drops the free
-// ones beyond that. A steady iteration finds every slab it needs, a
-// one-off giant frontier is not pinned for the rest of the run, and a
-// class never holds more than twice what it last needed. Twice, not once:
-// how many slabs are out at the same moment depends on how the machines'
-// goroutines interleave, and a rule that trims to last iteration's exact
-// count drops slabs the next one allocates again (a tenth of an
-// iteration's update memory per five iterations of a budgeted run, when
-// measured). A slab trim drops goes to the lent store, if any.
+// trimKeep is how many times the finished iteration's peak a class keeps
+// at a decision point. A lent store's bound counts it too: an arena may
+// hold up to trimKeep times its high water when its loan ends.
+const trimKeep = 2
+
+// trim is the decision-point rule: each class keeps up to trimKeep times
+// as many slabs as the finished iteration had in use at once and drops
+// the free ones beyond that. A steady iteration finds every slab it
+// needs, a one-off giant frontier is not pinned for the rest of the run,
+// and a class never holds more than twice what it last needed. Twice, not
+// once: how many slabs are out at the same moment depends on how the
+// machines' goroutines interleave, and a rule that trims to last
+// iteration's exact count drops slabs the next one allocates again (a
+// tenth of an iteration's update memory per five iterations of a budgeted
+// run, when measured). A slab trim drops goes to the lent store, if any.
 func (a *recArena[U]) trim() {
 	a.mu.Lock()
 	a.shelf.noteHigh(a.highWater)
 	for c := range a.free {
 		f := a.free[c]
-		for len(f) > 0 && int(a.out[c])+len(f) > 2*int(a.peak[c]) {
-			a.shelf.give(f[len(f)-1])
+		for len(f) > 0 && int(a.out[c])+len(f) > trimKeep*int(a.peak[c]) {
+			giveSlab(a.shelf, f[len(f)-1])
 			f[len(f)-1] = nil
 			f = f[:len(f)-1]
 		}
@@ -137,12 +143,13 @@ func (a *recArena[U]) trim() {
 // lend makes s the arena's store until the returned func gives it every
 // free slab and ends the loan. A slab still out at that moment — held by
 // a transport bucket or the DES store — never reaches s, and one
-// released after it stays with the arena.
+// released after it stays with the arena. A record type that can hold a
+// pointer is lent nothing: its slabs would be read as another type's.
 func (a *recArena[U]) lend(s *SlabStore) (giveBack func()) {
-	if s == nil {
+	if s == nil || !pointerFree(reflect.TypeFor[U]()) {
 		return func() {}
 	}
-	sh := borrow[U](s)
+	sh := s.borrow(unsafe.Sizeof(UpdRec[U]{}))
 	a.mu.Lock()
 	a.shelf = sh
 	a.mu.Unlock()
@@ -152,7 +159,7 @@ func (a *recArena[U]) lend(s *SlabStore) (giveBack func()) {
 		sh.noteHigh(a.highWater)
 		for c := range a.free {
 			for i, slab := range a.free[c] {
-				sh.give(slab)
+				giveSlab(sh, slab)
 				a.free[c][i] = nil
 			}
 			a.free[c] = a.free[c][:0]
@@ -164,42 +171,81 @@ func (a *recArena[U]) lend(s *SlabStore) (giveBack func()) {
 	}
 }
 
+// takeSlab returns the smallest slab sh holds that serves class c and
+// meets U's alignment, as U's records, or nil. A nil shelf has none.
+func takeSlab[U any](sh *slabShelf, c int) []UpdRec[U] {
+	if sh == nil {
+		return nil
+	}
+	p, n := sh.take(c, unsafe.Alignof(UpdRec[U]{}))
+	if p == nil {
+		return nil
+	}
+	return unsafe.Slice((*UpdRec[U])(p), n)[:0]
+}
+
+// giveSlab shelves a free slab on sh. A nil shelf drops it.
+func giveSlab[U any](sh *slabShelf, slab []UpdRec[U]) {
+	if sh != nil {
+		sh.give(unsafe.Pointer(unsafe.SliceData(slab)), cap(slab))
+	}
+}
+
 // SlabStore keeps the update-record slabs of finished runs for later
 // runs to take before they allocate. The job service lends one to every
 // run it executes (Env.Slabs), so a served job starts with the update
 // memory earlier jobs left instead of allocating its own. It holds free
-// slabs per record type and slab class under one mutex and one byte
-// count.
+// slabs on one shelf per record size, not per record type, so runs of
+// different programs share them — PageRank's float32 records and WCC's
+// uint32 ones are both 8 bytes — under one mutex and one byte count.
+// Only a record type that can hold no pointer is lent the store. On a
+// miss in its own free list an arena takes the smallest slab the shelf
+// holds from the class it asked for up to three classes larger, which
+// holds less than twice what was asked.
 //
-// There is no knob: for each record type the store holds at most the
-// most runs it has been lent to at once times the largest arena high
-// water, in bytes, that one run of that type reached; a slab past that
+// There is no knob: for each record size the store holds at most the
+// most runs it has been lent to at once times trimKeep times the largest
+// arena high water, in bytes, that one run of that size reached — an
+// arena keeps up to trimKeep times a class's peak on its own free list,
+// and all of it comes to the store when the loan ends; a slab past that
 // is dropped for the collector. A run lent no store keeps nothing past
 // its end (TestFinishedRunIsCollectable), which is why this is an object
 // a caller lends and not a process-wide pool. Safe for concurrent runs.
 type SlabStore struct {
 	mu sync.Mutex
-	// shelves maps reflect.TypeFor[U]() to its *slabShelf[U]: Go has
-	// no generic package-level variables.
-	shelves map[reflect.Type]any
+	// shelves maps a record size, unsafe.Sizeof(UpdRec[U]{}), to its
+	// shelf.
+	shelves map[uintptr]*slabShelf
 	// lending counts the runs lent the store now, and mostLending its
 	// maximum so far.
 	lending, mostLending int
 	held                 int64 // bytes on every shelf
 }
 
-// slabShelf is a SlabStore's slabs of one record type. Its fields are
+// slabShelf is a SlabStore's slabs of one record size. Its fields are
 // guarded by store.mu.
-type slabShelf[U any] struct {
+type slabShelf struct {
 	store *SlabStore
-	free  [slabClasses][][]UpdRec[U]
+	size  int64 // bytes per record
+	free  [slabClasses][]rawSlab
 	held  int64 // bytes on the shelf
 	high  int64 // the largest arena high water of one run, bytes
 }
 
+// rawSlab is a shelved slab of records of the shelf's size, whatever
+// their type: its first byte and its capacity in records.
+type rawSlab struct {
+	p unsafe.Pointer
+	n int
+}
+
+// fitClasses is how many classes, from the one asked for up, a store
+// take may serve: a slab three classes up holds less than twice as much.
+const fitClasses = 4
+
 // NewSlabStore returns an empty store.
 func NewSlabStore() *SlabStore {
-	return &SlabStore{shelves: make(map[reflect.Type]any)}
+	return &SlabStore{shelves: make(map[uintptr]*slabShelf)}
 }
 
 // Bytes is what the store holds.
@@ -210,68 +256,67 @@ func (s *SlabStore) Bytes() int64 {
 	return n
 }
 
-// borrow counts one more run lent s and returns its shelf for U.
-func borrow[U any](s *SlabStore) *slabShelf[U] {
+// borrow counts one more run lent s and returns its shelf for records of
+// size bytes.
+func (s *SlabStore) borrow(size uintptr) *slabShelf {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lending++
 	s.mostLending = max(s.mostLending, s.lending)
-	t := reflect.TypeFor[U]()
-	sh, ok := s.shelves[t].(*slabShelf[U])
-	if !ok {
-		sh = &slabShelf[U]{store: s}
-		s.shelves[t] = sh
+	sh := s.shelves[size]
+	if sh == nil {
+		sh = &slabShelf{store: s, size: int64(size)}
+		s.shelves[size] = sh
 	}
 	return sh
 }
 
-// slabBytes is what n records of U hold.
-func slabBytes[U any](n int) int64 { return int64(n) * int64(unsafe.Sizeof(UpdRec[U]{})) }
-
-// take returns a slab of class c, or nil when the shelf has none.
-func (sh *slabShelf[U]) take(c int) []UpdRec[U] {
+// take removes and returns the smallest slab in classes c … c+3 whose
+// first byte is aligned to align, or nil when the shelf has none.
+func (sh *slabShelf) take(c int, align uintptr) (unsafe.Pointer, int) {
 	s := sh.store
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f := sh.free[c]
-	if len(f) == 0 {
-		return nil
+	for k := c; k < min(c+fitClasses, slabClasses); k++ {
+		f := sh.free[k]
+		for i := len(f) - 1; i >= 0; i-- {
+			slab := f[i]
+			if uintptr(slab.p)%align != 0 {
+				continue
+			}
+			sh.free[k] = slices.Delete(f, i, i+1)
+			sh.held -= sh.size * int64(slab.n)
+			s.held -= sh.size * int64(slab.n)
+			return slab.p, slab.n
+		}
 	}
-	slab := f[len(f)-1]
-	f[len(f)-1] = nil
-	sh.free[c] = f[:len(f)-1]
-	sh.held -= slabBytes[U](cap(slab))
-	s.held -= slabBytes[U](cap(slab))
-	return slab
+	return nil, 0
 }
 
-// give shelves a free slab, or drops it when the shelf is at its bound.
-// A nil shelf drops it.
-func (sh *slabShelf[U]) give(slab []UpdRec[U]) {
-	if sh == nil {
-		return
-	}
+// give shelves a free slab of n records at p, or drops it when the shelf
+// is at its bound.
+func (sh *slabShelf) give(p unsafe.Pointer, n int) {
 	s := sh.store
-	size := slabBytes[U](cap(slab))
+	size := sh.size * int64(n)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sh.held+size > int64(s.mostLending)*sh.high {
+	if sh.held+size > int64(s.mostLending)*trimKeep*sh.high {
 		return
 	}
-	c := slabClassOf(cap(slab))
-	sh.free[c] = append(sh.free[c], slab[:0])
+	c := slabClassOf(n)
+	sh.free[c] = append(sh.free[c], rawSlab{p, n})
 	sh.held += size
 	s.held += size
 }
 
 // noteHigh raises the shelf's high water to a run's, given in records.
 // A nil shelf ignores it.
-func (sh *slabShelf[U]) noteHigh(records int64) {
+func (sh *slabShelf) noteHigh(records int64) {
 	if sh == nil {
 		return
 	}
 	sh.store.mu.Lock()
-	sh.high = max(sh.high, slabBytes[U](int(records)))
+	sh.high = max(sh.high, records*sh.size)
 	sh.store.mu.Unlock()
 }
 

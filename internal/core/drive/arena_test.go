@@ -2,11 +2,12 @@ package drive
 
 import (
 	"math/rand"
-	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"chaos/internal/algorithms"
 	"chaos/internal/gas"
@@ -37,6 +38,9 @@ func TestSlabClasses(t *testing.T) {
 		}
 	}
 }
+
+// slabBytes is what n records of U hold.
+func slabBytes[U any](n int) int64 { return int64(n) * int64(unsafe.Sizeof(UpdRec[U]{})) }
 
 // sameBacking reports whether two slabs share their backing array.
 func sameBacking[U any](a, b []UpdRec[U]) bool {
@@ -352,7 +356,7 @@ func TestScatterMatchesReferenceLoop(t *testing.T) {
 // still out when the loan ends — held by a transport bucket or the DES
 // store — never reaches it, not even when it is released afterwards.
 // The store keeps at most its bound: the most runs lent at once times
-// the largest high water one run reached, in bytes.
+// trimKeep times the largest high water one run reached, in bytes.
 func TestSlabStoreLoan(t *testing.T) {
 	s := NewSlabStore()
 	first := testKernel(t, 2)
@@ -385,16 +389,16 @@ func TestSlabStoreLoan(t *testing.T) {
 	giveBack()
 
 	// Both runs had a 1000- and a 500-record slab out at most, one run at
-	// a time: the store holds at most their bytes, whatever it is given.
-	// The third run's eight slabs are its caller's own, so they raise no
-	// high water of its.
+	// a time: the store holds at most trimKeep times their bytes, whatever
+	// it is given. The third run's eight slabs are its caller's own, so
+	// they raise no high water of its.
 	third := testKernel(t, 2)
 	giveBack = third.BorrowSlabs(s)
 	for range 8 {
 		third.ReleaseRecs(make([]UpdRec[float32], 0, 1024))
 	}
 	giveBack()
-	bound := slabBytes[float32](slabSize(slabClassFor(1000)) + slabSize(slabClassFor(500)))
+	bound := trimKeep * slabBytes[float32](slabSize(slabClassFor(1000))+slabSize(slabClassFor(500)))
 	if s.Bytes() == 0 || s.Bytes() > bound {
 		t.Errorf("given eight slabs of %d bytes, the store holds %d bytes, want some and at most its bound of %d", slabBytes[float32](1024), s.Bytes(), bound)
 	}
@@ -402,63 +406,24 @@ func TestSlabStoreLoan(t *testing.T) {
 
 // TestSlabStoreConcurrent: four runs share one store, each on its own
 // goroutine and kernel, five loans in a row of grabs, releases and
-// decision-point trims: no slab is ever handed to two holders — each
-// grab stamps its slab with a number of its own and finds the stamp
-// intact when it releases it — and, under -race, nothing races.
+// decision-point trims; two run PageRank and two WCC, whose float32 and
+// uint32 records share one shelf. No slab is ever handed to two holders
+// — each grab stamps its slab with a number of its own and finds the
+// stamp intact when it releases it — and, under -race, nothing races.
 // TestArenaConcurrent is the same for one arena.
 func TestSlabStoreConcurrent(t *testing.T) {
 	s := NewSlabStore()
 	const runs, loans = 4, 5
-	kernels := make([][]*Kernel[algorithms.PRVertex, float32, float64], runs)
-	for g := range kernels {
-		for range loans {
-			kernels[g] = append(kernels[g], testKernel(t, 2))
-		}
-	}
 	var wg sync.WaitGroup
 	var stamps atomic.Uint32
 	for g := 0; g < runs; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for _, k := range kernels[g] {
-				giveBack := k.BorrowSlabs(s)
-				type holding struct {
-					slab  []UpdRec[float32]
-					stamp uint32
-				}
-				var held []holding
-				for i := 0; i < 1000; i++ {
-					if i%100 == 99 {
-						k.arena.trim()
-					}
-					if len(held) < 1+i/250 && rng.Intn(2) == 0 {
-						h := holding{k.GrabRecs(1 + rng.Intn(300)), uint32(stamps.Add(1))}
-						h.slab = h.slab[:cap(h.slab)]
-						for j := range h.slab {
-							h.slab[j].Off = h.stamp
-						}
-						held = append(held, h)
-						continue
-					}
-					if len(held) == 0 {
-						continue
-					}
-					h := held[len(held)-1]
-					held = held[:len(held)-1]
-					for j := range h.slab {
-						if h.slab[j].Off != h.stamp {
-							t.Errorf("run %d: the slab it stamped %d was stamped %d by another holder", g, h.stamp, h.slab[j].Off)
-							return
-						}
-					}
-					k.ReleaseRecs(h.slab)
-				}
-				for _, h := range held {
-					k.ReleaseRecs(h.slab)
-				}
-				giveBack()
+			if g%2 == 0 {
+				loanRuns(t, s, g, loans, func() *Kernel[algorithms.PRVertex, float32, float64] { return testKernel(t, 2) }, &stamps)
+			} else {
+				loanRuns(t, s, g, loans, func() *Kernel[algorithms.WCCVertex, uint32, uint32] { return kernelOf(t, &algorithms.WCC{}, 2) }, &stamps)
 			}
 		}(g)
 	}
@@ -468,8 +433,192 @@ func TestSlabStoreConcurrent(t *testing.T) {
 	if s.lending != 0 || s.mostLending < 1 || s.mostLending > runs {
 		t.Errorf("after every loan ended: %d runs lent, at most %d at once", s.lending, s.mostLending)
 	}
-	sh := s.shelves[reflect.TypeFor[float32]()].(*slabShelf[float32])
-	if s.held != sh.held || s.held > int64(s.mostLending)*sh.high {
-		t.Errorf("the store holds %d bytes (its shelf %d), past its bound of %d runs × %d", s.held, sh.held, s.mostLending, sh.high)
+	if len(s.shelves) != 1 {
+		t.Errorf("float32 and uint32 records on %d shelves, want one", len(s.shelves))
+	}
+	sh := s.shelves[unsafe.Sizeof(UpdRec[float32]{})]
+	if s.held == 0 || s.held != sh.held || s.held > int64(s.mostLending)*trimKeep*sh.high {
+		t.Errorf("the store holds %d bytes (its shelf %d), want some and at most its bound of %d runs × %d × %d", s.held, sh.held, s.mostLending, trimKeep, sh.high)
+	}
+}
+
+// loanRuns is run g of TestSlabStoreConcurrent: loans kernels from
+// kernel in a row, each lent s for a thousand steps of stamped grabs,
+// checked releases and a trim every hundred steps.
+func loanRuns[V, U, A any](t *testing.T, s *SlabStore, g, loans int, kernel func() *Kernel[V, U, A], stamps *atomic.Uint32) {
+	rng := rand.New(rand.NewSource(int64(g)))
+	for range loans {
+		k := kernel()
+		giveBack := k.BorrowSlabs(s)
+		type holding struct {
+			slab  []UpdRec[U]
+			stamp uint32
+		}
+		var held []holding
+		for i := 0; i < 1000; i++ {
+			if i%100 == 99 {
+				k.arena.trim()
+			}
+			if len(held) < 1+i/250 && rng.Intn(2) == 0 {
+				h := holding{k.GrabRecs(1 + rng.Intn(300)), stamps.Add(1)}
+				h.slab = h.slab[:cap(h.slab)]
+				for j := range h.slab {
+					h.slab[j].Off = h.stamp
+				}
+				held = append(held, h)
+				continue
+			}
+			if len(held) == 0 {
+				continue
+			}
+			h := held[len(held)-1]
+			held = held[:len(held)-1]
+			for j := range h.slab {
+				if h.slab[j].Off != h.stamp {
+					t.Errorf("run %d: the slab it stamped %d was stamped %d by another holder", g, h.stamp, h.slab[j].Off)
+					giveBack()
+					return
+				}
+			}
+			k.ReleaseRecs(h.slab)
+		}
+		for _, h := range held {
+			k.ReleaseRecs(h.slab)
+		}
+		giveBack()
+	}
+}
+
+// TestSlabStoreTakesSmallestFit: on a miss in its own free list an arena
+// takes the smallest slab the store holds from the class it asks for up
+// to three classes larger — never a smaller one, never one of twice the
+// size or more — whatever record type of the same size shelved it, and
+// counts it under the class it files under when it comes back.
+func TestSlabStoreTakesSmallestFit(t *testing.T) {
+	s := NewSlabStore()
+	c := slabClassFor(1000) // 1024 records
+	classes := []int{c - 1, c + 1, c + 3, c + 4}
+	stocked := make(map[int]unsafe.Pointer)
+	var pr recArena[float32]
+	giveBack := pr.lend(s)
+	var slabs [][]UpdRec[float32]
+	for _, k := range classes {
+		slab := pr.grab(slabSize(k))
+		stocked[k] = unsafe.Pointer(unsafe.SliceData(slab))
+		slabs = append(slabs, slab)
+	}
+	for _, slab := range slabs {
+		pr.release(slab)
+	}
+	giveBack()
+	var all int
+	for _, k := range classes {
+		all += slabSize(k)
+	}
+	if s.Bytes() != slabBytes[float32](all) {
+		t.Fatalf("the store holds %d bytes, want the four slabs' %d", s.Bytes(), slabBytes[float32](all))
+	}
+
+	var wcc recArena[uint32] // another program's records, of the same size
+	giveBack = wcc.lend(s)
+	defer giveBack()
+	var got [][]UpdRec[uint32]
+	for _, want := range []int{c + 1, c + 3, c} {
+		slab := wcc.grab(1000)
+		if cap(slab) != slabSize(want) {
+			t.Fatalf("grab(1000) with classes %v stocked: a slab of %d records, want %d", classes, cap(slab), slabSize(want))
+		}
+		if p := unsafe.Pointer(unsafe.SliceData(slab)); (p == stocked[want]) != (want != c) {
+			t.Fatalf("grab(1000): the %d-record slab is stocked %v, want %v", cap(slab), p == stocked[want], want != c)
+		}
+		if wcc.out[want] != 1 {
+			t.Fatalf("a %d-record slab is counted %d times under its class", cap(slab), wcc.out[want])
+		}
+		got = append(got, slab)
+	}
+	if left := slabBytes[uint32](slabSize(c-1) + slabSize(c+4)); s.Bytes() != left {
+		t.Errorf("the store holds %d bytes after three grabs, want the smaller and the twice-as-large slabs' %d", s.Bytes(), left)
+	}
+	for _, slab := range got {
+		wcc.release(slab)
+	}
+	if wcc.out != [slabClasses]int32{} || wcc.inUse != 0 {
+		t.Errorf("every slab released, still counted out: %v, %d records", wcc.out, wcc.inUse)
+	}
+	if wcc.peak[c] != 1 || wcc.peak[c+1] != 1 || wcc.peak[c+3] != 1 {
+		t.Errorf("peaks %d %d %d under classes c, c+1, c+3, want 1 each", wcc.peak[c], wcc.peak[c+1], wcc.peak[c+3])
+	}
+}
+
+// TestSlabStoreKeepsAlignment: a shelved slab whose first byte does not
+// meet a record type's alignment is never handed to it; a type of the
+// same size that it does meet takes it.
+func TestSlabStoreKeepsAlignment(t *testing.T) {
+	type loose = [3]uint32 // UpdRec[loose] is 16 B, 4-aligned
+	s := NewSlabStore()
+	var a recArena[loose]
+	giveBack := a.lend(s)
+	a.release(a.grab(64)) // raises the high water the bound counts
+	buf := make([]UpdRec[loose], 65)
+	odd := unsafe.Slice((*UpdRec[loose])(unsafe.Add(unsafe.Pointer(&buf[0]), 4)), 64)[:0]
+	a.release(odd)
+	giveBack()
+	oddAt := unsafe.Pointer(unsafe.SliceData(odd))
+	if s.Bytes() != 2*slabBytes[loose](64) {
+		t.Fatalf("the store holds %d bytes, want both slabs' %d", s.Bytes(), 2*slabBytes[loose](64))
+	}
+
+	var b recArena[uint64] // UpdRec[uint64] is 16 B, 8-aligned
+	giveBack = b.lend(s)
+	for range 2 {
+		if p := unsafe.Pointer(unsafe.SliceData(b.grab(64))); p == oddAt || uintptr(p)%8 != 0 {
+			t.Fatalf("an 8-aligned record type got a slab at %p", p)
+		}
+	}
+	giveBack()
+	if s.Bytes() != slabBytes[loose](64) {
+		t.Fatalf("the store holds %d bytes, want the misaligned slab's %d", s.Bytes(), slabBytes[loose](64))
+	}
+
+	var c recArena[loose]
+	giveBack = c.lend(s)
+	defer giveBack()
+	if p := unsafe.Pointer(unsafe.SliceData(c.grab(64))); p != oddAt {
+		t.Error("a 4-aligned record type allocated a slab the store held for it")
+	}
+	runtime.KeepAlive(buf)
+}
+
+// TestSlabStoreLendsNoPointerRecords: a record type that can hold a
+// pointer neither takes from a lent store nor gives to it. Its slabs
+// are scanned for pointers and the store's are not, so neither may be
+// read as the other.
+func TestSlabStoreLendsNoPointerRecords(t *testing.T) {
+	s := NewSlabStore()
+	var nums recArena[uint64] // 16-B records, as *int's are
+	giveBack := nums.lend(s)
+	stocked := nums.grab(64)
+	nums.release(stocked)
+	giveBack()
+	held := s.Bytes()
+	if held == 0 {
+		t.Fatal("the store holds nothing")
+	}
+
+	var ptrs recArena[*int]
+	giveBack = ptrs.lend(s)
+	slab := ptrs.grab(64)
+	if unsafe.Pointer(unsafe.SliceData(slab)) == unsafe.Pointer(unsafe.SliceData(stocked)) {
+		t.Error("a pointer record type took a slab from the store")
+	}
+	ptrs.release(slab)
+	ptrs.release(make([]UpdRec[*int], 0, 64))
+	ptrs.trim()
+	ptrs.trim()
+	giveBack()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.held != held || s.mostLending != 1 || s.lending != 0 {
+		t.Errorf("after a pointer record type's loan: %d bytes held (was %d), %d runs lent at most", s.held, held, s.mostLending)
 	}
 }

@@ -2,7 +2,6 @@ package native
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -186,9 +185,9 @@ func TestFinishedRunIsCollectable(t *testing.T) {
 }
 
 // storeRun runs prog natively through s, as the job service runs a job,
-// and returns its record type and the largest arena high water it
+// and returns its record size and the largest arena high water it
 // reached, in bytes, read at each decision point before the trim.
-func storeRun[V, U, A any](t *testing.T, s *drive.SlabStore, prog gas.Program[V, U, A], edges []graph.Edge, n uint64) (reflect.Type, int64) {
+func storeRun[V, U, A any](t *testing.T, s *drive.SlabStore, prog gas.Program[V, U, A], edges []graph.Edge, n uint64) (uintptr, int64) {
 	t.Helper()
 	c := core.DefaultConfig(cluster.SSD(2))
 	c.ChunkBytes = 4 << 10
@@ -204,46 +203,48 @@ func storeRun[V, U, A any](t *testing.T, s *drive.SlabStore, prog gas.Program[V,
 	if err := r.execute(graph.Edges(edges)); err != nil {
 		t.Fatalf("%s: %v", prog.Name(), err)
 	}
-	return reflect.TypeFor[U](), high * int64(unsafe.Sizeof(drive.UpdRec[U]{}))
+	size := unsafe.Sizeof(drive.UpdRec[U]{})
+	return size, high * int64(size)
 }
 
 // TestSlabStoreBound: one store lent to a run of every algorithm in turn,
 // twice over, never holds more than its bound. Runs come one at a time,
-// so the bound is, summed over record types, the largest high water in
-// bytes one run of the type reached.
+// so the bound is, summed over record sizes, twice the largest high
+// water in bytes one run of the size reached: an arena keeps up to twice
+// a class's peak on its free list, and the store takes it all.
 func TestSlabStoreBound(t *testing.T) {
 	gen := rmat.New(9, 3)
 	gen.Weighted = true
 	edges, n := gen.Generate(), gen.NumVertices()
 	und := graph.Undirected(edges)
 	aug := algorithms.AugmentEdges(edges)
-	runs := []func(*drive.SlabStore) (reflect.Type, int64){
-		func(s *drive.SlabStore) (reflect.Type, int64) { return storeRun(t, s, &algorithms.BFS{}, und, n) },
-		func(s *drive.SlabStore) (reflect.Type, int64) { return storeRun(t, s, &algorithms.WCC{}, und, n) },
-		func(s *drive.SlabStore) (reflect.Type, int64) { return storeRun(t, s, &algorithms.MCST{}, und, n) },
-		func(s *drive.SlabStore) (reflect.Type, int64) { return storeRun(t, s, &algorithms.MIS{}, und, n) },
-		func(s *drive.SlabStore) (reflect.Type, int64) { return storeRun(t, s, &algorithms.SSSP{}, und, n) },
-		func(s *drive.SlabStore) (reflect.Type, int64) {
+	runs := []func(*drive.SlabStore) (uintptr, int64){
+		func(s *drive.SlabStore) (uintptr, int64) { return storeRun(t, s, &algorithms.BFS{}, und, n) },
+		func(s *drive.SlabStore) (uintptr, int64) { return storeRun(t, s, &algorithms.WCC{}, und, n) },
+		func(s *drive.SlabStore) (uintptr, int64) { return storeRun(t, s, &algorithms.MCST{}, und, n) },
+		func(s *drive.SlabStore) (uintptr, int64) { return storeRun(t, s, &algorithms.MIS{}, und, n) },
+		func(s *drive.SlabStore) (uintptr, int64) { return storeRun(t, s, &algorithms.SSSP{}, und, n) },
+		func(s *drive.SlabStore) (uintptr, int64) {
 			return storeRun(t, s, &algorithms.PageRank{Iterations: 5}, edges, n)
 		},
-		func(s *drive.SlabStore) (reflect.Type, int64) { return storeRun(t, s, &algorithms.SCC{}, aug, n) },
-		func(s *drive.SlabStore) (reflect.Type, int64) {
+		func(s *drive.SlabStore) (uintptr, int64) { return storeRun(t, s, &algorithms.SCC{}, aug, n) },
+		func(s *drive.SlabStore) (uintptr, int64) {
 			return storeRun(t, s, &algorithms.Conductance{}, edges, n)
 		},
-		func(s *drive.SlabStore) (reflect.Type, int64) { return storeRun(t, s, &algorithms.SpMV{}, edges, n) },
-		func(s *drive.SlabStore) (reflect.Type, int64) {
+		func(s *drive.SlabStore) (uintptr, int64) { return storeRun(t, s, &algorithms.SpMV{}, edges, n) },
+		func(s *drive.SlabStore) (uintptr, int64) {
 			return storeRun(t, s, &algorithms.BP{Iterations: 4}, edges, n)
 		},
 	}
 	s := drive.NewSlabStore()
-	high := make(map[reflect.Type]int64)
+	high := make(map[uintptr]int64)
 	for pass := range 2 {
 		for i, run := range runs {
-			typ, h := run(s)
-			high[typ] = max(high[typ], h)
+			size, h := run(s)
+			high[size] = max(high[size], h)
 			var bound int64
 			for _, h := range high {
-				bound += h
+				bound += 2 * h
 			}
 			if s.Bytes() > bound {
 				t.Errorf("pass %d, run %d: the store holds %d bytes, past its bound of %d", pass, i, s.Bytes(), bound)
@@ -253,5 +254,5 @@ func TestSlabStoreBound(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d record types; the store holds %d bytes", len(high), s.Bytes())
+	t.Logf("%d record sizes; the store holds %d bytes", len(high), s.Bytes())
 }

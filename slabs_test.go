@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -188,5 +189,96 @@ func TestSlabStoreReuse(t *testing.T) {
 	}
 	if !reflect.DeepEqual(firstRes, secondRes) {
 		t.Errorf("second summary %v, first %v", secondRes.Summary, firstRes.Summary)
+	}
+}
+
+// TestSlabStoreSharesAcrossPrograms: a run takes its update slabs from
+// what another program left in the store, since the store shelves slabs
+// by record size: PageRank's float32 records and WCC's uint32 ones are
+// both 8 bytes. A native PageRank run and then a native WCC run over the
+// same undirected edges (RMAT-12's edges four times over, both ways:
+// about half a million), bins borrowed from a BinCache. WCC's first two
+// iterations, whose slabs are sized by a whole frontier's output as
+// PageRank's are, allocate at most 10 % of the update bytes they move,
+// counted by a label propagation beside the run: about 3 %, where a cold
+// run — as when the store kept slabs per record type — allocates about
+// 70 %. Later iterations size their slabs by a shrinking frontier, in
+// classes neither PageRank's slabs nor WCC's own exact-class free list
+// serve, so the whole run allocates about 41 % of the update bytes it
+// moves (a cold run about 109 %); that figure is logged, not held.
+func TestSlabStoreSharesAcrossPrograms(t *testing.T) {
+	if raceflag.Enabled() {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	base := GenerateRMAT(12, false, 1)
+	var edges []Edge
+	for range 4 {
+		edges = append(edges, base...)
+	}
+	und := graph.Undirected(edges)
+	src := graph.Edges(und)
+	const n, shared = 1 << 12, 2
+	opt := Options{Engine: EngineNative, Machines: 2, ChunkBytes: 64 << 10, ComputeWorkers: 2, Seed: 1}
+	ctx := WithBinCache(context.Background(), drive.NewBinStore().Bind(src))
+	for _, alg := range []string{"PR", "WCC"} { // build both bin sets
+		if _, _, err := RunSourceContext(ctx, alg, src, n, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store := NewSlabStore()
+	ctx = WithSlabStore(ctx, store)
+	if _, _, err := RunSourceContext(ctx, "PR", src, n, opt); err != nil {
+		t.Fatal(err)
+	}
+	held := store.Bytes()
+	if held == 0 {
+		t.Fatal("the PageRank run left nothing in the store")
+	}
+	var start, atShared, end runtime.MemStats
+	ctx = WithProgress(ctx, func(p Progress) {
+		if p.Iterations == shared {
+			runtime.ReadMemStats(&atShared)
+		}
+	})
+	runtime.ReadMemStats(&start)
+	_, rep, err := RunSourceContext(ctx, "WCC", src, n, opt)
+	runtime.ReadMemStats(&end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Iterations <= shared {
+		t.Fatalf("WCC converged in %d iterations", rep.Iterations)
+	}
+
+	// WCC's updates: every edge whose source is active sends one.
+	label := make([]uint32, n)
+	active := make([]bool, n)
+	for v := range label {
+		label[v], active[v] = uint32(v), true
+	}
+	sent := make([]uint64, rep.Iterations)
+	for it := range sent {
+		next := slices.Clone(label)
+		for _, e := range und {
+			if active[e.Src] {
+				sent[it]++
+				next[e.Dst] = min(next[e.Dst], label[e.Src])
+			}
+		}
+		for v := range label {
+			active[v] = next[v] < label[v]
+			label[v] = next[v]
+		}
+	}
+	const rec = uint64(unsafe.Sizeof(drive.UpdRec[uint32]{}))
+	first, whole := (sent[0]+sent[1])*rec, uint64(0)
+	for _, s := range sent {
+		whole += s * rec
+	}
+	firstAlloc, wholeAlloc := atShared.TotalAlloc-start.TotalAlloc, end.TotalAlloc-start.TotalAlloc
+	t.Logf("PageRank left %d B in the store; WCC allocated %d B of the %d B of updates its first %d iterations moved, %d B of the %d B all %d moved",
+		held, firstAlloc, first, shared, wholeAlloc, whole, rep.Iterations)
+	if firstAlloc*10 > first {
+		t.Errorf("WCC after PageRank allocated %d B in its first %d iterations: more than 10 %% of the %d B of updates they moved", firstAlloc, shared, first)
 	}
 }
